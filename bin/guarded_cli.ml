@@ -95,32 +95,12 @@ let report_outcome out =
 (* ------------------------------------------------------------------ *)
 
 let engine_arg =
-  let engine_conv =
-    Arg.enum [ ("indexed", `Indexed); ("naive", `Naive); ("parallel", `Parallel) ]
-  in
+  let engine_conv = Arg.enum [ ("indexed", `Indexed); ("naive", `Naive) ] in
   Arg.(
     value & opt engine_conv `Indexed
     & info [ "engine" ] ~docv:"ENGINE"
-        ~doc:"Saturation engine: $(b,indexed) (semi-naive, default), \
-              $(b,parallel) (semi-naive with multicore trigger matching — \
-              identical output), or $(b,naive).")
-
-let domains_arg =
-  Arg.(
-    value & opt (some int) None
-    & info [ "domains" ] ~docv:"N"
-        ~doc:"Worker domains for the parallel engine (default: the \
-              machine's recommended domain count). Implies \
-              $(b,--engine parallel).")
-
-(* Resolve the engine tag + --domains pair: --domains implies parallel;
-   bare --engine parallel uses the machine's recommended domain count. *)
-let resolve_engine tag domains : Tgds.Chase.engine =
-  match (tag, domains) with
-  | `Indexed, None -> `Indexed
-  | `Naive, None -> `Naive
-  | `Parallel, None -> `Parallel (Domain.recommended_domain_count ())
-  | _, Some n -> `Parallel n
+        ~doc:"Saturation engine: $(b,indexed) (semi-naive, default) or \
+              $(b,naive).")
 
 let checkpoint_arg =
   Arg.(
@@ -241,10 +221,9 @@ let resilient_chase ~engine ~max_level ~stats ~budget ~checkpoint ~ck_every
               1))
 
 let chase_cmd =
-  let run file max_level engine_tag domains stats budget_facts budget_ms
-      checkpoint ck_every resume retries fault_plan =
+  let run file max_level engine stats budget_facts budget_ms checkpoint
+      ck_every resume retries fault_plan =
     with_program file (fun p ->
-        let engine = resolve_engine engine_tag domains in
         let budget = make_budget budget_facts budget_ms in
         let sigma = p.Syntax.Parser.tgds in
         let db = Syntax.Parser.database p in
@@ -262,7 +241,7 @@ let chase_cmd =
   Cmd.v
     (Cmd.info "chase" ~doc:"Run the level-bounded oblivious chase and print the result.")
     Term.(
-      const run $ file_arg $ level_arg $ engine_arg $ domains_arg $ stats_arg
+      const run $ file_arg $ level_arg $ engine_arg $ stats_arg
       $ budget_facts_arg $ budget_ms_arg $ checkpoint_arg
       $ checkpoint_every_arg $ resume_arg $ retries_arg $ fault_plan_arg)
 
@@ -275,8 +254,7 @@ let chase_cmd =
    a WAL directory), then repair incrementally per mutation. Output: one
    `%` comment per mutation with the repair counts, a summary, the final
    instance, and — like `chase` — optional --stats / --checkpoint
-   artifacts. Everything printed is byte-identical across
-   indexed/parallel engines and domain counts.
+   artifacts.
 
    Durability and supervision (--wal/--recover/--retries/--fault-plan)
    route the loop through Resil: every mutation is appended and fsync'd
@@ -321,8 +299,8 @@ let serve_cmd =
         | Some b -> Error (`Parse b)
         | None -> Ok (List.rev !muts, List.rev !rejected))
   in
-  let run file log max_level engine_tag domains stats checkpoint ck_every
-      resume wal_dir recover retries fault_plan strict_log =
+  let run file log max_level engine stats checkpoint ck_every resume wal_dir
+      recover retries fault_plan strict_log =
     with_program file (fun p ->
         let plan =
           match fault_plan with
@@ -354,7 +332,6 @@ let serve_cmd =
                   rejected;
                 let muts = Array.of_list muts in
                 let n = Array.length muts in
-                let engine = resolve_engine engine_tag domains in
                 let sigma = p.Syntax.Parser.tgds in
                 let span = Obs.Span.root "serve" in
                 let resilient =
@@ -723,8 +700,8 @@ let serve_cmd =
              (incremental insert/delete repair, no re-chase), optionally \
              write-ahead logged and supervised.")
     Term.(
-      const run $ file_arg $ log_arg $ level_arg $ engine_arg $ domains_arg
-      $ stats_arg $ checkpoint_arg $ serve_ck_every_arg $ resume_arg $ wal_arg
+      const run $ file_arg $ log_arg $ level_arg $ engine_arg $ stats_arg
+      $ checkpoint_arg $ serve_ck_every_arg $ resume_arg $ wal_arg
       $ recover_arg $ serve_retries_arg $ fault_plan_arg $ strict_log_arg)
 
 (* ------------------------------------------------------------------ *)
@@ -739,8 +716,8 @@ let serve_cmd =
    requests complete, further input is ignored, and a clean drain exits
    0; request errors or quarantined queries exit 1. *)
 let server_cmd =
-  let run file max_level engine_tag domains workers stats budget_facts
-      budget_ms fault_plan =
+  let run file max_level engine workers stats budget_facts budget_ms
+      fault_plan =
     with_program file (fun p ->
         let plan =
           match fault_plan with
@@ -762,13 +739,6 @@ let server_cmd =
                race-free)@.";
             2
         | Ok plan ->
-            (* the parallel engine is the default saturator here: the
-               server amortises one big chase over many requests *)
-            let engine =
-              match (engine_tag, domains) with
-              | `Parallel, None -> `Parallel (Domain.recommended_domain_count ())
-              | tag, _ -> resolve_engine tag domains
-            in
             let sigma = p.Syntax.Parser.tgds in
             let db = Syntax.Parser.database p in
             let span = Obs.Span.root "server" in
@@ -833,17 +803,6 @@ let server_cmd =
                 (default 1). Reply transcripts sorted by request id are \
                 identical for every value.")
   in
-  let server_engine_arg =
-    let engine_conv =
-      Arg.enum [ ("indexed", `Indexed); ("naive", `Naive); ("parallel", `Parallel) ]
-    in
-    Arg.(
-      value & opt engine_conv `Parallel
-      & info [ "engine" ] ~docv:"ENGINE"
-          ~doc:"Saturation engine for the one-time chase (default \
-                $(b,parallel): the server amortises saturation over many \
-                requests).")
-  in
   let req_budget_facts_arg =
     Arg.(
       value & opt (some int) None
@@ -865,9 +824,8 @@ let server_cmd =
              request lines from stdin over the frozen store; one reply \
              line per request, tagged with the request id.")
     Term.(
-      const run $ file_arg $ level_arg $ server_engine_arg $ domains_arg
-      $ workers_arg $ stats_arg $ req_budget_facts_arg $ req_budget_ms_arg
-      $ fault_plan_arg)
+      const run $ file_arg $ level_arg $ engine_arg $ workers_arg $ stats_arg
+      $ req_budget_facts_arg $ req_budget_ms_arg $ fault_plan_arg)
 
 (* ------------------------------------------------------------------ *)
 (* classify                                                             *)
@@ -949,10 +907,9 @@ let eval_cmd =
 (* `answers` — the streaming enumerator (Engine.Enumerate) behind
    Omq_eval.answer_set. Same knobs as `eval` plus the chase engine
    selection of `chase`; answer sets print in canonical sorted order, so
-   the output is byte-identical across engines and domain counts. *)
+   the output is identical across engines. *)
 let answers_cmd =
-  let run file qname max_level fpt engine_tag domains stats budget_facts
-      budget_ms =
+  let run file qname max_level fpt engine stats budget_facts budget_ms =
     with_program file (fun p ->
         match get_query p qname with
         | Error e ->
@@ -961,7 +918,6 @@ let answers_cmd =
         | Ok q ->
             let omq = Omq.full_data_schema ~ontology:p.Syntax.Parser.tgds ~query:q in
             let db = Syntax.Parser.database p in
-            let engine = resolve_engine engine_tag domains in
             let budget = make_budget budget_facts budget_ms in
             let span = Obs.Span.root "answers" in
             let r =
@@ -991,8 +947,7 @@ let answers_cmd =
     Term.(
       const run $ file_arg $ query_arg $ level_arg
       $ Arg.(value & flag & info [ "fpt" ] ~doc:"Use the linearization-based FPT pipeline (guarded only).")
-      $ engine_arg $ domains_arg $ stats_arg $ budget_facts_arg
-      $ budget_ms_arg)
+      $ engine_arg $ stats_arg $ budget_facts_arg $ budget_ms_arg)
 
 let cqs_eval_cmd =
   let run file qname optimize stats =

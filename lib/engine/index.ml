@@ -3,8 +3,8 @@
     Symbols are interned to dense ints ({!Symtab}) and each predicate's
     tuples live in contiguous int columns ({!Vec}); posting lists and
     the per-predicate insertion order are flat int vectors of packed row
-    handles, and membership is hash-partitioned over [n_shards] disjoint
-    sub-tables keyed by the interned fact key. See the interface for the
+    handles, and membership is one hash table keyed by the interned fact
+    key. See the interface for the
     contract — the observable behaviour (iteration order, counters,
     probe accounting) is bit-compatible with the previous hash-of-lists
     representation:
@@ -30,10 +30,6 @@ let pack ~arity row = (arity lsl row_bits) lor row
 let arity_of_packed p = p lsr row_bits
 let row_of_packed p = p land row_mask
 
-(* Membership shards: the interned fact key hashes to one of [n_shards]
-   disjoint sub-tables, each owning its slice of the fact set. *)
-let n_shards = 16
-
 type rel = {
   r_arity : int;
   r_cols : Vec.t array;  (* one column per argument position *)
@@ -54,7 +50,7 @@ type tables = { mutable entries : entry option array }
 type t = {
   symtab : Symtab.t;
   tabs : tables;
-  shards : (int array, int) Hashtbl.t array;  (* fact key -> packed row *)
+  members : (int array, int) Hashtbl.t;  (* fact key -> packed row *)
   metrics : Obs.Metrics.t;
   (* counter handles, resolved once so the hot paths never do a name
      lookup *)
@@ -69,7 +65,7 @@ let create () =
   {
     symtab = Symtab.create ();
     tabs = { entries = Array.make 16 None };
-    shards = Array.init n_shards (fun _ -> Hashtbl.create 64);
+    members = Hashtbl.create 1024;
     metrics;
     c_probes = Obs.Metrics.counter metrics "index.probes";
     c_inserts = Obs.Metrics.counter metrics "index.inserts";
@@ -80,8 +76,7 @@ let create () =
 (* A read-only view over the same store with a private metrics registry:
    worker domains probe through readers so the shared registry is never
    written concurrently. Safe as long as nobody inserts while readers
-   are in use (the parallel engine freezes the index during the
-   collection stage). *)
+   are in use (the server only reads a frozen snapshot). *)
 let reader idx =
   let metrics = Obs.Metrics.create () in
   {
@@ -128,12 +123,12 @@ let key_find idx f =
         Some key
       with Unknown -> None)
 
-let shard_of idx key = idx.shards.(Hashtbl.hash key land (n_shards - 1))
-
 let mem f idx =
-  match key_find idx f with None -> false | Some key -> Hashtbl.mem (shard_of idx key) key
+  match key_find idx f with
+  | None -> false
+  | Some key -> Hashtbl.mem idx.members key
 
-let size idx = Array.fold_left (fun acc sh -> acc + Hashtbl.length sh) 0 idx.shards
+let size idx = Hashtbl.length idx.members
 
 let entry idx pid =
   let es = idx.tabs.entries in
@@ -190,8 +185,7 @@ let posting_of tbl cid =
 let insert f idx =
   Obs.Probe.hit "engine.insert";
   let key = key_intern idx f in
-  let sh = shard_of idx key in
-  if Hashtbl.mem sh key then begin
+  if Hashtbl.mem idx.members key then begin
     Obs.Metrics.incr idx.c_duplicates;
     false
   end
@@ -222,7 +216,7 @@ let insert f idx =
     for i = 0 to arity - 1 do
       Vec.push (posting_of e.e_at.(i) key.(i + 1)) packed
     done;
-    Hashtbl.replace sh key packed;
+    Hashtbl.replace idx.members key packed;
     true
   end
 
@@ -234,12 +228,11 @@ let remove f idx =
   match key_find idx f with
   | None -> false
   | Some key -> (
-      let sh = shard_of idx key in
-      match Hashtbl.find_opt sh key with
+      match Hashtbl.find_opt idx.members key with
       | None -> false
       | Some packed ->
           Obs.Metrics.incr idx.c_removes;
-          Hashtbl.remove sh key;
+          Hashtbl.remove idx.members key;
           let pid = key.(0) and arity = Array.length key - 1 in
           let e = match entry idx pid with Some e -> e | None -> assert false in
           ignore (Vec.remove_value e.e_order packed);
@@ -300,9 +293,9 @@ let ordered_facts idx =
   List.rev !out
 
 let to_instance idx =
-  Array.fold_left
-    (fun acc sh -> Hashtbl.fold (fun key _ acc -> Instance.add_fact (decode_key idx key) acc) sh acc)
-    Instance.empty idx.shards
+  Hashtbl.fold
+    (fun key _ acc -> Instance.add_fact (decode_key idx key) acc)
+    idx.members Instance.empty
 
 (* Decode a vector of packed rows to tuples, most recently added first
    (prepending while walking in append order reverses it). *)

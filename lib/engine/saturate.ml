@@ -17,7 +17,6 @@ open Relational
 open Relational.Term
 
 type policy = Oblivious | Restricted
-type engine = Indexed | Parallel of int
 type rule = { body : Atom.t list; head : Atom.t list }
 
 type snapshot = {
@@ -93,15 +92,8 @@ type init = {
   i_fpl : int list;  (* reversed: newest level first *)
 }
 
-let exec ~policy ~budget ~span ~on_pass ~on_fire ~pool init rules =
+let exec ~policy ~budget ~span ~on_pass ~on_fire init rules =
   let rules = Array.of_list rules in
-  (* Worker-death containment: [Parallel.collect] replays a dead shard's
-     slice on the calling domain, so a single death is absorbed without
-     observable effect; after repeated deaths the pool is dropped and the
-     remaining passes run the sequential traversal (same output — the
-     parallel path is byte-equivalent by construction). *)
-  let pool = ref pool in
-  let worker_deaths = ref 0 in
   let info =
     Array.map
       (fun r ->
@@ -153,41 +145,18 @@ let exec ~policy ~budget ~span ~on_pass ~on_fire ~pool init rules =
         let delta_by_pred = group_by_pred !delta in
         let pending = Hashtbl.create 64 in
         let new_triggers = ref [] in
-        (* main-registry handles for replaying worker-precomputed check
-           verdicts; resolved lazily so engines that never replay (or
-           runs with no checks at all) register exactly the counters the
-           sequential engine would *)
-        let replay_counters =
-          lazy
-            (let m = Index.metrics idx in
-             ( Obs.Metrics.counter m "index.probes",
-               Obs.Metrics.counter m "joiner.candidates",
-               Obs.Metrics.counter m "joiner.backtracks" ))
-        in
-        let consider i b pre =
+        let consider i b =
           let body_vars, _, frontier, _ = info.(i) in
           let key = trigger_key i b body_vars in
           if not (Hashtbl.mem fired key || Hashtbl.mem pending key) then begin
             let active =
               match policy with
               | Oblivious -> true
-              | Restricted -> (
-                  match (pre : Parallel.verdict option) with
-                  | Some v ->
-                      (* the check already ran shard-locally against the
-                         frozen index; replay its observable effects at
-                         the canonical point *)
-                      Obs.Probe.hit "engine.join";
-                      let cp, cc, cb = Lazy.force replay_counters in
-                      Obs.Metrics.add cp v.Parallel.v_probes;
-                      Obs.Metrics.add cc v.Parallel.v_candidates;
-                      Obs.Metrics.add cb v.Parallel.v_backtracks;
-                      v.Parallel.v_active
-                  | None ->
-                      let init =
-                        VarMap.filter (fun x _ -> VarSet.mem x frontier) b
-                      in
-                      not (Joiner.exists ~init rules.(i).head idx))
+              | Restricted ->
+                  let init =
+                    VarMap.filter (fun x _ -> VarSet.mem x frontier) b
+                  in
+                  not (Joiner.exists ~init rules.(i).head idx)
             in
             if active then begin
               Hashtbl.replace pending key ();
@@ -200,89 +169,26 @@ let exec ~policy ~budget ~span ~on_pass ~on_fire ~pool init rules =
             end
           end
         in
-        (match !pool with
-        | None ->
-            Array.iteri
-              (fun i r ->
-                if r.body = [] then begin
-                  (* bodiless rules have a single (empty) trigger; it exists
-                     from the start, so only the first pass needs to consider
-                     it *)
-                  if !first_pass then consider i VarMap.empty None
-                end
-                else
-                  let _, _, _, pvs = info.(i) in
-                  List.iter
-                    (fun (pivot, reordered) ->
-                      match
-                        Hashtbl.find_opt delta_by_pred (Atom.pred pivot)
-                      with
-                      | None -> ()
-                      | Some dfacts ->
-                          Joiner.fold ~delta:dfacts reordered idx
-                            (fun b () -> consider i b None)
-                            ())
-                    pvs)
-              rules
-        | Some p ->
-            (* same traversal, decomposed into jobs: the matching fans out
-               over the pool, [consider] replays in the sequential order
-               (see Parallel's determinism argument) *)
-            let jobs = ref [] in
-            Array.iteri
-              (fun i r ->
-                if r.body = [] then begin
-                  if !first_pass then jobs := Parallel.Bodiless i :: !jobs
-                end
-                else
-                  let _, _, _, pvs = info.(i) in
-                  List.iter
-                    (fun (pivot, reordered) ->
-                      match
-                        Hashtbl.find_opt delta_by_pred (Atom.pred pivot)
-                      with
-                      | None -> ()
-                      | Some dfacts ->
-                          jobs :=
-                            Parallel.Join
-                              { rule = i; atoms = reordered; delta = dfacts }
-                            :: !jobs)
-                    pvs)
-              rules;
-            let key_of i b =
-              let body_vars, _, _, _ = info.(i) in
-              trigger_key i b body_vars
-            in
-            (* run shard-locally, against a private frozen reader, with
-               probes silenced: the merge walk replays the probe hit and
-               counter deltas at the canonical point instead *)
-            let check =
-              match policy with
-              | Oblivious -> None
-              | Restricted ->
-                  Some
-                    (fun i b rdr ->
-                      let _, _, frontier, _ = info.(i) in
-                      let init =
-                        VarMap.filter (fun x _ -> VarSet.mem x frontier) b
-                      in
-                      not (Joiner.exists ~probe:false ~init rules.(i).head rdr))
-            in
-            let deaths =
-              Parallel.collect ~pool:p ~index:idx ~fired ~key_of ~check
-                (List.rev !jobs) ~consider
-            in
-            if deaths > 0 then begin
-              worker_deaths := !worker_deaths + deaths;
-              if !worker_deaths >= 2 then begin
-                (* repeated deaths: drop to the sequential traversal for
-                   the rest of the run (the pool itself is torn down by
-                   [with_pool]'s finaliser as usual) *)
-                pool := None;
-                Obs.Metrics.incr
-                  (Obs.Metrics.counter (Index.metrics idx) "parallel.degraded")
-              end
-            end);
+        Array.iteri
+          (fun i r ->
+            if r.body = [] then begin
+              (* bodiless rules have a single (empty) trigger; it exists
+                 from the start, so only the first pass needs to consider
+                 it *)
+              if !first_pass then consider i VarMap.empty
+            end
+            else
+              let _, _, _, pvs = info.(i) in
+              List.iter
+                (fun (pivot, reordered) ->
+                  match Hashtbl.find_opt delta_by_pred (Atom.pred pivot) with
+                  | None -> ()
+                  | Some dfacts ->
+                      Joiner.fold ~delta:dfacts reordered idx
+                        (fun b () -> consider i b)
+                        ())
+                pvs)
+          rules;
         first_pass := false;
         if !new_triggers = [] then saturated := true
         else begin
@@ -382,20 +288,8 @@ let make_span obs =
   | Some parent -> Obs.Span.enter parent "saturate"
   | None -> Obs.Span.root "saturate"
 
-(* Pool lifecycle: one pool per run, reused across passes, torn down even
-   when the run raises (fault injection kills runs mid-pass). *)
-let with_pool engine f =
-  match engine with
-  | Indexed -> f None
-  | Parallel n ->
-      if n < 1 then invalid_arg "Saturate: domain count must be >= 1";
-      let pool = Shard.create n in
-      Fun.protect
-        ~finally:(fun () -> Shard.shutdown pool)
-        (fun () -> f (Some pool))
-
-let run ?(policy = Oblivious) ?(engine = Indexed)
-    ?(budget = Obs.Budget.unlimited) ?obs ?on_pass ?on_fire rules db =
+let run ?(policy = Oblivious) ?(budget = Obs.Budget.unlimited) ?obs ?on_pass
+    ?on_fire rules db =
   let span = make_span obs in
   let level_of : (Fact.t, int) Hashtbl.t = Hashtbl.create 256 in
   Instance.iter (fun f -> Hashtbl.replace level_of f 0) db;
@@ -412,10 +306,7 @@ let run ?(policy = Oblivious) ?(engine = Indexed)
       i_fpl = [];
     }
   in
-  let r =
-    with_pool engine (fun pool ->
-        exec ~policy ~budget ~span ~on_pass ~on_fire ~pool init rules)
-  in
+  let r = exec ~policy ~budget ~span ~on_pass ~on_fire init rules in
   Obs.Span.exit span;
   r
 
@@ -428,9 +319,8 @@ let run ?(policy = Oblivious) ?(engine = Indexed)
     trigger touching the delta was either never fired or was invalidated
     by the over-delete phase). Bodiless rules are never (re-)considered:
     their single trigger fired on the original first pass. *)
-let continue ?(policy = Oblivious) ?(engine = Indexed)
-    ?(budget = Obs.Budget.unlimited) ?obs ?on_pass ?on_fire rules ~index
-    ~level_of ~level delta =
+let continue ?(policy = Oblivious) ?(budget = Obs.Budget.unlimited) ?obs
+    ?on_pass ?on_fire rules ~index ~level_of ~level delta =
   let span = make_span obs in
   let init =
     {
@@ -445,16 +335,12 @@ let continue ?(policy = Oblivious) ?(engine = Indexed)
       i_fpl = [];
     }
   in
-  let r =
-    with_pool engine (fun pool ->
-        exec ~policy ~budget ~span ~on_pass ~on_fire ~pool init rules)
-  in
+  let r = exec ~policy ~budget ~span ~on_pass ~on_fire init rules in
   Obs.Span.exit span;
   r
 
-let resume ?(policy = Oblivious) ?(engine = Indexed)
-    ?(budget = Obs.Budget.unlimited) ?obs ?on_pass ?on_fire rules
-    (s : snapshot) =
+let resume ?(policy = Oblivious) ?(budget = Obs.Budget.unlimited) ?obs
+    ?on_pass ?on_fire rules (s : snapshot) =
   let span = make_span obs in
   let idx = Index.create () in
   List.iter (fun (f, _) -> ignore (Index.insert f idx)) s.snap_facts;
@@ -509,9 +395,6 @@ let resume ?(policy = Oblivious) ?(engine = Indexed)
       i_fpl = fpl;
     }
   in
-  let r =
-    with_pool engine (fun pool ->
-        exec ~policy ~budget ~span ~on_pass ~on_fire ~pool init rules)
-  in
+  let r = exec ~policy ~budget ~span ~on_pass ~on_fire init rules in
   Obs.Span.exit span;
   r

@@ -92,8 +92,6 @@ let extern t id =
   if id < 0 || id >= t.n then invalid_arg "Symtab.extern";
   t.syms.(id)
 
-let seed t cs = List.iter (fun c -> ignore (intern t c)) (List.sort_uniq compare_const cs)
-
 let intern_pred t p =
   match Hashtbl.find_opt t.pred_ids p with
   | Some id -> id
@@ -116,45 +114,3 @@ let extern_pred t id =
   t.preds.(id)
 
 let pred_count t = t.npreds
-
-(* Overlays: provisional ids for shard [s] of [k] are -(j*k + s) - 1 for
-   j = 0, 1, ... — strictly negative (disjoint from base ids) and
-   interleaved by shard index (disjoint across shards for any k). *)
-
-type overlay = {
-  base : t;
-  shard : int;
-  shards : int;
-  fresh : (const, int) Hashtbl.t;
-  mutable news : const list;  (* reversed assignment order *)
-  mutable count : int;
-}
-
-let overlay base ~shard ~shards =
-  if shards < 1 || shard < 0 || shard >= shards then invalid_arg "Symtab.overlay";
-  { base; shard; shards; fresh = Hashtbl.create 16; news = []; count = 0 }
-
-let overlay_intern o c =
-  match find o.base c with
-  | Some id -> id
-  | None -> (
-      match Hashtbl.find_opt o.fresh c with
-      | Some id -> id
-      | None ->
-          let id = -((o.count * o.shards) + o.shard) - 1 in
-          Hashtbl.add o.fresh c id;
-          o.news <- c :: o.news;
-          o.count <- o.count + 1;
-          id)
-
-let overlay_extern o id =
-  if id >= 0 then extern o.base id
-  else
-    let found = Hashtbl.fold (fun c i acc -> if i = id then Some c else acc) o.fresh None in
-    match found with Some c -> c | None -> invalid_arg "Symtab.overlay_extern"
-
-let overlay_news o = List.rev o.news
-
-let reconcile t os =
-  let news = Array.fold_left (fun acc o -> List.rev_append o.news acc) [] os in
-  seed t news

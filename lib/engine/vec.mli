@@ -9,7 +9,7 @@
     list semantics the chase needs (order-preserving deletion).
 
     Not thread-safe for writers; concurrent readers are fine, which is
-    exactly the parallel engine's frozen-index discipline. *)
+    exactly the query server's frozen-snapshot discipline. *)
 
 type t
 

@@ -112,7 +112,7 @@ let kill t d =
 
 let check_engine : Tgds.Chase.engine -> unit = function
   | `Naive -> invalid_arg "Incr.create: maintenance requires an indexed engine"
-  | `Indexed | `Parallel _ -> ()
+  | `Indexed -> ()
 
 let create ?(engine = `Indexed) ?max_level ?obs sigma db =
   check_engine engine;
@@ -127,7 +127,7 @@ let create ?(engine = `Indexed) ?max_level ?obs sigma db =
   let er =
     match Tgds.Chase.engine_result r with
     | Some er -> er
-    | None -> assert false (* indexed family always has one *)
+    | None -> assert false (* the indexed engine always has one *)
   in
   let base = Hashtbl.create (Instance.size db) in
   Instance.iter (fun f -> Hashtbl.replace base f ()) db;
@@ -162,8 +162,7 @@ let propagate ?obs t delta =
   if delta = [] then 0
   else begin
     let r =
-      Engine.Saturate.continue ~policy:Engine.Saturate.Oblivious
-        ~engine:Engine.Saturate.Indexed ?obs
+      Engine.Saturate.continue ~policy:Engine.Saturate.Oblivious ?obs
         ~on_fire:(record ~derivs:t.derivs ~uses:t.uses ~fired:t.fired)
         t.rules ~index:t.idx ~level_of:t.level_of ~level:t.level delta
     in

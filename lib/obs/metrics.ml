@@ -76,7 +76,7 @@ let counters m =
 let absorb ~into src =
   List.iter (fun (name, v) -> add (counter into name) v) (counters src);
   (* histograms merge bucket-wise: counts and sums add, the extrema take
-     the pointwise min/max — absorbing worker registries in shard order
+     the pointwise min/max — absorbing worker registries in worker order
      yields the same merged histogram as observing on one registry *)
   Hashtbl.iter
     (fun name (h : histo) ->

@@ -93,12 +93,8 @@ let run ?(engine = `Indexed) ?(policy = Tgds.Chase.Oblivious) ?budget
   in
   let attempts () = List.rev !log in
   match
-    (* degradation ladder: Parallel → Indexed → Naive *)
-    let degrade = function
-      | `Parallel _ -> Some `Indexed
-      | `Indexed -> Some `Naive
-      | `Naive -> None
-    in
+    (* degradation ladder: Indexed → Naive *)
+    let degrade = function `Indexed -> Some `Naive | `Naive -> None in
     let rec attempt eng =
       match run_engine eng with
       | Some r -> Some (r, eng)

@@ -6,14 +6,14 @@
     boundaries, and on failure backs off and resumes from the last
     checkpoint instead of restarting from scratch. After [retries]
     failed retries on the primary engine it {e degrades} down the ladder
-    [`Parallel _] → [`Indexed] → [`Naive] — still resuming from the last
+    [`Indexed] → [`Naive] — still resuming from the last
     checkpoint (checkpoints are engine-agnostic) — and after exhausting
     the last rung's attempts gives up with a typed diagnostic.
 
     State machine of one [run]:
     {v
       attempt(engine, k)  --fault-->  backoff; k+1 ≤ retries+1 ? retry
-                                      : degrade (Parallel→Indexed→Naive)
+                                      : degrade (Indexed→Naive)
       attempt(`Naive, k)  --fault-->  backoff; k+1 ≤ retries+1 ? retry
                                       : Failed
       any attempt --success--> Completed / Recovered / Degraded

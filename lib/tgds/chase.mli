@@ -6,14 +6,11 @@
     (§2): the result is unique up to isomorphism and the level-bounded
     slices [chase^ℓ_s(D,Σ)] of Lemma A.1 are canonical.
 
-    Three engines: [`Indexed] (default) runs the semi-naive saturation of
-    [lib/engine]; [`Parallel n] is the same saturation with each pass's
-    trigger matching fanned out over [n] domains and merged back
-    deterministically — byte-identical to [`Indexed] in every observable
-    output (see {!Engine.Parallel}); [`Naive] is the original
-    re-enumerating loop, kept for the ablation benchmarks. All produce
+    Two engines: [`Indexed] (default) runs the semi-naive saturation of
+    [lib/engine]; [`Naive] is the original re-enumerating loop, kept for
+    the ablation benchmarks and as the supervisor's fallback. Both produce
     the same s-levels (and the same instance up to null renaming), and
-    all honour the same budget cut points, so budgeted runs agree level
+    both honour the same budget cut points, so budgeted runs agree level
     by level too.
 
     Observability: a run is bounded by an {!Obs.Budget.t} (facts, levels,
@@ -31,7 +28,7 @@ type policy =
   | Oblivious  (** the paper's semantics: fire regardless of the head *)
   | Restricted  (** skip triggers whose head is already satisfied *)
 
-type engine = [ `Naive | `Indexed | `Parallel of int ]
+type engine = [ `Naive | `Indexed ]
 
 (** The chase state at a {e clean pass boundary} — a pass that completed
     without a budget violation (including the final, saturation-

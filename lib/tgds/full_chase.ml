@@ -69,18 +69,13 @@ let run ?(engine = `Indexed) ?(budget = Obs.Budget.unlimited) ?obs sigma db =
   check_full sigma;
   match engine with
   | `Naive -> saturate_naive ~budget ~obs sigma db
-  | (`Indexed | `Parallel _) as e ->
-      let sat_engine =
-        match e with
-        | `Parallel n -> Engine.Saturate.Parallel n
-        | _ -> Engine.Saturate.Indexed
-      in
+  | `Indexed ->
       let rules =
         List.map
           (fun t -> Engine.Saturate.{ body = Tgd.body t; head = Tgd.head t })
           sigma
       in
-      let r = Engine.Saturate.run ~engine:sat_engine ~budget ?obs rules db in
+      let r = Engine.Saturate.run ~budget ?obs rules db in
       (Engine.Index.to_instance r.Engine.Saturate.index,
        r.Engine.Saturate.outcome)
 

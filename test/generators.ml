@@ -89,12 +89,9 @@ let arb_full_sigma_db =
 let engine_to_string : Tgds.Chase.engine -> string = function
   | `Indexed -> "indexed"
   | `Naive -> "naive"
-  | `Parallel n -> Printf.sprintf "parallel:%d" n
 
 let gen_engine : Tgds.Chase.engine QCheck.Gen.t =
-  QCheck.Gen.map
-    (function 0 -> `Indexed | 1 -> `Naive | _ -> `Parallel 2)
-    (QCheck.Gen.int_range 0 2)
+  QCheck.Gen.oneofl [ `Indexed; `Naive ]
 
 let gen_policy =
   QCheck.Gen.map

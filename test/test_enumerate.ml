@@ -7,8 +7,8 @@
    without anything noticing — the same way test_store.ml pinned the
    columnar store swap:
 
-   - answer sets (rendered tuples, outcome, count) are byte-identical
-     across {Indexed, Parallel 1, Parallel 2, Parallel 4};
+   - answer sets (rendered tuples, outcome, count) over the indexed
+     engine's chase are byte-identical to the goldens;
    - budgeted runs return the same Partial *prefix*: the emission order
      of the search is part of the contract, because a served reply
      renders whatever prefix the budget left;
@@ -38,9 +38,9 @@ let n_workloads = 10
 
 let chase_budget () = Obs.Budget.create ~max_facts:120 ~max_levels:5 ()
 
-let saturate ~engine sigma db =
+let saturate sigma db =
   Term.reset_nulls ();
-  Chase.run ~engine ~policy:Chase.Restricted ~budget:(chase_budget ()) sigma db
+  Chase.run ~policy:Chase.Restricted ~budget:(chase_budget ()) sigma db
 
 let render_const = function
   | Term.Named s -> s
@@ -62,9 +62,9 @@ let render_result (res : Engine.Enumerate.result) =
 (* One line per (workload, query): the full answer set, and the Partial
    prefix under a 3-answer budget (which pins emission order, not just
    the set). *)
-let observe ~engine k =
+let observe k =
   let sigma, db, queries = gen_workload k in
-  let r = saturate ~engine sigma db in
+  let r = saturate sigma db in
   let idx = Chase.index r in
   let universe = Instance.dom db in
   List.concat
@@ -78,13 +78,6 @@ let observe ~engine k =
            Fmt.str "%d.%d cut3 %s" k j (render_result cut);
          ])
        queries)
-
-let family = [ `Indexed; `Parallel 1; `Parallel 2; `Parallel 4 ]
-
-let engine_name = function
-  | `Indexed -> "indexed"
-  | `Parallel n -> Fmt.str "parallel:%d" n
-  | `Naive -> "naive"
 
 (* ------------------------------------------------------------------ *)
 (* Goldens: pre-interning enumerator output (PR 9 tree). Regenerate     *)
@@ -157,14 +150,12 @@ let golden : string list =
     "9.2 cut3 complete n=2 (b) (c)";
   ]
 
-let test_golden_engine engine () =
-  let got = List.concat (List.init n_workloads (observe ~engine)) in
-  Alcotest.(check (list string))
-    (Fmt.str "pre-refactor answer goldens (%s)" (engine_name engine))
-    golden got
+let test_golden () =
+  let got = List.concat (List.init n_workloads observe) in
+  Alcotest.(check (list string)) "pre-refactor answer goldens" golden got
 
 let regen () =
-  let lines = List.concat (List.init n_workloads (observe ~engine:`Indexed)) in
+  let lines = List.concat (List.init n_workloads observe) in
   print_string "  [\n";
   List.iter (fun l -> Printf.printf "    %S;\n" l) lines;
   print_string "  ]\n"
@@ -178,7 +169,7 @@ let regen () =
    single shared ctx must reproduce the same goldens. *)
 let observe_interned k =
   let sigma, db, queries = gen_workload k in
-  let r = saturate ~engine:`Indexed sigma db in
+  let r = saturate sigma db in
   let cx = Engine.Enumerate.ctx ~universe:(Instance.dom db) (Chase.index r) in
   List.concat
     (List.mapi
@@ -208,7 +199,7 @@ let test_interned_results_survive_ctx_reuse () =
   List.iter
     (fun k ->
       let sigma, db, queries = gen_workload k in
-      let r = saturate ~engine:`Indexed sigma db in
+      let r = saturate sigma db in
       let cx =
         Engine.Enumerate.ctx ~universe:(Instance.dom db) (Chase.index r)
       in
@@ -222,7 +213,7 @@ let test_interned_results_survive_ctx_reuse () =
         queries;
       (* observe's lines alternate full/cut3; keep the full ones *)
       let expected =
-        List.filteri (fun i _ -> i mod 2 = 0) (observe ~engine:`Indexed k)
+        List.filteri (fun i _ -> i mod 2 = 0) (observe k)
       in
       let got =
         List.mapi
@@ -244,7 +235,7 @@ let test_interned_results_survive_ctx_reuse () =
    measured cost so it only fails on a real regression, not on noise. *)
 let test_request_allocation_bound () =
   let sigma, db, queries = gen_workload 1 in
-  let r = saturate ~engine:`Indexed sigma db in
+  let r = saturate sigma db in
   let cx = Engine.Enumerate.ctx ~universe:(Instance.dom db) (Chase.index r) in
   let q = List.hd queries in
   for _ = 1 to 3 do
@@ -267,12 +258,10 @@ let () =
     Alcotest.run "enumerate"
       [
         ( "golden",
-          List.map
-            (fun e ->
-              Alcotest.test_case
-                (Fmt.str "answers byte-identical (%s)" (engine_name e))
-                `Quick (test_golden_engine e))
-            family );
+          [
+            Alcotest.test_case "answers byte-identical (indexed)" `Quick
+              test_golden;
+          ] );
         ( "interned",
           [
             Alcotest.test_case "shared-ctx differential" `Quick

@@ -114,18 +114,6 @@ let prop_differential (sigma, db, ops) =
   && Generators.equal_upto_nulls (store_facts_levels store)
        (Generators.facts_levels fresh)
 
-(* the creation engine is invisible: parallel replay lands firings in
-   the sequential order, so the maintained instances are byte-identical,
-   null ids included *)
-let prop_engine_parity (sigma, db, ops) =
-  let run engine =
-    Term.reset_nulls ();
-    let store = Incr.create ~engine sigma db in
-    apply_log store ops;
-    Incr.instance store
-  in
-  Instance.equal (run `Indexed) (run (`Parallel 2))
-
 (* a maintained checkpoint resumes as a no-op continuation holding the
    same instance *)
 let prop_checkpoint (sigma, db, ops) =
@@ -291,8 +279,6 @@ let () =
         [
           qcheck "maintained store = fresh chase of final base"
             prop_differential;
-          qcheck ~count:100 "indexed and parallel creation agree"
-            prop_engine_parity;
           qcheck ~count:100 "maintained checkpoint resumes as a no-op"
             prop_checkpoint;
           QCheck_alcotest.to_alcotest

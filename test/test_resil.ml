@@ -23,7 +23,7 @@ let fact = Generators.fact
 let tgd = Generators.tgd
 
 (* Result comparison up to null renaming lives in Generators (shared
-   with the parallel-engine suite). *)
+   with the store and engine suites). *)
 let results_equivalent = Generators.results_equivalent
 
 (* ------------------------------------------------------------------ *)
@@ -116,13 +116,9 @@ let resume_equiv (sigma, db, engine, policy, pick, cross) =
   let snaps = Array.of_list (List.rev !snaps) in
   let s = snaps.(pick mod Array.length snaps) in
   let resume_engine =
-    (* cross-engine resume covers every rung of the supervisor's
-       degradation ladder, plus escalation back up to parallel *)
-    if cross then
-      match engine with
-      | `Indexed -> `Naive
-      | `Naive -> `Parallel 2
-      | `Parallel _ -> `Indexed
+    (* cross-engine resume covers the supervisor's degradation ladder
+       and the way back up *)
+    if cross then match engine with `Indexed -> `Naive | `Naive -> `Indexed
     else engine
   in
   let r =
@@ -205,6 +201,37 @@ let unit_sigma =
 
 let unit_db = Instance.of_facts [ fact "A" [ "a" ] ]
 
+(* A checkpoint of [a(c). a(X) -> s(X,Y). s(X,Y) -> a(Y).] at level 3,
+   byte for byte as the removed multicore engine wrote it
+   ([chase --engine parallel --domains 2 --max-level 3 --checkpoint]). *)
+let legacy_parallel_checkpoint =
+  {|{"schema":"guarded-chase-checkpoint","version":1,"engine":"parallel","policy":"oblivious","level":3,"saturated":false,"null_count":2,"triggers_fired":3,"triggers_dismissed":0,"counters":{"index.duplicates":0,"index.inserts":4,"index.probes":0,"index.removes":0,"joiner.backtracks":0,"joiner.candidates":3},"facts":[{"p":"a","l":0,"a":["c"]},{"p":"s","l":1,"a":["c",{"n":1}]},{"p":"a","l":2,"a":[{"n":1}]},{"p":"s","l":3,"a":[{"n":1},{"n":2}]}]}|}
+
+let test_legacy_parallel_checkpoint () =
+  let sigma =
+    [
+      tgd [ atom "a" [ v "x" ] ] [ atom "s" [ v "x"; v "y" ] ];
+      tgd [ atom "s" [ v "x"; v "y" ] ] [ atom "a" [ v "y" ] ];
+    ]
+  in
+  Term.reset_nulls ();
+  let full =
+    Chase.run ~budget:(Generators.resil_budget ()) sigma
+      (Instance.of_facts [ fact "a" [ "c" ] ])
+  in
+  match
+    Result.bind (Obs.Json.parse legacy_parallel_checkpoint)
+      Resil.Checkpoint.of_json
+  with
+  | Error e -> Alcotest.failf "legacy checkpoint unreadable: %s" e
+  | Ok s ->
+      check "loads as the indexed engine" true (s.Chase.snap_engine = `Indexed);
+      let r = Chase.resume ~budget:(Generators.resil_budget ()) sigma s in
+      check "resumes to the uninterrupted result, null ids included" true
+        (Generators.facts_levels r = Generators.facts_levels full
+        && Chase.saturated r = Chase.saturated full
+        && Chase.max_level r = Chase.max_level full)
+
 let test_supervisor_degrades () =
   Term.reset_nulls ();
   let base =
@@ -234,6 +261,29 @@ let test_supervisor_degrades () =
           check "failed attempts ran on the indexed engine" true
             (a.Resil.Supervisor.engine = `Indexed))
         log;
+      check "degraded result ≍ uninterrupted" true (results_equivalent base r)
+  | _ -> Alcotest.fail "expected Degraded"
+
+let test_supervisor_ladder () =
+  Term.reset_nulls ();
+  let base =
+    Chase.run ~engine:`Indexed ~budget:(Generators.resil_budget ()) unit_sigma
+      unit_db
+  in
+  Term.reset_nulls ();
+  (* with no retries, one failure on the indexed rung steps straight down
+     to the naive engine (no engine.* probes), which completes *)
+  let plan = [ Resil.Fault.At_point ("engine.pass", 1) ] in
+  match
+    Resil.Supervisor.run ~engine:`Indexed
+      ~budget:(Generators.resil_budget ()) ~retries:0
+      ~sleep:(fun _ -> ())
+      ~fault_plan:plan unit_sigma unit_db
+  with
+  | Resil.Supervisor.Degraded (r, log) ->
+      check_int "one failed attempt" 1 (List.length log);
+      check "ladder walked Indexed → Naive" true
+        (List.map (fun a -> a.Resil.Supervisor.engine) log = [ `Indexed ]);
       check "degraded result ≍ uninterrupted" true (results_equivalent base r)
   | _ -> Alcotest.fail "expected Degraded"
 
@@ -769,8 +819,12 @@ let () =
             test_checkpoint_disk_roundtrip;
           Alcotest.test_case "checkpoint schema validation" `Quick
             test_checkpoint_rejects_bad_schema;
+          Alcotest.test_case "legacy parallel checkpoint resumes" `Quick
+            test_legacy_parallel_checkpoint;
           Alcotest.test_case "supervisor degrades to naive" `Quick
             test_supervisor_degrades;
+          Alcotest.test_case "supervisor degradation ladder" `Quick
+            test_supervisor_ladder;
           Alcotest.test_case "supervisor failure is a typed outcome" `Quick
             test_supervisor_failed_is_typed;
           Alcotest.test_case "supervisor backoff sequence" `Quick

@@ -1,22 +1,23 @@
 (* Cross-engine equivalence harness for the fact-store substrate.
 
-   The store under [lib/engine] is the load-bearing representation five
-   consumers share (Chase, Enumerate, Incr, Parallel, Resil); this suite
-   pins its *observable* behaviour so the representation can change
-   underneath without anything noticing. The contract, over random
-   guarded programs × random databases:
+   The store under [lib/engine] is the load-bearing representation four
+   consumers share (Chase, Enumerate, Incr, Resil); this suite pins its
+   *observable* behaviour so the representation can change underneath
+   without anything noticing. The contract, over random guarded
+   programs × random databases:
 
    - fresh chase: facts with their exact null ids and Lemma A.1
      s-levels, every clean-boundary checkpoint's bytes, the counter
      stats (up to the timing histograms) and the enumerated answer sets
-     are byte-identical across {Indexed, Parallel 1/2/4};
+     are byte-identical across reruns of the indexed engine in one
+     process (no state leaks from one run into the next);
    - resume: continuing any checkpointed boundary is byte-identical
-     across the indexed engine family;
-   - serve: a maintained store (initial chase under any indexed-family
-     engine, then a mutation log) holds byte-identical facts, effects,
-     checkpoint and counters;
-   - Naive agrees with the family up to null renaming, and exactly on
-     answer sets (answers are null-free).
+     across reruns;
+   - serve: a maintained store (initial chase, then a mutation log)
+     holds byte-identical facts, effects, checkpoint and counters across
+     reruns;
+   - Naive agrees with the indexed engine up to null renaming, and
+     exactly on answer sets (answers are null-free).
 
    The fixed-oracle cases additionally embed literals produced by the
    pre-columnar hash-of-lists store, so a representation change that
@@ -44,21 +45,18 @@ let cut_at_histograms s =
   in
   find 0
 
-let family = [ `Indexed; `Parallel 1; `Parallel 2; `Parallel 4 ]
-
 (* ------------------------------------------------------------------ *)
 (* Fresh chase: everything observable about one budgeted run            *)
 (* ------------------------------------------------------------------ *)
 
 (* Facts with null ids and s-levels, saturation/outcome, every
-   clean-boundary checkpoint serialised (engine field normalised — it
-   names the engine family by design), the stats report up to the
+   clean-boundary checkpoint serialised, the stats report up to the
    timing tail, and the answer sets of the fixed query pool. *)
-let chase_observables ~engine ~policy sigma db =
+let chase_observables ~policy sigma db =
   Term.reset_nulls ();
   let snaps = ref [] in
   let r =
-    Chase.run ~engine ~policy ~budget:(Generators.resil_budget ())
+    Chase.run ~policy ~budget:(Generators.resil_budget ())
       ~on_pass:(fun ~level:_ ~saturated:_ take -> snaps := take () :: !snaps)
       sigma db
   in
@@ -68,9 +66,7 @@ let chase_observables ~engine ~policy sigma db =
   in
   let trace =
     List.rev_map
-      (fun s ->
-        Obs.Json.to_string
-          (Resil.Checkpoint.to_json { s with Chase.snap_engine = `Indexed }))
+      (fun s -> Obs.Json.to_string (Resil.Checkpoint.to_json s))
       !snaps
   in
   let answers =
@@ -106,13 +102,11 @@ let arb_case =
 let prop_fresh_chase_byte_identical =
   QCheck.Test.make
     ~name:
-      "store: fresh chase byte-identical across the family (facts, levels, \
+      "store: fresh chase byte-identical across reruns (facts, levels, \
        checkpoints, stats, answers)"
     ~count:50 arb_case (fun (sigma, db, policy) ->
-      let base = chase_observables ~engine:`Indexed ~policy sigma db in
-      List.for_all
-        (fun engine -> chase_observables ~engine ~policy sigma db = base)
-        (List.tl family))
+      let base = chase_observables ~policy sigma db in
+      chase_observables ~policy sigma db = base)
 
 let prop_naive_equivalent =
   QCheck.Test.make
@@ -142,13 +136,11 @@ let prop_naive_equivalent =
       Generators.results_equivalent naive idx && naive_answers = idx_answers)
 
 (* ------------------------------------------------------------------ *)
-(* Resume: any boundary, any engine of the family                       *)
+(* Resume: any boundary                                                 *)
 (* ------------------------------------------------------------------ *)
 
-let resume_observables ~engine sigma snap =
-  let r =
-    Chase.resume ~engine ~budget:(Generators.resil_budget ()) sigma snap
-  in
+let resume_observables sigma snap =
+  let r = Chase.resume ~budget:(Generators.resil_budget ()) sigma snap in
   let stats =
     cut_at_histograms
       (Obs.Json.to_string (Obs.Report.to_json (Chase.report ~name:"store" r)))
@@ -168,14 +160,12 @@ let arb_resume_case =
 
 let prop_resume_byte_identical =
   QCheck.Test.make
-    ~name:"store: resume from any boundary byte-identical across the family"
+    ~name:"store: resume from any boundary byte-identical across reruns"
     ~count:40 arb_resume_case (fun ((sigma, db, policy), pick) ->
       let snaps = Generators.chase_snapshots ~engine:`Indexed ~policy sigma db in
       let snap = List.nth snaps (pick mod List.length snaps) in
-      let base = resume_observables ~engine:`Indexed sigma snap in
-      List.for_all
-        (fun engine -> resume_observables ~engine sigma snap = base)
-        (List.tl family))
+      let base = resume_observables sigma snap in
+      resume_observables sigma snap = base)
 
 (* ------------------------------------------------------------------ *)
 (* Serve: a maintained store under a mutation log                       *)
@@ -221,9 +211,9 @@ let print_op = function
   | Incr.Insert f -> Fmt.str "+%a" Fact.pp f
   | Incr.Delete f -> Fmt.str "-%a" Fact.pp f
 
-let serve_observables ~engine db ops =
+let serve_observables db ops =
   Term.reset_nulls ();
-  let t = Incr.create ~engine wa_sigma db in
+  let t = Incr.create wa_sigma db in
   let effects = List.map (fun op -> Incr.apply t op) ops in
   let facts = List.sort Stdlib.compare (Instance.facts (Incr.instance t)) in
   let ck = Obs.Json.to_string (Resil.Checkpoint.to_json (Incr.checkpoint t)) in
@@ -244,13 +234,11 @@ let arb_serve_case =
 let prop_serve_byte_identical =
   QCheck.Test.make
     ~name:
-      "store: serve (maintained store) byte-identical across the family \
+      "store: serve (maintained store) byte-identical across reruns \
        (facts, effects, checkpoint, counters)"
     ~count:40 arb_serve_case (fun (db, ops) ->
-      let base = serve_observables ~engine:`Indexed db ops in
-      List.for_all
-        (fun engine -> serve_observables ~engine db ops = base)
-        (List.tl family))
+      let base = serve_observables db ops in
+      serve_observables db ops = base)
 
 (* ------------------------------------------------------------------ *)
 (* Fixed oracles: literals pinned against the pre-columnar store        *)
@@ -270,9 +258,9 @@ let render_facts fl =
   String.concat "\n"
     (List.map (fun (f, l) -> Fmt.str "%d %a" l Fact.pp f) fl)
 
-let pinned ~engine ~policy sigma db =
+let pinned ~policy sigma db =
   let fl, saturated, max_level, _, stats, trace, _ =
-    chase_observables ~engine ~policy sigma db
+    chase_observables ~policy sigma db
   in
   ( Fmt.str "saturated=%b max_level=%d\n%s" saturated max_level
       (render_facts fl),
@@ -284,7 +272,7 @@ let pinned ~engine ~policy sigma db =
    and counters are all representation-observable. *)
 let test_pinned_oblivious () =
   let got_facts, got_ck, got_stats =
-    pinned ~engine:`Indexed ~policy:Chase.Oblivious unit_sigma unit_db
+    pinned ~policy:Chase.Oblivious unit_sigma unit_db
   in
   Alcotest.(check string) "facts/levels literal"
     "saturated=false max_level=6\n\
@@ -316,7 +304,7 @@ let guarded_db = Instance.of_facts [ fact "A" [ "a" ]; fact "S" [ "a"; "b" ] ]
 
 let test_pinned_restricted () =
   let got_facts, got_ck, got_stats =
-    pinned ~engine:`Indexed ~policy:Chase.Restricted guarded_sigma guarded_db
+    pinned ~policy:Chase.Restricted guarded_sigma guarded_db
   in
   Alcotest.(check string) "facts/levels literal"
     "saturated=true max_level=2\n0 A(a)\n1 B(a)\n0 S(a,b)\n2 T(a,_:n1)"
@@ -439,8 +427,8 @@ let test_vec_regrow () =
   Alcotest.(check int) "pop returns last" (9999 * 3) (Vec.pop v);
   Alcotest.(check int) "length after" 9_998 (Vec.length v)
 
-(* Interning round-trips, and batch seeding assigns ids independent of
-   how the batch was interleaved. *)
+(* Interning round-trips, ids are dense, and predicates have their own
+   id space. *)
 let test_symtab_roundtrip () =
   let open Engine in
   let named = List.init 50 (fun i -> Term.Named (Printf.sprintf "c%02d" i)) in
@@ -459,61 +447,9 @@ let test_symtab_roundtrip () =
   let id = Symtab.intern t far in
   check "null regrow round-trip" true
     (Symtab.extern t id = far && Symtab.find t far = Some id);
-  (* seeding: two tables fed the same batch in opposite orders agree *)
-  let t1 = Symtab.create () and t2 = Symtab.create () in
-  Symtab.seed t1 everything;
-  Symtab.seed t2 (List.rev everything);
-  check "seeded ids interleaving-independent" true
-    (List.for_all (fun c -> Symtab.find t1 c = Symtab.find t2 c) everything);
   (* predicates intern in their own id space *)
   let p = Symtab.intern_pred t "Edge" in
   Alcotest.(check string) "pred round-trip" "Edge" (Symtab.extern_pred t p)
-
-(* Provisional ranges: overlays hand out negative ids disjoint across
-   shards, and reconciliation assigns the same canonical ids whatever
-   the shard count was. *)
-let test_symtab_reconcile () =
-  let open Engine in
-  let base_syms = List.init 10 (fun i -> Term.Named (Printf.sprintf "b%d" i)) in
-  let news =
-    List.init 40 (fun i ->
-        if i mod 2 = 0 then Term.Named (Printf.sprintf "n%02d" i)
-        else Term.Null (i + 500))
-  in
-  let run shards =
-    let t = Symtab.create () in
-    Symtab.seed t base_syms;
-    let os = Array.init shards (fun s -> Symtab.overlay t ~shard:s ~shards) in
-    (* deal the stream round-robin: different shard counts see the same
-       symbols in different local orders *)
-    let provisional =
-      List.mapi (fun i c -> Symtab.overlay_intern os.(i mod shards) c) news
-    in
-    check "base symbols resolve to base ids" true
-      (List.for_all
-         (fun c ->
-           Symtab.overlay_intern os.(0) c = Option.get (Symtab.find t c))
-         base_syms);
-    check "provisional ids negative" true (List.for_all (fun i -> i < 0) provisional);
-    check "provisional ids disjoint" true
-      (List.length (List.sort_uniq compare provisional) = List.length provisional);
-    check "overlay extern round-trips provisional ids" true
-      (List.for_all2
-         (fun pid i -> Symtab.overlay_extern os.(i mod shards) pid = List.nth news i)
-         provisional
-         (List.init (List.length news) Fun.id));
-    Symtab.reconcile t os;
-    (news, List.map (fun c -> Option.get (Symtab.find t c)) news, t)
-  in
-  let _, ids1, _ = run 1 in
-  let _, ids2, _ = run 2 in
-  let _, ids4, _ = run 4 in
-  check "canonical ids independent of shard count (1 vs 2)" true (ids1 = ids2);
-  check "canonical ids independent of shard count (2 vs 4)" true (ids2 = ids4);
-  (* reconciled symbols extern back to themselves *)
-  let _, ids, t = run 3 in
-  check "reconciled round-trip" true
-    (List.for_all2 (fun c id -> Symtab.extern t id = c) news ids)
 
 let qcheck_tests =
   List.map QCheck_alcotest.to_alcotest
@@ -546,8 +482,6 @@ let () =
           Alcotest.test_case "vec regrow boundary" `Quick test_vec_regrow;
           Alcotest.test_case "symtab intern/extern round-trip" `Quick
             test_symtab_roundtrip;
-          Alcotest.test_case "symtab shard-range reconciliation" `Quick
-            test_symtab_reconcile;
         ] );
       ("equivalence", qcheck_tests);
     ]
