@@ -495,7 +495,7 @@ let e14 ~full () =
     ns
 
 (* ------------------------------------------------------------------ *)
-(* E15 — naive vs indexed saturation engine (lib/engine ablation)       *)
+(* E15 — indexed saturation vs the naive chase oracle (test/oracle)    *)
 (* ------------------------------------------------------------------ *)
 
 (* BENCH_engine.json is shared between E15 (chase workloads), E17
@@ -543,13 +543,13 @@ let e15 ~full () =
   let bench_case ~workload ~sigma ~db ~max_level =
     let t_idx =
       measure ~repeat:1 (fun () ->
-          ignore (Tgds.Chase.run ~engine:`Indexed ~max_level sigma db))
+          ignore (Tgds.Chase.run ~max_level sigma db))
     in
-    let r = Tgds.Chase.run ~engine:`Indexed ~max_level sigma db in
+    let r = Tgds.Chase.run ~max_level sigma db in
     let chased = Instance.size (Tgds.Chase.instance r) in
     let t_naive =
       measure ~repeat:1 (fun () ->
-          ignore (Tgds.Chase.run ~engine:`Naive ~max_level sigma db))
+          ignore (Naive_chase.run ~max_level sigma db))
     in
     let er = Option.get (Tgds.Chase.engine_result r) in
     let triggers = er.Engine.Saturate.triggers_fired in
@@ -742,7 +742,7 @@ let e18 ~full () =
   let rows = ref [] in
   let bench_case ~workload ~sigma ~db ~max_level ~ins ~del =
     let rechase inst =
-      Tgds.Chase.run ~policy:Tgds.Chase.Oblivious ~engine:`Indexed ~max_level
+      Tgds.Chase.run ~policy:Tgds.Chase.Oblivious ~max_level
         sigma inst
     in
     let store = Incr.create ~max_level sigma db in
@@ -849,7 +849,7 @@ let e20_build_wal ~sigma ~db ~dir ~plan n =
     st
   in
   let rechase st =
-    Incr.create ~engine:`Indexed ~max_level:6 sigma (Incr.base st)
+    Incr.create ~max_level:6 sigma (Incr.base st)
   in
   let degradations = ref 0 in
   Resil.Fault.arm_seq plan;
@@ -1185,10 +1185,10 @@ let gate () =
         match find_baseline name with
         | None -> Fmt.pr "  %-22s no baseline entry — skipped@." name
         | Some base -> (
-            let r = Tgds.Chase.run ~engine:`Indexed ~max_level sigma db in
+            let r = Tgds.Chase.run ~max_level sigma db in
             let t =
               measure ~repeat:3 (fun () ->
-                  ignore (Tgds.Chase.run ~engine:`Indexed ~max_level sigma db))
+                  ignore (Tgds.Chase.run ~max_level sigma db))
             in
             against name t base "indexed_s";
             (* per-level pass times, where the baseline recorded them *)
@@ -1251,7 +1251,7 @@ let gate () =
         | Some base ->
             let sigma, db = Workload.lubm ~universities:10 () in
             let rechase inst =
-              Tgds.Chase.run ~policy:Tgds.Chase.Oblivious ~engine:`Indexed
+              Tgds.Chase.run ~policy:Tgds.Chase.Oblivious
                 ~max_level:6 sigma inst
             in
             let store = Incr.create ~max_level:6 sigma db in

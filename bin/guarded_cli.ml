@@ -23,15 +23,12 @@ let guard f =
   | Invalid_argument msg ->
       Fmt.epr "error: %s@." msg;
       2
-  | Resil.Fault.Injected (point, hit) ->
-      (* an unsupervised injected fault is a simulated crash *)
-      Fmt.epr "error: injected fault at %s (hit %d)@." point hit;
-      1
   | Sys_error msg ->
       Fmt.epr "error: %s@." msg;
       1
   | e ->
-      Fmt.epr "error: %s@." (Printexc.to_string e);
+      (* an unsupervised injected fault is a simulated crash *)
+      Fmt.epr "error: %s@." (Resil.Fault.describe e);
       1
 
 let with_program path f =
@@ -94,13 +91,13 @@ let report_outcome out =
 (* chase                                                                *)
 (* ------------------------------------------------------------------ *)
 
+(* One saturation engine; the flag stays so scripts that name it keep
+   working, and any other value is a usage error. *)
 let engine_arg =
-  let engine_conv = Arg.enum [ ("indexed", `Indexed); ("naive", `Naive) ] in
   Arg.(
-    value & opt engine_conv `Indexed
+    value & opt (enum [ ("indexed", ()) ]) ()
     & info [ "engine" ] ~docv:"ENGINE"
-        ~doc:"Saturation engine: $(b,indexed) (semi-naive, default) or \
-              $(b,naive).")
+        ~doc:"Saturation engine: $(b,indexed) (semi-naive, the only one).")
 
 let checkpoint_arg =
   Arg.(
@@ -127,8 +124,8 @@ let retries_arg =
   Arg.(
     value & opt (some int) None
     & info [ "retries" ] ~docv:"R"
-        ~doc:"Supervise the run: retry up to $(docv) times per engine from \
-              the last checkpoint, then degrade indexed → naive.")
+        ~doc:"Supervise the run: retry up to $(docv) times, each resuming \
+              from the last checkpoint after a capped exponential backoff.")
 
 let fault_plan_arg =
   Arg.(
@@ -160,7 +157,7 @@ let print_chase_result ~max_level ~stats ?(notes = []) r =
 
 (* The supervised path: any of --checkpoint/--resume/--retries/--fault-plan
    routes here; a bare `chase` keeps the direct, supervisor-free path. *)
-let resilient_chase ~engine ~max_level ~stats ~budget ~checkpoint ~ck_every
+let resilient_chase ~max_level ~stats ~budget ~checkpoint ~ck_every
     ~resume ~retries ~fault_plan sigma db =
   let plan =
     match fault_plan with
@@ -192,7 +189,7 @@ let resilient_chase ~engine ~max_level ~stats ~budget ~checkpoint ~ck_every
             | Some b -> Obs.Budget.meet levels b
           in
           match
-            Resil.Supervisor.run ~engine ~budget ~checkpoint_every:ck_every
+            Resil.Supervisor.run ~budget ~checkpoint_every:ck_every
               ?checkpoint_path:checkpoint ?resume_from ?retries ~fault_plan
               sigma db
           with
@@ -206,22 +203,13 @@ let resilient_chase ~engine ~max_level ~stats ~budget ~checkpoint ~ck_every
                       (List.length log);
                   ]
                 r
-          | Resil.Supervisor.Degraded (r, log) ->
-              print_chase_result ~max_level ~stats
-                ~notes:
-                  [
-                    Fmt.str "degraded to a fallback engine after %d failed \
-                             attempt(s)"
-                      (List.length log);
-                  ]
-                r
           | Resil.Supervisor.Failed d ->
               Fmt.epr "error: chase failed after %d attempt(s): %s@."
                 (List.length d.attempts) d.Resil.Supervisor.message;
               1))
 
 let chase_cmd =
-  let run file max_level engine stats budget_facts budget_ms checkpoint
+  let run file max_level () stats budget_facts budget_ms checkpoint
       ck_every resume retries fault_plan =
     with_program file (fun p ->
         let budget = make_budget budget_facts budget_ms in
@@ -232,10 +220,10 @@ let chase_cmd =
           || fault_plan <> None
         in
         if resilient then
-          resilient_chase ~engine ~max_level ~stats ~budget ~checkpoint
+          resilient_chase ~max_level ~stats ~budget ~checkpoint
             ~ck_every ~resume ~retries ~fault_plan sigma db
         else
-          let r = Tgds.Chase.run ~engine ~max_level ?budget sigma db in
+          let r = Tgds.Chase.run ~max_level ?budget sigma db in
           print_chase_result ~max_level ~stats r)
   in
   Cmd.v
@@ -299,7 +287,7 @@ let serve_cmd =
         | Some b -> Error (`Parse b)
         | None -> Ok (List.rev !muts, List.rev !rejected))
   in
-  let run file log max_level engine stats checkpoint ck_every resume wal_dir
+  let run file log max_level () stats checkpoint ck_every resume wal_dir
       recover retries fault_plan strict_log =
     with_program file (fun p ->
         let plan =
@@ -383,12 +371,8 @@ let serve_cmd =
                           (List.rev !ops_since);
                         st
                   in
-                  (* last rung: a fresh chase of the current base —
-                     always sequential indexed, so ladder transcripts are
-                     engine-independent *)
-                  let rechase st =
-                    Incr.create ~engine:`Indexed sigma (Incr.base st)
-                  in
+                  (* last rung: a fresh chase of the current base *)
+                  let rechase st = Incr.create sigma (Incr.base st) in
                   let print_effect op (eff : Incr.effect) =
                     match (op, eff.Incr.e_noop) with
                     | Incr.Insert f, true ->
@@ -597,12 +581,12 @@ let serve_cmd =
                         match resume with
                         | None ->
                             Ok
-                              (Incr.create ~engine ~max_level ~obs:span sigma
+                              (Incr.create ~max_level ~obs:span sigma
                                  (Syntax.Parser.database p))
                         | Some path -> (
                             match Resil.Checkpoint.load path with
                             | Ok ck ->
-                                Ok (Incr.of_checkpoint ~engine ~obs:span sigma ck)
+                                Ok (Incr.of_checkpoint ~obs:span sigma ck)
                             | Error (Resil.Checkpoint.Io _ as e) ->
                                 Error
                                   (`Input (Resil.Checkpoint.error_message e))
@@ -716,7 +700,7 @@ let serve_cmd =
    requests complete, further input is ignored, and a clean drain exits
    0; request errors or quarantined queries exit 1. *)
 let server_cmd =
-  let run file max_level engine workers stats budget_facts budget_ms
+  let run file max_level () workers stats budget_facts budget_ms
       fault_plan =
     with_program file (fun p ->
         let plan =
@@ -744,7 +728,7 @@ let server_cmd =
             let span = Obs.Span.root "server" in
             let r =
               Obs.Span.timed (Some span) "saturate" (fun () ->
-                  Tgds.Chase.run ~engine ~max_level sigma db)
+                  Tgds.Chase.run ~max_level sigma db)
             in
             let saturated = Tgds.Chase.saturated r in
             let snap =
@@ -905,11 +889,10 @@ let eval_cmd =
       $ stats_arg $ budget_facts_arg $ budget_ms_arg)
 
 (* `answers` — the streaming enumerator (Engine.Enumerate) behind
-   Omq_eval.answer_set. Same knobs as `eval` plus the chase engine
-   selection of `chase`; answer sets print in canonical sorted order, so
-   the output is identical across engines. *)
+   Omq_eval.answer_set. Same knobs as `eval` plus `--engine`; answer sets
+   print in canonical sorted order. *)
 let answers_cmd =
-  let run file qname max_level fpt engine stats budget_facts budget_ms =
+  let run file qname max_level fpt () stats budget_facts budget_ms =
     with_program file (fun p ->
         match get_query p qname with
         | Error e ->
@@ -921,7 +904,7 @@ let answers_cmd =
             let budget = make_budget budget_facts budget_ms in
             let span = Obs.Span.root "answers" in
             let r =
-              Omq_eval.answer_set ~engine ~fpt ~max_level ?budget ~obs:span
+              Omq_eval.answer_set ~fpt ~max_level ?budget ~obs:span
                 omq db
             in
             List.iter (fun t -> Fmt.pr "%a@." pp_tuple t) r.Omq_eval.tuples;

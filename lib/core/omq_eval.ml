@@ -97,7 +97,7 @@ let in_match_span obs f =
     of Proposition 3.3(3) (requires [Σ ∈ G]). The budget bounds the chase
     {e and} the enumeration (fact axis = emitted answers); a cut run
     returns a sound prefix with [outcome = Partial _]. *)
-let answer_set ?engine ?(fpt = false) ?max_level ?max_facts ?max_types ?budget
+let answer_set ?(fpt = false) ?max_level ?max_facts ?max_types ?budget
     ?obs (q : Omq.t) db =
   let r, rewrite_complete =
     if fpt then begin
@@ -107,14 +107,14 @@ let answer_set ?engine ?(fpt = false) ?max_level ?max_facts ?max_types ?budget
         Obs.Span.timed obs "rewrite" @@ fun () ->
         Tgds.Linearize.make ?max_types (Omq.ontology q) db
       in
-      ( Chase.run ?engine
+      ( Chase.run
           ~max_level:(Option.value max_level ~default:10)
           ?max_facts ?budget ?obs lin.Tgds.Linearize.sigma_star
           lin.Tgds.Linearize.db_star,
         lin.Tgds.Linearize.complete )
     end
     else
-      ( Chase.run ?engine
+      ( Chase.run
           ~max_level:(Option.value max_level ~default:8)
           ?max_facts ?budget ?obs (Omq.ontology q) db,
         true )

@@ -61,7 +61,6 @@ type answer_set = {
     [Invalid_argument] otherwise). The budget's fact axis bounds chase
     facts and emitted answers; a cut run returns a sound prefix. *)
 val answer_set :
-  ?engine:Tgds.Chase.engine ->
   ?fpt:bool ->
   ?max_level:int ->
   ?max_facts:int ->

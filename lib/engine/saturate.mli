@@ -6,7 +6,7 @@
     was enumerated (and fired or dismissed) at the level where its last
     body fact appeared, so no level re-derives earlier levels. The
     per-level trigger sets coincide with those of the naive level-wise
-    chase ([Tgds.Chase.run ~engine:`Naive]), so the s-levels of
+    chase (the test suite's reference oracle), so the s-levels of
     Lemma A.1 are preserved exactly: a fact derived at pass ℓ has s-level
     ℓ (its body contains a level ℓ−1 fact and nothing newer).
 

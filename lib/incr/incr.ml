@@ -110,24 +110,19 @@ let kill t d =
 
 (* ---- construction ----------------------------------------------------- *)
 
-let check_engine : Tgds.Chase.engine -> unit = function
-  | `Naive -> invalid_arg "Incr.create: maintenance requires an indexed engine"
-  | `Indexed -> ()
-
-let create ?(engine = `Indexed) ?max_level ?obs sigma db =
-  check_engine engine;
+let create ?engine ?max_level ?obs sigma db =
   let derivs = Hashtbl.create 1024
   and uses = Hashtbl.create 1024
   and fired = Hashtbl.create 1024 in
   let r =
-    Tgds.Chase.run ~engine ~policy:Tgds.Chase.Oblivious ?max_level ?obs
+    Tgds.Chase.run ?engine ~policy:Tgds.Chase.Oblivious ?max_level ?obs
       ~on_fire:(record ~derivs ~uses ~fired)
       sigma db
   in
   let er =
     match Tgds.Chase.engine_result r with
     | Some er -> er
-    | None -> assert false (* the indexed engine always has one *)
+    | None -> assert false (* the chase always has one *)
   in
   let base = Hashtbl.create (Instance.size db) in
   Instance.iter (fun f -> Hashtbl.replace base f ()) db;
@@ -387,8 +382,7 @@ let checkpoint t : Tgds.Chase.snapshot =
   in
   let snap_level = List.fold_left (fun acc (_, l) -> max acc l) 0 snap_facts in
   {
-    Tgds.Chase.snap_engine = `Indexed;
-    snap_policy = Tgds.Chase.Oblivious;
+    Tgds.Chase.snap_policy = Tgds.Chase.Oblivious;
     snap_level;
     snap_saturated = true;
     snap_null_count = Term.null_count ();
@@ -398,13 +392,13 @@ let checkpoint t : Tgds.Chase.snapshot =
     snap_counters = Obs.Metrics.counters (metrics t);
   }
 
-let of_checkpoint ?engine ?obs sigma (s : Tgds.Chase.snapshot) =
+let of_checkpoint ?obs sigma (s : Tgds.Chase.snapshot) =
   let db =
     List.fold_left
       (fun acc (f, l) -> if l = 0 then Instance.add_fact f acc else acc)
       Instance.empty s.Tgds.Chase.snap_facts
   in
-  create ?engine ?obs sigma db
+  create ?obs sigma db
 
 (* ---- exact images ----------------------------------------------------- *)
 

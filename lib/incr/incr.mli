@@ -56,10 +56,9 @@ type effect = {
 
 (** [create ?engine ?max_level ?obs sigma db] — chase [db] under [sigma]
     (oblivious policy), recording the derivation ledger as triggers fire.
-    [engine] must be [`Indexed] (the default): [`Naive] keeps no
-    derivation ledger and raises [Invalid_argument]. When [max_level]
-    cuts the chase, the store is returned {e unsaturated} and refuses
-    mutations. *)
+    [engine] names the one saturation engine and may be omitted. When
+    [max_level] cuts the chase, the store is returned {e unsaturated} and
+    refuses mutations. *)
 val create :
   ?engine:Tgds.Chase.engine ->
   ?max_level:int ->
@@ -127,12 +126,12 @@ val metrics : t -> Obs.Metrics.t
     store. *)
 val checkpoint : t -> Tgds.Chase.snapshot
 
-(** [of_checkpoint ?engine ?obs sigma snapshot] — rebuild a maintained
+(** [of_checkpoint ?obs sigma snapshot] — rebuild a maintained
     store from a checkpoint by re-chasing its level-0 (base) facts,
     reconstructing the ledger. The result holds the same instance as the
     checkpoint up to null renaming. *)
 val of_checkpoint :
-  ?engine:Tgds.Chase.engine -> ?obs:Obs.Span.t -> Tgds.Tgd.t list -> Tgds.Chase.snapshot -> t
+  ?obs:Obs.Span.t -> Tgds.Tgd.t list -> Tgds.Chase.snapshot -> t
 
 type image = {
   im_facts : (Fact.t * int) list;

@@ -11,8 +11,6 @@
     - ["engine.pass"] — top of every saturation pass ({!Engine.Saturate});
     - ["engine.insert"] — every indexed fact insert ({!Engine.Index});
     - ["engine.join"] — every joiner search entry ({!Engine.Joiner});
-    - ["chase.pass"] — top of every naive chase pass ({!Tgds.Chase});
-    - ["full_chase.round"] — naive full-TGD saturation round;
     - ["ground_closure.round"] — ground-closure saturation round.
 
     The hook is process-global (the engines are single-threaded);

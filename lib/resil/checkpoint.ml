@@ -8,14 +8,12 @@ type t = Tgds.Chase.snapshot
 let schema = "guarded-chase-checkpoint"
 let version = 1
 
-let engine_to_string = function `Indexed -> "indexed" | `Naive -> "naive"
-
-(* Older checkpoints may name the removed multicore engine, "parallel".
-   Its output was byte-identical to the indexed engine's at every pass
-   boundary, so such a checkpoint resumes under [`Indexed]. *)
-let engine_of_string = function
-  | "indexed" | "parallel" -> Ok `Indexed
-  | "naive" -> Ok `Naive
+(* Checkpoints always name the one engine, "indexed". Older ones may name
+   a since-removed engine: "parallel" (byte-identical to the indexed
+   engine at every pass boundary) or "naive" (same s-levels, and a
+   snapshot holds nothing else engine-specific). Both resume as is. *)
+let check_engine = function
+  | "indexed" | "parallel" | "naive" -> Ok ()
   | s -> Error (Printf.sprintf "checkpoint: unknown engine %S" s)
 
 let policy_to_string = function
@@ -73,7 +71,7 @@ let to_json (s : t) =
     [
       ("schema", J.String schema);
       ("version", J.Int version);
-      ("engine", J.String (engine_to_string s.Tgds.Chase.snap_engine));
+      ("engine", J.String "indexed");
       ("policy", J.String (policy_to_string s.Tgds.Chase.snap_policy));
       ("level", J.Int s.Tgds.Chase.snap_level);
       ("saturated", J.Bool s.Tgds.Chase.snap_saturated);
@@ -106,7 +104,7 @@ let of_json j =
     if ver = version then Ok ()
     else Error (Printf.sprintf "checkpoint: unsupported version %d" ver)
   in
-  let* engine = Result.bind (field "engine" str_f j) engine_of_string in
+  let* () = Result.bind (field "engine" str_f j) check_engine in
   let* policy = Result.bind (field "policy" str_f j) policy_of_string in
   let* level = field "level" int_f j in
   let* saturated = field "saturated" bool_f j in
@@ -140,8 +138,7 @@ let of_json j =
   in
   Ok
     {
-      Tgds.Chase.snap_engine = engine;
-      snap_policy = policy;
+      Tgds.Chase.snap_policy = policy;
       snap_level = level;
       snap_saturated = saturated;
       snap_null_count = null_count;
@@ -151,13 +148,18 @@ let of_json j =
       snap_counters = counters;
     }
 
-let save path (s : t) =
+let write_atomic path j =
   let tmp = path ^ ".tmp" in
-  let oc = open_out tmp in
+  let oc = open_out_bin tmp in
   Fun.protect
     ~finally:(fun () -> close_out_noerr oc)
-    (fun () -> J.to_channel oc (to_json s));
+    (fun () ->
+      J.to_channel oc j;
+      flush oc;
+      Unix.fsync (Unix.descr_of_out_channel oc));
   Sys.rename tmp path
+
+let save path (s : t) = write_atomic path (to_json s)
 
 type error = Io of string | Corrupt of string
 

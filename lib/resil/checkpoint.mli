@@ -6,7 +6,7 @@
 
     {v
     {"schema": "guarded-chase-checkpoint", "version": 1,
-     "engine": "indexed" | "naive",
+     "engine": "indexed",
      "policy": "oblivious" | "restricted",
      "level": int, "saturated": bool, "null_count": int,
      "triggers_fired": int, "triggers_dismissed": int,
@@ -16,8 +16,9 @@
 
     Facts are sorted by (s-level, fact); a constant is a JSON string for
     a named constant and [{"n": id}] for a labelled null. Loading also
-    accepts ["engine": "parallel"], written by the since-removed multicore
-    engine, and resumes it under [`Indexed]. *)
+    accepts ["engine": "parallel"] and ["engine": "naive"], written by
+    since-removed engines; such a checkpoint resumes like any other. Any
+    other engine name is an error. *)
 
 type t = Tgds.Chase.snapshot
 
@@ -40,8 +41,13 @@ val to_json : t -> Obs.Json.t
     version, or any malformed field. *)
 val of_json : Obs.Json.t -> (t, string) result
 
-(** [save path t] — write the checkpoint (single line + newline),
-    atomically via a temporary file next to [path]. *)
+(** [write_atomic path j] — write [j] (single line + newline) to a
+    temporary file next to [path], fsync it, and rename it over [path]:
+    a crash leaves either the old file or the new one. Checkpoints and
+    WAL images are both written this way. *)
+val write_atomic : string -> Obs.Json.t -> unit
+
+(** [save path t] — {!write_atomic} of {!to_json}. *)
 val save : string -> t -> unit
 
 (** Why a checkpoint failed to load. [Io] — the file could not be read

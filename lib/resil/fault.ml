@@ -2,6 +2,22 @@
     interface. *)
 
 exception Injected of string * int
+exception Fatal of string
+
+let describe = function
+  | Injected (point, hit) ->
+      Printf.sprintf "injected fault at %s (hit %d)" point hit
+  | e -> Printexc.to_string e
+
+let attempt f =
+  match f () with
+  | v -> Ok v
+  | exception Invalid_argument msg ->
+      raise (Fatal ("precondition violated: " ^ msg))
+  | exception e -> Error (describe e)
+
+let backoff ~base_ms ~max_ms k =
+  Float.min max_ms (base_ms *. (2. ** float_of_int (k - 1)))
 
 type trigger =
   | At_hit of int

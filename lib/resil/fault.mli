@@ -2,11 +2,10 @@
 
     The chase runtime is instrumented with {!Obs.Probe} points at its
     natural step boundaries ([engine.pass], [engine.insert],
-    [engine.join], [chase.pass], [full_chase.round],
-    [ground_closure.round]). A {e trigger} arms the global probe hook to
-    raise {!Injected} at a chosen point: the Nth probe hit overall, the
-    Nth hit of one named point, or once an (injectable) clock passes a
-    wall-clock mark. Arming is deterministic — re-running the same
+    [engine.join], [ground_closure.round]). A {e trigger} arms the
+    global probe hook to raise {!Injected} at a chosen point: the Nth
+    probe hit overall, the Nth hit of one named point, or once an
+    (injectable) clock passes a wall-clock mark. Arming is deterministic — re-running the same
     computation with the same trigger fails at the same step — which is
     what makes the supervisor's kill-and-resume behaviour testable.
 
@@ -18,6 +17,24 @@
 (** Raised from inside an armed probe point. The payload is the point
     name and the overall hit count at the moment of failure. *)
 exception Injected of string * int
+
+(** Raised by {!attempt} on a violated library precondition: retrying
+    cannot change a deterministic verdict, so supervisors fail fast. *)
+exception Fatal of string
+
+(** [describe e] — the one-line diagnostic of a fault: ["injected fault
+    at POINT (hit N)"] for {!Injected}, the exception's printed form
+    otherwise. *)
+val describe : exn -> string
+
+(** [attempt f] — one supervised attempt: [Ok] the value of [f ()], or
+    [Error] the {!describe}d exception it raised. [Invalid_argument msg]
+    is re-raised as [Fatal "precondition violated: msg"]. *)
+val attempt : (unit -> 'a) -> ('a, string) result
+
+(** [backoff ~base_ms ~max_ms k] — the delay after failed attempt [k]
+    (1-based): [min max_ms (base_ms · 2^(k−1))]. *)
+val backoff : base_ms:float -> max_ms:float -> int -> float
 
 type trigger =
   | At_hit of int  (** fail at the Nth probe hit, any point (1-based) *)

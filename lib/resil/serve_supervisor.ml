@@ -14,17 +14,12 @@ type outcome =
   | Applied of Incr.effect * step list
   | Quarantined of step list * string
 
-exception Fatal of string
+exception Fatal = Fault.Fatal
 
 let rung_to_string = function
   | Repair -> "repair"
   | Rederive -> "rederive"
   | Rechase -> "rechase"
-
-let fault_of = function
-  | Fault.Injected (point, hit) ->
-      Printf.sprintf "injected fault at %s (hit %d)" point hit
-  | e -> Printexc.to_string e
 
 let apply ?(retries = 3) ?(backoff_ms = 50.) ?(max_backoff_ms = 1000.)
     ?(sleep = Unix.sleepf) ?obs ~restore ~rechase ~store op =
@@ -46,20 +41,16 @@ let apply ?(retries = 3) ?(backoff_ms = 50.) ?(max_backoff_ms = 1000.)
     | Rechase ->
         ensure_clean ();
         store := Fault.suspended (fun () -> rechase !store));
-    match Incr.apply ?obs !store op with
-    | eff ->
+    match Fault.attempt (fun () -> Incr.apply ?obs !store op) with
+    | Ok eff ->
         steps :=
           { st_attempt = k; st_rung = rung; st_outcome = `Ok; st_backoff_ms = 0. }
           :: !steps;
         Applied (eff, List.rev !steps)
-    | exception Invalid_argument msg ->
-        raise (Fatal (Printf.sprintf "precondition violated: %s" msg))
-    | exception e ->
-        let fault = fault_of e in
+    | Error fault ->
         let retry = k < retries in
         let backoff =
-          if retry then
-            Float.min max_backoff_ms (backoff_ms *. (2. ** float_of_int (k - 1)))
+          if retry then Fault.backoff ~base_ms:backoff_ms ~max_ms:max_backoff_ms k
           else 0.
         in
         steps :=

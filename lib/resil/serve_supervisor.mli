@@ -25,9 +25,8 @@
     [restore] and [rechase] run under {!Fault.suspended}: an armed plan
     injects faults into the supervised apply itself, not into the
     recovery machinery, so the same plan yields the same ladder
-    transcript whatever the serving engine. No exception escapes except
-    {!Fatal} (a violated precondition — deterministic, retrying cannot
-    help). *)
+    transcript. No exception escapes except {!Fatal} (a violated
+    precondition — deterministic, retrying cannot help). *)
 
 type rung = Repair | Rederive | Rechase
 
@@ -48,6 +47,8 @@ type outcome =
       (** all [retries] attempts failed; the diagnostic names the last
           fault. The store has been restored to its pre-mutation state. *)
 
+(** A violated precondition of the apply; the same exception as
+    {!Fault.Fatal}. *)
 exception Fatal of string
 
 val rung_to_string : rung -> string
@@ -56,7 +57,7 @@ val rung_to_string : rung -> string
     ~rechase ~store op] — run [op] against [!store] under the ladder.
     [store] is updated in place whenever a rung replaces it (restore,
     rechase, quarantine). [retries] (default 3) is the total attempt
-    budget; backoff before attempt [k+1] is
+    budget; backoff before attempt [k+1] is {!Fault.backoff}
     [min max_backoff_ms (backoff_ms·2^(k−1))] (defaults 50/1000 ms). *)
 val apply :
   ?retries:int ->

@@ -5,18 +5,12 @@
     whatever the process actually hits), checkpoints at clean pass
     boundaries, and on failure backs off and resumes from the last
     checkpoint instead of restarting from scratch. After [retries]
-    failed retries on the primary engine it {e degrades} down the ladder
-    [`Indexed] → [`Naive] — still resuming from the last
-    checkpoint (checkpoints are engine-agnostic) — and after exhausting
-    the last rung's attempts gives up with a typed diagnostic.
+    failed retries it gives up with a typed diagnostic.
 
     State machine of one [run]:
     {v
-      attempt(engine, k)  --fault-->  backoff; k+1 ≤ retries+1 ? retry
-                                      : degrade (Indexed→Naive)
-      attempt(`Naive, k)  --fault-->  backoff; k+1 ≤ retries+1 ? retry
-                                      : Failed
-      any attempt --success--> Completed / Recovered / Degraded
+      attempt(k)  --fault-->    backoff; k+1 ≤ retries+1 ? retry : Failed
+      attempt(k)  --success-->  Completed (k = 1) / Recovered
     v}
 
     No exception escapes: injected faults, IO errors and unexpected
@@ -25,8 +19,7 @@
     retrying cannot help) fails fast without burning retries. *)
 
 type attempt = {
-  attempt : int;  (** 1-based, counted across engines *)
-  engine : Tgds.Chase.engine;  (** engine the attempt ran on *)
+  attempt : int;  (** 1-based *)
   fault : string;  (** what killed it *)
   resumed_from : int option;
       (** checkpoint level the attempt started from; [None] = scratch *)
@@ -43,12 +36,10 @@ type diagnostic = {
 type outcome =
   | Completed of Tgds.Chase.result  (** first attempt succeeded *)
   | Recovered of Tgds.Chase.result * attempt_log
-      (** succeeded on the primary engine after ≥ 1 failure *)
-  | Degraded of Tgds.Chase.result * attempt_log
-      (** succeeded only after degrading to a fallback engine *)
+      (** succeeded after ≥ 1 failure *)
   | Failed of diagnostic  (** all attempts exhausted, or a precondition *)
 
-(** [run ?engine ?policy ?budget ?checkpoint_every ?checkpoint_path
+(** [run ?policy ?budget ?checkpoint_every ?checkpoint_path
     ?resume_from ?retries ?backoff_ms ?max_backoff_ms ?sleep ?clock
     ?fault_plan ?obs sigma db] — supervise a chase of [db] under
     [sigma].
@@ -58,8 +49,8 @@ type outcome =
     - [checkpoint_path]: additionally persist each checkpoint to disk
       ({!Checkpoint.save});
     - [resume_from]: start from a loaded checkpoint instead of [db];
-    - [retries] (default 2): extra attempts per engine after the first;
-    - backoff before retry [k] is
+    - [retries] (default 2): extra attempts after the first;
+    - backoff before retry [k] is {!Fault.backoff}
       [min max_backoff_ms (backoff_ms · 2^(k−1))] (defaults 50/1000 ms),
       slept via [sleep] (seconds; default [Unix.sleepf] — tests inject a
       recorder);
@@ -67,7 +58,6 @@ type outcome =
     - [fault_plan] (default {!Fault.none}) arms trigger [k] for attempt
       [k]. *)
 val run :
-  ?engine:Tgds.Chase.engine ->
   ?policy:Tgds.Chase.policy ->
   ?budget:Obs.Budget.t ->
   ?checkpoint_every:int ->

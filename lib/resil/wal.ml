@@ -236,16 +236,7 @@ let image_of_json j =
 (* ---- writing ---------------------------------------------------------- *)
 
 let write_image path ~seq image =
-  let tmp = path ^ ".tmp" in
-  let fd = Unix.openfile tmp [ O_WRONLY; O_CREAT; O_TRUNC ] 0o644 in
-  let oc = Unix.out_channel_of_descr fd in
-  Fun.protect
-    ~finally:(fun () -> close_out_noerr oc)
-    (fun () ->
-      J.to_channel oc (image_to_json ~seq image);
-      flush oc;
-      Unix.fsync fd);
-  Sys.rename tmp path
+  Checkpoint.write_atomic path (image_to_json ~seq image)
 
 let open_segment path =
   let fd = Unix.openfile path [ O_WRONLY; O_CREAT; O_APPEND ] 0o644 in

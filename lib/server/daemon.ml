@@ -139,12 +139,7 @@ let run ?report ?(stop = ref false) cfg snap ic oc =
           in
           timed (cls, Protocol.render_ok r ~saturated res)
       | exception e ->
-          let msg =
-            match e with
-            | Resil.Fault.Injected (point, hit) ->
-                Fmt.str "injected fault at %s (hit %d)" point hit
-            | e -> Printexc.to_string e
-          in
+          let msg = Resil.Fault.describe e in
           (* check-and-mark under one lock: when duplicates of a poison
              query fault concurrently, exactly one reply is the error
              and the rest are quarantined — the same counts any worker

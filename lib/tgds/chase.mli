@@ -6,12 +6,10 @@
     (§2): the result is unique up to isomorphism and the level-bounded
     slices [chase^ℓ_s(D,Σ)] of Lemma A.1 are canonical.
 
-    Two engines: [`Indexed] (default) runs the semi-naive saturation of
-    [lib/engine]; [`Naive] is the original re-enumerating loop, kept for
-    the ablation benchmarks and as the supervisor's fallback. Both produce
-    the same s-levels (and the same instance up to null renaming), and
-    both honour the same budget cut points, so budgeted runs agree level
-    by level too.
+    The chase runs on the semi-naive saturation of [lib/engine]
+    ({!Engine.Saturate}), which delivers one s-level per pass. The test
+    suite checks it level by level against a naive re-enumerating chase
+    that honours the same budget cut points.
 
     Observability: a run is bounded by an {!Obs.Budget.t} (facts, levels,
     wall-clock deadline) — on violation the partial instance is returned
@@ -28,21 +26,19 @@ type policy =
   | Oblivious  (** the paper's semantics: fire regardless of the head *)
   | Restricted  (** skip triggers whose head is already satisfied *)
 
-type engine = [ `Naive | `Indexed ]
+(** The one saturation engine; {!run} accepts it for callers that still
+    name it. *)
+type engine = [ `Indexed ]
 
 (** The chase state at a {e clean pass boundary} — a pass that completed
     without a budget violation (including the final, saturation-
-    discovering pass). Engine-agnostic: the facts with their s-levels
-    determine the continuation under either engine (the semi-naive delta
-    is the last level; the naive fired-trigger set is reconstructible
-    from levels ≤ [snap_level] − 1), so a checkpoint written by
-    [`Indexed] can be resumed by [`Naive] — this is how the supervisor
-    degrades engines without losing progress. The scalar totals let a
-    resumed run report the same statistics as an uninterrupted one;
-    [snap_null_count] pins the fresh-null supply so resuming in another
-    process never re-issues a null id used by the snapshot. *)
+    discovering pass). The facts with their s-levels determine the
+    continuation: the semi-naive delta is the last level. The scalar
+    totals let a resumed run report the same statistics as an
+    uninterrupted one; [snap_null_count] pins the fresh-null supply so
+    resuming in another process never re-issues a null id used by the
+    snapshot. *)
 type snapshot = {
-  snap_engine : engine;
   snap_policy : policy;
   snap_level : int;  (** last completed pass = highest s-level *)
   snap_saturated : bool;
@@ -50,7 +46,7 @@ type snapshot = {
   snap_triggers_fired : int;
   snap_triggers_dismissed : int;
   snap_facts : (Fact.t * int) list;  (** every fact with its s-level *)
-  snap_counters : (string * int) list;  (** index metrics; [[]] after naive *)
+  snap_counters : (string * int) list;  (** index metrics *)
 }
 
 (** [run ?engine ?policy ?max_level ?max_facts ?budget ?obs ?on_pass
@@ -63,8 +59,7 @@ type snapshot = {
 
     [on_fire] is called once per fired trigger, in the deterministic
     firing order, after the trigger's whole head has landed — the hook
-    {!Incr}'s derivation ledger records support with. Requires an
-    indexed-family engine; [`Naive] raises [Invalid_argument]. *)
+    {!Incr}'s derivation ledger records support with. *)
 val run :
   ?engine:engine ->
   ?policy:policy ->
@@ -78,17 +73,15 @@ val run :
   Instance.t ->
   result
 
-(** [resume ?engine … sigma snapshot] — continue a chase from a
+(** [resume … sigma snapshot] — continue a chase from a
     checkpointed boundary as if never interrupted: the continuation fires
     the same per-pass trigger sets as the uninterrupted run, so the final
     result agrees on facts (up to renaming of nulls invented after the
     boundary), s-levels, trigger totals, and outcome. [sigma] and the
     effective budget must match the original run; the policy is the
-    snapshot's. [engine] defaults to the snapshot's engine and may be
-    overridden (checkpoints are engine-agnostic). Side effect: the
-    global null supply is reset to [snap_null_count]. *)
+    snapshot's. Side effect: the global null supply is reset to
+    [snap_null_count]. *)
 val resume :
-  ?engine:engine ->
   ?max_level:int ->
   ?max_facts:int ->
   ?budget:Obs.Budget.t ->
@@ -110,15 +103,13 @@ val saturated : result -> bool
     [Partial violation]. *)
 val outcome : result -> Obs.Budget.outcome
 
-(** The chased instance as an indexed store (the engine's own store when
-    the run was indexed; built on demand after a naive run). *)
+(** The chased instance as the engine's indexed store. *)
 val index : result -> Engine.Index.t
 
-(** The saturation-engine result ([None] after a naive run). *)
+(** The saturation-engine result (always [Some]). *)
 val engine_result : result -> Engine.Saturate.result option
 
-(** New facts at levels 1, 2, … (computed from the s-levels; works for
-    both engines). *)
+(** New facts at levels 1, 2, … (computed from the s-levels). *)
 val facts_per_level : result -> int list
 
 (** Highest level reached. *)
@@ -141,7 +132,6 @@ val report : ?name:string -> result -> Obs.Report.t
 
 (** Chase and return the instance. *)
 val chase :
-  ?engine:engine ->
   ?max_level:int ->
   ?max_facts:int ->
   ?budget:Obs.Budget.t ->
@@ -153,7 +143,6 @@ val chase :
     [c̄ ∈ q(chase(db,sigma))] (Proposition 3.1); the boolean reports
     whether the run saturated (verdict then exact). *)
 val certain :
-  ?engine:engine ->
   ?max_level:int ->
   ?max_facts:int ->
   ?budget:Obs.Budget.t ->

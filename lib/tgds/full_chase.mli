@@ -2,13 +2,10 @@
 
 open Relational
 
-(** [run ?engine ?budget ?obs sigma db] — the finite chase together with
-    the run's outcome ([Partial _] when the budget cut it); raises
-    [Invalid_argument] on non-full TGDs. [`Indexed] (default) runs the
-    semi-naive engine; [`Naive] the original re-enumerating loop (its
-    rounds count as budget levels). *)
+(** [run ?budget ?obs sigma db] — the finite chase together with the
+    run's outcome ([Partial _] when the budget cut it); raises
+    [Invalid_argument] on non-full TGDs. *)
 val run :
-  ?engine:[ `Naive | `Indexed ] ->
   ?budget:Obs.Budget.t ->
   ?obs:Obs.Span.t ->
   Tgd.t list ->
@@ -17,7 +14,6 @@ val run :
 
 (** {!run} without the outcome. *)
 val saturate :
-  ?engine:[ `Naive | `Indexed ] ->
   ?budget:Obs.Budget.t ->
   ?obs:Obs.Span.t ->
   Tgd.t list ->

@@ -86,13 +86,6 @@ let arb_full_sigma_db =
 (* Resilience: checkpoints and fault plans                              *)
 (* ------------------------------------------------------------------ *)
 
-let engine_to_string : Tgds.Chase.engine -> string = function
-  | `Indexed -> "indexed"
-  | `Naive -> "naive"
-
-let gen_engine : Tgds.Chase.engine QCheck.Gen.t =
-  QCheck.Gen.oneofl [ `Indexed; `Naive ]
-
 let gen_policy =
   QCheck.Gen.map
     (fun b -> if b then Tgds.Chase.Oblivious else Tgds.Chase.Restricted)
@@ -104,11 +97,11 @@ let resil_budget () = Obs.Budget.create ~max_facts:60 ~max_levels:6 ()
 
 (* Every clean-boundary snapshot of one chase run (nulls reset first, so
    reruns of the same inputs are reproducible). *)
-let chase_snapshots ~engine ~policy sigma db =
+let chase_snapshots ~policy sigma db =
   Term.reset_nulls ();
   let snaps = ref [] in
   let _ =
-    Tgds.Chase.run ~engine ~policy ~budget:(resil_budget ())
+    Tgds.Chase.run ~policy ~budget:(resil_budget ())
       ~on_pass:(fun ~level:_ ~saturated:_ take -> snaps := take () :: !snaps)
       sigma db
   in
@@ -120,12 +113,9 @@ let chase_snapshots ~engine ~policy sigma db =
 
 module IntMap = Map.Make (Int)
 
-let facts_levels ?(upto = max_int) r =
+let facts_levels r =
   Instance.facts (Tgds.Chase.instance r)
-  |> List.filter_map (fun f ->
-         match Option.value ~default:0 (Tgds.Chase.level r f) with
-         | l when l <= upto -> Some (f, l)
-         | _ -> None)
+  |> List.map (fun f -> (f, Option.value ~default:0 (Tgds.Chase.level r f)))
 
 (* A null-blind sort key: fast rejection and good candidate locality for
    the backtracking matcher below. *)
@@ -183,21 +173,47 @@ let equal_upto_nulls l1 l2 =
   in
   assign IntMap.empty IntMap.empty l1 l2
 
-(* Equivalence of two chase results up to renaming of invented nulls.
+(* What two chase runs are compared on: engine results and naive-oracle
+   results alike. *)
+type observed = {
+  saturated : bool;
+  max_level : int;
+  outcome : Obs.Budget.outcome;
+  facts : (Fact.t * int) list;
+}
+
+let observe r =
+  {
+    saturated = Tgds.Chase.saturated r;
+    max_level = Tgds.Chase.max_level r;
+    outcome = Tgds.Chase.outcome r;
+    facts = facts_levels r;
+  }
+
+let observe_oracle (r : Naive_chase.result) =
+  {
+    saturated = r.saturated;
+    max_level = r.max_level;
+    outcome = r.outcome;
+    facts = Naive_chase.facts_levels r;
+  }
+
+(* Equivalence of two observed runs up to renaming of invented nulls.
    Caveat: a [Partial Facts] cut lands mid-pass, where the set of
    triggers fired before the cut depends on enumeration order, so for
    those runs only the levels before the final, truncated pass are
    compared; runs ending at a clean boundary must agree in full. *)
-let results_equivalent full r =
-  Tgds.Chase.saturated full = Tgds.Chase.saturated r
-  && Tgds.Chase.max_level full = Tgds.Chase.max_level r
-  && Tgds.Chase.outcome full = Tgds.Chase.outcome r
+let observed_equivalent a b =
+  a.saturated = b.saturated && a.max_level = b.max_level
+  && a.outcome = b.outcome
   &&
-  match Tgds.Chase.outcome full with
+  match a.outcome with
   | Obs.Budget.Partial (Obs.Budget.Facts _) ->
-      let upto = Tgds.Chase.max_level full - 1 in
-      equal_upto_nulls (facts_levels ~upto full) (facts_levels ~upto r)
-  | _ -> equal_upto_nulls (facts_levels full) (facts_levels r)
+      let below = List.filter (fun (_, l) -> l < a.max_level) in
+      equal_upto_nulls (below a.facts) (below b.facts)
+  | _ -> equal_upto_nulls a.facts b.facts
+
+let results_equivalent full r = observed_equivalent (observe full) (observe r)
 
 (* A checkpoint drawn from a random boundary of a random chase. The first
    pass of these budgets is always a clean boundary, so [snaps] is never
@@ -206,10 +222,9 @@ let gen_checkpoint =
   QCheck.Gen.(
     let* sigma = gen_sigma
     and* db = gen_db
-    and* engine = gen_engine
     and* policy = gen_policy
     and* pick = int_range 0 1000 in
-    let snaps = chase_snapshots ~engine ~policy sigma db in
+    let snaps = chase_snapshots ~policy sigma db in
     return (List.nth snaps (pick mod List.length snaps)))
 
 let print_checkpoint s = Obs.Json.to_string (Resil.Checkpoint.to_json s)
@@ -225,7 +240,7 @@ let gen_fault_trigger =
     | 0 -> map (fun n -> Resil.Fault.At_hit (1 + n)) (int_range 0 400)
     | 1 ->
         let* p =
-          oneofl [ "engine.pass"; "engine.insert"; "engine.join"; "chase.pass" ]
+          oneofl [ "engine.pass"; "engine.insert"; "engine.join" ]
         and* n = int_range 1 40 in
         return (Resil.Fault.At_point (p, n))
     | _ ->

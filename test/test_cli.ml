@@ -228,7 +228,14 @@ let test_exit_codes () =
     run_cli [ "chase"; prog "prog_chase.gd"; "--fault-plan"; "bogus" ]
   in
   check "bad fault plan exits 2" true (status2 = 2);
-  check "plan error names the trigger" true (contains err2 "bogus")
+  check "plan error names the trigger" true (contains err2 "bogus");
+  (* one engine: naming the removed naive one is a command-line usage
+     error (exit 124, cmdliner's code for one), not a runtime fault *)
+  let status3, _, err3 =
+    run_cli [ "chase"; prog "prog_chase.gd"; "--engine"; "naive" ]
+  in
+  check "--engine naive is a usage error" true (status3 = 124);
+  check "usage error names the engine" true (contains err3 "indexed")
 
 (* The checkpoint written for a fixed program is pinned byte-for-byte
    (schema, key order, fact encoding). Null ids are the only per-process
@@ -283,7 +290,7 @@ let test_fault_kill_and_resume () =
   let status, _, _ =
     run_cli
       ([ "chase"; prog "prog_budget.gd" ] @ budget
-      @ [ "--fault-plan"; "hit:60,point:chase.pass:1"; "--retries"; "0";
+      @ [ "--fault-plan"; "hit:60"; "--retries"; "0";
           "--checkpoint"; ck ])
   in
   check "killed run exits 1" true (status = 1);

@@ -1,7 +1,7 @@
 (* Randomized cross-validation of the indexed semi-naive saturation engine
-   (lib/engine) against the naive re-enumerating chase: identical s-levels
-   (Lemma A.1 canonicity is preserved by the delta-driven evaluation),
-   identical certain answers, budget-cut prefixes, saturation idempotence,
+   (lib/engine) against the naive re-enumerating chase of the Naive_chase
+   oracle: identical s-levels (Lemma A.1 canonicity is preserved by the
+   delta-driven evaluation), identical certain answers, budget-cut prefixes, saturation idempotence,
    and joiner/index unit properties. Generators live in Generators. *)
 
 open Relational
@@ -24,14 +24,12 @@ let queries = Generators.queries
 let max_level = 6
 
 let levels_agree ~policy (sigma, db) =
-  let naive = Chase.run ~engine:`Naive ~policy ~max_level ~max_facts:5000 sigma db in
-  let indexed =
-    Chase.run ~engine:`Indexed ~policy ~max_level ~max_facts:5000 sigma db
-  in
-  Chase.saturated naive = Chase.saturated indexed
+  let naive = Naive_chase.run ~policy ~max_level ~max_facts:5000 sigma db in
+  let indexed = Chase.run ~policy ~max_level ~max_facts:5000 sigma db in
+  naive.Naive_chase.saturated = Chase.saturated indexed
   && List.for_all
        (fun l ->
-         Instance.size (Chase.up_to_level naive l)
+         Instance.size (Naive_chase.up_to_level naive l)
          = Instance.size (Chase.up_to_level indexed l))
        (List.init (max_level + 1) Fun.id)
 
@@ -46,7 +44,7 @@ let prop_levels_restricted =
     (levels_agree ~policy:Chase.Restricted)
 
 (* ------------------------------------------------------------------ *)
-(* Certain answers agree under both engines                             *)
+(* Certain answers agree with the naive oracle                          *)
 (* ------------------------------------------------------------------ *)
 
 let prop_certain_agrees =
@@ -54,8 +52,8 @@ let prop_certain_agrees =
     arb_sigma_db (fun (sigma, db) ->
       List.for_all
         (fun q ->
-          let vn, en = Chase.certain ~engine:`Naive ~max_level:8 sigma db q [] in
-          let vi, ei = Chase.certain ~engine:`Indexed ~max_level:8 sigma db q [] in
+          let vn, en = Naive_chase.certain ~max_level:8 sigma db q [] in
+          let vi, ei = Chase.certain ~max_level:8 sigma db q [] in
           en = ei && ((not en) || vn = vi))
         queries)
 
@@ -187,25 +185,33 @@ let oracle_answers idx db q =
     (tuples (Ucq.arity q))
   |> List.sort_uniq Stdlib.compare
 
+(* The chased store under test: the engine's own index, or one built
+   from the naive oracle's instance. *)
+let chased_index ~oracle sigma db =
+  if oracle then
+    Engine.Index.of_instance
+      (Naive_chase.run ~max_level:4 ~max_facts:400 sigma db).Naive_chase.instance
+  else Chase.index (Chase.run ~max_level:4 ~max_facts:400 sigma db)
+
+let store_to_string oracle = if oracle then "oracle" else "indexed"
+
 let arb_enum_case =
   QCheck.make
-    ~print:(fun (((sigma, db), q), engine) ->
-      Fmt.str "%s q=%a engine=%s"
+    ~print:(fun (((sigma, db), q), oracle) ->
+      Fmt.str "%s q=%a store=%s"
         (Generators.print_sigma_db (sigma, db))
-        Ucq.pp q
-        (Generators.engine_to_string engine))
+        Ucq.pp q (store_to_string oracle))
     QCheck.Gen.(
       pair
         (pair (pair Generators.gen_sigma Generators.gen_db) Generators.gen_ucq)
-        Generators.gen_engine)
+        bool)
 
 let prop_enumerate_matches_generate_and_test =
   QCheck.Test.make
     ~name:"Enumerate.ucq = generate-and-test oracle (arity 0-3, all engines)"
     ~count:250 arb_enum_case
-    (fun (((sigma, db), q), engine) ->
-      let r = Chase.run ~engine ~max_level:4 ~max_facts:400 sigma db in
-      let idx = Chase.index r in
+    (fun (((sigma, db), q), oracle) ->
+      let idx = chased_index ~oracle sigma db in
       let enum =
         (Engine.Enumerate.ucq ~universe:(Instance.dom db) idx q)
           .Engine.Enumerate.answers
@@ -218,22 +224,19 @@ let prop_enumerate_budget_prefix =
   QCheck.Test.make ~name:"budgeted enumeration is a prefix of the answer set"
     ~count:150
     (QCheck.make
-       ~print:(fun ((((s, db), q), e), k) ->
-         Fmt.str "%s q=%a engine=%s k=%d"
+       ~print:(fun ((((s, db), q), oracle), k) ->
+         Fmt.str "%s q=%a store=%s k=%d"
            (Generators.print_sigma_db (s, db))
-           Ucq.pp q
-           (Generators.engine_to_string e)
-           k)
+           Ucq.pp q (store_to_string oracle) k)
        QCheck.Gen.(
          pair
            (pair
               (pair (pair Generators.gen_sigma Generators.gen_db)
                  Generators.gen_ucq)
-              Generators.gen_engine)
+              bool)
            (int_range 0 5)))
-    (fun ((((sigma, db), q), engine), k) ->
-      let r = Chase.run ~engine ~max_level:4 ~max_facts:400 sigma db in
-      let idx = Chase.index r in
+    (fun ((((sigma, db), q), oracle), k) ->
+      let idx = chased_index ~oracle sigma db in
       let universe = Instance.dom db in
       let exact = (Engine.Enumerate.ucq ~universe idx q).Engine.Enumerate.answers in
       let budget = Obs.Budget.create ~max_facts:k () in
@@ -324,7 +327,7 @@ let test_stats_reported () =
     [ tgd [ atom "S" [ v "x"; v "y" ]; atom "A" [ v "x" ] ] [ atom "B" [ v "x" ] ] ]
   in
   let db = Instance.of_facts [ fact "A" [ "a" ]; fact "S" [ "a"; "b" ] ] in
-  let r = Chase.run ~engine:`Indexed sigma db in
+  let r = Chase.run sigma db in
   match Chase.engine_result r with
   | None -> Alcotest.fail "indexed run must report an engine result"
   | Some s ->

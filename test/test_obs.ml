@@ -308,12 +308,25 @@ let test_budgeted_chase_halts_partial () =
   check_int "40 levels" 40 (Chase.max_level r);
   check "facts_per_level all ones" true
     (Chase.facts_per_level r = List.init 40 (fun _ -> 1));
-  (* the naive engine cuts at the same point *)
-  let rn = Chase.run ~engine:`Naive ~budget:(Obs.Budget.create ~max_facts:40 ())
-      transitive_sigma seed_db in
-  check_int "naive agrees" 41 (Instance.size (Chase.instance rn));
+  (* the naive oracle cuts at the same point *)
+  let rn =
+    Naive_chase.run ~budget:(Obs.Budget.create ~max_facts:40 ())
+      transitive_sigma seed_db
+  in
+  check_int "naive agrees" 41 (Instance.size rn.Naive_chase.instance);
   check "naive outcome agrees" true
-    (Chase.outcome rn = Obs.Budget.Partial (Obs.Budget.Facts 40))
+    (rn.Naive_chase.outcome = Obs.Budget.Partial (Obs.Budget.Facts 40));
+  (* and mid-pass: one pass holds ten triggers, and both cut right after
+     the trigger that overflows the budget *)
+  let fan =
+    [ Tgds.Tgd.make ~body:[ atom "A" [ v "x" ] ] ~head:[ atom "S" [ v "x"; v "y" ] ] ]
+  in
+  let db = Instance.of_facts (List.init 10 (fun i -> fact "A" [ string_of_int i ])) in
+  let budget () = Obs.Budget.create ~max_facts:13 () in
+  check_int "indexed cuts mid-pass" 14
+    (Instance.size (Chase.instance (Chase.run ~budget:(budget ()) fan db)));
+  check_int "naive cuts at the same trigger" 14
+    (Instance.size (Naive_chase.run ~budget:(budget ()) fan db).Naive_chase.instance)
 
 let test_budgeted_chase_report_json () =
   let budget = Obs.Budget.create ~max_facts:40 () in

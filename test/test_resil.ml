@@ -1,9 +1,9 @@
 (* Crash-safety suite for lib/resil and the chase's checkpoint/resume
    machinery: checkpoint JSON round-trips byte-identically, a resumed run
    is equivalent to an uninterrupted one (up to renaming of nulls invented
-   after the boundary) under both policies and engines — including
-   cross-engine resume, which is how the supervisor degrades — and the
-   supervisor turns injected faults into retries/degradation instead of
+   after the boundary) under both policies, checkpoints written by
+   since-removed engines still load and resume, and the supervisor turns
+   injected faults into retries from the last checkpoint instead of
    escaped exceptions. Generators live in Generators.
 
    Equivalence caveat: a [Partial Facts] cut lands mid-pass, where the set
@@ -43,7 +43,7 @@ let prop_checkpoint_roundtrip =
 
 let test_checkpoint_disk_roundtrip () =
   let snaps =
-    Generators.chase_snapshots ~engine:`Indexed ~policy:Chase.Oblivious
+    Generators.chase_snapshots ~policy:Chase.Oblivious
       [ tgd [ atom "A" [ v "x" ] ] [ atom "S" [ v "x"; v "y" ] ];
         tgd [ atom "S" [ v "x"; v "y" ] ] [ atom "A" [ v "y" ] ] ]
       (Instance.of_facts [ fact "A" [ "a" ] ])
@@ -88,48 +88,36 @@ let gen_resume_case =
   QCheck.Gen.(
     let* sigma = Generators.gen_sigma
     and* db = Generators.gen_db
-    and* engine = Generators.gen_engine
     and* policy = Generators.gen_policy
-    and* pick = int_range 0 1000
-    and* cross = bool in
-    return (sigma, db, engine, policy, pick, cross))
+    and* pick = int_range 0 1000 in
+    return (sigma, db, policy, pick))
 
-let print_resume_case (sigma, db, engine, policy, pick, cross) =
-  Fmt.str "%s engine=%s policy=%s pick=%d cross=%b"
+let print_resume_case (sigma, db, policy, pick) =
+  Fmt.str "%s policy=%s pick=%d"
     (Generators.print_sigma_db (sigma, db))
-    (Generators.engine_to_string engine)
     (match policy with
     | Chase.Oblivious -> "oblivious"
     | Chase.Restricted -> "restricted")
-    pick cross
+    pick
 
 let arb_resume_case = QCheck.make ~print:print_resume_case gen_resume_case
 
-let resume_equiv (sigma, db, engine, policy, pick, cross) =
+let resume_equiv (sigma, db, policy, pick) =
   Term.reset_nulls ();
   let snaps = ref [] in
   let full =
-    Chase.run ~engine ~policy ~budget:(Generators.resil_budget ())
+    Chase.run ~policy ~budget:(Generators.resil_budget ())
       ~on_pass:(fun ~level:_ ~saturated:_ take -> snaps := take () :: !snaps)
       sigma db
   in
   let snaps = Array.of_list (List.rev !snaps) in
   let s = snaps.(pick mod Array.length snaps) in
-  let resume_engine =
-    (* cross-engine resume covers the supervisor's degradation ladder
-       and the way back up *)
-    if cross then match engine with `Indexed -> `Naive | `Naive -> `Indexed
-    else engine
-  in
-  let r =
-    Chase.resume ~engine:resume_engine ~budget:(Generators.resil_budget ())
-      sigma s
-  in
+  let r = Chase.resume ~budget:(Generators.resil_budget ()) sigma s in
   results_equivalent full r
 
 let prop_resume_equiv =
   QCheck.Test.make
-    ~name:"resume from any boundary ≍ uninterrupted (both policies/engines)"
+    ~name:"resume from any boundary ≍ uninterrupted (both policies)"
     ~count:200 arb_resume_case resume_equiv
 
 (* ------------------------------------------------------------------ *)
@@ -163,26 +151,23 @@ let print_supervised_case (sigma, db, policy, plan) =
 let arb_supervised_case =
   QCheck.make ~print:print_supervised_case gen_supervised_case
 
-(* With retries 2 the supervisor grants 3 attempts per engine and the
-   generated plans have ≤ 3 triggers, so some attempt always runs
-   fault-free: the outcome must carry a result equivalent to the
-   uninterrupted run. *)
+(* With retries 3 the supervisor grants 4 attempts and the generated
+   plans have ≤ 3 triggers, so some attempt always runs fault-free: the
+   outcome must carry a result equivalent to the uninterrupted run. *)
 let supervised_equiv (sigma, db, policy, plan) =
   Term.reset_nulls ();
   let base =
-    Chase.run ~engine:`Indexed ~policy ~budget:(Generators.resil_budget ())
+    Chase.run ~policy ~budget:(Generators.resil_budget ())
       sigma db
   in
   Term.reset_nulls ();
   match
-    Resil.Supervisor.run ~engine:`Indexed ~policy
-      ~budget:(Generators.resil_budget ()) ~retries:2
+    Resil.Supervisor.run ~policy
+      ~budget:(Generators.resil_budget ()) ~retries:3
       ~sleep:(fun _ -> ())
       ~clock:(ticking_clock ()) ~fault_plan:plan sigma db
   with
-  | Resil.Supervisor.Completed r
-  | Resil.Supervisor.Recovered (r, _)
-  | Resil.Supervisor.Degraded (r, _) ->
+  | Resil.Supervisor.Completed r | Resil.Supervisor.Recovered (r, _) ->
       results_equivalent base r
   | Resil.Supervisor.Failed _ -> false
 
@@ -201,13 +186,19 @@ let unit_sigma =
 
 let unit_db = Instance.of_facts [ fact "A" [ "a" ] ]
 
-(* A checkpoint of [a(c). a(X) -> s(X,Y). s(X,Y) -> a(Y).] at level 3,
-   byte for byte as the removed multicore engine wrote it
-   ([chase --engine parallel --domains 2 --max-level 3 --checkpoint]). *)
+(* Checkpoints of [a(c). a(X) -> s(X,Y). s(X,Y) -> a(Y).] at level 3,
+   byte for byte as since-removed engines wrote them: the multicore one
+   ([chase --engine parallel --domains 2 --max-level 3 --checkpoint]) and
+   the naive one ([chase --engine naive --max-level 3 --checkpoint]). *)
 let legacy_parallel_checkpoint =
   {|{"schema":"guarded-chase-checkpoint","version":1,"engine":"parallel","policy":"oblivious","level":3,"saturated":false,"null_count":2,"triggers_fired":3,"triggers_dismissed":0,"counters":{"index.duplicates":0,"index.inserts":4,"index.probes":0,"index.removes":0,"joiner.backtracks":0,"joiner.candidates":3},"facts":[{"p":"a","l":0,"a":["c"]},{"p":"s","l":1,"a":["c",{"n":1}]},{"p":"a","l":2,"a":[{"n":1}]},{"p":"s","l":3,"a":[{"n":1},{"n":2}]}]}|}
 
-let test_legacy_parallel_checkpoint () =
+let legacy_naive_checkpoint =
+  {|{"schema":"guarded-chase-checkpoint","version":1,"engine":"naive","policy":"oblivious","level":3,"saturated":false,"null_count":2,"triggers_fired":3,"triggers_dismissed":0,"counters":{},"facts":[{"p":"a","l":0,"a":["c"]},{"p":"s","l":1,"a":["c",{"n":1}]},{"p":"a","l":2,"a":[{"n":1}]},{"p":"s","l":3,"a":[{"n":1},{"n":2}]}]}|}
+
+(* The legacy checkpoint resumes to the uninterrupted run's result, null
+   ids included. *)
+let test_legacy_checkpoint literal () =
   let sigma =
     [
       tgd [ atom "a" [ v "x" ] ] [ atom "s" [ v "x"; v "y" ] ];
@@ -219,91 +210,26 @@ let test_legacy_parallel_checkpoint () =
     Chase.run ~budget:(Generators.resil_budget ()) sigma
       (Instance.of_facts [ fact "a" [ "c" ] ])
   in
-  match
-    Result.bind (Obs.Json.parse legacy_parallel_checkpoint)
-      Resil.Checkpoint.of_json
-  with
+  match Result.bind (Obs.Json.parse literal) Resil.Checkpoint.of_json with
   | Error e -> Alcotest.failf "legacy checkpoint unreadable: %s" e
   | Ok s ->
-      check "loads as the indexed engine" true (s.Chase.snap_engine = `Indexed);
       let r = Chase.resume ~budget:(Generators.resil_budget ()) sigma s in
       check "resumes to the uninterrupted result, null ids included" true
         (Generators.facts_levels r = Generators.facts_levels full
         && Chase.saturated r = Chase.saturated full
         && Chase.max_level r = Chase.max_level full)
 
-let test_supervisor_degrades () =
-  Term.reset_nulls ();
-  let base =
-    Chase.run ~engine:`Indexed ~budget:(Generators.resil_budget ()) unit_sigma
-      unit_db
-  in
-  Term.reset_nulls ();
-  (* every indexed attempt dies at its first pass; the naive engine never
-     hits engine.* probes, so the degraded attempt completes *)
-  let plan =
-    [
-      Resil.Fault.At_point ("engine.pass", 1);
-      Resil.Fault.At_point ("engine.pass", 1);
-      Resil.Fault.At_point ("engine.pass", 1);
-    ]
-  in
-  match
-    Resil.Supervisor.run ~engine:`Indexed
-      ~budget:(Generators.resil_budget ()) ~retries:2
-      ~sleep:(fun _ -> ())
-      ~fault_plan:plan unit_sigma unit_db
-  with
-  | Resil.Supervisor.Degraded (r, log) ->
-      check_int "three failed attempts" 3 (List.length log);
-      List.iter
-        (fun a ->
-          check "failed attempts ran on the indexed engine" true
-            (a.Resil.Supervisor.engine = `Indexed))
-        log;
-      check "degraded result ≍ uninterrupted" true (results_equivalent base r)
-  | _ -> Alcotest.fail "expected Degraded"
-
-let test_supervisor_ladder () =
-  Term.reset_nulls ();
-  let base =
-    Chase.run ~engine:`Indexed ~budget:(Generators.resil_budget ()) unit_sigma
-      unit_db
-  in
-  Term.reset_nulls ();
-  (* with no retries, one failure on the indexed rung steps straight down
-     to the naive engine (no engine.* probes), which completes *)
+let test_supervisor_failed_is_typed () =
+  (* no retries: the one attempt dies at its first pass *)
   let plan = [ Resil.Fault.At_point ("engine.pass", 1) ] in
   match
-    Resil.Supervisor.run ~engine:`Indexed
-      ~budget:(Generators.resil_budget ()) ~retries:0
-      ~sleep:(fun _ -> ())
-      ~fault_plan:plan unit_sigma unit_db
-  with
-  | Resil.Supervisor.Degraded (r, log) ->
-      check_int "one failed attempt" 1 (List.length log);
-      check "ladder walked Indexed → Naive" true
-        (List.map (fun a -> a.Resil.Supervisor.engine) log = [ `Indexed ]);
-      check "degraded result ≍ uninterrupted" true (results_equivalent base r)
-  | _ -> Alcotest.fail "expected Degraded"
-
-let test_supervisor_failed_is_typed () =
-  (* kill both engines on every attempt: engine.pass for indexed,
-     chase.pass for naive *)
-  let plan =
-    [
-      Resil.Fault.At_point ("engine.pass", 1);
-      Resil.Fault.At_point ("chase.pass", 1);
-    ]
-  in
-  match
-    Resil.Supervisor.run ~engine:`Indexed
+    Resil.Supervisor.run
       ~budget:(Generators.resil_budget ()) ~retries:0
       ~sleep:(fun _ -> ())
       ~fault_plan:plan unit_sigma unit_db
   with
   | Resil.Supervisor.Failed d ->
-      check_int "both attempts logged" 2 (List.length d.Resil.Supervisor.attempts)
+      check_int "the attempt is logged" 1 (List.length d.Resil.Supervisor.attempts)
   | _ -> Alcotest.fail "expected Failed (and no escaped exception)"
 
 let test_supervisor_backoff_sequence () =
@@ -316,7 +242,7 @@ let test_supervisor_backoff_sequence () =
     ]
   in
   (match
-     Resil.Supervisor.run ~engine:`Indexed
+     Resil.Supervisor.run
        ~budget:(Generators.resil_budget ()) ~retries:3 ~backoff_ms:100.
        ~max_backoff_ms:250.
        ~sleep:(fun s -> sleeps := s :: !sleeps)
@@ -338,7 +264,7 @@ let test_supervisor_checkpoints_to_disk () =
     (fun () ->
       Term.reset_nulls ();
       (match
-         Resil.Supervisor.run ~engine:`Indexed
+         Resil.Supervisor.run
            ~budget:(Generators.resil_budget ()) ~retries:1 ~checkpoint_path:path
            ~sleep:(fun s -> ignore s)
            ~fault_plan:[ Resil.Fault.At_point ("engine.pass", 3) ]
@@ -413,7 +339,7 @@ let test_fault_arm_determinism () =
     Term.reset_nulls ();
     match
       Resil.Fault.with_trigger (Some trig) (fun () ->
-          Chase.run ~engine:`Indexed ~budget:(Generators.resil_budget ())
+          Chase.run ~budget:(Generators.resil_budget ())
             unit_sigma unit_db)
     with
     | _ -> None
@@ -469,7 +395,32 @@ let test_checkpoint_typed_errors () =
       | Error (Resil.Checkpoint.Corrupt _) -> ()
       | Error (Resil.Checkpoint.Io _) ->
           Alcotest.fail "an alien schema is Corrupt, not Io"
-      | Ok _ -> Alcotest.fail "load of an alien schema succeeded")
+      | Ok _ -> Alcotest.fail "load of an alien schema succeeded");
+  (* an engine name no version ever wrote *)
+  let path = Filename.temp_file "resil_engine_ck" ".json" in
+  Fun.protect
+    ~finally:(fun () -> Sys.remove path)
+    (fun () ->
+      let with_engine = function
+        | Ok (Obs.Json.Obj kvs) ->
+            Obs.Json.Obj
+              (List.map
+                 (function
+                   | "engine", _ -> ("engine", Obs.Json.String "quantum")
+                   | kv -> kv)
+                 kvs)
+        | _ -> Alcotest.fail "legacy checkpoint literal is not an object"
+      in
+      let oc = open_out path in
+      Obs.Json.to_channel oc
+        (with_engine (Obs.Json.parse legacy_naive_checkpoint));
+      close_out oc;
+      match Resil.Checkpoint.load path with
+      | Error (Resil.Checkpoint.Corrupt msg) ->
+          check "Corrupt names the engine" true (contains_sub msg "quantum")
+      | Error (Resil.Checkpoint.Io _) ->
+          Alcotest.fail "an unknown engine is Corrupt, not Io"
+      | Ok _ -> Alcotest.fail "load of an unknown engine succeeded")
 
 (* ------------------------------------------------------------------ *)
 (* CRC32 and the WAL                                                    *)
@@ -820,11 +771,9 @@ let () =
           Alcotest.test_case "checkpoint schema validation" `Quick
             test_checkpoint_rejects_bad_schema;
           Alcotest.test_case "legacy parallel checkpoint resumes" `Quick
-            test_legacy_parallel_checkpoint;
-          Alcotest.test_case "supervisor degrades to naive" `Quick
-            test_supervisor_degrades;
-          Alcotest.test_case "supervisor degradation ladder" `Quick
-            test_supervisor_ladder;
+            (test_legacy_checkpoint legacy_parallel_checkpoint);
+          Alcotest.test_case "legacy naive checkpoint resumes" `Quick
+            (test_legacy_checkpoint legacy_naive_checkpoint);
           Alcotest.test_case "supervisor failure is a typed outcome" `Quick
             test_supervisor_failed_is_typed;
           Alcotest.test_case "supervisor backoff sequence" `Quick

@@ -119,7 +119,7 @@ let program =
 let snapshot ?(max_level = 6) text =
   let p = Syntax.Parser.parse text in
   let db = Syntax.Parser.database p in
-  let r = Tgds.Chase.run ~engine:`Indexed ~max_level p.Syntax.Parser.tgds db in
+  let r = Tgds.Chase.run ~max_level p.Syntax.Parser.tgds db in
   Engine.Snapshot.freeze
     ~saturated:(Tgds.Chase.saturated r)
     ~universe:(Relational.Instance.dom db)

@@ -1,4 +1,4 @@
-(* Cross-engine equivalence harness for the fact-store substrate.
+(* Equivalence harness for the fact-store substrate.
 
    The store under [lib/engine] is the load-bearing representation four
    consumers share (Chase, Enumerate, Incr, Resil); this suite pins its
@@ -16,8 +16,9 @@
    - serve: a maintained store (initial chase, then a mutation log)
      holds byte-identical facts, effects, checkpoint and counters across
      reruns;
-   - Naive agrees with the indexed engine up to null renaming, and
-     exactly on answer sets (answers are null-free).
+   - the naive oracle (Naive_chase) agrees with the indexed engine up
+     to null renaming, and exactly on answer sets (answers are
+     null-free).
 
    The fixed-oracle cases additionally embed literals produced by the
    pre-columnar hash-of-lists store, so a representation change that
@@ -114,17 +115,18 @@ let prop_naive_equivalent =
     ~count:50 arb_case (fun (sigma, db, policy) ->
       let budget () = Generators.resil_budget () in
       Term.reset_nulls ();
-      let naive = Chase.run ~engine:`Naive ~policy ~budget:(budget ()) sigma db in
+      let naive = Naive_chase.run ~policy ~budget:(budget ()) sigma db in
       let naive_answers =
         List.map
           (fun q ->
             (Engine.Enumerate.ucq ~universe:(Instance.dom db)
-               (Chase.index naive) q)
+               (Engine.Index.of_instance naive.Naive_chase.instance)
+               q)
               .Engine.Enumerate.answers)
           Generators.queries
       in
       Term.reset_nulls ();
-      let idx = Chase.run ~engine:`Indexed ~policy ~budget:(budget ()) sigma db in
+      let idx = Chase.run ~policy ~budget:(budget ()) sigma db in
       let idx_answers =
         List.map
           (fun q ->
@@ -133,7 +135,10 @@ let prop_naive_equivalent =
               .Engine.Enumerate.answers)
           Generators.queries
       in
-      Generators.results_equivalent naive idx && naive_answers = idx_answers)
+      Generators.observed_equivalent
+        (Generators.observe_oracle naive)
+        (Generators.observe idx)
+      && naive_answers = idx_answers)
 
 (* ------------------------------------------------------------------ *)
 (* Resume: any boundary                                                 *)
@@ -162,7 +167,7 @@ let prop_resume_byte_identical =
   QCheck.Test.make
     ~name:"store: resume from any boundary byte-identical across reruns"
     ~count:40 arb_resume_case (fun ((sigma, db, policy), pick) ->
-      let snaps = Generators.chase_snapshots ~engine:`Indexed ~policy sigma db in
+      let snaps = Generators.chase_snapshots ~policy sigma db in
       let snap = List.nth snaps (pick mod List.length snaps) in
       let base = resume_observables sigma snap in
       resume_observables sigma snap = base)
