@@ -341,6 +341,60 @@ let test_stats_reported () =
            "joiner.candidates"
         > 0)
 
+(* The saturation envelope on lubm-40, the linear-rule workload the
+   server saturates: storage order, s-level census, trigger count and
+   every index/joiner counter are pinned as literals, so a change to the
+   firing path must reproduce the chase exactly; minor and major words
+   per chased fact must stay inside a fixed envelope (~1.5x the measured
+   cost), so it only fails on a real allocation regression. *)
+let test_saturation_envelope () =
+  let sigma, db = Guarded_core.Workload.lubm ~universities:40 () in
+  Term.reset_nulls ();
+  Gc.full_major ();
+  let s0 = Gc.quick_stat () in
+  let r = Chase.run sigma db in
+  let s1 = Gc.quick_stat () in
+  let idx = Chase.index r in
+  let facts = float_of_int (Engine.Index.size idx) in
+  let minor = (s1.Gc.minor_words -. s0.Gc.minor_words) /. facts in
+  let major = (s1.Gc.major_words -. s0.Gc.major_words) /. facts in
+  let digest =
+    Engine.Index.ordered_facts idx
+    |> List.map (Fmt.str "%a" Fact.pp)
+    |> String.concat "\n" |> Digest.string |> Digest.to_hex
+  in
+  Alcotest.(check string) "storage-order digest"
+    "3f78fd1505c44d050a5e9287eaf80666" digest;
+  Alcotest.(check (list int)) "s-level census" [ 1520; 1280; 880; 640 ]
+    (Chase.facts_per_level r);
+  check_int "triggers fired" 5440
+    (match Chase.engine_result r with
+    | Some s -> s.Engine.Saturate.triggers_fired
+    | None -> -1);
+  Alcotest.(check (list (pair string int)))
+    "index and joiner counters"
+    [
+      ("index.duplicates", 1120);
+      ("index.inserts", 6160);
+      ("index.probes", 0);
+      ("index.removes", 0);
+      ("joiner.backtracks", 0);
+      ("joiner.candidates", 5440);
+    ]
+    (List.filter
+       (fun (n, _) ->
+         String.starts_with ~prefix:"index." n
+         || String.starts_with ~prefix:"joiner." n)
+       (Obs.Metrics.counters (Engine.Index.metrics idx)));
+  check
+    (Fmt.str "minor words per chased fact within envelope (measured %.1f)"
+       minor)
+    true (minor < 240.);
+  check
+    (Fmt.str "major words per chased fact within envelope (measured %.1f)"
+       major)
+    true (major < 125.)
+
 let qcheck_tests =
   List.map QCheck_alcotest.to_alcotest
     [
@@ -366,6 +420,8 @@ let () =
           Alcotest.test_case "delta restriction" `Quick test_delta_restriction;
           Alcotest.test_case "saturation stats" `Quick test_stats_reported;
           Alcotest.test_case "enumerate corners" `Quick test_enumerate_corners;
+          Alcotest.test_case "saturation envelope" `Quick
+            test_saturation_envelope;
         ] );
       ("properties", qcheck_tests);
     ]
