@@ -395,6 +395,41 @@ let test_saturation_envelope () =
        major)
     true (major < 125.)
 
+(* The probe-hit sequence of a saturation, one letter per hit: P =
+   engine.pass, J = engine.join, I = engine.insert. Fault plans
+   ([hit:N]) count these hits, so the sequence pins where every plan
+   fires. The program has a two-atom body (a join past the pivot), an
+   existential head and, under the restricted policy, a dismissal check
+   per collected trigger. *)
+let probe_sequence policy =
+  let sigma =
+    [
+      tgd [ atom "A" [ v "x" ] ] [ atom "S" [ v "x"; v "y" ] ];
+      tgd [ atom "S" [ v "x"; v "y" ]; atom "A" [ v "x" ] ] [ atom "B" [ v "y" ] ];
+      tgd [ atom "B" [ v "x" ] ] [ atom "C" [ v "x" ] ];
+    ]
+  in
+  let db =
+    Instance.of_facts [ fact "A" [ "a" ]; fact "A" [ "b" ]; fact "S" [ "a"; "c" ] ]
+  in
+  let buf = Buffer.create 64 in
+  Obs.Probe.install (fun point ->
+      Buffer.add_char buf
+        (match point with
+        | "engine.pass" -> 'P'
+        | "engine.join" -> 'J'
+        | "engine.insert" -> 'I'
+        | _ -> '?'));
+  Fun.protect ~finally:Obs.Probe.clear (fun () ->
+      ignore (Chase.run ~policy ~max_level:4 sigma db));
+  Buffer.contents buf
+
+let test_probe_sequence () =
+  Alcotest.(check string) "oblivious" "IIIPJJJIIIPJJIIIPJIIP"
+    (probe_sequence Chase.Oblivious);
+  Alcotest.(check string) "restricted" "IIIPJJJJJJIIPJJJJIIPJJIP"
+    (probe_sequence Chase.Restricted)
+
 let qcheck_tests =
   List.map QCheck_alcotest.to_alcotest
     [
@@ -420,6 +455,7 @@ let () =
           Alcotest.test_case "delta restriction" `Quick test_delta_restriction;
           Alcotest.test_case "saturation stats" `Quick test_stats_reported;
           Alcotest.test_case "enumerate corners" `Quick test_enumerate_corners;
+          Alcotest.test_case "probe sequence" `Quick test_probe_sequence;
           Alcotest.test_case "saturation envelope" `Quick
             test_saturation_envelope;
         ] );
