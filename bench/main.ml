@@ -545,8 +545,17 @@ let e15 ~full () =
       measure ~repeat:1 (fun () ->
           ignore (Tgds.Chase.run ~max_level sigma db))
     in
+    (* words per chased fact; the minor heap is flushed before the second
+       reading so promotions are counted *)
+    Gc.full_major ();
+    let s0 = Gc.quick_stat () in
     let r = Tgds.Chase.run ~max_level sigma db in
+    Gc.minor ();
+    let s1 = Gc.quick_stat () in
     let chased = Instance.size (Tgds.Chase.instance r) in
+    let per_fact w1 w0 = (w1 -. w0) /. float_of_int chased in
+    let minor = per_fact s1.Gc.minor_words s0.Gc.minor_words
+    and major = per_fact s1.Gc.major_words s0.Gc.major_words in
     let t_naive =
       measure ~repeat:1 (fun () ->
           ignore (Naive_chase.run ~max_level sigma db))
@@ -560,13 +569,22 @@ let e15 ~full () =
       List.map Obs.Span.elapsed (Obs.Span.children er.Engine.Saturate.span)
     in
     rows :=
-      (workload, Instance.size db, chased, triggers, t_naive, t_idx, fpl, level_s)
+      ( workload,
+        Instance.size db,
+        chased,
+        triggers,
+        t_naive,
+        t_idx,
+        fpl,
+        level_s,
+        (minor, major) )
       :: !rows;
-    row "  %-18s %8d %10d %10d %12.4f %12.4f %9.1fx@." workload
-      (Instance.size db) chased triggers t_naive t_idx (t_naive /. t_idx)
+    row "  %-18s %8d %10d %10d %12.4f %12.4f %9.1fx %8.1f %8.1f@." workload
+      (Instance.size db) chased triggers t_naive t_idx (t_naive /. t_idx) minor
+      major
   in
-  row "  %-18s %8s %10s %10s %12s %12s %9s@." "workload" "||D||" "chased"
-    "triggers" "naive(s)" "indexed(s)" "speedup";
+  row "  %-18s %8s %10s %10s %12s %12s %9s %8s %8s@." "workload" "||D||"
+    "chased" "triggers" "naive(s)" "indexed(s)" "speedup" "minor/f" "major/f";
   let unis = if full then [ 10; 40; 160; 640 ] else [ 10; 40; 160 ] in
   List.iter
     (fun u ->
@@ -584,7 +602,7 @@ let e15 ~full () =
      per-level (phase) breakdown of the indexed run *)
   let entries =
     List.rev_map
-      (fun (w, d, c, tr, tn, ti, fpl, level_s) ->
+      (fun (w, d, c, tr, tn, ti, fpl, level_s, (minor, major)) ->
            Obs.Json.Obj
              [
                ("workload", Obs.Json.String w);
@@ -598,6 +616,10 @@ let e15 ~full () =
                  Obs.Json.List (List.map (fun n -> Obs.Json.Int n) fpl) );
                ( "level_s",
                  Obs.Json.List (List.map (fun s -> Obs.Json.Float s) level_s) );
+               ("minor_words_per_fact", Obs.Json.Float minor);
+               ("major_words_per_fact", Obs.Json.Float major);
+               ("cores", Obs.Json.Int (Domain.recommended_domain_count ()));
+               ("ocaml", Obs.Json.String Sys.ocaml_version);
              ])
       !rows
   in
