@@ -16,7 +16,9 @@
       slots go on a per-relation free list that the next insert reuses,
       so insert/delete churn cannot grow the store's capacity;
     - [index.probes] counts one probe per candidate-list retrieval,
-      exactly where [tuples_of]/[tuples_at] used to count it. *)
+      exactly where [tuples_of]/[tuples_at] used to count it;
+    - every row carries its fact's s-level in a level column beside the
+      argument columns, so the chase keeps no fact-keyed side table. *)
 
 open Relational
 open Relational.Term
@@ -33,6 +35,7 @@ let row_of_packed p = p land row_mask
 type rel = {
   r_arity : int;
   r_cols : Vec.t array;  (* one column per argument position *)
+  r_level : Vec.t;  (* s-level of the fact in each row *)
   mutable r_rows : int;  (* row slots allocated, including freed ones *)
   r_free : Vec.t;  (* freed row slots, reused by the next insert *)
 }
@@ -47,10 +50,29 @@ type entry = {
    keep seeing growth of the pid-indexed array. *)
 type tables = { mutable entries : entry option array }
 
+(* Tables keyed by interned fact keys [| pid; cid1; …; cidn |]: the
+   membership table here, the chase's trigger tables in {!Saturate}. *)
+module Keytbl = Hashtbl.Make (struct
+  type t = int array
+
+  let rec equal_from (a : int array) (b : int array) i =
+    i < 0 || (Array.unsafe_get a i = Array.unsafe_get b i && equal_from a b (i - 1))
+
+  let equal (a : int array) (b : int array) =
+    Array.length a = Array.length b && equal_from a b (Array.length a - 1)
+
+  let hash (a : int array) =
+    let h = ref (Array.length a) in
+    for i = 0 to Array.length a - 1 do
+      h := (!h lxor Array.unsafe_get a i) * 0x100000001b3
+    done;
+    (!h lxor (!h lsr 29)) land max_int
+end)
+
 type t = {
   symtab : Symtab.t;
   tabs : tables;
-  members : (int array, int) Hashtbl.t;  (* fact key -> packed row *)
+  members : int Keytbl.t;  (* fact key -> packed row *)
   metrics : Obs.Metrics.t;
   (* counter handles, resolved once so the hot paths never do a name
      lookup *)
@@ -65,7 +87,7 @@ let create () =
   {
     symtab = Symtab.create ();
     tabs = { entries = Array.make 16 None };
-    members = Hashtbl.create 1024;
+    members = Keytbl.create 1024;
     metrics;
     c_probes = Obs.Metrics.counter metrics "index.probes";
     c_inserts = Obs.Metrics.counter metrics "index.inserts";
@@ -126,9 +148,10 @@ let key_find idx f =
 let mem f idx =
   match key_find idx f with
   | None -> false
-  | Some key -> Hashtbl.mem idx.members key
+  | Some key -> Keytbl.mem idx.members key
 
-let size idx = Hashtbl.length idx.members
+let key = key_find
+let size idx = Keytbl.length idx.members
 
 let entry idx pid =
   let es = idx.tabs.entries in
@@ -152,16 +175,24 @@ let entry_of idx pid =
       tabs.entries.(pid) <- Some e;
       e
 
-let rel_find e arity = List.find_opt (fun r -> r.r_arity = arity) e.e_rels
+(* The relation of [arity] among [rels]; raises [Not_found]. Allocation
+   free, for the insert and level paths. *)
+let rec rel_get arity = function
+  | r :: rest -> if r.r_arity = arity then r else rel_get arity rest
+  | [] -> raise Not_found
+
+let rel_find e arity =
+  match rel_get arity e.e_rels with r -> Some r | exception Not_found -> None
 
 let rel_of e arity =
-  match rel_find e arity with
-  | Some r -> r
-  | None ->
+  match rel_get arity e.e_rels with
+  | r -> r
+  | exception Not_found ->
       let r =
         {
           r_arity = arity;
           r_cols = Array.init arity (fun _ -> Vec.create ());
+          r_level = Vec.create ();
           r_rows = 0;
           r_free = Vec.create ~capacity:1 ();
         }
@@ -174,49 +205,58 @@ let rel_of e arity =
       r
 
 let posting_of tbl cid =
-  match Hashtbl.find_opt tbl cid with
-  | Some v -> v
-  | None ->
+  match Hashtbl.find tbl cid with
+  | v -> v
+  | exception Not_found ->
       let v = Vec.create ~capacity:4 () in
       Hashtbl.replace tbl cid v;
       v
 
-(** [insert f idx] — add [f]; [false] when it was already present. *)
-let insert f idx =
+(* File the new interned [key] (not yet a member; it becomes the
+   members key) at s-level [level], reusing a freed row slot when one
+   exists. *)
+let add_row idx key ~level =
+  Obs.Metrics.incr idx.c_inserts;
+  let pid = key.(0) and arity = Array.length key - 1 in
+  let e = entry_of idx pid in
+  let r = rel_of e arity in
+  let row =
+    if Vec.length r.r_free > 0 then begin
+      let row = Vec.pop r.r_free in
+      for i = 0 to arity - 1 do
+        Vec.set r.r_cols.(i) row key.(i + 1)
+      done;
+      Vec.set r.r_level row level;
+      row
+    end
+    else begin
+      let row = r.r_rows in
+      r.r_rows <- row + 1;
+      for i = 0 to arity - 1 do
+        Vec.push r.r_cols.(i) key.(i + 1)
+      done;
+      Vec.push r.r_level level;
+      row
+    end
+  in
+  let packed = pack ~arity row in
+  Vec.push e.e_order packed;
+  for i = 0 to arity - 1 do
+    Vec.push (posting_of e.e_at.(i) key.(i + 1)) packed
+  done;
+  Keytbl.replace idx.members key packed
+
+(** [insert ?level f idx] — add [f] at s-level [level] (default 0);
+    [false] when it was already present (its level is kept). *)
+let insert ?(level = 0) f idx =
   Obs.Probe.hit "engine.insert";
   let key = key_intern idx f in
-  if Hashtbl.mem idx.members key then begin
+  if Keytbl.mem idx.members key then begin
     Obs.Metrics.incr idx.c_duplicates;
     false
   end
   else begin
-    Obs.Metrics.incr idx.c_inserts;
-    let pid = key.(0) and arity = Array.length key - 1 in
-    let e = entry_of idx pid in
-    let r = rel_of e arity in
-    let row =
-      if Vec.length r.r_free > 0 then begin
-        let row = Vec.pop r.r_free in
-        for i = 0 to arity - 1 do
-          Vec.set r.r_cols.(i) row key.(i + 1)
-        done;
-        row
-      end
-      else begin
-        let row = r.r_rows in
-        r.r_rows <- row + 1;
-        for i = 0 to arity - 1 do
-          Vec.push r.r_cols.(i) key.(i + 1)
-        done;
-        row
-      end
-    in
-    let packed = pack ~arity row in
-    Vec.push e.e_order packed;
-    for i = 0 to arity - 1 do
-      Vec.push (posting_of e.e_at.(i) key.(i + 1)) packed
-    done;
-    Hashtbl.replace idx.members key packed;
+    add_row idx key ~level;
     true
   end
 
@@ -228,11 +268,11 @@ let remove f idx =
   match key_find idx f with
   | None -> false
   | Some key -> (
-      match Hashtbl.find_opt idx.members key with
+      match Keytbl.find_opt idx.members key with
       | None -> false
       | Some packed ->
           Obs.Metrics.incr idx.c_removes;
-          Hashtbl.remove idx.members key;
+          Keytbl.remove idx.members key;
           let pid = key.(0) and arity = Array.length key - 1 in
           let e = match entry idx pid with Some e -> e | None -> assert false in
           ignore (Vec.remove_value e.e_order packed);
@@ -264,36 +304,71 @@ let decode_key idx key =
   Fact.make (Symtab.extern_pred st key.(0))
     (List.init (Array.length key - 1) (fun i -> Symtab.extern st key.(i + 1)))
 
-(* Storage order: pid-ascending over the entry table, each entry's
-   [e_order] in append order. [e_order] only ever sees order-preserving
-   removals, so replaying the returned facts into a fresh store rebuilds
-   every posting list in the same relative order this store presents. *)
-let ordered_facts idx =
-  let st = idx.symtab in
-  let out = ref [] in
+(* The relation holding the live packed handle [packed] of [pid]. *)
+let rel_of_packed idx pid packed =
+  match entry idx pid with
+  | None -> assert false
+  | Some e -> rel_get (arity_of_packed packed) e.e_rels
+
+(* The s-level of the fact with interned [key]; [-1] when not stored.
+   Allocation free: the chase reads a body level per fired trigger. *)
+let key_level idx key =
+  match Keytbl.find idx.members key with
+  | packed ->
+      Vec.get (rel_of_packed idx key.(0) packed).r_level (row_of_packed packed)
+  | exception Not_found -> -1
+
+let level idx f =
+  match key_find idx f with
+  | None -> None
+  | Some key ->
+      let l = key_level idx key in
+      if l < 0 then None else Some l
+
+let set_level idx f l =
+  match Option.bind (key_find idx f) (Keytbl.find_opt idx.members) with
+  | None -> invalid_arg "Index.set_level: fact not stored"
+  | Some packed ->
+      let pid = Symtab.find_pred_int idx.symtab (Fact.pred f) in
+      Vec.set (rel_of_packed idx pid packed).r_level (row_of_packed packed) l
+
+(* Every live row in storage order: pid-ascending over the entry table,
+   each entry's [e_order] in append order. *)
+let iter_rows f idx =
   Array.iteri
     (fun pid e ->
       match e with
       | None -> ()
       | Some e ->
-          let p = Symtab.extern_pred st pid in
           Vec.iter
             (fun packed ->
-              let arity = arity_of_packed packed and row = row_of_packed packed in
-              let r =
-                match rel_find e arity with Some r -> r | None -> assert false
-              in
-              out :=
-                Fact.make p
-                  (List.init arity (fun i ->
-                       Symtab.extern st (Vec.get r.r_cols.(i) row)))
-                :: !out)
+              f pid (rel_get (arity_of_packed packed) e.e_rels) (row_of_packed packed))
             e.e_order)
-    idx.tabs.entries;
+    idx.tabs.entries
+
+let fold_levels f idx acc =
+  let acc = ref acc in
+  iter_rows (fun _ r row -> acc := f (Vec.get r.r_level row) !acc) idx;
+  !acc
+
+(* Storage order: [e_order] only ever sees order-preserving removals, so
+   replaying the returned facts into a fresh store rebuilds every posting
+   list in the same relative order this store presents. *)
+let ordered_facts idx =
+  let st = idx.symtab in
+  let out = ref [] in
+  iter_rows
+    (fun pid r row ->
+      let f =
+        Fact.make (Symtab.extern_pred st pid)
+          (List.init r.r_arity (fun i -> Symtab.extern st (Vec.get r.r_cols.(i) row)))
+      in
+      out := (f, Vec.get r.r_level row) :: !out)
+    idx;
   List.rev !out
 
 let to_instance idx =
-  Hashtbl.fold
+  Keytbl.fold
     (fun key _ acc -> Instance.add_fact (decode_key idx key) acc)
     idx.members Instance.empty
 
@@ -532,17 +607,23 @@ let fold_matches idx a (b : Homomorphism.binding) ~injective ~on_candidate ~on_f
    is unknown to the store: a bound position that never matches);
    variable arguments resolve to slots of a caller-owned binding
    environment [benv] ([benv.(slot) >= 0] bound to that cell id, [-1]
-   unbound). [c_trail] is private per-walk scratch: slots bound while
-   matching one candidate row, undone before the next. *)
+   unbound). A head atom compiled by [compile_head] marks existential
+   positions [-3]: they match like variables, and at [insert_key] their
+   slot holds the payload of the fresh null to write. [c_trail] is
+   private scratch: slots bound while matching one candidate row, undone
+   before the next; [insert_key]/[catom_level] reuse it for the fact key
+   they build. *)
 type catom = {
-  c_pid : int;  (* interned predicate id; -1 = unknown predicate *)
+  c_atom : Atom.t;
+  mutable c_pid : int;  (* interned predicate id; -1 = unknown predicate *)
   c_arity : int;
-  c_cells : int array;  (* >= 0 const cid; -1 unknown const; -2 variable *)
-  c_slots : int array;  (* per position: benv slot when c_cells.(i) = -2 *)
-  c_trail : int array;
+  c_cells : int array;  (* >= 0 const cid; -1 unknown const; -2 variable;
+                           -3 existential *)
+  c_slots : int array;  (* per position: benv slot when c_cells.(i) < -1 *)
+  c_trail : int array;  (* arity + 1 cells *)
 }
 
-let compile_atom idx ~slot a =
+let compile idx ~slot ~fresh a =
   let st = idx.symtab in
   let args = Atom.args a in
   let arity = List.length args in
@@ -551,15 +632,22 @@ let compile_atom idx ~slot a =
     (fun i t ->
       match t with
       | Const c -> cells.(i) <- Symtab.find_int st c
-      | Var x -> slots.(i) <- slot x)
+      | Var x ->
+          slots.(i) <- slot x;
+          if fresh x then cells.(i) <- -3)
     args;
   {
+    c_atom = a;
     c_pid = Symtab.find_pred_int st (Atom.pred a);
     c_arity = arity;
     c_cells = cells;
     c_slots = slots;
-    c_trail = Array.make (max arity 1) 0;
+    c_trail = Array.make (arity + 1) 0;
   }
+
+let compile_atom idx ~slot a = compile idx ~slot ~fresh:(fun _ -> false) a
+let compile_head = compile
+let catom_pid ca = ca.c_pid
 
 (* The effective pattern id of position [i] under [benv], and whether the
    position counts as bound — mirrors the [cid >= -1] convention of
@@ -578,7 +666,7 @@ let catom_unbound ca ~benv =
   let r = ref false in
   for i = 0 to ca.c_arity - 1 do
     if
-      Array.unsafe_get ca.c_cells i = -2
+      Array.unsafe_get ca.c_cells i < -1
       && Array.unsafe_get benv (Array.unsafe_get ca.c_slots i) < 0
     then r := true
   done;
@@ -691,6 +779,111 @@ let fold_catom idx ca ~benv ~on_candidate ~on_fail (f : int -> bool) arg =
             done;
             !stopped)
 
+(* [match_key], the delta-pivot step: bind [ca] against one interned
+   fact key instead of a posting list. Same cell comparisons as
+   [fold_catom]'s row walk, same trail discipline. *)
+let match_key ca ~benv key f =
+  let arity = ca.c_arity in
+  Array.length key = arity + 1
+  && key.(0) = ca.c_pid
+  &&
+  let trail = ca.c_trail in
+  let nt = ref 0 and ok = ref true and i = ref 0 in
+  while !ok && !i < arity do
+    let cell = Array.unsafe_get key (!i + 1) in
+    let c = Array.unsafe_get ca.c_cells !i in
+    if c >= -1 then begin
+      if cell <> c then ok := false
+    end
+    else begin
+      let s = Array.unsafe_get ca.c_slots !i in
+      let cur = Array.unsafe_get benv s in
+      if cur >= 0 then begin
+        if cell <> cur then ok := false
+      end
+      else begin
+        benv.(s) <- cell;
+        trail.(!nt) <- s;
+        incr nt
+      end
+    end;
+    incr i
+  done;
+  if !ok then f ();
+  for j = 0 to !nt - 1 do
+    benv.(trail.(j)) <- -1
+  done;
+  !ok
+
+(* The fact key of a fully bound, non-existential [ca] under [benv], in
+   the atom's scratch; [false] when a symbol is unknown to the store (the
+   fact cannot be stored). *)
+let scratch_key ca ~benv =
+  let key = ca.c_trail in
+  key.(0) <- ca.c_pid;
+  let ok = ref (ca.c_pid >= 0) in
+  for i = 0 to ca.c_arity - 1 do
+    let c = cell_pattern ca benv i in
+    if c < 0 then ok := false;
+    key.(i + 1) <- c
+  done;
+  !ok
+
+let catom_level idx ca ~benv =
+  if scratch_key ca ~benv then max 0 (key_level idx ca.c_trail) else 0
+
+let catom_fact idx ca ~benv =
+  let st = idx.symtab in
+  Fact.make (Atom.pred ca.c_atom)
+    (List.mapi
+       (fun i t ->
+         let c = ca.c_cells.(i) in
+         if c >= 0 then Symtab.extern st c
+         else
+           match t with
+           | Const k -> k
+           | Var _ ->
+               let v = benv.(ca.c_slots.(i)) in
+               if c = -3 then Null v else Symtab.extern st v)
+       (Atom.args ca.c_atom))
+
+(* Insert the head [ca] under [benv], interning exactly as [key_intern]
+   does on the decoded fact: the predicate first, then the arguments left
+   to right. Interned ids are cached back into [ca], so a predicate or
+   constant is resolved by name at most once per compiled atom. *)
+let insert_key idx ~level ca ~benv =
+  Obs.Probe.hit "engine.insert";
+  let st = idx.symtab in
+  if ca.c_pid < 0 then ca.c_pid <- Symtab.intern_pred st (Atom.pred ca.c_atom);
+  let key = ca.c_trail in
+  key.(0) <- ca.c_pid;
+  for i = 0 to ca.c_arity - 1 do
+    let c = ca.c_cells.(i) in
+    key.(i + 1) <-
+      (if c >= 0 then c
+       else if c = -1 then begin
+         let id =
+           match List.nth (Atom.args ca.c_atom) i with
+           | Const k -> Symtab.intern st k
+           | Var _ -> assert false
+         in
+         ca.c_cells.(i) <- id;
+         id
+       end
+       else
+         let v = benv.(ca.c_slots.(i)) in
+         if c = -2 then v else Symtab.intern_null st v)
+  done;
+  if Keytbl.mem idx.members key then begin
+    Obs.Metrics.incr idx.c_duplicates;
+    None
+  end
+  else begin
+    let key = Array.copy key in
+    add_row idx key ~level;
+    Some key
+  end
+
 (* Allocated capacity of the store's flat vectors, in words — the
    capacity-leak regression tests assert this stays put under
    insert/delete churn. Hash-table buckets are not counted (stdlib
@@ -706,7 +899,10 @@ let capacity_words idx =
           let acc =
             List.fold_left
               (fun acc r ->
-                Array.fold_left (fun acc col -> acc + vec col) (acc + vec r.r_free) r.r_cols)
+                Array.fold_left
+                  (fun acc col -> acc + vec col)
+                  (acc + vec r.r_free + vec r.r_level)
+                  r.r_cols)
               acc e.e_rels
           in
           Array.fold_left

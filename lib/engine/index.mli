@@ -8,6 +8,9 @@
     instead of the whole relation — the O(1)-per-candidate retrieval the
     semi-naive chase and the {!Joiner} build on.
 
+    Every stored fact carries its s-level (the chase pass that derived
+    it; 0 for database facts), kept in a column beside the arguments.
+
     The API is immutable in style — {!add} returns the store — but the
     store shares its internal hash tables: use it linearly (the returned
     handle supersedes the argument). Conversion to and from
@@ -27,23 +30,25 @@ val of_instance : Instance.t -> t
 (** The facts of the store, as an instance. *)
 val to_instance : t -> Instance.t
 
-(** The facts of the store in {e storage order}: predicates in intern
-    order, each relation's live rows oldest-first (append order of the
-    surviving posting entries). Inserting the returned facts into a
-    fresh store, in order, reproduces this store's iteration order
-    exactly — posting lists and relations present candidates in the same
-    sequence — which is what trajectory-faithful recovery of a
-    maintained store needs (row handles and free-list state may differ;
-    neither is observable through the matching API). *)
-val ordered_facts : t -> Fact.t list
+(** The facts of the store with their s-levels, in {e storage order}:
+    predicates in intern order, each relation's live rows oldest-first
+    (append order of the surviving posting entries). Inserting the
+    returned facts into a fresh store, in order, reproduces this store's
+    iteration order exactly — posting lists and relations present
+    candidates in the same sequence — which is what trajectory-faithful
+    recovery of a maintained store needs (row handles and free-list
+    state may differ; neither is observable through the matching API). *)
+val ordered_facts : t -> (Fact.t * int) list
 
 (** [add f idx] — file [f] under every argument position. No-op when the
     fact is already present. Mutates [idx] in place and returns it. *)
 val add : Fact.t -> t -> t
 
-(** [insert f idx] — like {!add}, but reports whether the fact was new
-    (a single membership probe; the engine's hot path). *)
-val insert : Fact.t -> t -> bool
+(** [insert ?level f idx] — like {!add}, but reports whether the fact
+    was new (a single membership probe). A new fact gets s-level [level]
+    (default 0); a present one keeps its own. Hits the ["engine.insert"]
+    {!Obs.Probe} point. *)
+val insert : ?level:int -> Fact.t -> t -> bool
 
 (** [remove f idx] — delete [f] from the store and prune every posting
     list it was filed under; [false] when it was not present. Counts
@@ -53,6 +58,24 @@ val insert : Fact.t -> t -> bool
 val remove : Fact.t -> t -> bool
 
 val mem : Fact.t -> t -> bool
+
+(** [level idx f] — the s-level of a stored fact. *)
+val level : t -> Fact.t -> int option
+
+(** [set_level idx f l] — overwrite the s-level of a stored fact.
+    Raises [Invalid_argument] when [f] is not stored. *)
+val set_level : t -> Fact.t -> int -> unit
+
+(** [fold_levels f idx acc] — fold over the s-level of every stored
+    fact, in storage order. *)
+val fold_levels : (int -> 'a -> 'a) -> t -> 'a -> 'a
+
+(** Hash tables keyed by interned fact keys [[| pid; cid1; …; cidn |]]. *)
+module Keytbl : Hashtbl.S with type key = int array
+
+(** [key idx f] — the interned key of [f] when all its symbols are
+    interned (e.g. when [f] is stored); never assigns ids. *)
+val key : t -> Fact.t -> int array option
 
 (** Number of (distinct) facts. *)
 val size : t -> int
@@ -126,6 +149,13 @@ val compile_atom : t -> slot:(string -> int) -> Atom.t -> catom
     arguments against the store's symbol table (unknown symbols compile
     to never-matching patterns) and its variables to [slot x]. *)
 
+val compile_head :
+  t -> slot:(string -> int) -> fresh:(string -> bool) -> Atom.t -> catom
+(** [compile_head idx ~slot ~fresh a] — {!compile_atom} for a rule head
+    whose variables [x] with [fresh x] are existential. In matching an
+    existential is an ordinary variable; at {!insert_key} its slot holds
+    the payload [n] of the fresh null [Null n] to write. *)
+
 val catom_unbound : catom -> benv:int array -> bool
 (** Does the atom still contain a variable unbound in [benv]? *)
 
@@ -154,6 +184,32 @@ val fold_catom :
     and one [index.probes] probe is counted. If [f] raises, [benv] is
     left as the raise saw it (the enumeration paths abandon the whole
     request on such unwinds). *)
+
+val catom_pid : catom -> int
+(** The atom's interned predicate id, [-1] when it was unknown at
+    compile time. *)
+
+val match_key : catom -> benv:int array -> int array -> (unit -> unit) -> bool
+(** [match_key ca ~benv key f] — match [ca] against one interned fact
+    key (the semi-naive delta pivot): when it matches, call [f ()] with
+    [ca]'s unbound variables bound in [benv] (undone before returning)
+    and return [true]; otherwise return [false]. No probe is counted. *)
+
+val catom_level : t -> catom -> benv:int array -> int
+(** [catom_level idx ca ~benv] — the s-level of the stored fact [ca]
+    denotes under [benv] (every variable bound); 0 when it is not
+    stored. *)
+
+val catom_fact : t -> catom -> benv:int array -> Fact.t
+(** [catom_fact idx ca ~benv] — the fact [ca] denotes under [benv] (every
+    variable bound; existential slots hold null payloads). *)
+
+val insert_key : t -> level:int -> catom -> benv:int array -> int array option
+(** [insert_key idx ~level ca ~benv] — {!insert} of {!catom_fact}[ ca],
+    straight from interned ids: interns the predicate, then the
+    arguments left to right (exactly {!insert}'s order), hits
+    ["engine.insert"] and counts [index.inserts]/[index.duplicates].
+    Returns the new fact's key, or [None] when it was already stored. *)
 
 (** Number of posting-list probes performed so far (statistics). *)
 val probes : t -> int

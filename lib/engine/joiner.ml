@@ -8,7 +8,7 @@ open Relational.Term
 
 type binding = Homomorphism.binding
 
-let fold ?(injective = false) ?(init = VarMap.empty) ?delta atoms idx f acc =
+let fold ?(injective = false) ?(init = VarMap.empty) atoms idx f acc =
   Obs.Probe.hit "engine.join";
   let m = Index.metrics idx in
   let c_candidates = Obs.Metrics.counter m "joiner.candidates" in
@@ -36,83 +36,101 @@ let fold ?(injective = false) ?(init = VarMap.empty) ?delta atoms idx f acc =
           (fun b' acc -> search b' rest acc)
           acc
   in
-  match (delta, atoms) with
-  | None, _ | _, [] -> search init atoms acc
-  | Some dfacts, pivot :: rest ->
-      let p = Atom.pred pivot in
-      List.fold_left
-        (fun acc df ->
-          if Fact.pred df <> p then acc
-          else begin
-            Obs.Metrics.incr c_candidates;
-            match Homomorphism.match_atom ~injective init pivot (Fact.args df) with
-            | Some b -> search b rest acc
-            | None ->
-                Obs.Metrics.incr c_backtracks;
-                acc
-          end)
-        acc dfacts
+  search init atoms acc
 
-(* Compiled satisfiability: [exists ~init:benv] without the
-   ["engine.join"] probe hit, over a pre-compiled atom array, for the
-   enumerator's per-answer witness checks. Node-for-node identical to [fold]+[Found] — same cheapest
-   -first selection (first strictly-smaller wins), same pending order
-   (in-place rotation keeps the unselected suffix in original relative
-   order, as List.filteri did), same joiner.candidates/backtracks and
-   index.probes accounting, same early exit on the first full match —
-   but bindings live in [benv] and the recursion allocates nothing per
-   node beyond one closure per call. The segment walked is
-   [atoms.(lo..n)); both the rotation and the bindings are undone before
-   returning. Counters resolve per call, exactly where [fold] resolves
-   them, so a run registers [joiner.*] iff it performs a witness check. *)
-let exists_compiled idx (atoms : Index.catom array) ~benv lo n =
+(* The compiled search over the segment [atoms.(lo..n)) with the
+   bindings of [benv] as the initial assignment. Node-for-node identical
+   to [fold] — same cheapest-first selection (first strictly-smaller
+   wins), same pending order (in-place rotation keeps the unselected
+   suffix in original relative order, as List.filteri did), same
+   joiner.candidates/backtracks and index.probes accounting — but
+   bindings live in [benv] and the recursion allocates nothing per node
+   beyond one closure per call. [leaf ()] runs at every full match;
+   returning [true] stops the search, which then returns [true]. Both
+   the rotation and the bindings are undone before returning. *)
+let search_compiled idx ~on_candidate ~on_fail (atoms : Index.catom array)
+    ~benv lo n leaf =
+  if lo >= n then leaf ()
+  else
+    let rec sat lo =
+      if lo >= n then leaf ()
+      else begin
+        let bi = ref lo and bc = ref max_int in
+        for i = lo to n - 1 do
+          let c = Index.catom_count idx atoms.(i) ~benv in
+          if c < !bc then begin
+            bi := i;
+            bc := c
+          end
+        done;
+        let sel = atoms.(!bi) in
+        for j = !bi downto lo + 1 do
+          atoms.(j) <- atoms.(j - 1)
+        done;
+        atoms.(lo) <- sel;
+        let hit =
+          Index.fold_catom idx sel ~benv ~on_candidate ~on_fail sat (lo + 1)
+        in
+        for j = lo to !bi - 1 do
+          atoms.(j) <- atoms.(j + 1)
+        done;
+        atoms.(!bi) <- sel;
+        hit
+      end
+    in
+    sat lo
+
+(* The [joiner.*] counters, resolved per search exactly where [fold]
+   resolves them, so a run registers them iff it performs a search. *)
+let counters idx =
   let m = Index.metrics idx in
-  let c_candidates = Obs.Metrics.counter m "joiner.candidates" in
-  let c_backtracks = Obs.Metrics.counter m "joiner.backtracks" in
+  ( Obs.Metrics.counter m "joiner.candidates",
+    Obs.Metrics.counter m "joiner.backtracks" )
+
+let exists_compiled idx atoms ~benv lo n =
+  let c_candidates, c_backtracks = counters idx in
+  search_compiled idx
+    ~on_candidate:(fun () -> Obs.Metrics.incr c_candidates)
+    ~on_fail:(fun () -> Obs.Metrics.incr c_backtracks)
+    atoms ~benv lo n
+    (fun () -> true)
+
+(* [fold] with a delta pivot, compiled: the pivot matches each delta key
+   (one candidate each, one backtrack per mismatch, as the pivot of the
+   uncompiled semi-naive step counted), the rest runs [search_compiled]
+   to every full match. *)
+let fold_delta idx ~pivot atoms ~benv delta f =
+  Obs.Probe.hit "engine.join";
+  let c_candidates, c_backtracks = counters idx in
   let on_candidate () = Obs.Metrics.incr c_candidates in
   let on_fail () = Obs.Metrics.incr c_backtracks in
-  let rec sat lo =
-    lo >= n
-    ||
-    let bi = ref lo and bc = ref max_int in
-    for i = lo to n - 1 do
-      let c = Index.catom_count idx atoms.(i) ~benv in
-      if c < !bc then begin
-        bi := i;
-        bc := c
-      end
-    done;
-    let sel = atoms.(!bi) in
-    for j = !bi downto lo + 1 do
-      atoms.(j) <- atoms.(j - 1)
-    done;
-    atoms.(lo) <- sel;
-    let hit =
-      Index.fold_catom idx sel ~benv ~on_candidate ~on_fail
-        (fun lo -> sat lo)
-        (lo + 1)
-    in
-    for j = lo to !bi - 1 do
-      atoms.(j) <- atoms.(j + 1)
-    done;
-    atoms.(!bi) <- sel;
-    hit
+  let n = Array.length atoms in
+  let leaf () =
+    f ();
+    false
   in
-  sat lo
+  let rest () =
+    ignore (search_compiled idx ~on_candidate ~on_fail atoms ~benv 0 n leaf)
+  in
+  List.iter
+    (fun key ->
+      on_candidate ();
+      if not (Index.match_key pivot ~benv key rest) then on_fail ())
+    delta
 
 exception Found of binding
 
-let find ?injective ?init ?delta atoms idx =
+let find ?injective ?init atoms idx =
   try
-    fold ?injective ?init ?delta atoms idx (fun b _ -> raise (Found b)) ();
+    fold ?injective ?init atoms idx (fun b _ -> raise (Found b)) ();
     None
   with Found b -> Some b
 
-let exists ?injective ?init ?delta atoms idx =
-  Option.is_some (find ?injective ?init ?delta atoms idx)
+let exists ?injective ?init atoms idx =
+  Option.is_some (find ?injective ?init atoms idx)
 
-let all ?injective ?init ?delta atoms idx =
-  List.rev (fold ?injective ?init ?delta atoms idx (fun b acc -> b :: acc) [])
+let all ?injective ?init atoms idx =
+  List.rev (fold ?injective ?init atoms idx (fun b acc -> b :: acc) [])
 
 (* ------------------------------------------------------------------ *)
 (* Query evaluation over an index                                       *)

@@ -7,12 +7,11 @@
     (leapfrog-style cheapest-first ordering) rather than from scanning
     whole relations.
 
-    [?delta] is the semi-naive hook: when given, the {e first} atom of
-    the list is matched against the delta facts only (those whose
-    predicate agrees), while the remaining atoms run against the full
-    index. {!Saturate} pivots each body atom through the delta in turn to
-    enumerate exactly the triggers that involve a fact of the last
-    level.
+    {!fold_delta} is the semi-naive hook: its pivot atom is matched
+    against the delta facts only, while the remaining atoms run against
+    the full index. {!Saturate} pivots each body atom through the delta
+    in turn to enumerate exactly the triggers that involve a fact of the
+    last level.
 
     Every search files [joiner.candidates] (candidate tuples examined)
     and [joiner.backtracks] (failed positional matches) into the metrics
@@ -23,13 +22,12 @@ open Relational.Term
 
 type binding = Homomorphism.binding
 
-(** [fold ?injective ?init ?delta atoms idx f acc] — fold [f] over every
+(** [fold ?injective ?init atoms idx f acc] — fold [f] over every
     homomorphism from [atoms] into the index extending [init]. Each call
     hits the ["engine.join"] {!Obs.Probe} point once at entry. *)
 val fold :
   ?injective:bool ->
   ?init:binding ->
-  ?delta:Fact.t list ->
   Atom.t list ->
   Index.t ->
   (binding -> 'a -> 'a) ->
@@ -38,12 +36,9 @@ val fold :
 
 (** First homomorphism, if any. *)
 val find :
-  ?injective:bool -> ?init:binding -> ?delta:Fact.t list ->
-  Atom.t list -> Index.t -> binding option
+  ?injective:bool -> ?init:binding -> Atom.t list -> Index.t -> binding option
 
-val exists :
-  ?injective:bool -> ?init:binding -> ?delta:Fact.t list ->
-  Atom.t list -> Index.t -> bool
+val exists : ?injective:bool -> ?init:binding -> Atom.t list -> Index.t -> bool
 
 (** [exists_compiled idx atoms ~benv lo n] — {!exists} over
     the compiled segment [atoms.(lo..n)) ] with the bindings of [benv]
@@ -52,15 +47,31 @@ val exists :
     search (selection, pending order, [joiner.*] and [index.probes]
     accounting), but allocation-free on the candidate path. [atoms] is
     reordered in place during the search and restored before returning;
-    [benv] is unchanged on return. Non-injective, no delta, no
+    [benv] is unchanged on return. Non-injective, no
     ["engine.join"] probe hit, so the probe meters joins, not answers —
     the enumerator's witness-check shape. *)
 val exists_compiled : Index.t -> Index.catom array -> benv:int array -> int -> int -> bool
 
+(** [fold_delta idx ~pivot atoms ~benv delta f] — the semi-naive step,
+    compiled: call [f ()] once per extension of [benv] that matches
+    [pivot] against one of the interned fact keys [delta] (in list
+    order) and every atom of [atoms] against the index, with the
+    extension visible in [benv] during the call. Each delta key counts
+    one [joiner.candidates] and, when the pivot does not match it, one
+    [joiner.backtracks]; [atoms] is searched as by {!exists_compiled}
+    (and restored, like [benv], before returning). Hits ["engine.join"]
+    once at entry, as {!fold} does. *)
+val fold_delta :
+  Index.t ->
+  pivot:Index.catom ->
+  Index.catom array ->
+  benv:int array ->
+  int array list ->
+  (unit -> unit) ->
+  unit
+
 (** All homomorphisms (exponentially many in general). *)
-val all :
-  ?injective:bool -> ?init:binding -> ?delta:Fact.t list ->
-  Atom.t list -> Index.t -> binding list
+val all : ?injective:bool -> ?init:binding -> Atom.t list -> Index.t -> binding list
 
 (* ------------------------------------------------------------------ *)
 (* Query evaluation over an index                                       *)

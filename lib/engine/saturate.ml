@@ -30,7 +30,6 @@ type snapshot = {
 
 type result = {
   index : Index.t;
-  level_of : (Fact.t, int) Hashtbl.t;
   saturated : bool;
   max_level : int;
   outcome : Obs.Budget.outcome;
@@ -47,43 +46,76 @@ type firing = {
   fire_outs : (Fact.t * bool) list;
 }
 
-(* Key identifying a trigger: rule index + body-variable image (same shape
-   as the naive chase's key, so the two engines dismiss identically). *)
-let trigger_key i (b : Homomorphism.binding) body_vars =
-  (i, List.map (fun x -> VarMap.find_opt x b) body_vars)
+(* A rule's slot layout: body variables take slots [0 .. nbody-1] in
+   [VarSet.elements] order, existentials the slots after them. A
+   trigger's key is [| rule; slot 0; …; slot nbody-1 |] — the body
+   binding itself, which the firing phase reads back into [benv]. *)
+type layout = {
+  l_rule : rule;
+  l_nbody : int;
+  l_nexist : int;
+  l_slot : string -> int;
+  l_exist : string -> bool;
+  l_benv : int array;  (* binding environment, all -1 between uses *)
+  l_key : int array;  (* scratch trigger key for table lookups *)
+}
 
-(* Group the delta by predicate so each pivot only sees matching facts. *)
-let group_by_pred facts =
-  let tbl = Hashtbl.create 16 in
-  List.iter
-    (fun f ->
-      let cur = try Hashtbl.find tbl (Fact.pred f) with Not_found -> [] in
-      Hashtbl.replace tbl (Fact.pred f) (f :: cur))
-    facts;
-  tbl
+let layout i r =
+  let vars_of atoms =
+    List.fold_left (fun acc a -> VarSet.union (Atom.vars a) acc) VarSet.empty atoms
+  in
+  let bv = vars_of r.body in
+  let ev = VarSet.diff (vars_of r.head) bv in
+  let slots = Hashtbl.create 8 in
+  List.iteri
+    (fun s x -> Hashtbl.replace slots x s)
+    (VarSet.elements bv @ VarSet.elements ev);
+  let nbody = VarSet.cardinal bv and nexist = VarSet.cardinal ev in
+  {
+    l_rule = r;
+    l_nbody = nbody;
+    l_nexist = nexist;
+    l_slot = Hashtbl.find slots;
+    l_exist = (fun x -> VarSet.mem x ev);
+    l_benv = Array.make (max 1 (nbody + nexist)) (-1);
+    l_key = Array.make (nbody + 1) i;
+  }
 
-(* [pivots body] — [(pivot, body reordered pivot-first)] for each body
-   position; a predicate repeated in the body is pivoted once per
-   occurrence (the per-pass key set deduplicates the bindings). *)
-let pivots body =
-  List.mapi
-    (fun i a -> (a, a :: List.filteri (fun j _ -> j <> i) body))
-    body
+(* A rule compiled against the store's symbol table as it stands at the
+   start of a pass. Symbols are interned at their first insert, so the
+   patterns are re-resolved every pass. *)
+type plan = {
+  p_body : Index.catom array;  (* body order *)
+  p_pivots : (Index.catom * Index.catom array) list;
+      (* per body position: the pivot and the other atoms in body order;
+         a predicate repeated in the body is pivoted once per occurrence
+         (the per-pass key set deduplicates the bindings) *)
+  p_heads : Index.catom array;
+}
 
-(* Instantiate an atom whose variables are all bound, straight to a fact
-   (no intermediate ground atom). *)
-let ground (b : Homomorphism.binding) a =
-  Fact.make (Atom.pred a)
-    (List.map
-       (function Const c -> c | Var x -> VarMap.find x b)
-       (Atom.args a))
+let plan idx l =
+  let body =
+    Array.of_list (List.map (Index.compile_atom idx ~slot:l.l_slot) l.l_rule.body)
+  in
+  let n = Array.length body in
+  {
+    p_body = body;
+    p_pivots =
+      List.init n (fun j ->
+          (body.(j), Array.init (n - 1) (fun k -> body.(if k < j then k else k + 1))));
+    p_heads =
+      Array.of_list
+        (List.map
+           (Index.compile_head idx ~slot:l.l_slot ~fresh:l.l_exist)
+           l.l_rule.head);
+  }
 
 (* The resumable state threaded into the driver: either a fresh run over a
-   database or the reconstruction of a checkpointed boundary. *)
+   database or the reconstruction of a checkpointed boundary. The delta
+   holds the interned keys of the facts of the last level. *)
 type init = {
   i_idx : Index.t;
-  i_level_of : (Fact.t, int) Hashtbl.t;
-  i_delta : Fact.t list;
+  i_delta : int array list;
   i_level : int;
   i_saturated : bool;
   i_first_pass : bool;
@@ -92,26 +124,16 @@ type init = {
   i_fpl : int list;  (* reversed: newest level first *)
 }
 
+let keys idx facts = List.filter_map (Index.key idx) facts
+
 let exec ~policy ~budget ~span ~on_pass ~on_fire init rules =
-  let rules = Array.of_list rules in
-  let info =
-    Array.map
-      (fun r ->
-        let vars_of atoms =
-          List.fold_left
-            (fun acc a -> VarSet.union (Atom.vars a) acc)
-            VarSet.empty atoms
-        in
-        let bv = vars_of r.body and hv = vars_of r.head in
-        ( VarSet.elements bv,
-          VarSet.elements (VarSet.diff hv bv),
-          VarSet.inter bv hv,
-          pivots r.body ))
-      rules
-  in
+  let layouts = Array.of_list (List.mapi layout rules) in
   let idx = init.i_idx in
-  let level_of = init.i_level_of in
-  let fired = Hashtbl.create 256 in
+  (* Every trigger key enumerated so far: fired, dismissed, or collected
+     for the current pass. A collected trigger is fired before the next
+     pass or the run ends at a budget cut, so one table serves as both
+     the fired and the pending set. *)
+  let seen = Index.Keytbl.create 256 in
   let triggers_fired = ref init.i_fired
   and triggers_dismissed = ref init.i_dismissed in
   let facts_per_level = ref init.i_fpl in
@@ -123,7 +145,7 @@ let exec ~policy ~budget ~span ~on_pass ~on_fire init rules =
   let overflow () = !violation <> None in
   let take_snapshot () =
     {
-      snap_facts = Hashtbl.fold (fun f l acc -> (f, l) :: acc) level_of [];
+      snap_facts = Index.ordered_facts idx;
       snap_level = !level;
       snap_saturated = !saturated;
       snap_triggers_fired = !triggers_fired;
@@ -133,116 +155,126 @@ let exec ~policy ~budget ~span ~on_pass ~on_fire init rules =
   in
   while (not !saturated) && not (overflow ()) do
     Obs.Probe.hit "engine.pass";
-    match
-      Obs.Budget.check budget ~facts:(Hashtbl.length level_of)
-        ~level:(!level + 1)
-    with
+    match Obs.Budget.check budget ~facts:(Index.size idx) ~level:(!level + 1) with
     | Some v -> violation := Some v
     | None ->
         let lspan = Obs.Span.enter span "level" in
         let pass_no = !level + 1 in
         let level_fired = ref 0 and level_dismissed = ref 0 in
-        let delta_by_pred = group_by_pred !delta in
-        let pending = Hashtbl.create 64 in
+        let plans = Array.map (plan idx) layouts in
+        (* the delta grouped by predicate, each group in reverse delta
+           order *)
+        let delta_by_pid = Hashtbl.create 16 in
+        List.iter
+          (fun key ->
+            let cur = try Hashtbl.find delta_by_pid key.(0) with Not_found -> [] in
+            Hashtbl.replace delta_by_pid key.(0) (key :: cur))
+          !delta;
         let new_triggers = ref [] in
-        let consider i b =
-          let body_vars, _, frontier, _ = info.(i) in
-          let key = trigger_key i b body_vars in
-          if not (Hashtbl.mem fired key || Hashtbl.mem pending key) then begin
+        let consider i () =
+          let l = layouts.(i) in
+          let sk = l.l_key in
+          Array.blit l.l_benv 0 sk 1 l.l_nbody;
+          if not (Index.Keytbl.mem seen sk) then begin
             let active =
               match policy with
               | Oblivious -> true
               | Restricted ->
-                  let init =
-                    VarMap.filter (fun x _ -> VarSet.mem x frontier) b
-                  in
-                  not (Joiner.exists ~init rules.(i).head idx)
+                  let heads = plans.(i).p_heads in
+                  Obs.Probe.hit "engine.join";
+                  not
+                    (Joiner.exists_compiled idx heads ~benv:l.l_benv 0
+                       (Array.length heads))
             in
-            if active then begin
-              Hashtbl.replace pending key ();
-              new_triggers := (i, b, key) :: !new_triggers
-            end
+            let key = Array.copy sk in
+            Index.Keytbl.replace seen key ();
+            if active then new_triggers := key :: !new_triggers
             else begin
               incr triggers_dismissed;
-              incr level_dismissed;
-              Hashtbl.replace fired key ()
+              incr level_dismissed
             end
           end
         in
         Array.iteri
-          (fun i r ->
-            if r.body = [] then begin
+          (fun i l ->
+            if l.l_rule.body = [] then begin
               (* bodiless rules have a single (empty) trigger; it exists
                  from the start, so only the first pass needs to consider
                  it *)
-              if !first_pass then consider i VarMap.empty
+              if !first_pass then consider i ()
             end
             else
-              let _, _, _, pvs = info.(i) in
               List.iter
-                (fun (pivot, reordered) ->
-                  match Hashtbl.find_opt delta_by_pred (Atom.pred pivot) with
+                (fun ((pivot : Index.catom), rest) ->
+                  match Hashtbl.find_opt delta_by_pid (Index.catom_pid pivot) with
                   | None -> ()
-                  | Some dfacts ->
-                      Joiner.fold ~delta:dfacts reordered idx
-                        (fun b () -> consider i b)
-                        ())
-                pvs)
-          rules;
+                  | Some dkeys ->
+                      Joiner.fold_delta idx ~pivot rest ~benv:l.l_benv dkeys
+                        (consider i))
+                plans.(i).p_pivots)
+          layouts;
         first_pass := false;
         if !new_triggers = [] then saturated := true
         else begin
           incr level;
           let new_delta = ref [] in
           let new_count = ref 0 in
+          let land_head ~level ~benv h =
+            match Index.insert_key idx ~level h ~benv with
+            | Some k ->
+                incr new_count;
+                new_delta := k :: !new_delta;
+                true
+            | None -> false
+          in
           List.iter
-            (fun (i, b, key) ->
+            (fun key ->
               if not (overflow ()) then begin
-                Hashtbl.replace fired key ();
                 incr triggers_fired;
                 incr level_fired;
-                let r = rules.(i) in
-                let _, existentials, _, _ = info.(i) in
-                let body_facts = List.map (ground b) r.body in
-                let body_level =
-                  List.fold_left
-                    (fun acc f ->
-                      max acc (try Hashtbl.find level_of f with Not_found -> 0))
-                    0 body_facts
-                in
-                let full_binding =
-                  List.fold_left
-                    (fun acc z -> VarMap.add z (fresh_null ()) acc)
-                    b existentials
-                in
-                let land_head h =
-                  let f = ground full_binding h in
-                  let fresh = Index.insert f idx in
-                  if fresh then begin
-                    Hashtbl.replace level_of f (body_level + 1);
-                    incr new_count;
-                    new_delta := f :: !new_delta
-                  end;
-                  (f, fresh)
-                in
+                let i = key.(0) in
+                let l = layouts.(i) and p = plans.(i) in
+                let benv = l.l_benv in
+                Array.blit key 1 benv 0 l.l_nbody;
+                let body_level = ref 0 in
+                for j = 0 to Array.length p.p_body - 1 do
+                  body_level :=
+                    max !body_level (Index.catom_level idx p.p_body.(j) ~benv)
+                done;
+                let head_level = !body_level + 1 in
+                for z = 0 to l.l_nexist - 1 do
+                  benv.(l.l_nbody + z) <-
+                    (match fresh_null () with Null n -> n | Named _ -> assert false)
+                done;
                 (match on_fire with
-                | None -> List.iter (fun h -> ignore (land_head h)) r.head
+                | None ->
+                    for j = 0 to Array.length p.p_heads - 1 do
+                      ignore (land_head ~level:head_level ~benv p.p_heads.(j))
+                    done
                 | Some cb ->
-                    let outs = List.map land_head r.head in
+                    let fact ca = Index.catom_fact idx ca ~benv in
+                    let body = List.map fact (Array.to_list p.p_body) in
+                    let outs =
+                      List.map
+                        (fun h ->
+                          let fresh = land_head ~level:head_level ~benv h in
+                          (fact h, fresh))
+                        (Array.to_list p.p_heads)
+                    in
+                    let st = Index.symtab idx in
                     cb
                       {
                         fire_rule = i;
-                        fire_key = key;
-                        fire_body = body_facts;
+                        fire_key =
+                          (i, List.init l.l_nbody (fun s -> Some (Symtab.extern st key.(s + 1))));
+                        fire_body = body;
                         fire_outs = outs;
                       });
+                Array.fill benv 0 (Array.length benv) (-1);
                 (* the budget is re-checked trigger-atomically: the
                    overflowing trigger's whole head lands (matching the
                    naive loop), remaining triggers are skipped *)
-                match
-                  Obs.Budget.check budget ~facts:(Hashtbl.length level_of)
-                    ~level:!level
-                with
+                match Obs.Budget.check budget ~facts:(Index.size idx) ~level:!level with
                 | Some v -> violation := Some v
                 | None -> ()
               end)
@@ -273,7 +305,6 @@ let exec ~policy ~budget ~span ~on_pass ~on_fire init rules =
   in
   {
     index = idx;
-    level_of;
     saturated = !saturated;
     max_level = !level;
     outcome;
@@ -291,13 +322,11 @@ let make_span obs =
 let run ?(policy = Oblivious) ?(budget = Obs.Budget.unlimited) ?obs ?on_pass
     ?on_fire rules db =
   let span = make_span obs in
-  let level_of : (Fact.t, int) Hashtbl.t = Hashtbl.create 256 in
-  Instance.iter (fun f -> Hashtbl.replace level_of f 0) db;
+  let idx = Index.of_instance db in
   let init =
     {
-      i_idx = Index.of_instance db;
-      i_level_of = level_of;
-      i_delta = Instance.facts db;
+      i_idx = idx;
+      i_delta = keys idx (Instance.facts db);
       i_level = 0;
       i_saturated = false;
       i_first_pass = true;
@@ -310,7 +339,7 @@ let run ?(policy = Oblivious) ?(budget = Obs.Budget.unlimited) ?obs ?on_pass
   Obs.Span.exit span;
   r
 
-(** [continue ... rules ~index ~level_of ~level delta] — run the delta
+(** [continue ... rules ~index ~level delta] — run the delta
     fixpoint over an {e existing} store: passes enumerate only triggers
     whose body touches [delta] (then the facts those produce, and so on)
     until saturation. The trigger-key table starts empty — sound whenever
@@ -320,13 +349,12 @@ let run ?(policy = Oblivious) ?(budget = Obs.Budget.unlimited) ?obs ?on_pass
     by the over-delete phase). Bodiless rules are never (re-)considered:
     their single trigger fired on the original first pass. *)
 let continue ?(policy = Oblivious) ?(budget = Obs.Budget.unlimited) ?obs
-    ?on_pass ?on_fire rules ~index ~level_of ~level delta =
+    ?on_pass ?on_fire rules ~index ~level delta =
   let span = make_span obs in
   let init =
     {
       i_idx = index;
-      i_level_of = level_of;
-      i_delta = delta;
+      i_delta = keys index delta;
       i_level = level;
       i_saturated = false;
       i_first_pass = false;
@@ -343,7 +371,7 @@ let resume ?(policy = Oblivious) ?(budget = Obs.Budget.unlimited) ?obs
     ?on_pass ?on_fire rules (s : snapshot) =
   let span = make_span obs in
   let idx = Index.create () in
-  List.iter (fun (f, _) -> ignore (Index.insert f idx)) s.snap_facts;
+  List.iter (fun (f, level) -> ignore (Index.insert ~level f idx)) s.snap_facts;
   (* Re-seed the counters to the checkpointed totals, cancelling the
      increments of the rebuild itself, so a resumed run reports the same
      counter values as an uninterrupted one. *)
@@ -360,15 +388,12 @@ let resume ?(policy = Oblivious) ?(budget = Obs.Budget.unlimited) ?obs
       let c = Obs.Metrics.counter m name in
       Obs.Metrics.add c (saved - Obs.Metrics.value c))
     names;
-  let level_of : (Fact.t, int) Hashtbl.t =
-    Hashtbl.create (List.length s.snap_facts)
-  in
-  List.iter (fun (f, l) -> Hashtbl.replace level_of f l) s.snap_facts;
   (* The semi-naive delta at a clean boundary is exactly the last level. *)
   let delta =
-    List.filter_map
-      (fun (f, l) -> if l = s.snap_level then Some f else None)
-      s.snap_facts
+    keys idx
+      (List.filter_map
+         (fun (f, l) -> if l = s.snap_level then Some f else None)
+         s.snap_facts)
   in
   let fpl =
     if s.snap_level = 0 then []
@@ -385,7 +410,6 @@ let resume ?(policy = Oblivious) ?(budget = Obs.Budget.unlimited) ?obs
   let init =
     {
       i_idx = idx;
-      i_level_of = level_of;
       i_delta = delta;
       i_level = s.snap_level;
       i_saturated = s.snap_saturated;

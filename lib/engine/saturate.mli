@@ -47,8 +47,8 @@ type snapshot = {
 }
 
 type result = {
-  index : Index.t;  (** the saturated store *)
-  level_of : (Fact.t, int) Hashtbl.t;  (** s-level of every fact *)
+  index : Index.t;
+      (** the saturated store; {!Index.level} gives every fact's s-level *)
   saturated : bool;  (** no unfired trigger remained *)
   max_level : int;
   outcome : Obs.Budget.outcome;  (** [Complete] iff no budget cut the run *)
@@ -110,13 +110,12 @@ val resume :
   snapshot ->
   result
 
-(** [continue ?policy … rules ~index ~level_of ~level delta] —
+(** [continue ?policy … rules ~index ~level delta] —
     drive the semi-naive fixpoint over an {e existing, already saturated}
     store after [delta] has been added to it: pass [level + 1] enumerates
     the triggers whose body touches [delta], and the loop runs to
-    saturation (or a budget cut). [index] and [level_of] are mutated in
-    place; [delta]'s facts must already be present in both, carrying
-    level [level].
+    saturation (or a budget cut). [index] is mutated in place, s-levels
+    included; [delta]'s facts must already be stored in it.
 
     This is the incremental-maintenance entry point. Its trigger-key
     table starts empty, which is sound iff no previously fired trigger
@@ -133,7 +132,6 @@ val continue :
   ?on_fire:(firing -> unit) ->
   rule list ->
   index:Index.t ->
-  level_of:(Fact.t, int) Hashtbl.t ->
   level:int ->
   Fact.t list ->
   result

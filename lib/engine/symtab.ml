@@ -48,6 +48,16 @@ let null_slot t i =
     t.nulls <- a
   end
 
+let intern_null t i =
+  null_slot t i;
+  let v = t.nulls.(i) in
+  if v <> 0 then v - 1
+  else begin
+    let id = append t (Null i) in
+    t.nulls.(i) <- id + 1;
+    id
+  end
+
 let intern t c =
   match c with
   | Named s -> (
@@ -57,15 +67,7 @@ let intern t c =
           let id = append t c in
           Hashtbl.add t.named s id;
           id)
-  | Null i when i >= 0 ->
-      null_slot t i;
-      let v = t.nulls.(i) in
-      if v <> 0 then v - 1
-      else begin
-        let id = append t c in
-        t.nulls.(i) <- id + 1;
-        id
-      end
+  | Null i when i >= 0 -> intern_null t i
   | Null _ -> (
       match Hashtbl.find_opt t.odd c with
       | Some id -> id

@@ -22,6 +22,10 @@ val size : t -> int
 (** [intern t c] — the id of [c], assigning the next dense id when new. *)
 val intern : t -> const -> int
 
+(** [intern_null t i] — [intern t (Null i)] for a payload [i >= 0],
+    without boxing the null. *)
+val intern_null : t -> int -> int
+
 (** [find t c] — the id of [c] when already interned; never assigns. *)
 val find : t -> const -> int option
 

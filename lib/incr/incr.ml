@@ -40,8 +40,7 @@ type effect = {
 
 type t = {
   rules : Engine.Saturate.rule list;
-  idx : Engine.Index.t;
-  level_of : (Fact.t, int) Hashtbl.t;
+  idx : Engine.Index.t;  (* the store, s-levels included *)
   base : (Fact.t, unit) Hashtbl.t;
   derivs : (Fact.t, derivation list ref) Hashtbl.t;
   uses : (Fact.t, derivation list ref) Hashtbl.t;
@@ -119,11 +118,6 @@ let create ?engine ?max_level ?obs sigma db =
       ~on_fire:(record ~derivs ~uses ~fired)
       sigma db
   in
-  let er =
-    match Tgds.Chase.engine_result r with
-    | Some er -> er
-    | None -> assert false (* the chase always has one *)
-  in
   let base = Hashtbl.create (Instance.size db) in
   Instance.iter (fun f -> Hashtbl.replace base f ()) db;
   let idx = Tgds.Chase.index r in
@@ -131,7 +125,6 @@ let create ?engine ?max_level ?obs sigma db =
   {
     rules = List.map (fun t -> Engine.Saturate.{ body = Tgds.Tgd.body t; head = Tgds.Tgd.head t }) sigma;
     idx;
-    level_of = er.Engine.Saturate.level_of;
     base;
     derivs;
     uses;
@@ -159,7 +152,7 @@ let propagate ?obs t delta =
     let r =
       Engine.Saturate.continue ~policy:Engine.Saturate.Oblivious ?obs
         ~on_fire:(record ~derivs:t.derivs ~uses:t.uses ~fired:t.fired)
-        t.rules ~index:t.idx ~level_of:t.level_of ~level:t.level delta
+        t.rules ~index:t.idx ~level:t.level delta
     in
     t.level <- r.Engine.Saturate.max_level;
     List.fold_left ( + ) 0 r.Engine.Saturate.facts_per_level
@@ -193,7 +186,6 @@ let insert ?obs t f =
              every trigger over the existing facts has fired already *)
         else begin
           ignore (Engine.Index.insert f t.idx);
-          Hashtbl.replace t.level_of f 0;
           1 + propagate ?obs:span t [ f ]
         end
       in
@@ -221,7 +213,7 @@ let relevel t f =
         let bl =
           List.fold_left
             (fun m g ->
-              max m (match Hashtbl.find_opt t.level_of g with Some l -> l | None -> 0))
+              max m (Option.value ~default:0 (Engine.Index.level t.idx g)))
             0 d.d_body
         in
         min acc (bl + 1))
@@ -254,7 +246,6 @@ let delete ?obs t f =
         stack := List.tl !stack;
         if Engine.Index.remove g t.idx then begin
           over := g :: !over;
-          Hashtbl.remove t.level_of g;
           List.iter
             (fun d ->
               kill t d;
@@ -276,7 +267,7 @@ let delete ?obs t f =
       List.iter
         (fun g ->
           ignore (Engine.Index.insert g t.idx);
-          Hashtbl.replace t.level_of g (relevel t g))
+          Engine.Index.set_level t.idx g (relevel t g))
         red;
       (* Ledger entries of facts that stayed out hold only dead records. *)
       List.iter
@@ -372,13 +363,10 @@ let checkpoint t : Tgds.Chase.snapshot =
   ensure_saturated t;
   let lev = canonical_levels t in
   let snap_facts =
-    Hashtbl.fold
-      (fun f stored acc ->
-        let l =
-          match Hashtbl.find_opt lev f with Some l -> l | None -> stored
-        in
-        (f, l) :: acc)
-      t.level_of []
+    List.map
+      (fun (f, stored) ->
+        (f, match Hashtbl.find_opt lev f with Some l -> l | None -> stored))
+      (Engine.Index.ordered_facts t.idx)
   in
   let snap_level = List.fold_left (fun acc (_, l) -> max acc l) 0 snap_facts in
   {
@@ -436,13 +424,7 @@ type image = {
 let image t =
   ensure_saturated t;
   ensure_clean t;
-  let facts =
-    List.map
-      (fun f ->
-        ( f,
-          match Hashtbl.find_opt t.level_of f with Some l -> l | None -> 0 ))
-      (Engine.Index.ordered_facts t.idx)
-  in
+  let facts = Engine.Index.ordered_facts t.idx in
   let base =
     List.sort Fact.compare (Hashtbl.fold (fun f () acc -> f :: acc) t.base [])
   in
@@ -472,9 +454,7 @@ let of_image sigma (im : image) =
   let st = Engine.Index.symtab idx in
   List.iter (fun c -> ignore (Engine.Symtab.intern st c)) im.im_syms;
   List.iter (fun p -> ignore (Engine.Symtab.intern_pred st p)) im.im_preds;
-  List.iter (fun (f, _) -> ignore (Engine.Index.insert f idx)) im.im_facts;
-  let level_of = Hashtbl.create (max 16 (List.length im.im_facts)) in
-  List.iter (fun (f, l) -> Hashtbl.replace level_of f l) im.im_facts;
+  List.iter (fun (f, level) -> ignore (Engine.Index.insert ~level f idx)) im.im_facts;
   let base = Hashtbl.create (max 16 (List.length im.im_base)) in
   List.iter (fun f -> Hashtbl.replace base f ()) im.im_base;
   let derivs = Hashtbl.create 1024
@@ -511,7 +491,6 @@ let of_image sigma (im : image) =
           Engine.Saturate.{ body = Tgds.Tgd.body t; head = Tgds.Tgd.head t })
         sigma;
     idx;
-    level_of;
     base;
     derivs;
     uses;

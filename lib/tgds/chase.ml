@@ -117,21 +117,21 @@ let engine_result (r : result) = Some r.sat
 let max_level (r : result) = r.sat.Engine.Saturate.max_level
 let index (r : result) = r.sat.Engine.Saturate.index
 
-(* s-level census, derived from [level_of]: a fact derived at pass ℓ has
-   s-level ℓ. *)
+(* s-level census, read from the store's level column: a fact derived at
+   pass ℓ has s-level ℓ. *)
 let facts_per_level (r : result) =
   let max_level = max_level r in
   if max_level = 0 then []
   else begin
     let counts = Array.make (max_level + 1) 0 in
-    Hashtbl.iter
-      (fun _ l -> if l >= 1 && l <= max_level then counts.(l) <- counts.(l) + 1)
-      r.sat.Engine.Saturate.level_of;
+    Engine.Index.fold_levels
+      (fun l () -> if l >= 1 && l <= max_level then counts.(l) <- counts.(l) + 1)
+      (index r) ();
     List.init max_level (fun i -> counts.(i + 1))
   end
 
 (** [level r f] — the s-level of a fact of the result. *)
-let level (r : result) f = Hashtbl.find_opt r.sat.Engine.Saturate.level_of f
+let level (r : result) f = Engine.Index.level (index r) f
 
 (** [up_to_level r l] — the sub-instance of facts with s-level ≤ [l]
     (i.e. [chase^l_s(D,Σ)] when the run reached at least level [l]). *)
@@ -152,8 +152,7 @@ let report ?(name = "chase") (r : result) =
   Obs.Report.set_outcome rep (outcome r);
   Obs.Report.add_field rep "saturated" (Obs.Json.Bool (saturated r));
   Obs.Report.add_field rep "max_level" (Obs.Json.Int (max_level r));
-  Obs.Report.add_field rep "facts"
-    (Obs.Json.Int (Hashtbl.length r.sat.Engine.Saturate.level_of));
+  Obs.Report.add_field rep "facts" (Obs.Json.Int (Engine.Index.size (index r)));
   Obs.Report.add_field rep "facts_per_level"
     (Obs.Json.List (List.map (fun n -> Obs.Json.Int n) (facts_per_level r)));
   Obs.Report.add_field rep "triggers_fired"
