@@ -81,9 +81,19 @@ let layout i r =
     l_key = Array.make (nbody + 1) i;
   }
 
-(* A rule compiled against the store's symbol table as it stands at the
-   start of a pass. Symbols are interned at their first insert, so the
-   patterns are re-resolved every pass. *)
+(* Does a body atom of [r] have a predicate with facts in the delta?
+   [pids] caches the body predicates' interned ids, -1 until interned
+   (ids never change once assigned). *)
+let rec touches_delta st pids delta_by_pid j = function
+  | [] -> false
+  | a :: rest ->
+      if pids.(j) < 0 then pids.(j) <- Symtab.find_pred_int st (Atom.pred a);
+      Hashtbl.mem delta_by_pid pids.(j) || touches_delta st pids delta_by_pid (j + 1) rest
+
+(* A rule compiled against the store's symbol table as it stands during
+   a pass's collection phase, which interns nothing. Symbols are interned
+   at their first insert, so the patterns are re-resolved every pass —
+   only for the rules the pass touches. *)
 type plan = {
   p_body : Index.catom array;  (* body order *)
   p_pivots : (Index.catom * Index.catom array) list;
@@ -127,7 +137,19 @@ type init = {
 let keys idx facts = List.filter_map (Index.key idx) facts
 
 let exec ~policy ~budget ~span ~on_pass ~on_fire init rules =
-  let layouts = Array.of_list (List.mapi layout rules) in
+  let rules = Array.of_list rules in
+  (* layouts and plans are built only for the rules a pass touches: a
+     maintenance step ([continue]) typically touches few of them *)
+  let layouts = Array.make (Array.length rules) None in
+  let layout_of i =
+    match layouts.(i) with
+    | Some l -> l
+    | None ->
+        let l = layout i rules.(i) in
+        layouts.(i) <- Some l;
+        l
+  in
+  let body_pids = Array.map (fun r -> Array.make (List.length r.body) (-1)) rules in
   let idx = init.i_idx in
   (* Every trigger key enumerated so far: fired, dismissed, or collected
      for the current pass. A collected trigger is fired before the next
@@ -161,7 +183,15 @@ let exec ~policy ~budget ~span ~on_pass ~on_fire init rules =
         let lspan = Obs.Span.enter span "level" in
         let pass_no = !level + 1 in
         let level_fired = ref 0 and level_dismissed = ref 0 in
-        let plans = Array.map (plan idx) layouts in
+        let plans = Array.make (Array.length rules) None in
+        let plan_of i =
+          match plans.(i) with
+          | Some p -> p
+          | None ->
+              let p = plan idx (layout_of i) in
+              plans.(i) <- Some p;
+              p
+        in
         (* the delta grouped by predicate, each group in reverse delta
            order *)
         let delta_by_pid = Hashtbl.create 16 in
@@ -172,7 +202,7 @@ let exec ~policy ~budget ~span ~on_pass ~on_fire init rules =
           !delta;
         let new_triggers = ref [] in
         let consider i () =
-          let l = layouts.(i) in
+          let l = layout_of i in
           let sk = l.l_key in
           Array.blit l.l_benv 0 sk 1 l.l_nbody;
           if not (Index.Keytbl.mem seen sk) then begin
@@ -180,7 +210,7 @@ let exec ~policy ~budget ~span ~on_pass ~on_fire init rules =
               match policy with
               | Oblivious -> true
               | Restricted ->
-                  let heads = plans.(i).p_heads in
+                  let heads = (plan_of i).p_heads in
                   Obs.Probe.hit "engine.join";
                   not
                     (Joiner.exists_compiled idx heads ~benv:l.l_benv 0
@@ -196,23 +226,24 @@ let exec ~policy ~budget ~span ~on_pass ~on_fire init rules =
           end
         in
         Array.iteri
-          (fun i l ->
-            if l.l_rule.body = [] then begin
+          (fun i r ->
+            if r.body = [] then begin
               (* bodiless rules have a single (empty) trigger; it exists
                  from the start, so only the first pass needs to consider
                  it *)
               if !first_pass then consider i ()
             end
-            else
+            else if touches_delta (Index.symtab idx) body_pids.(i) delta_by_pid 0 r.body
+            then
+              let benv = (layout_of i).l_benv in
               List.iter
                 (fun ((pivot : Index.catom), rest) ->
                   match Hashtbl.find_opt delta_by_pid (Index.catom_pid pivot) with
                   | None -> ()
                   | Some dkeys ->
-                      Joiner.fold_delta idx ~pivot rest ~benv:l.l_benv dkeys
-                        (consider i))
-                plans.(i).p_pivots)
-          layouts;
+                      Joiner.fold_delta idx ~pivot rest ~benv dkeys (consider i))
+                (plan_of i).p_pivots)
+          rules;
         first_pass := false;
         if !new_triggers = [] then saturated := true
         else begin
@@ -233,7 +264,7 @@ let exec ~policy ~budget ~span ~on_pass ~on_fire init rules =
                 incr triggers_fired;
                 incr level_fired;
                 let i = key.(0) in
-                let l = layouts.(i) and p = plans.(i) in
+                let l = layout_of i and p = plan_of i in
                 let benv = l.l_benv in
                 Array.blit key 1 benv 0 l.l_nbody;
                 let body_level = ref 0 in

@@ -8,7 +8,8 @@
     per-level trigger sets coincide with those of the naive level-wise
     chase (the test suite's reference oracle), so the s-levels of
     Lemma A.1 are preserved exactly: a fact derived at pass ℓ has s-level
-    ℓ (its body contains a level ℓ−1 fact and nothing newer).
+    ℓ (its body contains a level ℓ−1 fact and nothing newer). The
+    s-levels live in the store itself ({!Index.level}).
 
     Policies mirror the chase: [Oblivious] (the paper's §2 semantics)
     fires every trigger once; [Restricted] dismisses triggers whose head
@@ -38,7 +39,9 @@ type rule = { body : Atom.t list; head : Atom.t list }
     ≤ [snap_level] − 1). The scalar fields carry the accumulated totals so
     a resumed run reports the same statistics as an uninterrupted one. *)
 type snapshot = {
-  snap_facts : (Fact.t * int) list;  (** every fact with its s-level *)
+  snap_facts : (Fact.t * int) list;
+      (** every fact with its s-level, in the store's storage order
+          ({!Index.ordered_facts}) *)
   snap_level : int;  (** last completed pass = highest s-level *)
   snap_saturated : bool;
   snap_triggers_fired : int;
