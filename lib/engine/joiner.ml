@@ -47,7 +47,9 @@ let fold ?(injective = false) ?(init = VarMap.empty) atoms idx f acc =
    bindings live in [benv] and the recursion allocates nothing per node
    beyond one closure per call. [leaf ()] runs at every full match;
    returning [true] stops the search, which then returns [true]. Both
-   the rotation and the bindings are undone before returning. *)
+   the rotation and the bindings are undone before returning. An empty
+   segment (a single-atom rule body) goes straight to [leaf] without
+   building the recursion's closure. *)
 let search_compiled idx ~on_candidate ~on_fail (atoms : Index.catom array)
     ~benv lo n leaf =
   if lo >= n then leaf ()

@@ -369,7 +369,7 @@ let test_stats_reported () =
    every index/joiner counter are pinned as literals, so a change to the
    firing path must reproduce the chase exactly; minor and major words
    per chased fact must stay inside a fixed envelope (~1.5x the measured
-   66 minor / 45 major), so it only fails on a real allocation
+   66 minor / 46 major), so it only fails on a real allocation
    regression. The minor heap is flushed before the second reading so
    both counts are exact. *)
 let test_saturation_envelope () =
