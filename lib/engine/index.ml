@@ -647,6 +647,18 @@ let compile idx ~slot ~fresh a =
 
 let compile_atom idx ~slot a = compile idx ~slot ~fresh:(fun _ -> false) a
 let compile_head = compile
+
+let resolve idx ca =
+  let st = idx.symtab in
+  if ca.c_pid < 0 then ca.c_pid <- Symtab.find_pred_int st (Atom.pred ca.c_atom);
+  if Array.mem (-1) ca.c_cells then
+    List.iteri
+      (fun i t ->
+        match t with
+        | Const c when ca.c_cells.(i) = -1 -> ca.c_cells.(i) <- Symtab.find_int st c
+        | _ -> ())
+      (Atom.args ca.c_atom)
+
 let catom_pid ca = ca.c_pid
 
 (* The effective pattern id of position [i] under [benv], and whether the

@@ -156,6 +156,11 @@ val compile_head :
     existential is an ordinary variable; at {!insert_key} its slot holds
     the payload [n] of the fresh null [Null n] to write. *)
 
+val resolve : t -> catom -> unit
+(** [resolve idx ca] — look up again, without interning, the predicate
+    and constants of [ca] that were unknown when it was compiled (or last
+    resolved); ids already resolved never change. *)
+
 val catom_unbound : catom -> benv:int array -> bool
 (** Does the atom still contain a variable unbound in [benv]? *)
 
