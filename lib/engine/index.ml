@@ -672,6 +672,29 @@ let[@inline] cell_pattern ca benv i =
 let[@inline] cell_bound ca benv i =
   Array.unsafe_get ca.c_cells i >= -1 || cell_pattern ca benv i >= 0
 
+(* Match position [i] of [ca] against the stored id [cell]: a constant
+   or a bound slot must equal it, an unbound slot is bound to it in
+   [benv] and pushed on [trail] at [nt]. Returns the new trail length, or
+   -1 on a mismatch. *)
+let[@inline] match_cell ca benv trail nt i (cell : int) =
+  let c = Array.unsafe_get ca.c_cells i in
+  if c >= -1 then if cell = c then nt else -1
+  else
+    let s = Array.unsafe_get ca.c_slots i in
+    let cur = Array.unsafe_get benv s in
+    if cur >= 0 then if cell = cur then nt else -1
+    else begin
+      benv.(s) <- cell;
+      trail.(nt) <- s;
+      nt + 1
+    end
+
+(* Unbind the first [nt] slots on [trail]. *)
+let[@inline] untrail benv trail nt =
+  for j = 0 to nt - 1 do
+    benv.(trail.(j)) <- -1
+  done
+
 (* Does the atom still contain an unbound variable under [benv]? The
    enumerator's atom-selection predicate. *)
 let catom_unbound ca ~benv =
@@ -763,37 +786,19 @@ let fold_catom idx ca ~benv ~on_candidate ~on_fail (f : int -> bool) arg =
                 let row = row_of_packed packed in
                 let nt = ref 0 and ok = ref true and i = ref 0 in
                 while !ok && !i < arity do
-                  let cell = Vec.get r.r_cols.(!i) row in
-                  let c = Array.unsafe_get ca.c_cells !i in
-                  if c >= -1 then begin
-                    if cell <> c then ok := false
-                  end
-                  else begin
-                    let s = Array.unsafe_get ca.c_slots !i in
-                    let cur = Array.unsafe_get benv s in
-                    if cur >= 0 then begin
-                      if cell <> cur then ok := false
-                    end
-                    else begin
-                      benv.(s) <- cell;
-                      trail.(!nt) <- s;
-                      incr nt
-                    end
-                  end;
+                  let n = match_cell ca benv trail !nt !i (Vec.get r.r_cols.(!i) row) in
+                  if n < 0 then ok := false else nt := n;
                   incr i
                 done;
                 if !ok then begin if f arg then stopped := true end
                 else on_fail ();
-                for j = 0 to !nt - 1 do
-                  benv.(trail.(j)) <- -1
-                done
+                untrail benv trail !nt
               end
             done;
             !stopped)
 
 (* [match_key], the delta-pivot step: bind [ca] against one interned
-   fact key instead of a posting list. Same cell comparisons as
-   [fold_catom]'s row walk, same trail discipline. *)
+   fact key instead of a posting list, with [fold_catom]'s cell step. *)
 let match_key ca ~benv key f =
   let arity = ca.c_arity in
   Array.length key = arity + 1
@@ -802,29 +807,12 @@ let match_key ca ~benv key f =
   let trail = ca.c_trail in
   let nt = ref 0 and ok = ref true and i = ref 0 in
   while !ok && !i < arity do
-    let cell = Array.unsafe_get key (!i + 1) in
-    let c = Array.unsafe_get ca.c_cells !i in
-    if c >= -1 then begin
-      if cell <> c then ok := false
-    end
-    else begin
-      let s = Array.unsafe_get ca.c_slots !i in
-      let cur = Array.unsafe_get benv s in
-      if cur >= 0 then begin
-        if cell <> cur then ok := false
-      end
-      else begin
-        benv.(s) <- cell;
-        trail.(!nt) <- s;
-        incr nt
-      end
-    end;
+    let n = match_cell ca benv trail !nt !i (Array.unsafe_get key (!i + 1)) in
+    if n < 0 then ok := false else nt := n;
     incr i
   done;
   if !ok then f ();
-  for j = 0 to !nt - 1 do
-    benv.(trail.(j)) <- -1
-  done;
+  untrail benv trail !nt;
   !ok
 
 (* The fact key of a fully bound, non-existential [ca] under [benv], in
