@@ -651,13 +651,13 @@ let compile_head = compile
 let resolve idx ca =
   let st = idx.symtab in
   if ca.c_pid < 0 then ca.c_pid <- Symtab.find_pred_int st (Atom.pred ca.c_atom);
-  if Array.mem (-1) ca.c_cells then
-    List.iteri
-      (fun i t ->
-        match t with
-        | Const c when ca.c_cells.(i) = -1 -> ca.c_cells.(i) <- Symtab.find_int st c
-        | _ -> ())
-      (Atom.args ca.c_atom)
+  for i = 0 to ca.c_arity - 1 do
+    (* -1 marks an unknown constant; variables are -2 and -3 *)
+    if ca.c_cells.(i) = -1 then
+      match List.nth (Atom.args ca.c_atom) i with
+      | Const c -> ca.c_cells.(i) <- Symtab.find_int st c
+      | Var _ -> assert false
+  done
 
 let catom_pid ca = ca.c_pid
 

@@ -122,11 +122,26 @@ let refresh idx p =
     Index.resolve idx p.p_heads.(j)
   done
 
+(* Rules compiled against one store. A rule is compiled when a pass's
+   delta first holds one of its body predicates, and the plan is kept for
+   every later pass and every later [continue] over the same store: a
+   maintenance step on perfbench's mutate workload touches 4.5 of the 10
+   rules, and compiling even those anew on each step was a fifth of the
+   step's allocation. *)
+type program = {
+  g_idx : Index.t;
+  g_rules : rule array;
+  g_plans : plan option array;
+}
+
+let program rules idx =
+  let rules = Array.of_list rules in
+  { g_idx = idx; g_rules = rules; g_plans = Array.make (Array.length rules) None }
+
 (* The resumable state threaded into the driver: either a fresh run over a
    database or the reconstruction of a checkpointed boundary. The delta
    holds the interned keys of the facts of the last level. *)
 type init = {
-  i_idx : Index.t;
   i_delta : int array list;
   i_level : int;
   i_saturated : bool;
@@ -138,14 +153,8 @@ type init = {
 
 let keys idx facts = List.filter_map (Index.key idx) facts
 
-let exec ~policy ~budget ~span ~on_pass ~on_fire init rules =
-  let rules = Array.of_list rules in
-  let idx = init.i_idx in
-  (* A rule is compiled when a pass's delta first holds one of its body
-     predicates. On the lubm mutate workload a maintenance step
-     ([continue]) touches 4.5 of the 10 rules on average, and compiling
-     all of them up front cost 1.8k more minor words per mutation. *)
-  let plans = Array.make (Array.length rules) None in
+let exec ~policy ~budget ~span ~on_pass ~on_fire init prog =
+  let idx = prog.g_idx and rules = prog.g_rules and plans = prog.g_plans in
   let plan_of i =
     match plans.(i) with
     | Some p -> p
@@ -357,7 +366,6 @@ let run ?(policy = Oblivious) ?(budget = Obs.Budget.unlimited) ?obs ?on_pass
   let idx = Index.of_instance db in
   let init =
     {
-      i_idx = idx;
       i_delta = keys idx (Instance.facts db);
       i_level = 0;
       i_saturated = false;
@@ -367,11 +375,11 @@ let run ?(policy = Oblivious) ?(budget = Obs.Budget.unlimited) ?obs ?on_pass
       i_fpl = [];
     }
   in
-  let r = exec ~policy ~budget ~span ~on_pass ~on_fire init rules in
+  let r = exec ~policy ~budget ~span ~on_pass ~on_fire init (program rules idx) in
   Obs.Span.exit span;
   r
 
-(** [continue ... rules ~index ~level delta] — run the delta
+(** [continue ... prog ~level delta] — run the delta
     fixpoint over an {e existing} store: passes enumerate only triggers
     whose body touches [delta] (then the facts those produce, and so on)
     until saturation. The trigger-key table starts empty — sound whenever
@@ -381,12 +389,11 @@ let run ?(policy = Oblivious) ?(budget = Obs.Budget.unlimited) ?obs ?on_pass
     by the over-delete phase). Bodiless rules are never (re-)considered:
     their single trigger fired on the original first pass. *)
 let continue ?(policy = Oblivious) ?(budget = Obs.Budget.unlimited) ?obs
-    ?on_pass ?on_fire rules ~index ~level delta =
+    ?on_pass ?on_fire prog ~level delta =
   let span = make_span obs in
   let init =
     {
-      i_idx = index;
-      i_delta = keys index delta;
+      i_delta = keys prog.g_idx delta;
       i_level = level;
       i_saturated = false;
       i_first_pass = false;
@@ -395,7 +402,7 @@ let continue ?(policy = Oblivious) ?(budget = Obs.Budget.unlimited) ?obs
       i_fpl = [];
     }
   in
-  let r = exec ~policy ~budget ~span ~on_pass ~on_fire init rules in
+  let r = exec ~policy ~budget ~span ~on_pass ~on_fire init prog in
   Obs.Span.exit span;
   r
 
@@ -441,7 +448,6 @@ let resume ?(policy = Oblivious) ?(budget = Obs.Budget.unlimited) ?obs
   in
   let init =
     {
-      i_idx = idx;
       i_delta = delta;
       i_level = s.snap_level;
       i_saturated = s.snap_saturated;
@@ -451,6 +457,6 @@ let resume ?(policy = Oblivious) ?(budget = Obs.Budget.unlimited) ?obs
       i_fpl = fpl;
     }
   in
-  let r = exec ~policy ~budget ~span ~on_pass ~on_fire init rules in
+  let r = exec ~policy ~budget ~span ~on_pass ~on_fire init (program rules idx) in
   Obs.Span.exit span;
   r

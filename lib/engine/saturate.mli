@@ -113,12 +113,21 @@ val resume :
   snapshot ->
   result
 
-(** [continue ?policy … rules ~index ~level delta] —
+type program
+(** Rules compiled against one store. {!continue} keeps each rule's
+    compiled plan in it for every later call, so repeated maintenance
+    steps compile a rule once. A call that raised leaves the program,
+    like the store it runs on, unfit for further use. *)
+
+val program : rule list -> Index.t -> program
+(** [program rules index] — [rules] over [index], compiled lazily. *)
+
+(** [continue ?policy … prog ~level delta] —
     drive the semi-naive fixpoint over an {e existing, already saturated}
     store after [delta] has been added to it: pass [level + 1] enumerates
     the triggers whose body touches [delta], and the loop runs to
-    saturation (or a budget cut). [index] is mutated in place, s-levels
-    included; [delta]'s facts must already be stored in it.
+    saturation (or a budget cut). [prog]'s store is mutated in place,
+    s-levels included; [delta]'s facts must already be stored in it.
 
     This is the incremental-maintenance entry point. Its trigger-key
     table starts empty, which is sound iff no previously fired trigger
@@ -133,8 +142,7 @@ val continue :
   ?obs:Obs.Span.t ->
   ?on_pass:(level:int -> saturated:bool -> (unit -> snapshot) -> unit) ->
   ?on_fire:(firing -> unit) ->
-  rule list ->
-  index:Index.t ->
+  program ->
   level:int ->
   Fact.t list ->
   result

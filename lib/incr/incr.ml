@@ -39,7 +39,7 @@ type effect = {
 }
 
 type t = {
-  rules : Engine.Saturate.rule list;
+  prog : Engine.Saturate.program;  (* the rules, compiled against [idx] *)
   idx : Engine.Index.t;  (* the store, s-levels included *)
   base : (Fact.t, unit) Hashtbl.t;
   derivs : (Fact.t, derivation list ref) Hashtbl.t;
@@ -109,6 +109,11 @@ let kill t d =
 
 (* ---- construction ----------------------------------------------------- *)
 
+let rules_of sigma =
+  List.map
+    (fun t -> Engine.Saturate.{ body = Tgds.Tgd.body t; head = Tgds.Tgd.head t })
+    sigma
+
 let create ?engine ?max_level ?obs sigma db =
   let derivs = Hashtbl.create 1024
   and uses = Hashtbl.create 1024
@@ -123,7 +128,7 @@ let create ?engine ?max_level ?obs sigma db =
   let idx = Tgds.Chase.index r in
   let m = Engine.Index.metrics idx in
   {
-    rules = List.map (fun t -> Engine.Saturate.{ body = Tgds.Tgd.body t; head = Tgds.Tgd.head t }) sigma;
+    prog = Engine.Saturate.program (rules_of sigma) idx;
     idx;
     base;
     derivs;
@@ -152,7 +157,7 @@ let propagate ?obs t delta =
     let r =
       Engine.Saturate.continue ~policy:Engine.Saturate.Oblivious ?obs
         ~on_fire:(record ~derivs:t.derivs ~uses:t.uses ~fired:t.fired)
-        t.rules ~index:t.idx ~level:t.level delta
+        t.prog ~level:t.level delta
     in
     t.level <- r.Engine.Saturate.max_level;
     List.fold_left ( + ) 0 r.Engine.Saturate.facts_per_level
@@ -485,11 +490,7 @@ let of_image sigma (im : image) =
       Obs.Metrics.add c (saved - Obs.Metrics.value c))
     names;
   {
-    rules =
-      List.map
-        (fun t ->
-          Engine.Saturate.{ body = Tgds.Tgd.body t; head = Tgds.Tgd.head t })
-        sigma;
+    prog = Engine.Saturate.program (rules_of sigma) idx;
     idx;
     base;
     derivs;
