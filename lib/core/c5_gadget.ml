@@ -87,7 +87,7 @@ let database which =
 (** The length of the longest simple [S]-path in an instance (the chase of
     the gadget is a path, so this is its length). *)
 let s_path_length inst =
-  let edges = Instance.tuples_of "S" inst in
+  let edges = Instance.tuples "S" inst in
   let succ = Hashtbl.create 16 in
   List.iter
     (fun t -> match t with [ a; c ] -> Hashtbl.replace succ a c | _ -> ())

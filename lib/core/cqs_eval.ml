@@ -55,9 +55,8 @@ let in_match_span obs f =
     enumerated output-sensitively from the index ({!Engine.Enumerate}):
     the database is indexed once, answer variables bind from posting
     lists, and a budget cuts the stream gracefully (the prefix is a
-    subset of the exact set, [outcome] records the cut). Unlike the
-    joiner's [answers_ucq], answer variables that occur in no atom are
-    supported — they range over the active domain. *)
+    subset of the exact set, [outcome] records the cut). Answer
+    variables that occur in no atom range over the active domain. *)
 let answer_set ?(optimize_first = false) ?budget ?obs (s : Cqs.t) db =
   let s = if optimize_first then optimize ?obs s else s in
   let idx =

@@ -199,31 +199,20 @@ type dis = {
 }
 
 let compile cx (q : Cq.t) =
-  let tbl : (string, int) Hashtbl.t = Hashtbl.create 16 in
-  let nslots = ref 0 in
-  let slot x =
-    match Hashtbl.find_opt tbl x with
-    | Some s -> s
-    | None ->
-        let s = !nslots in
-        incr nslots;
-        Hashtbl.add tbl x s;
-        s
-  in
-  let atoms =
-    Array.of_list (List.map (Index.compile_atom cx.cx_idx ~slot) (Cq.atoms q))
-  in
-  let answer = Cq.answer q in
+  let p = Joiner.compile cx.cx_idx (Cq.atoms q) in
   let slots =
     Array.of_list
       (List.map
-         (fun x -> match Hashtbl.find_opt tbl x with Some s -> s | None -> -1)
-         answer)
+         (fun x ->
+           match List.assoc x p.Joiner.vars with
+           | s -> s
+           | exception Not_found -> -1)
+         (Cq.answer q))
   in
   let arity = Array.length slots in
   {
-    d_atoms = atoms;
-    d_benv = Array.make (max !nslots 1) (-1);
+    d_atoms = p.atoms;
+    d_benv = p.benv;
     d_slots = slots;
     d_key = Array.make arity 0;
     d_arity = arity;

@@ -15,8 +15,8 @@
     - [remove] prunes in place preserving that order, and freed row
       slots go on a per-relation free list that the next insert reuses,
       so insert/delete churn cannot grow the store's capacity;
-    - [index.probes] counts one probe per candidate-list retrieval,
-      exactly where [tuples_of]/[tuples_at] used to count it;
+    - [index.probes] counts one probe per candidate-list retrieval
+      ({!fold_catom} walking a posting list or a whole relation);
     - every row carries its fact's s-level in a level column beside the
       argument columns, so the chase keeps no fact-keyed side table. *)
 
@@ -372,232 +372,6 @@ let to_instance idx =
     (fun key _ acc -> Instance.add_fact (decode_key idx key) acc)
     idx.members Instance.empty
 
-(* Decode a vector of packed rows to tuples, most recently added first
-   (prepending while walking in append order reverses it). *)
-let decode_rev idx e v =
-  let st = idx.symtab in
-  let out = ref [] in
-  Vec.iter
-    (fun packed ->
-      let arity = arity_of_packed packed and row = row_of_packed packed in
-      let r = match rel_find e arity with Some r -> r | None -> assert false in
-      out := List.init arity (fun i -> Symtab.extern st (Vec.get r.r_cols.(i) row)) :: !out)
-    v;
-  !out
-
-let tuples_of idx p =
-  Obs.Metrics.incr idx.c_probes;
-  match Symtab.find_pred idx.symtab p with
-  | None -> []
-  | Some pid -> ( match entry idx pid with None -> [] | Some e -> decode_rev idx e e.e_order)
-
-let posting idx p i c =
-  match Symtab.find_pred idx.symtab p with
-  | None -> None
-  | Some pid -> (
-      match entry idx pid with
-      | None -> None
-      | Some e ->
-          if i < 0 || i >= Array.length e.e_at then None
-          else (
-            match Symtab.find idx.symtab c with
-            | None -> None
-            | Some cid -> Hashtbl.find_opt e.e_at.(i) cid))
-
-let tuples_at idx p i c =
-  Obs.Metrics.incr idx.c_probes;
-  match Symtab.find_pred idx.symtab p with
-  | None -> []
-  | Some pid -> (
-      match entry idx pid with
-      | None -> []
-      | Some e ->
-          if i < 0 || i >= Array.length e.e_at then []
-          else (
-            match Symtab.find idx.symtab c with
-            | None -> []
-            | Some cid -> (
-                match Hashtbl.find_opt e.e_at.(i) cid with
-                | None -> []
-                | Some v -> decode_rev idx e v)))
-
-let count_at idx p i c = match posting idx p i c with Some v -> Vec.length v | None -> 0
-
-let count_of idx p =
-  match Symtab.find_pred idx.symtab p with
-  | None -> 0
-  | Some pid -> ( match entry idx pid with None -> 0 | Some e -> Vec.length e.e_order)
-
-(* The constant at a bound argument position, if any. *)
-let bound_const (b : Homomorphism.binding) = function
-  | Const c -> Some c
-  | Var x -> VarMap.find_opt x b
-
-(* Cheapest bound position of [a] under [b]: [(position, constant, size)]. *)
-let best_position idx a (b : Homomorphism.binding) =
-  let p = Atom.pred a in
-  let best = ref None in
-  List.iteri
-    (fun i t ->
-      match bound_const b t with
-      | None -> ()
-      | Some c ->
-          let n = count_at idx p i c in
-          (match !best with
-          | Some (_, _, m) when m <= n -> ()
-          | _ -> best := Some (i, c, n)))
-    (Atom.args a);
-  !best
-
-let candidates idx a b =
-  match best_position idx a b with
-  | Some (i, c, _) -> tuples_at idx (Atom.pred a) i c
-  | None -> tuples_of idx (Atom.pred a)
-
-(* Count of the cheapest bound posting — best_position without the
-   option and tuple allocations (this runs once per pending atom per
-   search node, so it is as hot as the matching itself). *)
-let candidate_count idx a (b : Homomorphism.binding) =
-  let st = idx.symtab in
-  let pid = Symtab.find_pred_int st (Atom.pred a) in
-  if pid < 0 then 0
-  else
-    match entry idx pid with
-    | None -> 0
-    | Some e ->
-        let best = ref (-1) in
-        List.iteri
-          (fun i t ->
-            let cid =
-              match t with
-              | Const c -> Symtab.find_int st c
-              | Var x ->
-                  if VarMap.mem x b then Symtab.find_int st (VarMap.find x b) else -2
-            in
-            if cid >= -1 then begin
-              (* bound position; an absent constant means an empty posting *)
-              let n =
-                if cid < 0 || i >= Array.length e.e_at then 0
-                else try Vec.length (Hashtbl.find e.e_at.(i) cid) with Not_found -> 0
-              in
-              if !best < 0 || n < !best then best := n
-            end)
-          (Atom.args a);
-        if !best >= 0 then !best else Vec.length e.e_order
-
-(* Matching over interned rows: the atom is compiled once per call to a
-   flat int pattern -- [pids.(i) >= 0] a cell id the position must
-   equal, [-1] a bound constant absent from the store (never matches),
-   [-2] an unbound variable whose name sits in [pvars.(i)] -- and
-   candidates are compared cell-by-cell without materializing tuples.
-   Variable bindings made inside the walk are kept as (var, cid) pairs
-   and only turned into [VarMap] entries when the whole row matches, so
-   failed candidates allocate nothing on the binding path. *)
-
-let fold_matches idx a (b : Homomorphism.binding) ~injective ~on_candidate ~on_fail f acc =
-  (* one probe per candidate-list retrieval, like tuples_of/tuples_at *)
-  Obs.Metrics.incr idx.c_probes;
-  let st = idx.symtab in
-  let pid = Symtab.find_pred_int st (Atom.pred a) in
-  if pid < 0 then acc
-  else
-    match entry idx pid with
-    | None -> acc
-    | Some e -> (
-        let args = Atom.args a in
-        let arity = List.length args in
-        let pids = Array.make arity (-2) in
-        let pvars = Array.make arity "" in
-        List.iteri
-          (fun i t ->
-            match t with
-            | Const c -> pids.(i) <- Symtab.find_int st c
-            | Var x ->
-                if VarMap.mem x b then pids.(i) <- Symtab.find_int st (VarMap.find x b)
-                else pvars.(i) <- x)
-          args;
-        (* cheapest bound position, with best_position's exact
-           tie-breaking (first strictly-smaller wins) *)
-        let best_i = ref (-1) and best_cid = ref (-1) and best_n = ref 0 in
-        for i = 0 to arity - 1 do
-          let cid = pids.(i) in
-          if cid >= -1 then begin
-            let n =
-              if cid < 0 || i >= Array.length e.e_at then 0
-              else try Vec.length (Hashtbl.find e.e_at.(i) cid) with Not_found -> 0
-            in
-            if !best_i < 0 || n < !best_n then begin
-              best_i := i;
-              best_cid := cid;
-              best_n := n
-            end
-          end
-        done;
-        let seq =
-          if !best_i < 0 then Some e.e_order
-          else if !best_cid < 0 || !best_i >= Array.length e.e_at then None
-          else Hashtbl.find_opt e.e_at.(!best_i) !best_cid
-        in
-        match seq with
-        | None -> acc
-        | Some v ->
-            let used =
-              if not injective then None
-              else begin
-                let tbl = Hashtbl.create 8 in
-                VarMap.iter
-                  (fun _ c ->
-                    let id = Symtab.find_int st c in
-                    if id >= 0 then Hashtbl.replace tbl id ())
-                  b;
-                Some tbl
-              end
-            in
-            (* the relation every matching candidate lives in (packed
-               handles of another arity fail the arity check) *)
-            let rel_a = rel_find e arity in
-            let rec walk r row i locals =
-              if i = arity then Some locals
-              else
-                let cell = Vec.get r.r_cols.(i) row in
-                let cid = Array.unsafe_get pids i in
-                if cid >= -1 then
-                  if cell = cid then walk r row (i + 1) locals else None
-                else
-                  let x = Array.unsafe_get pvars i in
-                  match List.assoc_opt x locals with
-                  | Some cid -> if cell = cid then walk r row (i + 1) locals else None
-                  | None ->
-                      let clash =
-                        match used with
-                        | None -> false
-                        | Some tbl ->
-                            Hashtbl.mem tbl cell
-                            || List.exists (fun (_, cid) -> cid = cell) locals
-                      in
-                      if clash then None else walk r row (i + 1) ((x, cell) :: locals)
-            in
-            let acc = ref acc in
-            (* most recently added first = backing vector reversed *)
-            for k = Vec.length v - 1 downto 0 do
-              let packed = Vec.get v k in
-              on_candidate ();
-              if arity_of_packed packed <> arity then on_fail ()
-              else begin
-                let r = match rel_a with Some r -> r | None -> assert false in
-                match walk r (row_of_packed packed) 0 [] with
-                | None -> on_fail ()
-                | Some locals ->
-                    let b' =
-                      List.fold_left
-                        (fun b (x, cid) -> VarMap.add x (Symtab.extern st cid) b)
-                        b locals
-                    in
-                    acc := f b' !acc
-              end
-            done;
-            !acc)
-
 (* ------------------------------------------------------------------ *)
 (* Compiled atoms: the interned, allocation-free matching fast path      *)
 (* ------------------------------------------------------------------ *)
@@ -662,9 +436,8 @@ let resolve idx ca =
 let catom_pid ca = ca.c_pid
 
 (* The effective pattern id of position [i] under [benv], and whether the
-   position counts as bound — mirrors the [cid >= -1] convention of
-   [candidate_count]: a constant (known or not) is bound, a variable is
-   bound iff its slot is. *)
+   position counts as bound: a constant (known or not) is bound, a
+   variable is bound iff its slot is. *)
 let[@inline] cell_pattern ca benv i =
   let c = Array.unsafe_get ca.c_cells i in
   if c >= -1 then c else Array.unsafe_get benv (Array.unsafe_get ca.c_slots i)
@@ -707,95 +480,78 @@ let catom_unbound ca ~benv =
   done;
   !r
 
-(* [candidate_count], compiled: identical bucket arithmetic and
-   first-strictly-smaller tie-breaking, no name resolution, no probe. *)
+(* The shared empty row list: the posting of an unknown constant or of
+   a constant absent at a position. Never written. *)
+let no_rows = Vec.create ~capacity:1 ()
+
+(* The rows [ca] can match under [benv], most recently added last: the
+   smallest posting list over its bound positions (the first strictly
+   smaller wins), or the whole relation when no position is bound. *)
+let candidate_rows e ca benv =
+  let best = ref e.e_order and bound = ref false in
+  for i = 0 to ca.c_arity - 1 do
+    if cell_bound ca benv i then begin
+      let cid = cell_pattern ca benv i in
+      let v =
+        if cid < 0 || i >= Array.length e.e_at then no_rows
+        else try Hashtbl.find e.e_at.(i) cid with Not_found -> no_rows
+      in
+      if (not !bound) || Vec.length v < Vec.length !best then begin
+        best := v;
+        bound := true
+      end
+    end
+  done;
+  !best
+
+(* The number of rows [fold_catom] would walk; no probe is counted. *)
 let catom_count idx ca ~benv =
   if ca.c_pid < 0 then 0
   else
     match entry idx ca.c_pid with
     | None -> 0
-    | Some e ->
-        let best = ref (-1) in
-        for i = 0 to ca.c_arity - 1 do
-          if cell_bound ca benv i then begin
-            let cid = cell_pattern ca benv i in
-            let n =
-              if cid < 0 || i >= Array.length e.e_at then 0
-              else
-                try Vec.length (Hashtbl.find e.e_at.(i) cid)
-                with Not_found -> 0
-            in
-            if !best < 0 || n < !best then best := n
-          end
-        done;
-        if !best >= 0 then !best else Vec.length e.e_order
+    | Some e -> Vec.length (candidate_rows e ca benv)
 
-(* [fold_matches], compiled: same posting-list choice, candidate order
-   (most recently added first) and [on_candidate]/[on_fail] accounting,
-   but bindings go into [benv] in place (trail-undone per candidate and
-   at exit) instead of a fresh [VarMap] per match, so a full search tree
-   allocates nothing here. [f arg] runs with the extension visible in
-   [benv]; returning [true] stops the walk (the satisfiability caller's
-   early exit) and is returned. Non-injective only — the enumeration
-   paths never ask for injectivity. Counts one [index.probes] probe,
-   like the retrieval it replaces. *)
+(* Walk the candidate rows most recently added first, binding [ca]'s
+   unbound variables in [benv] in place (trail-undone per candidate and
+   at exit), so a full search tree allocates nothing here. [f arg] runs
+   with the extension visible in [benv]; returning [true] stops the walk
+   (the satisfiability caller's early exit) and is returned. Counts one
+   [index.probes] probe per call. *)
 let fold_catom idx ca ~benv ~on_candidate ~on_fail (f : int -> bool) arg =
   Obs.Metrics.incr idx.c_probes;
   if ca.c_pid < 0 then false
   else
     match entry idx ca.c_pid with
     | None -> false
-    | Some e -> (
+    | Some e ->
+        let v = candidate_rows e ca benv in
         let arity = ca.c_arity in
-        let best_i = ref (-1) and best_cid = ref (-1) and best_n = ref 0 in
-        for i = 0 to arity - 1 do
-          if cell_bound ca benv i then begin
-            let cid = cell_pattern ca benv i in
-            let n =
-              if cid < 0 || i >= Array.length e.e_at then 0
-              else
-                try Vec.length (Hashtbl.find e.e_at.(i) cid)
-                with Not_found -> 0
-            in
-            if !best_i < 0 || n < !best_n then begin
-              best_i := i;
-              best_cid := cid;
-              best_n := n
-            end
+        (* [rel_find] allocates: skip it when there is nothing to walk *)
+        let rel_a = if Vec.length v = 0 then None else rel_find e arity in
+        let trail = ca.c_trail in
+        let stopped = ref false in
+        let k = ref (Vec.length v - 1) in
+        while (not !stopped) && !k >= 0 do
+          let packed = Vec.get v !k in
+          decr k;
+          on_candidate ();
+          if arity_of_packed packed <> arity then on_fail ()
+          else begin
+            let r = match rel_a with Some r -> r | None -> assert false in
+            let row = row_of_packed packed in
+            let nt = ref 0 and ok = ref true and i = ref 0 in
+            while !ok && !i < arity do
+              let n = match_cell ca benv trail !nt !i (Vec.get r.r_cols.(!i) row) in
+              if n < 0 then ok := false else nt := n;
+              incr i
+            done;
+            if !ok then begin if f arg then stopped := true end
+            else on_fail ();
+            untrail benv trail !nt
           end
         done;
-        let seq =
-          if !best_i < 0 then Some e.e_order
-          else if !best_cid < 0 || !best_i >= Array.length e.e_at then None
-          else Hashtbl.find_opt e.e_at.(!best_i) !best_cid
-        in
-        match seq with
-        | None -> false
-        | Some v ->
-            let rel_a = rel_find e arity in
-            let trail = ca.c_trail in
-            let stopped = ref false in
-            let k = ref (Vec.length v - 1) in
-            while (not !stopped) && !k >= 0 do
-              let packed = Vec.get v !k in
-              decr k;
-              on_candidate ();
-              if arity_of_packed packed <> arity then on_fail ()
-              else begin
-                let r = match rel_a with Some r -> r | None -> assert false in
-                let row = row_of_packed packed in
-                let nt = ref 0 and ok = ref true and i = ref 0 in
-                while !ok && !i < arity do
-                  let n = match_cell ca benv trail !nt !i (Vec.get r.r_cols.(!i) row) in
-                  if n < 0 then ok := false else nt := n;
-                  incr i
-                done;
-                if !ok then begin if f arg then stopped := true end
-                else on_fail ();
-                untrail benv trail !nt
-              end
-            done;
-            !stopped)
+        !stopped
 
 (* [match_key], the delta-pivot step: bind [ca] against one interned
    fact key instead of a posting list, with [fold_catom]'s cell step. *)

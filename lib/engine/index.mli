@@ -17,7 +17,6 @@
     [Instance.t] is provided at both ends. *)
 
 open Relational
-open Relational.Term
 
 type t
 
@@ -80,65 +79,17 @@ val key : t -> Fact.t -> int array option
 (** Number of (distinct) facts. *)
 val size : t -> int
 
-(** All tuples of predicate [p] (most recently added first). *)
-val tuples_of : t -> string -> const list list
-
-(** [tuples_at idx p i c] — the posting list of [(p, i, c)]: tuples of
-    [p] whose [i]-th argument (0-based) is [c]. *)
-val tuples_at : t -> string -> int -> const -> const list list
-
-(** [count_at idx p i c] — length of the posting list, without
-    materializing it. *)
-val count_at : t -> string -> int -> const -> int
-
-(** Number of tuples of [p]. *)
-val count_of : t -> string -> int
-
-(** [candidates idx atom binding] — candidate tuples for [atom] under
-    [binding]: the smallest posting list over the bound positions of the
-    atom (argument is a constant, or a variable bound by [binding]), or
-    the whole relation when no position is bound. Every returned tuple
-    still has to be checked positionally by the caller. *)
-val candidates : t -> Atom.t -> Homomorphism.binding -> const list list
-
-(** [candidate_count idx atom binding] — the length of the list
-    {!candidates} would return, computed from bucket sizes only (used
-    for cheapest-first atom ordering). *)
-val candidate_count : t -> Atom.t -> Homomorphism.binding -> int
-
-(** [fold_matches idx atom binding ~injective ~on_candidate ~on_fail f acc]
-    — fold [f] over the extensions of [binding] that match [atom]
-    against a stored fact, without materializing candidate tuples: the
-    atom is compiled to an interned int pattern and compared against the
-    store's columns cell by cell. Candidates come from the same posting
-    list {!candidates} would pick, in the same (most recently added
-    first) order; [on_candidate] fires once per candidate considered and
-    [on_fail] once per candidate that does not match, so callers keep
-    exact [joiner.candidates]/[joiner.backtracks] accounting. Counts one
-    [index.probes] probe, like the list retrieval it replaces.
-    [~injective] refuses extensions whose new values collide with the
-    binding's range (or each other). *)
-val fold_matches :
-  t ->
-  Atom.t ->
-  Homomorphism.binding ->
-  injective:bool ->
-  on_candidate:(unit -> unit) ->
-  on_fail:(unit -> unit) ->
-  (Homomorphism.binding -> 'a -> 'a) ->
-  'a ->
-  'a
-
 (** {2 Compiled atoms}
 
-    The answer-enumeration hot path runs on interned ints end to end: a
-    query atom is compiled once per request against the store's symbol
-    table, and every subsequent selection/matching step is flat int
-    arithmetic against a caller-owned binding environment — no [VarMap],
-    no option, no tuple materialization. A binding environment [benv] is
-    an int array indexed by variable slot: [benv.(s) >= 0] is the cell
-    id the variable is bound to, [-1] is unbound. The caller owns slot
-    assignment (one slot map per conjunctive query). *)
+    All matching runs on interned ints end to end: an atom is compiled
+    once per search (once per rule, for the chase) against the store's
+    symbol table, and every subsequent selection/matching step is flat
+    int arithmetic against a caller-owned binding environment — no
+    [VarMap], no option, no tuple materialization. A binding environment
+    [benv] is an int array indexed by variable slot: [benv.(s) >= 0] is
+    the cell id the variable is bound to, [-1] is unbound. The caller
+    owns slot assignment (one slot map per conjunction; see
+    {!Joiner.compile}). *)
 
 type catom
 (** A compiled query atom. Carries private matching scratch: compile one
@@ -165,9 +116,12 @@ val catom_unbound : catom -> benv:int array -> bool
 (** Does the atom still contain a variable unbound in [benv]? *)
 
 val catom_count : t -> catom -> benv:int array -> int
-(** {!candidate_count}, compiled: the same bucket sizes and
-    first-strictly-smaller tie-breaking, with bound positions read from
-    [benv]. No probe is counted (selection is free, as before). *)
+(** [catom_count idx ca ~benv] — the number of candidate rows
+    {!fold_catom} would walk: the size of the smallest posting list over
+    [ca]'s bound positions under [benv] (the first strictly smaller
+    wins; an unknown constant's posting is empty), or of the whole
+    relation when no position is bound. No probe is counted, so
+    cheapest-first selection is free. *)
 
 val fold_catom :
   t ->
@@ -178,15 +132,16 @@ val fold_catom :
   (int -> bool) ->
   int ->
   bool
-(** [fold_catom idx ca ~benv ~on_candidate ~on_fail f arg] —
-    {!fold_matches}, compiled and non-injective: walk the same posting
-    list in the same (most recently added first) order, binding [ca]'s
-    unbound variables directly in [benv] for the duration of each
-    matching candidate's [f arg] call (undone before the next candidate
-    and before returning). [f] returning [true] stops the walk early and
-    makes the fold return [true] — the satisfiability caller's early
-    exit. [on_candidate]/[on_fail] fire exactly as in {!fold_matches},
-    and one [index.probes] probe is counted. If [f] raises, [benv] is
+(** [fold_catom idx ca ~benv ~on_candidate ~on_fail f arg] — walk the
+    candidate rows {!catom_count} counts, most recently added first,
+    binding [ca]'s unbound variables directly in [benv] for the duration
+    of each matching candidate's [f arg] call (undone before the next
+    candidate and before returning). [f] returning [true] stops the walk
+    early and makes the fold return [true] — the satisfiability caller's
+    early exit. [on_candidate] fires once per candidate considered and
+    [on_fail] once per candidate that does not match, so callers keep
+    exact [joiner.candidates]/[joiner.backtracks] accounting; one
+    [index.probes] probe is counted per call. If [f] raises, [benv] is
     left as the raise saw it (the enumeration paths abandon the whole
     request on such unwinds). *)
 

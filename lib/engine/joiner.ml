@@ -1,51 +1,42 @@
 (** Index-aware backtracking homomorphism search; see the interface for
     the contract. Atom selection is cheapest-first by posting-list size,
     so selection costs O(arity) per pending atom instead of a candidate
-    scan. *)
+    scan. Every entry point runs the one compiled search below. *)
 
 open Relational
 open Relational.Term
 
 type binding = Homomorphism.binding
 
-let fold ?(injective = false) ?(init = VarMap.empty) atoms idx f acc =
-  Obs.Probe.hit "engine.join";
-  let m = Index.metrics idx in
-  let c_candidates = Obs.Metrics.counter m "joiner.candidates" in
-  let c_backtracks = Obs.Metrics.counter m "joiner.backtracks" in
-  (* match the remaining atoms, cheapest first *)
-  let rec search b pending acc =
-    match pending with
-    | [] -> f b acc
-    | _ ->
-        let best_i, best_a, _ =
-          List.fold_left
-            (fun (bi, ba, bc) (i, a) ->
-              let c = Index.candidate_count idx a b in
-              if c < bc then (i, a, c) else (bi, ba, bc))
-            (-1, List.hd pending, max_int)
-            (List.mapi (fun i a -> (i, a)) pending)
-        in
-        let rest = List.filteri (fun i _ -> i <> best_i) pending in
-        (* interned candidate walk: same posting list, order and
-           counter accounting as matching decoded tuples, minus the
-           tuple materialization *)
-        Index.fold_matches idx best_a b ~injective
-          ~on_candidate:(fun () -> Obs.Metrics.incr c_candidates)
-          ~on_fail:(fun () -> Obs.Metrics.incr c_backtracks)
-          (fun b' acc -> search b' rest acc)
-          acc
+type plan = {
+  atoms : Index.catom array;
+  benv : int array;
+  vars : (string * int) list;
+}
+
+(* A query has a handful of variables, so the slot table is an
+   association list: cheaper to build than a hash table, and [fold]
+   walks it to build each binding map. *)
+let compile idx atoms =
+  let vars = ref [] in
+  let slot x =
+    match List.assoc x !vars with
+    | s -> s
+    | exception Not_found ->
+        let s = List.length !vars in
+        vars := (x, s) :: !vars;
+        s
   in
-  search init atoms acc
+  let atoms = Array.of_list (List.map (Index.compile_atom idx ~slot) atoms) in
+  { atoms; benv = Array.make (max (List.length !vars) 1) (-1); vars = !vars }
 
 (* The compiled search over the segment [atoms.(lo..n)) with the
-   bindings of [benv] as the initial assignment. Node-for-node identical
-   to [fold] — same cheapest-first selection (first strictly-smaller
-   wins), same pending order (in-place rotation keeps the unselected
-   suffix in original relative order, as List.filteri did), same
-   joiner.candidates/backtracks and index.probes accounting — but
-   bindings live in [benv] and the recursion allocates nothing per node
-   beyond one closure per call. [leaf ()] runs at every full match;
+   bindings of [benv] as the initial assignment. At every node the
+   pending atom with the fewest candidates is matched next (first
+   strictly-smaller wins); it is rotated to the front of the segment in
+   place, which keeps the unselected suffix in its original relative
+   order. Bindings live in [benv], so the recursion allocates nothing per
+   node beyond one closure per call. [leaf ()] runs at every full match;
    returning [true] stops the search, which then returns [true]. Both
    the rotation and the bindings are undone before returning. An empty
    segment (a single-atom rule body) goes straight to [leaf] without
@@ -82,25 +73,42 @@ let search_compiled idx ~on_candidate ~on_fail (atoms : Index.catom array)
     in
     sat lo
 
-(* The [joiner.*] counters, resolved per search exactly where [fold]
-   resolves them, so a run registers them iff it performs a search. *)
+(* The [joiner.*] counters, resolved per search, so a run registers them
+   iff it performs a search. *)
 let counters idx =
   let m = Index.metrics idx in
   ( Obs.Metrics.counter m "joiner.candidates",
     Obs.Metrics.counter m "joiner.backtracks" )
 
-let exists_compiled idx atoms ~benv lo n =
+(* [search_compiled] filing its candidates and backtracks against the
+   counters of [idx]. *)
+let search idx atoms ~benv lo n leaf =
   let c_candidates, c_backtracks = counters idx in
   search_compiled idx
     ~on_candidate:(fun () -> Obs.Metrics.incr c_candidates)
     ~on_fail:(fun () -> Obs.Metrics.incr c_backtracks)
-    atoms ~benv lo n
-    (fun () -> true)
+    atoms ~benv lo n leaf
 
-(* [fold] with a delta pivot, compiled: the pivot matches each delta key
-   (one candidate each, one backtrack per mismatch, as the pivot of the
-   uncompiled semi-naive step counted), the rest runs [search_compiled]
-   to every full match. *)
+let exists_compiled idx atoms ~benv lo n =
+  search idx atoms ~benv lo n (fun () -> true)
+
+let fold atoms idx f acc =
+  Obs.Probe.hit "engine.join";
+  let p = compile idx atoms in
+  let st = Index.symtab idx in
+  let bind b (x, s) = VarMap.add x (Symtab.extern st p.benv.(s)) b in
+  let acc = ref acc in
+  (* the binding map is built only at a full match *)
+  let leaf () =
+    acc := f (List.fold_left bind VarMap.empty p.vars) !acc;
+    false
+  in
+  ignore (search idx p.atoms ~benv:p.benv 0 (Array.length p.atoms) leaf);
+  !acc
+
+(* [fold] with a delta pivot: the pivot matches each delta key (one
+   candidate each, one backtrack per mismatch), the rest runs
+   [search_compiled] to every full match. *)
 let fold_delta idx ~pivot atoms ~benv delta f =
   Obs.Probe.hit "engine.join";
   let c_candidates, c_backtracks = counters idx in
@@ -120,47 +128,24 @@ let fold_delta idx ~pivot atoms ~benv delta f =
       if not (Index.match_key pivot ~benv key rest) then on_fail ())
     delta
 
-exception Found of binding
-
-let find ?injective ?init atoms idx =
-  try
-    fold ?injective ?init atoms idx (fun b _ -> raise (Found b)) ();
-    None
-  with Found b -> Some b
-
-let exists ?injective ?init atoms idx =
-  Option.is_some (find ?injective ?init atoms idx)
-
-let all ?injective ?init atoms idx =
-  List.rev (fold ?injective ?init atoms idx (fun b acc -> b :: acc) [])
-
 (* ------------------------------------------------------------------ *)
 (* Query evaluation over an index                                       *)
 (* ------------------------------------------------------------------ *)
 
+(* The candidate tuple is substituted into the atoms (a repeated answer
+   variable takes its last constant), so a constant the store has never
+   seen compiles to a never-matching cell. *)
 let entails_cq idx q tuple =
   List.length tuple = Cq.arity q
   &&
-  let init =
+  let sub =
     List.fold_left2
-      (fun acc x c -> VarMap.add x c acc)
+      (fun acc x c -> VarMap.add x (Const c) acc)
       VarMap.empty (Cq.answer q) tuple
   in
-  exists ~init (Cq.atoms q) idx
-
-let holds_cq idx q = exists (Cq.atoms q) idx
-
-let answers_cq idx q =
-  fold (Cq.atoms q) idx
-    (fun b acc -> List.map (fun x -> VarMap.find x b) (Cq.answer q) :: acc)
-    []
-  |> List.sort_uniq Stdlib.compare
+  Obs.Probe.hit "engine.join";
+  let p = compile idx (List.map (Atom.apply sub) (Cq.atoms q)) in
+  exists_compiled idx p.atoms ~benv:p.benv 0 (Array.length p.atoms)
 
 let entails_ucq idx u tuple =
   List.exists (fun q -> entails_cq idx q tuple) (Ucq.disjuncts u)
-
-let holds_ucq idx u = List.exists (holds_cq idx) (Ucq.disjuncts u)
-
-let answers_ucq idx u =
-  List.concat_map (answers_cq idx) (Ucq.disjuncts u)
-  |> List.sort_uniq Stdlib.compare

@@ -7,6 +7,11 @@
     (leapfrog-style cheapest-first ordering) rather than from scanning
     whole relations.
 
+    There is one search, over compiled atoms ({!Index.catom}) and a flat
+    binding environment. {!fold} and {!entails_cq} compile their atoms
+    with {!compile} and run it; the chase and the enumerator run it on
+    atoms they compiled once.
+
     {!fold_delta} is the semi-naive hook: its pivot atom is matched
     against the delta facts only, while the remaining atoms run against
     the full index. {!Saturate} pivots each body atom through the delta
@@ -22,34 +27,33 @@ open Relational.Term
 
 type binding = Homomorphism.binding
 
-(** [fold ?injective ?init atoms idx f acc] — fold [f] over every
-    homomorphism from [atoms] into the index extending [init]. Each call
-    hits the ["engine.join"] {!Obs.Probe} point once at entry. *)
-val fold :
-  ?injective:bool ->
-  ?init:binding ->
-  Atom.t list ->
-  Index.t ->
-  (binding -> 'a -> 'a) ->
-  'a ->
-  'a
+(** A conjunction of atoms compiled against one store. *)
+type plan = {
+  atoms : Index.catom array;  (** one per atom, in input order *)
+  benv : int array;  (** one slot per variable, all unbound ([-1]) *)
+  vars : (string * int) list;
+      (** each variable with its slot; slots are numbered by first
+          occurrence *)
+}
 
-(** First homomorphism, if any. *)
-val find :
-  ?injective:bool -> ?init:binding -> Atom.t list -> Index.t -> binding option
+(** [compile idx atoms] — compile [atoms] with {!Index.compile_atom}
+    against a fresh first-occurrence slot table. Never interns: an
+    unknown predicate or constant compiles to a never-matching cell. *)
+val compile : Index.t -> Atom.t list -> plan
 
-val exists : ?injective:bool -> ?init:binding -> Atom.t list -> Index.t -> bool
+(** [fold atoms idx f acc] — fold [f] over every homomorphism from
+    [atoms] into the index. The atoms are compiled once per call and the
+    binding map is built only at each full match. Each call hits the
+    ["engine.join"] {!Obs.Probe} point once at entry. *)
+val fold : Atom.t list -> Index.t -> (binding -> 'a -> 'a) -> 'a -> 'a
 
-(** [exists_compiled idx atoms ~benv lo n] — {!exists} over
-    the compiled segment [atoms.(lo..n)) ] with the bindings of [benv]
-    as the initial assignment: is there an extension matching every
-    atom of the segment? Node-for-node identical to the uncompiled
-    search (selection, pending order, [joiner.*] and [index.probes]
-    accounting), but allocation-free on the candidate path. [atoms] is
+(** [exists_compiled idx atoms ~benv lo n] — is there an extension of
+    the bindings of [benv] matching every atom of the compiled segment
+    [atoms.(lo..n))]? Allocation-free on the candidate path. [atoms] is
     reordered in place during the search and restored before returning;
-    [benv] is unchanged on return. Non-injective, no
-    ["engine.join"] probe hit, so the probe meters joins, not answers —
-    the enumerator's witness-check shape. *)
+    [benv] is unchanged on return. No ["engine.join"] probe hit, so the
+    probe meters joins, not answers — the enumerator's witness-check
+    shape. *)
 val exists_compiled : Index.t -> Index.catom array -> benv:int array -> int -> int -> bool
 
 (** [fold_delta idx ~pivot atoms ~benv delta f] — the semi-naive step,
@@ -70,25 +74,16 @@ val fold_delta :
   (unit -> unit) ->
   unit
 
-(** All homomorphisms (exponentially many in general). *)
-val all : ?injective:bool -> ?init:binding -> Atom.t list -> Index.t -> binding list
-
 (* ------------------------------------------------------------------ *)
 (* Query evaluation over an index                                       *)
 (* ------------------------------------------------------------------ *)
 
 (** [entails_cq idx q c̄] — is [c̄ ∈ q(I)] for the indexed instance [I]?
-    (the candidate answer pre-binds the answer variables, as in §2). *)
+    The candidate answer is substituted for the answer variables, as in
+    §2; an answer variable that occurs in no atom accepts any constant.
+    A tuple of the wrong arity is refused without a search; otherwise
+    one ["engine.join"] hit. *)
 val entails_cq : Index.t -> Cq.t -> const list -> bool
 
-(** Boolean entailment [I ⊨ q]. *)
-val holds_cq : Index.t -> Cq.t -> bool
-
-(** [answers_cq idx q] — the evaluation [q(I)], deduplicated. *)
-val answers_cq : Index.t -> Cq.t -> const list list
-
-(** UCQ variants: some disjunct entails. *)
+(** UCQ variant: some disjunct entails. *)
 val entails_ucq : Index.t -> Ucq.t -> const list -> bool
-
-val holds_ucq : Index.t -> Ucq.t -> bool
-val answers_ucq : Index.t -> Ucq.t -> const list list

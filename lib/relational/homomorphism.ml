@@ -45,7 +45,7 @@ let unbound_count (b : binding) a =
    the count would exceed [limit] (the atom then cannot be selected), else
    [Some (count, tuples)] with the matching tuples in relation order — the
    selected atom's candidates are reused directly instead of rescanning
-   [Instance.tuples_of] after selection. Matching is scored without the
+   [Instance.tuples] after selection. Matching is scored without the
    injectivity constraint (a superset), exactly as the previous
    candidate-list scoring did; the search re-checks each tuple under the
    caller's [~injective] when expanding. *)
@@ -57,7 +57,7 @@ let matches_upto inst ~limit (b : binding) a =
         | Some _ -> if n >= limit then None else go (n + 1) (t :: acc) rest
         | None -> go n acc rest)
   in
-  go 0 [] (Instance.tuples_of (Atom.pred a) inst)
+  go 0 [] (Instance.tuples (Atom.pred a) inst)
 
 (** [fold_homs ?injective ?init ?ordering atoms inst f acc] folds [f] over
     every homomorphism from [atoms] to [inst] extending [init].
@@ -80,7 +80,7 @@ let fold_homs ?(injective = false) ?(init = VarMap.empty)
         let idx, a, cands =
           match ordering with
           | `Static ->
-              (0, first_atom, Instance.tuples_of (Atom.pred first_atom) inst)
+              (0, first_atom, Instance.tuples (Atom.pred first_atom) inst)
           | `Dynamic ->
               let best =
                 List.fold_left

@@ -50,7 +50,7 @@ let for_all p i = fold (fun fact acc -> acc && p fact) i true
 let exists p i = fold (fun fact acc -> acc || p fact) i false
 
 (** Tuples of predicate [p]. *)
-let tuples_of p i =
+let tuples p i =
   match SMap.find_opt p i.rels with
   | Some s -> TupleSet.elements s
   | None -> []

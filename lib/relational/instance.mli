@@ -19,7 +19,7 @@ val for_all : (Fact.t -> bool) -> t -> bool
 val exists : (Fact.t -> bool) -> t -> bool
 
 (** Tuples of predicate [p]. *)
-val tuples_of : string -> t -> Term.const list list
+val tuples : string -> t -> Term.const list list
 
 val predicates : t -> string list
 

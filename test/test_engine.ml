@@ -157,7 +157,13 @@ let prop_answer_sets_agree =
     (fun ((sigma, db), cq) ->
       let inst = Chase.instance (Chase.run ~max_level:3 ~max_facts:500 sigma db) in
       let idx = Engine.Index.of_instance inst in
-      let via_joiner = Engine.Joiner.answers_cq idx cq in
+      let via_joiner =
+        Engine.Joiner.fold (Cq.atoms cq) idx
+          (fun b acc ->
+            List.map (fun x -> VarMap.find x b) (Cq.answer cq) :: acc)
+          []
+        |> List.sort_uniq Stdlib.compare
+      in
       let naive =
         Homomorphism.fold_homs (Cq.atoms cq) inst
           (fun b acc ->
@@ -171,18 +177,19 @@ let prop_answer_sets_agree =
 (* Enumerate ≡ the seed generate-and-test answers                       *)
 (* ------------------------------------------------------------------ *)
 
-(* The seed implementation of Omq_eval.answers, kept verbatim as the
-   oracle: entailment-test every |adom|^arity candidate tuple over the
-   chased index. *)
+(* The seed implementation of Omq_eval.answers as the oracle:
+   entailment-test every |adom|^arity candidate tuple over the chased
+   store. The test runs on the reference Homomorphism search over the
+   store's facts, not on the compiled search the enumerator shares. *)
 let oracle_answers idx db q =
   let dom = Term.ConstSet.elements (Instance.dom db) in
+  let inst = Engine.Index.to_instance idx in
   let rec tuples n =
     if n = 0 then [ [] ]
     else
       List.concat_map (fun t -> List.map (fun c -> c :: t) dom) (tuples (n - 1))
   in
-  List.filter (fun c -> Engine.Joiner.entails_ucq idx q c)
-    (tuples (Ucq.arity q))
+  List.filter (fun c -> Ucq.entails inst q c) (tuples (Ucq.arity q))
   |> List.sort_uniq Stdlib.compare
 
 (* The chased store under test: the engine's own index, or one built
@@ -293,9 +300,10 @@ let test_index_postings () =
       (Instance.of_facts
          [ fact "S" [ "a"; "b" ]; fact "S" [ "a"; "c" ]; fact "S" [ "b"; "c" ] ])
   in
-  check_int "bucket (S,0,a)" 2 (Engine.Index.count_at idx "S" 0 (Named "a"));
-  check_int "bucket (S,1,c)" 2 (Engine.Index.count_at idx "S" 1 (Named "c"));
-  check_int "relation size" 3 (Engine.Index.count_of idx "S");
+  let count args = Engine.Joiner.fold [ atom "S" args ] idx (fun _ n -> n + 1) 0 in
+  check_int "bucket (S,0,a)" 2 (count [ Term.const "a"; v "y" ]);
+  check_int "bucket (S,1,c)" 2 (count [ v "x"; Term.const "c" ]);
+  check_int "relation size" 3 (count [ v "x"; v "y" ]);
   check "duplicate insert rejected" false
     (Engine.Index.insert (fact "S" [ "a"; "b" ]) idx);
   check_int "size unchanged" 3 (Engine.Index.size idx)
@@ -329,8 +337,8 @@ let test_delta_restriction () =
   in
   let idx = Engine.Index.of_instance inst in
   let body = [ atom "A" [ v "x" ]; atom "S" [ v "x"; v "y" ] ] in
-  let all = Engine.Joiner.all body idx in
-  check_int "unrestricted: one hom" 1 (List.length all);
+  check_int "unrestricted: one hom" 1
+    (Engine.Joiner.fold body idx (fun _ n -> n + 1) 0);
   let slot x = if x = "x" then 0 else 1 in
   let pivot = Engine.Index.compile_atom idx ~slot (List.hd body) in
   let rest = [| Engine.Index.compile_atom idx ~slot (List.nth body 1) |] in
@@ -456,6 +464,113 @@ let test_probe_sequence () =
   Alcotest.(check string) "restricted" "IIIPJJJJJJIIPJJJJIIPJJIP"
     (probe_sequence Chase.Restricted)
 
+(* The matcher behind Ground_closure and every certain-answer check
+   (Joiner.fold, Joiner.entails_cq), pinned on one fixed chased
+   instance: match counts, verdicts, the exact joiner.candidates /
+   joiner.backtracks / index.probes deltas, and one engine.join probe
+   hit per search. The goldens never see the ground closure's private
+   index, so this pin is what keeps that search node-for-node stable. *)
+let test_joiner_counter_pin () =
+  let sigma, db = Guarded_core.Workload.lubm ~universities:2 () in
+  Term.reset_nulls ();
+  let idx = Chase.index (Chase.run sigma db) in
+  let m = Engine.Index.metrics idx in
+  let counters () =
+    List.map (Obs.Metrics.count m)
+      [ "joiner.candidates"; "joiner.backtracks"; "index.probes" ]
+  in
+  let c = Term.const in
+  let bodies =
+    [
+      [ atom "MemberOf" [ v "x"; v "d" ]; atom "Student" [ v "x" ];
+        atom "Takes" [ v "x"; v "c" ] ];
+      [ atom "Teaches" [ v "p"; v "c" ]; atom "Takes" [ v "s"; v "c" ];
+        atom "MemberOf" [ v "s"; v "d" ]; atom "MemberOf" [ v "p"; v "d" ] ];
+      [ atom "AdvisedBy" [ v "s"; v "a" ]; atom "Faculty" [ v "a" ] ];
+      [ atom "MemberOf" [ v "x"; c "dept_1_0" ]; atom "Prof" [ v "x" ] ];
+      [ atom "MemberOf" [ v "x"; v "x" ] ];
+      [ atom "MemberOf" [ v "x"; c "nowhere" ] ];
+    ]
+  in
+  let q =
+    Cq.make ~answer:[ "s"; "d" ]
+      [ atom "Takes" [ v "s"; v "c" ]; atom "Teaches" [ v "p"; v "c" ];
+        atom "MemberOf" [ v "p"; v "d" ] ]
+  in
+  let tuples =
+    [
+      [ "student_0_0_0"; "dept_0_0" ]; [ "student_0_0_1"; "dept_0_0" ];
+      [ "student_1_1_2"; "dept_1_1" ]; [ "student_1_1_2"; "dept_0_0" ];
+      [ "prof_0_0_0"; "dept_0_0" ]; [ "nobody"; "dept_0_0" ];
+    ]
+  in
+  let joins = ref 0 in
+  Obs.Probe.install (fun p -> if p = "engine.join" then incr joins);
+  (* run [f] over [xs]: its results, the counter deltas and the
+     engine.join hits it caused *)
+  let measure f xs =
+    let c0 = counters () and j0 = !joins in
+    let rs = List.map f xs in
+    (rs, List.map2 ( - ) (counters ()) c0, !joins - j0)
+  in
+  let (homs, fold_deltas, fold_joins), (verdicts, entail_deltas, entail_joins) =
+    Fun.protect ~finally:Obs.Probe.clear (fun () ->
+        let folds =
+          measure
+            (fun body -> Engine.Joiner.fold body idx (fun _ n -> n + 1) 0)
+            bodies
+        in
+        ( folds,
+          measure
+            (fun t -> Engine.Joiner.entails_cq idx q (List.map Term.named t))
+            tuples ))
+  in
+  Alcotest.(check (list int)) "matches per body" [ 32; 12; 20; 3; 0; 0 ] homs;
+  Alcotest.(check (list int))
+    "fold: joiner.candidates / joiner.backtracks / index.probes" [ 207; 32; 114 ]
+    fold_deltas;
+  check_int "fold: one engine.join hit per call" (List.length bodies) fold_joins;
+  Alcotest.(check (list bool)) "entailment verdicts"
+    [ true; false; true; false; false; false ] verdicts;
+  Alcotest.(check (list int))
+    "entails_cq: joiner.candidates / joiner.backtracks / index.probes"
+    [ 13; 1; 16 ] entail_deltas;
+  check_int "entails_cq: one engine.join hit per call" (List.length tuples)
+    entail_joins
+
+(* Corners of candidate-answer entailment: an answer variable that
+   occurs in no atom accepts any constant (even one the store has never
+   seen) iff the body holds; an unknown constant bound to an atom
+   variable never matches; a tuple of the wrong arity is refused; a
+   Boolean query entails the empty tuple iff it holds. *)
+let test_entails_cq_corners () =
+  let idx =
+    Engine.Index.of_instance
+      (Instance.of_facts [ fact "A" [ "a" ]; fact "S" [ "a"; "b" ] ])
+  in
+  let entails q t = Engine.Joiner.entails_cq idx q (List.map Term.named t) in
+  let free = Cq.make ~answer:[ "x"; "z" ] [ atom "S" [ v "x"; v "y" ] ] in
+  check "free answer variable, known constant" true (entails free [ "a"; "b" ]);
+  check "free answer variable, unseen constant" true (entails free [ "a"; "zz" ]);
+  check "free answer variable, body fails" false (entails free [ "b"; "zz" ]);
+  let empty_body = Cq.make ~answer:[ "z" ] [ atom "T" [ v "x"; v "y" ] ] in
+  check "free answer variable, body never holds" false
+    (entails empty_body [ "a" ]);
+  let q = Cq.make ~answer:[ "x" ] [ atom "A" [ v "x" ] ] in
+  check "known constant" true (entails q [ "a" ]);
+  check "unknown constant on an atom variable" false (entails q [ "zz" ]);
+  check "arity too short" false (entails q []);
+  check "arity too long" false (entails q [ "a"; "a" ]);
+  let boolean = Cq.make [ atom "S" [ v "x"; v "y" ]; atom "A" [ v "x" ] ] in
+  check "boolean query holds" true (entails boolean []);
+  check "boolean query, non-empty tuple" false (entails boolean [ "a" ]);
+  check "boolean query fails" false
+    (entails (Cq.make [ atom "S" [ v "x"; v "x" ] ]) []);
+  check "ucq: some disjunct entails" true
+    (Engine.Joiner.entails_ucq idx
+       (Ucq.make [ Cq.make ~answer:[ "x" ] [ atom "B" [ v "x" ] ]; q ])
+       [ Term.named "a" ])
+
 let qcheck_tests =
   List.map QCheck_alcotest.to_alcotest
     [
@@ -483,6 +598,10 @@ let () =
           Alcotest.test_case "saturation stats" `Quick test_stats_reported;
           Alcotest.test_case "enumerate corners" `Quick test_enumerate_corners;
           Alcotest.test_case "probe sequence" `Quick test_probe_sequence;
+          Alcotest.test_case "joiner counter pin" `Quick
+            test_joiner_counter_pin;
+          Alcotest.test_case "entails_cq corners" `Quick
+            test_entails_cq_corners;
           Alcotest.test_case "saturation envelope" `Quick
             test_saturation_envelope;
         ] );

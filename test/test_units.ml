@@ -77,8 +77,8 @@ let test_instance_algebra () =
 
 let test_instance_predicates_tuples () =
   let i = Instance.of_facts [ fact "R" [ "a"; "b" ]; fact "R" [ "c"; "d" ] ] in
-  check_int "tuples_of" 2 (List.length (Instance.tuples_of "R" i));
-  check_int "missing pred" 0 (List.length (Instance.tuples_of "Z" i));
+  check_int "tuples" 2 (List.length (Instance.tuples "R" i));
+  check_int "missing pred" 0 (List.length (Instance.tuples "Z" i));
   check "predicates" true (Instance.predicates i = [ "R" ]);
   check "schema inferred" true
     (Schema.arity_of "R" (Instance.schema i) = Some 2)
