@@ -8,7 +8,8 @@
 # final record (simulated twice: once with an injected fsync fault, once
 # by dd-truncating the newest segment of a completed run) must be
 # truncated and replayed from the mutation log, never reported as
-# corruption.
+# corruption. A truncated only image, by contrast, must fail with a
+# diagnostic naming the file.
 #
 # Run from the repository root:  sh ci/crash_recovery.sh
 # Environment:
@@ -172,5 +173,27 @@ cmp -s "$TMP/ref.facts" "$TMP/dd.facts" || {
   exit 1
 }
 echo "crash_recovery: dd-truncated tail truncated and replayed"
+
+# ---- corrupt only image --------------------------------------------------
+
+# Truncate the only image of a completed WAL. Nothing is left to fall back
+# to, so recovery must fail as a runtime fault (exit 1) with a one-line
+# "error: wal:" diagnostic that names the file.
+rm -rf "$TMP/wal4"
+code=$(serve "$TMP/img.out" --wal "$TMP/wal4" --checkpoint-every 10)
+[ "$code" = 0 ] || { echo "crash_recovery: clean WAL run failed ($code)"; exit 1; }
+img=$(ls "$TMP/wal4"/image-*.json)
+[ "$(echo "$img" | wc -l)" = 1 ] || { echo "crash_recovery: expected one image"; exit 1; }
+dd if="$img" of="$img.cut" bs=1 count=100 2>/dev/null
+mv "$img.cut" "$img"
+code=$(serve "$TMP/img.rec.out" --wal "$TMP/wal4" --recover)
+[ "$code" = 1 ] || { echo "crash_recovery: corrupt image expected exit 1, got $code"; exit 1; }
+[ "$(wc -l < "$TMP/img.rec.out.err")" = 1 ] \
+  && grep -q "^error: wal: .*$img" "$TMP/img.rec.out.err" || {
+  echo "crash_recovery: corrupt image diagnostic is not one 'error: wal:' line naming $img"
+  cat "$TMP/img.rec.out.err"
+  exit 1
+}
+echo "crash_recovery: corrupt only image reported as a fault naming the file"
 
 echo "crash_recovery: OK"

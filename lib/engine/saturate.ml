@@ -20,11 +20,13 @@ type policy = Oblivious | Restricted
 type rule = { body : Atom.t list; head : Atom.t list }
 
 type snapshot = {
-  snap_facts : (Fact.t * int) list;  (** every fact with its s-level *)
+  snap_policy : policy;
   snap_level : int;
   snap_saturated : bool;
+  snap_null_count : int;
   snap_triggers_fired : int;
   snap_triggers_dismissed : int;
+  snap_facts : (Fact.t * int) list;
   snap_counters : (string * int) list;
 }
 
@@ -179,11 +181,13 @@ let exec ~policy ~budget ~span ~on_pass ~on_fire init prog =
   let overflow () = !violation <> None in
   let take_snapshot () =
     {
-      snap_facts = Index.ordered_facts idx;
+      snap_policy = policy;
       snap_level = !level;
       snap_saturated = !saturated;
+      snap_null_count = null_count ();
       snap_triggers_fired = !triggers_fired;
       snap_triggers_dismissed = !triggers_dismissed;
+      snap_facts = Index.ordered_facts idx;
       snap_counters = Obs.Metrics.counters (Index.metrics idx);
     }
   in
@@ -406,27 +410,20 @@ let continue ?(policy = Oblivious) ?(budget = Obs.Budget.unlimited) ?obs
   Obs.Span.exit span;
   r
 
-let resume ?(policy = Oblivious) ?(budget = Obs.Budget.unlimited) ?obs
-    ?on_pass ?on_fire rules (s : snapshot) =
+let resume ?(budget = Obs.Budget.unlimited) ?obs ?on_pass ?on_fire rules
+    (s : snapshot) =
+  (* Pin the null supply to the boundary. The snapshot's facts only hold
+     nulls ≤ [snap_null_count]; anything invented after the boundary (by
+     the interrupted attempt, possibly in another process) was discarded
+     with that attempt, so the ids may — and for cross-process alignment
+     with the uninterrupted run, must — be re-issued. *)
+  set_null_count s.snap_null_count;
   let span = make_span obs in
   let idx = Index.create () in
   List.iter (fun (f, level) -> ignore (Index.insert ~level f idx)) s.snap_facts;
-  (* Re-seed the counters to the checkpointed totals, cancelling the
-     increments of the rebuild itself, so a resumed run reports the same
-     counter values as an uninterrupted one. *)
-  let m = Index.metrics idx in
-  let names =
-    List.sort_uniq String.compare
-      (List.map fst s.snap_counters @ List.map fst (Obs.Metrics.counters m))
-  in
-  List.iter
-    (fun name ->
-      let saved =
-        match List.assoc_opt name s.snap_counters with Some v -> v | None -> 0
-      in
-      let c = Obs.Metrics.counter m name in
-      Obs.Metrics.add c (saved - Obs.Metrics.value c))
-    names;
+  (* cancel the rebuild's own increments: a resumed run reports the same
+     counter values as an uninterrupted one *)
+  Obs.Metrics.restore (Index.metrics idx) s.snap_counters;
   (* The semi-naive delta at a clean boundary is exactly the last level. *)
   let delta =
     keys idx
@@ -457,6 +454,9 @@ let resume ?(policy = Oblivious) ?(budget = Obs.Budget.unlimited) ?obs
       i_fpl = fpl;
     }
   in
-  let r = exec ~policy ~budget ~span ~on_pass ~on_fire init (program rules idx) in
+  let r =
+    exec ~policy:s.snap_policy ~budget ~span ~on_pass ~on_fire init
+      (program rules idx)
+  in
   Obs.Span.exit span;
   r

@@ -28,7 +28,9 @@ open Relational
 type policy = Oblivious | Restricted
 
 (** A TGD-shaped rule: non-empty head; head variables absent from the
-    body are existential and receive fresh labelled nulls at firing. *)
+    body are existential and receive fresh labelled nulls at firing.
+    [Tgds.Tgd.t] is a private alias of this type, so a TGD list coerces
+    to a rule list without a copy. *)
 type rule = { body : Atom.t list; head : Atom.t list }
 
 (** The engine state at a {e clean pass boundary} — a pass that completed
@@ -37,15 +39,19 @@ type rule = { body : Atom.t list; head : Atom.t list }
     is exactly the facts of [snap_level], and no trigger fired earlier can
     be re-enumerated from that delta (its body lies in levels
     ≤ [snap_level] − 1). The scalar fields carry the accumulated totals so
-    a resumed run reports the same statistics as an uninterrupted one. *)
+    a resumed run reports the same statistics as an uninterrupted one;
+    [snap_null_count] pins the fresh-null supply so resuming in another
+    process never re-issues a null id the snapshot holds. *)
 type snapshot = {
+  snap_policy : policy;
+  snap_level : int;  (** last completed pass = highest s-level *)
+  snap_saturated : bool;
+  snap_null_count : int;  (** {!Term.null_count} at the boundary *)
+  snap_triggers_fired : int;
+  snap_triggers_dismissed : int;
   snap_facts : (Fact.t * int) list;
       (** every fact with its s-level, in the store's storage order
           ({!Index.ordered_facts}) *)
-  snap_level : int;  (** last completed pass = highest s-level *)
-  snap_saturated : bool;
-  snap_triggers_fired : int;
-  snap_triggers_dismissed : int;
   snap_counters : (string * int) list;  (** index metrics, sorted by name *)
 }
 
@@ -94,17 +100,17 @@ val run :
   Instance.t ->
   result
 
-(** [resume ?policy ?budget ?obs ?on_pass rules snapshot] — continue a
+(** [resume ?budget ?obs ?on_pass rules snapshot] — continue a
     saturation from a checkpointed boundary. The index is rebuilt from the
-    snapshot's facts (metric counters re-seeded to the checkpointed
+    snapshot's facts (metric counters restored to the checkpointed
     totals), the delta is the facts of the last level, and the loop
     proceeds as if never interrupted: the continuation fires the same
     per-pass trigger sets, so the final result agrees with the
     uninterrupted run on facts (up to renaming of nulls invented after
-    the boundary), s-levels, trigger totals, and outcome. [policy],
-    [budget] and [rules] must match the original run. *)
+    the boundary), s-levels, trigger totals, and outcome. The policy is
+    the snapshot's; [budget] and [rules] must match the original run.
+    Side effect: the global null supply is reset to [snap_null_count]. *)
 val resume :
-  ?policy:policy ->
   ?budget:Obs.Budget.t ->
   ?obs:Obs.Span.t ->
   ?on_pass:(level:int -> saturated:bool -> (unit -> snapshot) -> unit) ->

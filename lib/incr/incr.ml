@@ -48,8 +48,7 @@ type t = {
   mutable level : int;  (* highest pass number handed to [continue] *)
   mutable sat : bool;
   mutable dirty : bool;  (* a mutation started changing state and died *)
-  (* maintenance counters, registered on the index's metrics registry so
-     they travel with the usual report plumbing *)
+  (* maintenance counters *)
   c_inserts : Obs.Metrics.counter;
   c_deletes : Obs.Metrics.counter;
   c_noops : Obs.Metrics.counter;
@@ -109,10 +108,33 @@ let kill t d =
 
 (* ---- construction ----------------------------------------------------- *)
 
-let rules_of sigma =
-  List.map
-    (fun t -> Engine.Saturate.{ body = Tgds.Tgd.body t; head = Tgds.Tgd.head t })
-    sigma
+(* A store over [idx], with the ledger tables that describe its facts.
+   The maintenance counters register on the index's metrics registry, so
+   they travel with the usual report plumbing. *)
+let make sigma idx ~base ~derivs ~uses ~fired ~level ~sat =
+  let m = Engine.Index.metrics idx in
+  let c name = Obs.Metrics.counter m ("incr." ^ name) in
+  {
+    prog =
+      Engine.Saturate.program
+        (sigma : Tgds.Tgd.t list :> Engine.Saturate.rule list)
+        idx;
+    idx;
+    base;
+    derivs;
+    uses;
+    fired;
+    level;
+    sat;
+    dirty = false;
+    c_inserts = c "inserts";
+    c_deletes = c "deletes";
+    c_noops = c "noops";
+    c_repaired = c "repaired";
+    c_overdeleted = c "overdeleted";
+    c_rederived = c "rederived";
+    c_deleted = c "deleted";
+  }
 
 let create ?engine ?max_level ?obs sigma db =
   let derivs = Hashtbl.create 1024
@@ -125,26 +147,8 @@ let create ?engine ?max_level ?obs sigma db =
   in
   let base = Hashtbl.create (Instance.size db) in
   Instance.iter (fun f -> Hashtbl.replace base f ()) db;
-  let idx = Tgds.Chase.index r in
-  let m = Engine.Index.metrics idx in
-  {
-    prog = Engine.Saturate.program (rules_of sigma) idx;
-    idx;
-    base;
-    derivs;
-    uses;
-    fired;
-    level = Tgds.Chase.max_level r;
-    sat = Tgds.Chase.saturated r;
-    dirty = false;
-    c_inserts = Obs.Metrics.counter m "incr.inserts";
-    c_deletes = Obs.Metrics.counter m "incr.deletes";
-    c_noops = Obs.Metrics.counter m "incr.noops";
-    c_repaired = Obs.Metrics.counter m "incr.repaired";
-    c_overdeleted = Obs.Metrics.counter m "incr.overdeleted";
-    c_rederived = Obs.Metrics.counter m "incr.rederived";
-    c_deleted = Obs.Metrics.counter m "incr.deleted";
-  }
+  make sigma (Tgds.Chase.index r) ~base ~derivs ~uses ~fired
+    ~level:(Tgds.Chase.max_level r) ~sat:(Tgds.Chase.saturated r)
 
 (* ---- the delta fixpoint over the live store --------------------------- *)
 
@@ -364,7 +368,7 @@ let canonical_levels t =
   done;
   lev
 
-let checkpoint t : Tgds.Chase.snapshot =
+let checkpoint t : Engine.Saturate.snapshot =
   ensure_saturated t;
   let lev = canonical_levels t in
   let snap_facts =
@@ -375,7 +379,7 @@ let checkpoint t : Tgds.Chase.snapshot =
   in
   let snap_level = List.fold_left (fun acc (_, l) -> max acc l) 0 snap_facts in
   {
-    Tgds.Chase.snap_policy = Tgds.Chase.Oblivious;
+    Engine.Saturate.snap_policy = Oblivious;
     snap_level;
     snap_saturated = true;
     snap_null_count = Term.null_count ();
@@ -385,11 +389,11 @@ let checkpoint t : Tgds.Chase.snapshot =
     snap_counters = Obs.Metrics.counters (metrics t);
   }
 
-let of_checkpoint ?obs sigma (s : Tgds.Chase.snapshot) =
+let of_checkpoint ?obs sigma (s : Engine.Saturate.snapshot) =
   let db =
     List.fold_left
       (fun acc (f, l) -> if l = 0 then Instance.add_fact f acc else acc)
-      Instance.empty s.Tgds.Chase.snap_facts
+      Instance.empty s.snap_facts
   in
   create ?obs sigma db
 
@@ -473,40 +477,10 @@ let of_image sigma (im : image) =
       List.iter (fun f -> push derivs f d) outs)
     im.im_ledger;
   Term.set_null_count im.im_null_count;
-  let m = Engine.Index.metrics idx in
-  (* re-seed every counter to the image's total, cancelling the rebuild's
-     own increments (the inserts above bumped [index.inserts] etc.) —
-     same trick as [Saturate.resume] *)
-  let names =
-    List.sort_uniq String.compare
-      (List.map fst im.im_counters @ List.map fst (Obs.Metrics.counters m))
-  in
-  List.iter
-    (fun name ->
-      let saved =
-        match List.assoc_opt name im.im_counters with Some v -> v | None -> 0
-      in
-      let c = Obs.Metrics.counter m name in
-      Obs.Metrics.add c (saved - Obs.Metrics.value c))
-    names;
-  {
-    prog = Engine.Saturate.program (rules_of sigma) idx;
-    idx;
-    base;
-    derivs;
-    uses;
-    fired;
-    level = im.im_level;
-    sat = true;
-    dirty = false;
-    c_inserts = Obs.Metrics.counter m "incr.inserts";
-    c_deletes = Obs.Metrics.counter m "incr.deletes";
-    c_noops = Obs.Metrics.counter m "incr.noops";
-    c_repaired = Obs.Metrics.counter m "incr.repaired";
-    c_overdeleted = Obs.Metrics.counter m "incr.overdeleted";
-    c_rederived = Obs.Metrics.counter m "incr.rederived";
-    c_deleted = Obs.Metrics.counter m "incr.deleted";
-  }
+  (* cancel the rebuild's own increments (the inserts above bumped
+     [index.inserts] etc.) *)
+  Obs.Metrics.restore (Engine.Index.metrics idx) im.im_counters;
+  make sigma idx ~base ~derivs ~uses ~fired ~level:im.im_level ~sat:true
 
 let report ?(name = "incr") ?span t =
   let rep = Obs.Report.create ~metrics:(metrics t) ?span name in

@@ -73,6 +73,10 @@ let counters m =
   Hashtbl.fold (fun name c acc -> (name, c.n) :: acc) m.cs []
   |> List.sort (fun (a, _) (b, _) -> String.compare a b)
 
+let restore m saved =
+  Hashtbl.iter (fun _ c -> c.n <- 0) m.cs;
+  List.iter (fun (name, v) -> (counter m name).n <- v) saved
+
 let absorb ~into src =
   List.iter (fun (name, v) -> add (counter into name) v) (counters src);
   (* histograms merge bucket-wise: counts and sums add, the extrema take

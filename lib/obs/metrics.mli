@@ -31,6 +31,13 @@ val observe : t -> string -> float -> unit
 (** All counters, sorted by name. *)
 val counters : t -> (string * int) list
 
+(** [restore m saved] — set every counter of [m] to its total in [saved]
+    ({!counters} of an earlier registry), registering missing names;
+    counters absent from [saved] drop to 0. A store rebuilt from a
+    checkpoint or image thus reports the totals of the run it continues,
+    not the increments of its own rebuild. *)
+val restore : t -> (string * int) list -> unit
+
 (** [absorb ~into src] — add every counter of [src] into [into]
     (registering missing names) and merge [src]'s histograms bucket-wise
     (counts and sums add; extrema combine pointwise). The query server

@@ -43,7 +43,9 @@ let run ?(policy = Tgds.Chase.Oblivious) ?budget ?(checkpoint_every = 1)
   let attempts () = List.rev !log in
   (* attempt [k] runs under trigger [k] of the plan *)
   let rec go k =
-    let resumed_from = Option.map (fun s -> s.Tgds.Chase.snap_level) !last_ck in
+    let resumed_from =
+      Option.map (fun s -> s.Engine.Saturate.snap_level) !last_ck
+    in
     let trig = Fault.trigger_for fault_plan ~attempt:k in
     match Fault.attempt (fun () -> Fault.with_trigger ?clock trig chase) with
     | Ok r -> if !log = [] then Completed r else Recovered (r, attempts ())

@@ -1,7 +1,6 @@
 (** Write-ahead mutation log; see the interface for the format and the
     durability contract. *)
 
-open Relational
 module J = Obs.Json
 
 type record = Op of int * Incr.op | Quarantine of int
@@ -47,79 +46,55 @@ let is_empty ~dir = fst (scan dir) = []
 
 (* ---- record codec ----------------------------------------------------- *)
 
-let bare_fact_to_json f =
-  J.Obj
-    [
-      ("p", J.String (Fact.pred f));
-      ("a", J.List (List.map Checkpoint.const_to_json (Fact.args f)));
-    ]
+module C = Checkpoint
 
-let bare_fact_of_json j =
-  match (J.member "p" j, J.member "a" j) with
-  | Some (J.String p), Some (J.List args) ->
-      let rec decode acc = function
-        | [] -> Ok (Fact.make p (List.rev acc))
-        | a :: rest -> (
-            match Checkpoint.const_of_json a with
-            | Ok c -> decode (c :: acc) rest
-            | Error _ as e -> e)
-      in
-      decode [] args
-  | _ -> Error (Printf.sprintf "wal: bad fact %s" (J.to_string j))
+let ( let* ) = Result.bind
 
 let record_to_json = function
   | Op (seq, op) ->
       let k, f =
         match op with Incr.Insert f -> ("+", f) | Incr.Delete f -> ("-", f)
       in
-      J.Obj
-        [
-          ("s", J.Int seq);
-          ("k", J.String k);
-          ("p", J.String (Fact.pred f));
-          ("a", J.List (List.map Checkpoint.const_to_json (Fact.args f)));
-        ]
+      J.Obj (("s", J.Int seq) :: ("k", J.String k) :: C.bare_fact_fields f)
   | Quarantine seq -> J.Obj [ ("s", J.Int seq); ("k", J.String "q") ]
 
 let record_of_json j =
-  match (J.member "s" j, J.member "k" j) with
-  | Some (J.Int seq), Some (J.String "q") -> Ok (Quarantine seq)
-  | Some (J.Int seq), Some (J.String (("+" | "-") as k)) ->
-      Result.map
-        (fun f ->
-          Op (seq, if k = "+" then Incr.Insert f else Incr.Delete f))
-        (bare_fact_of_json j)
-  | _ -> Error (Printf.sprintf "wal: bad record %s" (J.to_string j))
+  let* seq = C.field "s" C.int_f j in
+  let op mk = Result.map (fun f -> Op (seq, mk f)) (C.bare_fact_of_json j) in
+  match C.field "k" C.str_f j with
+  | Ok "q" -> Ok (Quarantine seq)
+  | Ok "+" -> op (fun f -> Incr.Insert f)
+  | Ok "-" -> op (fun f -> Incr.Delete f)
+  | _ -> Error "bad record kind"
 
 (* ---- image codec ------------------------------------------------------ *)
 
 let image_schema = "guarded-serve-image"
 let image_version = 2
 
-let key_to_json (rule, cs) =
+let ledger_entry_to_json ((rule, cs), body, outs) =
   J.Obj
     [
       ("r", J.Int rule);
       ( "k",
         J.List
-          (List.map
-             (function None -> J.Null | Some c -> Checkpoint.const_to_json c)
-             cs) );
+          (List.map (function None -> J.Null | Some c -> C.const_to_json c) cs)
+      );
+      ("b", J.List (List.map C.bare_fact_to_json body));
+      ("o", J.List (List.map C.bare_fact_to_json outs));
     ]
 
-let key_of_json j =
-  match (J.member "r" j, J.member "k" j) with
-  | Some (J.Int rule), Some (J.List cs) ->
-      let rec decode acc = function
-        | [] -> Ok (rule, List.rev acc)
-        | J.Null :: rest -> decode (None :: acc) rest
-        | c :: rest -> (
-            match Checkpoint.const_of_json c with
-            | Ok c -> decode (Some c :: acc) rest
-            | Error _ as e -> e)
-      in
-      decode [] cs
-  | _ -> Error (Printf.sprintf "wal: bad trigger key %s" (J.to_string j))
+let ledger_entry_of_json j =
+  let* rule = C.field "r" C.int_f j in
+  let* cs =
+    C.list_field "k"
+      (function
+        | J.Null -> Ok None | c -> Result.map Option.some (C.const_of_json c))
+      j
+  in
+  let* body = C.list_field "b" C.bare_fact_of_json j in
+  let* outs = C.list_field "o" C.bare_fact_of_json j in
+  Ok ((rule, cs), body, outs)
 
 let image_to_json ~seq (im : Incr.image) =
   J.Obj
@@ -127,99 +102,35 @@ let image_to_json ~seq (im : Incr.image) =
       ("schema", J.String image_schema);
       ("version", J.Int image_version);
       ("seq", J.Int seq);
-      ("level", J.Int im.Incr.im_level);
-      ("null_count", J.Int im.Incr.im_null_count);
-      ( "counters",
-        J.Obj (List.map (fun (k, v) -> (k, J.Int v)) im.Incr.im_counters) );
-      ("base", J.List (List.map bare_fact_to_json im.Incr.im_base));
+      ("level", J.Int im.im_level);
+      ("null_count", J.Int im.im_null_count);
+      ("counters", C.counters_to_json im.im_counters);
+      ("base", J.List (List.map C.bare_fact_to_json im.im_base));
       (* interning order is load-bearing — never sort these lists *)
-      ("syms", J.List (List.map Checkpoint.const_to_json im.Incr.im_syms));
-      ("preds", J.List (List.map (fun p -> J.String p) im.Incr.im_preds));
+      ("syms", J.List (List.map C.const_to_json im.im_syms));
+      ("preds", J.List (List.map (fun p -> J.String p) im.im_preds));
       (* storage order is load-bearing — never sort this list *)
-      ("facts", J.List (List.map Checkpoint.fact_to_json im.Incr.im_facts));
-      ( "ledger",
-        J.List
-          (List.map
-             (fun (key, body, outs) ->
-               match key_to_json key with
-               | J.Obj kvs ->
-                   J.Obj
-                     (kvs
-                     @ [
-                         ("b", J.List (List.map bare_fact_to_json body));
-                         ("o", J.List (List.map bare_fact_to_json outs));
-                       ])
-               | _ -> assert false)
-             im.Incr.im_ledger) );
+      ("facts", J.List (List.map C.fact_to_json im.im_facts));
+      ("ledger", J.List (List.map ledger_entry_to_json im.im_ledger));
     ]
 
-let ( let* ) = Result.bind
-
-let field name extract j =
-  match Option.map extract (J.member name j) with
-  | Some (Some v) -> Ok v
-  | _ -> Error (Printf.sprintf "wal: missing or bad image field %S" name)
-
-let int_f = function J.Int i -> Some i | _ -> None
-let str_f = function J.String s -> Some s | _ -> None
-
-let list_field name decode j =
-  match J.member name j with
-  | Some (J.List es) ->
-      let rec go acc = function
-        | [] -> Ok (List.rev acc)
-        | e :: rest -> (
-            match decode e with
-            | Ok v -> go (v :: acc) rest
-            | Error _ as err -> err)
-      in
-      go [] es
-  | _ -> Error (Printf.sprintf "wal: missing or bad image field %S" name)
-
 let image_of_json j =
-  let* sch = field "schema" str_f j in
-  let* () =
-    if sch = image_schema then Ok ()
-    else Error (Printf.sprintf "wal: unknown image schema %S" sch)
-  in
-  let* ver = field "version" int_f j in
-  let* () =
-    if ver = image_version then Ok ()
-    else Error (Printf.sprintf "wal: unsupported image version %d" ver)
-  in
-  let* seq = field "seq" int_f j in
-  let* level = field "level" int_f j in
-  let* null_count = field "null_count" int_f j in
-  let* counters =
-    match J.member "counters" j with
-    | Some (J.Obj kvs) ->
-        let rec decode acc = function
-          | [] -> Ok (List.rev acc)
-          | (k, J.Int v) :: rest -> decode ((k, v) :: acc) rest
-          | (k, _) :: _ -> Error (Printf.sprintf "wal: bad counter %S" k)
-        in
-        decode [] kvs
-    | _ -> Error "wal: missing or bad image field \"counters\""
-  in
-  let* base = list_field "base" bare_fact_of_json j in
-  let* syms = list_field "syms" Checkpoint.const_of_json j in
+  let* () = C.header ~schema:image_schema ~version:image_version j in
+  let* seq = C.field "seq" C.int_f j in
+  let* level = C.field "level" C.int_f j in
+  let* null_count = C.field "null_count" C.int_f j in
+  let* counters = C.counters_field j in
+  let* base = C.list_field "base" C.bare_fact_of_json j in
+  let* syms = C.list_field "syms" C.const_of_json j in
   let* preds =
-    list_field "preds"
-      (function
-        | J.String p -> Ok p
-        | e -> Error (Printf.sprintf "wal: bad predicate %s" (J.to_string e)))
+    C.list_field "preds"
+      (fun e -> Option.to_result ~none:"bad predicate" (C.str_f e))
       j
   in
-  let* facts = list_field "facts" Checkpoint.fact_of_json j in
-  let* ledger =
-    list_field "ledger"
-      (fun e ->
-        let* key = key_of_json e in
-        let* body = list_field "b" bare_fact_of_json e in
-        let* outs = list_field "o" bare_fact_of_json e in
-        Ok (key, body, outs))
-      j
-  in
+  let* facts = C.list_field "facts" C.fact_of_json j in
+  let* ledger = C.list_field "ledger" ledger_entry_of_json j in
+  (* every null of the store is interned, so [syms] holds them all *)
+  let* () = C.check_null_count null_count syms in
   Ok
     ( seq,
       {
@@ -235,8 +146,7 @@ let image_of_json j =
 
 (* ---- writing ---------------------------------------------------------- *)
 
-let write_image path ~seq image =
-  Checkpoint.write_atomic path (image_to_json ~seq image)
+let write_image path ~seq image = C.write_atomic path (image_to_json ~seq image)
 
 let open_segment path =
   let fd = Unix.openfile path [ O_WRONLY; O_CREAT; O_APPEND ] 0o644 in
@@ -318,16 +228,8 @@ type recovery = {
   rec_skipped_images : int;
 }
 
-let read_file path =
-  let ic = open_in_bin path in
-  Fun.protect
-    ~finally:(fun () -> close_in_noerr ic)
-    (fun () -> really_input_string ic (in_channel_length ic))
-
 let load_image path =
-  match read_file path with
-  | exception Sys_error msg -> Error (Printf.sprintf "wal: %s" msg)
-  | contents -> Result.bind (J.parse contents) image_of_json
+  Result.map_error C.error_message (C.decode_file ~tag:"wal" image_of_json path)
 
 let decode_line line =
   match String.index_opt line ' ' with
@@ -345,7 +247,7 @@ let decode_line line =
    torn (missing newline or failing its checksum): it is physically
    truncated away and counted. Anything else malformed is corruption. *)
 let read_segment ~last path =
-  let contents = read_file path in
+  let* contents = Result.map_error (( ^ ) "wal: ") (C.read_file path) in
   let n = String.length contents in
   let records = ref [] and truncated = ref 0 in
   let err = ref None in

@@ -12,7 +12,8 @@
       v}
       where the checksum covers exactly the JSON payload. A mutation
       record is [{"s": seq, "k": "+"|"-", "p": pred, "a": [const, …]}]
-      (constants spelled as in {!Checkpoint}); a quarantine marker
+      (written and read through {!Checkpoint}'s shared codec, so
+      constants and facts are spelled as in a checkpoint); a quarantine marker
       [{"s": seq, "k": "q"}] says the mutation recorded under [seq] was
       rejected after exhausting its retries and must be skipped on
       replay.
@@ -88,8 +89,9 @@ type recovery = {
 }
 
 (** [recover ~dir] — read the directory back; [Error] with a one-line
-    diagnostic when no image decodes or a non-final record is corrupt
-    (a torn {e final} record is truncated, not an error). *)
+    ["wal: …"] diagnostic naming the file when no image decodes, a
+    segment cannot be read, or a non-final record is corrupt (a torn
+    {e final} record is truncated, not an error). Never raises. *)
 val recover : dir:string -> (recovery, string) result
 
 (** No images in [dir] (missing, empty, or never rotated): nothing to
@@ -97,7 +99,8 @@ val recover : dir:string -> (recovery, string) result
 val is_empty : dir:string -> bool
 
 (** Image codec, exposed for tests: [image_of_json (image_to_json ~seq
-    im) = Ok (seq, im)]. *)
+    im) = Ok (seq, im)]. Decoding also rejects an image whose
+    [null_count] is below a null id of its [syms]. *)
 val image_to_json : seq:int -> Incr.image -> Obs.Json.t
 
 val image_of_json : Obs.Json.t -> (int * Incr.image, string) result

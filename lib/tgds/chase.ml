@@ -9,59 +9,9 @@ type result = {
   span : Obs.Span.t;  (** the [chase] span around the saturation's *)
 }
 
-type policy = Oblivious | Restricted
+type policy = Engine.Saturate.policy = Oblivious | Restricted
 type engine = [ `Indexed ]
-
-(** Chase state at a clean pass boundary; [snap_null_count] pins the
-    fresh-null supply so a cross-process resume never re-issues a null id
-    that already appears in the snapshot. *)
-type snapshot = {
-  snap_policy : policy;
-  snap_level : int;
-  snap_saturated : bool;
-  snap_null_count : int;
-  snap_triggers_fired : int;
-  snap_triggers_dismissed : int;
-  snap_facts : (Fact.t * int) list;
-  snap_counters : (string * int) list;
-}
-
-let to_engine_snapshot (s : snapshot) : Engine.Saturate.snapshot =
-  {
-    Engine.Saturate.snap_facts = s.snap_facts;
-    Engine.Saturate.snap_level = s.snap_level;
-    Engine.Saturate.snap_saturated = s.snap_saturated;
-    Engine.Saturate.snap_triggers_fired = s.snap_triggers_fired;
-    Engine.Saturate.snap_triggers_dismissed = s.snap_triggers_dismissed;
-    Engine.Saturate.snap_counters = s.snap_counters;
-  }
-
-let of_engine_snapshot ~policy (es : Engine.Saturate.snapshot) : snapshot =
-  {
-    snap_policy = policy;
-    snap_level = es.Engine.Saturate.snap_level;
-    snap_saturated = es.Engine.Saturate.snap_saturated;
-    snap_null_count = Term.null_count ();
-    snap_triggers_fired = es.Engine.Saturate.snap_triggers_fired;
-    snap_triggers_dismissed = es.Engine.Saturate.snap_triggers_dismissed;
-    snap_facts = es.Engine.Saturate.snap_facts;
-    snap_counters = es.Engine.Saturate.snap_counters;
-  }
-
-let engine_rules sigma =
-  List.map
-    (fun t -> Engine.Saturate.{ body = Tgd.body t; head = Tgd.head t })
-    sigma
-
-let engine_policy = function
-  | Oblivious -> Engine.Saturate.Oblivious
-  | Restricted -> Engine.Saturate.Restricted
-
-let engine_on_pass ~policy on_pass =
-  Option.map
-    (fun cb ~level ~saturated take ->
-      cb ~level ~saturated (fun () -> of_engine_snapshot ~policy (take ())))
-    on_pass
+type snapshot = Engine.Saturate.snapshot
 
 let make_budget ~max_level ~max_facts ~budget =
   let legacy =
@@ -88,25 +38,16 @@ let run ?engine:(_ : engine option) ?(policy = Oblivious) ?max_level ?max_facts
     ?budget ?obs ?on_pass ?on_fire sigma db =
   let budget = make_budget ~max_level ~max_facts ~budget in
   in_span obs (fun span ->
-      Engine.Saturate.run ~policy:(engine_policy policy) ~budget ~obs:span
-        ?on_pass:(engine_on_pass ~policy on_pass)
-        ?on_fire (engine_rules sigma) db)
+      Engine.Saturate.run ~policy ~budget ~obs:span ?on_pass ?on_fire
+        (sigma : Tgd.t list :> Engine.Saturate.rule list)
+        db)
 
-let resume ?max_level ?max_facts ?budget ?obs ?on_pass ?on_fire sigma
-    (s : snapshot) =
+let resume ?max_level ?max_facts ?budget ?obs ?on_pass ?on_fire sigma s =
   let budget = make_budget ~max_level ~max_facts ~budget in
-  (* Pin the null supply to the boundary. The snapshot's facts only hold
-     nulls ≤ [snap_null_count]; anything invented after the boundary (by
-     the interrupted attempt, possibly in another process) was discarded
-     with that attempt, so the ids may — and for cross-process alignment
-     with the uninterrupted run, must — be re-issued. *)
-  Term.set_null_count s.snap_null_count;
   in_span obs (fun span ->
-      Engine.Saturate.resume
-        ~policy:(engine_policy s.snap_policy)
-        ~budget ~obs:span
-        ?on_pass:(engine_on_pass ~policy:s.snap_policy on_pass)
-        ?on_fire (engine_rules sigma) (to_engine_snapshot s))
+      Engine.Saturate.resume ~budget ~obs:span ?on_pass ?on_fire
+        (sigma : Tgd.t list :> Engine.Saturate.rule list)
+        s)
 
 (** [instance r] — the chased instance. *)
 let instance (r : result) = Lazy.force r.instance

@@ -22,7 +22,7 @@ open Relational
 
 type result
 
-type policy =
+type policy = Engine.Saturate.policy =
   | Oblivious  (** the paper's semantics: fire regardless of the head *)
   | Restricted  (** skip triggers whose head is already satisfied *)
 
@@ -32,22 +32,9 @@ type engine = [ `Indexed ]
 
 (** The chase state at a {e clean pass boundary} — a pass that completed
     without a budget violation (including the final, saturation-
-    discovering pass). The facts with their s-levels determine the
-    continuation: the semi-naive delta is the last level. The scalar
-    totals let a resumed run report the same statistics as an
-    uninterrupted one; [snap_null_count] pins the fresh-null supply so
-    resuming in another process never re-issues a null id used by the
-    snapshot. *)
-type snapshot = {
-  snap_policy : policy;
-  snap_level : int;  (** last completed pass = highest s-level *)
-  snap_saturated : bool;
-  snap_null_count : int;  (** {!Term.null_count} at the boundary *)
-  snap_triggers_fired : int;
-  snap_triggers_dismissed : int;
-  snap_facts : (Fact.t * int) list;  (** every fact with its s-level *)
-  snap_counters : (string * int) list;  (** index metrics *)
-}
+    discovering pass): the engine's {!Engine.Saturate.snapshot}, which
+    {!Resil.Checkpoint} serialises. *)
+type snapshot = Engine.Saturate.snapshot
 
 (** [run ?engine ?policy ?max_level ?max_facts ?budget ?obs ?on_pass
     sigma db] — chase until saturation or until the strictest of
@@ -79,8 +66,8 @@ val run :
     result agrees on facts (up to renaming of nulls invented after the
     boundary), s-levels, trigger totals, and outcome. [sigma] and the
     effective budget must match the original run; the policy is the
-    snapshot's. Side effect: the global null supply is reset to
-    [snap_null_count]. *)
+    snapshot's. Side effect: the global null supply is reset to the
+    snapshot's null count ({!Engine.Saturate.resume}). *)
 val resume :
   ?max_level:int ->
   ?max_facts:int ->

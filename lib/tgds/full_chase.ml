@@ -21,12 +21,11 @@ let check_full sigma =
     [Invalid_argument] when some TGD is not full. *)
 let run ?(budget = Obs.Budget.unlimited) ?obs sigma db =
   check_full sigma;
-  let rules =
-    List.map
-      (fun t -> Engine.Saturate.{ body = Tgd.body t; head = Tgd.head t })
-      sigma
+  let r =
+    Engine.Saturate.run ~budget ?obs
+      (sigma : Tgd.t list :> Engine.Saturate.rule list)
+      db
   in
-  let r = Engine.Saturate.run ~budget ?obs rules db in
   (Engine.Index.to_instance r.Engine.Saturate.index, r.Engine.Saturate.outcome)
 
 (** [saturate sigma db] — {!run} without the outcome. *)

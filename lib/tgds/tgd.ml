@@ -8,7 +8,8 @@
 open Relational
 open Relational.Term
 
-type t = { body : Atom.t list; head : Atom.t list }
+(* the engine's rule type, so a TGD list is the engine's rule list *)
+type t = Engine.Saturate.rule = { body : Atom.t list; head : Atom.t list }
 
 let make ~body ~head =
   if head = [] then invalid_arg "Tgd.make: a TGD head is non-empty";

@@ -3,7 +3,10 @@
 
 open Relational
 
-type t
+(** A TGD is the saturation engine's rule: [(sigma : Tgd.t list :>
+    Engine.Saturate.rule list)] hands a rule set to the engine without a
+    copy. The type is private so {!make} still guards the head. *)
+type t = private Engine.Saturate.rule
 
 (** [make ~body ~head] — raises [Invalid_argument] on an empty head. *)
 val make : body:Atom.t list -> head:Atom.t list -> t

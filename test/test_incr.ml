@@ -99,7 +99,7 @@ let replay_base db ops =
     db ops
 
 let store_facts_levels store =
-  (Incr.checkpoint store).Tgds.Chase.snap_facts
+  (Incr.checkpoint store).Engine.Saturate.snap_facts
 
 (* maintained store ≡ fresh chase of the replayed base, facts and
    s-levels both, modulo a bijection on null ids *)
@@ -234,14 +234,14 @@ let test_checkpoint_canonical () =
   in
   Alcotest.(check bool)
     "levels match a fresh chase" true
-    (Generators.equal_upto_nulls snap.Tgds.Chase.snap_facts
+    (Generators.equal_upto_nulls snap.Engine.Saturate.snap_facts
        (Generators.facts_levels fresh));
   let store2 = Incr.of_checkpoint sigma snap in
   Alcotest.(check bool)
     "of_checkpoint rebuilds the store" true
     (Generators.equal_upto_nulls
        (store_facts_levels store2)
-       snap.Tgds.Chase.snap_facts);
+       snap.Engine.Saturate.snap_facts);
   let e = Incr.delete store2 (fact "A" [ "b" ]) in
   Alcotest.(check bool) "rebuilt store accepts mutations" false e.Incr.e_noop
 

@@ -282,7 +282,7 @@ let test_supervisor_checkpoints_to_disk () =
             (Resil.Checkpoint.error_message e)
       | Ok s ->
           check "final checkpoint is at the run's last boundary" true
-            (s.Chase.snap_level > 0))
+            (s.Engine.Saturate.snap_level > 0))
 
 (* ------------------------------------------------------------------ *)
 (* Fault plans                                                          *)
@@ -359,6 +359,14 @@ let contains_sub hay needle =
   let rec go i = i + ln <= lh && (String.sub hay i ln = needle || go (i + 1)) in
   go 0
 
+(* [with_field name value j] — the parsed object [j] with member [name]
+   replaced by [value]. *)
+let with_field name value = function
+  | Ok (Obs.Json.Obj kvs) ->
+      Obs.Json.Obj
+        (List.map (fun (k, v) -> if k = name then (k, value) else (k, v)) kvs)
+  | _ -> Alcotest.fail "literal is not a JSON object"
+
 let test_checkpoint_typed_errors () =
   (match Resil.Checkpoint.load "/no/such/checkpoint.json" with
   | Error (Resil.Checkpoint.Io msg) ->
@@ -401,19 +409,10 @@ let test_checkpoint_typed_errors () =
   Fun.protect
     ~finally:(fun () -> Sys.remove path)
     (fun () ->
-      let with_engine = function
-        | Ok (Obs.Json.Obj kvs) ->
-            Obs.Json.Obj
-              (List.map
-                 (function
-                   | "engine", _ -> ("engine", Obs.Json.String "quantum")
-                   | kv -> kv)
-                 kvs)
-        | _ -> Alcotest.fail "legacy checkpoint literal is not an object"
-      in
       let oc = open_out path in
       Obs.Json.to_channel oc
-        (with_engine (Obs.Json.parse legacy_naive_checkpoint));
+        (with_field "engine" (Obs.Json.String "quantum")
+           (Obs.Json.parse legacy_naive_checkpoint));
       close_out oc;
       match Resil.Checkpoint.load path with
       | Error (Resil.Checkpoint.Corrupt msg) ->
@@ -421,6 +420,29 @@ let test_checkpoint_typed_errors () =
       | Error (Resil.Checkpoint.Io _) ->
           Alcotest.fail "an unknown engine is Corrupt, not Io"
       | Ok _ -> Alcotest.fail "load of an unknown engine succeeded")
+
+(* Σ = {a(x) → ∃y s(x,y), s(x,y) → ∃z t(y,z)} with s(c,n1) stored but a
+   null counter of 0: resuming would invent n1 again, for t(n1,n1). *)
+let low_null_checkpoint =
+  {|{"schema":"guarded-chase-checkpoint","version":1,"engine":"indexed","policy":"oblivious","level":1,"saturated":false,"null_count":0,"triggers_fired":1,"triggers_dismissed":0,"counters":{},"facts":[{"p":"a","l":0,"a":["c"]},{"p":"s","l":1,"a":["c",{"n":1}]}]}|}
+
+let test_checkpoint_rejects_low_null_count () =
+  let path = Filename.temp_file "resil_low_null_ck" ".json" in
+  Fun.protect
+    ~finally:(fun () -> Sys.remove path)
+    (fun () ->
+      let oc = open_out_bin path in
+      output_string oc low_null_checkpoint;
+      close_out oc;
+      match Resil.Checkpoint.load path with
+      | Error (Resil.Checkpoint.Corrupt msg) ->
+          check "diagnostic names null_count" true
+            (contains_sub msg "null_count");
+          check "diagnostic names the file" true
+            (contains_sub msg (Filename.basename path))
+      | Error (Resil.Checkpoint.Io _) ->
+          Alcotest.fail "a low null_count is Corrupt, not Io"
+      | Ok _ -> Alcotest.fail "a checkpoint with a low null_count loaded")
 
 (* ------------------------------------------------------------------ *)
 (* CRC32 and the WAL                                                    *)
@@ -594,6 +616,89 @@ let test_wal_image_codec_roundtrip () =
       check "image round-trips" true (im' = im);
       check "serialisation is stable" true
         (Obs.Json.to_string (Resil.Wal.image_to_json ~seq:7 im') = str)
+
+(* [image_to_json ~seq:1] of the [serve_sigma] store after deleting A(a),
+   recorded when image v2 was the current format. It pins the bytes: a
+   codec change that moves one of them fails here. *)
+let pinned_v2_image =
+  {|{"schema":"guarded-serve-image","version":2,"seq":1,"level":2,"null_count":2,"counters":{"incr.deleted":3,"incr.deletes":1,"incr.inserts":0,"incr.noops":0,"incr.overdeleted":3,"incr.rederived":0,"incr.repaired":0,"index.duplicates":0,"index.inserts":6,"index.probes":0,"index.removes":3,"joiner.backtracks":0,"joiner.candidates":4},"base":[{"p":"A","a":["b"]}],"syms":["a","b",{"n":1},{"n":2}],"preds":["A","B","S"],"facts":[{"p":"A","l":0,"a":["b"]},{"p":"B","l":1,"a":["b"]},{"p":"S","l":2,"a":["b",{"n":1}]}],"ledger":[{"r":0,"k":["b"],"b":[{"p":"A","a":["b"]}],"o":[{"p":"B","a":["b"]}]},{"r":1,"k":["b"],"b":[{"p":"B","a":["b"]}],"o":[{"p":"S","a":["b",{"n":1}]}]}]}|}
+
+let test_wal_pinned_v2_image () =
+  match Result.bind (Obs.Json.parse pinned_v2_image) Resil.Wal.image_of_json with
+  | Error e -> Alcotest.failf "pinned v2 image does not decode: %s" e
+  | Ok (seq, im) ->
+      check_int "seq" 1 seq;
+      let rebuilt = Incr.of_image serve_sigma im in
+      Alcotest.(check string)
+        "of_image → image → image_to_json is byte-identical" pinned_v2_image
+        (Obs.Json.to_string
+           (Resil.Wal.image_to_json ~seq:1 (Incr.image rebuilt)))
+
+(* syms hold the nulls 1 and 2; a null counter of 0 would re-issue them *)
+let test_wal_image_rejects_low_null_count () =
+  let j =
+    with_field "null_count" (Obs.Json.Int 0) (Obs.Json.parse pinned_v2_image)
+  in
+  match Resil.Wal.image_of_json j with
+  | Error msg ->
+      check "diagnostic names null_count" true (contains_sub msg "null_count")
+  | Ok _ -> Alcotest.fail "an image with null_count below its nulls decoded"
+
+(* A crash in the middle of a rotate: image-N is on disk, the segment
+   wal-N is not, and image-N is corrupt. Recovery falls back to image-0
+   and replays all of wal-0. *)
+let test_wal_falls_back_past_corrupt_image () =
+  Term.reset_nulls ();
+  let store = Incr.create serve_sigma serve_db in
+  with_tmpdir (fun dir ->
+      let w = Resil.Wal.create ~dir (Incr.image store) in
+      let ops =
+        [ Incr.Insert (fact "A" [ "c" ]); Incr.Delete (fact "A" [ "a" ]) ]
+      in
+      List.iteri
+        (fun i op ->
+          Resil.Wal.append w (Resil.Wal.Op (i + 1, op));
+          ignore (Incr.apply store op))
+        ops;
+      Resil.Wal.close w;
+      let expected =
+        Obs.Json.to_string (Resil.Wal.image_to_json ~seq:2 (Incr.image store))
+      in
+      let path = Filename.concat dir "image-2.json" in
+      let oc = open_out_bin path in
+      output_string oc (String.sub expected 0 (String.length expected / 2));
+      close_out oc;
+      match Resil.Wal.recover ~dir with
+      | Error e -> Alcotest.failf "recovery should fall back: %s" e
+      | Ok r ->
+          check_int "image-0 picked" 0 r.Resil.Wal.rec_image_seq;
+          check_int "one skipped image" 1 r.Resil.Wal.rec_skipped_images;
+          check_int "all of wal-0 replayed" 2 (List.length r.Resil.Wal.rec_ops);
+          let rebuilt = Incr.of_image serve_sigma r.Resil.Wal.rec_image in
+          List.iter
+            (fun (_, op) -> ignore (Incr.apply rebuilt op))
+            r.Resil.Wal.rec_ops;
+          Alcotest.(check string)
+            "recovered store ≡ uninterrupted store" expected
+            (Obs.Json.to_string
+               (Resil.Wal.image_to_json ~seq:2 (Incr.image rebuilt))))
+
+let test_wal_recover_unreadable_segment () =
+  Term.reset_nulls ();
+  let store = Incr.create serve_sigma serve_db in
+  with_tmpdir (fun dir ->
+      let w = Resil.Wal.create ~dir (Incr.image store) in
+      Resil.Wal.close w;
+      let seg = Filename.concat dir "wal-0.log" in
+      Sys.remove seg;
+      Sys.mkdir seg 0o755;
+      match Resil.Wal.recover ~dir with
+      | exception e ->
+          Alcotest.failf "recover raised %s" (Printexc.to_string e)
+      | Ok _ -> Alcotest.fail "a directory is not a readable segment"
+      | Error msg ->
+          check "wal: prefix" true (String.starts_with ~prefix:"wal: " msg);
+          check "names the segment" true (contains_sub msg seg))
 
 (* ------------------------------------------------------------------ *)
 (* Sequential fault plans                                               *)
@@ -785,6 +890,8 @@ let () =
             test_fault_arm_determinism;
           Alcotest.test_case "checkpoint errors are typed" `Quick
             test_checkpoint_typed_errors;
+          Alcotest.test_case "checkpoint null_count covers its nulls" `Quick
+            test_checkpoint_rejects_low_null_count;
           Alcotest.test_case "crc32" `Quick test_crc32;
           Alcotest.test_case "fault sequential plans" `Quick test_fault_arm_seq;
           Alcotest.test_case "fault suspension" `Quick test_fault_suspended;
@@ -801,6 +908,14 @@ let () =
             test_wal_rejects_interior_corruption;
           Alcotest.test_case "image codec round-trip" `Quick
             test_wal_image_codec_roundtrip;
+          Alcotest.test_case "pinned v2 image re-serialises" `Quick
+            test_wal_pinned_v2_image;
+          Alcotest.test_case "image null_count covers its nulls" `Quick
+            test_wal_image_rejects_low_null_count;
+          Alcotest.test_case "corrupt newer image is fallen past" `Quick
+            test_wal_falls_back_past_corrupt_image;
+          Alcotest.test_case "unreadable segment is an error" `Quick
+            test_wal_recover_unreadable_segment;
         ] );
       ( "ladder",
         [
