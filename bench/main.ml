@@ -767,7 +767,19 @@ let e18 ~full () =
       Tgds.Chase.run ~policy:Tgds.Chase.Oblivious ~max_level
         sigma inst
     in
-    let store = Incr.create ~max_level sigma db in
+    (* what the maintained store costs to build: the chase plus the
+       derivation ledger; the minor heap is flushed before the second
+       reading so promotions are counted *)
+    Gc.full_major ();
+    let s0 = Gc.quick_stat () in
+    let store, create_s =
+      time_once (fun () -> Incr.create ~max_level sigma db)
+    in
+    Gc.minor ();
+    let s1 = Gc.quick_stat () in
+    let create_minor =
+      (s1.Gc.minor_words -. s0.Gc.minor_words) /. float_of_int (Incr.size store)
+    in
     (* insert: maintain the store vs re-chase the post-insert database *)
     let db_ins = Instance.add_fact ins db in
     let t_rechase_ins = measure ~repeat:1 (fun () -> ignore (rechase db_ins)) in
@@ -790,12 +802,13 @@ let e18 ~full () =
     let emit op maintain_s rechase_s chased agree =
       rows :=
         ( Printf.sprintf "incr-%s-%s" workload op,
-          Instance.size db, chased, maintain_s, rechase_s, agree )
+          Instance.size db, chased, maintain_s, rechase_s, agree,
+          (create_s, create_minor) )
         :: !rows;
-      row "  %-26s %8d %10d %12.6f %12.4f %9.0fx %6b@."
+      row "  %-26s %8d %10d %12.6f %12.4f %9.0fx %6b %10.4f %8.1f@."
         (Printf.sprintf "%s %s" workload op)
         (Instance.size db) chased maintain_s rechase_s
-        (rechase_s /. maintain_s) agree
+        (rechase_s /. maintain_s) agree create_s create_minor
     in
     emit "insert" t_ins t_rechase_ins
       (Instance.size (Tgds.Chase.instance fresh_ins))
@@ -804,8 +817,9 @@ let e18 ~full () =
       (Instance.size (Tgds.Chase.instance fresh_del))
       agree_del
   in
-  row "  %-26s %8s %10s %12s %12s %9s %6s@." "workload" "||D||" "chased"
-    "maintain(s)" "rechase(s)" "speedup" "agree";
+  row "  %-26s %8s %10s %12s %12s %9s %6s %10s %8s@." "workload" "||D||"
+    "chased" "maintain(s)" "rechase(s)" "speedup" "agree" "create(s)"
+    "minor/f";
   List.iter
     (fun u ->
       let sigma, db = Workload.lubm ~universities:u () in
@@ -823,7 +837,7 @@ let e18 ~full () =
     (if full then [ 2000; 4000 ] else [ 2000 ]);
   let entries =
     List.rev_map
-      (fun (w, d, c, tm, tr, agree) ->
+      (fun (w, d, c, tm, tr, agree, (create_s, create_minor)) ->
         Obs.Json.Obj
           [
             ("workload", Obs.Json.String w);
@@ -833,6 +847,10 @@ let e18 ~full () =
             ("rechase_s", Obs.Json.Float tr);
             ("speedup", Obs.Json.Float (tr /. tm));
             ("agree", Obs.Json.Bool agree);
+            ("create_s", Obs.Json.Float create_s);
+            ("create_minor_words_per_fact", Obs.Json.Float create_minor);
+            ("cores", Obs.Json.Int (Domain.recommended_domain_count ()));
+            ("ocaml", Obs.Json.String Sys.ocaml_version);
           ])
       !rows
   in

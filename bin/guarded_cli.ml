@@ -322,6 +322,9 @@ let serve_cmd =
                 let n = Array.length muts in
                 let sigma = p.Syntax.Parser.tgds in
                 let span = Obs.Span.root "serve" in
+                (* only --stats reads the per-mutation spans: without it
+                   they would grow the tree by a subtree per mutation *)
+                let mut_obs = Option.map (fun _ -> span) stats in
                 let resilient =
                   wal_dir <> None || recover || retries <> None
                   || fault_plan <> None
@@ -450,10 +453,10 @@ let serve_cmd =
                           (fun w -> Resil.Wal.append w (Resil.Wal.Op (seq, op)))
                           wal;
                         if not resilient then
-                          print_effect op (Incr.apply ~obs:span !store op)
+                          print_effect op (Incr.apply ?obs:mut_obs !store op)
                         else
                           match
-                            Sup.apply ?retries ~obs:span ~restore ~rechase
+                            Sup.apply ?retries ?obs:mut_obs ~restore ~rechase
                               ~store op
                           with
                           | Sup.Applied (eff, steps) ->

@@ -145,10 +145,10 @@ let key_find idx f =
         Some key
       with Unknown -> None)
 
+let mem_key key idx = Keytbl.mem idx.members key
+
 let mem f idx =
-  match key_find idx f with
-  | None -> false
-  | Some key -> Keytbl.mem idx.members key
+  match key_find idx f with None -> false | Some key -> mem_key key idx
 
 let key = key_find
 let size idx = Keytbl.length idx.members
@@ -260,35 +260,35 @@ let insert ?(level = 0) f idx =
     true
   end
 
-(** [remove f idx] — delete [f]; [false] when it was not present.
-    Posting lists are pruned eagerly (order-preserving compaction, with
-    empty posting vectors dropped) so candidate counts stay exact, and
-    the freed row slot is recycled. *)
-let remove f idx =
-  match key_find idx f with
+(** [remove_key key idx] — delete the fact with interned [key]; [false]
+    when it was not present. Posting lists are pruned eagerly
+    (order-preserving compaction, with empty posting vectors dropped) so
+    candidate counts stay exact, and the freed row slot is recycled. *)
+let remove_key key idx =
+  match Keytbl.find_opt idx.members key with
   | None -> false
-  | Some key -> (
-      match Keytbl.find_opt idx.members key with
-      | None -> false
-      | Some packed ->
-          Obs.Metrics.incr idx.c_removes;
-          Keytbl.remove idx.members key;
-          let pid = key.(0) and arity = Array.length key - 1 in
-          let e = match entry idx pid with Some e -> e | None -> assert false in
-          ignore (Vec.remove_value e.e_order packed);
-          for i = 0 to arity - 1 do
-            let tbl = e.e_at.(i) in
-            let cid = key.(i + 1) in
-            match Hashtbl.find_opt tbl cid with
-            | None -> ()
-            | Some v ->
-                ignore (Vec.remove_value v packed);
-                if Vec.length v = 0 then Hashtbl.remove tbl cid
-          done;
-          (match rel_find e arity with
-          | Some r -> Vec.push r.r_free (row_of_packed packed)
-          | None -> ());
-          true)
+  | Some packed ->
+      Obs.Metrics.incr idx.c_removes;
+      Keytbl.remove idx.members key;
+      let pid = key.(0) and arity = Array.length key - 1 in
+      let e = match entry idx pid with Some e -> e | None -> assert false in
+      ignore (Vec.remove_value e.e_order packed);
+      for i = 0 to arity - 1 do
+        let tbl = e.e_at.(i) in
+        let cid = key.(i + 1) in
+        match Hashtbl.find_opt tbl cid with
+        | None -> ()
+        | Some v ->
+            ignore (Vec.remove_value v packed);
+            if Vec.length v = 0 then Hashtbl.remove tbl cid
+      done;
+      (match rel_find e arity with
+      | Some r -> Vec.push r.r_free (row_of_packed packed)
+      | None -> ());
+      true
+
+let remove f idx =
+  match key_find idx f with None -> false | Some key -> remove_key key idx
 
 let add f idx =
   ignore (insert f idx);
@@ -353,19 +353,39 @@ let fold_levels f idx acc =
 
 (* Storage order: [e_order] only ever sees order-preserving removals, so
    replaying the returned facts into a fresh store rebuilds every posting
-   list in the same relative order this store presents. *)
-let ordered_facts idx =
+   list in the same relative order this store presents. Each decoded fact
+   is also filed under its row, per predicate and arity, so the lookup
+   returns that same [Fact.t] for a stored key without decoding again. *)
+let decode_ordered idx =
   let st = idx.symtab in
+  let dummy = Fact.make "" [] in
+  let memo = Array.make (Array.length idx.tabs.entries) [] in
   let out = ref [] in
   iter_rows
     (fun pid r row ->
+      let facts =
+        match List.assq r memo.(pid) with
+        | a -> a
+        | exception Not_found ->
+            let a = Array.make r.r_rows dummy in
+            memo.(pid) <- (r, a) :: memo.(pid);
+            a
+      in
       let f =
         Fact.make (Symtab.extern_pred st pid)
           (List.init r.r_arity (fun i -> Symtab.extern st (Vec.get r.r_cols.(i) row)))
       in
+      facts.(row) <- f;
       out := (f, Vec.get r.r_level row) :: !out)
     idx;
-  List.rev !out
+  let lookup key =
+    let packed = Keytbl.find idx.members key in
+    let r = rel_of_packed idx key.(0) packed in
+    (List.assq r memo.(key.(0))).(row_of_packed packed)
+  in
+  (List.rev !out, lookup)
+
+let ordered_facts idx = fst (decode_ordered idx)
 
 let to_instance idx =
   Keytbl.fold
@@ -588,20 +608,7 @@ let scratch_key ca ~benv =
 let catom_level idx ca ~benv =
   if scratch_key ca ~benv then max 0 (key_level idx ca.c_trail) else 0
 
-let catom_fact idx ca ~benv =
-  let st = idx.symtab in
-  Fact.make (Atom.pred ca.c_atom)
-    (List.mapi
-       (fun i t ->
-         let c = ca.c_cells.(i) in
-         if c >= 0 then Symtab.extern st c
-         else
-           match t with
-           | Const k -> k
-           | Var _ ->
-               let v = benv.(ca.c_slots.(i)) in
-               if c = -3 then Null v else Symtab.extern st v)
-       (Atom.args ca.c_atom))
+let catom_key ca = Array.copy ca.c_trail
 
 (* Insert the head [ca] under [benv], interning exactly as [key_intern]
    does on the decoded fact: the predicate first, then the arguments left

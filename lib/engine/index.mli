@@ -39,6 +39,13 @@ val to_instance : t -> Instance.t
     state may differ; neither is observable through the matching API). *)
 val ordered_facts : t -> (Fact.t * int) list
 
+(** [decode_ordered idx] — {!ordered_facts}, and a lookup from the key of
+    any stored fact to the very [Fact.t] of that list: a writer that names
+    stored facts many times (an image's ledger) decodes each one once and
+    shares it. The lookup raises [Not_found] for a key not stored, and is
+    valid only until the store next changes. *)
+val decode_ordered : t -> (Fact.t * int) list * (int array -> Fact.t)
+
 (** [add f idx] — file [f] under every argument position. No-op when the
     fact is already present. Mutates [idx] in place and returns it. *)
 val add : Fact.t -> t -> t
@@ -75,6 +82,25 @@ module Keytbl : Hashtbl.S with type key = int array
 (** [key idx f] — the interned key of [f] when all its symbols are
     interned (e.g. when [f] is stored); never assigns ids. *)
 val key : t -> Fact.t -> int array option
+
+(** [decode_key idx key] — the fact an interned key names. *)
+val decode_key : t -> int array -> Fact.t
+
+(** {2 Operations by interned key}
+
+    The fact-level {!mem}, {!remove} and {!level} on a key the caller
+    already holds: no symbol lookups. The incremental maintenance ledger
+    runs on these. *)
+
+val mem_key : int array -> t -> bool
+
+(** [remove_key key idx] — {!remove}; [remove f] is [remove_key] of
+    [f]'s key. *)
+val remove_key : int array -> t -> bool
+
+(** [key_level idx key] — the s-level of the stored fact, [-1] when it
+    is not stored. Allocation free. *)
+val key_level : t -> int array -> int
 
 (** Number of (distinct) facts. *)
 val size : t -> int
@@ -160,13 +186,16 @@ val catom_level : t -> catom -> benv:int array -> int
     denotes under [benv] (every variable bound); 0 when it is not
     stored. *)
 
-val catom_fact : t -> catom -> benv:int array -> Fact.t
-(** [catom_fact idx ca ~benv] — the fact [ca] denotes under [benv] (every
-    variable bound; existential slots hold null payloads). *)
+val catom_key : catom -> int array
+(** [catom_key ca] — a copy of the fact key last built in [ca]'s
+    scratch: by {!catom_level} for a body atom, by {!insert_key} for a
+    head atom (existentials interned). The firing path reads a fired
+    trigger's body and head keys back this way. *)
 
 val insert_key : t -> level:int -> catom -> benv:int array -> int array option
-(** [insert_key idx ~level ca ~benv] — {!insert} of {!catom_fact}[ ca],
-    straight from interned ids: interns the predicate, then the
+(** [insert_key idx ~level ca ~benv] — {!insert} of the fact [ca]
+    denotes under [benv] (every variable bound; existential slots hold
+    null payloads), straight from interned ids: interns the predicate, then the
     arguments left to right (exactly {!insert}'s order), hits
     ["engine.insert"] and counts [index.inserts]/[index.duplicates].
     Returns the new fact's key, or [None] when it was already stored. *)

@@ -42,10 +42,9 @@ type result = {
 }
 
 type firing = {
-  fire_rule : int;
-  fire_key : int * const option list;
-  fire_body : Fact.t list;
-  fire_outs : (Fact.t * bool) list;
+  fire_key : int array;
+  fire_body : int array array;
+  fire_outs : int array array;
 }
 
 (* A rule's slot layout: body variables take slots [0 .. nbody-1] in
@@ -265,11 +264,11 @@ let exec ~policy ~budget ~span ~on_pass ~on_fire init prog =
           let new_count = ref 0 in
           let land_head ~level ~benv h =
             match Index.insert_key idx ~level h ~benv with
-            | Some k ->
+            | Some k as landed ->
                 incr new_count;
                 new_delta := k :: !new_delta;
-                true
-            | None -> false
+                landed
+            | None -> None
           in
           List.iter
             (fun key ->
@@ -297,24 +296,19 @@ let exec ~policy ~budget ~span ~on_pass ~on_fire init prog =
                       ignore (land_head ~level:head_level ~benv p.p_heads.(j))
                     done
                 | Some cb ->
-                    let fact ca = Index.catom_fact idx ca ~benv in
-                    let body = List.map fact (Array.to_list p.p_body) in
-                    let outs =
-                      List.map
-                        (fun h ->
-                          let fresh = land_head ~level:head_level ~benv h in
-                          (fact h, fresh))
-                        (Array.to_list p.p_heads)
-                    in
-                    let st = Index.symtab idx in
-                    cb
-                      {
-                        fire_rule = i;
-                        fire_key =
-                          (i, List.init l.l_nbody (fun s -> Some (Symtab.extern st key.(s + 1))));
-                        fire_body = body;
-                        fire_outs = outs;
-                      });
+                    (* the body keys sit in the body atoms' scratch since
+                       [catom_level]; a new head fact's key is the one the
+                       store now holds, a duplicate's is read back *)
+                    let body = Array.map Index.catom_key p.p_body in
+                    let outs = Array.make (Array.length p.p_heads) [||] in
+                    for j = 0 to Array.length p.p_heads - 1 do
+                      let h = p.p_heads.(j) in
+                      outs.(j) <-
+                        (match land_head ~level:head_level ~benv h with
+                        | Some k -> k
+                        | None -> Index.catom_key h)
+                    done;
+                    cb { fire_key = key; fire_body = body; fire_outs = outs });
                 Array.fill benv 0 (Array.length benv) (-1);
                 (* the budget is re-checked trigger-atomically: the
                    overflowing trigger's whole head lands (matching the
@@ -385,7 +379,8 @@ let run ?(policy = Oblivious) ?(budget = Obs.Budget.unlimited) ?obs ?on_pass
 
 (** [continue ... prog ~level delta] — run the delta
     fixpoint over an {e existing} store: passes enumerate only triggers
-    whose body touches [delta] (then the facts those produce, and so on)
+    whose body touches [delta], the interned keys of facts already stored
+    (then the facts those produce, and so on)
     until saturation. The trigger-key table starts empty — sound whenever
     every previously fired trigger has no body fact in the transitive
     delta, which is the incremental-maintenance invariant (a fired
@@ -397,7 +392,7 @@ let continue ?(policy = Oblivious) ?(budget = Obs.Budget.unlimited) ?obs
   let span = make_span obs in
   let init =
     {
-      i_delta = keys prog.g_idx delta;
+      i_delta = delta;
       i_level = level;
       i_saturated = false;
       i_first_pass = false;

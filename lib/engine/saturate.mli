@@ -69,14 +69,21 @@ type result = {
 
 (** One trigger firing, reported to [?on_fire] as it happens — the hook
     the incremental-maintenance ledger records derivations with, in
-    firing order. *)
+    firing order. Everything is interned against the run's store
+    ({!Index.decode_key} names a fact key), and nothing is boxed: the
+    keys are read back from the compiled rule's scratch, and a head fact
+    new to the store shares the store's own key array. The arrays are
+    the callee's to keep and must not be mutated. *)
 type firing = {
-  fire_rule : int;  (** index into the rule list *)
-  fire_key : int * Term.const option list;
-      (** the trigger's identity: rule index + body-variable image *)
-  fire_body : Fact.t list;  (** grounded body, in body-atom order *)
-  fire_outs : (Fact.t * bool) list;
-      (** grounded head facts; [true] = fact was new to the store *)
+  fire_key : int array;
+      (** the trigger's identity [[| rule; cid… |]]: the rule index,
+          then the image of the body variables in [VarSet] order *)
+  fire_body : int array array;
+      (** the grounded body's fact keys [[| pid; cid… |]], in body-atom
+          order *)
+  fire_outs : int array array;
+      (** the grounded head's fact keys, in head-atom order; existential
+          positions hold the interned fresh nulls *)
 }
 
 (** [run ?policy ?budget ?obs ?on_pass rules db] — saturate [db] under
@@ -133,7 +140,8 @@ val program : rule list -> Index.t -> program
     store after [delta] has been added to it: pass [level + 1] enumerates
     the triggers whose body touches [delta], and the loop runs to
     saturation (or a budget cut). [prog]'s store is mutated in place,
-    s-levels included; [delta]'s facts must already be stored in it.
+    s-levels included; [delta] holds the interned keys of facts already
+    stored in it.
 
     This is the incremental-maintenance entry point. Its trigger-key
     table starts empty, which is sound iff no previously fired trigger
@@ -150,5 +158,5 @@ val continue :
   ?on_fire:(firing -> unit) ->
   program ->
   level:int ->
-  Fact.t list ->
+  int array list ->
   result

@@ -1,12 +1,21 @@
 (** Incremental chase maintenance; see the interface for the contract.
 
-    The ledger is three hash tables over one mutable [derivation] record
-    per fired trigger: [derivs] maps a fact to the derivations producing
-    it, [uses] maps a fact to the derivations consuming it, [fired] maps
-    a trigger key to its (live) derivation. A derivation dies when any of
-    its body facts is over-deleted; its key leaves [fired] at the same
-    moment, so the trigger may legitimately refire during repair.
-    Dead records are pruned lazily from the per-fact lists.
+    The ledger is two tables over one mutable [derivation] record per
+    fired trigger, both keyed by the store's interned keys
+    ({!Engine.Index.Keytbl}): [support] maps a fact key to the
+    derivations producing the fact ([derivs]) and consuming it ([uses]),
+    [fired] maps a trigger key [[| rule; cid… |]] to its (live)
+    derivation. A derivation holds the very key arrays the firing
+    reported, so recording one boxes no fact.
+    A derivation dies when any of its body facts is over-deleted; its key
+    leaves [fired] at the same moment, so the trigger may legitimately
+    refire during repair. Dead records are pruned lazily from the
+    per-fact lists.
+
+    Keys are decoded to facts only where order or output needs them: the
+    over-deleted set is sorted by [Fact.compare] (it fixes the re-insert
+    order, hence storage order and the ids of future nulls), and
+    {!checkpoint} and {!image} name facts.
 
     Soundness of running {!Engine.Saturate.continue} with a fresh
     trigger-key table after every mutation: a trigger enumerated by the
@@ -17,13 +26,13 @@
     duplicate. *)
 
 open Relational
-
-type key = int * Term.const option list
+module Index = Engine.Index
+module Keytbl = Index.Keytbl
 
 type derivation = {
-  d_key : key;
-  d_body : Fact.t list;  (* grounded body, deduplicated, sorted *)
-  d_outs : Fact.t list;  (* grounded head, deduplicated, sorted *)
+  d_key : int array;  (* the trigger key [| rule; cid… |] *)
+  d_body : int array array;  (* grounded body fact keys, deduplicated *)
+  d_outs : int array array;  (* grounded head fact keys, deduplicated *)
   mutable d_live : bool;
 }
 
@@ -38,13 +47,23 @@ type effect = {
   e_deleted : int;
 }
 
+(* The derivations producing and consuming one fact, live ones and dead
+   ones not yet pruned. *)
+type support = {
+  mutable derivs : derivation list;
+  mutable uses : derivation list;
+}
+
+type ledger = {
+  support : support Keytbl.t;  (* fact key -> its derivations *)
+  fired : derivation Keytbl.t;  (* trigger key -> its live derivation *)
+}
+
 type t = {
   prog : Engine.Saturate.program;  (* the rules, compiled against [idx] *)
-  idx : Engine.Index.t;  (* the store, s-levels included *)
-  base : (Fact.t, unit) Hashtbl.t;
-  derivs : (Fact.t, derivation list ref) Hashtbl.t;
-  uses : (Fact.t, derivation list ref) Hashtbl.t;
-  fired : (key, derivation) Hashtbl.t;
+  idx : Index.t;  (* the store, s-levels included *)
+  base : unit Keytbl.t;
+  led : ledger;
   mutable level : int;  (* highest pass number handed to [continue] *)
   mutable sat : bool;
   mutable dirty : bool;  (* a mutation started changing state and died *)
@@ -72,47 +91,86 @@ let ensure_clean t =
 
 (* ---- ledger primitives ------------------------------------------------ *)
 
-let push tbl f d =
-  match Hashtbl.find_opt tbl f with
-  | Some r -> r := d :: !r
-  | None -> Hashtbl.replace tbl f (ref [ d ])
+(* Tables for [n] derivations; they rehash only past [2 * n] entries. *)
+let ledger n = { support = Keytbl.create n; fired = Keytbl.create n }
 
-(* Live derivations of [f] in [tbl], pruning dead records in passing. *)
-let live tbl f =
-  match Hashtbl.find_opt tbl f with
-  | None -> []
-  | Some r ->
-      let l = List.filter (fun d -> d.d_live) !r in
-      if l = [] then Hashtbl.remove tbl f else r := l;
+let support led k =
+  match Keytbl.find led.support k with
+  | s -> s
+  | exception Not_found ->
+      let s = { derivs = []; uses = [] } in
+      Keytbl.add led.support k s;
+      s
+
+let alive ds = List.filter (fun d -> d.d_live) ds
+
+(* Live derivations producing [k], pruning dead records in passing. *)
+let live_derivs led k =
+  match Keytbl.find led.support k with
+  | exception Not_found -> []
+  | s ->
+      let l = alive s.derivs in
+      s.derivs <- l;
+      if l = [] && s.uses = [] then Keytbl.remove led.support k;
       l
 
-let record ~derivs ~uses ~fired (fir : Engine.Saturate.firing) =
-  let body = List.sort_uniq Fact.compare fir.Engine.Saturate.fire_body in
-  let outs =
-    List.sort_uniq Fact.compare
-      (List.map fst fir.Engine.Saturate.fire_outs)
-  in
-  let d =
-    { d_key = fir.Engine.Saturate.fire_key; d_body = body; d_outs = outs;
-      d_live = true }
-  in
-  Hashtbl.replace fired d.d_key d;
-  List.iter (fun f -> push uses f d) body;
-  List.iter (fun f -> push derivs f d) outs
+(* Live derivations consuming [k], which is leaving the store: its uses
+   are dropped. *)
+let take_uses led k =
+  match Keytbl.find led.support k with
+  | exception Not_found -> []
+  | s ->
+      let l = alive s.uses in
+      s.uses <- [];
+      l
+
+(* Does [keys.(i)] repeat one of [keys.(j..i-1)]? *)
+let rec repeats keys i j =
+  j < i && (keys.(j) = keys.(i) || repeats keys i (j + 1))
+
+let rec clean keys i =
+  i >= Array.length keys || ((not (repeats keys i 0)) && clean keys (i + 1))
+
+(* [keys] without repeats, first occurrences kept, and [keys] itself
+   when it has none: two atoms of a rule rarely ground to one fact. *)
+let dedup keys =
+  if clean keys 0 then keys
+  else
+    Array.of_list
+      (List.filteri (fun i _ -> not (repeats keys i 0)) (Array.to_list keys))
+
+let derivation (fir : Engine.Saturate.firing) =
+  {
+    d_key = fir.fire_key;
+    d_body = dedup fir.fire_body;
+    d_outs = dedup fir.fire_outs;
+    d_live = true;
+  }
+
+let record led d =
+  Keytbl.replace led.fired d.d_key d;
+  for i = 0 to Array.length d.d_body - 1 do
+    let s = support led d.d_body.(i) in
+    s.uses <- d :: s.uses
+  done;
+  for i = 0 to Array.length d.d_outs - 1 do
+    let s = support led d.d_outs.(i) in
+    s.derivs <- d :: s.derivs
+  done
 
 let kill t d =
   d.d_live <- false;
-  (match Hashtbl.find_opt t.fired d.d_key with
-  | Some d' when d' == d -> Hashtbl.remove t.fired d.d_key
-  | _ -> ())
+  match Keytbl.find t.led.fired d.d_key with
+  | d' -> if d' == d then Keytbl.remove t.led.fired d.d_key
+  | exception Not_found -> ()
 
 (* ---- construction ----------------------------------------------------- *)
 
-(* A store over [idx], with the ledger tables that describe its facts.
-   The maintenance counters register on the index's metrics registry, so
+(* A store over [idx], with the ledger that describes its facts. The
+   maintenance counters register on the index's metrics registry, so
    they travel with the usual report plumbing. *)
-let make sigma idx ~base ~derivs ~uses ~fired ~level ~sat =
-  let m = Engine.Index.metrics idx in
+let make sigma idx ~base ~led ~level ~sat =
+  let m = Index.metrics idx in
   let c name = Obs.Metrics.counter m ("incr." ^ name) in
   {
     prog =
@@ -121,9 +179,7 @@ let make sigma idx ~base ~derivs ~uses ~fired ~level ~sat =
         idx;
     idx;
     base;
-    derivs;
-    uses;
-    fired;
+    led;
     level;
     sat;
     dirty = false;
@@ -136,31 +192,37 @@ let make sigma idx ~base ~derivs ~uses ~fired ~level ~sat =
     c_deleted = c "deleted";
   }
 
+(* The derivations are filed once the chase is over, into tables sized
+   to the trigger count. They are filed newest first: the order of the
+   per-fact lists is not observable (see [image]). *)
 let create ?engine ?max_level ?obs sigma db =
-  let derivs = Hashtbl.create 1024
-  and uses = Hashtbl.create 1024
-  and fired = Hashtbl.create 1024 in
+  let log = ref [] in
   let r =
     Tgds.Chase.run ?engine ~policy:Tgds.Chase.Oblivious ?max_level ?obs
-      ~on_fire:(record ~derivs ~uses ~fired)
+      ~on_fire:(fun fir -> log := derivation fir :: !log)
       sigma db
   in
-  let base = Hashtbl.create (Instance.size db) in
-  Instance.iter (fun f -> Hashtbl.replace base f ()) db;
-  make sigma (Tgds.Chase.index r) ~base ~derivs ~uses ~fired
-    ~level:(Tgds.Chase.max_level r) ~sat:(Tgds.Chase.saturated r)
+  let idx = Tgds.Chase.index r in
+  let led = ledger (List.length !log) in
+  List.iter (record led) !log;
+  let base = Keytbl.create (Instance.size db) in
+  Instance.iter
+    (fun f -> Keytbl.replace base (Option.get (Index.key idx f)) ())
+    db;
+  make sigma idx ~base ~led ~level:(Tgds.Chase.max_level r)
+    ~sat:(Tgds.Chase.saturated r)
 
 (* ---- the delta fixpoint over the live store --------------------------- *)
 
-(* Run [Saturate.continue] from [delta] (already inserted into the index
-   with levels set), recording new derivations. Returns the number of
-   facts the fixpoint added. *)
+(* Run [Saturate.continue] from the keys [delta] (already inserted into
+   the index with levels set), recording new derivations. Returns the
+   number of facts the fixpoint added. *)
 let propagate ?obs t delta =
   if delta = [] then 0
   else begin
     let r =
       Engine.Saturate.continue ~policy:Engine.Saturate.Oblivious ?obs
-        ~on_fire:(record ~derivs:t.derivs ~uses:t.uses ~fired:t.fired)
+        ~on_fire:(fun fir -> record t.led (derivation fir))
         t.prog ~level:t.level delta
     in
     t.level <- r.Engine.Saturate.max_level;
@@ -171,6 +233,13 @@ let propagate ?obs t delta =
 
 let fact_attr f = Obs.Json.String (Fmt.str "%a" Fact.pp f)
 
+(* The key of a base fact [f]: a base fact is stored, so its symbols are
+   interned. *)
+let base_key t f =
+  match Index.key t.idx f with
+  | Some k when Keytbl.mem t.base k -> Some k
+  | _ -> None
+
 let insert ?obs t f =
   ensure_saturated t;
   ensure_clean t;
@@ -180,7 +249,7 @@ let insert ?obs t f =
   let span = Option.map (fun p -> Obs.Span.enter p "insert") obs in
   Option.iter (fun s -> Obs.Span.set s "fact" (fact_attr f)) span;
   let eff =
-    if Hashtbl.mem t.base f then begin
+    if base_key t f <> None then begin
       Obs.Metrics.incr t.c_noops;
       { e_op = Insert f; e_noop = true; e_repaired = 0; e_overdeleted = 0;
         e_rederived = 0; e_deleted = 0 }
@@ -188,15 +257,18 @@ let insert ?obs t f =
     else begin
       Obs.Metrics.incr t.c_inserts;
       t.dirty <- true;
-      Hashtbl.replace t.base f ();
       let repaired =
-        if Engine.Index.mem f t.idx then 0
-          (* already derivable: it gains base membership, nothing fires —
-             every trigger over the existing facts has fired already *)
-        else begin
-          ignore (Engine.Index.insert f t.idx);
-          1 + propagate ?obs:span t [ f ]
-        end
+        match Index.key t.idx f with
+        | Some k when Index.mem_key k t.idx ->
+            (* already derivable: it gains base membership, nothing fires —
+               every trigger over the existing facts has fired already *)
+            Keytbl.replace t.base k ();
+            0
+        | _ ->
+            ignore (Index.insert f t.idx);
+            let k = Option.get (Index.key t.idx f) in
+            Keytbl.replace t.base k ();
+            1 + propagate ?obs:span t [ k ]
       in
       Obs.Metrics.add t.c_repaired repaired;
       t.dirty <- false;
@@ -214,19 +286,16 @@ let insert ?obs t f =
 (* Canonical-ish level of a re-derived fact: base facts are level 0,
    others sit one above their cheapest surviving derivation. Live
    derivations never lost a body fact, so every body level is present. *)
-let relevel t f =
-  if Hashtbl.mem t.base f then 0
+let relevel t k =
+  if Keytbl.mem t.base k then 0
   else
     List.fold_left
       (fun acc d ->
         let bl =
-          List.fold_left
-            (fun m g ->
-              max m (Option.value ~default:0 (Engine.Index.level t.idx g)))
-            0 d.d_body
+          Array.fold_left (fun m g -> max m (Index.key_level t.idx g)) 0 d.d_body
         in
         min acc (bl + 1))
-      max_int (live t.derivs f)
+      max_int (live_derivs t.led k)
 
 let delete ?obs t f =
   ensure_saturated t;
@@ -235,74 +304,72 @@ let delete ?obs t f =
   let span = Option.map (fun p -> Obs.Span.enter p "delete") obs in
   Option.iter (fun s -> Obs.Span.set s "fact" (fact_attr f)) span;
   let eff =
-    if not (Hashtbl.mem t.base f) then begin
-      Obs.Metrics.incr t.c_noops;
-      { e_op = Delete f; e_noop = true; e_repaired = 0; e_overdeleted = 0;
-        e_rederived = 0; e_deleted = 0 }
-    end
-    else begin
-      Obs.Metrics.incr t.c_deletes;
-      t.dirty <- true;
-      Hashtbl.remove t.base f;
-      (* Phase 1: over-delete. Retract [f] and, transitively, every fact
-         produced by a derivation that consumed a retracted fact. The
-         retracted set is order-independent (a closure), so the phases
-         below are deterministic after sorting. *)
-      let over = ref [] in
-      let stack = ref [ f ] in
-      while !stack <> [] do
-        let g = List.hd !stack in
-        stack := List.tl !stack;
-        if Engine.Index.remove g t.idx then begin
-          over := g :: !over;
-          List.iter
-            (fun d ->
-              kill t d;
-              List.iter (fun o -> stack := o :: !stack) d.d_outs)
-            (live t.uses g);
-          Hashtbl.remove t.uses g
-        end
-      done;
-      let over = List.sort Fact.compare !over in
-      let overdeleted = List.length over in
-      (* Phase 2: re-derive. A retracted fact comes straight back when it
-         is still base, or still carries a live derivation (one whose
-         body never touched the retracted set). *)
-      let red =
-        List.filter
-          (fun g -> Hashtbl.mem t.base g || live t.derivs g <> [])
-          over
-      in
-      List.iter
-        (fun g ->
-          ignore (Engine.Index.insert g t.idx);
-          Engine.Index.set_level t.idx g (relevel t g))
-        red;
-      (* Ledger entries of facts that stayed out hold only dead records. *)
-      List.iter
-        (fun g ->
-          if not (Engine.Index.mem g t.idx) then begin
-            Hashtbl.remove t.derivs g;
-            Hashtbl.remove t.uses g
-          end)
-        over;
-      (* Phase 3: propagate. The re-inserted facts are the delta; the
-         invalidated triggers whose bodies survived refire here (and may
-         resurrect more of the retracted set, with fresh nulls where the
-         original derivation passed through an existential). *)
-      let repaired = propagate ?obs:span t red in
-      let deleted =
-        List.length (List.filter (fun g -> not (Engine.Index.mem g t.idx)) over)
-      in
-      Obs.Metrics.add t.c_overdeleted overdeleted;
-      Obs.Metrics.add t.c_rederived (List.length red);
-      Obs.Metrics.add t.c_repaired repaired;
-      Obs.Metrics.add t.c_deleted deleted;
-      t.dirty <- false;
-      { e_op = Delete f; e_noop = false; e_repaired = repaired;
-        e_overdeleted = overdeleted; e_rederived = List.length red;
-        e_deleted = deleted }
-    end
+    match base_key t f with
+    | None ->
+        Obs.Metrics.incr t.c_noops;
+        { e_op = Delete f; e_noop = true; e_repaired = 0; e_overdeleted = 0;
+          e_rederived = 0; e_deleted = 0 }
+    | Some k ->
+        Obs.Metrics.incr t.c_deletes;
+        t.dirty <- true;
+        Keytbl.remove t.base k;
+        (* Phase 1: over-delete. Retract [f] and, transitively, every fact
+           produced by a derivation that consumed a retracted fact. The
+           retracted set is order-independent (a closure), so the phases
+           below are deterministic after sorting it by fact. *)
+        let over = ref [] in
+        let stack = ref [ k ] in
+        while !stack <> [] do
+          let g = List.hd !stack in
+          stack := List.tl !stack;
+          if Index.remove_key g t.idx then begin
+            over := g :: !over;
+            List.iter
+              (fun d ->
+                kill t d;
+                Array.iter (fun o -> stack := o :: !stack) d.d_outs)
+              (take_uses t.led g)
+          end
+        done;
+        let over =
+          List.sort
+            (fun (f1, _) (f2, _) -> Fact.compare f1 f2)
+            (List.map (fun g -> (Index.decode_key t.idx g, g)) !over)
+        in
+        let overdeleted = List.length over in
+        (* Phase 2: re-derive. A retracted fact comes straight back when it
+           is still base, or still carries a live derivation (one whose
+           body never touched the retracted set). *)
+        let red =
+          List.filter
+            (fun (_, g) -> Keytbl.mem t.base g || live_derivs t.led g <> [])
+            over
+        in
+        List.iter
+          (fun (h, g) -> ignore (Index.insert ~level:(relevel t g) h t.idx))
+          red;
+        (* Ledger entries of facts that stayed out hold only dead records. *)
+        List.iter
+          (fun (_, g) ->
+            if not (Index.mem_key g t.idx) then Keytbl.remove t.led.support g)
+          over;
+        (* Phase 3: propagate. The re-inserted facts are the delta; the
+           invalidated triggers whose bodies survived refire here (and may
+           resurrect more of the retracted set, with fresh nulls where the
+           original derivation passed through an existential). *)
+        let repaired = propagate ?obs:span t (List.map snd red) in
+        let deleted =
+          List.length
+            (List.filter (fun (_, g) -> not (Index.mem_key g t.idx)) over)
+        in
+        Obs.Metrics.add t.c_overdeleted overdeleted;
+        Obs.Metrics.add t.c_rederived (List.length red);
+        Obs.Metrics.add t.c_repaired repaired;
+        Obs.Metrics.add t.c_deleted deleted;
+        t.dirty <- false;
+        { e_op = Delete f; e_noop = false; e_repaired = repaired;
+          e_overdeleted = overdeleted; e_rederived = List.length red;
+          e_deleted = deleted }
   in
   Option.iter
     (fun s ->
@@ -320,13 +387,22 @@ let apply ?obs t = function
 
 (* ---- views ------------------------------------------------------------ *)
 
-let instance t = Engine.Index.to_instance t.idx
+let instance t = Index.to_instance t.idx
 let index t = t.idx
-let size t = Engine.Index.size t.idx
-let base_size t = Hashtbl.length t.base
-let base t = Hashtbl.fold (fun f () acc -> Instance.add_fact f acc) t.base Instance.empty
-let support_count t f = List.length (live t.derivs f)
-let metrics t = Engine.Index.metrics t.idx
+let size t = Index.size t.idx
+let base_size t = Keytbl.length t.base
+
+let base t =
+  Keytbl.fold
+    (fun k () acc -> Instance.add_fact (Index.decode_key t.idx k) acc)
+    t.base Instance.empty
+
+let support_count t f =
+  match Index.key t.idx f with
+  | None -> 0
+  | Some k -> List.length (live_derivs t.led k)
+
+let metrics t = Index.metrics t.idx
 
 (* ---- checkpointing ---------------------------------------------------- *)
 
@@ -337,33 +413,34 @@ let metrics t = Engine.Index.metrics t.idx
    of [1 + max body level]. Monotone decreasing fixpoint; terminates
    because levels only shrink. *)
 let canonical_levels t =
-  let lev = Hashtbl.create (size t) in
-  Hashtbl.iter (fun f () -> Hashtbl.replace lev f 0) t.base;
-  let ds = Hashtbl.fold (fun _ d acc -> d :: acc) t.fired [] in
+  let lev = Keytbl.create (size t) in
+  Keytbl.iter (fun k () -> Keytbl.replace lev k 0) t.base;
+  let level_of k =
+    match Keytbl.find lev k with l -> l | exception Not_found -> -1
+  in
+  let ds = Keytbl.fold (fun _ d acc -> d :: acc) t.led.fired [] in
   let changed = ref true in
   while !changed do
     changed := false;
     List.iter
       (fun d ->
-        let bl =
-          List.fold_left
+        (* the highest body level, -1 while one is unknown this round *)
+        let m =
+          Array.fold_left
             (fun acc g ->
-              match (acc, Hashtbl.find_opt lev g) with
-              | Some m, Some l -> Some (max m l)
-              | _ -> None)
-            (Some 0) d.d_body
+              let l = level_of g in
+              if acc < 0 || l < 0 then -1 else max acc l)
+            0 d.d_body
         in
-        match bl with
-        | None -> () (* some body level still unknown this round *)
-        | Some m ->
-            List.iter
-              (fun o ->
-                match Hashtbl.find_opt lev o with
-                | Some cur when cur <= m + 1 -> ()
-                | _ ->
-                    Hashtbl.replace lev o (m + 1);
-                    changed := true)
-              d.d_outs)
+        if m >= 0 then
+          Array.iter
+            (fun o ->
+              let cur = level_of o in
+              if cur < 0 || cur > m + 1 then begin
+                Keytbl.replace lev o (m + 1);
+                changed := true
+              end)
+            d.d_outs)
       ds
   done;
   lev
@@ -374,8 +451,11 @@ let checkpoint t : Engine.Saturate.snapshot =
   let snap_facts =
     List.map
       (fun (f, stored) ->
-        (f, match Hashtbl.find_opt lev f with Some l -> l | None -> stored))
-      (Engine.Index.ordered_facts t.idx)
+        ( f,
+          match Option.bind (Index.key t.idx f) (Keytbl.find_opt lev) with
+          | Some l -> l
+          | None -> stored ))
+      (Index.ordered_facts t.idx)
   in
   let snap_level = List.fold_left (fun acc (_, l) -> max acc l) 0 snap_facts in
   {
@@ -383,7 +463,7 @@ let checkpoint t : Engine.Saturate.snapshot =
     snap_level;
     snap_saturated = true;
     snap_null_count = Term.null_count ();
-    snap_triggers_fired = Hashtbl.length t.fired;
+    snap_triggers_fired = Keytbl.length t.led.fired;
     snap_triggers_dismissed = 0;
     snap_facts;
     snap_counters = Obs.Metrics.counters (metrics t);
@@ -424,33 +504,81 @@ type image = {
    storage order. [im_syms]/[im_preds] record the full id-order
    enumeration of both spaces; [of_image] re-interns them first, after
    which re-inserting [im_facts] in order reproduces (a) exactly (row
-   handles and free-list state differ but are not observable). Every
+   handles and free-list state differ but are not observable) — and
+   every fact key, so the ledger's keys rebuild as they were. Every
    live derivation sits in [fired] (a killed record leaves [fired] at
    death), so folding [fired] captures (d) entirely.
-   Ledger list order inside [derivs]/[uses] is not observable: every
+   Ledger list order inside [support] is not observable: every
    reader either folds associatively (relevel, support_count) or
-   computes an order-independent closure (over-delete). *)
+   computes an order-independent closure (over-delete).
+   A live derivation's body and head facts are all stored, so the image
+   names each of them with the one [Fact.t] decoded for [im_facts]. *)
+let rec decode_from fact keys i =
+  if i = Array.length keys then []
+  else fact keys.(i) :: decode_from fact keys (i + 1)
+
+(* The facts of [keys], sorted; [List.sort] allocates its closures even
+   for the one-fact lists most derivations have. *)
+let facts_of fact keys =
+  match decode_from fact keys 0 with
+  | ([] | [ _ ]) as l -> l
+  | l -> List.sort Fact.compare l
+
+(* [compare] on constants, without the generic structural walk. *)
+let compare_const (a : Term.const) (b : Term.const) =
+  match (a, b) with
+  | Named x, Named y -> String.compare x y
+  | Null x, Null y -> Int.compare x y
+  | Named _, Null _ -> -1
+  | Null _, Named _ -> 1
+
+(* [compare] on the decoded trigger keys [(rule, [Some c; …])] — the
+   order the image lists its ledger in — read off the interned keys from
+   position [i] on. *)
+let rec compare_trigger st k1 k2 i =
+  let n1 = Array.length k1 and n2 = Array.length k2 in
+  if i = n1 || i = n2 then Int.compare n1 n2
+  else
+    let c =
+      if i = 0 then Int.compare k1.(0) k2.(0)
+      else if k1.(i) = k2.(i) then 0
+      else
+        compare_const (Engine.Symtab.extern st k1.(i))
+          (Engine.Symtab.extern st k2.(i))
+    in
+    if c <> 0 then c else compare_trigger st k1 k2 (i + 1)
+
+let rec trigger_slots st k i =
+  if i = Array.length k then []
+  else Some (Engine.Symtab.extern st k.(i)) :: trigger_slots st k (i + 1)
+
 let image t =
   ensure_saturated t;
   ensure_clean t;
-  let facts = Engine.Index.ordered_facts t.idx in
-  let base =
-    List.sort Fact.compare (Hashtbl.fold (fun f () acc -> f :: acc) t.base [])
+  let facts, fact = Index.decode_ordered t.idx in
+  let st = Index.symtab t.idx in
+  let base = Array.make (Keytbl.length t.base) (Fact.make "" []) in
+  ignore (Keytbl.fold (fun k () i -> base.(i) <- fact k; i + 1) t.base 0);
+  Array.stable_sort Fact.compare base;
+  let entry d =
+    ( (d.d_key.(0), trigger_slots st d.d_key 1),
+      facts_of fact d.d_body,
+      facts_of fact d.d_outs )
   in
   let ledger =
-    List.sort
-      (fun (k1, _, _) (k2, _, _) -> compare k1 k2)
-      (Hashtbl.fold (fun k d acc -> (k, d.d_body, d.d_outs) :: acc) t.fired [])
+    Array.make (Keytbl.length t.led.fired)
+      { d_key = [||]; d_body = [||]; d_outs = [||]; d_live = false }
   in
-  let st = Engine.Index.symtab t.idx in
+  ignore (Keytbl.fold (fun _ d i -> ledger.(i) <- d; i + 1) t.led.fired 0);
+  Array.stable_sort (fun d1 d2 -> compare_trigger st d1.d_key d2.d_key 0) ledger;
   let syms = List.init (Engine.Symtab.size st) (Engine.Symtab.extern st) in
   let preds =
     List.init (Engine.Symtab.pred_count st) (Engine.Symtab.extern_pred st)
   in
   {
     im_facts = facts;
-    im_base = base;
-    im_ledger = ledger;
+    im_base = Array.to_list base;
+    im_ledger = Array.fold_right (fun d acc -> entry d :: acc) ledger [];
     im_syms = syms;
     im_preds = preds;
     im_level = t.level;
@@ -459,28 +587,38 @@ let image t =
   }
 
 let of_image sigma (im : image) =
-  let idx = Engine.Index.create () in
-  let st = Engine.Index.symtab idx in
+  let idx = Index.create () in
+  let st = Index.symtab idx in
   List.iter (fun c -> ignore (Engine.Symtab.intern st c)) im.im_syms;
   List.iter (fun p -> ignore (Engine.Symtab.intern_pred st p)) im.im_preds;
-  List.iter (fun (f, level) -> ignore (Engine.Index.insert ~level f idx)) im.im_facts;
-  let base = Hashtbl.create (max 16 (List.length im.im_base)) in
-  List.iter (fun f -> Hashtbl.replace base f ()) im.im_base;
-  let derivs = Hashtbl.create 1024
-  and uses = Hashtbl.create 1024
-  and fired = Hashtbl.create 1024 in
+  List.iter (fun (f, level) -> ignore (Index.insert ~level f idx)) im.im_facts;
+  let key f =
+    match Index.key idx f with
+    | Some k when Index.mem_key k idx -> k
+    | _ -> invalid_arg "Incr.of_image: a fact outside the image's facts"
+  in
+  let cid = function
+    | Some c when Engine.Symtab.find_int st c >= 0 -> Engine.Symtab.find_int st c
+    | _ -> invalid_arg "Incr.of_image: a trigger key outside the image's symbols"
+  in
+  let base = Keytbl.create (max 16 (List.length im.im_base)) in
+  List.iter (fun f -> Keytbl.replace base (key f) ()) im.im_base;
+  let led = ledger (List.length im.im_ledger) in
   List.iter
-    (fun (k, body, outs) ->
-      let d = { d_key = k; d_body = body; d_outs = outs; d_live = true } in
-      Hashtbl.replace fired k d;
-      List.iter (fun f -> push uses f d) body;
-      List.iter (fun f -> push derivs f d) outs)
+    (fun ((rule, cs), body, outs) ->
+      record led
+        {
+          d_key = Array.of_list (rule :: List.map cid cs);
+          d_body = dedup (Array.of_list (List.map key body));
+          d_outs = dedup (Array.of_list (List.map key outs));
+          d_live = true;
+        })
     im.im_ledger;
   Term.set_null_count im.im_null_count;
   (* cancel the rebuild's own increments (the inserts above bumped
      [index.inserts] etc.) *)
-  Obs.Metrics.restore (Engine.Index.metrics idx) im.im_counters;
-  make sigma idx ~base ~derivs ~uses ~fired ~level:im.im_level ~sat:true
+  Obs.Metrics.restore (Index.metrics idx) im.im_counters;
+  make sigma idx ~base ~led ~level:im.im_level ~sat:true
 
 let report ?(name = "incr") ?span t =
   let rep = Obs.Report.create ~metrics:(metrics t) ?span name in

@@ -5,6 +5,14 @@
     records a {e derivation ledger} at firing time (via
     {!Engine.Saturate}'s [on_fire] hook): one record per fired trigger,
     holding the grounded body, the grounded head, and the trigger key.
+    The ledger is interned: it holds the store's own int-array keys
+    ({!Engine.Index.Keytbl}), never a boxed fact, so building a store
+    costs the chase plus about 45 minor words per fired trigger. Facts are
+    decoded only where their order or spelling is observable: sorting
+    the over-deleted set of a {!delete} (it fixes the re-insert order,
+    hence the ids of future nulls), and writing a {!checkpoint} or an
+    {!image}. This interface stays [Fact.t]-based.
+
     The ledger is the support graph DRed-style maintenance needs:
 
     - {!insert} adds a base fact and restarts the semi-naive delta
@@ -139,7 +147,12 @@ type image = {
           {!Engine.Index.ordered_facts}) *)
   im_base : Fact.t list;  (** the base database, sorted *)
   im_ledger : ((int * Term.const option list) * Fact.t list * Fact.t list) list;
-      (** live derivations [(trigger key, body, outs)], sorted by key *)
+      (** live derivations [(trigger key, body, outs)], sorted by key
+          under [compare]; [body] and [outs] are sorted and
+          duplicate-free. Every fact named here or in [im_base] is
+          stored, and {!image} shares it with its [im_facts] entry
+          rather than decoding it again; {!of_image} requires every one
+          to be among [im_facts] and every key symbol among [im_syms]. *)
   im_syms : Term.const list;
       (** every interned constant and null, in id order — including
           symbols whose facts have since been deleted, which still hold
@@ -158,13 +171,17 @@ type image = {
     byte-identical to the uninterrupted run — the invariant crash
     recovery of a WAL-backed [serve] is built on. *)
 
-(** [image t] — capture the store. Raises [Invalid_argument] on an
+(** [image t] — capture the store, decoding the interned ledger: each
+    stored fact is decoded once. Raises [Invalid_argument] on an
     unsaturated or dirty store. *)
 val image : t -> image
 
 (** [of_image sigma im] — rebuild the captured store exactly. Resets the
     global null counter to [im_null_count], so facts derived after the
-    rebuild reuse the ids the original run would have assigned. *)
+    rebuild reuse the ids the original run would have assigned. Raises
+    [Invalid_argument] when the base or ledger names a fact outside
+    [im_facts], or a trigger key a symbol outside [im_syms] (a [None]
+    slot included) — [Resil.Wal]'s decoder rejects such images first. *)
 val of_image : Tgds.Tgd.t list -> image -> t
 
 (** [report ?name t] — a run report over the store's metrics (counters

@@ -89,12 +89,33 @@ let ledger_entry_of_json j =
   let* cs =
     C.list_field "k"
       (function
-        | J.Null -> Ok None | c -> Result.map Option.some (C.const_of_json c))
+        | J.Null -> Error "null trigger-key slot"
+        | c -> Result.map Option.some (C.const_of_json c))
       j
   in
   let* body = C.list_field "b" C.bare_fact_of_json j in
   let* outs = C.list_field "o" C.bare_fact_of_json j in
   Ok ((rule, cs), body, outs)
+
+(* The base and the ledger name only facts of [facts], and trigger keys
+   only symbols of [syms]: {!Incr.of_image} finds every one of them in
+   the rebuilt store, and would otherwise intern fresh ids for them. *)
+let check_closed ~facts ~syms base ledger =
+  let stored = Hashtbl.create (List.length facts) in
+  List.iter (fun (f, _) -> Hashtbl.replace stored f ()) facts;
+  let interned = Hashtbl.create (List.length syms) in
+  List.iter (fun c -> Hashtbl.replace interned c ()) syms;
+  let stored_all = List.for_all (Hashtbl.mem stored) in
+  let interned_all =
+    List.for_all (function Some c -> Hashtbl.mem interned c | None -> false)
+  in
+  if not (stored_all base) then Error "base fact outside facts"
+  else if
+    not (List.for_all (fun (_, b, o) -> stored_all b && stored_all o) ledger)
+  then Error "ledger fact outside facts"
+  else if not (List.for_all (fun ((_, cs), _, _) -> interned_all cs) ledger)
+  then Error "trigger-key constant outside syms"
+  else Ok ()
 
 let image_to_json ~seq (im : Incr.image) =
   J.Obj
@@ -131,6 +152,7 @@ let image_of_json j =
   let* ledger = C.list_field "ledger" ledger_entry_of_json j in
   (* every null of the store is interned, so [syms] holds them all *)
   let* () = C.check_null_count null_count syms in
+  let* () = check_closed ~facts ~syms base ledger in
   Ok
     ( seq,
       {

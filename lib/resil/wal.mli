@@ -100,7 +100,9 @@ val is_empty : dir:string -> bool
 
 (** Image codec, exposed for tests: [image_of_json (image_to_json ~seq
     im) = Ok (seq, im)]. Decoding also rejects an image whose
-    [null_count] is below a null id of its [syms]. *)
+    [null_count] is below a null id of its [syms], whose base or ledger
+    names a fact outside its [facts], or whose trigger keys hold a
+    symbol outside its [syms] or a [null] slot (which no writer emits). *)
 val image_to_json : seq:int -> Incr.image -> Obs.Json.t
 
 val image_of_json : Obs.Json.t -> (int * Incr.image, string) result

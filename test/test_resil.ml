@@ -634,6 +634,51 @@ let test_wal_pinned_v2_image () =
         (Obs.Json.to_string
            (Resil.Wal.image_to_json ~seq:1 (Incr.image rebuilt)))
 
+(* The image of a real store: lubm-10 after a fixed 20-mutation log of
+   deletes (cascading through nulls, or of facts that stay derivable),
+   fresh inserts and re-inserts. The digest of its serialisation was
+   recorded before the ledger was interned; it pins every byte, ledger
+   order and shared facts included, on a store with thousands of
+   derivations. *)
+let lubm_mutations =
+  let s u d k = Printf.sprintf "student_%d_%d_%d" u d k in
+  Incr.
+    [
+      Delete (fact "Student" [ s 0 0 1 ]);
+      Insert (fact "Student" [ "new_0" ]);
+      Delete (fact "Dept" [ "dept_0_0" ]);
+      Delete (fact "MemberOf" [ "prof_1_1_0"; "dept_1_1" ]);
+      Insert (fact "Takes" [ "new_0"; "course_0_0_0" ]);
+      Delete (fact "Takes" [ s 2 0 0; "course_2_0_0" ]);
+      Insert (fact "Student" [ s 0 0 1 ]);
+      Delete (fact "Prof" [ "prof_3_0_2" ]);
+      Insert (fact "MemberOf" [ "new_0"; "dept_4_1" ]);
+      Delete (fact "Student" [ s 5 1 4 ]);
+      Insert (fact "Prof" [ "new_1" ]);
+      Delete (fact "Student" [ "new_0" ]);
+      Insert (fact "Dept" [ "dept_0_0" ]);
+      Delete (fact "Teaches" [ "prof_6_0_1"; "course_6_0_1" ]);
+      Insert (fact "Student" [ "new_2" ]);
+      Delete (fact "MemberOf" [ s 7 1 2; "dept_7_1" ]);
+      Insert (fact "Teaches" [ "new_1"; "course_new" ]);
+      Delete (fact "Student" [ s 8 0 3 ]);
+      Insert (fact "Student" [ s 5 1 4 ]);
+      Delete (fact "Prof" [ "new_1" ]);
+    ]
+
+let test_wal_image_bytes_pinned_lubm () =
+  let sigma, db = Guarded_core.Workload.lubm ~universities:10 () in
+  Term.reset_nulls ();
+  let store = Incr.create sigma db in
+  List.iter (fun op -> ignore (Incr.apply store op)) lubm_mutations;
+  let im = Incr.image store in
+  check_int "ledger entries" 1354 (List.length im.Incr.im_ledger);
+  Alcotest.(check string)
+    "image digest" "e152b2948521a79f7a1a6f7aca992383"
+    (Digest.to_hex
+       (Digest.string
+          (Obs.Json.to_string (Resil.Wal.image_to_json ~seq:20 im))))
+
 (* syms hold the nulls 1 and 2; a null counter of 0 would re-issue them *)
 let test_wal_image_rejects_low_null_count () =
   let j =
@@ -643,6 +688,30 @@ let test_wal_image_rejects_low_null_count () =
   | Error msg ->
       check "diagnostic names null_count" true (contains_sub msg "null_count")
   | Ok _ -> Alcotest.fail "an image with null_count below its nulls decoded"
+
+(* The pinned image with [field] replaced by the JSON [value], read back
+   from disk: an image whose base or ledger names a fact or symbol the
+   image does not hold is a typed [Corrupt] naming the rule it breaks.
+   An interned rebuild would otherwise intern fresh ids for it. *)
+let test_wal_image_rejects ~field ~value ~diagnostic () =
+  let value =
+    match Obs.Json.parse value with Ok j -> j | Error e -> Alcotest.fail e
+  in
+  let j = with_field field value (Obs.Json.parse pinned_v2_image) in
+  let path = Filename.temp_file "resil_image" ".json" in
+  Fun.protect
+    ~finally:(fun () -> Sys.remove path)
+    (fun () ->
+      Out_channel.with_open_bin path (fun oc ->
+          output_string oc (Obs.Json.to_string j));
+      match
+        Resil.Checkpoint.decode_file ~tag:"wal" Resil.Wal.image_of_json path
+      with
+      | Error (Resil.Checkpoint.Corrupt msg) ->
+          check ("diagnostic names " ^ diagnostic) true
+            (contains_sub msg diagnostic)
+      | Error (Resil.Checkpoint.Io _) -> Alcotest.fail "a readable image is not Io"
+      | Ok _ -> Alcotest.failf "an image with a %s decoded" diagnostic)
 
 (* A crash in the middle of a rotate: image-N is on disk, the segment
    wal-N is not, and image-N is corrupt. Recovery falls back to image-0
@@ -910,8 +979,29 @@ let () =
             test_wal_image_codec_roundtrip;
           Alcotest.test_case "pinned v2 image re-serialises" `Quick
             test_wal_pinned_v2_image;
+          Alcotest.test_case "image bytes pinned on lubm-10" `Quick
+            test_wal_image_bytes_pinned_lubm;
           Alcotest.test_case "image null_count covers its nulls" `Quick
             test_wal_image_rejects_low_null_count;
+          Alcotest.test_case "image base within its facts" `Quick
+            (test_wal_image_rejects ~field:"base"
+               ~value:{|[{"p":"A","a":["a"]}]|}
+               ~diagnostic:"base fact outside facts");
+          Alcotest.test_case "image ledger within its facts" `Quick
+            (test_wal_image_rejects ~field:"ledger"
+               ~value:
+                 {|[{"r":0,"k":["b"],"b":[{"p":"A","a":["b"]}],"o":[{"p":"C","a":["b"]}]}]|}
+               ~diagnostic:"ledger fact outside facts");
+          Alcotest.test_case "image trigger keys within its syms" `Quick
+            (test_wal_image_rejects ~field:"ledger"
+               ~value:
+                 {|[{"r":0,"k":["z"],"b":[{"p":"A","a":["b"]}],"o":[{"p":"B","a":["b"]}]}]|}
+               ~diagnostic:"trigger-key constant outside syms");
+          Alcotest.test_case "image trigger keys have no null slot" `Quick
+            (test_wal_image_rejects ~field:"ledger"
+               ~value:
+                 {|[{"r":0,"k":[null],"b":[{"p":"A","a":["b"]}],"o":[{"p":"B","a":["b"]}]}]|}
+               ~diagnostic:"null trigger-key slot");
           Alcotest.test_case "corrupt newer image is fallen past" `Quick
             test_wal_falls_back_past_corrupt_image;
           Alcotest.test_case "unreadable segment is an error" `Quick
