@@ -867,12 +867,13 @@ let eval_cmd =
                 v.Omq_eval.exact
               end
               else begin
-                let answers, exact =
-                  Omq_eval.answers ~max_level ?budget ~obs:span omq db
+                let r =
+                  Omq_eval.answer_set ~fpt ~max_level ?budget ~obs:span omq db
                 in
-                List.iter (fun t -> Fmt.pr "%a@." pp_tuple t) answers;
-                if not exact then Fmt.pr "%% bounded chase — possibly incomplete@.";
-                exact
+                List.iter (fun t -> Fmt.pr "%a@." pp_tuple t) r.Omq_eval.tuples;
+                if not r.Omq_eval.exact then
+                  Fmt.pr "%% bounded chase — possibly incomplete@.";
+                r.Omq_eval.exact
               end
             in
             Obs.Span.exit span;

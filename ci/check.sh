@@ -4,7 +4,7 @@
 # determinism sweep.
 # Run from the repository root:  sh ci/check.sh
 # Environment:
-#   BENCH_GATE=strict   make a >3x bench slowdown fatal (CI sets this;
+#   BENCH_GATE=strict   make a bench-gate regression fatal (CI sets this;
 #                       off by default so laptops never fail on noise)
 set -eu
 
@@ -38,8 +38,21 @@ echo "== bench smoke (stats JSON round-trip)"
 # run from the scratch dir so the smoke artifact never lands in the repo
 (cd "$TMP" && "$ROOT/_build/default/bench/main.exe" smoke)
 
-echo "== bench gate (indexed engine vs BENCH_engine.json baselines)"
+echo "== bench gate (rerun the gated rows vs BENCH_engine.json baselines)"
 BENCH_GATE=${BENCH_GATE:-off} dune exec bench/main.exe -- gate
+
+echo "== bench gate bites (lubm-10's triggers off by one is a regression)"
+t=$(sed -n 's/.*"workload":"lubm-10",[^}]*"triggers":\([0-9]*\).*/\1/p' BENCH_engine.json)
+sed "s/\(\"workload\":\"lubm-10\",[^}]*\"triggers\":\)$t/\1$((t + 1))/" \
+  BENCH_engine.json > "$TMP/BENCH_engine.json"
+set +e
+(cd "$TMP" && BENCH_GATE=strict "$ROOT/_build/default/bench/main.exe" gate) \
+  > "$TMP/gate.out" 2>&1
+bitten=$?
+set -e
+[ "$bitten" -eq 1 ] || { echo "expected exit 1 from the gate on a tampered baseline, got $bitten"; exit 1; }
+grep -q "REGRESSION.*lubm-10.*triggers" "$TMP/gate.out" \
+  || { echo "gate did not report lubm-10 triggers"; cat "$TMP/gate.out"; exit 1; }
 
 echo "== kill-and-resume (checkpointed chase survives an injected crash)"
 CLI=_build/default/bin/guarded_cli.exe

@@ -59,10 +59,10 @@ let () =
          [ atom "works_in" [ v "x"; v "d" ]; atom "department" [ v "d" ] ])
   in
   let omq_who = Omq.full_data_schema ~ontology ~query:q_who in
-  let answers, _ = Omq_eval.answers omq_who db in
+  let r = Omq_eval.answer_set omq_who db in
   Fmt.pr "certain answers to who-works-in-a-department: %a@.@."
     Fmt.(list ~sep:(any ", ") (fun ppf t -> Term.pp_const ppf (List.hd t)))
-    answers;
+    r.Omq_eval.tuples;
 
   (* 5. Closed world: the same TGDs as integrity constraints. On a database
      that satisfies them, evaluation is direct — and the constraints

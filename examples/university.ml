@@ -47,10 +47,10 @@ let () =
      professor teaches something. *)
   let q_fac = Ucq.of_cq (Cq.make ~answer:[ "x" ] [ atom "Faculty" [ v "x" ] ]) in
   let omq_fac = Omq.full_data_schema ~ontology ~query:q_fac in
-  let answers, exact = Omq_eval.answers omq_fac db in
-  Fmt.pr "certain Faculty members (exact=%b): %a@.@." exact
+  let r = Omq_eval.answer_set omq_fac db in
+  Fmt.pr "certain Faculty members (exact=%b): %a@.@." r.Omq_eval.exact
     Fmt.(list ~sep:(any ", ") (fun ppf t -> Term.pp_const ppf (List.hd t)))
-    answers;
+    r.Omq_eval.tuples;
 
   (* The FPT pipeline (Prop 3.3(3)): linearize the guarded ontology into
      type rules and chase the linear set. Same answers. *)

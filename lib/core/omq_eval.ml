@@ -139,11 +139,3 @@ let answer_set ?(fpt = false) ?max_level ?max_facts ?max_types ?budget
     exact = Chase.saturated r && rewrite_complete && enum_complete;
     outcome;
   }
-
-(** [answers ?max_level q db] — the certain answers over tuples of the
-    active domain (sound; exact when the chase saturates). Compatibility
-    wrapper around {!answer_set}; the set is canonical (sorted,
-    duplicate-free). *)
-let answers ?max_level ?max_facts ?budget ?obs (q : Omq.t) db =
-  let r = answer_set ?max_level ?max_facts ?budget ?obs q db in
-  (r.tuples, r.exact)

@@ -70,15 +70,3 @@ val answer_set :
   Omq.t ->
   Instance.t ->
   answer_set
-
-(** Certain answers over active-domain tuples; the boolean reports
-    exactness. Compatibility wrapper around {!answer_set} — the returned
-    set is canonical (sorted, duplicate-free). *)
-val answers :
-  ?max_level:int ->
-  ?max_facts:int ->
-  ?budget:Obs.Budget.t ->
-  ?obs:Obs.Span.t ->
-  Omq.t ->
-  Instance.t ->
-  Term.const list list * bool

@@ -290,10 +290,6 @@ let remove_key key idx =
 let remove f idx =
   match key_find idx f with None -> false | Some key -> remove_key key idx
 
-let add f idx =
-  ignore (insert f idx);
-  idx
-
 let of_instance inst =
   let idx = create () in
   Instance.iter (fun f -> ignore (insert f idx)) inst;

@@ -11,10 +11,9 @@
     Every stored fact carries its s-level (the chase pass that derived
     it; 0 for database facts), kept in a column beside the arguments.
 
-    The API is immutable in style — {!add} returns the store — but the
-    store shares its internal hash tables: use it linearly (the returned
-    handle supersedes the argument). Conversion to and from
-    [Instance.t] is provided at both ends. *)
+    The store is mutable: {!insert} and {!remove} change it in place,
+    and every handle to it (including {!reader} views) sees the change.
+    Conversion to and from [Instance.t] is provided at both ends. *)
 
 open Relational
 
@@ -46,14 +45,10 @@ val ordered_facts : t -> (Fact.t * int) list
     valid only until the store next changes. *)
 val decode_ordered : t -> (Fact.t * int) list * (int array -> Fact.t)
 
-(** [add f idx] — file [f] under every argument position. No-op when the
-    fact is already present. Mutates [idx] in place and returns it. *)
-val add : Fact.t -> t -> t
-
-(** [insert ?level f idx] — like {!add}, but reports whether the fact
-    was new (a single membership probe). A new fact gets s-level [level]
-    (default 0); a present one keeps its own. Hits the ["engine.insert"]
-    {!Obs.Probe} point. *)
+(** [insert ?level f idx] — file [f] under every argument position and
+    report whether the fact was new (a single membership probe). A new
+    fact gets s-level [level] (default 0); a present one keeps its own.
+    Hits the ["engine.insert"] {!Obs.Probe} point. *)
 val insert : ?level:int -> Fact.t -> t -> bool
 
 (** [remove f idx] — delete [f] from the store and prune every posting

@@ -237,6 +237,22 @@ let test_exit_codes () =
   check "--engine naive is a usage error" true (status3 = 124);
   check "usage error names the engine" true (contains err3 "indexed")
 
+(* --fpt holds for non-Boolean queries too: an unguarded program is
+   refused (exit 2), never answered by the plain chase *)
+let test_eval_fpt_unguarded_open () =
+  let file = Filename.temp_file "guarded_unguarded" ".gd" in
+  let oc = open_out file in
+  output_string oc
+    "s(X,Y), s(Y,Z) -> t(X,Z).\ns(a,b).\ns(b,c).\nw(X) :- t(X,Z).\n";
+  close_out oc;
+  let status, out, err = run_cli [ "eval"; file; "-q"; "w"; "--fpt" ] in
+  let status0, out0, _ = run_cli [ "eval"; file; "-q"; "w" ] in
+  Sys.remove file;
+  check "unguarded --fpt exits 2" true (status = 2);
+  check "no answers printed" true (out = "");
+  check "diagnostic names guardedness" true (contains err "guarded");
+  check "without --fpt the chase answers" true (status0 = 0 && out0 = "(a)\n")
+
 (* The checkpoint written for a fixed program is pinned byte-for-byte
    (schema, key order, fact encoding). Null ids are the only per-process
    volatile part; they are normalised to 0 before comparing. *)
@@ -886,6 +902,8 @@ let () =
           Alcotest.test_case "chase budget flags" `Quick test_chase_budget_flags;
           Alcotest.test_case "errors" `Quick test_errors_reported;
           Alcotest.test_case "exit codes" `Quick test_exit_codes;
+          Alcotest.test_case "eval --fpt unguarded non-Boolean" `Quick
+            test_eval_fpt_unguarded_open;
           Alcotest.test_case "checkpoint golden" `Quick test_checkpoint_golden;
           Alcotest.test_case "serve" `Quick test_serve;
           Alcotest.test_case "serve exit codes" `Quick test_serve_exit_codes;

@@ -177,7 +177,7 @@ let prop_answer_sets_agree =
 (* Enumerate ≡ the seed generate-and-test answers                       *)
 (* ------------------------------------------------------------------ *)
 
-(* The seed implementation of Omq_eval.answers as the oracle:
+(* The seed implementation of Omq_eval.answer_set as the oracle:
    entailment-test every |adom|^arity candidate tuple over the chased
    store. The test runs on the reference Homomorphism search over the
    store's facts, not on the compiled search the enumerator shares. *)
