@@ -894,54 +894,28 @@ let with_wal_dir f =
       try Unix.rmdir dir with Unix.Unix_error _ -> ())
     (fun () -> f dir)
 
-(* A WAL whose final segment holds [n] un-rotated mutations: recovery
-   loads the seq-0 image and replays all [n]. [plan] injects faults into
-   the producing run through the supervisor, so its degradation count
-   lands in the row — the WAL itself is identical either way (append
-   happens before the supervised apply). *)
+(* The WAL a supervised [serve] session writes over [n] inserts with no
+   rotation cadence: recovery loads the newest image — seq 0, or the
+   re-anchor after the run's last ladder climb — and replays the tail
+   after it. [plan] injects faults into the producing run, so its
+   degradation count lands in the row. *)
 let e20_build_wal ~sigma ~db ~dir ~plan n =
   Relational.Term.reset_nulls ();
-  let store = ref (Incr.create ~max_level:6 sigma db) in
-  let wal = Resil.Wal.create ~dir (Incr.image !store) in
-  let anchor = Incr.image !store in
-  let applied = ref [] in
-  let restore () =
-    let st = Incr.of_image sigma anchor in
-    List.iter (fun op -> ignore (Incr.apply st op)) (List.rev !applied);
-    st
+  let module Sup = Resil.Serve_supervisor in
+  let s =
+    Sup.start ~retries:3 ~sleep:ignore ~checkpoint_every:max_int
+      ~fault_plan:plan ~wal:dir sigma
+      (Incr.create ~max_level:6 sigma db)
   in
-  let rechase st =
-    Incr.create ~max_level:6 sigma (Incr.base st)
-  in
-  let degradations = ref 0 in
-  Resil.Fault.arm_seq plan;
-  Fun.protect ~finally:Resil.Fault.disarm (fun () ->
+  Fun.protect
+    ~finally:(fun () -> Sup.close s)
+    (fun () ->
       for i = 1 to n do
-        let op =
-          Incr.Insert (fact "Prof" [ Printf.sprintf "prof_wal_%d" i ])
-        in
-        Resil.Wal.append wal (Resil.Wal.Op (i, op));
-        (if plan = [] then ignore (Incr.apply !store op)
-         else
-           match
-             Resil.Serve_supervisor.apply ~retries:3 ~backoff_ms:0.
-               ~sleep:(fun _ -> ())
-               ~restore ~rechase ~store op
-           with
-           | Resil.Serve_supervisor.Applied (_, steps) ->
-               degradations :=
-                 !degradations
-                 + List.length
-                     (List.filter
-                        (fun s ->
-                          s.Resil.Serve_supervisor.st_rung
-                          <> Resil.Serve_supervisor.Repair)
-                        steps)
-           | Resil.Serve_supervisor.Quarantined _ -> ());
-        applied := op :: !applied
+        ignore
+          (Sup.step s
+             (Incr.Insert (fact "Prof" [ Printf.sprintf "prof_wal_%d" i ])))
       done);
-  Resil.Wal.close wal;
-  !degradations
+  Sup.degradations s
 
 let e20_row ~plan n () =
   let sigma, db = Workload.lubm ~universities:10 () in
@@ -955,11 +929,7 @@ let e20_row ~plan n () =
       let info = recover () in
       let recover_s =
         measure ~repeat:3 (fun () ->
-            let r = recover () in
-            let st = Incr.of_image sigma r.Resil.Wal.rec_image in
-            List.iter
-              (fun (_, op) -> ignore (Incr.apply st op))
-              r.Resil.Wal.rec_ops)
+            ignore (Resil.Serve_supervisor.replay sigma (recover ())))
       in
       Obs.Json.
         [
@@ -975,8 +945,10 @@ let e20_cases ~full =
     (fun n -> case (Printf.sprintf "recover-tail-%d" n) (e20_row ~plan:[] n))
     (if full then [ 50; 200; 800; 3200 ] else [ 50; 200; 800 ])
   @ [
-      (* same tail, but the producing run climbed the ladder: three
-         injected [incr.insert] faults, each retried one rung up *)
+      (* same log, but the producing run climbed the ladder: three
+         injected [incr.insert] faults, each retried one rung up and
+         followed by a re-anchor, so only the tail after the last climb
+         is replayed *)
       case "recover-faulted-200"
         (e20_row
            ~plan:

@@ -135,6 +135,19 @@ let fault_plan_arg =
               $(b,point:NAME:N), $(b,ms:X) (comma-separated, one per \
               attempt), or $(b,seed:S)[:$(b,K)].")
 
+(* The parsed --fault-plan ([Fault.none] when absent). A bad spec is an
+   input error: it is reported here, naming the spec, and [Error] carries
+   the exit code. A result, not a continuation: a closure around the
+   command body would keep the parsed program alive through the chase. *)
+let fault_plan_of spec =
+  match
+    Option.fold ~none:(Ok Resil.Fault.none) ~some:Resil.Fault.parse spec
+  with
+  | Ok _ as plan -> plan
+  | Error msg ->
+      Fmt.epr "error: %s@." msg;
+      Error 2
+
 (* Shared tail of every successful chase: summary comments, the instance,
    the stats report. *)
 let print_chase_result ~max_level ~stats ?(notes = []) r =
@@ -159,15 +172,8 @@ let print_chase_result ~max_level ~stats ?(notes = []) r =
    routes here; a bare `chase` keeps the direct, supervisor-free path. *)
 let resilient_chase ~max_level ~stats ~budget ~checkpoint ~ck_every
     ~resume ~retries ~fault_plan sigma db =
-  let plan =
-    match fault_plan with
-    | None -> Ok Resil.Fault.none
-    | Some spec -> Resil.Fault.parse spec
-  in
-  match plan with
-  | Error msg ->
-      Fmt.epr "error: %s@." msg;
-      2
+  match fault_plan_of fault_plan with
+  | Error code -> code
   | Ok fault_plan -> (
       let resume_from =
         match resume with
@@ -244,11 +250,12 @@ let chase_cmd =
    instance, and — like `chase` — optional --stats / --checkpoint
    artifacts.
 
-   Durability and supervision (--wal/--recover/--retries/--fault-plan)
-   route the loop through Resil: every mutation is appended and fsync'd
-   to the WAL before it applies, and each apply runs under the
-   Serve_supervisor degradation ladder (repair → re-derive → re-chase,
-   then quarantine). A bare `serve` keeps the direct path. *)
+   The loop runs a Resil.Serve_supervisor session. With
+   --wal/--recover/--retries/--fault-plan it is supervised: every
+   mutation is appended and fsync'd to the WAL before it applies, each
+   apply runs under the degradation ladder (repair → re-derive →
+   re-chase, then quarantine), and the session re-anchors the WAL after
+   every climb. A bare `serve` keeps the direct path. *)
 let serve_cmd =
   (* Read the mutation log line by line so a malformed entry is reported
      with its line number and offending content; --strict-log=false
@@ -290,15 +297,8 @@ let serve_cmd =
   let run file log max_level () stats checkpoint ck_every resume wal_dir
       recover retries fault_plan strict_log =
     with_program file (fun p ->
-        let plan =
-          match fault_plan with
-          | None -> Ok Resil.Fault.none
-          | Some spec -> Resil.Fault.parse spec
-        in
-        match plan with
-        | Error msg ->
-            Fmt.epr "error: %s@." msg;
-            2
+        match fault_plan_of fault_plan with
+        | Error code -> code
         | Ok _ when recover && wal_dir = None ->
             Fmt.epr "error: --recover requires --wal DIR@.";
             2
@@ -308,35 +308,35 @@ let serve_cmd =
                 Fmt.epr "error: %s@." e;
                 2
             | Error (`Parse (l, c, msg, content)) ->
-                Fmt.epr "error: %s:%d:%d: %s (offending line: %s)@." log l c
-                  msg content;
+                Fmt.epr "error: %s:%d:%d: %s (offending line: %s)@." log l c msg
+                  content;
                 2
-            | Ok (muts, rejected) ->
+            | Ok (muts, rejected) -> (
                 List.iter
                   (fun (l, content) ->
-                    Fmt.epr "%% warning: %s:%d: skipping malformed log line: \
-                             %s@."
-                      log l content)
+                    Fmt.epr
+                      "%% warning: %s:%d: skipping malformed log line: %s@." log
+                      l content)
                   rejected;
                 let muts = Array.of_list muts in
                 let n = Array.length muts in
                 let sigma = p.Syntax.Parser.tgds in
                 let span = Obs.Span.root "serve" in
-                (* only --stats reads the per-mutation spans: without it
-                   they would grow the tree by a subtree per mutation *)
-                let mut_obs = Option.map (fun _ -> span) stats in
-                let resilient =
-                  wal_dir <> None || recover || retries <> None
-                  || fault_plan <> None
-                in
+                let module Sup = Resil.Serve_supervisor in
+                (* the session's options: supervised iff --wal, --retries or
+                   --fault-plan is given; only --stats reads the per-mutation
+                   spans, which would otherwise grow the tree by a subtree
+                   per mutation *)
+                let fault_plan = Option.map (fun _ -> plan) fault_plan in
+                let obs = Option.map (fun _ -> span) stats in
                 let op_of = function
                   | Syntax.Parser.Add f -> Incr.Insert f
                   | Syntax.Parser.Del f -> Incr.Delete f
                 in
                 let op_eq a b =
                   match (a, b) with
-                  | Incr.Insert f, Incr.Insert g | Incr.Delete f, Incr.Delete g
-                    ->
+                  | Incr.Insert f, Incr.Insert g
+                  | Incr.Delete f, Incr.Delete g ->
                       Fact.compare f g = 0
                   | _ -> false
                 in
@@ -344,38 +344,10 @@ let serve_cmd =
                   | Incr.Insert f -> Fmt.str "+%a" Fact.pp f
                   | Incr.Delete f -> Fmt.str "-%a" Fact.pp f
                 in
-                (* The maintenance loop, shared by the direct and the
-                   supervised paths. [start_seq] is the 1-based position of
-                   the first mutation still to apply (recovery already
-                   replayed the WAL tail up to start_seq - 1). *)
-                let serve_loop store0 start_seq wal =
+                let serve_loop session =
                   Fmt.pr "%% serve: store saturated, %d facts@."
-                    (Incr.size store0);
-                  let store = ref store0 in
+                    (Incr.size (Sup.store session));
                   let inserts = ref 0 and deletes = ref 0 and noops = ref 0 in
-                  let quarantined = ref 0 and degradations = ref 0 in
-                  (* the supervisor's restore anchor: the last image plus
-                     the mutations applied since (newest first) *)
-                  let base_image = ref None in
-                  let ops_since = ref [] in
-                  let since_rotate = ref 0 in
-                  let anchor () =
-                    base_image := Some (Incr.image !store);
-                    ops_since := [];
-                    since_rotate := 0
-                  in
-                  let restore () =
-                    match !base_image with
-                    | None -> assert false
-                    | Some im ->
-                        let st = Incr.of_image sigma im in
-                        List.iter
-                          (fun op -> ignore (Incr.apply st op))
-                          (List.rev !ops_since);
-                        st
-                  in
-                  (* last rung: a fresh chase of the current base *)
-                  let rechase st = Incr.create sigma (Incr.base st) in
                   let print_effect op (eff : Incr.effect) =
                     match (op, eff.Incr.e_noop) with
                     | Incr.Insert f, true ->
@@ -396,28 +368,16 @@ let serve_cmd =
                           Fact.pp f eff.Incr.e_overdeleted eff.Incr.e_rederived
                           eff.Incr.e_repaired eff.Incr.e_deleted
                   in
-                  let module Sup = Resil.Serve_supervisor in
-                  let pp_rungs steps =
-                    String.concat " -> "
-                      (List.map
-                         (fun (s : Sup.step) ->
-                           Sup.rung_to_string s.st_rung
-                           ^
-                           match s.st_outcome with
-                           | `Ok -> ":ok"
-                           | `Fault _ -> ":fault")
-                         steps)
+                  let pp_step show (s : Sup.step) =
+                    Sup.rung_to_string s.st_rung ^ ":"
+                    ^ match s.st_outcome with `Ok -> "ok" | `Fault f -> show f
                   in
-                  (* the typed transcript, one entry per attempt, for the
-                     stats span tree *)
+                  (* the typed transcript, one entry per attempt: a ladder
+                     line, and a span for the stats tree *)
                   let note_ladder seq steps =
-                    degradations :=
-                      !degradations
-                      + List.length
-                          (List.filter
-                             (fun (s : Sup.step) -> s.st_rung <> Sup.Repair)
-                             steps);
-                    Fmt.pr "%% ladder: %s@." (pp_rungs steps);
+                    Fmt.pr "%% ladder: %s@."
+                      (String.concat " -> "
+                         (List.map (pp_step (fun _ -> "fault")) steps));
                     let lspan = Obs.Span.enter span "ladder" in
                     Obs.Span.set lspan "mutation" (Obs.Json.Int seq);
                     Obs.Span.set lspan "transcript"
@@ -425,110 +385,70 @@ let serve_cmd =
                          (String.concat "; "
                             (List.map
                                (fun (s : Sup.step) ->
-                                 Fmt.str "%d:%s:%s" s.st_attempt
-                                   (Sup.rung_to_string s.st_rung)
-                                   (match s.st_outcome with
-                                   | `Ok -> "ok"
-                                   | `Fault f -> f))
+                                 Fmt.str "%d:%s" s.st_attempt
+                                   (pp_step Fun.id s))
                                steps)));
                     Obs.Span.exit lspan
                   in
-                  let re_anchor seq =
-                    anchor ();
-                    Option.iter
-                      (fun w ->
-                        Resil.Wal.rotate w ~seq (Option.get !base_image))
-                      wal
-                  in
-                  if resilient then anchor ();
-                  Resil.Fault.arm_seq plan;
-                  Fun.protect ~finally:Resil.Fault.disarm (fun () ->
-                      for seq = start_seq to n do
+                  Fun.protect
+                    ~finally:(fun () -> Sup.close session)
+                    (fun () ->
+                      for seq = Sup.next_seq session to n do
                         let op = op_of muts.(seq - 1) in
-                        (* append-before-apply; a fault injected inside
-                           append simulates a crash mid-record and
-                           terminates the run (recover truncates the torn
-                           line) *)
-                        Option.iter
-                          (fun w -> Resil.Wal.append w (Resil.Wal.Op (seq, op)))
-                          wal;
-                        if not resilient then
-                          print_effect op (Incr.apply ?obs:mut_obs !store op)
-                        else
-                          match
-                            Sup.apply ?retries ?obs:mut_obs ~restore ~rechase
-                              ~store op
-                          with
-                          | Sup.Applied (eff, steps) ->
-                              print_effect op eff;
-                              ops_since := op :: !ops_since;
-                              incr since_rotate;
-                              if
-                                List.exists
-                                  (fun (s : Sup.step) -> s.st_outcome <> `Ok)
-                                  steps
-                              then begin
-                                note_ladder seq steps;
-                                (* the surviving store may sit on a
-                                   re-chased trajectory: re-anchor the WAL
-                                   to it so replay stays exact *)
-                                re_anchor seq
-                              end
-                              else if !since_rotate >= ck_every then
-                                re_anchor seq
-                          | Sup.Quarantined (steps, msg) ->
-                              incr quarantined;
-                              note_ladder seq steps;
-                              Option.iter
-                                (fun w ->
-                                  Resil.Wal.append w (Resil.Wal.Quarantine seq))
-                                wal;
-                              Fmt.pr "%% %s: %s@." (op_str op) msg;
-                              Fmt.epr "error: mutation %d (%s) %s@." seq
-                                (op_str op) msg
-                          | exception Sup.Fatal msg ->
-                              raise (Invalid_argument msg)
+                        match Sup.step session op with
+                        | Sup.Applied (eff, steps) ->
+                            print_effect op eff;
+                            if List.compare_length_with steps 1 > 0 then
+                              note_ladder seq steps
+                        | Sup.Quarantined (steps, msg) ->
+                            note_ladder seq steps;
+                            Fmt.pr "%% %s: %s@." (op_str op) msg;
+                            Fmt.epr "error: mutation %d (%s) %s@." seq
+                              (op_str op) msg
+                        | exception Sup.Fatal msg ->
+                            raise (Invalid_argument msg)
                       done);
+                  let store = Sup.store session in
+                  let quarantined = Sup.quarantined session in
                   Fmt.pr
                     "%% serve: %d mutations applied (%d inserts, %d deletes, \
                      %d no-ops), %d facts@."
-                    n !inserts !deletes !noops (Incr.size !store);
-                  if !quarantined > 0 then
-                    Fmt.pr "%% serve: %d mutation(s) quarantined@." !quarantined;
+                    n !inserts !deletes !noops (Incr.size store);
+                  if quarantined > 0 then
+                    Fmt.pr "%% serve: %d mutation(s) quarantined@." quarantined;
                   (* set-style so a recovered run (whose image may already
                      carry the counter) converges to the same value *)
                   if rejected <> [] then begin
                     let c =
-                      Obs.Metrics.counter
-                        (Incr.metrics !store)
+                      Obs.Metrics.counter (Incr.metrics store)
                         "serve.rejected_lines"
                     in
-                    Obs.Metrics.add c (List.length rejected - Obs.Metrics.value c)
+                    Obs.Metrics.add c
+                      (List.length rejected - Obs.Metrics.value c)
                   end;
                   Instance.iter
                     (fun f -> Fmt.pr "%a.@." Fact.pp f)
-                    (Incr.instance !store);
+                    (Incr.instance store);
                   (match checkpoint with
                   | Some path ->
-                      Resil.Checkpoint.save path (Incr.checkpoint !store)
+                      Resil.Checkpoint.save path (Incr.checkpoint store)
                   | None -> ());
-                  Option.iter Resil.Wal.close wal;
                   Obs.Span.exit span;
                   (match stats with
                   | Some path ->
-                      let rep = Incr.report ~name:"serve" ~span !store in
+                      let rep = Incr.report ~name:"serve" ~span store in
                       Obs.Report.add_field rep "mutations" (Obs.Json.Int n);
-                      if !quarantined > 0 then
+                      if quarantined > 0 then
                         Obs.Report.add_field rep "quarantined"
-                          (Obs.Json.Int !quarantined);
-                      if !degradations > 0 then
+                          (Obs.Json.Int quarantined);
+                      if Sup.degradations session > 0 then
                         Obs.Report.add_field rep "degradations"
-                          (Obs.Json.Int !degradations);
+                          (Obs.Json.Int (Sup.degradations session));
                       Obs.Report.write path rep
                   | None -> ());
-                  if !quarantined > 0 then 1 else 0
+                  if quarantined > 0 then 1 else 0
                 in
-                let prep =
+                let session =
                   match wal_dir with
                   | Some dir when recover && not (Resil.Wal.is_empty ~dir) -> (
                       match Resil.Wal.recover ~dir with
@@ -548,12 +468,11 @@ let serve_cmd =
                                     dir log))
                           else begin
                             let rspan = Obs.Span.enter span "recover" in
-                            let store =
-                              Incr.of_image sigma r.Resil.Wal.rec_image
+                            let session =
+                              Sup.resume ?retries ?obs
+                                ~checkpoint_every:ck_every ?fault_plan ~dir
+                                sigma r
                             in
-                            List.iter
-                              (fun (_, op) -> ignore (Incr.apply store op))
-                              r.Resil.Wal.rec_ops;
                             let replayed = List.length r.Resil.Wal.rec_ops in
                             Obs.Span.set rspan "image_seq"
                               (Obs.Json.Int r.Resil.Wal.rec_image_seq);
@@ -574,10 +493,7 @@ let serve_cmd =
                                replayed, %d truncated@."
                               r.Resil.Wal.rec_image_seq replayed
                               r.Resil.Wal.rec_truncated;
-                            Ok
-                              ( store,
-                                r.Resil.Wal.rec_last_seq + 1,
-                                Some (Resil.Wal.reopen ~dir) )
+                            Ok session
                           end)
                   | _ -> (
                       let fresh =
@@ -603,17 +519,15 @@ let serve_cmd =
                           if not (Incr.saturated store) then Error `Unsat
                           else begin
                             if recover then
-                              Fmt.pr "%% recover: empty WAL — starting fresh@.";
-                            let wal =
-                              Option.map
-                                (fun dir ->
-                                  Resil.Wal.create ~dir (Incr.image store))
-                                wal_dir
-                            in
-                            Ok (store, 1, wal)
+                              Fmt.pr
+                                "%% recover: empty WAL — starting fresh@.";
+                            Ok
+                              (Sup.start ?retries ?obs
+                                 ~checkpoint_every:ck_every ?fault_plan
+                                 ?wal:wal_dir sigma store)
                           end)
                 in
-                match prep with
+                match session with
                 | Error (`Input msg) ->
                     Fmt.epr "error: %s@." msg;
                     2
@@ -626,7 +540,7 @@ let serve_cmd =
                        cannot maintain a truncated chase@."
                       max_level;
                     1
-                | Ok (store, start_seq, wal) -> serve_loop store start_seq wal))
+                | Ok session -> serve_loop session)))
   in
   let log_arg =
     Arg.(
@@ -706,15 +620,8 @@ let server_cmd =
   let run file max_level () workers stats budget_facts budget_ms
       fault_plan =
     with_program file (fun p ->
-        let plan =
-          match fault_plan with
-          | None -> Ok Resil.Fault.none
-          | Some spec -> Resil.Fault.parse spec
-        in
-        match plan with
-        | Error msg ->
-            Fmt.epr "error: %s@." msg;
-            2
+        match fault_plan_of fault_plan with
+        | Error code -> code
         | Ok _ when workers < 1 ->
             Fmt.epr "error: --workers must be >= 1@.";
             2

@@ -8,8 +8,9 @@
 # final record (simulated twice: once with an injected fsync fault, once
 # by dd-truncating the newest segment of a completed run) must be
 # truncated and replayed from the mutation log, never reported as
-# corruption. A truncated only image, by contrast, must fail with a
-# diagnostic naming the file.
+# corruption. A crash after a ladder climb must recover from the image
+# the climb re-anchored the WAL to. A truncated only image, by contrast,
+# must fail with a diagnostic naming the file.
 #
 # Run from the repository root:  sh ci/crash_recovery.sh
 # Environment:
@@ -173,6 +174,45 @@ cmp -s "$TMP/ref.facts" "$TMP/dd.facts" || {
   exit 1
 }
 echo "crash_recovery: dd-truncated tail truncated and replayed"
+
+# ---- crash after a ladder climb ------------------------------------------
+
+# A fault on the first delete climbs straight to the rechase rung, which
+# leaves the store on fresh null ids: the session must re-anchor the WAL
+# onto that store (image at seq 3), or replay from image 0 lands on a
+# different store. The crash is a torn append two records later.
+UPROG=examples/programs/university.gd
+ULOG=examples/programs/university.mut
+climb() {
+  # climb <out> <args...> — exit code on stdout, never aborts the script
+  out=$1
+  shift
+  set +e
+  "$CLI" serve "$UPROG" --log "$ULOG" --checkpoint-every 100 "$@" \
+    > "$out" 2> "$out.err"
+  code=$?
+  set -e
+  echo "$code"
+}
+code=$(climb "$TMP/climb.ref.out" --wal "$TMP/climbA" --retries 2 \
+  --fault-plan point:incr.delete:1 --checkpoint "$TMP/climb.ref.ck")
+[ "$code" = 0 ] || { echo "crash_recovery: climb reference run failed ($code)"; exit 1; }
+code=$(climb "$TMP/climb.out" --wal "$TMP/climbB" --retries 2 \
+  --fault-plan point:incr.delete:1,point:wal.fsync:2)
+[ "$code" = 1 ] || { echo "crash_recovery: crash after climb expected exit 1, got $code"; exit 1; }
+code=$(climb "$TMP/climb.rec.out" --wal "$TMP/climbB" --recover \
+  --checkpoint "$TMP/climb.rec.ck")
+[ "$code" = 0 ] || { echo "crash_recovery: recovery after climb failed ($code)"; exit 1; }
+grep -q "^% recover: image at seq 3," "$TMP/climb.rec.out" || {
+  echo "crash_recovery: recovery after climb did not start from the re-anchored image"
+  grep "recover:" "$TMP/climb.rec.out" || true
+  exit 1
+}
+cmp -s "$TMP/climb.ref.ck" "$TMP/climb.rec.ck" || {
+  echo "crash_recovery: recovery after climb checkpoint diverges"
+  exit 1
+}
+echo "crash_recovery: crash after a ladder climb replayed from the re-anchored image"
 
 # ---- corrupt only image --------------------------------------------------
 

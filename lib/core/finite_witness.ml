@@ -61,15 +61,18 @@ let child_key sigma_index head_atoms (b : Homomorphism.binding) inst frontier_co
   let key, _, _ = Tgds.Ground_closure.canonicalize bag in
   Printf.sprintf "%d|%s" sigma_index key
 
-(** [build ?blocking_depth ?max_facts ~n sigma db] — the blocked chase.
-    The result is guaranteed to be a model of [sigma] containing [db]
-    whenever the run completes within [max_facts] (raises [Failure]
-    otherwise). Each bag type owns a pool of [n+2] representative
-    null-tuples used round-robin by trigger depth, so a rewired chain
-    closes into a cycle of length [n+2] — longer than any ≤ n-variable
-    query can trace. *)
-let build ?blocking_depth ?(max_facts = 200_000) ~n sigma db =
-  let blocking_depth = match blocking_depth with Some d -> d | None -> n + 1 in
+(* The fact budget of {!build}. *)
+let max_facts = 200_000
+
+(** [build ~n sigma db] — the blocked chase, blocking beyond depth
+    [blocking_depth = n+1]. The result is guaranteed to be a model of
+    [sigma] containing [db] whenever the run completes within [max_facts]
+    (raises [Failure] otherwise). Each bag type owns a pool of [n+2]
+    representative null-tuples used round-robin by trigger depth, so a
+    rewired chain closes into a cycle of length [n+2] — longer than any
+    ≤ n-variable query can trace. *)
+let build ~n sigma db =
+  let blocking_depth = n + 1 in
   let sigma_arr = Array.of_list sigma in
   let level_of : (Fact.t, int) Hashtbl.t = Hashtbl.create 256 in
   let fired = Hashtbl.create 256 in

@@ -6,10 +6,9 @@
 
 open Relational
 
-(** [build ?blocking_depth ?max_facts ~n sigma db] — the blocked chase;
-    raises [Failure] when the fact budget is exhausted. *)
-val build :
-  ?blocking_depth:int -> ?max_facts:int -> n:int -> Tgds.Tgd.t list -> Instance.t -> Instance.t
+(** [build ~n sigma db] — the blocked chase, blocking beyond depth [n+1];
+    raises [Failure] when the fact budget (200,000 facts) is exhausted. *)
+val build : n:int -> Tgds.Tgd.t list -> Instance.t -> Instance.t
 
 (** Sanity check: [m ⊇ db] and [m ⊨ sigma]. *)
 val verify : Tgds.Tgd.t list -> Instance.t -> Instance.t -> bool

@@ -26,11 +26,11 @@ type prepared = {
       (** type exploration and rewriting both stayed within budget *)
 }
 
-(** [prepare ?max_types ?max_queries sigma db q] — run both stages. *)
-let prepare ?max_types ?max_queries sigma db (q : Ucq.t) =
-  let lin = Tgds.Linearize.make ?max_types sigma db in
+(** [prepare sigma db q] — run both stages. *)
+let prepare sigma db (q : Ucq.t) =
+  let lin = Tgds.Linearize.make sigma db in
   let q', rw_complete =
-    Tgds.Linear_rewrite.rewrite ?max_queries lin.Tgds.Linearize.sigma_star q
+    Tgds.Linear_rewrite.rewrite lin.Tgds.Linearize.sigma_star q
   in
   {
     db_star = lin.Tgds.Linearize.db_star;
@@ -40,10 +40,9 @@ let prepare ?max_types ?max_queries sigma db (q : Ucq.t) =
 
 (** [certain ?budgets sigma db q c̄] — certain answers through the composed
     rewriting; the boolean reports whether the result is known exact. *)
-let certain ?max_types ?max_queries sigma db q tuple =
-  let p = prepare ?max_types ?max_queries sigma db q in
+let certain sigma db q tuple =
+  let p = prepare sigma db q in
   (Ucq.entails p.db_star p.rewriting tuple, p.complete)
 
 (** [holds sigma db q] — Boolean variant. *)
-let holds ?max_types ?max_queries sigma db q =
-  certain ?max_types ?max_queries sigma db q []
+let holds sigma db q = certain sigma db q []

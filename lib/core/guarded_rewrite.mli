@@ -12,20 +12,12 @@ type prepared = {
 }
 
 (** Run both stages. *)
-val prepare :
-  ?max_types:int -> ?max_queries:int -> Tgds.Tgd.t list -> Instance.t -> Ucq.t -> prepared
+val prepare : Tgds.Tgd.t list -> Instance.t -> Ucq.t -> prepared
 
 (** Certain answers through the composed rewriting; the boolean reports
     exactness. *)
 val certain :
-  ?max_types:int ->
-  ?max_queries:int ->
-  Tgds.Tgd.t list ->
-  Instance.t ->
-  Ucq.t ->
-  Term.const list ->
-  bool * bool
+  Tgds.Tgd.t list -> Instance.t -> Ucq.t -> Term.const list -> bool * bool
 
 (** Boolean variant. *)
-val holds :
-  ?max_types:int -> ?max_queries:int -> Tgds.Tgd.t list -> Instance.t -> Ucq.t -> bool * bool
+val holds : Tgds.Tgd.t list -> Instance.t -> Ucq.t -> bool * bool

@@ -46,7 +46,7 @@ let certain ?(max_level = 8) ?max_facts ?budget ?obs (q : Omq.t) db tuple =
     work is polynomial (building [D*] via the ground closure and chasing
     the linear [Σ*] to a level depending only on [Q]); the query-side work
     is the type exploration, independent of the data. *)
-let certain_fpt ?(max_level = 10) ?max_facts ?max_types ?budget ?obs
+let certain_fpt ?(max_level = 10) ?max_facts ?budget ?obs
     (q : Omq.t) db tuple =
   if not (Omq.in_guarded q) then
     invalid_arg "Omq_eval.certain_fpt: ontology must be guarded";
@@ -54,7 +54,7 @@ let certain_fpt ?(max_level = 10) ?max_facts ?max_types ?budget ?obs
     invalid_arg "Omq_eval.certain_fpt: not a database over the data schema";
   let lin =
     Obs.Span.timed obs "rewrite" @@ fun () ->
-    Tgds.Linearize.make ?max_types (Omq.ontology q) db
+    Tgds.Linearize.make (Omq.ontology q) db
   in
   let r = Chase.run ~max_level ?max_facts ?budget ?obs
       lin.Tgds.Linearize.sigma_star lin.Tgds.Linearize.db_star in
@@ -97,15 +97,15 @@ let in_match_span obs f =
     of Proposition 3.3(3) (requires [Σ ∈ G]). The budget bounds the chase
     {e and} the enumeration (fact axis = emitted answers); a cut run
     returns a sound prefix with [outcome = Partial _]. *)
-let answer_set ?(fpt = false) ?max_level ?max_facts ?max_types ?budget
-    ?obs (q : Omq.t) db =
+let answer_set ?(fpt = false) ?max_level ?max_facts ?budget ?obs (q : Omq.t)
+    db =
   let r, rewrite_complete =
     if fpt then begin
       if not (Omq.in_guarded q) then
         invalid_arg "Omq_eval.answer_set: fpt requires a guarded ontology";
       let lin =
         Obs.Span.timed obs "rewrite" @@ fun () ->
-        Tgds.Linearize.make ?max_types (Omq.ontology q) db
+        Tgds.Linearize.make (Omq.ontology q) db
       in
       ( Chase.run
           ~max_level:(Option.value max_level ~default:10)

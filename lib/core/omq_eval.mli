@@ -31,7 +31,6 @@ val certain :
 val certain_fpt :
   ?max_level:int ->
   ?max_facts:int ->
-  ?max_types:int ->
   ?budget:Obs.Budget.t ->
   ?obs:Obs.Span.t ->
   Omq.t ->
@@ -64,7 +63,6 @@ val answer_set :
   ?fpt:bool ->
   ?max_level:int ->
   ?max_facts:int ->
-  ?max_types:int ->
   ?budget:Obs.Budget.t ->
   ?obs:Obs.Span.t ->
   Omq.t ->

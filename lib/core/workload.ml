@@ -233,12 +233,3 @@ let lubm ~universities ?(depts_per_univ = 2) ?(profs_per_dept = 3)
     done
   done;
   (ontology, Instance.of_facts !facts)
-
-(** The OMQ family [Q_n] of the dichotomy experiment: grid queries of
-    growing treewidth over a fixed guarded ontology. *)
-let dichotomy_omq_family ~ontology n =
-  Omq.full_data_schema ~ontology ~query:(Ucq.of_cq (grid_cq n n))
-
-(** The bounded-treewidth control family: path queries of the same size. *)
-let bounded_omq_family ~ontology n =
-  Omq.full_data_schema ~ontology ~query:(Ucq.of_cq (path_cq (n * n)))

@@ -59,9 +59,3 @@ val lubm :
   ?students_per_dept:int ->
   unit ->
   Tgds.Tgd.t list * Instance.t
-
-(** Grid-query OMQ family (growing treewidth) over a fixed ontology. *)
-val dichotomy_omq_family : ontology:Tgds.Tgd.t list -> int -> Omq.t
-
-(** Path-query control family (treewidth 1) of comparable size. *)
-val bounded_omq_family : ontology:Tgds.Tgd.t list -> int -> Omq.t

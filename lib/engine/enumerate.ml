@@ -369,8 +369,5 @@ let ucq_interned ?budget ?obs cx u =
 (* Materializing API (unchanged shape)                                  *)
 (* ------------------------------------------------------------------ *)
 
-let run ?budget ?obs ~universe idx disjuncts =
-  materialize (run_interned ?budget ?obs (ctx ~universe idx) disjuncts)
-
-let cq ?budget ?obs ~universe idx q = run ?budget ?obs ~universe idx [ q ]
-let ucq ?budget ?obs ~universe idx u = run ?budget ?obs ~universe idx (Ucq.disjuncts u)
+let ucq ?budget ?obs ~universe idx u =
+  materialize (ucq_interned ?budget ?obs (ctx ~universe idx) u)

@@ -108,16 +108,6 @@ val of_answers : const list list -> Obs.Budget.outcome -> interned
 (** An interned result over a private symbol assignment — for tests and
     renderers that need an {!interned} without a store. *)
 
-(** [cq ~universe idx q] — the answers of a single conjunctive query over
-    the store. *)
-val cq :
-  ?budget:Obs.Budget.t ->
-  ?obs:Obs.Span.t ->
-  universe:ConstSet.t ->
-  Index.t ->
-  Cq.t ->
-  result
-
 (** [ucq ~universe idx u] — the union of the disjuncts' answers,
     deduplicated into one canonical sorted set. The budget spans the
     whole union (the fact axis counts distinct answers across

@@ -31,4 +31,3 @@ let view s =
 let view_metrics v = Index.metrics v.ridx
 
 let ucq_i ?budget ?obs v q = Enumerate.ucq_interned ?budget ?obs v.cx q
-let ucq ?budget ?obs v q = Enumerate.materialize (ucq_i ?budget ?obs v q)

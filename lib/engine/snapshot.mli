@@ -69,11 +69,3 @@ val ucq_i :
     gives per-request admission control (a violated budget returns a
     [Partial] prefix); [?obs] attaches the enumeration spans to the
     request's span. *)
-
-val ucq :
-  ?budget:Obs.Budget.t ->
-  ?obs:Obs.Span.t ->
-  view ->
-  Ucq.t ->
-  Enumerate.result
-(** {!ucq_i} materialized: the classic [const list list] form. *)

@@ -482,7 +482,7 @@ let of_checkpoint ?obs sigma (s : Engine.Saturate.snapshot) =
 type image = {
   im_facts : (Fact.t * int) list;
   im_base : Fact.t list;
-  im_ledger : ((int * Term.const option list) * Fact.t list * Fact.t list) list;
+  im_ledger : ((int * Term.const list) * Fact.t list * Fact.t list) list;
   im_syms : Term.const list;
   im_preds : string list;
   im_level : int;
@@ -532,7 +532,7 @@ let compare_const (a : Term.const) (b : Term.const) =
   | Named _, Null _ -> -1
   | Null _, Named _ -> 1
 
-(* [compare] on the decoded trigger keys [(rule, [Some c; …])] — the
+(* [compare] on the decoded trigger keys [(rule, [c; …])] — the
    order the image lists its ledger in — read off the interned keys from
    position [i] on. *)
 let rec compare_trigger st k1 k2 i =
@@ -550,7 +550,7 @@ let rec compare_trigger st k1 k2 i =
 
 let rec trigger_slots st k i =
   if i = Array.length k then []
-  else Some (Engine.Symtab.extern st k.(i)) :: trigger_slots st k (i + 1)
+  else Engine.Symtab.extern st k.(i) :: trigger_slots st k (i + 1)
 
 let image t =
   ensure_saturated t;
@@ -597,8 +597,9 @@ let of_image sigma (im : image) =
     | Some k when Index.mem_key k idx -> k
     | _ -> invalid_arg "Incr.of_image: a fact outside the image's facts"
   in
-  let cid = function
-    | Some c when Engine.Symtab.find_int st c >= 0 -> Engine.Symtab.find_int st c
+  let cid c =
+    match Engine.Symtab.find_int st c with
+    | id when id >= 0 -> id
     | _ -> invalid_arg "Incr.of_image: a trigger key outside the image's symbols"
   in
   let base = Keytbl.create (max 16 (List.length im.im_base)) in

@@ -146,7 +146,7 @@ type image = {
       (** every fact with its s-level, in index {e storage order} (see
           {!Engine.Index.ordered_facts}) *)
   im_base : Fact.t list;  (** the base database, sorted *)
-  im_ledger : ((int * Term.const option list) * Fact.t list * Fact.t list) list;
+  im_ledger : ((int * Term.const list) * Fact.t list * Fact.t list) list;
       (** live derivations [(trigger key, body, outs)], sorted by key
           under [compare]; [body] and [outs] are sorted and
           duplicate-free. Every fact named here or in [im_base] is

@@ -37,7 +37,6 @@ let of_vertices_edges vertices edges =
 let vertices g = IMap.fold (fun v _ acc -> v :: acc) g.adj [] |> List.rev
 let vertex_set g = IMap.fold (fun v _ acc -> ISet.add v acc) g.adj ISet.empty
 let num_vertices g = IMap.cardinal g.adj
-let mem_vertex g v = IMap.mem v g.adj
 
 let neighbors g v =
   match IMap.find_opt v g.adj with Some s -> s | None -> ISet.empty

@@ -22,7 +22,6 @@ val of_vertices_edges : int list -> (int * int) list -> t
 val vertices : t -> int list
 val vertex_set : t -> ISet.t
 val num_vertices : t -> int
-val mem_vertex : t -> int -> bool
 val neighbors : t -> int -> ISet.t
 val degree : t -> int -> int
 val mem_edge : t -> int -> int -> bool

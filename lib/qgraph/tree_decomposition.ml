@@ -14,8 +14,6 @@ type t = {
 }
 
 let bags t = t.bags
-let tree_edges t = t.tree
-let num_nodes t = IMap.cardinal t.bags
 let bag t n = IMap.find n t.bags
 
 (** Width: max bag size - 1 (and -1 if there are no bags). *)

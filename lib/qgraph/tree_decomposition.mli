@@ -12,8 +12,6 @@ val make : ISet.t IMap.t -> (int * int) list -> t
 val singleton : ISet.t -> t
 
 val bags : t -> ISet.t IMap.t
-val tree_edges : t -> (int * int) list
-val num_nodes : t -> int
 val bag : t -> int -> ISet.t
 
 (** Width: max bag size − 1 (and −1 if there are no bags). *)

@@ -132,12 +132,6 @@ let heuristic_order ?(h = Min_fill) g =
   done;
   List.rev !order
 
-(** Width of an elimination order (max number of later neighbors in the
-    fill graph). *)
-let order_width g order =
-  let td = Tree_decomposition.of_elimination_order g order in
-  Tree_decomposition.width td
-
 (** Heuristic upper bound together with its witnessing decomposition. *)
 let upper_bound ?(h = Min_fill) g =
   if Graph.num_vertices g = 0 then (0, Tree_decomposition.singleton ISet.empty)

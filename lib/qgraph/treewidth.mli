@@ -13,9 +13,6 @@ type heuristic = Min_fill | Min_degree
 (** Elimination order produced by greedy heuristic scoring. *)
 val heuristic_order : ?h:heuristic -> Graph.t -> int list
 
-(** Width of an elimination order. *)
-val order_width : Graph.t -> int list -> int
-
 (** Heuristic upper bound with its witnessing decomposition. *)
 val upper_bound : ?h:heuristic -> Graph.t -> int * Tree_decomposition.t
 

@@ -50,9 +50,6 @@ let rename_consts f a =
   in
   { a with args }
 
-(** Declared schema entry of the atom. *)
-let schema_entry a = (a.pred, arity a)
-
 let pp ppf a =
   if a.args = [] then Fmt.string ppf a.pred
   else Fmt.pf ppf "%s(%a)" a.pred Fmt.(list ~sep:(any ",") Term.pp) a.args

@@ -23,7 +23,4 @@ val apply : Term.t Term.VarMap.t -> t -> t
     [f] returns [None]). *)
 val rename_consts : (Term.const -> Term.const option) -> t -> t
 
-(** Declared schema entry of the atom. *)
-val schema_entry : t -> string * int
-
 val pp : Format.formatter -> t -> unit

@@ -25,8 +25,6 @@ let ucq_contained u1 u2 =
     (fun p1 -> List.exists (fun p2 -> cq_contained p1 p2) (Ucq.disjuncts u2))
     (Ucq.disjuncts u1)
 
-let ucq_equivalent u1 u2 = ucq_contained u1 u2 && ucq_contained u2 u1
-
 (** Drop disjuncts subsumed by other disjuncts (containment-minimal UCQ). *)
 let minimize_ucq u =
   let ds = Ucq.disjuncts (Ucq.dedup u) in

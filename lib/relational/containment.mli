@@ -10,7 +10,5 @@ val cq_equivalent : Cq.t -> Cq.t -> bool
     [u2]. *)
 val ucq_contained : Ucq.t -> Ucq.t -> bool
 
-val ucq_equivalent : Ucq.t -> Ucq.t -> bool
-
 (** Drop disjuncts subsumed by other disjuncts. *)
 val minimize_ucq : Ucq.t -> Ucq.t

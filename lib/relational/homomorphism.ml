@@ -186,19 +186,6 @@ let find_between ?(injective = false) ?(fixed = ConstMap.empty) src dst =
 let maps_to ?injective ?fixed src dst =
   Option.is_some (find_between ?injective ?fixed src dst)
 
-(** All homomorphisms between instances. *)
-let all_between ?(injective = false) ?(fixed = ConstMap.empty) src dst =
-  let atoms, tbl = pattern_of_instance src in
-  let init =
-    List.fold_left
-      (fun acc (c, v) ->
-        match ConstMap.find_opt c fixed with
-        | Some d -> VarMap.add v d acc
-        | None -> acc)
-      VarMap.empty tbl
-  in
-  List.map (binding_to_const_map tbl) (all ~injective ~init atoms dst)
-
 (** [verify_between src dst h] — checks that [h] is a homomorphism from
     [src] to [dst] (total on [dom src]). *)
 let verify_between src dst (h : const ConstMap.t) =
@@ -206,11 +193,3 @@ let verify_between src dst (h : const ConstMap.t) =
   && Instance.for_all
        (fun f -> Instance.mem (Fact.rename (fun c -> ConstMap.find_opt c h) f) dst)
        src
-
-(** Composition [g ∘ h] of constant maps. *)
-let compose (h : const ConstMap.t) (g : const ConstMap.t) =
-  ConstMap.map (fun c -> match ConstMap.find_opt c g with Some d -> d | None -> c) h
-
-let is_injective (h : const ConstMap.t) =
-  let range = ConstMap.fold (fun _ c acc -> c :: acc) h [] in
-  List.length range = List.length (List.sort_uniq compare_const range)

@@ -56,21 +56,6 @@ val maps_to :
   Instance.t ->
   bool
 
-(** All homomorphisms between instances. *)
-val all_between :
-  ?injective:bool ->
-  ?fixed:Term.const Term.ConstMap.t ->
-  Instance.t ->
-  Instance.t ->
-  Term.const Term.ConstMap.t list
-
 (** [verify_between src dst h] — is [h] a (total) homomorphism from [src]
     to [dst]? *)
 val verify_between : Instance.t -> Instance.t -> Term.const Term.ConstMap.t -> bool
-
-(** Composition [g ∘ h] of constant maps (constants outside [g] map to
-    themselves). *)
-val compose :
-  Term.const Term.ConstMap.t -> Term.const Term.ConstMap.t -> Term.const Term.ConstMap.t
-
-val is_injective : Term.const Term.ConstMap.t -> bool

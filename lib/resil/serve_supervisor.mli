@@ -70,3 +70,83 @@ val apply :
   store:Incr.t ref ->
   Incr.op ->
   outcome
+
+(** {1 Sessions}
+
+    A session serves a mutation log against one store and owns the
+    protocol that makes a WAL replay land on exactly that store. Each
+    {!step} appends the mutation to the WAL {e before} applying it under
+    the ladder, and adds it to the restore anchor (an exact
+    {!Incr.image} plus the mutations applied since); a quarantined
+    mutation is logged as a {!Wal.Quarantine} record instead. The
+    session {e re-anchors} — a fresh image, the WAL rotated onto it —
+    every [checkpoint_every] applied mutations and after any ladder
+    climb: a Rederive or Rechase rung may leave the store on a
+    trajectory (fresh null ids, a re-chased index order) that no replay
+    of the old anchor reproduces.
+
+    A session is {e supervised} when it has a WAL, a [retries] budget or
+    a fault plan, and {e direct} otherwise: each {!step} is then one
+    {!Incr.apply}, with no image and no ladder. *)
+
+type session
+
+(** [start … ?wal sigma store] — serve mutations [1, 2, …] against
+    [store], a saturated store of [sigma]. [wal = dir] creates the WAL
+    in [dir] ({!Wal.create}). [fault_plan] stays armed
+    ({!Fault.arm_seq}) until {!close}. [checkpoint_every] defaults to
+    [max_int] (re-anchor only after climbs); [retries], [sleep] and
+    [obs] go to {!apply}. *)
+val start :
+  ?retries:int ->
+  ?sleep:(float -> unit) ->
+  ?obs:Obs.Span.t ->
+  ?checkpoint_every:int ->
+  ?fault_plan:Fault.plan ->
+  ?wal:string ->
+  Tgds.Tgd.t list ->
+  Incr.t ->
+  session
+
+(** [resume … ~dir sigma r] — continue a WAL after a crash: the store is
+    {!replay}[ sigma r], the anchor is [r]'s image plus its replayed
+    tail, the WAL in [dir] is reopened ({!Wal.reopen}) and the next
+    mutation is [r.rec_last_seq + 1]. Always supervised. *)
+val resume :
+  ?retries:int ->
+  ?sleep:(float -> unit) ->
+  ?obs:Obs.Span.t ->
+  ?checkpoint_every:int ->
+  ?fault_plan:Fault.plan ->
+  dir:string ->
+  Tgds.Tgd.t list ->
+  Wal.recovery ->
+  session
+
+(** [replay sigma r] — [r]'s image rebuilt by {!Incr.of_image}, then its
+    tail applied: the store the crashed session held after
+    [r.rec_last_seq], null ids included. *)
+val replay : Tgds.Tgd.t list -> Wal.recovery -> Incr.t
+
+(** [step s op] — apply [op] as mutation {!next_seq}[ s], as above. A
+    direct session returns a singleton clean transcript. A fault injected
+    into the WAL append escapes (a simulated crash); a violated
+    precondition raises {!Fatal} (supervised) or [Invalid_argument]
+    (direct). *)
+val step : session -> Incr.op -> outcome
+
+(** The current store; a ladder rung may have replaced the one the
+    session started with. *)
+val store : session -> Incr.t
+
+(** The log position the next {!step} takes. *)
+val next_seq : session -> int
+
+(** Attempts run above the Repair rung, over every {!step} so far. *)
+val degradations : session -> int
+
+(** Mutations quarantined so far. *)
+val quarantined : session -> int
+
+(** Disarm the fault plan and close the WAL. The store stays readable. *)
+val close : session -> unit

@@ -76,10 +76,7 @@ let ledger_entry_to_json ((rule, cs), body, outs) =
   J.Obj
     [
       ("r", J.Int rule);
-      ( "k",
-        J.List
-          (List.map (function None -> J.Null | Some c -> C.const_to_json c) cs)
-      );
+      ("k", J.List (List.map C.const_to_json cs));
       ("b", J.List (List.map C.bare_fact_to_json body));
       ("o", J.List (List.map C.bare_fact_to_json outs));
     ]
@@ -90,7 +87,7 @@ let ledger_entry_of_json j =
     C.list_field "k"
       (function
         | J.Null -> Error "null trigger-key slot"
-        | c -> Result.map Option.some (C.const_of_json c))
+        | c -> C.const_of_json c)
       j
   in
   let* body = C.list_field "b" C.bare_fact_of_json j in
@@ -106,9 +103,7 @@ let check_closed ~facts ~syms base ledger =
   let interned = Hashtbl.create (List.length syms) in
   List.iter (fun c -> Hashtbl.replace interned c ()) syms;
   let stored_all = List.for_all (Hashtbl.mem stored) in
-  let interned_all =
-    List.for_all (function Some c -> Hashtbl.mem interned c | None -> false)
-  in
+  let interned_all = List.for_all (Hashtbl.mem interned) in
   if not (stored_all base) then Error "base fact outside facts"
   else if
     not (List.for_all (fun (_, b, o) -> stored_all b && stored_all o) ledger)

@@ -31,13 +31,6 @@ let run ?(budget = Obs.Budget.unlimited) ?obs sigma db =
 (** [saturate sigma db] — {!run} without the outcome. *)
 let saturate ?budget ?obs sigma db = fst (run ?budget ?obs sigma db)
 
-(** [entails sigma db q tuple] — exact UCQ certain answering over a full
-    TGD set (the chase is finite and universal, Propositions 2.2/3.1). *)
-let entails sigma db q tuple = Ucq.entails (saturate sigma db) q tuple
-
-(** [holds sigma db q] — Boolean variant. *)
-let holds sigma db q = Ucq.holds (saturate sigma db) q
-
 (** An upper bound on the size of the guarded-full chase from Lemma A.4:
     [|D| · |T| · ar(T)^ar(T)]. *)
 let size_bound sigma db =

@@ -20,11 +20,5 @@ val saturate :
   Instance.t ->
   Instance.t
 
-(** Exact UCQ certain answering over a full TGD set. *)
-val entails : Tgd.t list -> Instance.t -> Ucq.t -> Term.const list -> bool
-
-(** Boolean variant. *)
-val holds : Tgd.t list -> Instance.t -> Ucq.t -> bool
-
 (** The Lemma A.4 size bound [|D| · |T| · ar(T)^ar(T)]. *)
 val size_bound : Tgd.t list -> Instance.t -> int

@@ -205,12 +205,15 @@ let step (t : Tgd.t) (q : Cq.t) : Cq.t list =
 (* The rewriting loop                                                   *)
 (* ------------------------------------------------------------------ *)
 
-(** [rewrite ?max_queries sigma q] — the perfect UCQ rewriting of [q]
-    w.r.t. the linear set [sigma] (Proposition D.2): a UCQ [q'] with
+(* The query budget of {!rewrite}: the most disjuncts it keeps. *)
+let max_queries = 512
+
+(** [rewrite sigma q] — the perfect UCQ rewriting of [q] w.r.t. the
+    linear set [sigma] (Proposition D.2): a UCQ [q'] with
     [q(chase(D,Σ)) = q'(D)] for all [D]. The boolean is false when the
     query budget was exhausted (result then sound but possibly
     incomplete). Raises [Invalid_argument] on non-linear TGDs. *)
-let rewrite ?(max_queries = 512) sigma (q : Ucq.t) : Ucq.t * bool =
+let rewrite sigma (q : Ucq.t) : Ucq.t * bool =
   if not (Tgd.all_linear sigma) then
     invalid_arg "Linear_rewrite.rewrite: Σ must be linear";
   let complete = ref true in
@@ -241,13 +244,7 @@ let rewrite ?(max_queries = 512) sigma (q : Ucq.t) : Ucq.t * bool =
   done;
   (Ucq.make (List.rev !known), !complete)
 
-(** [answers sigma db q] — certain answers of [q] over [db] under linear
-    [sigma], computed via rewriting (no chase). *)
-let answers ?max_queries sigma db q =
-  let q', complete = rewrite ?max_queries sigma q in
-  (Ucq.answers db q', complete)
-
 (** [entails sigma db q tuple] — rewriting-based certain membership. *)
-let entails ?max_queries sigma db q tuple =
-  let q', complete = rewrite ?max_queries sigma q in
+let entails sigma db q tuple =
+  let q', complete = rewrite sigma q in
   (Ucq.entails db q' tuple, complete)

@@ -4,24 +4,10 @@
 
 open Relational
 
-(** [rewrite ?max_queries sigma q] — the perfect rewriting; the boolean is
-    false when the query budget was exhausted (result then sound but
+(** [rewrite sigma q] — the perfect rewriting; the boolean is false when
+    the query budget (512 disjuncts) was exhausted (result then sound but
     possibly incomplete). Raises [Invalid_argument] on non-linear TGDs. *)
-val rewrite : ?max_queries:int -> Tgd.t list -> Ucq.t -> Ucq.t * bool
-
-(** Certain answers via rewriting (no chase). *)
-val answers :
-  ?max_queries:int ->
-  Tgd.t list ->
-  Instance.t ->
-  Ucq.t ->
-  Term.const list list * bool
+val rewrite : Tgd.t list -> Ucq.t -> Ucq.t * bool
 
 (** Rewriting-based certain membership. *)
-val entails :
-  ?max_queries:int ->
-  Tgd.t list ->
-  Instance.t ->
-  Ucq.t ->
-  Term.const list ->
-  bool * bool
+val entails : Tgd.t list -> Instance.t -> Ucq.t -> Term.const list -> bool * bool

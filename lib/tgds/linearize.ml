@@ -30,9 +30,6 @@ type ty = {
 (** [atoms_of ty] — [atoms(τ)] as an instance. *)
 let atoms_of ty = Instance.of_facts (ty.guard :: ty.side)
 
-(** Number of distinct constants in the guard ([ar(τ)]). *)
-let ty_width ty = ConstSet.cardinal (Fact.consts ty.guard)
-
 (** Encoded predicate name of [⟨τ⟩]. *)
 let pred_name ty =
   let s f = Fmt.str "%a" Fact.pp f in
@@ -172,12 +169,15 @@ type t = {
   complete : bool;  (** false iff the type budget was exhausted *)
 }
 
-(** [make ?max_types sigma db] — run the construction of Lemma A.3:
-    compute [D*] and the reachable fragment of [Σ*]. [max_types] caps the
-    type exploration (default 4000); [complete = false] signals the cap was
-    hit, in which case [chase(D_star, Σ_star)] is still sound but may be missing
+(* The cap on the type exploration of {!make}. *)
+let max_types = 4000
+
+(** [make sigma db] — run the construction of Lemma A.3: compute [D*]
+    and the reachable fragment of [Σ*]. [max_types] caps the type
+    exploration; [complete = false] signals the cap was hit, in which
+    case [chase(D_star, Σ_star)] is still sound but may be missing
     answers. Requires Σ guarded. *)
-let make ?(max_types = 4000) sigma db =
+let make sigma db =
   if not (Tgd.all_guarded sigma) then
     invalid_arg "Linearize.make: Σ must be guarded";
   let db_star, seeds = d_star sigma db in

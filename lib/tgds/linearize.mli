@@ -14,9 +14,6 @@ type ty = {
 (** [atoms(τ)] as an instance. *)
 val atoms_of : ty -> Instance.t
 
-(** Number of distinct constants in the guard ([ar(τ)]). *)
-val ty_width : ty -> int
-
 (** Encoded predicate name of [⟨τ⟩]. *)
 val pred_name : ty -> string
 
@@ -33,10 +30,10 @@ type t = {
   complete : bool;  (** false iff the type budget was exhausted *)
 }
 
-(** [make ?max_types sigma db] — run the construction. Requires Σ guarded;
-    [complete = false] signals the type budget was hit (results then sound
-    but possibly missing answers). *)
-val make : ?max_types:int -> Tgd.t list -> Instance.t -> t
+(** [make sigma db] — run the construction. Requires Σ guarded;
+    [complete = false] signals the type budget (4000 reachable types) was
+    hit (results then sound but possibly missing answers). *)
+val make : Tgd.t list -> Instance.t -> t
 
 (** [certain ?max_level lin q c̄] — evaluate a UCQ over
     [chase(D_star, Σ_star)], level-bounded per Lemma A.1; the boolean

@@ -926,6 +926,74 @@ let test_ladder_quarantines_poison () =
       check "later mutations still apply" true (not eff.Incr.e_noop)
   | _ -> Alcotest.fail "store unusable after quarantine"
 
+(* ------------------------------------------------------------------ *)
+(* Serve session: append-before-apply, re-anchoring, replay            *)
+(* ------------------------------------------------------------------ *)
+
+let session_ops =
+  [
+    Incr.Insert (fact "A" [ "c" ]);
+    Incr.Delete (fact "A" [ "a" ]);
+    Incr.Insert (fact "A" [ "d" ]);
+    Incr.Delete (fact "A" [ "c" ]);
+  ]
+
+(* Serve [session_ops] through a WAL-backed session with two attempts
+   per mutation under [plan], then read the directory back: the live
+   store, the outcomes, the recovery and its replay. *)
+let run_session plan =
+  Term.reset_nulls ();
+  with_tmpdir (fun dir ->
+      let module Sup = Resil.Serve_supervisor in
+      let s =
+        Sup.start ~retries:2 ~sleep:(fun _ -> ()) ~fault_plan:plan ~wal:dir
+          serve_sigma
+          (Incr.create serve_sigma serve_db)
+      in
+      let outcomes =
+        Fun.protect
+          ~finally:(fun () -> Sup.close s)
+          (fun () -> List.map (Sup.step s) session_ops)
+      in
+      match Resil.Wal.recover ~dir with
+      | Error e -> Alcotest.fail e
+      | Ok r -> (Sup.store s, outcomes, r, Sup.replay serve_sigma r))
+
+let seqs r = List.map fst r.Resil.Wal.rec_ops
+
+let test_session_climb_reanchors () =
+  (* the first delete faults on the repair rung and is retried on the
+     rechase rung, which invents fresh nulls *)
+  let live, outcomes, r, replayed =
+    run_session [ Resil.Fault.At_point ("incr.delete", 1) ]
+  in
+  (match List.nth outcomes 1 with
+  | Resil.Serve_supervisor.Applied (_, [ _; s ]) ->
+      check "climbed to the rechase rung" true
+        (s.Resil.Serve_supervisor.st_rung = Resil.Serve_supervisor.Rechase)
+  | _ -> Alcotest.fail "expected mutation 2 applied after one climb");
+  check_int "image at the climbed seq" 2 r.Resil.Wal.rec_image_seq;
+  check "tail after the climb" true (seqs r = [ 3; 4 ]);
+  check "replay equals the live store, null ids included" true
+    (Instance.equal (Incr.instance replayed) (Incr.instance live));
+  check "replay equals the live image" true
+    (Incr.image replayed = Incr.image live)
+
+let test_session_quarantine_skipped () =
+  let delete = Resil.Fault.At_point ("incr.delete", 1) in
+  let live, outcomes, r, replayed = run_session [ delete; delete ] in
+  (match List.nth outcomes 1 with
+  | Resil.Serve_supervisor.Quarantined _ -> ()
+  | _ -> Alcotest.fail "expected mutation 2 quarantined");
+  check "quarantine record read back" true
+    (r.Resil.Wal.rec_quarantined = [ 2 ]);
+  check_int "no re-anchor" 0 r.Resil.Wal.rec_image_seq;
+  check "quarantined mutation not replayed" true (seqs r = [ 1; 3; 4 ]);
+  check "poisoned delete left the store as it was" true
+    (Instance.mem (fact "A" [ "a" ]) (Incr.instance live));
+  check "replay equals the live store, null ids included" true
+    (Instance.equal (Incr.instance replayed) (Incr.instance live))
+
 let qcheck_tests =
   List.map QCheck_alcotest.to_alcotest
     [
@@ -1017,6 +1085,13 @@ let () =
             test_ladder_restores_dirty_store;
           Alcotest.test_case "poison mutation is quarantined" `Quick
             test_ladder_quarantines_poison;
+        ] );
+      ( "session",
+        [
+          Alcotest.test_case "climb re-anchors the WAL" `Quick
+            test_session_climb_reanchors;
+          Alcotest.test_case "quarantined mutation is not replayed" `Quick
+            test_session_quarantine_skipped;
         ] );
       ("properties", qcheck_tests);
     ]
