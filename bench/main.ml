@@ -840,6 +840,62 @@ let e18_row ~sigma ~db ~max_level ~ins ~del op () =
     ]
   @ counters
 
+(* The churn row: on one maintained store, delete [n] seeded base facts
+   spread across the relations (round robin over the predicates, each
+   relation's facts in a seeded shuffle), one mutation at a time, then
+   re-insert them in the same order. The store ends on the database it
+   started from, so it is compared with a re-chase of that database. *)
+let e18_churn_row ~sigma ~db ~max_level ~n ~seed () =
+  let store = Incr.create ~max_level sigma db in
+  let rng = Random.State.make [| seed |] in
+  let shuffled facts =
+    let a = Array.of_list facts in
+    for i = Array.length a - 1 downto 1 do
+      let j = Random.State.int rng (i + 1) in
+      let t = a.(i) in
+      a.(i) <- a.(j);
+      a.(j) <- t
+    done;
+    Array.to_list a
+  in
+  let facts = List.sort compare (Instance.fold List.cons db []) in
+  let groups =
+    List.map
+      (fun p -> shuffled (List.filter (fun f -> Fact.pred f = p) facts))
+      (List.sort_uniq compare (List.map Fact.pred facts))
+  in
+  (* the first fact of every relation, then the second, … *)
+  let rec interleave = function
+    | [] -> []
+    | groups ->
+        List.map List.hd groups
+        @ interleave (List.filter (( <> ) []) (List.map List.tl groups))
+  in
+  let picked = List.filteri (fun i _ -> i < n) (interleave groups) in
+  let m = Incr.metrics store in
+  let since = work m and removes0 = Obs.Metrics.count m "index.removes" in
+  let (), delete_s = time_once (fun () -> List.iter (fun f -> ignore (Incr.delete store f)) picked) in
+  let (), insert_s = time_once (fun () -> List.iter (fun f -> ignore (Incr.insert store f)) picked) in
+  let counters = work_fields ~since m in
+  let fresh =
+    Tgds.Chase.instance (Tgds.Chase.run ~policy:Tgds.Chase.Oblivious ~max_level sigma db)
+  in
+  let per_op t k = Obs.Json.Float (t *. 1e6 /. float_of_int k) in
+  let ops = List.length picked in
+  Obs.Json.
+    [
+      ("db_facts", Int (Instance.size db));
+      ("chase_facts", Int (Instance.size fresh));
+      ("churned", Int ops);
+      ("maintain_s", Float (delete_s +. insert_s));
+      ("maintain_us_per_op", per_op (delete_s +. insert_s) (2 * ops));
+      ("delete_us_per_op", per_op delete_s ops);
+      ("insert_us_per_op", per_op insert_s ops);
+      ("agree", Bool (skeleton (Incr.instance store) = skeleton fresh));
+      ("index_removes", Int (Obs.Metrics.count m "index.removes" - removes0));
+    ]
+  @ counters
+
 let e18_cases ~full =
   let cases workload ~make ~max_level ~ins ~del =
     List.map
@@ -857,6 +913,13 @@ let e18_cases ~full =
         ~ins:(fact "Prof" [ "prof_new" ])
         ~del:(fact "Prof" [ "prof_0_0_0" ]))
     (if full then [ 10; 160; 640 ] else [ 10; 160 ])
+  @ (if full then
+       [
+         case "incr-lubm-640-churn" (fun () ->
+             let sigma, db = Workload.lubm ~universities:640 () in
+             e18_churn_row ~sigma ~db ~max_level:6 ~n:1000 ~seed:1 ());
+       ]
+     else [])
   @ List.concat_map
       (fun n ->
         cases (Printf.sprintf "full-chain-%d" n)
@@ -876,6 +939,7 @@ let e18 ~full () =
       [
         "db_facts"; "chase_facts"; "maintain_s"; "rechase_s"; "speedup";
         "agree"; "create_s"; "create_minor_words_per_fact";
+        "maintain_us_per_op";
       ]
 
 (* ------------------------------------------------------------------ *)

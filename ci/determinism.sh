@@ -2,9 +2,9 @@
 # Golden determinism check: for every example program, an indexed chase
 # must reproduce the committed exit code, stdout, checkpoint, and stats
 # (up to the timing tail) under ci/golden/ byte for byte, and so must
-# `answers`, `serve`, a WAL-recovered `serve` and the serve degradation
-# ladder. A representation change in the fact store is caught here as
-# drift. The goldens store the checkpoint's engine field normalised to
+# `answers`, `serve` (on university.mut and on the churn log), a
+# WAL-recovered `serve` and the serve degradation ladder. A
+# representation change in the fact store is caught here as drift. The goldens store the checkpoint's engine field normalised to
 # FAMILY; runs are normalised the same way before comparison.
 #
 # Run from the repository root:    sh ci/determinism.sh
@@ -21,7 +21,7 @@ CLI=_build/default/bin/guarded_cli.exe
 # non-server sources, the example programs, the committed goldens, and
 # this script — lib/server sits downstream of the frozen snapshot and
 # cannot move a chase/answers/serve byte. When none of those changed
-# since the last clean pass, the full 13-program sweep is a no-op: skip
+# since the last clean pass, the full 15-program sweep is a no-op: skip
 # it. DETERMINISM_FORCE=1 reruns unconditionally.
 STAMP=_build/ci-determinism.stamp
 fingerprint() {
@@ -142,12 +142,14 @@ echo "determinism: OK ($answers_ok answer sets match goldens)"
 # Incremental maintenance: `serve` applies a mutation log to a maintained
 # store. Stdout, stats (up to the timing tail) and the checkpoint must
 # match the goldens byte for byte.
+# run_serve <tag> <program> <serve flags...> — serve examples/programs/
+# <program>.gd over its <program>.mut log
 run_serve() {
   tag=$1
-  shift
+  prog=examples/programs/$2
+  shift 2
   set +e
-  "$CLI" serve examples/programs/university.gd \
-    --log examples/programs/university.mut "$@" \
+  "$CLI" serve "$prog.gd" --log "$prog.mut" "$@" \
     --checkpoint "$TMP/$tag.ck" --stats "$TMP/$tag.stats" \
     > "$TMP/$tag.out" 2> "$TMP/$tag.err"
   echo $? > "$TMP/$tag.code"
@@ -160,7 +162,7 @@ run_serve() {
   [ -f "$TMP/$tag.ck" ] || : > "$TMP/$tag.ck"
 }
 
-run_serve serve.seq --engine indexed
+run_serve serve.seq university --engine indexed
 [ "$(cat "$TMP/serve.seq.code")" = 0 ] || {
   echo "determinism: serve failed (exit $(cat "$TMP/serve.seq.code"))"
   exit 1
@@ -169,6 +171,20 @@ for aspect in code out ck cut; do
   expect "$TMP/serve.seq.$aspect" "serve.$aspect" "serve: indexed $aspect"
 done
 echo "determinism: OK (serve matches goldens)"
+
+# Maintenance under churn: churn.mut deletes rows from the middle of
+# 40-row posting lists and re-fires the rules through them, so a store
+# whose removals reorder a posting fires triggers in a different order
+# and hands out different null ids than the goldens record.
+run_serve serve.churn.seq churn --engine indexed
+[ "$(cat "$TMP/serve.churn.seq.code")" = 0 ] || {
+  echo "determinism: churn serve failed (exit $(cat "$TMP/serve.churn.seq.code"))"
+  exit 1
+}
+for aspect in code out ck cut; do
+  expect "$TMP/serve.churn.seq.$aspect" "serve.churn.$aspect" "serve churn: indexed $aspect"
+done
+echo "determinism: OK (churn serve matches goldens)"
 
 # A recovered store must pass the same golden sweep: crash the WAL-backed
 # serve with an injected fsync fault (torn final record), recover, and
@@ -189,7 +205,7 @@ set -e
   echo "determinism: injected serve crash expected exit 1, got $code"
   exit 1
 }
-run_serve serve.rec --wal "$TMP/serve.wal" --recover
+run_serve serve.rec university --wal "$TMP/serve.wal" --recover
 [ "$(cat "$TMP/serve.rec.code")" = 0 ] || {
   echo "determinism: serve recovery failed (exit $(cat "$TMP/serve.rec.code"))"
   exit 1
@@ -206,7 +222,7 @@ echo "determinism: OK (recovered store matches the serve goldens)"
 # Degradation-ladder determinism: the same fault plan and retry budget
 # must reproduce the pinned ladder transcript — stdout, including the
 # `%% ladder:` lines.
-run_serve serve.ladder.seq --engine indexed \
+run_serve serve.ladder.seq university --engine indexed \
   --retries 2 --fault-plan point:incr.delete:1
 [ "$(cat "$TMP/serve.ladder.seq.code")" = 0 ] || {
   echo "determinism: ladder serve failed (exit $(cat "$TMP/serve.ladder.seq.code"))"

@@ -12,9 +12,14 @@
     - posting lists and relations iterate {e most recently added
       first}, which is the reverse of append order of the backing
       vectors;
-    - [remove] prunes in place preserving that order, and freed row
-      slots go on a per-relation free list that the next insert reuses,
-      so insert/delete churn cannot grow the store's capacity;
+    - every row carries the insertion stamp of its fact, so the order
+      and posting vectors, which only see appends and order-preserving
+      removals, are sorted by stamp: [remove] binary-searches each of
+      them and leaves a tombstone ({!Vec.kill}) that readers skip;
+    - freed row slots go on a per-relation free list that the next
+      insert reuses, and a vector drops its tombstones once they are
+      more than half of it, so insert/delete churn cannot grow the
+      store's capacity;
     - [index.probes] counts one probe per candidate-list retrieval
       ({!fold_catom} walking a posting list or a whole relation);
     - every row carries its fact's s-level in a level column beside the
@@ -36,19 +41,21 @@ type rel = {
   r_arity : int;
   r_cols : Vec.t array;  (* one column per argument position *)
   r_level : Vec.t;  (* s-level of the fact in each row *)
+  r_stamp : Vec.t;  (* insertion stamp of the fact in each row *)
   mutable r_rows : int;  (* row slots allocated, including freed ones *)
   r_free : Vec.t;  (* freed row slots, reused by the next insert *)
 }
 
 type entry = {
   mutable e_rels : rel list;  (* by arity; almost always a singleton *)
-  e_order : Vec.t;  (* live rows in append order *)
+  e_order : Vec.t;  (* rows in append order, with tombstones *)
   mutable e_at : (int, Vec.t) Hashtbl.t array;  (* position -> cid -> posting *)
 }
 
-(* The predicate table is shared through a one-field record so readers
-   keep seeing growth of the pid-indexed array. *)
-type tables = { mutable entries : entry option array }
+(* The predicate table is shared through a record so readers keep
+   seeing growth of the pid-indexed array. [stamp] is the next insertion
+   stamp. *)
+type tables = { mutable entries : entry option array; mutable stamp : int }
 
 (* Tables keyed by interned fact keys [| pid; cid1; …; cidn |]: the
    membership table here, the chase's trigger tables in {!Saturate}. *)
@@ -86,7 +93,7 @@ let create () =
   let metrics = Obs.Metrics.create () in
   {
     symtab = Symtab.create ();
-    tabs = { entries = Array.make 16 None };
+    tabs = { entries = Array.make 16 None; stamp = 0 };
     members = Keytbl.create 1024;
     metrics;
     c_probes = Obs.Metrics.counter metrics "index.probes";
@@ -193,6 +200,7 @@ let rel_of e arity =
           r_arity = arity;
           r_cols = Array.init arity (fun _ -> Vec.create ());
           r_level = Vec.create ();
+          r_stamp = Vec.create ();
           r_rows = 0;
           r_free = Vec.create ~capacity:1 ();
         }
@@ -220,6 +228,8 @@ let add_row idx key ~level =
   let pid = key.(0) and arity = Array.length key - 1 in
   let e = entry_of idx pid in
   let r = rel_of e arity in
+  let stamp = idx.tabs.stamp in
+  idx.tabs.stamp <- stamp + 1;
   let row =
     if Vec.length r.r_free > 0 then begin
       let row = Vec.pop r.r_free in
@@ -227,6 +237,7 @@ let add_row idx key ~level =
         Vec.set r.r_cols.(i) row key.(i + 1)
       done;
       Vec.set r.r_level row level;
+      Vec.set r.r_stamp row stamp;
       row
     end
     else begin
@@ -236,6 +247,7 @@ let add_row idx key ~level =
         Vec.push r.r_cols.(i) key.(i + 1)
       done;
       Vec.push r.r_level level;
+      Vec.push r.r_stamp stamp;
       row
     end
   in
@@ -260,10 +272,30 @@ let insert ?(level = 0) f idx =
     true
   end
 
+(* The stamp of slot [i] of an order or posting vector of [e]: a live
+   slot holds a packed row, a tombstone [-stamp-1]. *)
+let stamp_at e v i =
+  let x = Vec.get v i in
+  if x < 0 then -x - 1
+  else Vec.get (rel_get (arity_of_packed x) e.e_rels).r_stamp (row_of_packed x)
+
+(* The slot of [v] holding the row stamped [s], by binary search: the
+   vector is sorted by stamp, and its tombstones keep theirs. *)
+let slot_of_stamp e v s =
+  let rec go lo hi =
+    if lo >= hi then invalid_arg "Index: row missing from its posting"
+    else
+      let mid = (lo + hi) / 2 in
+      let m = stamp_at e v mid in
+      if m = s then mid else if m < s then go (mid + 1) hi else go lo mid
+  in
+  go 0 (Vec.length v)
+
 (** [remove_key key idx] — delete the fact with interned [key]; [false]
-    when it was not present. Posting lists are pruned eagerly
-    (order-preserving compaction, with empty posting vectors dropped) so
-    candidate counts stay exact, and the freed row slot is recycled. *)
+    when it was not present. The row's slot in the order vector and in
+    each of its postings is found by binary search on its stamp and
+    turned into a tombstone; a posting with no live row left is dropped,
+    so candidate counts stay exact, and the freed row slot is recycled. *)
 let remove_key key idx =
   match Keytbl.find_opt idx.members key with
   | None -> false
@@ -272,19 +304,18 @@ let remove_key key idx =
       Keytbl.remove idx.members key;
       let pid = key.(0) and arity = Array.length key - 1 in
       let e = match entry idx pid with Some e -> e | None -> assert false in
-      ignore (Vec.remove_value e.e_order packed);
+      let r = rel_get arity e.e_rels and row = row_of_packed packed in
+      let stamp = Vec.get r.r_stamp row in
+      let tomb = -stamp - 1 in
+      Vec.kill e.e_order (slot_of_stamp e e.e_order stamp) tomb;
       for i = 0 to arity - 1 do
         let tbl = e.e_at.(i) in
         let cid = key.(i + 1) in
-        match Hashtbl.find_opt tbl cid with
-        | None -> ()
-        | Some v ->
-            ignore (Vec.remove_value v packed);
-            if Vec.length v = 0 then Hashtbl.remove tbl cid
+        let v = Hashtbl.find tbl cid in
+        Vec.kill v (slot_of_stamp e v stamp) tomb;
+        if Vec.live v = 0 then Hashtbl.remove tbl cid
       done;
-      (match rel_find e arity with
-      | Some r -> Vec.push r.r_free (row_of_packed packed)
-      | None -> ());
+      Vec.push r.r_free row;
       true
 
 let remove f idx =
@@ -329,7 +360,7 @@ let set_level idx f l =
       Vec.set (rel_of_packed idx pid packed).r_level (row_of_packed packed) l
 
 (* Every live row in storage order: pid-ascending over the entry table,
-   each entry's [e_order] in append order. *)
+   each entry's [e_order] in append order, tombstones skipped. *)
 let iter_rows f idx =
   Array.iteri
     (fun pid e ->
@@ -338,7 +369,8 @@ let iter_rows f idx =
       | Some e ->
           Vec.iter
             (fun packed ->
-              f pid (rel_get (arity_of_packed packed) e.e_rels) (row_of_packed packed))
+              if packed >= 0 then
+                f pid (rel_get (arity_of_packed packed) e.e_rels) (row_of_packed packed))
             e.e_order)
     idx.tabs.entries
 
@@ -501,8 +533,9 @@ let catom_unbound ca ~benv =
 let no_rows = Vec.create ~capacity:1 ()
 
 (* The rows [ca] can match under [benv], most recently added last: the
-   smallest posting list over its bound positions (the first strictly
-   smaller wins), or the whole relation when no position is bound. *)
+   posting list with the fewest live rows over its bound positions (the
+   first strictly smaller wins), or the whole relation when no position
+   is bound. *)
 let candidate_rows e ca benv =
   let best = ref e.e_order and bound = ref false in
   for i = 0 to ca.c_arity - 1 do
@@ -512,7 +545,7 @@ let candidate_rows e ca benv =
         if cid < 0 || i >= Array.length e.e_at then no_rows
         else try Hashtbl.find e.e_at.(i) cid with Not_found -> no_rows
       in
-      if (not !bound) || Vec.length v < Vec.length !best then begin
+      if (not !bound) || Vec.live v < Vec.live !best then begin
         best := v;
         bound := true
       end
@@ -526,9 +559,10 @@ let catom_count idx ca ~benv =
   else
     match entry idx ca.c_pid with
     | None -> 0
-    | Some e -> Vec.length (candidate_rows e ca benv)
+    | Some e -> Vec.live (candidate_rows e ca benv)
 
-(* Walk the candidate rows most recently added first, binding [ca]'s
+(* Walk the live candidate rows most recently added first (a tombstone
+   is skipped unseen: it is no candidate), binding [ca]'s
    unbound variables in [benv] in place (trail-undone per candidate and
    at exit), so a full search tree allocates nothing here. [f arg] runs
    with the extension visible in [benv]; returning [true] stops the walk
@@ -544,27 +578,29 @@ let fold_catom idx ca ~benv ~on_candidate ~on_fail (f : int -> bool) arg =
         let v = candidate_rows e ca benv in
         let arity = ca.c_arity in
         (* [rel_find] allocates: skip it when there is nothing to walk *)
-        let rel_a = if Vec.length v = 0 then None else rel_find e arity in
+        let rel_a = if Vec.live v = 0 then None else rel_find e arity in
         let trail = ca.c_trail in
         let stopped = ref false in
         let k = ref (Vec.length v - 1) in
         while (not !stopped) && !k >= 0 do
           let packed = Vec.get v !k in
           decr k;
-          on_candidate ();
-          if arity_of_packed packed <> arity then on_fail ()
-          else begin
-            let r = match rel_a with Some r -> r | None -> assert false in
-            let row = row_of_packed packed in
-            let nt = ref 0 and ok = ref true and i = ref 0 in
-            while !ok && !i < arity do
-              let n = match_cell ca benv trail !nt !i (Vec.get r.r_cols.(!i) row) in
-              if n < 0 then ok := false else nt := n;
-              incr i
-            done;
-            if !ok then begin if f arg then stopped := true end
-            else on_fail ();
-            untrail benv trail !nt
+          if packed >= 0 then begin
+            on_candidate ();
+            if arity_of_packed packed <> arity then on_fail ()
+            else begin
+              let r = match rel_a with Some r -> r | None -> assert false in
+              let row = row_of_packed packed in
+              let nt = ref 0 and ok = ref true and i = ref 0 in
+              while !ok && !i < arity do
+                let n = match_cell ca benv trail !nt !i (Vec.get r.r_cols.(!i) row) in
+                if n < 0 then ok := false else nt := n;
+                incr i
+              done;
+              if !ok then begin if f arg then stopped := true end
+              else on_fail ();
+              untrail benv trail !nt
+            end
           end
         done;
         !stopped
@@ -660,7 +696,7 @@ let capacity_words idx =
               (fun acc r ->
                 Array.fold_left
                   (fun acc col -> acc + vec col)
-                  (acc + vec r.r_free + vec r.r_level)
+                  (acc + vec r.r_free + vec r.r_level + vec r.r_stamp)
                   r.r_cols)
               acc e.e_rels
           in

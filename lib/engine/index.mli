@@ -55,7 +55,17 @@ val insert : ?level:int -> Fact.t -> t -> bool
     list it was filed under; [false] when it was not present. Counts
     against [index.removes]. The incremental maintenance layer's
     over-delete phase is the intended caller — the chase itself never
-    retracts. *)
+    retracts.
+
+    Cost: O(arity · log n) amortised, with [n] the length of the
+    relation, and no scan. Every row carries an insertion stamp, so
+    the relation's order vector and each posting, which only see
+    appends and order-preserving removals, are sorted by stamp; the
+    row is found in each of its 1 + arity vectors by binary search and
+    its slot becomes a tombstone that readers skip. A vector squeezes
+    its tombstones out, in order, once they are more than half of it.
+    Iteration order, candidate counts and probe accounting are those of
+    a store that never held the fact. *)
 val remove : Fact.t -> t -> bool
 
 val mem : Fact.t -> t -> bool
@@ -89,8 +99,8 @@ val decode_key : t -> int array -> Fact.t
 
 val mem_key : int array -> t -> bool
 
-(** [remove_key key idx] — {!remove}; [remove f] is [remove_key] of
-    [f]'s key. *)
+(** [remove_key key idx] — {!remove}, at the same cost; [remove f] is
+    [remove_key] of [f]'s key plus the symbol lookups. *)
 val remove_key : int array -> t -> bool
 
 (** [key_level idx key] — the s-level of the stored fact, [-1] when it
@@ -138,7 +148,7 @@ val catom_unbound : catom -> benv:int array -> bool
 
 val catom_count : t -> catom -> benv:int array -> int
 (** [catom_count idx ca ~benv] — the number of candidate rows
-    {!fold_catom} would walk: the size of the smallest posting list over
+    {!fold_catom} would walk: the live size of the smallest posting list over
     [ca]'s bound positions under [benv] (the first strictly smaller
     wins; an unknown constant's posting is empty), or of the whole
     relation when no position is bound. No probe is counted, so

@@ -1,14 +1,15 @@
 type ba = (int, Bigarray.int_elt, Bigarray.c_layout) Bigarray.Array1.t
 
-type t = { mutable data : ba; mutable len : int }
+type t = { mutable data : ba; mutable len : int; mutable dead : int }
 
 let alloc n : ba = Bigarray.Array1.create Bigarray.int Bigarray.c_layout n
 
 let create ?(capacity = 8) () =
   let capacity = if capacity < 1 then 1 else capacity in
-  { data = alloc capacity; len = 0 }
+  { data = alloc capacity; len = 0; dead = 0 }
 
 let length v = v.len
+let live v = v.len - v.dead
 let capacity v = Bigarray.Array1.dim v.data
 
 let get v i =
@@ -34,20 +35,25 @@ let pop v =
   v.len <- v.len - 1;
   Bigarray.Array1.unsafe_get v.data v.len
 
-let remove_value v x =
-  let rec find i = if i >= v.len then -1 else if Bigarray.Array1.unsafe_get v.data i = x then i else find (i + 1) in
-  let i = find 0 in
-  if i < 0 then false
-  else begin
-    let tail = v.len - i - 1 in
-    if tail > 0 then
-      (* Array1.blit is a memmove: overlapping ranges are fine *)
-      Bigarray.Array1.blit
-        (Bigarray.Array1.sub v.data (i + 1) tail)
-        (Bigarray.Array1.sub v.data i tail);
-    v.len <- v.len - 1;
-    true
-  end
+(* Drop the tombstones, keeping the live slots in order. *)
+let compact v =
+  let j = ref 0 in
+  for i = 0 to v.len - 1 do
+    let x = Bigarray.Array1.unsafe_get v.data i in
+    if x >= 0 then begin
+      Bigarray.Array1.unsafe_set v.data !j x;
+      incr j
+    end
+  done;
+  v.len <- !j;
+  v.dead <- 0
+
+let kill v i tomb =
+  if i < 0 || i >= v.len || tomb >= 0 || Bigarray.Array1.unsafe_get v.data i < 0 then
+    invalid_arg "Vec.kill";
+  Bigarray.Array1.unsafe_set v.data i tomb;
+  v.dead <- v.dead + 1;
+  if 2 * v.dead > v.len then compact v
 
 let iter f v =
   for i = 0 to v.len - 1 do

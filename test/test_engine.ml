@@ -330,6 +330,165 @@ let test_level_column () =
     "ordered facts carry levels" [ ("A(b)", 0) ]
     (List.map (fun (f, l) -> (Fmt.str "%a" Fact.pp f, l)) (Engine.Index.ordered_facts idx))
 
+(* Index churn against a list model. Random insert / remove / set_level
+   sequences over an arity-1 and an arity-2 predicate and 6 constants, so
+   postings and relations fill up, empty out and cross the tombstone
+   compaction threshold many times. After every step the store must
+   agree with the model: storage order and levels, size and membership,
+   and for every (predicate, position, constant) — and every whole
+   relation — the rows [fold_catom] visits, in order, and [catom_count]. *)
+type churn_op = Ins of int * int | Rem of int | Lvl of int * int
+
+let churn_consts = Array.init 6 (Printf.sprintf "c%d")
+
+(* fact [i] of the universe: P(c) for i < 6, then R(c,d) *)
+let churn_fact i =
+  if i < 6 then ("P", [ churn_consts.(i) ])
+  else ("R", [ churn_consts.((i - 6) / 6); churn_consts.((i - 6) mod 6) ])
+
+let churn_to_fact i =
+  let p, args = churn_fact i in
+  fact p args
+
+let churn_universe = 42
+
+let pp_churn_op = function
+  | Ins (i, l) -> Printf.sprintf "ins %d@%d" i l
+  | Rem i -> Printf.sprintf "rem %d" i
+  | Lvl (i, l) -> Printf.sprintf "lvl %d@%d" i l
+
+let gen_churn_op =
+  QCheck.Gen.(
+    let f = int_bound (churn_universe - 1) and l = int_bound 3 in
+    frequency
+      [
+        (5, map2 (fun i l -> Ins (i, l)) f l);
+        (4, map (fun i -> Rem i) f);
+        (1, map2 (fun i l -> Lvl (i, l)) f l);
+      ])
+
+(* The candidate rows of [p(args)] in visit order, as argument lists,
+   with the number of [on_candidate] calls and [catom_count]. *)
+let churn_visits idx p args =
+  let slot = function "x" -> 0 | _ -> 1 in
+  let ca = Engine.Index.compile_atom idx ~slot (atom p args) in
+  let benv = Array.make 2 (-1) in
+  let st = Engine.Index.symtab idx in
+  let visited = ref [] and candidates = ref 0 in
+  ignore
+    (Engine.Index.fold_catom idx ca ~benv
+       ~on_candidate:(fun () -> incr candidates)
+       ~on_fail:(fun () -> ())
+       (fun _ ->
+         let const = function
+           | Const c -> c
+           | Var x -> Engine.Symtab.extern st benv.(slot x)
+         in
+         visited := List.map (fun t -> Fmt.str "%a" Term.pp_const (const t)) args :: !visited;
+         false)
+       0);
+  (List.rev !visited, !candidates, Engine.Index.catom_count idx ca ~benv)
+
+let churn_agrees ops =
+  let idx = Engine.Index.create () in
+  (* the model: live facts (universe index, level), oldest first, and the
+     predicates in the order the store first interned them *)
+  let model = ref [] and preds = ref [] in
+  let step op =
+    match op with
+    | Ins (i, l) ->
+        let p, _ = churn_fact i in
+        if not (List.mem p !preds) then preds := !preds @ [ p ];
+        let fresh = not (List.mem_assoc i !model) in
+        if fresh then model := !model @ [ (i, l) ];
+        Engine.Index.insert ~level:l (churn_to_fact i) idx = fresh
+    | Rem i ->
+        let present = List.mem_assoc i !model in
+        model := List.remove_assoc i !model;
+        Engine.Index.remove (churn_to_fact i) idx = present
+    | Lvl (i, l) ->
+        if List.mem_assoc i !model then begin
+          model := List.map (fun (j, l') -> if j = i then (j, l) else (j, l')) !model;
+          Engine.Index.set_level idx (churn_to_fact i) l
+        end;
+        true
+  in
+  let agrees () =
+    let expected_order =
+      List.concat_map
+        (fun p ->
+          List.filter_map
+            (fun (i, l) -> if fst (churn_fact i) = p then Some (churn_to_fact i, l) else None)
+            !model)
+        !preds
+    in
+    let facts_agree =
+      List.equal
+        (fun (f, l) (f', l') -> Fact.equal f f' && l = l')
+        expected_order (Engine.Index.ordered_facts idx)
+      && Engine.Index.size idx = List.length !model
+      && List.for_all
+           (fun i -> Engine.Index.mem (churn_to_fact i) idx = List.mem_assoc i !model)
+           (List.init churn_universe Fun.id)
+    in
+    (* newest first, restricted to the rows of [p] matching [keep] *)
+    let expected p keep =
+      List.rev
+        (List.filter_map
+           (fun (i, _) ->
+             let p', args = churn_fact i in
+             if p' = p && keep args then Some args else None)
+           !model)
+    in
+    let pattern_agrees p args keep =
+      let rows = expected p keep in
+      let visited, candidates, count = churn_visits idx p args in
+      visited = rows && candidates = List.length rows && count = List.length rows
+    in
+    let c k = Term.const k in
+    facts_agree
+    && pattern_agrees "P" [ v "x" ] (fun _ -> true)
+    && pattern_agrees "R" [ v "x"; v "y" ] (fun _ -> true)
+    && Array.for_all
+         (fun k ->
+           pattern_agrees "P" [ c k ] (fun a -> a = [ k ])
+           && pattern_agrees "R" [ c k; v "y" ] (fun a -> List.hd a = k)
+           && pattern_agrees "R" [ v "x"; c k ] (fun a -> List.nth a 1 = k))
+         churn_consts
+  in
+  List.for_all (fun op -> step op && agrees ()) ops
+
+let prop_index_churn =
+  QCheck.Test.make ~name:"Index churn agrees with a list model" ~count:60
+    (QCheck.make
+       ~print:(fun ops -> String.concat "; " (List.map pp_churn_op ops))
+       ~shrink:QCheck.Shrink.list
+       QCheck.Gen.(list_size (int_range 50 400) gen_churn_op))
+    churn_agrees
+
+(* A repeated insert/remove cycle over the whole universe reuses the
+   freed rows and emptied vectors: the capacity after the first cycle is
+   the capacity after every later one. *)
+let test_index_churn_capacity () =
+  let idx = Engine.Index.create () in
+  let facts = List.init churn_universe churn_to_fact in
+  let cycle () =
+    List.iter (fun f -> ignore (Engine.Index.insert f idx)) facts;
+    List.iteri
+      (fun i f -> if i mod 3 = 1 then check "removed" true (Engine.Index.remove f idx))
+      facts;
+    List.iter (fun f -> ignore (Engine.Index.insert f idx)) facts;
+    List.iter (fun f -> check "removed" true (Engine.Index.remove f idx)) facts
+  in
+  cycle ();
+  let cap = Engine.Index.capacity_words idx in
+  for _ = 1 to 20 do
+    cycle ()
+  done;
+  check_int "capacity unchanged by repeated cycles" cap
+    (Engine.Index.capacity_words idx);
+  check_int "empty" 0 (Engine.Index.size idx)
+
 let test_delta_restriction () =
   (* with a delta pivot, only matches using a delta fact for the pivot *)
   let inst =
@@ -572,7 +731,8 @@ let test_entails_cq_corners () =
        [ Term.named "a" ])
 
 let qcheck_tests =
-  List.map QCheck_alcotest.to_alcotest
+  QCheck_alcotest.to_alcotest ~rand:(Random.State.make [| 21 |]) prop_index_churn
+  :: List.map QCheck_alcotest.to_alcotest
     [
       prop_levels_oblivious;
       prop_levels_restricted;
@@ -595,6 +755,8 @@ let () =
           Alcotest.test_case "index postings" `Quick test_index_postings;
           Alcotest.test_case "delta restriction" `Quick test_delta_restriction;
           Alcotest.test_case "index level column" `Quick test_level_column;
+          Alcotest.test_case "index churn capacity" `Quick
+            test_index_churn_capacity;
           Alcotest.test_case "saturation stats" `Quick test_stats_reported;
           Alcotest.test_case "enumerate corners" `Quick test_enumerate_corners;
           Alcotest.test_case "probe sequence" `Quick test_probe_sequence;

@@ -424,8 +424,8 @@ let test_serve_capacity_stable () =
 (* ------------------------------------------------------------------ *)
 
 (* Regrow corner: push across several doublings of the Bigarray backing
-   (starting from the minimum capacity), then exercise the order-
-   preserving remove and pop at the boundary. *)
+   (starting from the minimum capacity), then exercise pop and the
+   tombstone at the boundary. *)
 let test_vec_regrow () =
   let open Engine in
   let v = Vec.create ~capacity:1 () in
@@ -437,12 +437,51 @@ let test_vec_regrow () =
   check "values survive regrow" true
     (Vec.get v 0 = 0 && Vec.get v 4095 = 4095 * 3 && Vec.get v 4096 = 4096 * 3
    && Vec.get v 9999 = 9999 * 3);
-  (* remove exactly at the last-doubling boundary *)
-  check "remove boundary value" true (Vec.remove_value v (4096 * 3));
-  check "remove absent value" false (Vec.remove_value v (4096 * 3));
-  Alcotest.(check int) "shifted left" (4097 * 3) (Vec.get v 4096);
   Alcotest.(check int) "pop returns last" (9999 * 3) (Vec.pop v);
-  Alcotest.(check int) "length after" 9_998 (Vec.length v)
+  (* a tombstone exactly at the last-doubling boundary *)
+  Vec.kill v 4096 (-1);
+  Alcotest.(check int) "tombstone keeps the slot" 9_999 (Vec.length v);
+  Alcotest.(check int) "live after kill" 9_998 (Vec.live v);
+  Alcotest.(check int) "tombstone value" (-1) (Vec.get v 4096);
+  check "killing a dead slot is rejected" true
+    (match Vec.kill v 4096 (-1) with () -> false | exception Invalid_argument _ -> true);
+  check "a non-negative tombstone is rejected" true
+    (match Vec.kill v 0 0 with () -> false | exception Invalid_argument _ -> true)
+
+(* Tombstones: dead slots stay in place until they are more than half of
+   the vector, then the live slots close up in order; the capacity is
+   kept throughout. *)
+let test_vec_tombstones () =
+  let open Engine in
+  let v = Vec.create () in
+  for i = 0 to 99 do
+    Vec.push v (i * 3)
+  done;
+  let cap = Vec.capacity v in
+  for i = 0 to 49 do
+    Vec.kill v ((2 * i) + 1) (-i - 1)
+  done;
+  Alcotest.(check int) "half dead: no compaction" 100 (Vec.length v);
+  Alcotest.(check int) "half dead: live count" 50 (Vec.live v);
+  Alcotest.(check (list int)) "tombstones in place"
+    [ 0; -1; 6; -2 ]
+    (List.filteri (fun i _ -> i < 4) (Vec.to_list v));
+  Vec.kill v 0 (-100);
+  Alcotest.(check int) "past half: compacted" 49 (Vec.length v);
+  Alcotest.(check int) "past half: live count" 49 (Vec.live v);
+  Alcotest.(check (list int)) "live slots in order"
+    (List.init 49 (fun i -> ((2 * i) + 2) * 3))
+    (Vec.to_list v);
+  Alcotest.(check int) "capacity kept" cap (Vec.capacity v);
+  while Vec.live v > 0 do
+    let i = ref 0 in
+    while Vec.get v !i < 0 do
+      incr i
+    done;
+    Vec.kill v !i (-1)
+  done;
+  Alcotest.(check int) "all dead: empty" 0 (Vec.length v);
+  Alcotest.(check int) "all dead: capacity kept" cap (Vec.capacity v)
 
 (* Interning round-trips, ids are dense, and predicates have their own
    id space. *)
@@ -497,6 +536,7 @@ let () =
       ( "units",
         [
           Alcotest.test_case "vec regrow boundary" `Quick test_vec_regrow;
+          Alcotest.test_case "vec tombstones" `Quick test_vec_tombstones;
           Alcotest.test_case "symtab intern/extern round-trip" `Quick
             test_symtab_roundtrip;
         ] );
