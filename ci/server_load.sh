@@ -19,7 +19,7 @@
 # Environment:
 #   SERVER_LOAD_REQUESTS=200   request count (default 2000; ci/check.sh
 #                              sets a small value as a smoke)
-#   SERVER_LOAD_MAX_WORDS=6000 gate: max minor words per served request
+#   SERVER_LOAD_MAX_WORDS=3000 gate: max minor words per served request
 set -eu
 
 cd "$(dirname "$0")/.."
@@ -28,7 +28,7 @@ CLI=_build/default/bin/guarded_cli.exe
 [ -x "$CLI" ] || { echo "server_load: build first (dune build)"; exit 1; }
 
 N=${SERVER_LOAD_REQUESTS:-2000}
-MAXW=${SERVER_LOAD_MAX_WORDS:-6000}
+MAXW=${SERVER_LOAD_MAX_WORDS:-3000}
 
 TMP=$(mktemp -d)
 trap 'rm -rf "$TMP"' EXIT

@@ -30,8 +30,12 @@ type counts = {
    [Gc.quick_stat] is unusable for per-worker deltas: it folds the
    accumulated totals of every *terminated* domain into the reading, so
    a worker sampling after a sibling exits absorbs the sibling's whole
-   history. The primitive reads only the calling domain's counters. *)
+   history. The primitive reads only the calling domain's counters; its
+   minor count is off by up to a minor heap on OCaml 5.1, so minor words
+   come from the (domain-local, exact) [Gc.minor_words]. *)
 external gc_counters : unit -> float * float * float = "caml_gc_counters"
+
+module Keys = Map.Make (String)
 
 let run ?report ?(stop = ref false) cfg snap ic oc =
   if cfg.workers < 1 then invalid_arg "Daemon.run: workers must be >= 1";
@@ -43,46 +47,62 @@ let run ?report ?(stop = ref false) cfg snap ic oc =
       "Daemon.run: a counted --fault-plan requires workers = 1 (only \
        always-fire plans are race-free)";
   let t0 = Unix.gettimeofday () in
-  (* raw-line queue: the main domain only reads and enqueues; workers
-     parse as well as evaluate, so per-request work never serialises on
-     the producer *)
-  let q : (int * string) Queue.t = Queue.create () in
-  let qm = Mutex.create () and qc = Condition.create () in
-  let closed = ref false in
-  let push r =
-    Mutex.protect qm (fun () ->
-        Queue.push r q;
-        Condition.signal qc)
+  (* leader/follower input, all behind [im]: a worker that finds no
+     pending line reads for itself on a select-guarded 50 ms tick (so a
+     SIGTERM on an idle server needs no further request line), keeps at
+     most [batch_max] lines and leaves the rest to the other workers. Only
+     idle workers read, so a flood queues at most one read's worth of
+     lines. Reads bypass the fresh channel's buffer. *)
+  let im = Mutex.create () in
+  let fd = Unix.descr_of_in_channel ic in
+  let buf = Bytes.create 65536 and acc = Buffer.create 256 in
+  let pending : (int * string) Queue.t = Queue.create () in
+  let lineno = ref 0 and eof = ref false in
+  let push_line () =
+    incr lineno;
+    Queue.push (!lineno, Buffer.contents acc) pending;
+    Buffer.clear acc
   in
-  let close () =
-    Mutex.protect qm (fun () ->
-        closed := true;
-        Condition.broadcast qc)
+  let read_once () =
+    let ready =
+      match Unix.select [ fd ] [] [] 0.05 with
+      | [], _, _ -> false
+      | _ -> true
+      | exception Unix.Unix_error (Unix.EINTR, _, _) -> false
+    in
+    if ready && not !stop then
+      match Unix.read fd buf 0 (Bytes.length buf) with
+      | 0 ->
+          (* a final unterminated line is still a request ([input_line]
+             semantics); a partial line at drain time is dropped with
+             the rest of the unread input *)
+          eof := true;
+          if Buffer.length acc > 0 then push_line ()
+      | k ->
+          let j = ref 0 in
+          for e = 0 to k - 1 do
+            if Bytes.get buf e = '\n' then begin
+              Buffer.add_subbytes acc buf !j (e - !j);
+              push_line ();
+              j := e + 1
+            end
+          done;
+          Buffer.add_subbytes acc buf !j (k - !j)
+      | exception Unix.Unix_error (Unix.EINTR, _, _) -> ()
   in
-  (* workers drain a small batch per lock acquisition: one item when
-     the queue is short (interactive latency), up to [batch_max] under
-     load, so the per-item hand-off cost amortises across the batch *)
   let batch_max = 32 in
-  let pop_batch () =
-    Mutex.protect qm (fun () ->
-        let rec wait () =
-          if not (Queue.is_empty q) then begin
-            let n = min batch_max (Queue.length q) in
-            let items = ref [] in
-            for _ = 1 to n do
-              items := Queue.pop q :: !items
-            done;
-            Some (List.rev !items)
-          end
-          else if !closed then None
-          else begin
-            Condition.wait qc qm;
-            wait ()
-          end
-        in
-        wait ())
+  let rec next_batch () =
+    if not (Queue.is_empty pending) then
+      let n = min batch_max (Queue.length pending) in
+      Some (List.init n (fun _ -> Queue.pop pending))
+    else if !eof || !stop then None
+    else begin
+      read_once ();
+      next_batch ()
+    end
   in
-  (* output mutex also guards the reply counters: one lock per reply *)
+  let next_batch () = Mutex.protect im next_batch in
+  (* output mutex also guards the reply counters: one lock per batch *)
   let om = Mutex.create () in
   let counts = { c_ok = 0; c_partial = 0; c_errors = 0; c_quarantined = 0 } in
   let emit_all replies =
@@ -101,9 +121,10 @@ let run ?report ?(stop = ref false) cfg snap ic oc =
             replies;
           flush oc)
   in
-  (* quarantine table: canonical query key -> first failure message *)
-  let quarantine : (string, string) Hashtbl.t = Hashtbl.create 16 in
-  let quarantine_m = Mutex.create () in
+  (* quarantine table (canonical query key -> first failure message): an
+     immutable map swapped on write, so the read is one [Atomic.get] and
+     the key is rendered only once the table holds an entry *)
+  let quarantine = Atomic.make Keys.empty and quarantine_m = Mutex.create () in
   let saturated = Engine.Snapshot.saturated snap in
   let evaluate view metrics span (r : Protocol.request) =
     (* the latency histogram covers every outcome of a well-formed
@@ -117,7 +138,8 @@ let run ?report ?(stop = ref false) cfg snap ic oc =
       reply
     in
     let poisoned =
-      Mutex.protect quarantine_m (fun () -> Hashtbl.mem quarantine r.Protocol.key)
+      let q = Atomic.get quarantine in
+      (not (Keys.is_empty q)) && Keys.mem (Protocol.key r) q
     in
     if poisoned then
       timed (`Quarantined, Protocol.render_quarantined ~id:r.Protocol.id)
@@ -139,26 +161,24 @@ let run ?report ?(stop = ref false) cfg snap ic oc =
           in
           timed (cls, Protocol.render_ok r ~saturated res)
       | exception e ->
-          let msg = Resil.Fault.describe e in
+          let msg = Resil.Fault.describe e and key = Protocol.key r in
           (* check-and-mark under one lock: when duplicates of a poison
              query fault concurrently, exactly one reply is the error
              and the rest are quarantined — the same counts any worker
              count produces *)
           let first =
             Mutex.protect quarantine_m (fun () ->
-                if Hashtbl.mem quarantine r.Protocol.key then false
-                else begin
-                  Hashtbl.replace quarantine r.Protocol.key msg;
-                  true
-                end)
+                let q = Atomic.get quarantine in
+                if Keys.mem key q then false
+                else (Atomic.set quarantine (Keys.add key msg q); true))
           in
           timed
             (if first then (`Error, Protocol.render_error ~id:r.Protocol.id msg)
              else (`Quarantined, Protocol.render_quarantined ~id:r.Protocol.id))
   in
-  (* per-worker views and (optional) spans, created on the main domain
-     before spawning so the shared span tree is never mutated
-     concurrently: worker i only ever touches its own subtree *)
+  (* per-worker views and (optional) spans, created before spawning so
+     the shared span tree is never mutated concurrently: worker i only
+     ever touches its own subtree *)
   let views = Array.init cfg.workers (fun _ -> Engine.Snapshot.view snap) in
   let wspans =
     Array.init cfg.workers (fun i ->
@@ -167,16 +187,16 @@ let run ?report ?(stop = ref false) cfg snap ic oc =
             Obs.Span.enter (Obs.Report.span rep) (Fmt.str "worker-%d" i))
           report)
   in
-  (* per-worker allocation deltas (slot i written only by worker i, read
-     after join): the tentpole's regression signal — minor words per
-     served request is what multicore qps is bounded by *)
+  (* per-worker allocation deltas, reading included (slot i written only
+     by worker i, read after join): minor words per served request is
+     what multicore qps is bounded by *)
   let walloc = Array.make cfg.workers (0., 0.) in
   let worker i () =
     let view = views.(i) in
     let metrics = Engine.Snapshot.view_metrics view in
-    let min0, _, maj0 = gc_counters () in
+    let min0 = Gc.minor_words () and _, _, maj0 = gc_counters () in
     let rec loop () =
-      match pop_batch () with
+      match next_batch () with
       | None -> ()
       | Some items ->
           emit_all
@@ -192,53 +212,23 @@ let run ?report ?(stop = ref false) cfg snap ic oc =
           loop ()
     in
     loop ();
-    let min1, _, maj1 = gc_counters () in
+    let min1 = Gc.minor_words () and _, _, maj1 = gc_counters () in
     walloc.(i) <- (min1 -. min0, maj1 -. maj0)
   in
+  (* the caller is worker 0, so one worker means one domain; should it
+     raise, the input is closed so the others finish and can be joined *)
   let serve () =
-    let domains = Array.init cfg.workers (fun i -> Domain.spawn (worker i)) in
-    (* select-guarded reader: [input_line] would block in [read] until
-       the next newline, so a SIGTERM on an idle server used to wait for
-       one more request line before draining. Polling readiness keeps
-       the drain latency bounded by the tick. Reads bypass the channel's
-       buffer (the channel is fresh: nothing has been read through it). *)
-    let fd = Unix.descr_of_in_channel ic in
-    let buf = Bytes.create 65536 in
-    let acc = Buffer.create 256 in
-    let lineno = ref 0 in
-    let push_line line =
-      incr lineno;
-      push (!lineno, line)
+    let others =
+      Array.init (cfg.workers - 1) (fun i -> Domain.spawn (worker (i + 1)))
     in
-    let eof = ref false in
-    while not (!stop || !eof) do
-      let ready =
-        match Unix.select [ fd ] [] [] 0.05 with
-        | [], _, _ -> false
-        | _ -> true
-        | exception Unix.Unix_error (Unix.EINTR, _, _) -> false
-      in
-      if ready && not !stop then
-        match Unix.read fd buf 0 (Bytes.length buf) with
-        | 0 -> eof := true
-        | k ->
-            for j = 0 to k - 1 do
-              match Bytes.get buf j with
-              | '\n' ->
-                  push_line (Buffer.contents acc);
-                  Buffer.clear acc
-              | c -> Buffer.add_char acc c
-            done
-        | exception Unix.Unix_error (Unix.EINTR, _, _) -> ()
-    done;
-    (* a final unterminated line is still a request ([input_line]
-       semantics); a partial line at drain time is dropped with the rest
-       of the unread input *)
-    if !eof && Buffer.length acc > 0 then push_line (Buffer.contents acc);
-    let drained = !stop in
-    close ();
-    Array.iter Domain.join domains;
-    drained
+    (match worker 0 () with
+    | () -> ()
+    | exception e ->
+        Mutex.protect im (fun () -> eof := true);
+        Array.iter (fun d -> try Domain.join d with _ -> ()) others;
+        raise e);
+    Array.iter Domain.join others;
+    not !eof
   in
   let drained =
     if cfg.fault_plan = [] then serve ()
@@ -251,6 +241,9 @@ let run ?report ?(stop = ref false) cfg snap ic oc =
   let wall_s = Unix.gettimeofday () -. t0 in
   let minor_words = Array.fold_left (fun a (m, _) -> a +. m) 0. walloc in
   let major_words = Array.fold_left (fun a (_, m) -> a +. m) 0. walloc in
+  let served =
+    counts.c_ok + counts.c_partial + counts.c_errors + counts.c_quarantined
+  in
   (match report with
   | None -> ()
   | Some rep ->
@@ -263,9 +256,7 @@ let run ?report ?(stop = ref false) cfg snap ic oc =
         views;
       let field k v = Obs.Report.add_field rep k (Obs.Json.Int v) in
       field "server.workers" cfg.workers;
-      field "server.requests"
-        (counts.c_ok + counts.c_partial + counts.c_errors
-       + counts.c_quarantined);
+      field "server.requests" served;
       field "server.ok" counts.c_ok;
       field "server.partial" counts.c_partial;
       field "server.errors" counts.c_errors;
@@ -277,8 +268,7 @@ let run ?report ?(stop = ref false) cfg snap ic oc =
       Obs.Report.add_rate_block rep ~prefix:"server"
         ~histogram:"server.request_s" ~wall_s);
   {
-    served =
-      counts.c_ok + counts.c_partial + counts.c_errors + counts.c_quarantined;
+    served;
     ok = counts.c_ok;
     partial = counts.c_partial;
     errors = counts.c_errors;

@@ -3,13 +3,15 @@
     {!run} reads {!Protocol} request lines from an input channel,
     evaluates each against an {!Engine.Snapshot} through a pool of
     worker domains, and writes one reply line per request to the output
-    channel. The main domain only reads and enqueues raw lines; workers
-    dequeue, parse, evaluate through private {!Engine.Snapshot.view}s,
-    and emit under an output mutex, so reply lines never interleave
-    mid-line and per-request work never serialises on the producer. Replies
-    appear in completion order — each line is canonical per-request
-    bytes ({!Protocol}), so sorting a transcript by leading id yields a
-    document independent of worker count and scheduling.
+    channel. The caller is worker 0; [workers - 1] more domains are
+    spawned. There is no reader domain: a worker that finds no pending
+    line reads the input itself under the input lock (leader/follower),
+    keeps at most 32 lines and leaves the rest to the others, then
+    parses and evaluates on its own {!Engine.Snapshot.view} and emits
+    under an output mutex, so reply lines never interleave mid-line.
+    Replies appear in completion order — each line is canonical
+    per-request bytes ({!Protocol}), so sorting a transcript by leading
+    id yields a document independent of worker count and scheduling.
 
     Resilience, threaded through the request path:
     - {e admission control}: every request runs under a fresh
@@ -20,14 +22,14 @@
       fault, or any defect) gets an [error] reply and its canonical
       query key is quarantined — later identical requests are refused
       with [quarantined] {e without being evaluated}, and the server
-      keeps answering everything else. The mark is check-and-set under
-      one lock, so when duplicates of a poison query fault concurrently
-      exactly one gets the [error] reply and the rest [quarantined] —
-      reply counts are identical under any worker count;
+      keeps answering everything else. The table is read lock-free; the
+      mark is check-and-set under one lock, so when duplicates of a
+      poison query fault concurrently exactly one gets the [error] reply
+      and the rest [quarantined] — the same counts at any worker count;
     - {e graceful drain}: when [stop] flips (the CLI's SIGTERM handler)
-      the reader notices within its 50 ms readiness tick — even with no
-      input pending — and stops accepting; in-flight requests still
-      complete and reply.
+      the reading worker notices within its 50 ms readiness tick — even
+      with no input pending — and reading stops; lines already read are
+      still served.
 
     The [server.request_s] latency histogram records {e every} outcome
     of a well-formed request (success, fault, quarantine refusal), so
@@ -55,8 +57,8 @@ type summary = {
   quarantined : int;  (** requests refused by the quarantine table *)
   drained : bool;  (** [stop] flipped before end of input *)
   wall_s : float;
-  minor_words : float;  (** summed worker-domain minor allocation *)
-  major_words : float;  (** summed worker-domain major allocation *)
+  minor_words : float;  (** summed worker minor allocation, reading included *)
+  major_words : float;  (** summed worker major allocation, reading included *)
 }
 
 (** [run ?report ?stop cfg snap ic oc] — serve until end of input (or

@@ -4,7 +4,7 @@ open Relational
 
 type verb = Answers | Count
 
-type request = { id : int; verb : verb; key : string; query : Ucq.t }
+type request = { id : int; verb : verb; key : string Lazy.t; query : Ucq.t }
 
 type line =
   | Request of request
@@ -51,8 +51,9 @@ let parse_line ~id raw =
               match p.Syntax.Parser.queries with
               | [ (_, q) ] ->
                   let key =
-                    Fmt.str "%s %s" (verb_str verb)
-                      (oneline (Fmt.str "%a" Ucq.pp q))
+                    lazy
+                      (Fmt.str "%s %s" (verb_str verb)
+                         (oneline (Fmt.str "%a" Ucq.pp q)))
                   in
                   Request { id; verb; key; query = q }
               | [] -> Malformed "no query clause in request"
@@ -60,6 +61,8 @@ let parse_line ~id raw =
                   Malformed
                     (Fmt.str "one query name per request (got %s)"
                        (String.concat ", " (List.map fst qs)))))
+
+let key r = Lazy.force r.key
 
 (* rendering avoids Format on the per-tuple path: replies for scan-style
    queries carry hundreds of tuples, and the server's throughput under

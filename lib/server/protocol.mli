@@ -36,9 +36,7 @@ type verb = Answers | Count
 type request = {
   id : int;  (** 1-based input line number *)
   verb : verb;
-  key : string;
-      (** canonical quarantine key: verb plus the parsed query rendered
-          back, so textual variants of the same query share a key *)
+  key : string Lazy.t;  (** rendered on demand; read it through {!key} *)
   query : Ucq.t;
 }
 
@@ -48,6 +46,11 @@ type line =
   | Malformed of string  (** parse error, to be wrapped in an error reply *)
 
 val parse_line : id:int -> string -> line
+
+(** [key r] — the canonical quarantine key: the verb plus the parsed
+    query rendered back, so textual variants of a query share a key.
+    Rendered on the first call only; call it on the parsing domain. *)
+val key : request -> string
 
 (** [render_ok r ~saturated res] — the reply line for a successful
     evaluation, straight from the interned answer set: tuples extern one

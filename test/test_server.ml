@@ -47,11 +47,14 @@ let test_parse_canonical_key () =
      verb keeps answers/count distinct *)
   let a = parse_request "answers q(X) :- prof(X), teaches(X,C)." in
   let b = parse_request "answers   q(X)  :-  prof(X) ,teaches(X, C)." in
-  check_str "whitespace-insensitive key" a.Server.Protocol.key
-    b.Server.Protocol.key;
+  check_str "whitespace-insensitive key" (Server.Protocol.key a)
+    (Server.Protocol.key b);
+  let t = parse_request "answers q(X):-\tprof( X ),teaches(X,C) .   " in
+  check_str "tabs and padding share the key" (Server.Protocol.key a)
+    (Server.Protocol.key t);
   let c = parse_request "count q(X) :- prof(X), teaches(X,C)." in
   check "verb is part of the key" true
-    (a.Server.Protocol.key <> c.Server.Protocol.key)
+    (Server.Protocol.key a <> Server.Protocol.key c)
 
 let malformed s =
   match Server.Protocol.parse_line ~id:1 s with
@@ -341,7 +344,7 @@ let test_daemon_rejects_concurrent_faults () =
   | exception Invalid_argument m ->
       Alcotest.failf "stateless plan refused: %s" m
 
-(* the satellite-2 pin: duplicates of a poison query faulting
+(* duplicates of a poison query faulting
    {e concurrently} must classify identically under any worker count —
    the quarantine mark is check-and-set under one lock, so exactly one
    duplicate reports the error and the rest are quarantined, whether
@@ -356,16 +359,28 @@ let test_daemon_concurrent_poison_determinism () =
     | Error e -> Alcotest.failf "fault plan: %s" e
   in
   (* the poison query emits an answer, so the always-fire trigger kills
-     every evaluation of it; the interleaved requests are answer-free
-     (no probe hit) and must keep serving *)
+     every evaluation of it; it comes in three spellings, which share
+     one lazily rendered key. The interleaved requests are answer-free
+     (no probe hit) and must keep serving past the non-empty table *)
+  let poison =
+    [|
+      "answers q(X) :- prof(X).";
+      "answers   q(X):-prof( X ) .";
+      "answers q(X) :-\tprof(X).   ";
+    |]
+  in
   let lines =
     List.concat
-      (List.init 6 (fun _ ->
-           [ "answers q(X) :- prof(X)."; "count q(X) :- missing(X)." ]))
+      (List.init 6 (fun i ->
+           [ poison.(i mod 3); "count q(X) :- missing(X)." ]))
   in
   List.iter
     (fun workers ->
       let summary, t = run_daemon ~workers ~fault_plan:plan snap lines in
+      if workers = 1 then
+        check "respellings are quarantined" true
+          (List.mem "3 quarantined" (transcript_lines t)
+          && List.mem "5 quarantined" (transcript_lines t));
       check_int
         (Fmt.str "exactly one error at workers %d" workers)
         1 summary.Server.Daemon.errors;
@@ -378,6 +393,107 @@ let test_daemon_concurrent_poison_determinism () =
       check "failure message carries the fixed hit payload" true
         (contains t "injected fault at engine.answer (hit 1)"))
     [ 1; 2; 4 ]
+
+(* the input path at read-chunk boundaries: one line longer than a
+   whole 64 KiB read, one line whose newline is the last byte of a read,
+   blank and comment lines, and a final line without a newline. Served
+   from a regular file (reads of exactly 65,536 bytes) and through a
+   pipe, at workers 1, 2 and 4: one reply per non-empty line, and the
+   same sorted transcript every time *)
+let test_daemon_read_chunk_boundaries () =
+  let snap = snapshot program in
+  let chunk = 65536 in
+  let head = [ "answers q(X) :- prof(X)."; ""; "% a comment"; "" ] in
+  let head_bytes =
+    List.fold_left (fun n l -> n + String.length l + 1) 0 head
+  in
+  (* trailing spaces are trimmed, so the padded line is still a request;
+     its newline lands on byte [chunk - 1] *)
+  let edge = "count q(X) :- faculty(X)." in
+  let pad = chunk - 1 - head_bytes - String.length edge in
+  let edge = edge ^ String.make pad ' ' in
+  let long = "frobnicate " ^ String.make (chunk + 4000) 'x' in
+  let lines =
+    head
+    @ [ edge; "answers q(X,C) :- teaches(X,C)."; long; "% tail comment"; "";
+        "count q(X) :- prof(X)." ]
+  in
+  let data = String.concat "\n" lines in
+  check_int "edge newline ends the first read" (chunk - 1)
+    (String.index_from data head_bytes '\n');
+  let expected =
+    List.length
+      (List.filter (fun l -> String.trim l <> "" && l.[0] <> '%') lines)
+  in
+  let label pipe workers =
+    Fmt.str "(%s, workers %d)" (if pipe then "pipe" else "file") workers
+  in
+  let serve ~pipe workers =
+    let out = Filename.temp_file "srv_chunk" ".txt" in
+    Fun.protect
+      ~finally:(fun () -> Sys.remove out)
+      (fun () ->
+        let ic, feed =
+          if pipe then begin
+            let r, w = Unix.pipe () in
+            let feed =
+              Domain.spawn (fun () ->
+                  let oc = Unix.out_channel_of_descr w in
+                  output_string oc data;
+                  close_out oc)
+            in
+            (Unix.in_channel_of_descr r, Some feed)
+          end
+          else begin
+            let inp = Filename.temp_file "srv_chunk" ".in" in
+            let oc = open_out_bin inp in
+            output_string oc data;
+            close_out oc;
+            let ic = open_in_bin inp in
+            Sys.remove inp;
+            (ic, None)
+          end
+        in
+        let oc = open_out out in
+        let summary =
+          Fun.protect
+            ~finally:(fun () ->
+              close_in_noerr ic;
+              Option.iter (fun d -> try Domain.join d with _ -> ()) feed;
+              close_out_noerr oc)
+            (fun () ->
+              Server.Daemon.run
+                { Server.Daemon.workers; max_facts = None; max_ms = None;
+                  fault_plan = [] }
+                snap ic oc)
+        in
+        let ic = open_in out in
+        let t = really_input_string ic (in_channel_length ic) in
+        close_in ic;
+        let where = label pipe workers in
+        check_int ("one reply per non-empty line " ^ where) expected
+          summary.Server.Daemon.served;
+        check_int ("the long line is the one error " ^ where) 1
+          summary.Server.Daemon.errors;
+        List.sort compare (transcript_lines t))
+  in
+  let reference = serve ~pipe:false 1 in
+  check "the boundary line is answered whole" true
+    (List.mem "5 ok count=5" reference);
+  check "the line after the boundary is answered" true
+    (List.exists (String.starts_with ~prefix:"6 ok ") reference);
+  check "the long line's junk verb is refused" true
+    (List.exists
+       (String.starts_with ~prefix:"7 error unknown verb")
+       reference);
+  check "the unterminated last line is answered" true
+    (List.mem "10 ok count=5" reference);
+  List.iter
+    (fun (pipe, workers) ->
+      Alcotest.(check (list string))
+        ("same sorted transcript " ^ label pipe workers)
+        reference (serve ~pipe workers))
+    [ (false, 2); (false, 4); (true, 1); (true, 2); (true, 4) ]
 
 let test_daemon_drain () =
   (* a pre-flipped stop is the degenerate drain: accept nothing, report
@@ -465,6 +581,8 @@ let () =
             test_daemon_rejects_concurrent_faults;
           Alcotest.test_case "concurrent poison classifies deterministically"
             `Quick test_daemon_concurrent_poison_determinism;
+          Alcotest.test_case "read chunk boundaries" `Quick
+            test_daemon_read_chunk_boundaries;
           Alcotest.test_case "drain" `Quick test_daemon_drain;
           Alcotest.test_case "report plumbing" `Quick test_daemon_report;
         ] );
