@@ -131,4 +131,36 @@ cmp -s "$TMP/w1.sorted" "$TMP/w4.sorted" || {
   exit 1
 }
 
-echo "server_load: OK ($expected requests, workers 1 vs 4 byte-identical sorted transcripts)"
+# An overlong request line: 3 MiB with no newline until its end, over
+# the server's 1 MiB line cap, then a request and a final unterminated
+# line. The long line gets exactly one error reply and is not buffered;
+# the later lines keep their ids, at workers 1 and 4 alike. A served
+# error reply makes the server exit 1, so that is the status expected.
+LONG="$TMP/overlong.txt"
+{
+  head -c 3145728 /dev/zero | tr '\0' x
+  echo
+  echo "count q(D) :- dept(D)."
+  printf '%s' "count q(X) :- prof(X)."
+} > "$LONG"
+for workers in 1 4; do
+  status=0
+  "$CLI" server "$PROG" --workers "$workers" < "$LONG" \
+    > "$TMP/long$workers.out" 2> "$TMP/long$workers.err" || status=$?
+  [ "$status" -eq 1 ] || {
+    echo "server_load: overlong line: --workers $workers exited $status, want 1 ($(cat "$TMP/long$workers.err"))"
+    exit 1
+  }
+  grep -v '^%' "$TMP/long$workers.out" | sort > "$TMP/long$workers.sorted"
+done
+printf '%s\n' "1 error request line longer than 1048576 bytes" "2 ok count=4" \
+  "3 ok count=48" > "$TMP/long.expected"
+for workers in 1 4; do
+  cmp -s "$TMP/long.expected" "$TMP/long$workers.sorted" || {
+    echo "server_load: overlong line: unexpected replies at --workers $workers"
+    diff "$TMP/long.expected" "$TMP/long$workers.sorted" | head -20
+    exit 1
+  }
+done
+
+echo "server_load: OK ($expected requests, workers 1 vs 4 byte-identical sorted transcripts; overlong line refused once)"

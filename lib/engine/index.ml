@@ -1,10 +1,11 @@
 (** Indexed fact store, columnar edition.
 
     Symbols are interned to dense ints ({!Symtab}) and each predicate's
-    tuples live in contiguous int columns ({!Vec}); posting lists and
-    the per-predicate insertion order are flat int vectors of packed row
-    handles, and membership is one hash table keyed by the interned fact
-    key. See the interface for the
+    tuples live in contiguous int columns ({!Vec}); the per-predicate
+    insertion order is a flat int vector of packed row handles, each
+    (predicate, position) posting table is a flat int-keyed {!Itab}, and
+    membership is one hash table keyed by the interned fact key. See the
+    interface for the
     contract — the observable behaviour (iteration order, counters,
     probe accounting) is bit-compatible with the previous hash-of-lists
     representation:
@@ -12,6 +13,10 @@
     - posting lists and relations iterate {e most recently added
       first}, which is the reverse of append order of the backing
       vectors;
+    - a posting with one live row is that row's packed handle, held
+      inline in the posting table; the second row promotes it to a
+      vector (oldest row first) and a removal that leaves one live row
+      demotes it back;
     - every row carries the insertion stamp of its fact, so the order
       and posting vectors, which only see appends and order-preserving
       removals, are sorted by stamp: [remove] binary-searches each of
@@ -46,11 +51,30 @@ type rel = {
   r_free : Vec.t;  (* freed row slots, reused by the next insert *)
 }
 
+(* A posting — the rows filed under one (predicate, position, cell) —
+   is named by an int code [p] that needs no block of its own:
+   - [p >= 0]: exactly one live row, whose packed handle [p] is;
+   - [p = -1]: no row;
+   - [p <= -2]: two or more live rows, in the vector [e_vecs.(-p - 2)]
+     (append order, with tombstones).
+   Slot 0 of [e_vecs] is the order vector, so [-2] names the whole
+   relation. The posting tables hold the codes of non-empty postings. *)
+let no_posting = -1
+let order_posting = -2
+let[@inline] vec_posting slot = -slot - 2
+let[@inline] posting_slot p = -p - 2
+
 type entry = {
   mutable e_rels : rel list;  (* by arity; almost always a singleton *)
   e_order : Vec.t;  (* rows in append order, with tombstones *)
-  mutable e_at : (int, Vec.t) Hashtbl.t array;  (* position -> cid -> posting *)
+  mutable e_at : Itab.t array;  (* position -> cid -> posting code *)
+  mutable e_vecs : Vec.t array;  (* posting vectors; slot 0 is [e_order] *)
+  mutable e_nvecs : int;  (* slots of [e_vecs] in use, freed ones included *)
+  e_vfree : Vec.t;  (* freed slots of [e_vecs], reused by the next promotion *)
 }
+
+(* The vector of a freed [e_vecs] slot. Never written. *)
+let freed_vec = Vec.create ~capacity:1 ()
 
 (* The predicate table is shared through a record so readers keep
    seeing growth of the pid-indexed array. [stamp] is the next insertion
@@ -178,7 +202,17 @@ let entry_of idx pid =
   match tabs.entries.(pid) with
   | Some e -> e
   | None ->
-      let e = { e_rels = []; e_order = Vec.create (); e_at = [||] } in
+      let order = Vec.create () in
+      let e =
+        {
+          e_rels = [];
+          e_order = order;
+          e_at = [||];
+          e_vecs = [| order |];
+          e_nvecs = 1;
+          e_vfree = Vec.create ~capacity:1 ();
+        }
+      in
       tabs.entries.(pid) <- Some e;
       e
 
@@ -187,9 +221,6 @@ let entry_of idx pid =
 let rec rel_get arity = function
   | r :: rest -> if r.r_arity = arity then r else rel_get arity rest
   | [] -> raise Not_found
-
-let rel_find e arity =
-  match rel_get arity e.e_rels with r -> Some r | exception Not_found -> None
 
 let rel_of e arity =
   match rel_get arity e.e_rels with
@@ -209,16 +240,47 @@ let rel_of e arity =
       if Array.length e.e_at < arity then
         e.e_at <-
           Array.init arity (fun i ->
-              if i < Array.length e.e_at then e.e_at.(i) else Hashtbl.create 16);
+              if i < Array.length e.e_at then e.e_at.(i) else Itab.create ());
       r
 
-let posting_of tbl cid =
-  match Hashtbl.find tbl cid with
-  | v -> v
-  | exception Not_found ->
-      let v = Vec.create ~capacity:4 () in
-      Hashtbl.replace tbl cid v;
-      v
+(* The live row count of posting [p] of [e]. *)
+let[@inline] posting_live e p =
+  if p >= 0 then 1
+  else if p = no_posting then 0
+  else Vec.live (Array.unsafe_get e.e_vecs (posting_slot p))
+
+(* A slot of [e_vecs] holding [v]: a freed one when there is one. *)
+let vec_slot_of e v =
+  if Vec.length e.e_vfree > 0 then begin
+    let slot = Vec.pop e.e_vfree in
+    e.e_vecs.(slot) <- v;
+    slot
+  end
+  else begin
+    let slot = e.e_nvecs in
+    if slot = Array.length e.e_vecs then begin
+      let a = Array.make (2 * slot) freed_vec in
+      Array.blit e.e_vecs 0 a 0 slot;
+      e.e_vecs <- a
+    end;
+    e.e_vecs.(slot) <- v;
+    e.e_nvecs <- slot + 1;
+    slot
+  end
+
+(* File the new row [packed] under [cid] in the posting table [tbl]: an
+   absent posting becomes the row itself, a singleton is promoted to a
+   vector holding the old row, then the new one. *)
+let post e tbl cid packed =
+  let p = Itab.find tbl cid in
+  if p = no_posting then Itab.replace tbl cid packed
+  else if p >= 0 then begin
+    let v = Vec.create ~capacity:4 () in
+    Vec.push v p;
+    Vec.push v packed;
+    Itab.replace tbl cid (vec_posting (vec_slot_of e v))
+  end
+  else Vec.push e.e_vecs.(posting_slot p) packed
 
 (* File the new interned [key] (not yet a member; it becomes the
    members key) at s-level [level], reusing a freed row slot when one
@@ -254,7 +316,7 @@ let add_row idx key ~level =
   let packed = pack ~arity row in
   Vec.push e.e_order packed;
   for i = 0 to arity - 1 do
-    Vec.push (posting_of e.e_at.(i) key.(i + 1)) packed
+    post e e.e_at.(i) key.(i + 1) packed
   done;
   Keytbl.replace idx.members key packed
 
@@ -291,11 +353,35 @@ let slot_of_stamp e v s =
   in
   go 0 (Vec.length v)
 
+(* Unfile the row stamped [stamp] from [cid]'s posting in [tbl]. A
+   singleton posting is that row: its table entry goes, with no search.
+   In a vector the row's slot is found by binary search and becomes the
+   tombstone [-stamp-1]; a vector left with one live row is demoted to
+   it (the vector then has at most two slots, as [Vec.kill] squeezes a
+   longer one), and its [e_vecs] slot is freed. *)
+let unpost e tbl cid stamp =
+  let p = Itab.find tbl cid in
+  if p >= 0 then Itab.remove tbl cid
+  else begin
+    let slot = posting_slot p in
+    let v = e.e_vecs.(slot) in
+    Vec.kill v (slot_of_stamp e v stamp) (-stamp - 1);
+    if Vec.live v = 1 then begin
+      let i = ref 0 in
+      while Vec.get v !i < 0 do
+        incr i
+      done;
+      Itab.replace tbl cid (Vec.get v !i);
+      e.e_vecs.(slot) <- freed_vec;
+      Vec.push e.e_vfree slot
+    end
+  end
+
 (** [remove_key key idx] — delete the fact with interned [key]; [false]
-    when it was not present. The row's slot in the order vector and in
-    each of its postings is found by binary search on its stamp and
-    turned into a tombstone; a posting with no live row left is dropped,
-    so candidate counts stay exact, and the freed row slot is recycled. *)
+    when it was not present. The row's slot in the order vector is found
+    by binary search on its stamp and turned into a tombstone, and the
+    row is unfiled from each of its postings ({!unpost}), so candidate
+    counts stay exact; the freed row slot is recycled. *)
 let remove_key key idx =
   match Keytbl.find_opt idx.members key with
   | None -> false
@@ -306,14 +392,9 @@ let remove_key key idx =
       let e = match entry idx pid with Some e -> e | None -> assert false in
       let r = rel_get arity e.e_rels and row = row_of_packed packed in
       let stamp = Vec.get r.r_stamp row in
-      let tomb = -stamp - 1 in
-      Vec.kill e.e_order (slot_of_stamp e e.e_order stamp) tomb;
+      Vec.kill e.e_order (slot_of_stamp e e.e_order stamp) (-stamp - 1);
       for i = 0 to arity - 1 do
-        let tbl = e.e_at.(i) in
-        let cid = key.(i + 1) in
-        let v = Hashtbl.find tbl cid in
-        Vec.kill v (slot_of_stamp e v stamp) tomb;
-        if Vec.live v = 0 then Hashtbl.remove tbl cid
+        unpost e e.e_at.(i) key.(i + 1) stamp
       done;
       Vec.push r.r_free row;
       true
@@ -528,25 +609,24 @@ let catom_unbound ca ~benv =
   done;
   !r
 
-(* The shared empty row list: the posting of an unknown constant or of
-   a constant absent at a position. Never written. *)
-let no_rows = Vec.create ~capacity:1 ()
-
-(* The rows [ca] can match under [benv], most recently added last: the
-   posting list with the fewest live rows over its bound positions (the
-   first strictly smaller wins), or the whole relation when no position
+(* The posting [ca] can match under [benv], most recently added row
+   last: the one with the fewest live rows over its bound positions (the
+   first strictly smaller wins; an unknown constant's, or one absent at
+   a position, is [no_posting]), or the whole relation when no position
    is bound. *)
 let candidate_rows e ca benv =
-  let best = ref e.e_order and bound = ref false in
+  let best = ref order_posting and best_live = ref 0 and bound = ref false in
   for i = 0 to ca.c_arity - 1 do
     if cell_bound ca benv i then begin
       let cid = cell_pattern ca benv i in
-      let v =
-        if cid < 0 || i >= Array.length e.e_at then no_rows
-        else try Hashtbl.find e.e_at.(i) cid with Not_found -> no_rows
+      let p =
+        if cid < 0 || i >= Array.length e.e_at then no_posting
+        else Itab.find (Array.unsafe_get e.e_at i) cid
       in
-      if (not !bound) || Vec.live v < Vec.live !best then begin
-        best := v;
+      let live = posting_live e p in
+      if (not !bound) || live < !best_live then begin
+        best := p;
+        best_live := live;
         bound := true
       end
     end
@@ -559,7 +639,48 @@ let catom_count idx ca ~benv =
   else
     match entry idx ca.c_pid with
     | None -> 0
-    | Some e -> Vec.live (candidate_rows e ca benv)
+    | Some e -> posting_live e (candidate_rows e ca benv)
+
+(* The relation of a catom whose arity the store does not hold: every
+   candidate then fails on arity before a column is read. *)
+let no_rel =
+  {
+    r_arity = -1;
+    r_cols = [||];
+    r_level = freed_vec;
+    r_stamp = freed_vec;
+    r_rows = 0;
+    r_free = freed_vec;
+  }
+
+(* Consider the live row [packed] of relation [r] as a candidate for
+   [ca]: bind [ca]'s unbound variables to its cells, run [f arg] on a
+   match, and undo the bindings. [true] when [f] asks to stop. *)
+let visit_row ca benv r ~on_candidate ~on_fail (f : int -> bool) arg packed =
+  on_candidate ();
+  let arity = ca.c_arity in
+  if arity_of_packed packed <> arity then begin
+    on_fail ();
+    false
+  end
+  else begin
+    let trail = ca.c_trail and row = row_of_packed packed in
+    let nt = ref 0 and ok = ref true and i = ref 0 in
+    while !ok && !i < arity do
+      let n = match_cell ca benv trail !nt !i (Vec.get r.r_cols.(!i) row) in
+      if n < 0 then ok := false else nt := n;
+      incr i
+    done;
+    let stop =
+      if !ok then f arg
+      else begin
+        on_fail ();
+        false
+      end
+    in
+    untrail benv trail !nt;
+    stop
+  end
 
 (* Walk the live candidate rows most recently added first (a tombstone
    is skipped unseen: it is no candidate), binding [ca]'s
@@ -575,35 +696,26 @@ let fold_catom idx ca ~benv ~on_candidate ~on_fail (f : int -> bool) arg =
     match entry idx ca.c_pid with
     | None -> false
     | Some e ->
-        let v = candidate_rows e ca benv in
-        let arity = ca.c_arity in
-        (* [rel_find] allocates: skip it when there is nothing to walk *)
-        let rel_a = if Vec.live v = 0 then None else rel_find e arity in
-        let trail = ca.c_trail in
-        let stopped = ref false in
-        let k = ref (Vec.length v - 1) in
-        while (not !stopped) && !k >= 0 do
-          let packed = Vec.get v !k in
-          decr k;
-          if packed >= 0 then begin
-            on_candidate ();
-            if arity_of_packed packed <> arity then on_fail ()
-            else begin
-              let r = match rel_a with Some r -> r | None -> assert false in
-              let row = row_of_packed packed in
-              let nt = ref 0 and ok = ref true and i = ref 0 in
-              while !ok && !i < arity do
-                let n = match_cell ca benv trail !nt !i (Vec.get r.r_cols.(!i) row) in
-                if n < 0 then ok := false else nt := n;
-                incr i
-              done;
-              if !ok then begin if f arg then stopped := true end
-              else on_fail ();
-              untrail benv trail !nt
-            end
+        let p = candidate_rows e ca benv in
+        if p = no_posting then false
+        else
+          let r =
+            match rel_get ca.c_arity e.e_rels with
+            | r -> r
+            | exception Not_found -> no_rel
+          in
+          if p >= 0 then visit_row ca benv r ~on_candidate ~on_fail f arg p
+          else begin
+            let v = e.e_vecs.(posting_slot p) in
+            let stopped = ref false and k = ref (Vec.length v - 1) in
+            while (not !stopped) && !k >= 0 do
+              let packed = Vec.get v !k in
+              decr k;
+              if packed >= 0 then
+                stopped := visit_row ca benv r ~on_candidate ~on_fail f arg packed
+            done;
+            !stopped
           end
-        done;
-        !stopped
 
 (* [match_key], the delta-pivot step: bind [ca] against one interned
    fact key instead of a posting list, with [fold_catom]'s cell step. *)
@@ -681,8 +793,10 @@ let insert_key idx ~level ca ~benv =
 
 (* Allocated capacity of the store's flat vectors, in words — the
    capacity-leak regression tests assert this stays put under
-   insert/delete churn. Hash-table buckets are not counted (stdlib
-   tables expose no capacity), but every growable vector is. *)
+   insert/delete churn. Hash tables are not counted (neither the
+   membership table nor the posting tables, which never shrink), so a
+   singleton posting, which lives in its table, costs nothing here;
+   every growable vector is counted. *)
 let capacity_words idx =
   let vec v = Vec.capacity v in
   Array.fold_left
@@ -690,17 +804,16 @@ let capacity_words idx =
       match e with
       | None -> acc
       | Some e ->
-          let acc = acc + vec e.e_order in
-          let acc =
-            List.fold_left
-              (fun acc r ->
-                Array.fold_left
-                  (fun acc col -> acc + vec col)
-                  (acc + vec r.r_free + vec r.r_level + vec r.r_stamp)
-                  r.r_cols)
-              acc e.e_rels
-          in
-          Array.fold_left
-            (fun acc tbl -> Hashtbl.fold (fun _ v acc -> acc + vec v) tbl acc)
-            acc e.e_at)
+          let acc = ref (acc + vec e.e_vfree) in
+          for slot = 0 to e.e_nvecs - 1 do
+            let v = e.e_vecs.(slot) in
+            if v != freed_vec then acc := !acc + vec v
+          done;
+          List.fold_left
+            (fun acc r ->
+              Array.fold_left
+                (fun acc col -> acc + vec col)
+                (acc + vec r.r_free + vec r.r_level + vec r.r_stamp)
+                r.r_cols)
+            !acc e.e_rels)
     0 idx.tabs.entries

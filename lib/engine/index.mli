@@ -11,6 +11,12 @@
     Every stored fact carries its s-level (the chase pass that derived
     it; 0 for database facts), kept in a column beside the arguments.
 
+    Most postings hold one row (a labelled null occurs only in the few
+    atoms derived from the trigger that invented it), so a posting with
+    one live row is stored inline, as the row's handle in its flat
+    int-keyed posting table ({!Itab}); the second row promotes it to a
+    vector and a removal that leaves one live row demotes it back.
+
     The store is mutable: {!insert} and {!remove} change it in place,
     and every handle to it (including {!reader} views) sees the change.
     Conversion to and from [Instance.t] is provided at both ends. *)
@@ -59,11 +65,12 @@ val insert : ?level:int -> Fact.t -> t -> bool
 
     Cost: O(arity · log n) amortised, with [n] the length of the
     relation, and no scan. Every row carries an insertion stamp, so
-    the relation's order vector and each posting, which only see
+    the relation's order vector and each posting vector, which only see
     appends and order-preserving removals, are sorted by stamp; the
-    row is found in each of its 1 + arity vectors by binary search and
-    its slot becomes a tombstone that readers skip. A vector squeezes
-    its tombstones out, in order, once they are more than half of it.
+    row is found in each of these by binary search and its slot becomes
+    a tombstone that readers skip. A vector squeezes its tombstones
+    out, in order, once they are more than half of it. A singleton
+    posting needs no search: its table entry is dropped, O(1) expected.
     Iteration order, candidate counts and probe accounting are those of
     a store that never held the fact. *)
 val remove : Fact.t -> t -> bool
@@ -99,7 +106,11 @@ val decode_key : t -> int array -> Fact.t
 
 val mem_key : int array -> t -> bool
 
-(** [remove_key key idx] — {!remove}, at the same cost; [remove f] is
+(** [remove_key key idx] — {!remove}, at the same cost: one membership
+    probe, a binary search of the relation's order vector, then per
+    position either an O(1) expected drop of a singleton posting's table
+    entry or a binary search of its posting vector (O(log n)), which is
+    demoted to an inline row when one live row is left. [remove f] is
     [remove_key] of [f]'s key plus the symbol lookups. *)
 val remove_key : int array -> t -> bool
 
@@ -151,7 +162,9 @@ val catom_count : t -> catom -> benv:int array -> int
     {!fold_catom} would walk: the live size of the smallest posting list over
     [ca]'s bound positions under [benv] (the first strictly smaller
     wins; an unknown constant's posting is empty), or of the whole
-    relation when no position is bound. No probe is counted, so
+    relation when no position is bound. One flat-table probe per bound
+    position; an inline singleton counts 1 and a vector its live rows,
+    without reading them. Allocation free, and no probe is counted, so
     cheapest-first selection is free. *)
 
 val fold_catom :
@@ -211,9 +224,14 @@ val probes : t -> int
 (** The store's symbol table (shared with {!reader} views). *)
 val symtab : t -> Symtab.t
 
-(** Allocated capacity of the store's flat vectors, in words; stable
-    under insert/delete churn thanks to free-list row reuse (asserted by
-    the capacity-leak regression tests). *)
+(** Allocated capacity of the store's flat vectors, in words: the
+    relations' columns, level, stamp and free-list vectors, the order
+    vectors and the posting vectors. Only vectors are counted: an inline
+    singleton posting lives in its posting table and costs nothing here,
+    and hash tables (the posting tables and the membership table) are
+    not counted. Stable under insert/delete churn thanks to free-list
+    row reuse, tombstone compaction and vector demotion (asserted by the
+    capacity-leak regression tests). *)
 val capacity_words : t -> int
 
 (** The store's metrics registry: [index.probes], [index.inserts],

@@ -37,6 +37,16 @@ external gc_counters : unit -> float * float * float = "caml_gc_counters"
 
 module Keys = Map.Make (String)
 
+(* The longest request line held, in bytes (newline excluded). A longer
+   line is not buffered: its bytes are dropped up to its newline and it
+   gets one [error] reply, so input without newlines cannot grow the
+   partial-line buffer without bound. *)
+let max_line_bytes = 1 lsl 20
+let overlong_msg = Fmt.str "request line longer than %d bytes" max_line_bytes
+
+(* A pending input line: its text, or the mark of a line over the cap. *)
+type line = Line of string | Overlong
+
 let run ?report ?(stop = ref false) cfg snap ic oc =
   if cfg.workers < 1 then invalid_arg "Daemon.run: workers must be >= 1";
   if
@@ -56,12 +66,25 @@ let run ?report ?(stop = ref false) cfg snap ic oc =
   let im = Mutex.create () in
   let fd = Unix.descr_of_in_channel ic in
   let buf = Bytes.create 65536 and acc = Buffer.create 256 in
-  let pending : (int * string) Queue.t = Queue.create () in
-  let lineno = ref 0 and eof = ref false in
+  let pending : (int * line) Queue.t = Queue.create () in
+  let lineno = ref 0 and eof = ref false and overlong = ref false in
   let push_line () =
     incr lineno;
-    Queue.push (!lineno, Buffer.contents acc) pending;
-    Buffer.clear acc
+    Queue.push
+      (!lineno, if !overlong then Overlong else Line (Buffer.contents acc))
+      pending;
+    Buffer.clear acc;
+    overlong := false
+  in
+  (* append [len] bytes of [buf] from [j] to the partial line, unless it
+     is (or now becomes) over the cap *)
+  let add_bytes j len =
+    if not !overlong then
+      if Buffer.length acc + len > max_line_bytes then begin
+        overlong := true;
+        Buffer.reset acc
+      end
+      else Buffer.add_subbytes acc buf j len
   in
   let read_once () =
     let ready =
@@ -77,17 +100,17 @@ let run ?report ?(stop = ref false) cfg snap ic oc =
              semantics); a partial line at drain time is dropped with
              the rest of the unread input *)
           eof := true;
-          if Buffer.length acc > 0 then push_line ()
+          if Buffer.length acc > 0 || !overlong then push_line ()
       | k ->
           let j = ref 0 in
           for e = 0 to k - 1 do
             if Bytes.get buf e = '\n' then begin
-              Buffer.add_subbytes acc buf !j (e - !j);
+              add_bytes !j (e - !j);
               push_line ();
               j := e + 1
             end
           done;
-          Buffer.add_subbytes acc buf !j (k - !j)
+          add_bytes !j (k - !j)
       | exception Unix.Unix_error (Unix.EINTR, _, _) -> ()
   in
   let batch_max = 32 in
@@ -202,12 +225,16 @@ let run ?report ?(stop = ref false) cfg snap ic oc =
           emit_all
             (List.filter_map
                (fun (id, line) ->
-                 match Protocol.parse_line ~id line with
-                 | Protocol.Empty -> None
-                 | Protocol.Malformed msg ->
-                     Some (`Error, Protocol.render_error ~id msg)
-                 | Protocol.Request r ->
-                     Some (evaluate view metrics wspans.(i) r))
+                 match line with
+                 | Overlong ->
+                     Some (`Error, Protocol.render_error ~id overlong_msg)
+                 | Line line -> (
+                     match Protocol.parse_line ~id line with
+                     | Protocol.Empty -> None
+                     | Protocol.Malformed msg ->
+                         Some (`Error, Protocol.render_error ~id msg)
+                     | Protocol.Request r ->
+                         Some (evaluate view metrics wspans.(i) r)))
                items);
           loop ()
     in

@@ -13,6 +13,11 @@
     per-request bytes ({!Protocol}), so sorting a transcript by leading
     id yields a document independent of worker count and scheduling.
 
+    A request line longer than 1 MiB (newline excluded) is not held:
+    its bytes are dropped up to its newline, and it gets exactly one
+    [error] reply under its own id, so the input buffer stays bounded
+    whatever the input.
+
     Resilience, threaded through the request path:
     - {e admission control}: every request runs under a fresh
       per-request budget ([max_facts] caps the answers emitted, [max_ms]

@@ -394,12 +394,61 @@ let test_daemon_concurrent_poison_determinism () =
         (contains t "injected fault at engine.answer (hit 1)"))
     [ 1; 2; 4 ]
 
+(* Serve the raw input [data] from a regular file (reads of exactly
+   65,536 bytes) or through a pipe, at [workers]: the summary and the
+   sorted reply lines. *)
+let label pipe workers =
+  Fmt.str "(%s, workers %d)" (if pipe then "pipe" else "file") workers
+
+let serve_raw snap data ~pipe workers =
+  let out = Filename.temp_file "srv_raw" ".txt" in
+  Fun.protect
+    ~finally:(fun () -> Sys.remove out)
+    (fun () ->
+      let ic, feed =
+        if pipe then begin
+          let r, w = Unix.pipe () in
+          let feed =
+            Domain.spawn (fun () ->
+                let oc = Unix.out_channel_of_descr w in
+                output_string oc data;
+                close_out oc)
+          in
+          (Unix.in_channel_of_descr r, Some feed)
+        end
+        else begin
+          let inp = Filename.temp_file "srv_raw" ".in" in
+          let oc = open_out_bin inp in
+          output_string oc data;
+          close_out oc;
+          let ic = open_in_bin inp in
+          Sys.remove inp;
+          (ic, None)
+        end
+      in
+      let oc = open_out out in
+      let summary =
+        Fun.protect
+          ~finally:(fun () ->
+            close_in_noerr ic;
+            Option.iter (fun d -> try Domain.join d with _ -> ()) feed;
+            close_out_noerr oc)
+          (fun () ->
+            Server.Daemon.run
+              { Server.Daemon.workers; max_facts = None; max_ms = None;
+                fault_plan = [] }
+              snap ic oc)
+      in
+      let ic = open_in out in
+      let t = really_input_string ic (in_channel_length ic) in
+      close_in ic;
+      (summary, List.sort compare (transcript_lines t)))
+
 (* the input path at read-chunk boundaries: one line longer than a
    whole 64 KiB read, one line whose newline is the last byte of a read,
    blank and comment lines, and a final line without a newline. Served
-   from a regular file (reads of exactly 65,536 bytes) and through a
-   pipe, at workers 1, 2 and 4: one reply per non-empty line, and the
-   same sorted transcript every time *)
+   from a file and through a pipe, at workers 1, 2 and 4: one reply per
+   non-empty line, and the same sorted transcript every time *)
 let test_daemon_read_chunk_boundaries () =
   let snap = snapshot program in
   let chunk = 65536 in
@@ -425,57 +474,14 @@ let test_daemon_read_chunk_boundaries () =
     List.length
       (List.filter (fun l -> String.trim l <> "" && l.[0] <> '%') lines)
   in
-  let label pipe workers =
-    Fmt.str "(%s, workers %d)" (if pipe then "pipe" else "file") workers
-  in
   let serve ~pipe workers =
-    let out = Filename.temp_file "srv_chunk" ".txt" in
-    Fun.protect
-      ~finally:(fun () -> Sys.remove out)
-      (fun () ->
-        let ic, feed =
-          if pipe then begin
-            let r, w = Unix.pipe () in
-            let feed =
-              Domain.spawn (fun () ->
-                  let oc = Unix.out_channel_of_descr w in
-                  output_string oc data;
-                  close_out oc)
-            in
-            (Unix.in_channel_of_descr r, Some feed)
-          end
-          else begin
-            let inp = Filename.temp_file "srv_chunk" ".in" in
-            let oc = open_out_bin inp in
-            output_string oc data;
-            close_out oc;
-            let ic = open_in_bin inp in
-            Sys.remove inp;
-            (ic, None)
-          end
-        in
-        let oc = open_out out in
-        let summary =
-          Fun.protect
-            ~finally:(fun () ->
-              close_in_noerr ic;
-              Option.iter (fun d -> try Domain.join d with _ -> ()) feed;
-              close_out_noerr oc)
-            (fun () ->
-              Server.Daemon.run
-                { Server.Daemon.workers; max_facts = None; max_ms = None;
-                  fault_plan = [] }
-                snap ic oc)
-        in
-        let ic = open_in out in
-        let t = really_input_string ic (in_channel_length ic) in
-        close_in ic;
-        let where = label pipe workers in
-        check_int ("one reply per non-empty line " ^ where) expected
-          summary.Server.Daemon.served;
-        check_int ("the long line is the one error " ^ where) 1
-          summary.Server.Daemon.errors;
-        List.sort compare (transcript_lines t))
+    let summary, sorted = serve_raw snap data ~pipe workers in
+    let where = label pipe workers in
+    check_int ("one reply per non-empty line " ^ where) expected
+      summary.Server.Daemon.served;
+    check_int ("the long line is the one error " ^ where) 1
+      summary.Server.Daemon.errors;
+    sorted
   in
   let reference = serve ~pipe:false 1 in
   check "the boundary line is answered whole" true
@@ -488,6 +494,36 @@ let test_daemon_read_chunk_boundaries () =
        reference);
   check "the unterminated last line is answered" true
     (List.mem "10 ok count=5" reference);
+  List.iter
+    (fun (pipe, workers) ->
+      Alcotest.(check (list string))
+        ("same sorted transcript " ^ label pipe workers)
+        reference (serve ~pipe workers))
+    [ (false, 2); (false, 4); (true, 1); (true, 2); (true, 4) ]
+
+(* a 3 MiB line, over the 1 MiB cap, is not buffered: it gets exactly
+   one error reply under its own id, and the lines after it — a request,
+   then a final unterminated one — keep theirs. File and pipe, workers
+   1, 2 and 4: the same sorted transcript *)
+let test_daemon_overlong_line () =
+  let snap = snapshot program in
+  let data =
+    String.make (3 lsl 20) 'x' ^ "\ncount q(X) :- prof(X).\ncount q(X) :- faculty(X)."
+  in
+  let serve ~pipe workers =
+    let summary, sorted = serve_raw snap data ~pipe workers in
+    let where = label pipe workers in
+    check_int ("three replies " ^ where) 3 summary.Server.Daemon.served;
+    check_int ("the overlong line is the one error " ^ where) 1
+      summary.Server.Daemon.errors;
+    sorted
+  in
+  let reference = serve ~pipe:false 1 in
+  Alcotest.(check (list string))
+    "one error, then the later lines under their ids"
+    [ "1 error request line longer than 1048576 bytes"; "2 ok count=5";
+      "3 ok count=5" ]
+    reference;
   List.iter
     (fun (pipe, workers) ->
       Alcotest.(check (list string))
@@ -583,6 +619,7 @@ let () =
             `Quick test_daemon_concurrent_poison_determinism;
           Alcotest.test_case "read chunk boundaries" `Quick
             test_daemon_read_chunk_boundaries;
+          Alcotest.test_case "overlong line" `Quick test_daemon_overlong_line;
           Alcotest.test_case "drain" `Quick test_daemon_drain;
           Alcotest.test_case "report plumbing" `Quick test_daemon_report;
         ] );

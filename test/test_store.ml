@@ -483,6 +483,67 @@ let test_vec_tombstones () =
   Alcotest.(check int) "all dead: empty" 0 (Vec.length v);
   Alcotest.(check int) "all dead: capacity kept" cap (Vec.capacity v)
 
+(* Itab against a Hashtbl model: random replace/remove over 96 keys,
+   dense (so probe runs wrap around the end of the table, and it doubles
+   from 8 slots to 128) or spread far apart. After every op the length
+   agrees and every key finds the model's value, or -1 when unbound —
+   so a backward-shift removal that cuts a probe run short shows. *)
+type itab_op = Put of int * int | Del of int
+
+let prop_itab_model =
+  let gen_op =
+    QCheck.Gen.(
+      frequency
+        [
+          ( 3,
+            map2
+              (fun k v -> Put (k, if v = -1 then -2 else v))
+              (int_bound 95) (int_range (-1000) 1000) );
+          (2, map (fun k -> Del k) (int_bound 95));
+        ])
+  in
+  let pp = function
+    | Put (k, v) -> Printf.sprintf "put %d %d" k v
+    | Del k -> Printf.sprintf "del %d" k
+  in
+  QCheck.Test.make ~name:"Itab agrees with a Hashtbl model" ~count:200
+    (QCheck.make
+       ~print:(fun (sparse, ops) ->
+         Printf.sprintf "%s: %s"
+           (if sparse then "sparse" else "dense")
+           (String.concat "; " (List.map pp ops)))
+       ~shrink:QCheck.Shrink.(pair nil list)
+       QCheck.Gen.(pair bool (list_size (int_range 1 400) gen_op)))
+    (fun (sparse, ops) ->
+      let key k = if sparse then k * 1_000_003 else k in
+      let t = Engine.Itab.create () and m = Hashtbl.create 16 in
+      List.for_all
+        (fun op ->
+          (match op with
+          | Put (k, v) ->
+              Engine.Itab.replace t (key k) v;
+              Hashtbl.replace m k v
+          | Del k ->
+              Engine.Itab.remove t (key k);
+              Hashtbl.remove m k);
+          Engine.Itab.length t = Hashtbl.length m
+          && List.for_all
+               (fun k ->
+                 Engine.Itab.find t (key k)
+                 = Option.value (Hashtbl.find_opt m k) ~default:(-1))
+               (List.init 96 Fun.id))
+        ops)
+
+let test_itab_negative_key () =
+  let t = Engine.Itab.create () in
+  check "a negative key is rejected" true
+    (match Engine.Itab.replace t (-5) 1 with
+    | () -> false
+    | exception Invalid_argument _ -> true);
+  Alcotest.(check int) "a negative key is unbound" (-1) (Engine.Itab.find t (-5));
+  Engine.Itab.remove t (-5);
+  Alcotest.(check int) "removing it is a no-op" 0 (Engine.Itab.length t)
+
 (* Interning round-trips, ids are dense, and predicates have their own
    id space. *)
 let test_symtab_roundtrip () =
@@ -514,6 +575,7 @@ let qcheck_tests =
       prop_naive_equivalent;
       prop_resume_byte_identical;
       prop_serve_byte_identical;
+      prop_itab_model;
     ]
 
 let () =
@@ -537,6 +599,7 @@ let () =
         [
           Alcotest.test_case "vec regrow boundary" `Quick test_vec_regrow;
           Alcotest.test_case "vec tombstones" `Quick test_vec_tombstones;
+          Alcotest.test_case "itab negative key" `Quick test_itab_negative_key;
           Alcotest.test_case "symtab intern/extern round-trip" `Quick
             test_symtab_roundtrip;
         ] );
