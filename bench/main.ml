@@ -555,12 +555,13 @@ let read_bench_engine () =
         | Error e -> Error ("does not parse: " ^ e))
 
 (* BENCH_engine.json is shared between E15, E17, E18, E20 and E22. Each
-   replaces exactly the rows its case table names at either size and
-   keeps the others', so regenerating one never drops another's
-   baselines. Every written row is stamped with the host's core count
-   and OCaml version. *)
-let update_bench_engine cases rows =
-  let owned = List.map fst (cases ~full:false @ cases ~full:true) in
+   run replaces exactly the rows its case table names at the size that
+   ran and keeps every other row, so regenerating one experiment never
+   drops another's baselines, and a default-size run keeps the rows only
+   [--full] produces. Every written row is stamped with the host's core
+   count and OCaml version. *)
+let update_bench_engine cases ~full rows =
+  let owned = List.map fst (cases ~full) in
   let kept =
     match read_bench_engine () with
     | Some (Ok existing) ->
@@ -609,7 +610,7 @@ let run_cases cases ~cols ~full =
         r)
       (cases ~full)
   in
-  update_bench_engine cases rows
+  update_bench_engine cases ~full rows
 
 (* ------------------------------------------------------------------ *)
 (* E15 — indexed saturation vs the naive chase oracle (test/oracle)    *)
@@ -812,6 +813,9 @@ let e18_row ~sigma ~db ~max_level ~ins ~del op () =
   let create_minor =
     (s1.Gc.minor_words -. s0.Gc.minor_words) /. float_of_int (Incr.size store)
   in
+  let ledger_words =
+    float_of_int (Incr.ledger_words store) /. float_of_int (Incr.size store)
+  in
   let db_ins = Instance.add_fact ins db in
   let maintain, target =
     match op with
@@ -837,6 +841,7 @@ let e18_row ~sigma ~db ~max_level ~ins ~del op () =
       ("agree", Bool (skeleton (Incr.instance store) = skeleton fresh));
       ("create_s", Float create_s);
       ("create_minor_words_per_fact", Float create_minor);
+      ("ledger_words_per_fact", Float ledger_words);
     ]
   @ counters
 
@@ -939,7 +944,7 @@ let e18 ~full () =
       [
         "db_facts"; "chase_facts"; "maintain_s"; "rechase_s"; "speedup";
         "agree"; "create_s"; "create_minor_words_per_fact";
-        "maintain_us_per_op";
+        "ledger_words_per_fact"; "maintain_us_per_op";
       ]
 
 (* ------------------------------------------------------------------ *)
@@ -1200,8 +1205,8 @@ let e22 ~full () =
 
 (* How the gate judges a field of a rerun row against the committed one
    (fields not listed are not gated). [Same]: a semantic result, equal in
-   every run. [At_most]: a work counter, never above the baseline.
-   [Time]: wall seconds, elementwise for per-level lists, within 3x; the
+   every run. [At_most]: a work counter or a deterministic size (the
+   ledger's words per fact), never above the baseline. [Time]: wall seconds, elementwise for per-level lists, within 3x; the
    50 ms floor keeps sub-ms baselines from tripping on scheduler noise.
    [Words]: minor words per request, within 1.5x — allocation depends on
    the request mix, not the machine; +512 absorbs batching jitter. *)
@@ -1213,6 +1218,7 @@ let rules =
     ("answers", Same); ("agree", Same); ("records_replayed", Same);
     ("records_truncated", Same); ("degradations", Same); ("requests", Same);
     ("index_probes", At_most); ("joiner_candidates", At_most);
+    ("ledger_words_per_fact", At_most);
     ("indexed_s", Time); ("level_s", Time); ("enumerate_s", Time);
     ("maintain_s", Time); ("recover_s", Time); ("serve_s", Time);
     ("minor_words_per_req", Words);

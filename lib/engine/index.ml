@@ -43,6 +43,8 @@ let arity_of_packed p = p lsr row_bits
 let row_of_packed p = p land row_mask
 
 type rel = {
+  r_id : int;  (* dense over the store, in creation order: see {!handle} *)
+  r_pid : int;
   r_arity : int;
   r_cols : Vec.t array;  (* one column per argument position *)
   r_level : Vec.t;  (* s-level of the fact in each row *)
@@ -78,8 +80,13 @@ let freed_vec = Vec.create ~capacity:1 ()
 
 (* The predicate table is shared through a record so readers keep
    seeing growth of the pid-indexed array. [stamp] is the next insertion
-   stamp. *)
-type tables = { mutable entries : entry option array; mutable stamp : int }
+   stamp; [rels] holds every relation under its id, [nrels] of them. *)
+type tables = {
+  mutable entries : entry option array;
+  mutable stamp : int;
+  mutable rels : rel array;
+  mutable nrels : int;
+}
 
 (* Tables keyed by interned fact keys [| pid; cid1; …; cidn |]: the
    membership table here, the chase's trigger tables in {!Saturate}. *)
@@ -117,7 +124,7 @@ let create () =
   let metrics = Obs.Metrics.create () in
   {
     symtab = Symtab.create ();
-    tabs = { entries = Array.make 16 None; stamp = 0 };
+    tabs = { entries = Array.make 16 None; stamp = 0; rels = [||]; nrels = 0 };
     members = Keytbl.create 1024;
     metrics;
     c_probes = Obs.Metrics.counter metrics "index.probes";
@@ -148,7 +155,7 @@ let metrics idx = idx.metrics
 (* Interned fact keys: [| pid; cid1; …; cidn |]. The [_find] variant
    never assigns ids — a fact with an unknown symbol cannot be stored. *)
 
-let key_intern idx f =
+let intern idx f =
   let st = idx.symtab in
   let args = Fact.args f in
   let key = Array.make (List.length args + 1) 0 in
@@ -222,12 +229,15 @@ let rec rel_get arity = function
   | r :: rest -> if r.r_arity = arity then r else rel_get arity rest
   | [] -> raise Not_found
 
-let rel_of e arity =
+let rel_of idx e pid arity =
   match rel_get arity e.e_rels with
   | r -> r
   | exception Not_found ->
+      let tabs = idx.tabs in
       let r =
         {
+          r_id = tabs.nrels;
+          r_pid = pid;
           r_arity = arity;
           r_cols = Array.init arity (fun _ -> Vec.create ());
           r_level = Vec.create ();
@@ -236,6 +246,13 @@ let rel_of e arity =
           r_free = Vec.create ~capacity:1 ();
         }
       in
+      if tabs.nrels = Array.length tabs.rels then begin
+        let a = Array.make (max 8 (2 * tabs.nrels)) r in
+        Array.blit tabs.rels 0 a 0 tabs.nrels;
+        tabs.rels <- a
+      end;
+      tabs.rels.(tabs.nrels) <- r;
+      tabs.nrels <- tabs.nrels + 1;
       e.e_rels <- r :: e.e_rels;
       if Array.length e.e_at < arity then
         e.e_at <-
@@ -289,7 +306,7 @@ let add_row idx key ~level =
   Obs.Metrics.incr idx.c_inserts;
   let pid = key.(0) and arity = Array.length key - 1 in
   let e = entry_of idx pid in
-  let r = rel_of e arity in
+  let r = rel_of idx e pid arity in
   let stamp = idx.tabs.stamp in
   idx.tabs.stamp <- stamp + 1;
   let row =
@@ -320,11 +337,8 @@ let add_row idx key ~level =
   done;
   Keytbl.replace idx.members key packed
 
-(** [insert ?level f idx] — add [f] at s-level [level] (default 0);
-    [false] when it was already present (its level is kept). *)
-let insert ?(level = 0) f idx =
-  Obs.Probe.hit "engine.insert";
-  let key = key_intern idx f in
+(* File [key] at s-level [level] unless it is a member already. *)
+let add_key idx ~level key =
   if Keytbl.mem idx.members key then begin
     Obs.Metrics.incr idx.c_duplicates;
     false
@@ -333,6 +347,16 @@ let insert ?(level = 0) f idx =
     add_row idx key ~level;
     true
   end
+
+(** [insert ?level f idx] — add [f] at s-level [level] (default 0);
+    [false] when it was already present (its level is kept). *)
+let insert ?(level = 0) f idx =
+  Obs.Probe.hit "engine.insert";
+  add_key idx ~level (intern idx f)
+
+let insert_interned ?(level = 0) key idx =
+  Obs.Probe.hit "engine.insert";
+  add_key idx ~level key
 
 (* The stamp of slot [i] of an order or posting vector of [e]: a live
    slot holds a packed row, a tombstone [-stamp-1]. *)
@@ -455,6 +479,29 @@ let iter_rows f idx =
             e.e_order)
     idx.tabs.entries
 
+(* Fact handles: a stored fact's relation id above [row_bits], its row
+   below. *)
+let[@inline] handle_rel h = h lsr row_bits
+let[@inline] handle_row h = h land row_mask
+let[@inline] handle_of ~rel ~row = (rel lsl row_bits) lor row
+let rel_of_handle idx h = idx.tabs.rels.(handle_rel h)
+
+let handle idx key =
+  match Keytbl.find idx.members key with
+  | packed ->
+      handle_of ~rel:(rel_of_packed idx key.(0) packed).r_id ~row:(row_of_packed packed)
+  | exception Not_found -> -1
+
+let handle_key idx h =
+  let r = rel_of_handle idx h and row = handle_row h in
+  let key = Array.make (r.r_arity + 1) r.r_pid in
+  for i = 0 to r.r_arity - 1 do
+    key.(i + 1) <- Vec.get r.r_cols.(i) row
+  done;
+  key
+
+let handle_level idx h = Vec.get (rel_of_handle idx h).r_level (handle_row h)
+
 let fold_levels f idx acc =
   let acc = ref acc in
   iter_rows (fun _ r row -> acc := f (Vec.get r.r_level row) !acc) idx;
@@ -463,36 +510,25 @@ let fold_levels f idx acc =
 (* Storage order: [e_order] only ever sees order-preserving removals, so
    replaying the returned facts into a fresh store rebuilds every posting
    list in the same relative order this store presents. Each decoded fact
-   is also filed under its row, per predicate and arity, so the lookup
-   returns that same [Fact.t] for a stored key without decoding again. *)
+   is also filed under its handle, so the lookup returns that same
+   [Fact.t] for a stored fact without decoding again. *)
 let decode_ordered idx =
   let st = idx.symtab in
   let dummy = Fact.make "" [] in
-  let memo = Array.make (Array.length idx.tabs.entries) [] in
+  let memo =
+    Array.init idx.tabs.nrels (fun i -> Array.make idx.tabs.rels.(i).r_rows dummy)
+  in
   let out = ref [] in
   iter_rows
     (fun pid r row ->
-      let facts =
-        match List.assq r memo.(pid) with
-        | a -> a
-        | exception Not_found ->
-            let a = Array.make r.r_rows dummy in
-            memo.(pid) <- (r, a) :: memo.(pid);
-            a
-      in
       let f =
         Fact.make (Symtab.extern_pred st pid)
           (List.init r.r_arity (fun i -> Symtab.extern st (Vec.get r.r_cols.(i) row)))
       in
-      facts.(row) <- f;
+      memo.(r.r_id).(row) <- f;
       out := (f, Vec.get r.r_level row) :: !out)
     idx;
-  let lookup key =
-    let packed = Keytbl.find idx.members key in
-    let r = rel_of_packed idx key.(0) packed in
-    (List.assq r memo.(key.(0))).(row_of_packed packed)
-  in
-  (List.rev !out, lookup)
+  (List.rev !out, fun h -> memo.(handle_rel h).(handle_row h))
 
 let ordered_facts idx = fst (decode_ordered idx)
 
@@ -645,6 +681,8 @@ let catom_count idx ca ~benv =
    candidate then fails on arity before a column is read. *)
 let no_rel =
   {
+    r_id = -1;
+    r_pid = -1;
     r_arity = -1;
     r_cols = [||];
     r_level = freed_vec;
@@ -752,9 +790,9 @@ let scratch_key ca ~benv =
 let catom_level idx ca ~benv =
   if scratch_key ca ~benv then max 0 (key_level idx ca.c_trail) else 0
 
-let catom_key ca = Array.copy ca.c_trail
+let catom_handle idx ca = handle idx ca.c_trail
 
-(* Insert the head [ca] under [benv], interning exactly as [key_intern]
+(* Insert the head [ca] under [benv], interning exactly as [intern]
    does on the decoded fact: the predicate first, then the arguments left
    to right. Interned ids are cached back into [ca], so a predicate or
    constant is resolved by name at most once per compiled atom. *)

@@ -44,12 +44,12 @@ val to_instance : t -> Instance.t
     state may differ; neither is observable through the matching API). *)
 val ordered_facts : t -> (Fact.t * int) list
 
-(** [decode_ordered idx] — {!ordered_facts}, and a lookup from the key of
-    any stored fact to the very [Fact.t] of that list: a writer that names
-    stored facts many times (an image's ledger) decodes each one once and
-    shares it. The lookup raises [Not_found] for a key not stored, and is
-    valid only until the store next changes. *)
-val decode_ordered : t -> (Fact.t * int) list * (int array -> Fact.t)
+(** [decode_ordered idx] — {!ordered_facts}, and a lookup from the
+    {!handle} of any stored fact to the very [Fact.t] of that list: a
+    writer that names stored facts many times (an image's ledger) decodes
+    each one once and shares it. The lookup is valid only until the
+    store next changes. *)
+val decode_ordered : t -> (Fact.t * int) list * (int -> Fact.t)
 
 (** [insert ?level f idx] — file [f] under every argument position and
     report whether the fact was new (a single membership probe). A new
@@ -98,13 +98,25 @@ val key : t -> Fact.t -> int array option
 (** [decode_key idx key] — the fact an interned key names. *)
 val decode_key : t -> int array -> Fact.t
 
-(** {2 Operations by interned key}
+(** {2 Operations by interned key and by handle}
 
-    The fact-level {!mem}, {!remove} and {!level} on a key the caller
-    already holds: no symbol lookups. The incremental maintenance ledger
-    runs on these. *)
+    A stored fact's {e handle} is a non-negative int naming its row: a
+    relation id (dense over the store, in creation order) above a row
+    number. It stays valid while the fact is stored; a removed fact's
+    row is reused by a later insert, so a fact removed and inserted
+    again may come back under another handle. The incremental
+    maintenance ledger names facts by handle and files its per-fact
+    data in per-relation columns indexed by {!handle_rel} and
+    {!handle_row}. *)
 
-val mem_key : int array -> t -> bool
+(** [intern idx f] — the interned key of [f], interning its predicate
+    and then its arguments left to right, as {!insert} does. *)
+val intern : t -> Fact.t -> int array
+
+(** [insert_interned ?level key idx] — {!insert} of the fact with the
+    interned [key] (from {!intern}); the key array becomes the store's
+    when the fact is new. *)
+val insert_interned : ?level:int -> int array -> t -> bool
 
 (** [remove_key key idx] — {!remove}, at the same cost: one membership
     probe, a binary search of the relation's order vector, then per
@@ -114,9 +126,24 @@ val mem_key : int array -> t -> bool
     [remove_key] of [f]'s key plus the symbol lookups. *)
 val remove_key : int array -> t -> bool
 
-(** [key_level idx key] — the s-level of the stored fact, [-1] when it
-    is not stored. Allocation free. *)
-val key_level : t -> int array -> int
+(** [handle idx key] — the handle of the stored fact with interned
+    [key], [-1] when it is not stored. One membership probe, allocation
+    free. *)
+val handle : t -> int array -> int
+
+(** [handle_key idx h] — a fresh copy of the interned key of the fact
+    stored under [h]. *)
+val handle_key : t -> int -> int array
+
+(** [handle_level idx h] — the s-level of the fact stored under [h]. *)
+val handle_level : t -> int -> int
+
+(** The relation id and the row a handle names, and the handle of a
+    relation id and row. *)
+val handle_rel : int -> int
+
+val handle_row : int -> int
+val handle_of : rel:int -> row:int -> int
 
 (** Number of (distinct) facts. *)
 val size : t -> int
@@ -204,11 +231,12 @@ val catom_level : t -> catom -> benv:int array -> int
     denotes under [benv] (every variable bound); 0 when it is not
     stored. *)
 
-val catom_key : catom -> int array
-(** [catom_key ca] — a copy of the fact key last built in [ca]'s
-    scratch: by {!catom_level} for a body atom, by {!insert_key} for a
-    head atom (existentials interned). The firing path reads a fired
-    trigger's body and head keys back this way. *)
+val catom_handle : t -> catom -> int
+(** [catom_handle idx ca] — the {!handle} of the fact whose key was last
+    built in [ca]'s scratch: by {!catom_level} for a body atom, by
+    {!insert_key} for a head atom (existentials interned); [-1] when it
+    is not stored. The firing path names a fired trigger's body and
+    head facts this way. *)
 
 val insert_key : t -> level:int -> catom -> benv:int array -> int array option
 (** [insert_key idx ~level ca ~benv] — {!insert} of the fact [ca]

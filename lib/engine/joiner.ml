@@ -73,17 +73,21 @@ let search_compiled idx ~on_candidate ~on_fail (atoms : Index.catom array)
     in
     sat lo
 
-(* The [joiner.*] counters, resolved per search, so a run registers them
-   iff it performs a search. *)
-let counters idx =
+(* The [joiner.*] counters of a store, registered when first forced, so
+   a run registers them iff it performs a search. *)
+type counters = (Obs.Metrics.counter * Obs.Metrics.counter) Lazy.t
+
+let resolve idx =
   let m = Index.metrics idx in
   ( Obs.Metrics.counter m "joiner.candidates",
     Obs.Metrics.counter m "joiner.backtracks" )
 
+let counters idx : counters = lazy (resolve idx)
+
 (* [search_compiled] filing its candidates and backtracks against the
    counters of [idx]. *)
 let search idx atoms ~benv lo n leaf =
-  let c_candidates, c_backtracks = counters idx in
+  let c_candidates, c_backtracks = resolve idx in
   search_compiled idx
     ~on_candidate:(fun () -> Obs.Metrics.incr c_candidates)
     ~on_fail:(fun () -> Obs.Metrics.incr c_backtracks)
@@ -109,9 +113,9 @@ let fold atoms idx f acc =
 (* [fold] with a delta pivot: the pivot matches each delta key (one
    candidate each, one backtrack per mismatch), the rest runs
    [search_compiled] to every full match. *)
-let fold_delta idx ~pivot atoms ~benv delta f =
+let fold_delta idx ~counters ~pivot atoms ~benv delta f =
   Obs.Probe.hit "engine.join";
-  let c_candidates, c_backtracks = counters idx in
+  let c_candidates, c_backtracks = Lazy.force counters in
   let on_candidate () = Obs.Metrics.incr c_candidates in
   let on_fail () = Obs.Metrics.incr c_backtracks in
   let n = Array.length atoms in

@@ -56,17 +56,27 @@ val fold : Atom.t list -> Index.t -> (binding -> 'a -> 'a) -> 'a -> 'a
     shape. *)
 val exists_compiled : Index.t -> Index.catom array -> benv:int array -> int -> int -> bool
 
-(** [fold_delta idx ~pivot atoms ~benv delta f] — the semi-naive step,
-    compiled: call [f ()] once per extension of [benv] that matches
-    [pivot] against one of the interned fact keys [delta] (in list
-    order) and every atom of [atoms] against the index, with the
-    extension visible in [benv] during the call. Each delta key counts
-    one [joiner.candidates] and, when the pivot does not match it, one
+(** The [joiner.*] counters of one store, looked up by name once and
+    registered in its metrics registry only when first used by a search,
+    so a run registers them iff it performs a search. *)
+type counters
+
+(** [counters idx] — [idx]'s counters, not yet registered. *)
+val counters : Index.t -> counters
+
+(** [fold_delta idx ~counters ~pivot atoms ~benv delta f] — the
+    semi-naive step, compiled: call [f ()] once per extension of [benv]
+    that matches [pivot] against one of the interned fact keys [delta]
+    (in list order) and every atom of [atoms] against the index, with
+    the extension visible in [benv] during the call. Each delta key
+    counts one [joiner.candidates] of [counters] (which must be
+    [idx]'s) and, when the pivot does not match it, one
     [joiner.backtracks]; [atoms] is searched as by {!exists_compiled}
     (and restored, like [benv], before returning). Hits ["engine.join"]
     once at entry, as {!fold} does. *)
 val fold_delta :
   Index.t ->
+  counters:counters ->
   pivot:Index.catom ->
   Index.catom array ->
   benv:int array ->

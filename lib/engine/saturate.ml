@@ -41,11 +41,26 @@ type result = {
   span : Obs.Span.t;
 }
 
+(* The firing view: one record per run, overwritten before each
+   callback. [fr_cells] is the rule's binding environment (its first
+   [fr_ncells] slots hold the trigger's body binding), [fr_body] and
+   [fr_outs] the plan's handle scratch. *)
 type firing = {
-  fire_key : int array;
-  fire_body : int array array;
-  fire_outs : int array array;
+  mutable fr_rule : int;
+  mutable fr_ncells : int;
+  mutable fr_cells : int array;
+  mutable fr_body : int array;
+  mutable fr_outs : int array;
 }
+
+let fire_rule fr = fr.fr_rule
+let fire_cells fr = fr.fr_ncells
+let fire_cell fr i =
+  if i < fr.fr_ncells then fr.fr_cells.(i) else invalid_arg "Saturate.fire_cell"
+let fire_bodies fr = Array.length fr.fr_body
+let fire_body fr j = fr.fr_body.(j)
+let fire_outs fr = Array.length fr.fr_outs
+let fire_out fr j = fr.fr_outs.(j)
 
 (* A rule's slot layout: body variables take slots [0 .. nbody-1] in
    [VarSet.elements] order, existentials the slots after them. A
@@ -94,6 +109,8 @@ type plan = {
          a predicate repeated in the body is pivoted once per occurrence
          (the per-pass key set deduplicates the bindings) *)
   p_heads : Index.catom array;
+  p_hbody : int array;  (* the fired trigger's body handles, for [on_fire] *)
+  p_houts : int array;  (* its head handles *)
 }
 
 let plan idx i r =
@@ -113,6 +130,8 @@ let plan idx i r =
         (List.map
            (Index.compile_head idx ~slot:l.l_slot ~fresh:l.l_exist)
            l.l_rule.head);
+    p_hbody = Array.make n (-1);
+    p_houts = Array.make (List.length l.l_rule.head) (-1);
   }
 
 let refresh idx p =
@@ -133,11 +152,45 @@ type program = {
   g_idx : Index.t;
   g_rules : rule array;
   g_plans : plan option array;
+  g_pids : int array array;
+      (* per rule, its body predicates' ids; [-1] while a predicate is
+         unknown to the store, resolved again at each pass until known *)
+  g_counters : Joiner.counters;
 }
 
 let program rules idx =
   let rules = Array.of_list rules in
-  { g_idx = idx; g_rules = rules; g_plans = Array.make (Array.length rules) None }
+  let st = Index.symtab idx in
+  {
+    g_idx = idx;
+    g_rules = rules;
+    g_plans = Array.make (Array.length rules) None;
+    g_pids =
+      Array.map
+        (fun r ->
+          Array.of_list
+            (List.map (fun a -> Symtab.find_pred_int st (Atom.pred a)) r.body))
+        rules;
+    g_counters = Joiner.counters idx;
+  }
+
+(* Does a body predicate of rule [i] hold a fact of the pass's delta? *)
+let touches prog delta_by_pid i =
+  let pids = prog.g_pids.(i) in
+  let rec go j =
+    j < Array.length pids
+    &&
+    let pid =
+      if pids.(j) >= 0 then pids.(j)
+      else begin
+        let a = List.nth prog.g_rules.(i).body j in
+        pids.(j) <- Symtab.find_pred_int (Index.symtab prog.g_idx) (Atom.pred a);
+        pids.(j)
+      end
+    in
+    Hashtbl.mem delta_by_pid pid || go (j + 1)
+  in
+  go 0
 
 (* The resumable state threaded into the driver: either a fresh run over a
    database or the reconstruction of a checkpointed boundary. The delta
@@ -150,6 +203,10 @@ type init = {
   i_fired : int;
   i_dismissed : int;
   i_fpl : int list;  (* reversed: newest level first *)
+  i_seen : int;
+      (* initial size of the trigger-key table: the delta's for a
+         maintenance step, 256 for a run over a database, where a table
+         sized to a large database raised the server's peak RSS *)
 }
 
 let keys idx facts = List.filter_map (Index.key idx) facts
@@ -168,7 +225,10 @@ let exec ~policy ~budget ~span ~on_pass ~on_fire init prog =
      for the current pass. A collected trigger is fired before the next
      pass or the run ends at a budget cut, so one table serves as both
      the fired and the pending set. *)
-  let seen = Index.Keytbl.create 256 in
+  let seen = Index.Keytbl.create init.i_seen in
+  let view =
+    { fr_rule = 0; fr_ncells = 0; fr_cells = [||]; fr_body = [||]; fr_outs = [||] }
+  in
   let triggers_fired = ref init.i_fired
   and triggers_dismissed = ref init.i_dismissed in
   let facts_per_level = ref init.i_fpl in
@@ -210,8 +270,6 @@ let exec ~policy ~budget ~span ~on_pass ~on_fire init prog =
             Hashtbl.replace delta_by_pid key.(0) (key :: cur))
           !delta;
         let new_triggers = ref [] in
-        let st = Index.symtab idx in
-        let touches a = Hashtbl.mem delta_by_pid (Symtab.find_pred_int st (Atom.pred a)) in
         let consider i () =
           let p = plan_of i in
           let l = p.p_layout in
@@ -245,7 +303,7 @@ let exec ~policy ~budget ~span ~on_pass ~on_fire init prog =
                  it *)
               if !first_pass then consider i ()
             end
-            else if List.exists touches r.body then
+            else if touches prog delta_by_pid i then
               let p = plan_of i in
               let benv = p.p_layout.l_benv in
               List.iter
@@ -253,7 +311,8 @@ let exec ~policy ~budget ~span ~on_pass ~on_fire init prog =
                   match Hashtbl.find_opt delta_by_pid (Index.catom_pid pivot) with
                   | None -> ()
                   | Some dkeys ->
-                      Joiner.fold_delta idx ~pivot rest ~benv dkeys (consider i))
+                      Joiner.fold_delta idx ~counters:prog.g_counters ~pivot rest ~benv
+                        dkeys (consider i))
                 p.p_pivots)
           rules;
         first_pass := false;
@@ -296,19 +355,23 @@ let exec ~policy ~budget ~span ~on_pass ~on_fire init prog =
                       ignore (land_head ~level:head_level ~benv p.p_heads.(j))
                     done
                 | Some cb ->
-                    (* the body keys sit in the body atoms' scratch since
-                       [catom_level]; a new head fact's key is the one the
-                       store now holds, a duplicate's is read back *)
-                    let body = Array.map Index.catom_key p.p_body in
-                    let outs = Array.make (Array.length p.p_heads) [||] in
+                    (* a head fact's key sits in its atom's scratch once it
+                       landed, new or not; the body keys sit in the body
+                       atoms' scratch since [catom_level] *)
                     for j = 0 to Array.length p.p_heads - 1 do
                       let h = p.p_heads.(j) in
-                      outs.(j) <-
-                        (match land_head ~level:head_level ~benv h with
-                        | Some k -> k
-                        | None -> Index.catom_key h)
+                      ignore (land_head ~level:head_level ~benv h);
+                      p.p_houts.(j) <- Index.catom_handle idx h
                     done;
-                    cb { fire_key = key; fire_body = body; fire_outs = outs });
+                    for j = 0 to Array.length p.p_body - 1 do
+                      p.p_hbody.(j) <- Index.catom_handle idx p.p_body.(j)
+                    done;
+                    view.fr_rule <- i;
+                    view.fr_ncells <- l.l_nbody;
+                    view.fr_cells <- benv;
+                    view.fr_body <- p.p_hbody;
+                    view.fr_outs <- p.p_houts;
+                    cb view);
                 Array.fill benv 0 (Array.length benv) (-1);
                 (* the budget is re-checked trigger-atomically: the
                    overflowing trigger's whole head lands (matching the
@@ -371,6 +434,7 @@ let run ?(policy = Oblivious) ?(budget = Obs.Budget.unlimited) ?obs ?on_pass
       i_fired = 0;
       i_dismissed = 0;
       i_fpl = [];
+      i_seen = 256;
     }
   in
   let r = exec ~policy ~budget ~span ~on_pass ~on_fire init (program rules idx) in
@@ -399,6 +463,7 @@ let continue ?(policy = Oblivious) ?(budget = Obs.Budget.unlimited) ?obs
       i_fired = 0;
       i_dismissed = 0;
       i_fpl = [];
+      i_seen = List.length delta;
     }
   in
   let r = exec ~policy ~budget ~span ~on_pass ~on_fire init prog in
@@ -447,6 +512,7 @@ let resume ?(budget = Obs.Budget.unlimited) ?obs ?on_pass ?on_fire rules
       i_fired = s.snap_triggers_fired;
       i_dismissed = s.snap_triggers_dismissed;
       i_fpl = fpl;
+      i_seen = 256;
     }
   in
   let r =

@@ -68,23 +68,35 @@ type result = {
 }
 
 (** One trigger firing, reported to [?on_fire] as it happens — the hook
-    the incremental-maintenance ledger records derivations with, in
-    firing order. Everything is interned against the run's store
-    ({!Index.decode_key} names a fact key), and nothing is boxed: the
-    keys are read back from the compiled rule's scratch, and a head fact
-    new to the store shares the store's own key array. The arrays are
-    the callee's to keep and must not be mutated. *)
-type firing = {
-  fire_key : int array;
-      (** the trigger's identity [[| rule; cid… |]]: the rule index,
-          then the image of the body variables in [VarSet] order *)
-  fire_body : int array array;
-      (** the grounded body's fact keys [[| pid; cid… |]], in body-atom
-          order *)
-  fire_outs : int array array;
-      (** the grounded head's fact keys, in head-atom order; existential
-          positions hold the interned fresh nulls *)
-}
+    the incremental-maintenance ledger files derivations with, in firing
+    order. The firing is a view over the run's own scratch: it allocates
+    nothing, and it is valid only during the callback (the next firing
+    overwrites it). Facts are named by their {!Index.handle} in the
+    run's store. *)
+type firing
+
+(** The fired rule's index in the rule list. *)
+val fire_rule : firing -> int
+
+(** The trigger's binding: [fire_cells fr] cells, the image of the body
+    variables in [VarSet] order, each an interned symbol id
+    ([fire_cell fr i]). Together with the rule they are the trigger's
+    identity. *)
+val fire_cells : firing -> int
+
+val fire_cell : firing -> int -> int
+
+(** The handles of the grounded body facts, one per body atom in body
+    order ([fire_bodies] of them); two atoms may ground to one fact. *)
+val fire_bodies : firing -> int
+
+val fire_body : firing -> int -> int
+
+(** The handles of the grounded head facts, one per head atom in head
+    order; existential positions hold the fresh nulls. *)
+val fire_outs : firing -> int
+
+val fire_out : firing -> int -> int
 
 (** [run ?policy ?budget ?obs ?on_pass rules db] — saturate [db] under
     [rules] until no new trigger exists or the budget cuts the run (the

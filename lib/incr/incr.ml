@@ -1,16 +1,18 @@
 (** Incremental chase maintenance; see the interface for the contract.
 
-    The ledger is two tables over one mutable [derivation] record per
-    fired trigger, both keyed by the store's interned keys
-    ({!Engine.Index.Keytbl}): [support] maps a fact key to the
-    derivations producing the fact ([derivs]) and consuming it ([uses]),
-    [fired] maps a trigger key [[| rule; cid… |]] to its (live)
-    derivation. A derivation holds the very key arrays the firing
-    reported, so recording one boxes no fact.
-    A derivation dies when any of its body facts is over-deleted; its key
-    leaves [fired] at the same moment, so the trigger may legitimately
-    refire during repair. Dead records are pruned lazily from the
-    per-fact lists.
+    The ledger ({!Ledger}) is a columnar arena over the store's fact
+    handles: one fixed-width int block per live derivation (binding
+    cells, then an edge per body and head atom) and, per fact, the heads
+    of its producing and consuming lists and its base flag. The chase's
+    [on_fire] view is filed straight into it: recording a derivation
+    boxes nothing. A derivation dies when any of its body facts is
+    over-deleted; its block leaves every list at once and is reused, so
+    the trigger may legitimately refire during repair.
+
+    Handles are the store's own names for facts. A fact over-deleted and
+    then re-inserted comes back in a new row, so its ledger state is
+    detached at retraction and attached to the new handle (its live
+    producers' out edges renamed) when it comes back.
 
     Keys are decoded to facts only where order or output needs them: the
     over-deleted set is sorted by [Fact.compare] (it fixes the re-insert
@@ -22,19 +24,10 @@
     delta fixpoint has a body fact in the transitive delta; for an insert
     that fact never existed before (so the trigger never fired), and for
     a delete it was over-deleted first (so the trigger's old firing was
-    invalidated and removed from [fired]). Either way the firing is not a
-    duplicate. *)
+    invalidated and killed). Either way the firing is not a duplicate. *)
 
 open Relational
 module Index = Engine.Index
-module Keytbl = Index.Keytbl
-
-type derivation = {
-  d_key : int array;  (* the trigger key [| rule; cid… |] *)
-  d_body : int array array;  (* grounded body fact keys, deduplicated *)
-  d_outs : int array array;  (* grounded head fact keys, deduplicated *)
-  mutable d_live : bool;
-}
 
 type op = Insert of Fact.t | Delete of Fact.t
 
@@ -47,23 +40,10 @@ type effect = {
   e_deleted : int;
 }
 
-(* The derivations producing and consuming one fact, live ones and dead
-   ones not yet pruned. *)
-type support = {
-  mutable derivs : derivation list;
-  mutable uses : derivation list;
-}
-
-type ledger = {
-  support : support Keytbl.t;  (* fact key -> its derivations *)
-  fired : derivation Keytbl.t;  (* trigger key -> its live derivation *)
-}
-
 type t = {
   prog : Engine.Saturate.program;  (* the rules, compiled against [idx] *)
   idx : Index.t;  (* the store, s-levels included *)
-  base : unit Keytbl.t;
-  led : ledger;
+  led : Ledger.t;  (* derivations and base flags, by fact handle *)
   mutable level : int;  (* highest pass number handed to [continue] *)
   mutable sat : bool;
   mutable dirty : bool;  (* a mutation started changing state and died *)
@@ -89,87 +69,26 @@ let ensure_saturated t =
 let ensure_clean t =
   if t.dirty then invalid_arg "Incr: store is dirty (interrupted mutation)"
 
-(* ---- ledger primitives ------------------------------------------------ *)
-
-(* Tables for [n] derivations; they rehash only past [2 * n] entries. *)
-let ledger n = { support = Keytbl.create n; fired = Keytbl.create n }
-
-let support led k =
-  match Keytbl.find led.support k with
-  | s -> s
-  | exception Not_found ->
-      let s = { derivs = []; uses = [] } in
-      Keytbl.add led.support k s;
-      s
-
-let alive ds = List.filter (fun d -> d.d_live) ds
-
-(* Live derivations producing [k], pruning dead records in passing. *)
-let live_derivs led k =
-  match Keytbl.find led.support k with
-  | exception Not_found -> []
-  | s ->
-      let l = alive s.derivs in
-      s.derivs <- l;
-      if l = [] && s.uses = [] then Keytbl.remove led.support k;
-      l
-
-(* Live derivations consuming [k], which is leaving the store: its uses
-   are dropped. *)
-let take_uses led k =
-  match Keytbl.find led.support k with
-  | exception Not_found -> []
-  | s ->
-      let l = alive s.uses in
-      s.uses <- [];
-      l
-
-(* Does [keys.(i)] repeat one of [keys.(j..i-1)]? *)
-let rec repeats keys i j =
-  j < i && (keys.(j) = keys.(i) || repeats keys i (j + 1))
-
-let rec clean keys i =
-  i >= Array.length keys || ((not (repeats keys i 0)) && clean keys (i + 1))
-
-(* [keys] without repeats, first occurrences kept, and [keys] itself
-   when it has none: two atoms of a rule rarely ground to one fact. *)
-let dedup keys =
-  if clean keys 0 then keys
-  else
-    Array.of_list
-      (List.filteri (fun i _ -> not (repeats keys i 0)) (Array.to_list keys))
-
-let derivation (fir : Engine.Saturate.firing) =
-  {
-    d_key = fir.fire_key;
-    d_body = dedup fir.fire_body;
-    d_outs = dedup fir.fire_outs;
-    d_live = true;
-  }
-
-let record led d =
-  Keytbl.replace led.fired d.d_key d;
-  for i = 0 to Array.length d.d_body - 1 do
-    let s = support led d.d_body.(i) in
-    s.uses <- d :: s.uses
-  done;
-  for i = 0 to Array.length d.d_outs - 1 do
-    let s = support led d.d_outs.(i) in
-    s.derivs <- d :: s.derivs
-  done
-
-let kill t d =
-  d.d_live <- false;
-  match Keytbl.find t.led.fired d.d_key with
-  | d' -> if d' == d then Keytbl.remove t.led.fired d.d_key
-  | exception Not_found -> ()
-
 (* ---- construction ----------------------------------------------------- *)
+
+(* The ledger block shape of each rule: its body variables (the binding
+   cells), body atoms and head atoms. *)
+let ledger (sigma : Tgds.Tgd.t list) =
+  Ledger.create
+    (Array.of_list
+       (List.map
+          (fun tgd ->
+            {
+              Ledger.cells = Term.VarSet.cardinal (Tgds.Tgd.body_vars tgd);
+              body = List.length (Tgds.Tgd.body tgd);
+              outs = List.length (Tgds.Tgd.head tgd);
+            })
+          sigma))
 
 (* A store over [idx], with the ledger that describes its facts. The
    maintenance counters register on the index's metrics registry, so
    they travel with the usual report plumbing. *)
-let make sigma idx ~base ~led ~level ~sat =
+let make sigma idx ~led ~level ~sat =
   let m = Index.metrics idx in
   let c name = Obs.Metrics.counter m ("incr." ^ name) in
   {
@@ -178,7 +97,6 @@ let make sigma idx ~base ~led ~level ~sat =
         (sigma : Tgds.Tgd.t list :> Engine.Saturate.rule list)
         idx;
     idx;
-    base;
     led;
     level;
     sat;
@@ -192,24 +110,17 @@ let make sigma idx ~base ~led ~level ~sat =
     c_deleted = c "deleted";
   }
 
-(* The derivations are filed once the chase is over, into tables sized
-   to the trigger count. They are filed newest first: the order of the
-   per-fact lists is not observable (see [image]). *)
 let create ?engine ?max_level ?obs sigma db =
-  let log = ref [] in
+  let led = ledger sigma in
   let r =
     Tgds.Chase.run ?engine ~policy:Tgds.Chase.Oblivious ?max_level ?obs
-      ~on_fire:(fun fir -> log := derivation fir :: !log)
-      sigma db
+      ~on_fire:(Ledger.file led) sigma db
   in
   let idx = Tgds.Chase.index r in
-  let led = ledger (List.length !log) in
-  List.iter (record led) !log;
-  let base = Keytbl.create (Instance.size db) in
   Instance.iter
-    (fun f -> Keytbl.replace base (Option.get (Index.key idx f)) ())
+    (fun f -> Ledger.set_base led (Index.handle idx (Index.intern idx f)) true)
     db;
-  make sigma idx ~base ~led ~level:(Tgds.Chase.max_level r)
+  make sigma idx ~led ~level:(Tgds.Chase.max_level r)
     ~sat:(Tgds.Chase.saturated r)
 
 (* ---- the delta fixpoint over the live store --------------------------- *)
@@ -222,8 +133,7 @@ let propagate ?obs t delta =
   else begin
     let r =
       Engine.Saturate.continue ~policy:Engine.Saturate.Oblivious ?obs
-        ~on_fire:(fun fir -> record t.led (derivation fir))
-        t.prog ~level:t.level delta
+        ~on_fire:(Ledger.file t.led) t.prog ~level:t.level delta
     in
     t.level <- r.Engine.Saturate.max_level;
     List.fold_left ( + ) 0 r.Engine.Saturate.facts_per_level
@@ -233,13 +143,6 @@ let propagate ?obs t delta =
 
 let fact_attr f = Obs.Json.String (Fmt.str "%a" Fact.pp f)
 
-(* The key of a base fact [f]: a base fact is stored, so its symbols are
-   interned. *)
-let base_key t f =
-  match Index.key t.idx f with
-  | Some k when Keytbl.mem t.base k -> Some k
-  | _ -> None
-
 let insert ?obs t f =
   ensure_saturated t;
   ensure_clean t;
@@ -248,8 +151,12 @@ let insert ?obs t f =
   Obs.Probe.hit "incr.insert";
   let span = Option.map (fun p -> Obs.Span.enter p "insert") obs in
   Option.iter (fun s -> Obs.Span.set s "fact" (fact_attr f)) span;
+  (* a stored fact's symbols are interned already, so interning the key
+     changes the symbol table only for a fact about to be inserted *)
+  let k = Index.intern t.idx f in
+  let h = Index.handle t.idx k in
   let eff =
-    if base_key t f <> None then begin
+    if h >= 0 && Ledger.is_base t.led h then begin
       Obs.Metrics.incr t.c_noops;
       { e_op = Insert f; e_noop = true; e_repaired = 0; e_overdeleted = 0;
         e_rederived = 0; e_deleted = 0 }
@@ -258,17 +165,17 @@ let insert ?obs t f =
       Obs.Metrics.incr t.c_inserts;
       t.dirty <- true;
       let repaired =
-        match Index.key t.idx f with
-        | Some k when Index.mem_key k t.idx ->
-            (* already derivable: it gains base membership, nothing fires —
-               every trigger over the existing facts has fired already *)
-            Keytbl.replace t.base k ();
-            0
-        | _ ->
-            ignore (Index.insert f t.idx);
-            let k = Option.get (Index.key t.idx f) in
-            Keytbl.replace t.base k ();
-            1 + propagate ?obs:span t [ k ]
+        if h >= 0 then begin
+          (* already derivable: it gains base membership, nothing fires —
+             every trigger over the existing facts has fired already *)
+          Ledger.set_base t.led h true;
+          0
+        end
+        else begin
+          ignore (Index.insert_interned k t.idx);
+          Ledger.set_base t.led (Index.handle t.idx k) true;
+          1 + propagate ?obs:span t [ k ]
+        end
       in
       Obs.Metrics.add t.c_repaired repaired;
       t.dirty <- false;
@@ -286,16 +193,16 @@ let insert ?obs t f =
 (* Canonical-ish level of a re-derived fact: base facts are level 0,
    others sit one above their cheapest surviving derivation. Live
    derivations never lost a body fact, so every body level is present. *)
-let relevel t k =
-  if Keytbl.mem t.base k then 0
+let relevel t saved =
+  if Ledger.saved_base saved then 0
   else
-    List.fold_left
-      (fun acc d ->
+    Ledger.fold_saved_producers t.led saved
+      (fun d acc ->
         let bl =
-          Array.fold_left (fun m g -> max m (Index.key_level t.idx g)) 0 d.d_body
+          Ledger.fold_body t.led d (fun g m -> max m (Index.handle_level t.idx g)) 0
         in
         min acc (bl + 1))
-      max_int (live_derivs t.led k)
+      max_int
 
 let delete ?obs t f =
   ensure_saturated t;
@@ -303,73 +210,79 @@ let delete ?obs t f =
   Obs.Probe.hit "incr.delete";
   let span = Option.map (fun p -> Obs.Span.enter p "delete") obs in
   Option.iter (fun s -> Obs.Span.set s "fact" (fact_attr f)) span;
-  let eff =
-    match base_key t f with
-    | None ->
-        Obs.Metrics.incr t.c_noops;
-        { e_op = Delete f; e_noop = true; e_repaired = 0; e_overdeleted = 0;
-          e_rederived = 0; e_deleted = 0 }
+  let h =
+    match Index.key t.idx f with
     | Some k ->
-        Obs.Metrics.incr t.c_deletes;
-        t.dirty <- true;
-        Keytbl.remove t.base k;
-        (* Phase 1: over-delete. Retract [f] and, transitively, every fact
-           produced by a derivation that consumed a retracted fact. The
-           retracted set is order-independent (a closure), so the phases
-           below are deterministic after sorting it by fact. *)
-        let over = ref [] in
-        let stack = ref [ k ] in
-        while !stack <> [] do
-          let g = List.hd !stack in
-          stack := List.tl !stack;
-          if Index.remove_key g t.idx then begin
-            over := g :: !over;
-            List.iter
-              (fun d ->
-                kill t d;
-                Array.iter (fun o -> stack := o :: !stack) d.d_outs)
-              (take_uses t.led g)
-          end
-        done;
-        let over =
-          List.sort
-            (fun (f1, _) (f2, _) -> Fact.compare f1 f2)
-            (List.map (fun g -> (Index.decode_key t.idx g, g)) !over)
-        in
-        let overdeleted = List.length over in
-        (* Phase 2: re-derive. A retracted fact comes straight back when it
-           is still base, or still carries a live derivation (one whose
-           body never touched the retracted set). *)
-        let red =
-          List.filter
-            (fun (_, g) -> Keytbl.mem t.base g || live_derivs t.led g <> [])
-            over
-        in
-        List.iter
-          (fun (h, g) -> ignore (Index.insert ~level:(relevel t g) h t.idx))
-          red;
-        (* Ledger entries of facts that stayed out hold only dead records. *)
-        List.iter
-          (fun (_, g) ->
-            if not (Index.mem_key g t.idx) then Keytbl.remove t.led.support g)
-          over;
-        (* Phase 3: propagate. The re-inserted facts are the delta; the
-           invalidated triggers whose bodies survived refire here (and may
-           resurrect more of the retracted set, with fresh nulls where the
-           original derivation passed through an existential). *)
-        let repaired = propagate ?obs:span t (List.map snd red) in
-        let deleted =
-          List.length
-            (List.filter (fun (_, g) -> not (Index.mem_key g t.idx)) over)
-        in
-        Obs.Metrics.add t.c_overdeleted overdeleted;
-        Obs.Metrics.add t.c_rederived (List.length red);
-        Obs.Metrics.add t.c_repaired repaired;
-        Obs.Metrics.add t.c_deleted deleted;
-        t.dirty <- false;
-        { e_op = Delete f; e_noop = false; e_repaired = repaired;
-          e_overdeleted = overdeleted; e_rederived = List.length red;
-          e_deleted = deleted }
+        let h = Index.handle t.idx k in
+        if h >= 0 && Ledger.is_base t.led h then h else -1
+    | None -> -1
+  in
+  let eff =
+    if h < 0 then begin
+      Obs.Metrics.incr t.c_noops;
+      { e_op = Delete f; e_noop = true; e_repaired = 0; e_overdeleted = 0;
+        e_rederived = 0; e_deleted = 0 }
+    end
+    else begin
+      Obs.Metrics.incr t.c_deletes;
+      t.dirty <- true;
+      Ledger.set_base t.led h false;
+      (* Phase 1: over-delete. Retract [f] and, transitively, every fact
+         produced by a derivation that consumed a retracted fact. The
+         retracted set is order-independent (a closure), so the phases
+         below are deterministic after sorting it by fact. No fact is
+         inserted before the phase ends, so the retracted facts' rows,
+         and with them their handles, stay unused until then. *)
+      let over = ref [] in
+      let stack = ref [ h ] in
+      while !stack <> [] do
+        let g = List.hd !stack in
+        stack := List.tl !stack;
+        if not (Ledger.retracted t.led g) then begin
+          let k = Index.handle_key t.idx g in
+          ignore (Index.remove_key k t.idx);
+          over := (g, k) :: !over;
+          Ledger.retract t.led g (fun o -> stack := o :: !stack)
+        end
+      done;
+      let over =
+        List.sort
+          (fun (f1, _, _) (f2, _, _) -> Fact.compare f1 f2)
+          (List.map
+             (fun (g, k) -> (Index.decode_key t.idx k, k, Ledger.detach t.led g))
+             !over)
+      in
+      let overdeleted = List.length over in
+      (* Phase 2: re-derive. A retracted fact comes straight back when it
+         is still base, or still carries a live derivation (one whose
+         body never touched the retracted set), under a new handle. *)
+      let red =
+        List.filter
+          (fun (_, _, s) -> Ledger.saved_base s || Ledger.saved_supported s)
+          over
+      in
+      List.iter
+        (fun (_, k, s) ->
+          ignore (Index.insert_interned ~level:(relevel t s) k t.idx);
+          Ledger.attach t.led (Index.handle t.idx k) s)
+        red;
+      (* Phase 3: propagate. The re-inserted facts are the delta; the
+         invalidated triggers whose bodies survived refire here (and may
+         resurrect more of the retracted set, with fresh nulls where the
+         original derivation passed through an existential). *)
+      let repaired = propagate ?obs:span t (List.map (fun (_, k, _) -> k) red) in
+      let deleted =
+        List.length (List.filter (fun (_, k, _) -> Index.handle t.idx k < 0) over)
+      in
+      Obs.Metrics.add t.c_overdeleted overdeleted;
+      Obs.Metrics.add t.c_rederived (List.length red);
+      Obs.Metrics.add t.c_repaired repaired;
+      Obs.Metrics.add t.c_deleted deleted;
+      t.dirty <- false;
+      { e_op = Delete f; e_noop = false; e_repaired = repaired;
+        e_overdeleted = overdeleted; e_rederived = List.length red;
+        e_deleted = deleted }
+    end
   in
   Option.iter
     (fun s ->
@@ -390,19 +303,27 @@ let apply ?obs t = function
 let instance t = Index.to_instance t.idx
 let index t = t.idx
 let size t = Index.size t.idx
-let base_size t = Keytbl.length t.base
+let base_size t = Ledger.base_count t.led
 
 let base t =
-  Keytbl.fold
-    (fun k () acc -> Instance.add_fact (Index.decode_key t.idx k) acc)
-    t.base Instance.empty
+  let acc = ref Instance.empty in
+  Ledger.iter_base t.led (fun h ->
+      acc := Instance.add_fact (Index.decode_key t.idx (Index.handle_key t.idx h)) !acc);
+  !acc
 
 let support_count t f =
   match Index.key t.idx f with
   | None -> 0
-  | Some k -> List.length (live_derivs t.led k)
+  | Some k ->
+      let h = Index.handle t.idx k in
+      if h < 0 then 0 else Ledger.fold_producers t.led h (fun _ n -> n + 1) 0
 
 let metrics t = Index.metrics t.idx
+let ledger_words t = Ledger.words t.led
+
+let audit t =
+  Ledger.audit t.led ~stored:(fun h ->
+      Index.handle t.idx (Index.handle_key t.idx h) = h)
 
 (* ---- checkpointing ---------------------------------------------------- *)
 
@@ -411,14 +332,13 @@ let metrics t = Index.metrics t.idx
    the oblivious chase fires every trigger at the earliest pass its body
    is complete, so a fact's s-level is [min] over its producing triggers
    of [1 + max body level]. Monotone decreasing fixpoint; terminates
-   because levels only shrink. *)
+   because levels only shrink. Levels are keyed by fact handle. *)
 let canonical_levels t =
-  let lev = Keytbl.create (size t) in
-  Keytbl.iter (fun k () -> Keytbl.replace lev k 0) t.base;
-  let level_of k =
-    match Keytbl.find lev k with l -> l | exception Not_found -> -1
-  in
-  let ds = Keytbl.fold (fun _ d acc -> d :: acc) t.led.fired [] in
+  let lev = Hashtbl.create (size t) in
+  Ledger.iter_base t.led (fun h -> Hashtbl.replace lev h 0);
+  let level_of h = Option.value (Hashtbl.find_opt lev h) ~default:(-1) in
+  let ds = ref [] in
+  Ledger.iter t.led (fun d -> ds := d :: !ds);
   let changed = ref true in
   while !changed do
     changed := false;
@@ -426,22 +346,22 @@ let canonical_levels t =
       (fun d ->
         (* the highest body level, -1 while one is unknown this round *)
         let m =
-          Array.fold_left
-            (fun acc g ->
+          Ledger.fold_body t.led d
+            (fun g acc ->
               let l = level_of g in
               if acc < 0 || l < 0 then -1 else max acc l)
-            0 d.d_body
+            0
         in
         if m >= 0 then
-          Array.iter
-            (fun o ->
+          Ledger.fold_outs t.led d
+            (fun o () ->
               let cur = level_of o in
               if cur < 0 || cur > m + 1 then begin
-                Keytbl.replace lev o (m + 1);
+                Hashtbl.replace lev o (m + 1);
                 changed := true
               end)
-            d.d_outs)
-      ds
+            ())
+      !ds
   done;
   lev
 
@@ -452,7 +372,10 @@ let checkpoint t : Engine.Saturate.snapshot =
     List.map
       (fun (f, stored) ->
         ( f,
-          match Option.bind (Index.key t.idx f) (Keytbl.find_opt lev) with
+          match
+            Option.bind (Index.key t.idx f) (fun k ->
+                Hashtbl.find_opt lev (Index.handle t.idx k))
+          with
           | Some l -> l
           | None -> stored ))
       (Index.ordered_facts t.idx)
@@ -463,7 +386,7 @@ let checkpoint t : Engine.Saturate.snapshot =
     snap_level;
     snap_saturated = true;
     snap_null_count = Term.null_count ();
-    snap_triggers_fired = Keytbl.length t.led.fired;
+    snap_triggers_fired = Ledger.live t.led;
     snap_triggers_dismissed = 0;
     snap_facts;
     snap_counters = Obs.Metrics.counters (metrics t);
@@ -505,24 +428,25 @@ type image = {
    enumeration of both spaces; [of_image] re-interns them first, after
    which re-inserting [im_facts] in order reproduces (a) exactly (row
    handles and free-list state differ but are not observable) — and
-   every fact key, so the ledger's keys rebuild as they were. Every
-   live derivation sits in [fired] (a killed record leaves [fired] at
-   death), so folding [fired] captures (d) entirely.
-   Ledger list order inside [support] is not observable: every
-   reader either folds associatively (relevel, support_count) or
-   computes an order-independent closure (over-delete).
+   every fact key, so the ledger's trigger keys rebuild as they were.
+   Every live derivation sits in the arena (a killed one leaves it at
+   death), so iterating the arena captures (d) entirely.
+   The order of the per-fact lists is not observable: every reader
+   either folds associatively (relevel, support_count) or computes an
+   order-independent closure (over-delete). Nor are handles and block
+   ids: the image names facts, and sorts the ledger by trigger key.
    A live derivation's body and head facts are all stored, so the image
    names each of them with the one [Fact.t] decoded for [im_facts]. *)
-let rec decode_from fact keys i =
-  if i = Array.length keys then []
-  else fact keys.(i) :: decode_from fact keys (i + 1)
 
-(* The facts of [keys], sorted; [List.sort] allocates its closures even
-   for the one-fact lists most derivations have. *)
-let facts_of fact keys =
-  match decode_from fact keys 0 with
+(* A fact list sorted; [List.sort] allocates its closures even for the
+   one-fact lists most derivations have. *)
+let sorted = function
   | ([] | [ _ ]) as l -> l
   | l -> List.sort Fact.compare l
+
+let rec trigger_cells st led d i =
+  if i = Ledger.cells led d then []
+  else Engine.Symtab.extern st (Ledger.cell led d i) :: trigger_cells st led d (i + 1)
 
 (* [compare] on constants, without the generic structural walk. *)
 let compare_const (a : Term.const) (b : Term.const) =
@@ -532,45 +456,48 @@ let compare_const (a : Term.const) (b : Term.const) =
   | Named _, Null _ -> -1
   | Null _, Named _ -> 1
 
-(* [compare] on the decoded trigger keys [(rule, [c; …])] — the
-   order the image lists its ledger in — read off the interned keys from
-   position [i] on. *)
-let rec compare_trigger st k1 k2 i =
-  let n1 = Array.length k1 and n2 = Array.length k2 in
-  if i = n1 || i = n2 then Int.compare n1 n2
+(* [compare] on the decoded trigger keys [(rule, [c; …])] — the order
+   the image lists its ledger in — read off the derivations' rules and
+   binding cells, from cell [i] on. Derivations of one rule have as many
+   cells. *)
+let rec compare_cells st led d1 d2 i =
+  if i = Ledger.cells led d1 then 0
   else
+    let a = Ledger.cell led d1 i and b = Ledger.cell led d2 i in
     let c =
-      if i = 0 then Int.compare k1.(0) k2.(0)
-      else if k1.(i) = k2.(i) then 0
-      else
-        compare_const (Engine.Symtab.extern st k1.(i))
-          (Engine.Symtab.extern st k2.(i))
+      if a = b then 0
+      else compare_const (Engine.Symtab.extern st a) (Engine.Symtab.extern st b)
     in
-    if c <> 0 then c else compare_trigger st k1 k2 (i + 1)
+    if c <> 0 then c else compare_cells st led d1 d2 (i + 1)
 
-let rec trigger_slots st k i =
-  if i = Array.length k then []
-  else Engine.Symtab.extern st k.(i) :: trigger_slots st k (i + 1)
+let compare_trigger st led d1 d2 =
+  let c = Int.compare (Ledger.rule led d1) (Ledger.rule led d2) in
+  if c <> 0 then c else compare_cells st led d1 d2 0
 
 let image t =
   ensure_saturated t;
   ensure_clean t;
   let facts, fact = Index.decode_ordered t.idx in
   let st = Index.symtab t.idx in
-  let base = Array.make (Keytbl.length t.base) (Fact.make "" []) in
-  ignore (Keytbl.fold (fun k () i -> base.(i) <- fact k; i + 1) t.base 0);
+  let base = Array.make (Ledger.base_count t.led) (Fact.make "" []) in
+  let i = ref 0 in
+  Ledger.iter_base t.led (fun h ->
+      base.(!i) <- fact h;
+      incr i);
   Array.stable_sort Fact.compare base;
+  let led = t.led in
+  let ledger = Array.make (Ledger.live led) 0 in
+  let i = ref 0 in
+  Ledger.iter led (fun d ->
+      ledger.(!i) <- d;
+      incr i);
+  Array.stable_sort (compare_trigger st led) ledger;
+  let cons h acc = fact h :: acc in
   let entry d =
-    ( (d.d_key.(0), trigger_slots st d.d_key 1),
-      facts_of fact d.d_body,
-      facts_of fact d.d_outs )
+    ( (Ledger.rule led d, trigger_cells st led d 0),
+      sorted (Ledger.fold_body led d cons []),
+      sorted (Ledger.fold_outs led d cons []) )
   in
-  let ledger =
-    Array.make (Keytbl.length t.led.fired)
-      { d_key = [||]; d_body = [||]; d_outs = [||]; d_live = false }
-  in
-  ignore (Keytbl.fold (fun _ d i -> ledger.(i) <- d; i + 1) t.led.fired 0);
-  Array.stable_sort (fun d1 d2 -> compare_trigger st d1.d_key d2.d_key 0) ledger;
   let syms = List.init (Engine.Symtab.size st) (Engine.Symtab.extern st) in
   let preds =
     List.init (Engine.Symtab.pred_count st) (Engine.Symtab.extern_pred st)
@@ -592,9 +519,9 @@ let of_image sigma (im : image) =
   List.iter (fun c -> ignore (Engine.Symtab.intern st c)) im.im_syms;
   List.iter (fun p -> ignore (Engine.Symtab.intern_pred st p)) im.im_preds;
   List.iter (fun (f, level) -> ignore (Index.insert ~level f idx)) im.im_facts;
-  let key f =
-    match Index.key idx f with
-    | Some k when Index.mem_key k idx -> k
+  let handle f =
+    match Option.map (Index.handle idx) (Index.key idx f) with
+    | Some h when h >= 0 -> h
     | _ -> invalid_arg "Incr.of_image: a fact outside the image's facts"
   in
   let cid c =
@@ -602,24 +529,19 @@ let of_image sigma (im : image) =
     | id when id >= 0 -> id
     | _ -> invalid_arg "Incr.of_image: a trigger key outside the image's symbols"
   in
-  let base = Keytbl.create (max 16 (List.length im.im_base)) in
-  List.iter (fun f -> Keytbl.replace base (key f) ()) im.im_base;
-  let led = ledger (List.length im.im_ledger) in
+  let led = ledger sigma in
+  List.iter (fun f -> Ledger.set_base led (handle f) true) im.im_base;
   List.iter
     (fun ((rule, cs), body, outs) ->
-      record led
-        {
-          d_key = Array.of_list (rule :: List.map cid cs);
-          d_body = dedup (Array.of_list (List.map key body));
-          d_outs = dedup (Array.of_list (List.map key outs));
-          d_live = true;
-        })
+      Ledger.add led ~rule
+        ~cells:(Array.of_list (List.map cid cs))
+        ~body:(List.map handle body) ~outs:(List.map handle outs))
     im.im_ledger;
   Term.set_null_count im.im_null_count;
   (* cancel the rebuild's own increments (the inserts above bumped
      [index.inserts] etc.) *)
   Obs.Metrics.restore (Index.metrics idx) im.im_counters;
-  make sigma idx ~base ~led ~level:im.im_level ~sat:true
+  make sigma idx ~led ~level:im.im_level ~sat:true
 
 let report ?(name = "incr") ?span t =
   let rep = Obs.Report.create ~metrics:(metrics t) ?span name in

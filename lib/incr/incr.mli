@@ -3,15 +3,17 @@
     A {!t} is a {e maintained store}: a saturated oblivious-chase instance
     kept saturated under base-fact mutations without re-chasing. The store
     records a {e derivation ledger} at firing time (via
-    {!Engine.Saturate}'s [on_fire] hook): one record per fired trigger,
-    holding the grounded body, the grounded head, and the trigger key.
-    The ledger is interned: it holds the store's own int-array keys
-    ({!Engine.Index.Keytbl}), never a boxed fact, so building a store
-    costs the chase plus about 45 minor words per fired trigger. Facts are
-    decoded only where their order or spelling is observable: sorting
-    the over-deleted set of a {!delete} (it fixes the re-insert order,
-    hence the ids of future nulls), and writing a {!checkpoint} or an
-    {!image}. This interface stays [Fact.t]-based.
+    {!Engine.Saturate}'s [on_fire] hook): one derivation per fired
+    trigger, holding the trigger's rule and binding, the grounded body
+    and the grounded head. The ledger is a columnar arena of ints over
+    the store's fact handles ({!Engine.Index.handle}): a derivation is a
+    fixed-width block of its rule's arena, and each fact's producing and
+    consuming derivations are intrusive lists threaded through the
+    blocks, so the ledger boxes nothing and lives off the OCaml heap.
+    Facts are decoded only where their order or spelling is observable:
+    sorting the over-deleted set of a {!delete} (it fixes the re-insert
+    order, hence the ids of future nulls), and writing a {!checkpoint} or
+    an {!image}. This interface stays [Fact.t]-based.
 
     The ledger is the support graph DRed-style maintenance needs:
 
@@ -118,6 +120,18 @@ val base : t -> Instance.t
     base-supported). *)
 val support_count : t -> Fact.t -> int
 
+(** Heap words reachable from the derivation ledger plus the capacity,
+    in words, of its off-heap columns. Stable under insert/delete churn:
+    dead derivations' blocks are reused. *)
+val ledger_words : t -> int
+
+(** The ledger's invariants: every live derivation is linked from each of
+    its body and out facts, no freed block is reachable from a fact, a
+    row that holds no stored fact carries no ledger state, and the live
+    and base counts are right. The violations found, none when they
+    hold. *)
+val audit : t -> string list
+
 (** The store's metrics registry: the usual [index.*]/[joiner.*]
     counters plus [index.removes] and the maintenance counters
     [incr.inserts], [incr.deletes], [incr.noops], [incr.repaired],
@@ -181,7 +195,10 @@ val image : t -> image
     rebuild reuse the ids the original run would have assigned. Raises
     [Invalid_argument] when the base or ledger names a fact outside
     [im_facts], or a trigger key a symbol outside [im_syms] (a [None]
-    slot included) — [Resil.Wal]'s decoder rejects such images first. *)
+    slot included) — [Resil.Wal]'s decoder rejects such images first —
+    and when a ledger entry does not fit its rule of [sigma]: a rule
+    index outside it, another number of cells than the rule's body
+    variables, or more body or head facts than the rule has atoms. *)
 val of_image : Tgds.Tgd.t list -> image -> t
 
 (** [report ?name t] — a run report over the store's metrics (counters

@@ -562,7 +562,7 @@ let test_delta_restriction () =
   let benv = Array.make 2 (-1) in
   let homs delta =
     let n = ref 0 in
-    Engine.Joiner.fold_delta idx ~pivot rest ~benv
+    Engine.Joiner.fold_delta idx ~counters:(Engine.Joiner.counters idx) ~pivot rest ~benv
       (List.filter_map (Engine.Index.key idx) delta)
       (fun () -> incr n);
     !n
