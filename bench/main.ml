@@ -111,36 +111,6 @@ let e2 ~full () =
 (* E3 — Proposition 3.3(3): FPT OMQ evaluation                          *)
 (* ------------------------------------------------------------------ *)
 
-let e3 ~full () =
-  header "E3: FPT evaluation of guarded OMQs"
-    "Proposition 3.3(3): (G,UCQ_k) evaluation in ||D||^{O(1)} * f(||Q||)"
-    "fixed OMQ, growing data: time grows polynomially (near-linearly) in ||D||";
-  let ontology = Workload.university_ontology () in
-  let q =
-    Ucq.of_cq
-      (Cq.make [ atom "Teaches" [ v "x"; v "c" ]; atom "OfferedBy" [ v "c"; v "d" ] ])
-  in
-  let omq = Omq.full_data_schema ~ontology ~query:q in
-  let db_of n =
-    Instance.of_facts
-      (List.concat_map
-         (fun i ->
-           [
-             fact "Prof" [ "p" ^ string_of_int i ];
-             fact "Course" [ "c" ^ string_of_int i ];
-           ])
-         (List.init n Fun.id))
-  in
-  let sizes = if full then [ 5; 10; 20; 40; 80 ] else [ 5; 10; 20 ] in
-  row "  %8s %14s %14s@." "||D||" "baseline(s)" "fpt-lin(s)";
-  List.iter
-    (fun n ->
-      let db = db_of n in
-      let t_base = measure ~repeat:3 (fun () -> ignore (Omq_eval.certain omq db [])) in
-      let t_fpt = measure ~repeat:3 (fun () -> ignore (Omq_eval.certain_fpt omq db [])) in
-      row "  %8d %14.4f %14.4f@." (Instance.size db) t_base t_fpt)
-    sizes
-
 (* ------------------------------------------------------------------ *)
 (* E4 — Theorem 5.3: the dichotomy in the parameter                     *)
 (* ------------------------------------------------------------------ *)
@@ -495,7 +465,7 @@ let e14 ~full () =
     ns
 
 (* ------------------------------------------------------------------ *)
-(* BENCH_engine.json rows: one named producer per row (E15–E22, gate)   *)
+(* BENCH_engine.json rows: one named producer per row (E3, E15–E22)    *)
 (* ------------------------------------------------------------------ *)
 
 (* A case names one row of BENCH_engine.json and the producer that
@@ -554,7 +524,7 @@ let read_bench_engine () =
         | Ok _ -> Error "is not a JSON list"
         | Error e -> Error ("does not parse: " ^ e))
 
-(* BENCH_engine.json is shared between E15, E17, E18, E20 and E22. Each
+(* BENCH_engine.json is shared between E3, E15, E17, E18, E20 and E22. Each
    run replaces exactly the rows its case table names at the size that
    ran and keeps every other row, so regenerating one experiment never
    drops another's baselines, and a default-size run keeps the rows only
@@ -611,6 +581,70 @@ let run_cases cases ~cols ~full =
       (cases ~full)
   in
   update_bench_engine cases ~full rows
+
+(* ------------------------------------------------------------------ *)
+(* E3 — Proposition 3.3(3): FPT OMQ evaluation                          *)
+(* ------------------------------------------------------------------ *)
+
+(* E3's OMQ: the university ontology, whose chase is finite, and a
+   Boolean join over derived atoms; the data is ‖D‖/2 [Prof] and ‖D‖/2
+   [Course] facts. *)
+let e3_omq () =
+  let ontology = Workload.university_ontology () in
+  let q =
+    Ucq.of_cq
+      (Cq.make [ atom "Teaches" [ v "x"; v "c" ]; atom "OfferedBy" [ v "c"; v "d" ] ])
+  in
+  Omq.full_data_schema ~ontology ~query:q
+
+let e3_db n =
+  Instance.of_facts
+    (List.concat_map
+       (fun i ->
+         [ fact "Prof" [ "p" ^ string_of_int i ]; fact "Course" [ "c" ^ string_of_int i ] ])
+       (List.init n Fun.id))
+
+(* One row: the chase route ([baseline_s]) against the FPT route
+   ([fpt_s]: ground closure, linearization, linear chase), with the sizes
+   of the FPT route's intermediate objects. *)
+let e3_row n () =
+  let omq = e3_omq () and db = e3_db n in
+  let sigma = Omq.ontology omq in
+  let closure = Tgds.Ground_closure.compute sigma db in
+  let lin = Tgds.Linearize.make sigma db in
+  let holds = (Omq_eval.certain_fpt omq db []).Omq_eval.holds in
+  let closure_s =
+    measure (fun () -> ignore (Tgds.Ground_closure.compute sigma db))
+  in
+  let baseline_s = measure (fun () -> ignore (Omq_eval.certain omq db [])) in
+  let fpt_s = measure (fun () -> ignore (Omq_eval.certain_fpt omq db [])) in
+  Obs.Json.
+    [
+      ("db_facts", Int (Instance.size db));
+      ("closure_facts", Int (Instance.size closure));
+      ("db_star_facts", Int (Instance.size lin.Tgds.Linearize.db_star));
+      ("sigma_star_rules", Int (List.length lin.Tgds.Linearize.sigma_star));
+      ("holds", Bool holds);
+      ("baseline_s", Float baseline_s);
+      ("closure_s", Float closure_s);
+      ("fpt_s", Float fpt_s);
+    ]
+
+let e3_cases ~full =
+  List.map
+    (fun n -> case (Printf.sprintf "e3-fpt-%d" (2 * n)) (e3_row n))
+    (if full then [ 5; 10; 20; 40; 80; 320; 640; 1280 ] else [ 5; 10; 20; 80 ])
+
+let e3 ~full () =
+  header "E3: FPT evaluation of guarded OMQs"
+    "Proposition 3.3(3): (G,UCQ_k) evaluation in ||D||^{O(1)} * f(||Q||)"
+    "fixed OMQ, growing data: time grows polynomially (near-linearly) in ||D||";
+  run_cases e3_cases ~full
+    ~cols:
+      [
+        "db_facts"; "closure_facts"; "db_star_facts"; "sigma_star_rules";
+        "holds"; "baseline_s"; "closure_s"; "fpt_s";
+      ]
 
 (* ------------------------------------------------------------------ *)
 (* E15 — indexed saturation vs the naive chase oracle (test/oracle)    *)
@@ -1216,11 +1250,14 @@ let rules =
   [
     ("chase_facts", Same); ("triggers", Same); ("facts_per_level", Same);
     ("answers", Same); ("agree", Same); ("records_replayed", Same);
+    ("closure_facts", Same); ("db_star_facts", Same);
+    ("sigma_star_rules", Same); ("holds", Same);
     ("records_truncated", Same); ("degradations", Same); ("requests", Same);
     ("index_probes", At_most); ("joiner_candidates", At_most);
     ("ledger_words_per_fact", At_most);
     ("indexed_s", Time); ("level_s", Time); ("enumerate_s", Time);
     ("maintain_s", Time); ("recover_s", Time); ("serve_s", Time);
+    ("fpt_s", Time);
     ("minor_words_per_req", Words);
   ]
 
@@ -1232,7 +1269,8 @@ let limit = function
 (* the cheapest rows of the experiments' tables *)
 let gated =
   [ "lubm-10"; "full-chain-200"; "answers-adom200-ar2"; "incr-lubm-10-insert";
-    "incr-lubm-10-delete"; "recover-tail-50"; "server-lubm-10-w1" ]
+    "incr-lubm-10-delete"; "recover-tail-50"; "server-lubm-10-w1";
+    "e3-fpt-160" ]
 
 let rec nums = function
   | Obs.Json.Int i -> [ float_of_int i ]
@@ -1265,7 +1303,7 @@ let gate () =
   | Some (Ok baseline) ->
       let table =
         List.concat_map (fun cases -> cases ~full:false @ cases ~full:true)
-          [ e15_cases; e17_cases; e18_cases; e20_cases; e22_cases ]
+          [ e3_cases; e15_cases; e17_cases; e18_cases; e20_cases; e22_cases ]
       in
       List.iter
         (fun r ->

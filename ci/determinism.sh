@@ -133,6 +133,20 @@ for spec in prog_eval:q prog_eval:who prog_fpt:who prog_cqs:q university:q; do
     answers_ok=$((answers_ok + 1))
   fi
 done
+# The FPT route (Prop 3.3(3)): `answers --fpt` evaluates over the
+# linearization's D* and Σ*, which the ground closure builds.
+for spec in prog_fpt:who prog_eval:who; do
+  prog=examples/programs/${spec%%:*}.gd
+  query=${spec##*:}
+  base="answers.${spec%%:*}.$query.fpt"
+  run_answers "$base.seq" "$prog" "$query" --fpt
+  for aspect in code out; do
+    expect "$TMP/$base.seq.$aspect" "$base.$aspect" "$base: fpt $aspect"
+  done
+  if [ "$(cat "$TMP/$base.seq.code")" = 0 ]; then
+    answers_ok=$((answers_ok + 1))
+  fi
+done
 [ "$answers_ok" -ge 3 ] || {
   echo "determinism: only $answers_ok answer runs completed cleanly"
   exit 1
