@@ -28,7 +28,7 @@ let () =
   Fmt.pr "D = %a@.@." Instance.pp db;
 
   (* Step 1: the ground closure D⁺ — all certain ground atoms. *)
-  let d_plus = Tgds.Ground_closure.d_plus sigma db in
+  let d_plus = Tgds.Ground_closure.compute sigma db in
   Fmt.pr "D⁺ (ground closure): %a@.@." Instance.pp d_plus;
 
   (* Step 2: finite witnesses over the maximal guarded sets, glued. *)

@@ -20,6 +20,52 @@ open Relational
 open Relational.Term
 module Tgd = Tgds.Tgd
 
+(* Canonical constants used inside memoized bags. *)
+let canon_const i = Named (Printf.sprintf "\001%d" i)
+
+(* All permutations of a list (used for canonical forms of small bags). *)
+let rec permutations = function
+  | [] -> [ [] ]
+  | l ->
+      List.concat_map
+        (fun x ->
+          let rest = List.filter (fun y -> y <> x) l in
+          List.map (fun p -> x :: p) (permutations rest))
+        l
+
+(* Encode an instance renamed by [assoc : (const * const) list]. *)
+let encode inst assoc =
+  Instance.facts inst
+  |> List.map (fun f ->
+         let f = Fact.rename (fun c -> List.assoc_opt c assoc) f in
+         Fmt.str "%a" Fact.pp f)
+  |> List.sort String.compare
+  |> String.concat ";"
+
+(** Canonicalize a small instance: a key invariant under renaming of
+    constants, together with the renaming used and its inverse. For bags of
+    more than 7 constants the first-occurrence order is used instead of the
+    minimal permutation — still sound and terminating, only weaker
+    sharing. *)
+let canonicalize inst =
+  let consts = ConstSet.elements (Instance.dom inst) in
+  let m = List.length consts in
+  let with_order order =
+    List.mapi (fun i c -> (c, canon_const i)) order
+  in
+  let assoc =
+    if m > 7 then with_order consts
+    else
+      permutations consts
+      |> List.map with_order
+      |> List.map (fun a -> (encode inst a, a))
+      |> List.sort (fun (k1, _) (k2, _) -> String.compare k1 k2)
+      |> List.hd |> snd
+  in
+  let key = encode inst assoc in
+  let inverse = List.map (fun (c, d) -> (d, c)) assoc in
+  (key, assoc, inverse)
+
 (* Marker predicate distinguishing frontier constants inside canonical
    keys (so that bag canonicalization cannot exchange a frontier constant
    with an invented one). *)
@@ -58,7 +104,7 @@ let child_key sigma_index head_atoms (b : Homomorphism.binding) inst frontier_co
   let bag =
     Instance.of_facts (bag_atoms @ markers) |> fun i -> Instance.union i context
   in
-  let key, _, _ = Tgds.Ground_closure.canonicalize bag in
+  let key, _, _ = canonicalize bag in
   Printf.sprintf "%d|%s" sigma_index key
 
 (* The fact budget of {!build}. *)

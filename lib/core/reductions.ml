@@ -38,7 +38,7 @@ let omq_to_cqs ?n (q : Omq.t) db =
           0
           (Ucq.disjuncts (Omq.query q))
   in
-  let d_plus = Tgds.Ground_closure.d_plus sigma db in
+  let d_plus = Tgds.Ground_closure.compute sigma db in
   let guarded_sets = Instance.maximal_guarded_sets d_plus in
   List.fold_left
     (fun acc bag ->

@@ -35,6 +35,7 @@ exception Cut of Obs.Budget.violation
    and every answer cell externs in O(1). *)
 type ctx = {
   cx_idx : Index.t;
+  cx_counters : Joiner.counters;  (* [cx_idx]'s, for the witness checks *)
   cx_symsize : int;
   cx_umem : (int, unit) Hashtbl.t;  (* universe membership, by cell id *)
   cx_uni : int array;  (* universe ids in sorted-constant order, null-free *)
@@ -70,6 +71,7 @@ let ctx ~universe idx =
     universe;
   {
     cx_idx = idx;
+    cx_counters = Joiner.counters idx;
     cx_symsize = symsize;
     cx_umem = umem;
     cx_uni = Array.sub uni 0 !k;
@@ -306,7 +308,10 @@ let enum_cq cx st budget (q : Cq.t) =
         if not all_seen then begin
           (* the remaining atoms are purely existential: one witness is
              enough *)
-          let holds = lo >= n || Joiner.exists_compiled idx atoms ~benv lo n in
+          let holds =
+            lo >= n
+            || Joiner.exists_compiled idx ~counters:cx.cx_counters atoms ~benv lo n
+          in
           if holds then expand_free 0
         end
       end

@@ -51,6 +51,15 @@ val ordered_facts : t -> (Fact.t * int) list
     store next changes. *)
 val decode_ordered : t -> (Fact.t * int) list * (int -> Fact.t)
 
+(** [fold_within idx cids f acc] — fold [f] over the interned keys (fresh
+    arrays) of the stored facts whose arguments all lie among the cells
+    [cids], nullary facts included. The facts are read from the postings
+    of [cids] and the nullary relations, never by a scan of the store:
+    the cost is one posting-table probe per cell, relation and position,
+    plus the rows filed under [cids]. The order is deterministic (by
+    predicate, then cell, then position); no probe is counted. *)
+val fold_within : t -> int array -> (int array -> 'a -> 'a) -> 'a -> 'a
+
 (** [insert ?level f idx] — file [f] under every argument position and
     report whether the fact was new (a single membership probe). A new
     fact gets s-level [level] (default 0); a present one keeps its own.

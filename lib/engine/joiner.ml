@@ -77,26 +77,25 @@ let search_compiled idx ~on_candidate ~on_fail (atoms : Index.catom array)
    a run registers them iff it performs a search. *)
 type counters = (Obs.Metrics.counter * Obs.Metrics.counter) Lazy.t
 
-let resolve idx =
-  let m = Index.metrics idx in
-  ( Obs.Metrics.counter m "joiner.candidates",
-    Obs.Metrics.counter m "joiner.backtracks" )
+let counters idx : counters =
+  lazy
+    (let m = Index.metrics idx in
+     ( Obs.Metrics.counter m "joiner.candidates",
+       Obs.Metrics.counter m "joiner.backtracks" ))
 
-let counters idx : counters = lazy (resolve idx)
-
-(* [search_compiled] filing its candidates and backtracks against the
-   counters of [idx]. *)
-let search idx atoms ~benv lo n leaf =
-  let c_candidates, c_backtracks = resolve idx in
+(* [search_compiled] filing its candidates and backtracks against
+   [counters]. *)
+let search idx ~counters atoms ~benv lo n leaf =
+  let c_candidates, c_backtracks = Lazy.force counters in
   search_compiled idx
     ~on_candidate:(fun () -> Obs.Metrics.incr c_candidates)
     ~on_fail:(fun () -> Obs.Metrics.incr c_backtracks)
     atoms ~benv lo n leaf
 
-let exists_compiled idx atoms ~benv lo n =
-  search idx atoms ~benv lo n (fun () -> true)
+let exists_compiled idx ~counters atoms ~benv lo n =
+  search idx ~counters atoms ~benv lo n (fun () -> true)
 
-let fold atoms idx f acc =
+let fold ~counters atoms idx f acc =
   Obs.Probe.hit "engine.join";
   let p = compile idx atoms in
   let st = Index.symtab idx in
@@ -107,7 +106,7 @@ let fold atoms idx f acc =
     acc := f (List.fold_left bind VarMap.empty p.vars) !acc;
     false
   in
-  ignore (search idx p.atoms ~benv:p.benv 0 (Array.length p.atoms) leaf);
+  ignore (search idx ~counters p.atoms ~benv:p.benv 0 (Array.length p.atoms) leaf);
   !acc
 
 (* [fold] with a delta pivot: the pivot matches each delta key (one
@@ -139,7 +138,7 @@ let fold_delta idx ~counters ~pivot atoms ~benv delta f =
 (* The candidate tuple is substituted into the atoms (a repeated answer
    variable takes its last constant), so a constant the store has never
    seen compiles to a never-matching cell. *)
-let entails_cq idx q tuple =
+let entails ~counters idx q tuple =
   List.length tuple = Cq.arity q
   &&
   let sub =
@@ -149,7 +148,10 @@ let entails_cq idx q tuple =
   in
   Obs.Probe.hit "engine.join";
   let p = compile idx (List.map (Atom.apply sub) (Cq.atoms q)) in
-  exists_compiled idx p.atoms ~benv:p.benv 0 (Array.length p.atoms)
+  exists_compiled idx ~counters p.atoms ~benv:p.benv 0 (Array.length p.atoms)
+
+let entails_cq idx q tuple = entails ~counters:(counters idx) idx q tuple
 
 let entails_ucq idx u tuple =
-  List.exists (fun q -> entails_cq idx q tuple) (Ucq.disjuncts u)
+  let counters = counters idx in
+  List.exists (fun q -> entails ~counters idx q tuple) (Ucq.disjuncts u)

@@ -41,28 +41,35 @@ type plan = {
     unknown predicate or constant compiles to a never-matching cell. *)
 val compile : Index.t -> Atom.t list -> plan
 
-(** [fold atoms idx f acc] — fold [f] over every homomorphism from
-    [atoms] into the index. The atoms are compiled once per call and the
-    binding map is built only at each full match. Each call hits the
-    ["engine.join"] {!Obs.Probe} point once at entry. *)
-val fold : Atom.t list -> Index.t -> (binding -> 'a -> 'a) -> 'a -> 'a
-
-(** [exists_compiled idx atoms ~benv lo n] — is there an extension of
-    the bindings of [benv] matching every atom of the compiled segment
-    [atoms.(lo..n))]? Allocation-free on the candidate path. [atoms] is
-    reordered in place during the search and restored before returning;
-    [benv] is unchanged on return. No ["engine.join"] probe hit, so the
-    probe meters joins, not answers — the enumerator's witness-check
-    shape. *)
-val exists_compiled : Index.t -> Index.catom array -> benv:int array -> int -> int -> bool
-
 (** The [joiner.*] counters of one store, looked up by name once and
     registered in its metrics registry only when first used by a search,
-    so a run registers them iff it performs a search. *)
+    so a run registers them iff it performs a search. A caller that
+    searches one store many times (the chase's program, the enumerator's
+    per-view context) resolves them once and passes them to every
+    search. *)
 type counters
 
 (** [counters idx] — [idx]'s counters, not yet registered. *)
 val counters : Index.t -> counters
+
+(** [fold ~counters atoms idx f acc] — fold [f] over every homomorphism
+    from [atoms] into the index, filing the search's work against
+    [counters] (which must be [idx]'s). The atoms are compiled once per
+    call and the binding map is built only at each full match. Each call
+    hits the ["engine.join"] {!Obs.Probe} point once at entry. *)
+val fold :
+  counters:counters -> Atom.t list -> Index.t -> (binding -> 'a -> 'a) -> 'a -> 'a
+
+(** [exists_compiled idx ~counters atoms ~benv lo n] — is there an
+    extension of the bindings of [benv] matching every atom of the
+    compiled segment [atoms.(lo..n))]? Allocation-free on the candidate
+    path; the work is filed against [counters] (which must be [idx]'s).
+    [atoms] is reordered in place during the search and restored before
+    returning; [benv] is unchanged on return. No ["engine.join"] probe
+    hit, so the probe meters joins, not answers — the enumerator's
+    witness-check shape. *)
+val exists_compiled :
+  Index.t -> counters:counters -> Index.catom array -> benv:int array -> int -> int -> bool
 
 (** [fold_delta idx ~counters ~pivot atoms ~benv delta f] — the
     semi-naive step, compiled: call [f ()] once per extension of [benv]

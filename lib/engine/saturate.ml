@@ -283,7 +283,8 @@ let exec ~policy ~budget ~span ~on_pass ~on_fire init prog =
                   let heads = p.p_heads in
                   Obs.Probe.hit "engine.join";
                   not
-                    (Joiner.exists_compiled idx heads ~benv:l.l_benv 0
+                    (Joiner.exists_compiled idx ~counters:prog.g_counters heads
+                       ~benv:l.l_benv 0
                        (Array.length heads))
             in
             let key = Array.copy sk in

@@ -11,7 +11,9 @@
     - ["engine.pass"] — top of every saturation pass ({!Engine.Saturate});
     - ["engine.insert"] — every indexed fact insert ({!Engine.Index});
     - ["engine.join"] — every joiner search entry ({!Engine.Joiner});
-    - ["ground_closure.round"] — ground-closure saturation round.
+    - ["ground_closure.round"] — one saturation run of the ground
+      closure ({!Tgds.Ground_closure}): of the input instance or of one
+      child bag, once per run.
 
     The hook is process-global (the engines are single-threaded);
     installers must pair {!install} with {!clear}. *)

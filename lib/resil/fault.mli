@@ -2,7 +2,9 @@
 
     The chase runtime is instrumented with {!Obs.Probe} points at its
     natural step boundaries ([engine.pass], [engine.insert],
-    [engine.join], [ground_closure.round]). A {e trigger} arms the
+    [engine.join], and [ground_closure.round], hit once per saturation
+    run of the ground closure — of the instance or of one child bag).
+    A {e trigger} arms the
     global probe hook to raise {!Injected} at a chosen point: the Nth
     probe hit overall, the Nth hit of one named point, or once an
     (injectable) clock passes a wall-clock mark. Arming is deterministic — re-running the same

@@ -1,4 +1,4 @@
-(** Ground closure of the guarded chase.
+(** Ground closure of the guarded chase, on the saturation engine.
 
     For a guarded set Σ and a database D, computes
     [chase↓(D,Σ) = { R(ā) ∈ chase(D,Σ) | ā ⊆ dom(D) }] — the instance
@@ -6,232 +6,181 @@
     atom types [typeD,Σ(α)]. Unlike the chase itself, the ground closure is
     always finite, and for fixed Σ computable in polynomial time.
 
-    Algorithm: a worklist fixpoint over *bag types*. Every existential
-    trigger spawns a child bag (the instantiated head plus the current
-    ground context over the trigger's frontier constants); the child bag is
-    saturated recursively — memoized on the isomorphism type of the bag —
-    and only its facts over the frontier constants flow back. Guardedness
-    makes this complete: a guarded body always maps into the atoms over a
-    single atom's constants, so no derivation spans bags (§A, properties of
-    [typeD,Σ]). *)
+    Algorithm: the closure of an instance is one {!Engine.Saturate.run}
+    over it, with Σ's full rules plus one emitted full rule per {e bag
+    type} met so far: [body(σ) ∧ C(x̄) → F(x̄)], where σ is an existential
+    rule with frontier x̄, [C] the context of a trigger (its atoms over
+    the frontier constants) and [F] what the child bag [head(σ) ∪ C]
+    derives over the frontier. Guardedness makes this complete: a guarded
+    body always maps into the atoms over a single atom's constants, so no
+    derivation spans bags (§A, properties of [typeD,Σ]). A child bag is
+    closed by the same function that closes D; an outer loop re-closes
+    the registered bag types until no emitted rule grows — the least
+    fixpoint over finitely many bag types. *)
 
 open Relational
 open Relational.Term
+module Index = Engine.Index
+module Symtab = Engine.Symtab
 
-(* Canonical constants used inside memoized bags. *)
-let canon_const i = Named (Printf.sprintf "\001%d" i)
-
-(* All permutations of a list (used for canonical forms of small bags). *)
-let rec permutations = function
-  | [] -> [ [] ]
-  | l ->
-      List.concat_map
-        (fun x ->
-          let rest = List.filter (fun y -> y <> x) l in
-          List.map (fun p -> x :: p) (permutations rest))
-        l
-
-(* Encode an instance renamed by [assoc : (const * const) list]. *)
-let encode inst assoc =
-  Instance.facts inst
-  |> List.map (fun f ->
-         let f = Fact.rename (fun c -> List.assoc_opt c assoc) f in
-         Fmt.str "%a" Fact.pp f)
-  |> List.sort String.compare
-  |> String.concat ";"
-
-(** Canonicalize a small instance: a key invariant under renaming of
-    constants, together with the renaming used and its inverse. For bags of
-    more than 7 constants the first-occurrence order is used instead of the
-    minimal permutation — still sound and terminating, only weaker
-    sharing. *)
-let canonicalize inst =
-  let consts = ConstSet.elements (Instance.dom inst) in
-  let m = List.length consts in
-  let with_order order =
-    List.mapi (fun i c -> (c, canon_const i)) order
-  in
-  let assoc =
-    if m > 7 then with_order consts
-    else
-      permutations consts
-      |> List.map with_order
-      |> List.map (fun a -> (encode inst a, a))
-      |> List.sort (fun (k1, _) (k2, _) -> String.compare k1 k2)
-      |> List.hd |> snd
-  in
-  let key = encode inst assoc in
-  let inverse = List.map (fun (c, d) -> (d, c)) assoc in
-  (key, assoc, inverse)
-
-type state = {
-  sigma : Tgd.t list;
-  memo : (string, Instance.t) Hashtbl.t;  (** canonical bag -> saturation *)
-  in_progress : (string, unit) Hashtbl.t;
-  dirty : bool ref;  (** some memo entry changed during the pass *)
-  budget : Obs.Budget.t;
-  passes : int ref;  (** saturation rounds run, at any nesting depth *)
+(* A bag type, over class variables: class [k] of the frontier tuple
+   (numbered by first occurrence) is the variable [cvar k], and the
+   existentials of a rule with [m] classes are the classes from [m] on.
+   The child bag is [head @ ctx] with every class variable read as the
+   constant of the same name; [derived] is [F]. *)
+type bag = {
+  body : Atom.t list;
+  head : Atom.t list;
+  ctx : Atom.t list;
+  classes : int;
+  mutable derived : Atom.t list;
 }
 
-(* Graceful cutoff: unwinds every nested bag saturation at once; the
-   closure computed so far is kept. *)
-exception Budget_stop of Obs.Budget.violation
+type t = {
+  full : Engine.Saturate.rule list;
+  existential : (Tgd.t * string list) array;  (** σ and its frontier *)
+  preds : Symtab.t;  (** the predicates of context atoms in keys *)
+  keys : unit Index.Keytbl.t;
+  mutable bags : bag list;  (** newest first *)
+  mutable grown : int;  (** how often an emitted rule grew *)
+}
 
-let fresh_state ?(budget = Obs.Budget.unlimited) sigma =
-  {
-    sigma;
-    memo = Hashtbl.create 64;
-    in_progress = Hashtbl.create 16;
-    dirty = ref false;
-    budget;
-    passes = ref 0;
-  }
-
-(* One saturation round over [cur]: fire every trigger; ground heads are
-   added directly, existential heads go through a recursively saturated
-   child bag whose facts over [dom cur] flow back. Body matching runs on
-   the indexed joiner (lib/engine) over a per-round index of [cur]. *)
-let rec round st cur =
-  Obs.Probe.hit "ground_closure.round";
-  incr st.passes;
-  (match
-     Obs.Budget.check st.budget ~facts:(Instance.size !cur) ~level:!(st.passes)
-   with
-  | Some v -> raise (Budget_stop v)
-  | None -> ());
-  let additions = ref [] in
-  let dom_cur = Instance.dom !cur in
-  let idx = Engine.Index.of_instance !cur in
-  List.iter
-    (fun t ->
-      Engine.Joiner.fold (Tgd.body t) idx
-        (fun b () ->
-          let ex = Tgd.existential_vars t in
-          if VarSet.is_empty ex then
-            List.iter
-              (fun h ->
-                let f = Fact.of_atom (Homomorphism.apply_binding b h) in
-                if not (Instance.mem f !cur) then additions := f :: !additions)
-              (Tgd.head t)
-          else begin
-            let fresh =
-              VarSet.fold (fun z acc -> VarMap.add z (fresh_null ()) acc) ex VarMap.empty
-            in
-            let full = VarMap.union (fun _ a _ -> Some a) b fresh in
-            let head_facts =
-              List.map (fun h -> Fact.of_atom (Homomorphism.apply_binding full h)) (Tgd.head t)
-            in
-            let frontier_consts =
-              VarSet.fold
-                (fun x acc ->
-                  match VarMap.find_opt x b with
-                  | Some c -> ConstSet.add c acc
-                  | None -> acc)
-                (Tgd.frontier t) ConstSet.empty
-            in
-            let child =
-              Instance.union
-                (Instance.of_facts head_facts)
-                (Instance.restrict !cur frontier_consts)
-            in
-            let emitted = saturate_bag st child in
-            Instance.iter
-              (fun f ->
-                if Fact.within dom_cur f && not (Instance.mem f !cur) then
-                  additions := f :: !additions)
-              emitted
-          end)
-        ())
-    st.sigma;
-  match !additions with
-  | [] -> false
-  | fs ->
-      cur := List.fold_left (fun i f -> Instance.add_fact f i) !cur fs;
-      true
-
-(* Saturate a small bag, memoized on its canonical form. Returns all facts
-   over [dom local] entailed from [local]. *)
-and saturate_bag st local =
-  let key, assoc, inverse = canonicalize local in
-  let stored =
-    match Hashtbl.find_opt st.memo key with
-    | Some s -> s
-    | None -> Instance.rename (fun c -> List.assoc_opt c assoc) local
-  in
-  if Hashtbl.mem st.in_progress key then
-    (* re-entrant type: return the current approximation; the global pass
-       repeats until no memo entry moves, so this converges *)
-    Instance.rename (fun c -> List.assoc_opt c inverse) stored
-  else begin
-    Hashtbl.replace st.in_progress key ();
-    let cur = ref stored in
-    let continue_ = ref true in
-    while !continue_ do
-      continue_ := round st cur
-    done;
-    Hashtbl.remove st.in_progress key;
-    let before = match Hashtbl.find_opt st.memo key with Some s -> s | None -> stored in
-    if not (Instance.equal before !cur) then st.dirty := true;
-    Hashtbl.replace st.memo key !cur;
-    Instance.rename (fun c -> List.assoc_opt c inverse) !cur
-  end
-
-(** [compute_report ?budget ?obs sigma db] — the ground closure
-    [chase↓(db,sigma)] together with the run's outcome: [Partial _] when
-    the budget cut the fixpoint (the closure computed so far is
-    returned). Requires every TGD of [sigma] to be guarded (raises
-    [Invalid_argument] otherwise; the locality argument fails for mere
-    frontier-guardedness, cf. the footnote to Lemma D.11). *)
-let compute_report ?budget ?obs sigma db =
+let create sigma =
   if not (Tgd.all_guarded sigma) then
     invalid_arg "Ground_closure.compute: Σ must be guarded";
-  Obs.Span.timed obs "ground_closure" @@ fun () ->
-  let st = fresh_state ?budget sigma in
-  let closure = ref db in
-  let outcome =
-    try
-      let continue_ = ref true in
-      while !continue_ do
-        st.dirty := false;
-        let grew = round st closure in
-        continue_ := grew || !(st.dirty)
-      done;
-      Obs.Budget.Complete
-    with Budget_stop v -> Obs.Budget.Partial v
+  let full, existential = List.partition Tgd.is_full sigma in
+  {
+    full = (full : Tgd.t list :> Engine.Saturate.rule list);
+    existential =
+      Array.of_list
+        (List.map (fun s -> (s, VarSet.elements (Tgd.frontier s))) existential);
+    preds = Symtab.create ();
+    keys = Index.Keytbl.create 64;
+    bags = [];
+    grown = 0;
+  }
+
+let cvar k = Printf.sprintf "\001%d" k
+let ground a =
+  Fact.make (Atom.pred a) (List.map (function Var x -> Named x | Const c -> c) (Atom.args a))
+
+(* The facts of [idx] over the cells [cids], as [| pred; class… |] with
+   the classes the cells' positions in [cids], sorted. *)
+let context t idx cids =
+  let st = Index.symtab idx in
+  Index.fold_within idx cids
+    (fun key acc ->
+      Array.mapi
+        (fun i c ->
+          if i > 0 then Option.get (Array.find_index (( = ) c) cids)
+          else Symtab.intern_pred t.preds (Symtab.extern_pred st c))
+        key
+      :: acc)
+    []
+  |> List.sort Stdlib.compare
+
+let atom t a =
+  Atom.make (Symtab.extern_pred t.preds a.(0))
+    (List.init (Array.length a - 1) (fun i -> Var (cvar a.(i + 1))))
+
+(* Register the bag type of one existential trigger [b] of rule [r] in
+   the closed store [idx], keyed by [r], the frontier pattern and the
+   context atoms. *)
+let register t idx r (sigma, frontier) b =
+  let cells = List.map (fun x -> Symtab.find_int (Index.symtab idx) (VarMap.find x b)) frontier in
+  let cids = List.fold_left (fun l c -> if List.mem c l then l else l @ [ c ]) [] cells in
+  let pattern = List.map (fun c -> Option.get (List.find_index (( = ) c) cids)) cells in
+  let ctx = context t idx (Array.of_list cids) in
+  let key =
+    Array.concat
+      ([| r |] :: Array.of_list pattern
+      :: List.concat_map (fun a -> [ [| Array.length a |]; a ]) ctx)
   in
-  (!closure, outcome)
+  if not (Index.Keytbl.mem t.keys key) then begin
+    Index.Keytbl.replace t.keys key ();
+    let m = List.length cids in
+    let sub =
+      List.combine frontier pattern
+      @ List.mapi (fun i z -> (z, m + i)) (VarSet.elements (Tgd.existential_vars sigma))
+      |> List.fold_left (fun s (x, k) -> VarMap.add x (Var (cvar k)) s) VarMap.empty
+    in
+    let bag =
+      {
+        body = List.map (Atom.apply sub) (Tgd.body sigma);
+        head = List.map (Atom.apply sub) (Tgd.head sigma);
+        ctx = List.map (atom t) ctx;
+        classes = m;
+        derived = [];
+      }
+    in
+    t.bags <- bag :: t.bags
+  end
 
-(** [compute sigma db] — {!compute_report} without the outcome. *)
-let compute ?budget ?obs sigma db =
-  fst (compute_report ?budget ?obs sigma db)
+(* One closure run: saturate [inst] under Σ's full rules and the emitted
+   ones, then register the bag types of the store's triggers. *)
+let saturate t inst =
+  Obs.Probe.hit "ground_closure.round";
+  let emitted =
+    List.filter_map
+      (fun b ->
+        if b.derived = [] then None
+        else Some { Engine.Saturate.body = b.body @ b.ctx; head = b.derived })
+      t.bags
+  in
+  let idx = (Engine.Saturate.run (t.full @ emitted) inst).Engine.Saturate.index in
+  let counters = Engine.Joiner.counters idx in
+  Array.iteri
+    (fun r ((sigma, _) as rule) ->
+      Engine.Joiner.fold ~counters (Tgd.body sigma) idx
+        (fun b () -> register t idx r rule b)
+        ())
+    t.existential;
+  idx
 
-(** [d_plus sigma db] — the database [D⁺] of §6.2:
-    [D ∪ { R(ā) ∈ chase(D,Σ) | ā ⊆ dom(D) }] (equals the ground
-    closure). *)
-let d_plus sigma db = compute sigma db
+(* Close [b]'s child bag; [true] when [F] grew. *)
+let reclose t b =
+  let idx = saturate t (Instance.of_facts (List.map ground (b.head @ b.ctx))) in
+  let st = Index.symtab idx in
+  let cids = Array.init b.classes (fun k -> Symtab.find_int st (Named (cvar k))) in
+  let derived =
+    List.filter (fun a -> not (List.mem a b.ctx)) (List.map (atom t) (context t idx cids))
+  in
+  List.length derived > List.length b.derived
+  && begin
+       b.derived <- derived;
+       t.grown <- t.grown + 1;
+       true
+     end
 
-(** [type_of sigma db consts] — the type of a guarded set: all atoms of
-    [chase(db,sigma)] over the constants [consts] ⊆ dom(db)
-    ([typeD,Σ(α)] of Appendix A, for [consts = dom(α)]). *)
-let type_of sigma db consts = Instance.restrict (compute sigma db) consts
+(* Re-close every registered bag type until no emitted rule grows and no
+   new bag type appears. *)
+let rec settle t =
+  let n = List.length t.bags in
+  let grew = List.fold_left (fun grew b -> reclose t b || grew) false (List.rev t.bags) in
+  if grew || List.length t.bags > n then settle t
 
-(** [entails_atom sigma db fact] — certain answering for atomic queries
-    over ground tuples: [fact ∈ chase(db,sigma)]? *)
-let entails_atom sigma db fact = Instance.mem fact (compute sigma db)
+(* The closure under the current rules is final when it meets no new bag
+   type, or when settling the new ones grew no emitted rule. *)
+let rec close t inst =
+  let n = List.length t.bags and grown = t.grown in
+  let idx = saturate t inst in
+  if List.length t.bags = n then idx
+  else begin
+    settle t;
+    if t.grown = grown then idx else close t inst
+  end
 
-(** [saturate_small sigma local] — saturation of a small instance
-    ([complete(I,Σ)] of Appendix A for bag-sized [I]); exposed for the
-    linearization (Lemma A.3), which completes candidate types. *)
-let saturate_small sigma local =
-  if not (Tgd.all_guarded sigma) then
-    invalid_arg "Ground_closure.saturate_small: Σ must be guarded";
-  let st = fresh_state sigma in
-  (* iterate to a global fixpoint, as in [compute] *)
-  let result = ref (saturate_bag st local) in
-  let continue_ = ref !(st.dirty) in
-  while !continue_ do
-    st.dirty := false;
-    result := saturate_bag st local;
-    continue_ := !(st.dirty)
-  done;
-  !result
+let over idx consts =
+  let st = Index.symtab idx in
+  let cids = List.filter (fun c -> c >= 0) (List.map (Symtab.find_int st) consts) in
+  Index.fold_within idx
+    (Array.of_list (List.sort_uniq Int.compare cids))
+    (fun key acc -> Index.decode_key idx key :: acc)
+    []
+
+let compute sigma db = Index.to_instance (close (create sigma) db)
+
+let type_of sigma db consts =
+  Instance.of_facts (over (close (create sigma) db) (ConstSet.elements consts))
+
+let entails_atom sigma db fact = Index.mem fact (close (create sigma) db)

@@ -1,49 +1,50 @@
 (** Ground closure of the guarded chase: the finite instance
     [chase↓(D,Σ) = { R(ā) ∈ chase(D,Σ) | ā ⊆ dom(D) }] ([complete(D,Σ)] /
-    [D⁺] of Appendices A and F), computed by a memoized fixpoint over bag
-    types — the executable content of the [typeD,Σ] machinery. Guarded
-    sets only. *)
+    [D⁺] of Appendices A and F) — the executable content of the
+    [typeD,Σ] machinery. Guarded sets only.
+
+    The closure of an instance is one {!Engine.Saturate.run} over it
+    under Σ's full rules and a cache of {e emitted} full rules, one per
+    bag type met so far: [body(σ) ∧ C(x̄) → F(x̄)] for an existential
+    rule σ with frontier x̄, the trigger's context [C] (its atoms over
+    the frontier constants, read from the store's postings of those
+    constants) and [F], what the child bag [head(σ) ∪ C] derives over
+    the frontier. A bag type is keyed by interned ids: the rule, the
+    first-occurrence pattern of the frontier tuple and the sorted context
+    atoms over frontier positions. An outer loop re-closes the registered
+    bag types until no emitted rule grows.
+
+    Every saturation run — of an instance or of a child bag — hits the
+    ["ground_closure.round"] {!Obs.Probe} point once. *)
 
 open Relational
 
-(** Canonicalize a small instance: a key invariant under constant
-    renaming, the renaming used, and its inverse (both as assoc lists).
-    Exposed for the finite-witness construction. *)
-val canonicalize :
-  Instance.t ->
-  string * (Term.const * Term.const) list * (Term.const * Term.const) list
+(** A guarded Σ with its cache of emitted rules. The cache only grows,
+    and every emitted rule is a consequence of Σ, so one [t] serves any
+    number of instances. *)
+type t
 
-(** [compute_report ?budget ?obs sigma db] — the ground closure with the
-    run's outcome ([Partial _] when the budget cut the bag fixpoint; the
-    closure computed so far is returned); raises [Invalid_argument] when
-    [sigma] is not guarded. Budget levels count saturation rounds at any
-    bag-nesting depth. *)
-val compute_report :
-  ?budget:Obs.Budget.t ->
-  ?obs:Obs.Span.t ->
-  Tgd.t list ->
-  Instance.t ->
-  Instance.t * Obs.Budget.outcome
+(** [create sigma] — raises [Invalid_argument] when [sigma] is not
+    guarded (the locality argument fails for mere frontier-guardedness,
+    cf. the footnote to Lemma D.11). *)
+val create : Tgd.t list -> t
 
-(** {!compute_report} without the outcome. *)
-val compute :
-  ?budget:Obs.Budget.t ->
-  ?obs:Obs.Span.t ->
-  Tgd.t list ->
-  Instance.t ->
-  Instance.t
+(** [close t inst] — the ground closure of [inst], as the store the
+    saturation left it in. *)
+val close : t -> Instance.t -> Engine.Index.t
 
-(** [d_plus sigma db] — the database [D⁺] of §6.2 (equals the ground
-    closure). *)
-val d_plus : Tgd.t list -> Instance.t -> Instance.t
+(** [over idx consts] — the facts of [idx] whose arguments all lie in
+    [consts], nullary facts included, read from the postings of
+    [consts]: for [consts = dom(α)] of a closure, [typeD,Σ(α)]. *)
+val over : Engine.Index.t -> Term.const list -> Fact.t list
+
+(** [compute sigma db] — the ground closure [chase↓(db,sigma)]; raises
+    [Invalid_argument] when [sigma] is not guarded. *)
+val compute : Tgd.t list -> Instance.t -> Instance.t
 
 (** [type_of sigma db consts] — [typeD,Σ]: all chase atoms over [consts ⊆
-    dom(db)]. *)
+    dom(db)], read from the closure by {!over}. *)
 val type_of : Tgd.t list -> Instance.t -> Term.ConstSet.t -> Instance.t
 
 (** Certain answering for atomic ground queries: [fact ∈ chase(db,sigma)]? *)
 val entails_atom : Tgd.t list -> Instance.t -> Fact.t -> bool
-
-(** Saturation of a small instance ([complete(I,Σ)] for bag-sized [I]);
-    used by the linearization. *)
-val saturate_small : Tgd.t list -> Instance.t -> Instance.t

@@ -46,33 +46,33 @@ let first_occurrence_renaming consts =
   in
   go 1 [] consts
 
-(* Build the type of an atom [fact] in the completed instance [complete]:
-   guard = the atom itself normalized, side = all atoms of [complete] over
-   the atom's constants, normalized the same way. *)
-let type_of_fact complete fact =
+(* Build the type of an atom [fact] in the closed store [closure]:
+   guard = the atom itself normalized, side = all atoms of the closure
+   over the atom's constants, read from their postings and normalized the
+   same way. *)
+let type_of_fact closure fact =
   let ren = first_occurrence_renaming (Fact.args fact) in
   let rename f = Fact.rename (fun c -> List.assoc_opt c ren) f in
   let guard = rename fact in
   let side =
-    Instance.restrict complete (Fact.consts fact)
-    |> Instance.facts
+    Ground_closure.over closure (Fact.args fact)
     |> List.map rename
     |> List.filter (fun f -> not (Fact.equal f guard))
     |> List.sort_uniq Fact.compare
   in
   { guard; side }
 
-(** [d_star sigma db] — the database [D*]: every fact of [db] typed with
-    its (maximal) Σ-type in [complete(D,Σ)]. Returns the typed database
-    together with the list of types present (the seeds of the reachable
-    closure). *)
-let d_star sigma db =
-  let complete = Ground_closure.compute sigma db in
+(** [d_star gc db] — the database [D*]: every fact of [db] typed with
+    its (maximal) Σ-type in [complete(D,Σ)], closed by [gc]. Returns the
+    typed database together with the list of types present (the seeds of
+    the reachable closure). *)
+let d_star gc db =
+  let closure = Ground_closure.close gc db in
   let types = Hashtbl.create 32 in
   let typed =
     Instance.fold
       (fun fact acc ->
-        let ty = type_of_fact complete fact in
+        let ty = type_of_fact closure fact in
         Hashtbl.replace types (pred_name ty) ty;
         Instance.add_fact (Fact.make (pred_name ty) (Fact.args fact)) acc)
       db Instance.empty
@@ -107,7 +107,7 @@ let guard_matches sigma_tgd ty =
 
 (* Given τ, σ and a matching hom h, produce the linear rule
    ⟨τ⟩(ū) → ∃z̄ ⟨τ1⟩(ū1), …, ⟨τn⟩(ūn) and the child types. *)
-let generate_rule sigma ty sigma_tgd (h : Homomorphism.binding) =
+let generate_rule gc ty sigma_tgd (h : Homomorphism.binding) =
   let frontier = Tgd.frontier sigma_tgd in
   let ex = VarSet.elements (Tgd.existential_vars sigma_tgd) in
   let f_var x =
@@ -140,7 +140,7 @@ let generate_rule sigma ty sigma_tgd (h : Homomorphism.binding) =
       (Instance.of_facts head_facts)
       (Instance.restrict (atoms_of ty) frontier_consts)
   in
-  let complete_i = Ground_closure.saturate_small sigma i_inst in
+  let complete_i = Ground_closure.close gc i_inst in
   let child_types = List.map (type_of_fact complete_i) head_facts in
   let body_atom =
     match Tgd.guard sigma_tgd with
@@ -180,7 +180,8 @@ let max_types = 4000
 let make sigma db =
   if not (Tgd.all_guarded sigma) then
     invalid_arg "Linearize.make: Σ must be guarded";
-  let db_star, seeds = d_star sigma db in
+  let gc = Ground_closure.create sigma in
+  let db_star, seeds = d_star gc db in
   let seen : (string, ty) Hashtbl.t = Hashtbl.create 64 in
   let rules : (string, Tgd.t) Hashtbl.t = Hashtbl.create 64 in
   let queue = Queue.create () in
@@ -203,7 +204,7 @@ let make sigma db =
       (fun sigma_tgd ->
         List.iter
           (fun h ->
-            let rule, children = generate_rule sigma ty sigma_tgd h in
+            let rule, children = generate_rule gc ty sigma_tgd h in
             Hashtbl.replace rules (Fmt.str "%a" Tgd.pp rule) rule;
             List.iter visit children)
           (guard_matches sigma_tgd ty))

@@ -17,8 +17,9 @@ val atoms_of : ty -> Instance.t
 (** Encoded predicate name of [⟨τ⟩]. *)
 val pred_name : ty -> string
 
-(** [d_star sigma db] — the typed database [D*] and the seed types. *)
-val d_star : Tgd.t list -> Instance.t -> Instance.t * ty list
+(** [d_star gc db] — the typed database [D*] and the seed types; each
+    fact's type is read from the closure of [db] by {!Ground_closure.over}. *)
+val d_star : Ground_closure.t -> Instance.t -> Instance.t * ty list
 
 (** Expander rule [⟨τ⟩(x̄) → R(x̄)]. *)
 val expander_rule : ty -> Tgd.t

@@ -83,6 +83,59 @@ let arb_full_sigma_db =
   QCheck.make ~print:print_sigma_db QCheck.Gen.(pair gen_full_sigma gen_db)
 
 (* ------------------------------------------------------------------ *)
+(* Ground closure: context-dependent and non-terminating guarded Σ      *)
+(* ------------------------------------------------------------------ *)
+
+(* [tgd_pool] plus the rules of the ground-closure units (a child bag
+   that needs its context, a context fact that arrives late, an infinite
+   chase, a grandchild derivation) and rules with frontiers of width 2,
+   one of them context-dependent and one non-terminating. Schema: A, B,
+   C, D, G, R/1; E, S, T/2; F/3. *)
+let closure_pool =
+  Array.append tgd_pool
+    [|
+      tgd [ atom "S" [ v "x"; v "y" ]; atom "C" [ v "x" ] ] [ atom "D" [ v "x" ] ];
+      tgd [ atom "S" [ v "x"; v "y" ] ] [ atom "C" [ v "x" ] ];
+      tgd [ atom "R" [ v "x" ] ] [ atom "S" [ v "x"; v "z" ] ];
+      tgd [ atom "S" [ v "x"; v "y" ] ] [ atom "S" [ v "y"; v "z" ] ];
+      tgd [ atom "S" [ v "x"; v "y" ] ] [ atom "A" [ v "x" ] ];
+      tgd [ atom "R" [ v "x" ] ] [ atom "E" [ v "x"; v "z" ] ];
+      tgd [ atom "E" [ v "x"; v "z" ] ] [ atom "F" [ v "x"; v "z"; v "w" ] ];
+      tgd [ atom "F" [ v "x"; v "z"; v "w" ] ] [ atom "G" [ v "x" ] ];
+      tgd [ atom "T" [ v "x"; v "y" ] ] [ atom "F" [ v "x"; v "y"; v "z" ] ];
+      tgd
+        [ atom "F" [ v "x"; v "y"; v "z" ]; atom "S" [ v "y"; v "x" ] ]
+        [ atom "T" [ v "y"; v "x" ] ];
+      tgd [ atom "F" [ v "x"; v "y"; v "z" ] ] [ atom "F" [ v "y"; v "z"; v "w" ] ];
+      tgd [ atom "F" [ v "x"; v "y"; v "z" ] ] [ atom "S" [ v "z"; v "x" ] ];
+    |]
+
+let gen_closure_db =
+  QCheck.Gen.(
+    let gc = oneofl [ "a"; "b"; "c" ] in
+    let gen_fact =
+      let* p = oneofl [ "A"; "B"; "C"; "R"; "S"; "T"; "F" ] in
+      let* args =
+        list_repeat (match p with "S" | "T" -> 2 | "F" -> 3 | _ -> 1) gc
+      in
+      return (fact p args)
+    in
+    map Instance.of_facts (list_size (int_range 1 5) gen_fact))
+
+let arb_closure_case =
+  QCheck.make ~print:print_sigma_db
+    ~shrink:
+      QCheck.Shrink.(
+        pair list (fun db ->
+            QCheck.Iter.map Instance.of_facts (list (Instance.facts db))))
+    QCheck.Gen.(
+      pair
+        (map
+           (List.map (Array.get closure_pool))
+           (list_size (int_range 1 5) (int_range 0 (Array.length closure_pool - 1))))
+        gen_closure_db)
+
+(* ------------------------------------------------------------------ *)
 (* Resilience: checkpoints and fault plans                              *)
 (* ------------------------------------------------------------------ *)
 

@@ -143,7 +143,8 @@ let prop_joiner_matches_fold_homs =
         (fun q ->
           let body = Cq.atoms (List.hd (Ucq.disjuncts q)) in
           sorted_homs (fun f acc -> Homomorphism.fold_homs body inst f acc)
-          = sorted_homs (fun f acc -> Engine.Joiner.fold body idx f acc))
+          = sorted_homs (fun f acc ->
+                Engine.Joiner.fold ~counters:(Engine.Joiner.counters idx) body idx f acc))
         queries)
 
 (* Differential: answer *sets* (not just counts) of CQ enumeration via the
@@ -158,7 +159,7 @@ let prop_answer_sets_agree =
       let inst = Chase.instance (Chase.run ~max_level:3 ~max_facts:500 sigma db) in
       let idx = Engine.Index.of_instance inst in
       let via_joiner =
-        Engine.Joiner.fold (Cq.atoms cq) idx
+        Engine.Joiner.fold ~counters:(Engine.Joiner.counters idx) (Cq.atoms cq) idx
           (fun b acc ->
             List.map (fun x -> VarMap.find x b) (Cq.answer cq) :: acc)
           []
@@ -300,7 +301,11 @@ let test_index_postings () =
       (Instance.of_facts
          [ fact "S" [ "a"; "b" ]; fact "S" [ "a"; "c" ]; fact "S" [ "b"; "c" ] ])
   in
-  let count args = Engine.Joiner.fold [ atom "S" args ] idx (fun _ n -> n + 1) 0 in
+  let count args =
+    Engine.Joiner.fold ~counters:(Engine.Joiner.counters idx) [ atom "S" args ] idx
+      (fun _ n -> n + 1)
+      0
+  in
   check_int "bucket (S,0,a)" 2 (count [ Term.const "a"; v "y" ]);
   check_int "bucket (S,1,c)" 2 (count [ v "x"; Term.const "c" ]);
   check_int "relation size" 3 (count [ v "x"; v "y" ]);
@@ -528,7 +533,11 @@ let test_index_churn_capacity () =
 let test_index_promote_demote_capacity () =
   let idx = Engine.Index.create () in
   let rows () =
-    Engine.Joiner.fold [ atom "R" [ Term.const "a"; v "y" ] ] idx (fun _ n -> n + 1) 0
+    Engine.Joiner.fold ~counters:(Engine.Joiner.counters idx)
+      [ atom "R" [ Term.const "a"; v "y" ] ]
+      idx
+      (fun _ n -> n + 1)
+      0
   in
   check "inline singleton" true (Engine.Index.insert (fact "R" [ "a"; "b" ]) idx);
   let single = Engine.Index.capacity_words idx in
@@ -555,7 +564,9 @@ let test_delta_restriction () =
   let idx = Engine.Index.of_instance inst in
   let body = [ atom "A" [ v "x" ]; atom "S" [ v "x"; v "y" ] ] in
   check_int "unrestricted: one hom" 1
-    (Engine.Joiner.fold body idx (fun _ n -> n + 1) 0);
+    (Engine.Joiner.fold ~counters:(Engine.Joiner.counters idx) body idx
+       (fun _ n -> n + 1)
+       0);
   let slot x = if x = "x" then 0 else 1 in
   let pivot = Engine.Index.compile_atom idx ~slot (List.hd body) in
   let rest = [| Engine.Index.compile_atom idx ~slot (List.nth body 1) |] in
@@ -734,7 +745,10 @@ let test_joiner_counter_pin () =
     Fun.protect ~finally:Obs.Probe.clear (fun () ->
         let folds =
           measure
-            (fun body -> Engine.Joiner.fold body idx (fun _ n -> n + 1) 0)
+            (fun body ->
+              Engine.Joiner.fold ~counters:(Engine.Joiner.counters idx) body idx
+                (fun _ n -> n + 1)
+                0)
             bodies
         in
         ( folds,

@@ -338,7 +338,7 @@ let test_posting_order_and_remove () =
   (* a one-atom fold walks the posting list (or, with no bound
      position, the relation) most-recent-first *)
   let scan args =
-    Joiner.fold [ Atom.make "S" args ] idx
+    Joiner.fold ~counters:(Joiner.counters idx) [ Atom.make "S" args ] idx
       (fun b acc ->
         List.map
           (function

@@ -443,9 +443,20 @@ let prop_ground_closure_sound =
       in
       sound && complete_when_saturated)
 
+(* The engine-based closure against the bag fixpoint it replaced, on
+   guarded Σ whose chase need not terminate. *)
+let prop_ground_closure_oracle =
+  QCheck.Test.make ~name:"ground closure = bag-fixpoint oracle" ~count:1000
+    Generators.arb_closure_case (fun (sigma, db) ->
+      Instance.equal (Ground_closure.compute sigma db) (Bag_closure.compute sigma db))
+
 let qcheck_tests =
   List.map QCheck_alcotest.to_alcotest
     [ prop_rewrite_agrees_with_chase; prop_chase_models_sigma; prop_ground_closure_sound ]
+  @ [
+      QCheck_alcotest.to_alcotest ~rand:(Random.State.make [| 25 |])
+        prop_ground_closure_oracle;
+    ]
 
 let () =
   Alcotest.run "tgds"
