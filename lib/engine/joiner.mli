@@ -69,7 +69,13 @@ val fold :
     hit, so the probe meters joins, not answers — the enumerator's
     witness-check shape. *)
 val exists_compiled :
-  Index.t -> counters:counters -> Index.catom array -> benv:int array -> int -> int -> bool
+  Index.t ->
+  counters:counters ->
+  Index.catom array ->
+  benv:int array ->
+  int ->
+  int ->
+  bool
 
 (** [fold_delta idx ~counters ~pivot atoms ~benv delta f] — the
     semi-naive step, compiled: call [f ()] once per extension of [benv]

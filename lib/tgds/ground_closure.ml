@@ -23,11 +23,12 @@ open Relational.Term
 module Index = Engine.Index
 module Symtab = Engine.Symtab
 
-(* A bag type, over class variables: class [k] of the frontier tuple
-   (numbered by first occurrence) is the variable [cvar k], and the
-   existentials of a rule with [m] classes are the classes from [m] on.
-   The child bag is [head @ ctx] with every class variable read as the
-   constant of the same name; [derived] is [F]. *)
+(* A bag type, over classes: the constants of Σ first, each standing for
+   itself, then the frontier tuple's cells by first occurrence, class [k]
+   standing for the variable [cvar k]; the existentials of a rule with
+   [m] classes are the classes from [m] on. The child bag is
+   [head @ ctx] with every class variable read as the constant of the
+   same name; [derived] is [F]. *)
 type bag = {
   body : Atom.t list;
   head : Atom.t list;
@@ -39,40 +40,46 @@ type bag = {
 type t = {
   full : Engine.Saturate.rule list;
   existential : (Tgd.t * string list) array;  (** σ and its frontier *)
+  consts : const array;  (** the constants of Σ *)
   preds : Symtab.t;  (** the predicates of context atoms in keys *)
   keys : unit Index.Keytbl.t;
   mutable bags : bag list;  (** newest first *)
-  mutable grown : int;  (** how often an emitted rule grew *)
 }
 
 let create sigma =
   if not (Tgd.all_guarded sigma) then
-    invalid_arg "Ground_closure.compute: Σ must be guarded";
+    invalid_arg "Ground_closure.create: Σ must be guarded";
   let full, existential = List.partition Tgd.is_full sigma in
   {
     full = (full : Tgd.t list :> Engine.Saturate.rule list);
     existential =
       Array.of_list
         (List.map (fun s -> (s, VarSet.elements (Tgd.frontier s))) existential);
+    consts =
+      List.concat_map (fun s -> Tgd.body s @ Tgd.head s) sigma
+      |> List.fold_left (fun cs a -> ConstSet.union (Atom.consts a) cs) ConstSet.empty
+      |> ConstSet.elements |> Array.of_list;
     preds = Symtab.create ();
     keys = Index.Keytbl.create 64;
     bags = [];
-    grown = 0;
   }
 
 let cvar k = Printf.sprintf "\001%d" k
-let ground a =
-  Fact.make (Atom.pred a) (List.map (function Var x -> Named x | Const c -> c) (Atom.args a))
+let term t k = if k < Array.length t.consts then Const t.consts.(k) else Var (cvar k)
+let ground_term = function Var x -> Named x | Const c -> c
+let ground a = Fact.make (Atom.pred a) (List.map ground_term (Atom.args a))
+let class_of classes c = Option.get (Array.find_index (( = ) c) classes)
 
-(* The facts of [idx] over the cells [cids], as [| pred; class… |] with
-   the classes the cells' positions in [cids], sorted. *)
-let context t idx cids =
+(* The facts of [idx] over the cells [classes] ([-1] for a constant of Σ
+   the store lacks), as [| pred; class… |], sorted. *)
+let context t idx classes =
   let st = Index.symtab idx in
-  Index.fold_within idx cids
+  Index.fold_within idx
+    (Array.of_list (List.filter (( <= ) 0) (Array.to_list classes)))
     (fun key acc ->
       Array.mapi
         (fun i c ->
-          if i > 0 then Option.get (Array.find_index (( = ) c) cids)
+          if i > 0 then class_of classes c
           else Symtab.intern_pred t.preds (Symtab.extern_pred st c))
         key
       :: acc)
@@ -81,16 +88,23 @@ let context t idx cids =
 
 let atom t a =
   Atom.make (Symtab.extern_pred t.preds a.(0))
-    (List.init (Array.length a - 1) (fun i -> Var (cvar a.(i + 1))))
+    (List.init (Array.length a - 1) (fun i -> term t a.(i + 1)))
 
 (* Register the bag type of one existential trigger [b] of rule [r] in
    the closed store [idx], keyed by [r], the frontier pattern and the
    context atoms. *)
 let register t idx r (sigma, frontier) b =
-  let cells = List.map (fun x -> Symtab.find_int (Index.symtab idx) (VarMap.find x b)) frontier in
-  let cids = List.fold_left (fun l c -> if List.mem c l then l else l @ [ c ]) [] cells in
-  let pattern = List.map (fun c -> Option.get (List.find_index (( = ) c) cids)) cells in
-  let ctx = context t idx (Array.of_list cids) in
+  let st = Index.symtab idx in
+  let cells = List.map (fun x -> Symtab.find_int st (VarMap.find x b)) frontier in
+  let classes =
+    List.fold_left
+      (fun l c -> if List.mem c l then l else l @ [ c ])
+      (Array.to_list (Array.map (Symtab.find_int st) t.consts))
+      cells
+    |> Array.of_list
+  in
+  let pattern = List.map (class_of classes) cells in
+  let ctx = context t idx classes in
   let key =
     Array.concat
       ([| r |] :: Array.of_list pattern
@@ -98,11 +112,11 @@ let register t idx r (sigma, frontier) b =
   in
   if not (Index.Keytbl.mem t.keys key) then begin
     Index.Keytbl.replace t.keys key ();
-    let m = List.length cids in
+    let m = Array.length classes in
     let sub =
       List.combine frontier pattern
       @ List.mapi (fun i z -> (z, m + i)) (VarSet.elements (Tgd.existential_vars sigma))
-      |> List.fold_left (fun s (x, k) -> VarMap.add x (Var (cvar k)) s) VarMap.empty
+      |> List.fold_left (fun s (x, k) -> VarMap.add x (term t k) s) VarMap.empty
     in
     let bag =
       {
@@ -141,34 +155,31 @@ let saturate t inst =
 let reclose t b =
   let idx = saturate t (Instance.of_facts (List.map ground (b.head @ b.ctx))) in
   let st = Index.symtab idx in
-  let cids = Array.init b.classes (fun k -> Symtab.find_int st (Named (cvar k))) in
+  let cell k = Symtab.find_int st (ground_term (term t k)) in
+  let classes = Array.init b.classes cell in
   let derived =
-    List.filter (fun a -> not (List.mem a b.ctx)) (List.map (atom t) (context t idx cids))
+    List.map (atom t) (context t idx classes)
+    |> List.filter (fun a -> not (List.mem a b.ctx))
   in
   List.length derived > List.length b.derived
   && begin
        b.derived <- derived;
-       t.grown <- t.grown + 1;
        true
      end
 
 (* Re-close every registered bag type until no emitted rule grows and no
-   new bag type appears. *)
+   new bag type appears; [true] when some emitted rule grew. *)
 let rec settle t =
   let n = List.length t.bags in
-  let grew = List.fold_left (fun grew b -> reclose t b || grew) false (List.rev t.bags) in
-  if grew || List.length t.bags > n then settle t
+  let grew = List.fold_left (fun g b -> reclose t b || g) false (List.rev t.bags) in
+  if grew || List.length t.bags > n then settle t || grew else false
 
 (* The closure under the current rules is final when it meets no new bag
    type, or when settling the new ones grew no emitted rule. *)
 let rec close t inst =
-  let n = List.length t.bags and grown = t.grown in
+  let n = List.length t.bags in
   let idx = saturate t inst in
-  if List.length t.bags = n then idx
-  else begin
-    settle t;
-    if t.grown = grown then idx else close t inst
-  end
+  if List.length t.bags > n && settle t then close t inst else idx
 
 let over idx consts =
   let st = Index.symtab idx in

@@ -12,7 +12,10 @@
     the frontier. A bag type is keyed by interned ids: the rule, the
     first-occurrence pattern of the frontier tuple and the sorted context
     atoms over frontier positions. An outer loop re-closes the registered
-    bag types until no emitted rule grows.
+    bag types until no emitted rule grows. The constants of Σ are shared
+    by every bag: they belong to every context and every [F], so the
+    result is the null-free part of the chase (which is [chase↓(D,Σ)]
+    when Σ's constants lie in [dom(D)]).
 
     Every saturation run — of an instance or of a child bag — hits the
     ["ground_closure.round"] {!Obs.Probe} point once. *)

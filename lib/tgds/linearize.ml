@@ -178,8 +178,6 @@ let max_types = 4000
     case [chase(D_star, Σ_star)] is still sound but may be missing
     answers. Requires Σ guarded. *)
 let make sigma db =
-  if not (Tgd.all_guarded sigma) then
-    invalid_arg "Linearize.make: Σ must be guarded";
   let gc = Ground_closure.create sigma in
   let db_star, seeds = d_star gc db in
   let seen : (string, ty) Hashtbl.t = Hashtbl.create 64 in

@@ -260,6 +260,23 @@ let test_ground_closure_rejects_unguarded () =
        false
      with Invalid_argument _ -> true)
 
+let test_ground_closure_constants () =
+  (* Σ's constants are shared by every bag: a child bag derives a fact
+     over one, and needs a fact over one from its context *)
+  let sigma =
+    [
+      tgd [ atom "A" [ v "x" ] ] [ atom "S" [ v "x"; v "z" ] ];
+      tgd [ atom "S" [ v "x"; v "y" ] ] [ atom "P" [ Term.const "a" ] ];
+      tgd [ atom "S" [ v "x"; v "y" ]; atom "P" [ Term.const "a" ] ] [ atom "Q" [ v "x" ] ];
+    ]
+  in
+  let db = Instance.of_facts [ fact "A" [ "a" ]; fact "A" [ "b" ] ] in
+  let gc = Ground_closure.compute sigma db in
+  check "P(a)" true (Instance.mem (fact "P" [ "a" ]) gc);
+  check "Q(b) from a context over a constant" true (Instance.mem (fact "Q" [ "b" ]) gc);
+  check "matches chase ground part" true
+    (Instance.equal gc (Chase.ground_part (Chase.run sigma db)))
+
 let test_type_of () =
   let sigma =
     [ tgd [ atom "R" [ v "x"; v "y" ] ] [ atom "A" [ v "x" ] ] ]
@@ -486,6 +503,7 @@ let () =
           Alcotest.test_case "late context" `Quick test_ground_closure_context_added_late;
           Alcotest.test_case "rejects unguarded" `Quick test_ground_closure_rejects_unguarded;
           Alcotest.test_case "type_of" `Quick test_type_of;
+          Alcotest.test_case "constants in Σ" `Quick test_ground_closure_constants;
         ] );
       ( "linearize",
         [
