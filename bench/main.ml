@@ -108,10 +108,6 @@ let e2 ~full () =
     (if full then [ 1; 2; 3; 4 ] else [ 1; 2; 3 ])
 
 (* ------------------------------------------------------------------ *)
-(* E3 — Proposition 3.3(3): FPT OMQ evaluation                          *)
-(* ------------------------------------------------------------------ *)
-
-(* ------------------------------------------------------------------ *)
 (* E4 — Theorem 5.3: the dichotomy in the parameter                     *)
 (* ------------------------------------------------------------------ *)
 

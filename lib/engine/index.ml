@@ -532,57 +532,6 @@ let decode_ordered idx =
 
 let ordered_facts idx = fst (decode_ordered idx)
 
-(* The facts over a handful of cells, from their postings: each fact is
-   reported from the first cell of [cids] it mentions, at the first
-   position holding that cell. A nullary fact lies over any cells; its
-   relation is probed for its single key. *)
-let fold_within idx cids f acc =
-  let n = Array.length cids in
-  let rec mem c k = k < n && (cids.(k) = c || mem c (k + 1)) in
-  let rec before c k = k > 0 && (cids.(k - 1) = c || before c (k - 1)) in
-  let acc = ref acc in
-  Array.iteri
-    (fun pid e ->
-      match e with
-      | None -> ()
-      | Some e ->
-          List.iter
-            (fun r ->
-              if r.r_arity = 0 then begin
-                if Keytbl.mem idx.members [| pid |] then acc := f [| pid |] !acc
-              end
-              else
-                for k = 0 to n - 1 do
-                  let c = cids.(k) in
-                  for i = 0 to r.r_arity - 1 do
-                    let visit packed =
-                      if packed >= 0 && arity_of_packed packed = r.r_arity then begin
-                        let row = row_of_packed packed in
-                        let cell j = Vec.get r.r_cols.(j) row in
-                        let ok = ref true in
-                        for j = 0 to r.r_arity - 1 do
-                          let x = cell j in
-                          if (not (mem x 0)) || before x k || (j < i && x = c) then
-                            ok := false
-                        done;
-                        if !ok then begin
-                          let key = Array.make (r.r_arity + 1) pid in
-                          for j = 1 to r.r_arity do
-                            key.(j) <- cell (j - 1)
-                          done;
-                          acc := f key !acc
-                        end
-                      end
-                    in
-                    let p = Itab.find e.e_at.(i) c in
-                    if p >= 0 then visit p
-                    else if p < no_posting then Vec.iter visit e.e_vecs.(posting_slot p)
-                  done
-                done)
-            e.e_rels)
-    idx.tabs.entries;
-  !acc
-
 let to_instance idx =
   Keytbl.fold
     (fun key _ acc -> Instance.add_fact (decode_key idx key) acc)
@@ -906,3 +855,54 @@ let capacity_words idx =
                 r.r_cols)
             !acc e.e_rels)
     0 idx.tabs.entries
+
+(* The facts over a handful of cells, from their postings: each fact is
+   reported from the first cell of [cids] it mentions, at the first
+   position holding that cell. A nullary fact lies over any cells; its
+   relation is probed for its single key. *)
+let fold_within idx cids f acc =
+  let n = Array.length cids in
+  let rec mem c k = k < n && (cids.(k) = c || mem c (k + 1)) in
+  let rec before c k = k > 0 && (cids.(k - 1) = c || before c (k - 1)) in
+  let acc = ref acc in
+  Array.iteri
+    (fun pid e ->
+      match e with
+      | None -> ()
+      | Some e ->
+          List.iter
+            (fun r ->
+              if r.r_arity = 0 then begin
+                if Keytbl.mem idx.members [| pid |] then acc := f [| pid |] !acc
+              end
+              else
+                for k = 0 to n - 1 do
+                  let c = cids.(k) in
+                  for i = 0 to r.r_arity - 1 do
+                    let visit packed =
+                      if packed >= 0 && arity_of_packed packed = r.r_arity then begin
+                        let row = row_of_packed packed in
+                        let cell j = Vec.get r.r_cols.(j) row in
+                        let ok = ref true in
+                        for j = 0 to r.r_arity - 1 do
+                          let x = cell j in
+                          if (not (mem x 0)) || before x k || (j < i && x = c) then
+                            ok := false
+                        done;
+                        if !ok then begin
+                          let key = Array.make (r.r_arity + 1) pid in
+                          for j = 1 to r.r_arity do
+                            key.(j) <- cell (j - 1)
+                          done;
+                          acc := f key !acc
+                        end
+                      end
+                    in
+                    let p = Itab.find e.e_at.(i) c in
+                    if p >= 0 then visit p
+                    else if p < no_posting then Vec.iter visit e.e_vecs.(posting_slot p)
+                  done
+                done)
+            e.e_rels)
+    idx.tabs.entries;
+  !acc
