@@ -342,7 +342,7 @@ let e11 ~full () =
       let lin, t = time_once (fun () -> Tgds.Linearize.make ontology db) in
       row "  %8d %10d %10d %10d %10.4f@." n
         (Instance.size lin.Tgds.Linearize.db_star)
-        (List.length lin.Tgds.Linearize.types)
+        lin.Tgds.Linearize.types
         (List.length lin.Tgds.Linearize.sigma_star)
         t)
     sizes
@@ -602,12 +602,19 @@ let e3_db n =
 
 (* One row: the chase route ([baseline_s]) against the FPT route
    ([fpt_s]: ground closure, linearization, linear chase), with the sizes
-   of the FPT route's intermediate objects. *)
+   of the FPT route's intermediate objects, the Σ-type count (the
+   f(‖Σ‖) part) and the work of the linear chase over D*, run as
+   [certain_fpt] runs it. *)
 let e3_row n () =
   let omq = e3_omq () and db = e3_db n in
   let sigma = Omq.ontology omq in
   let closure = Tgds.Ground_closure.compute sigma db in
   let lin = Tgds.Linearize.make sigma db in
+  let linear =
+    Tgds.Chase.run ~max_level:10 lin.Tgds.Linearize.sigma_star
+      lin.Tgds.Linearize.db_star
+  in
+  let er = Option.get (Tgds.Chase.engine_result linear) in
   let holds = (Omq_eval.certain_fpt omq db []).Omq_eval.holds in
   let closure_s =
     measure (fun () -> ignore (Tgds.Ground_closure.compute sigma db))
@@ -620,11 +627,14 @@ let e3_row n () =
       ("closure_facts", Int (Instance.size closure));
       ("db_star_facts", Int (Instance.size lin.Tgds.Linearize.db_star));
       ("sigma_star_rules", Int (List.length lin.Tgds.Linearize.sigma_star));
+      ("types", Int lin.Tgds.Linearize.types);
+      ("triggers", Int er.Engine.Saturate.triggers_fired);
       ("holds", Bool holds);
       ("baseline_s", Float baseline_s);
       ("closure_s", Float closure_s);
       ("fpt_s", Float fpt_s);
     ]
+  @ work_fields (Engine.Index.metrics (Tgds.Chase.index linear))
 
 let e3_cases ~full =
   List.map
@@ -639,7 +649,7 @@ let e3 ~full () =
     ~cols:
       [
         "db_facts"; "closure_facts"; "db_star_facts"; "sigma_star_rules";
-        "holds"; "baseline_s"; "closure_s"; "fpt_s";
+        "types"; "triggers"; "holds"; "baseline_s"; "closure_s"; "fpt_s";
       ]
 
 (* ------------------------------------------------------------------ *)
@@ -827,7 +837,10 @@ let skeleton inst =
 
 (* One E18 row: build the maintained store, then maintain one fact
    ([`Insert] adds [ins]; [`Delete] retracts [del] from the post-insert
-   store) and compare with a full re-chase of the resulting database. *)
+   store) and compare with a full re-chase of the resulting database.
+   The timed mutation runs on a warm store: right before it, [ins] is
+   inserted and, for [`Insert], retracted again, so a row times neither
+   the store's first mutation nor its first touch after the re-chases. *)
 let e18_row ~sigma ~db ~max_level ~ins ~del op () =
   let rechase inst =
     Tgds.Chase.run ~policy:Tgds.Chase.Oblivious ~max_level sigma inst
@@ -851,12 +864,13 @@ let e18_row ~sigma ~db ~max_level ~ins ~del op () =
     match op with
     | `Insert -> ((fun () -> Incr.insert store ins), db_ins)
     | `Delete ->
-        ignore (Incr.insert store ins);
         ( (fun () -> Incr.delete store del),
           Instance.diff db_ins (Instance.of_facts [ del ]) )
   in
   let rechase_s = measure ~repeat:1 (fun () -> ignore (rechase target)) in
   let fresh = Tgds.Chase.instance (rechase target) in
+  ignore (Incr.insert store ins);
+  if op = `Insert then ignore (Incr.delete store ins);
   let m = Incr.metrics store in
   let since = work m in
   let _, maintain_s = time_once maintain in
@@ -1247,7 +1261,7 @@ let rules =
     ("chase_facts", Same); ("triggers", Same); ("facts_per_level", Same);
     ("answers", Same); ("agree", Same); ("records_replayed", Same);
     ("closure_facts", Same); ("db_star_facts", Same);
-    ("sigma_star_rules", Same); ("holds", Same);
+    ("sigma_star_rules", Same); ("types", Same); ("holds", Same);
     ("records_truncated", Same); ("degradations", Same); ("requests", Same);
     ("index_probes", At_most); ("joiner_candidates", At_most);
     ("ledger_words_per_fact", At_most);

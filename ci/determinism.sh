@@ -120,7 +120,7 @@ run_answers() {
 }
 
 answers_ok=0
-for spec in prog_eval:q prog_eval:who prog_fpt:who prog_cqs:q university:q; do
+for spec in prog_eval:q prog_eval:who prog_fpt:who prog_cqs:q university:q prog_const:q; do
   prog=examples/programs/${spec%%:*}.gd
   query=${spec##*:}
   [ -f "$prog" ] || continue
@@ -135,7 +135,7 @@ for spec in prog_eval:q prog_eval:who prog_fpt:who prog_cqs:q university:q; do
 done
 # The FPT route (Prop 3.3(3)): `answers --fpt` evaluates over the
 # linearization's D* and Σ*, which the ground closure builds.
-for spec in prog_fpt:who prog_eval:who; do
+for spec in prog_fpt:who prog_eval:who prog_const:q; do
   prog=examples/programs/${spec%%:*}.gd
   query=${spec##*:}
   base="answers.${spec%%:*}.$query.fpt"
@@ -147,6 +147,12 @@ for spec in prog_fpt:who prog_eval:who; do
     answers_ok=$((answers_ok + 1))
   fi
 done
+# Both routes read the constants of Σ the same way: on prog_const, whose
+# rule r(c,X) -> s(X) names one, they list the same tuples.
+cmp -s "$TMP/answers.prog_const.q.seq.out" "$TMP/answers.prog_const.q.fpt.seq.out" || {
+  echo "determinism: answers and answers --fpt disagree on prog_const:q"
+  exit 1
+}
 [ "$answers_ok" -ge 3 ] || {
   echo "determinism: only $answers_ok answer runs completed cleanly"
   exit 1

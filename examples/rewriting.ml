@@ -61,10 +61,14 @@ let () =
   Fmt.pr "D* has %d typed facts; Σ* has %d linear rules over %d Σ-types@."
     (Instance.size lin.Tgds.Linearize.db_star)
     (List.length lin.Tgds.Linearize.sigma_star)
-    (List.length lin.Tgds.Linearize.types);
+    lin.Tgds.Linearize.types;
   assert (Tgds.Tgd.all_linear lin.Tgds.Linearize.sigma_star);
   let q_mgr = Ucq.of_cq (Cq.make [ atom "manager" [ v "m" ] ]) in
-  let via_lin, exact = Tgds.Linearize.certain lin q_mgr [] in
+  let { Guarded_core.Omq_eval.holds = via_lin; exact } =
+    Guarded_core.Omq_eval.certain_fpt
+      (Guarded_core.Omq.full_data_schema ~ontology:sigma_g ~query:q_mgr)
+      db_g []
+  in
   let direct, _ = Tgds.Chase.certain sigma_g db_g q_mgr [] in
   Fmt.pr "∃m manager(m): via linearization %b (exact=%b), via direct chase %b@."
     via_lin exact direct;

@@ -66,7 +66,7 @@ let () =
 
   let lin = Tgds.Linearize.make ontology db in
   Fmt.pr "linearization: %d reachable Σ-types, %d linear rules, D* has %d facts@.@."
-    (List.length lin.Tgds.Linearize.types)
+    lin.Tgds.Linearize.types
     (List.length lin.Tgds.Linearize.sigma_star)
     (Instance.size lin.Tgds.Linearize.db_star);
 

@@ -12,10 +12,8 @@
     3. the answer is a single UCQ evaluation over [D_star] — no chase at
        query time.
 
-    The rewriting (step 2) depends on the reachable type signature and is
-    therefore recomputed per database here; for a fixed Σ the types — and
-    hence the rewriting — stabilize across databases over the same active
-    schema, which [prepare]/[answer] exploits by caching. *)
+    The rewriting (step 2) depends on the reachable type signature, so it
+    is recomputed for every database. *)
 
 open Relational
 

@@ -122,18 +122,20 @@ let gen_closure_db =
     in
     map Instance.of_facts (list_size (int_range 1 5) gen_fact))
 
+(* One to five rules drawn from [pool], and a shrinker for instances. *)
+let gen_pool_sigma pool =
+  QCheck.Gen.(
+    map
+      (List.map (Array.get pool))
+      (list_size (int_range 1 5) (int_range 0 (Array.length pool - 1))))
+
+let shrink_db db =
+  QCheck.Iter.map Instance.of_facts (QCheck.Shrink.list (Instance.facts db))
+
 let arb_closure_case =
   QCheck.make ~print:print_sigma_db
-    ~shrink:
-      QCheck.Shrink.(
-        pair list (fun db ->
-            QCheck.Iter.map Instance.of_facts (list (Instance.facts db))))
-    QCheck.Gen.(
-      pair
-        (map
-           (List.map (Array.get closure_pool))
-           (list_size (int_range 1 5) (int_range 0 (Array.length closure_pool - 1))))
-        gen_closure_db)
+    ~shrink:QCheck.Shrink.(pair list shrink_db)
+    QCheck.Gen.(pair (gen_pool_sigma closure_pool) gen_closure_db)
 
 (* ------------------------------------------------------------------ *)
 (* Resilience: checkpoints and fault plans                              *)
@@ -400,3 +402,19 @@ let gen_small_db =
 let gen_small_q =
   QCheck.Gen.(
     map (fun atoms -> bool_q atoms) (list_size (int_range 1 3) gen_query_atom))
+
+(* [closure_pool] plus rules that mention a constant of Σ, one of the
+   constants [gen_closure_db] draws from; with a Boolean query. *)
+let constant_pool =
+  Array.append closure_pool
+    [|
+      tgd [ atom "S" [ Term.const "c"; v "x" ] ] [ atom "B" [ v "x" ] ];
+      tgd [ atom "B" [ v "x" ] ] [ atom "S" [ v "x"; Term.const "c" ] ];
+      tgd [ atom "A" [ v "x" ] ] [ atom "T" [ Term.const "c"; v "z" ] ];
+    |]
+
+let arb_constant_case =
+  QCheck.make
+    ~print:(fun (s, db, q) -> Fmt.str "%s q=%a" (print_sigma_db (s, db)) Ucq.pp q)
+    ~shrink:QCheck.Shrink.(triple list shrink_db nil)
+    QCheck.Gen.(triple (gen_pool_sigma constant_pool) gen_closure_db gen_small_q)

@@ -198,11 +198,14 @@ let prop_linearize_agrees =
       let r = Tgds.Chase.run ~max_level:7 ~max_facts:3000 sigma db in
       if not (Tgds.Chase.saturated r) then true
       else
-        let lin = Tgds.Linearize.make sigma db in
         List.for_all
           (fun q ->
             let direct = Ucq.holds (Tgds.Chase.instance r) q in
-            let via, exact = Tgds.Linearize.certain ~max_level:10 lin q [] in
+            let { Omq_eval.holds = via; exact } =
+              Omq_eval.certain_fpt ~max_level:10
+                (Omq.make ~data_schema:(Instance.schema db) ~ontology:sigma ~query:q)
+                db []
+            in
             (not exact) || direct = via)
           [
             bool_q [ atom "A" [ v "u" ] ];

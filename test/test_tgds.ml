@@ -293,6 +293,15 @@ let test_type_of () =
 
 let bool_q atoms = Ucq.of_cq (Cq.make atoms)
 
+(* The FPT route of the CLI: Σ linearized, the linear chase, the match. *)
+let certain_fpt ?max_level sigma db q tuple =
+  let v =
+    Guarded_core.Omq_eval.certain_fpt ?max_level
+      (Guarded_core.Omq.make ~data_schema:(Instance.schema db) ~ontology:sigma ~query:q)
+      db tuple
+  in
+  (v.Guarded_core.Omq_eval.holds, v.Guarded_core.Omq_eval.exact)
+
 let test_linearize_simple () =
   let sigma =
     [
@@ -305,11 +314,11 @@ let test_linearize_simple () =
   check "all rules linear" true (Tgd.all_linear lin.Linearize.sigma_star);
   check "exploration complete" true lin.Linearize.complete;
   let q = bool_q [ atom "Q" [ v "x" ] ] in
-  let verdict, exact = Linearize.certain lin q [] in
+  let verdict, exact = certain_fpt ~max_level:8 sigma db q [] in
   check "Q certain via linearization" true verdict;
   check "exact" true exact;
   let q2 = bool_q [ atom "Z" [ v "x" ] ] in
-  check "absent predicate not certain" false (fst (Linearize.certain lin q2 []))
+  check "absent predicate not certain" false (fst (certain_fpt ~max_level:8 sigma db q2 []))
 
 let test_linearize_matches_direct_chase () =
   (* guarded ontology with a terminating chase: compare against ground truth *)
@@ -330,14 +339,31 @@ let test_linearize_matches_direct_chase () =
       bool_q [ atom "Emp" [ v "x" ]; atom "Mgr" [ v "x" ] ];
     ]
   in
-  let lin = Linearize.make sigma db in
   List.iter
     (fun q ->
       let direct, sat = Chase.certain ~max_level:8 sigma db q [] in
       check "direct chase saturated" true sat;
-      let via_lin, _ = Linearize.certain ~max_level:10 lin q [] in
+      let via_lin, _ = certain_fpt ~max_level:10 sigma db q [] in
       check "linearization agrees with chase" true (direct = via_lin))
     queries
+
+let test_linearize_constants () =
+  (* Σ's constants are fixed classes of every Σ-type: the type of r(c,a)
+     keeps c, so r(c,x) → s(x) fires on it in D* on both routes that
+     linearize *)
+  let sigma =
+    [
+      tgd [ atom "r" [ Term.const "c"; v "x" ] ] [ atom "s" [ v "x" ] ];
+      tgd [ atom "s" [ v "x" ] ] [ atom "t" [ v "x"; v "z" ] ];
+    ]
+  in
+  let db = Instance.of_facts [ fact "r" [ "c"; "a" ] ] in
+  let q = Ucq.of_cq (Cq.make ~answer:[ "x" ] [ atom "s" [ v "x" ] ]) in
+  let both = Alcotest.(check (pair bool bool)) in
+  both "FPT: s(a) certain, exact" (true, true) (certain_fpt sigma db q [ Named "a" ]);
+  both "rewriting: s(a) certain, exact" (true, true)
+    (Guarded_core.Guarded_rewrite.certain sigma db q [ Named "a" ]);
+  both "FPT: s(c) not certain, exact" (false, true) (certain_fpt sigma db q [ Named "c" ])
 
 (* ------------------------------------------------------------------ *)
 (* Linear rewriting (Prop D.2)                                          *)
@@ -467,12 +493,32 @@ let prop_ground_closure_oracle =
     Generators.arb_closure_case (fun (sigma, db) ->
       Instance.equal (Ground_closure.compute sigma db) (Bag_closure.compute sigma db))
 
+(* The two routes that linearize Σ against the bounded chase, on
+   guarded Σ whose chase need not terminate and that may mention a
+   constant of Σ: equal to a saturated chase whenever they report
+   themselves exact; otherwise the FPT route finds every answer the
+   chase found, and so does the rewriting unless it reports itself
+   inexact (a rewriting cut at its size cap may miss answers). *)
+let prop_linearized_routes =
+  QCheck.Test.make ~name:"FPT and rewriting routes = chase" ~count:1000
+    Generators.arb_constant_case (fun (sigma, db, q) ->
+      let chase, saturated =
+        Chase.certain ~max_level:7 ~max_facts:2000 sigma db q []
+      in
+      let fpt = certain_fpt sigma db q [] in
+      let rw = Guarded_core.Guarded_rewrite.certain sigma db q [] in
+      let exact_agrees (holds, exact) = (not exact) || holds = chase in
+      if saturated then exact_agrees fpt && exact_agrees rw
+      else (not chase) || (fst fpt && (fst rw || not (snd rw))))
+
 let qcheck_tests =
   List.map QCheck_alcotest.to_alcotest
     [ prop_rewrite_agrees_with_chase; prop_chase_models_sigma; prop_ground_closure_sound ]
   @ [
       QCheck_alcotest.to_alcotest ~rand:(Random.State.make [| 25 |])
         prop_ground_closure_oracle;
+      QCheck_alcotest.to_alcotest ~rand:(Random.State.make [| 26 |])
+        prop_linearized_routes;
     ]
 
 let () =
@@ -509,6 +555,7 @@ let () =
         [
           Alcotest.test_case "simple" `Quick test_linearize_simple;
           Alcotest.test_case "matches chase" `Quick test_linearize_matches_direct_chase;
+          Alcotest.test_case "constants in Σ" `Quick test_linearize_constants;
         ] );
       ( "linear-rewrite",
         [
