@@ -4,11 +4,10 @@
     tuples live in contiguous int columns ({!Vec}); the per-predicate
     insertion order is a flat int vector of packed row handles, each
     (predicate, position) posting table is a flat int-keyed {!Itab}, and
-    membership is one hash table keyed by the interned fact key. See the
-    interface for the
-    contract — the observable behaviour (iteration order, counters,
-    probe accounting) is bit-compatible with the previous hash-of-lists
-    representation:
+    membership is a flat open-addressing table of fact handles that keeps
+    no key of its own. See the interface for the contract — the
+    observable behaviour (iteration order, counters, probe accounting) is
+    bit-compatible with the previous hash-of-lists representation:
 
     - posting lists and relations iterate {e most recently added
       first}, which is the reverse of append order of the backing
@@ -25,6 +24,10 @@
       insert reuses, and a vector drops its tombstones once they are
       more than half of it, so insert/delete churn cannot grow the
       store's capacity;
+    - a membership slot holds a fact's handle and its key's hash, two
+      off-heap ints: a lookup compares the key sought with the row's own
+      columns, and a removal shifts the probe run back as {!Itab} does,
+      so the table costs no block per fact and churn cannot grow it;
     - [index.probes] counts one probe per candidate-list retrieval
       ({!fold_catom} walking a posting list or a whole relation);
     - every row carries its fact's s-level in a level column beside the
@@ -88,8 +91,18 @@ type tables = {
   mutable nrels : int;
 }
 
-(* Tables keyed by interned fact keys [| pid; cid1; …; cidn |]: the
-   membership table here, the chase's trigger tables in {!Saturate}. *)
+(* The hash of an interned fact key [| pid; cid1; …; cidn |]:
+   non-negative, and a function of the key's cells alone, so the
+   membership table can file a fact by it and never keep the key. *)
+let hash_key (a : int array) =
+  let h = ref (Array.length a) in
+  for i = 0 to Array.length a - 1 do
+    h := (!h lxor Array.unsafe_get a i) * 0x100000001b3
+  done;
+  (!h lxor (!h lsr 29)) land max_int
+
+(* Tables keyed by interned fact keys: the chase's trigger tables in
+   {!Saturate} and the type registry of the ground closure. *)
 module Keytbl = Hashtbl.Make (struct
   type t = int array
 
@@ -99,18 +112,94 @@ module Keytbl = Hashtbl.Make (struct
   let equal (a : int array) (b : int array) =
     Array.length a = Array.length b && equal_from a b (Array.length a - 1)
 
-  let hash (a : int array) =
-    let h = ref (Array.length a) in
-    for i = 0 to Array.length a - 1 do
-      h := (!h lxor Array.unsafe_get a i) * 0x100000001b3
-    done;
-    (!h lxor (!h lsr 29)) land max_int
+  let hash = hash_key
 end)
+
+(* Fact handles: a stored fact's relation id above [row_bits], its row
+   below. *)
+let[@inline] handle_rel h = h lsr row_bits
+let[@inline] handle_row h = h land row_mask
+let[@inline] handle_of ~rel ~row = (rel lsl row_bits) lor row
+
+(* The membership table: open addressing with linear probing over one
+   flat int Bigarray, as in {!Itab}. Slot [i] holds a stored fact's
+   handle at [2i] ([no_member] when the slot is empty) and the hash of
+   its key at [2i + 1]; the capacity is [1 lsl m_bits] slots, at most
+   3/4 of them full. *)
+type members = {
+  mutable m_slots : (int, Bigarray.int_elt, Bigarray.c_layout) Bigarray.Array1.t;
+  mutable m_bits : int;
+  mutable m_count : int;
+}
+
+let no_member = -1
+let[@inline] mget m i = Bigarray.Array1.unsafe_get m.m_slots i
+let[@inline] mset m i x = Bigarray.Array1.unsafe_set m.m_slots i x
+
+let alloc_slots bits =
+  let s = Bigarray.Array1.create Bigarray.int Bigarray.c_layout (2 lsl bits) in
+  Bigarray.Array1.fill s no_member;
+  s
+
+(* Fibonacci hashing of a key hash onto [bits] bits, as {!Itab} does. *)
+let[@inline] home bits h = (h * 0x278DDE6E5FD29F05) lsr (63 - bits)
+
+(* File handle [hd] with key hash [h] in the first empty slot of its
+   probe run. *)
+let member_place m h hd =
+  let mask = (1 lsl m.m_bits) - 1 in
+  let i = ref (home m.m_bits h) in
+  while mget m (2 * !i) <> no_member do
+    i := (!i + 1) land mask
+  done;
+  mset m (2 * !i) hd;
+  mset m ((2 * !i) + 1) h;
+  m.m_count <- m.m_count + 1
+
+(* File a fact absent from the table; the table doubles first when it
+   would be more than 3/4 full, re-filing each member by its stored
+   hash. *)
+let member_add m h hd =
+  if 4 * (m.m_count + 1) > 3 lsl m.m_bits then begin
+    let old = m.m_slots and n = 1 lsl m.m_bits in
+    m.m_slots <- alloc_slots (m.m_bits + 1);
+    m.m_bits <- m.m_bits + 1;
+    m.m_count <- 0;
+    for i = 0 to n - 1 do
+      let hd' = Bigarray.Array1.unsafe_get old (2 * i) in
+      if hd' <> no_member then
+        member_place m (Bigarray.Array1.unsafe_get old ((2 * i) + 1)) hd'
+    done
+  end;
+  member_place m h hd
+
+(* Empty the full slot [hole] by backward shift: walk the probe run
+   after it and move back every member whose home does not lie
+   cyclically in (hole, its slot], so no probe run is cut short and no
+   tombstone is left. *)
+let member_remove m hole =
+  let bits = m.m_bits in
+  let mask = (1 lsl bits) - 1 in
+  let hole = ref hole in
+  m.m_count <- m.m_count - 1;
+  let j = ref ((!hole + 1) land mask) in
+  while mget m (2 * !j) <> no_member do
+    let h = home bits (mget m ((2 * !j) + 1)) and i = !hole in
+    let stays = if i <= !j then i < h && h <= !j else i < h || h <= !j in
+    if not stays then begin
+      mset m (2 * i) (mget m (2 * !j));
+      mset m ((2 * i) + 1) (mget m ((2 * !j) + 1));
+      hole := !j
+    end;
+    j := (!j + 1) land mask
+  done;
+  mset m (2 * !hole) no_member;
+  mset m ((2 * !hole) + 1) no_member
 
 type t = {
   symtab : Symtab.t;
   tabs : tables;
-  members : int Keytbl.t;  (* fact key -> packed row *)
+  members : members;
   metrics : Obs.Metrics.t;
   (* counter handles, resolved once so the hot paths never do a name
      lookup *)
@@ -125,7 +214,7 @@ let create () =
   {
     symtab = Symtab.create ();
     tabs = { entries = Array.make 16 None; stamp = 0; rels = [||]; nrels = 0 };
-    members = Keytbl.create 1024;
+    members = { m_slots = alloc_slots 4; m_bits = 4; m_count = 0 };
     metrics;
     c_probes = Obs.Metrics.counter metrics "index.probes";
     c_inserts = Obs.Metrics.counter metrics "index.inserts";
@@ -151,6 +240,36 @@ let reader idx =
 let symtab idx = idx.symtab
 let probes idx = Obs.Metrics.value idx.c_probes
 let metrics idx = idx.metrics
+
+(* Do columns [0 .. i] of row [row] of [r] hold cells [1 .. i+1] of
+   [key]? *)
+let rec cells_are r row key i =
+  i < 0 || (Vec.get r.r_cols.(i) row = key.(i + 1) && cells_are r row key (i - 1))
+
+(* Does row [row] of [r] hold the fact with interned [key]? *)
+let row_is r row key =
+  r.r_pid = key.(0)
+  && r.r_arity = Array.length key - 1
+  && cells_are r row key (r.r_arity - 1)
+
+(* The membership slot of the fact with interned [key] and key hash
+   [h], or the empty slot that ends its probe run (the table is never
+   full, so there is one). *)
+let member_slot idx key h =
+  let m = idx.members and rels = idx.tabs.rels in
+  let mask = (1 lsl m.m_bits) - 1 in
+  let i = ref (home m.m_bits h) in
+  while
+    let hd = mget m (2 * !i) in
+    hd <> no_member
+    && not (mget m ((2 * !i) + 1) = h && row_is rels.(handle_rel hd) (handle_row hd) key)
+  do
+    i := (!i + 1) land mask
+  done;
+  !i
+
+(* The handle of the stored fact with interned [key], or [no_member]. *)
+let handle idx key = mget idx.members (2 * member_slot idx key (hash_key key))
 
 (* Interned fact keys: [| pid; cid1; …; cidn |]. The [_find] variant
    never assigns ids — a fact with an unknown symbol cannot be stored. *)
@@ -183,13 +302,13 @@ let key_find idx f =
         Some key
       with Unknown -> None)
 
-let mem_key key idx = Keytbl.mem idx.members key
+let mem_key key idx = handle idx key <> no_member
 
 let mem f idx =
   match key_find idx f with None -> false | Some key -> mem_key key idx
 
 let key = key_find
-let size idx = Keytbl.length idx.members
+let size idx = idx.members.m_count
 
 let entry idx pid =
   let es = idx.tabs.entries in
@@ -299,10 +418,10 @@ let post e tbl cid packed =
   end
   else Vec.push e.e_vecs.(posting_slot p) packed
 
-(* File the new interned [key] (not yet a member; it becomes the
-   members key) at s-level [level], reusing a freed row slot when one
-   exists. *)
-let add_row idx key ~level =
+(* File the new interned [key] (not yet a member), whose hash is [h], at
+   s-level [level], reusing a freed row slot when one exists; returns
+   its handle. The key array is only read. *)
+let add_row idx key h ~level =
   Obs.Metrics.incr idx.c_inserts;
   let pid = key.(0) and arity = Array.length key - 1 in
   let e = entry_of idx pid in
@@ -335,28 +454,29 @@ let add_row idx key ~level =
   for i = 0 to arity - 1 do
     post e e.e_at.(i) key.(i + 1) packed
   done;
-  Keytbl.replace idx.members key packed
+  let hd = handle_of ~rel:r.r_id ~row in
+  member_add idx.members h hd;
+  hd
 
-(* File [key] at s-level [level] unless it is a member already. *)
+(* File [key] at s-level [level] unless it is a member already: the new
+   fact's handle, or [no_member]. *)
 let add_key idx ~level key =
-  if Keytbl.mem idx.members key then begin
+  let h = hash_key key in
+  if mget idx.members (2 * member_slot idx key h) <> no_member then begin
     Obs.Metrics.incr idx.c_duplicates;
-    false
+    no_member
   end
-  else begin
-    add_row idx key ~level;
-    true
-  end
+  else add_row idx key h ~level
 
 (** [insert ?level f idx] — add [f] at s-level [level] (default 0);
     [false] when it was already present (its level is kept). *)
 let insert ?(level = 0) f idx =
   Obs.Probe.hit "engine.insert";
-  add_key idx ~level (intern idx f)
+  add_key idx ~level (intern idx f) <> no_member
 
 let insert_interned ?(level = 0) key idx =
   Obs.Probe.hit "engine.insert";
-  add_key idx ~level key
+  add_key idx ~level key <> no_member
 
 (* The stamp of slot [i] of an order or posting vector of [e]: a live
    slot holds a packed row, a tombstone [-stamp-1]. *)
@@ -407,21 +527,23 @@ let unpost e tbl cid stamp =
     row is unfiled from each of its postings ({!unpost}), so candidate
     counts stay exact; the freed row slot is recycled. *)
 let remove_key key idx =
-  match Keytbl.find_opt idx.members key with
-  | None -> false
-  | Some packed ->
-      Obs.Metrics.incr idx.c_removes;
-      Keytbl.remove idx.members key;
-      let pid = key.(0) and arity = Array.length key - 1 in
-      let e = match entry idx pid with Some e -> e | None -> assert false in
-      let r = rel_get arity e.e_rels and row = row_of_packed packed in
-      let stamp = Vec.get r.r_stamp row in
-      Vec.kill e.e_order (slot_of_stamp e e.e_order stamp) (-stamp - 1);
-      for i = 0 to arity - 1 do
-        unpost e e.e_at.(i) key.(i + 1) stamp
-      done;
-      Vec.push r.r_free row;
-      true
+  let slot = member_slot idx key (hash_key key) in
+  let hd = mget idx.members (2 * slot) in
+  if hd = no_member then false
+  else begin
+    Obs.Metrics.incr idx.c_removes;
+    member_remove idx.members slot;
+    let pid = key.(0) and arity = Array.length key - 1 in
+    let e = match entry idx pid with Some e -> e | None -> assert false in
+    let r = idx.tabs.rels.(handle_rel hd) and row = handle_row hd in
+    let stamp = Vec.get r.r_stamp row in
+    Vec.kill e.e_order (slot_of_stamp e e.e_order stamp) (-stamp - 1);
+    for i = 0 to arity - 1 do
+      unpost e e.e_at.(i) key.(i + 1) stamp
+    done;
+    Vec.push r.r_free row;
+    true
+  end
 
 let remove f idx =
   match key_find idx f with None -> false | Some key -> remove_key key idx
@@ -436,19 +558,13 @@ let decode_key idx key =
   Fact.make (Symtab.extern_pred st key.(0))
     (List.init (Array.length key - 1) (fun i -> Symtab.extern st key.(i + 1)))
 
-(* The relation holding the live packed handle [packed] of [pid]. *)
-let rel_of_packed idx pid packed =
-  match entry idx pid with
-  | None -> assert false
-  | Some e -> rel_get (arity_of_packed packed) e.e_rels
+let rel_of_handle idx h = idx.tabs.rels.(handle_rel h)
 
 (* The s-level of the fact with interned [key]; [-1] when not stored.
    Allocation free: the chase reads a body level per fired trigger. *)
 let key_level idx key =
-  match Keytbl.find idx.members key with
-  | packed ->
-      Vec.get (rel_of_packed idx key.(0) packed).r_level (row_of_packed packed)
-  | exception Not_found -> -1
+  let h = handle idx key in
+  if h = no_member then -1 else Vec.get (rel_of_handle idx h).r_level (handle_row h)
 
 let level idx f =
   match key_find idx f with
@@ -458,11 +574,14 @@ let level idx f =
       if l < 0 then None else Some l
 
 let set_level idx f l =
-  match Option.bind (key_find idx f) (Keytbl.find_opt idx.members) with
-  | None -> invalid_arg "Index.set_level: fact not stored"
-  | Some packed ->
-      let pid = Symtab.find_pred_int idx.symtab (Fact.pred f) in
-      Vec.set (rel_of_packed idx pid packed).r_level (row_of_packed packed) l
+  let h = match key_find idx f with Some key -> handle idx key | None -> no_member in
+  if h = no_member then invalid_arg "Index.set_level: fact not stored";
+  Vec.set (rel_of_handle idx h).r_level (handle_row h) l
+
+(* The fact in row [row] of [r], a relation of [pid]. *)
+let decode_row st pid r row =
+  Fact.make (Symtab.extern_pred st pid)
+    (List.init r.r_arity (fun i -> Symtab.extern st (Vec.get r.r_cols.(i) row)))
 
 (* Every live row in storage order: pid-ascending over the entry table,
    each entry's [e_order] in append order, tombstones skipped. *)
@@ -479,19 +598,6 @@ let iter_rows f idx =
             e.e_order)
     idx.tabs.entries
 
-(* Fact handles: a stored fact's relation id above [row_bits], its row
-   below. *)
-let[@inline] handle_rel h = h lsr row_bits
-let[@inline] handle_row h = h land row_mask
-let[@inline] handle_of ~rel ~row = (rel lsl row_bits) lor row
-let rel_of_handle idx h = idx.tabs.rels.(handle_rel h)
-
-let handle idx key =
-  match Keytbl.find idx.members key with
-  | packed ->
-      handle_of ~rel:(rel_of_packed idx key.(0) packed).r_id ~row:(row_of_packed packed)
-  | exception Not_found -> -1
-
 let handle_key idx h =
   let r = rel_of_handle idx h and row = handle_row h in
   let key = Array.make (r.r_arity + 1) r.r_pid in
@@ -501,6 +607,7 @@ let handle_key idx h =
   key
 
 let handle_level idx h = Vec.get (rel_of_handle idx h).r_level (handle_row h)
+let handle_pid idx h = (rel_of_handle idx h).r_pid
 
 let fold_levels f idx acc =
   let acc = ref acc in
@@ -521,10 +628,7 @@ let decode_ordered idx =
   let out = ref [] in
   iter_rows
     (fun pid r row ->
-      let f =
-        Fact.make (Symtab.extern_pred st pid)
-          (List.init r.r_arity (fun i -> Symtab.extern st (Vec.get r.r_cols.(i) row)))
-      in
+      let f = decode_row st pid r row in
       memo.(r.r_id).(row) <- f;
       out := (f, Vec.get r.r_level row) :: !out)
     idx;
@@ -533,9 +637,11 @@ let decode_ordered idx =
 let ordered_facts idx = fst (decode_ordered idx)
 
 let to_instance idx =
-  Keytbl.fold
-    (fun key _ acc -> Instance.add_fact (decode_key idx key) acc)
-    idx.members Instance.empty
+  let inst = ref Instance.empty in
+  iter_rows
+    (fun pid r row -> inst := Instance.add_fact (decode_row idx.symtab pid r row) !inst)
+    idx;
+  !inst
 
 (* ------------------------------------------------------------------ *)
 (* Compiled atoms: the interned, allocation-free matching fast path      *)
@@ -755,17 +861,19 @@ let fold_catom idx ca ~benv ~on_candidate ~on_fail (f : int -> bool) arg =
             !stopped
           end
 
-(* [match_key], the delta-pivot step: bind [ca] against one interned
-   fact key instead of a posting list, with [fold_catom]'s cell step. *)
-let match_key ca ~benv key f =
+(* [match_handle], the delta-pivot step: bind [ca] against the row of
+   one stored fact instead of a posting list, with [fold_catom]'s cell
+   step. *)
+let match_handle idx ca ~benv h f =
+  let r = rel_of_handle idx h and row = handle_row h in
   let arity = ca.c_arity in
-  Array.length key = arity + 1
-  && key.(0) = ca.c_pid
+  r.r_arity = arity
+  && r.r_pid = ca.c_pid
   &&
   let trail = ca.c_trail in
   let nt = ref 0 and ok = ref true and i = ref 0 in
   while !ok && !i < arity do
-    let n = match_cell ca benv trail !nt !i (Array.unsafe_get key (!i + 1)) in
+    let n = match_cell ca benv trail !nt !i (Vec.get r.r_cols.(!i) row) in
     if n < 0 then ok := false else nt := n;
     incr i
   done;
@@ -819,22 +927,13 @@ let insert_key idx ~level ca ~benv =
          let v = benv.(ca.c_slots.(i)) in
          if c = -2 then v else Symtab.intern_null st v)
   done;
-  if Keytbl.mem idx.members key then begin
-    Obs.Metrics.incr idx.c_duplicates;
-    None
-  end
-  else begin
-    let key = Array.copy key in
-    add_row idx key ~level;
-    Some key
-  end
+  add_key idx ~level key
 
-(* Allocated capacity of the store's flat vectors, in words — the
-   capacity-leak regression tests assert this stays put under
-   insert/delete churn. Hash tables are not counted (neither the
-   membership table nor the posting tables, which never shrink), so a
-   singleton posting, which lives in its table, costs nothing here;
-   every growable vector is counted. *)
+(* Allocated capacity of the store's flat vectors and of its membership
+   table, in words — the capacity-leak regression tests assert this
+   stays put under insert/delete churn. The posting tables are not
+   counted (they never shrink), so a singleton posting, which lives in
+   its table, costs nothing here; every growable vector is counted. *)
 let capacity_words idx =
   let vec v = Vec.capacity v in
   Array.fold_left
@@ -854,7 +953,8 @@ let capacity_words idx =
                 (acc + vec r.r_free + vec r.r_level + vec r.r_stamp)
                 r.r_cols)
             !acc e.e_rels)
-    0 idx.tabs.entries
+    (2 lsl idx.members.m_bits)
+    idx.tabs.entries
 
 (* The facts over a handful of cells, from their postings: each fact is
    reported from the first cell of [cids] it mentions, at the first
@@ -873,7 +973,7 @@ let fold_within idx cids f acc =
           List.iter
             (fun r ->
               if r.r_arity = 0 then begin
-                if Keytbl.mem idx.members [| pid |] then acc := f [| pid |] !acc
+                if mem_key [| pid |] idx then acc := f [| pid |] !acc
               end
               else
                 for k = 0 to n - 1 do

@@ -123,8 +123,8 @@ val decode_key : t -> int array -> Fact.t
 val intern : t -> Fact.t -> int array
 
 (** [insert_interned ?level key idx] — {!insert} of the fact with the
-    interned [key] (from {!intern}); the key array becomes the store's
-    when the fact is new. *)
+    interned [key] (from {!intern}). The store only reads [key]: it keeps
+    no key of its own, and names the fact by its row. *)
 val insert_interned : ?level:int -> int array -> t -> bool
 
 (** [remove_key key idx] — {!remove}, at the same cost: one membership
@@ -137,8 +137,17 @@ val remove_key : int array -> t -> bool
 
 (** [handle idx key] — the handle of the stored fact with interned
     [key], [-1] when it is not stored. One membership probe, allocation
-    free. *)
+    free: the membership table is a flat open-addressing table of
+    handles and key hashes, and a probe compares [key] with the row's
+    own columns. *)
 val handle : t -> int array -> int
+
+(** [mem_key key idx] — is the fact with interned [key] stored? *)
+val mem_key : int array -> t -> bool
+
+(** [key_level idx key] — the s-level of the stored fact with interned
+    [key], [-1] when it is not stored. Allocation free. *)
+val key_level : t -> int array -> int
 
 (** [handle_key idx h] — a fresh copy of the interned key of the fact
     stored under [h]. *)
@@ -146,6 +155,10 @@ val handle_key : t -> int -> int array
 
 (** [handle_level idx h] — the s-level of the fact stored under [h]. *)
 val handle_level : t -> int -> int
+
+(** [handle_pid idx h] — the interned predicate of the fact stored
+    under [h]. *)
+val handle_pid : t -> int -> int
 
 (** The relation id and the row a handle names, and the handle of a
     relation id and row. *)
@@ -229,11 +242,12 @@ val catom_pid : catom -> int
 (** The atom's interned predicate id, [-1] when it was unknown at
     compile time. *)
 
-val match_key : catom -> benv:int array -> int array -> (unit -> unit) -> bool
-(** [match_key ca ~benv key f] — match [ca] against one interned fact
-    key (the semi-naive delta pivot): when it matches, call [f ()] with
-    [ca]'s unbound variables bound in [benv] (undone before returning)
-    and return [true]; otherwise return [false]. No probe is counted. *)
+val match_handle : t -> catom -> benv:int array -> int -> (unit -> unit) -> bool
+(** [match_handle idx ca ~benv h f] — match [ca] against the stored fact
+    with handle [h] (the semi-naive delta pivot), reading its row's
+    cells: when it matches, call [f ()] with [ca]'s unbound variables
+    bound in [benv] (undone before returning) and return [true];
+    otherwise return [false]. No probe is counted. *)
 
 val catom_level : t -> catom -> benv:int array -> int
 (** [catom_level idx ca ~benv] — the s-level of the stored fact [ca]
@@ -247,13 +261,14 @@ val catom_handle : t -> catom -> int
     is not stored. The firing path names a fired trigger's body and
     head facts this way. *)
 
-val insert_key : t -> level:int -> catom -> benv:int array -> int array option
+val insert_key : t -> level:int -> catom -> benv:int array -> int
 (** [insert_key idx ~level ca ~benv] — {!insert} of the fact [ca]
     denotes under [benv] (every variable bound; existential slots hold
     null payloads), straight from interned ids: interns the predicate, then the
     arguments left to right (exactly {!insert}'s order), hits
     ["engine.insert"] and counts [index.inserts]/[index.duplicates].
-    Returns the new fact's key, or [None] when it was already stored. *)
+    Returns the new fact's {!handle}, or [-1] when it was already
+    stored. Allocates nothing but the store's own growth. *)
 
 (** Number of posting-list probes performed so far (statistics). *)
 val probes : t -> int
@@ -261,14 +276,14 @@ val probes : t -> int
 (** The store's symbol table (shared with {!reader} views). *)
 val symtab : t -> Symtab.t
 
-(** Allocated capacity of the store's flat vectors, in words: the
-    relations' columns, level, stamp and free-list vectors, the order
-    vectors and the posting vectors. Only vectors are counted: an inline
-    singleton posting lives in its posting table and costs nothing here,
-    and hash tables (the posting tables and the membership table) are
-    not counted. Stable under insert/delete churn thanks to free-list
-    row reuse, tombstone compaction and vector demotion (asserted by the
-    capacity-leak regression tests). *)
+(** Allocated capacity of the store, in words: the relations' columns,
+    level, stamp and free-list vectors, the order vectors, the posting
+    vectors and the membership table's slots. The posting tables are not
+    counted, so an inline singleton posting, which lives in its posting
+    table, costs nothing here. Stable under insert/delete churn thanks
+    to free-list row reuse, tombstone compaction, vector demotion and
+    the membership table's backward-shift removal, which leaves no
+    tombstone (asserted by the capacity-leak regression tests). *)
 val capacity_words : t -> int
 
 (** The store's metrics registry: [index.probes], [index.inserts],

@@ -109,7 +109,7 @@ let fold ~counters atoms idx f acc =
   ignore (search idx ~counters p.atoms ~benv:p.benv 0 (Array.length p.atoms) leaf);
   !acc
 
-(* [fold] with a delta pivot: the pivot matches each delta key (one
+(* [fold] with a delta pivot: the pivot matches each delta fact (one
    candidate each, one backtrack per mismatch), the rest runs
    [search_compiled] to every full match. *)
 let fold_delta idx ~counters ~pivot atoms ~benv delta f =
@@ -125,10 +125,10 @@ let fold_delta idx ~counters ~pivot atoms ~benv delta f =
   let rest () =
     ignore (search_compiled idx ~on_candidate ~on_fail atoms ~benv 0 n leaf)
   in
-  List.iter
-    (fun key ->
+  Vec.iter
+    (fun h ->
       on_candidate ();
-      if not (Index.match_key pivot ~benv key rest) then on_fail ())
+      if not (Index.match_handle idx pivot ~benv h rest) then on_fail ())
     delta
 
 (* ------------------------------------------------------------------ *)

@@ -79,9 +79,10 @@ val exists_compiled :
 
 (** [fold_delta idx ~counters ~pivot atoms ~benv delta f] — the
     semi-naive step, compiled: call [f ()] once per extension of [benv]
-    that matches [pivot] against one of the interned fact keys [delta]
-    (in list order) and every atom of [atoms] against the index, with
-    the extension visible in [benv] during the call. Each delta key
+    that matches [pivot] against one of the stored facts whose handles
+    {!Index.handle} [delta] holds (in vector order) and every atom of
+    [atoms] against the index, with the extension visible in [benv]
+    during the call. Each delta fact
     counts one [joiner.candidates] of [counters] (which must be
     [idx]'s) and, when the pivot does not match it, one
     [joiner.backtracks]; [atoms] is searched as by {!exists_compiled}
@@ -93,7 +94,7 @@ val fold_delta :
   pivot:Index.catom ->
   Index.catom array ->
   benv:int array ->
-  int array list ->
+  Vec.t ->
   (unit -> unit) ->
   unit
 

@@ -65,7 +65,8 @@ let fire_out fr j = fr.fr_outs.(j)
 (* A rule's slot layout: body variables take slots [0 .. nbody-1] in
    [VarSet.elements] order, existentials the slots after them. A
    trigger's key is [| rule; slot 0; …; slot nbody-1 |] — the body
-   binding itself, which the firing phase reads back into [benv]. *)
+   binding itself; a collected trigger is queued as the same ints, and
+   the firing phase reads them back into [benv]. *)
 type layout = {
   l_rule : rule;
   l_nbody : int;
@@ -73,7 +74,7 @@ type layout = {
   l_slot : string -> int;
   l_exist : string -> bool;
   l_benv : int array;  (* binding environment, all -1 between uses *)
-  l_key : int array;  (* scratch trigger key for table lookups *)
+  l_key : int array;  (* scratch trigger key for the dedup table *)
 }
 
 let layout i r =
@@ -194,9 +195,9 @@ let touches prog delta_by_pid i =
 
 (* The resumable state threaded into the driver: either a fresh run over a
    database or the reconstruction of a checkpointed boundary. The delta
-   holds the interned keys of the facts of the last level. *)
+   holds the handles of the facts of the last level, in pivot order. *)
 type init = {
-  i_delta : int array list;
+  i_delta : Vec.t;
   i_level : int;
   i_saturated : bool;
   i_first_pass : bool;
@@ -204,10 +205,18 @@ type init = {
   i_dismissed : int;
   i_fpl : int list;  (* reversed: newest level first *)
   i_seen : int;
-      (* initial size of the trigger-key table: the delta's for a
-         maintenance step, 256 for a run over a database, where a table
-         sized to a large database raised the server's peak RSS *)
+      (* initial size of the per-pass trigger-key table: the delta's for
+         a maintenance step, 256 for a run over a database, where a
+         table sized to a large database raised the server's peak RSS *)
 }
+
+(* The delta of the stored facts with interned [keys], in pivot order:
+   the reverse of the list, which keeps the order in which a delta of
+   keys was pivoted. *)
+let delta_of idx keys =
+  let v = Vec.create () in
+  List.iter (fun k -> Vec.push v (Index.handle idx k)) (List.rev keys);
+  v
 
 let keys idx facts = List.filter_map (Index.key idx) facts
 
@@ -221,11 +230,17 @@ let exec ~policy ~budget ~span ~on_pass ~on_fire init prog =
         plans.(i) <- Some p;
         p
   in
-  (* Every trigger key enumerated so far: fired, dismissed, or collected
-     for the current pass. A collected trigger is fired before the next
-     pass or the run ends at a budget cut, so one table serves as both
-     the fired and the pending set. *)
+  (* The trigger keys of rules with two or more body atoms enumerated in
+     the current pass: such a trigger is met once per pivot whose atom
+     maps into the delta. Nothing needs remembering across passes: a
+     fact enters the delta at most once in a run, and a trigger is met
+     only in the pass whose delta holds one of its body facts, since all
+     of them were stored when it was first met. A one-atom body has one
+     pivot, so it meets each delta fact, hence each trigger, once. *)
   let seen = Index.Keytbl.create init.i_seen in
+  (* The active triggers collected in the current pass, in collection
+     order, flat: each is its rule's index, then its body binding. *)
+  let pending = Vec.create () in
   let view =
     { fr_rule = 0; fr_ncells = 0; fr_cells = [||]; fr_body = [||]; fr_outs = [||] }
   in
@@ -261,21 +276,27 @@ let exec ~policy ~budget ~span ~on_pass ~on_fire init prog =
         for i = 0 to Array.length plans - 1 do
           match plans.(i) with Some p -> refresh idx p | None -> ()
         done;
-        (* the delta grouped by predicate, each group in reverse delta
-           order *)
+        (* the delta grouped by predicate, each group in delta order *)
         let delta_by_pid = Hashtbl.create 16 in
-        List.iter
-          (fun key ->
-            let cur = try Hashtbl.find delta_by_pid key.(0) with Not_found -> [] in
-            Hashtbl.replace delta_by_pid key.(0) (key :: cur))
+        Index.Keytbl.reset seen;
+        Vec.clear pending;
+        Vec.iter
+          (fun h ->
+            let pid = Index.handle_pid idx h in
+            match Hashtbl.find_opt delta_by_pid pid with
+            | Some group -> Vec.push group h
+            | None ->
+                let group = Vec.create () in
+                Vec.push group h;
+                Hashtbl.replace delta_by_pid pid group)
           !delta;
-        let new_triggers = ref [] in
         let consider i () =
           let p = plan_of i in
           let l = p.p_layout in
           let sk = l.l_key in
           Array.blit l.l_benv 0 sk 1 l.l_nbody;
-          if not (Index.Keytbl.mem seen sk) then begin
+          let dedup = Array.length p.p_body >= 2 in
+          if not (dedup && Index.Keytbl.mem seen sk) then begin
             let active =
               match policy with
               | Oblivious -> true
@@ -287,9 +308,13 @@ let exec ~policy ~budget ~span ~on_pass ~on_fire init prog =
                        ~benv:l.l_benv 0
                        (Array.length heads))
             in
-            let key = Array.copy sk in
-            Index.Keytbl.replace seen key ();
-            if active then new_triggers := key :: !new_triggers
+            if dedup then Index.Keytbl.replace seen (Array.copy sk) ();
+            if active then begin
+              Vec.push pending i;
+              for j = 0 to l.l_nbody - 1 do
+                Vec.push pending l.l_benv.(j)
+              done
+            end
             else begin
               incr triggers_dismissed;
               incr level_dismissed
@@ -311,79 +336,77 @@ let exec ~policy ~budget ~span ~on_pass ~on_fire init prog =
                 (fun ((pivot : Index.catom), rest) ->
                   match Hashtbl.find_opt delta_by_pid (Index.catom_pid pivot) with
                   | None -> ()
-                  | Some dkeys ->
+                  | Some group ->
                       Joiner.fold_delta idx ~counters:prog.g_counters ~pivot rest ~benv
-                        dkeys (consider i))
+                        group (consider i))
                 p.p_pivots)
           rules;
         first_pass := false;
-        if !new_triggers = [] then saturated := true
+        if Vec.length pending = 0 then saturated := true
         else begin
           incr level;
-          let new_delta = ref [] in
-          let new_count = ref 0 in
+          let new_delta = Vec.create () in
+          (* the new fact's handle, or -1 when it was stored already *)
           let land_head ~level ~benv h =
-            match Index.insert_key idx ~level h ~benv with
-            | Some k as landed ->
-                incr new_count;
-                new_delta := k :: !new_delta;
-                landed
-            | None -> None
+            let landed = Index.insert_key idx ~level h ~benv in
+            if landed >= 0 then Vec.push new_delta landed;
+            landed
           in
-          List.iter
-            (fun key ->
-              if not (overflow ()) then begin
-                incr triggers_fired;
-                incr level_fired;
-                let i = key.(0) in
-                let p = plan_of i in
-                let l = p.p_layout in
-                let benv = l.l_benv in
-                Array.blit key 1 benv 0 l.l_nbody;
-                let body_level = ref 0 in
+          let pos = ref 0 in
+          while !pos < Vec.length pending && not (overflow ()) do
+            incr triggers_fired;
+            incr level_fired;
+            let i = Vec.get pending !pos in
+            let p = plan_of i in
+            let l = p.p_layout in
+            let benv = l.l_benv in
+            for j = 0 to l.l_nbody - 1 do
+              benv.(j) <- Vec.get pending (!pos + 1 + j)
+            done;
+            pos := !pos + 1 + l.l_nbody;
+            let body_level = ref 0 in
+            for j = 0 to Array.length p.p_body - 1 do
+              body_level :=
+                max !body_level (Index.catom_level idx p.p_body.(j) ~benv)
+            done;
+            let head_level = !body_level + 1 in
+            for z = 0 to l.l_nexist - 1 do
+              benv.(l.l_nbody + z) <-
+                (match fresh_null () with Null n -> n | Named _ -> assert false)
+            done;
+            (match on_fire with
+            | None ->
+                for j = 0 to Array.length p.p_heads - 1 do
+                  ignore (land_head ~level:head_level ~benv p.p_heads.(j))
+                done
+            | Some cb ->
+                (* a head fact that was stored already has its key in its
+                   atom's scratch; the body keys sit in the body atoms'
+                   scratch since [catom_level] *)
+                for j = 0 to Array.length p.p_heads - 1 do
+                  let h = p.p_heads.(j) in
+                  let landed = land_head ~level:head_level ~benv h in
+                  p.p_houts.(j) <- (if landed >= 0 then landed else Index.catom_handle idx h)
+                done;
                 for j = 0 to Array.length p.p_body - 1 do
-                  body_level :=
-                    max !body_level (Index.catom_level idx p.p_body.(j) ~benv)
+                  p.p_hbody.(j) <- Index.catom_handle idx p.p_body.(j)
                 done;
-                let head_level = !body_level + 1 in
-                for z = 0 to l.l_nexist - 1 do
-                  benv.(l.l_nbody + z) <-
-                    (match fresh_null () with Null n -> n | Named _ -> assert false)
-                done;
-                (match on_fire with
-                | None ->
-                    for j = 0 to Array.length p.p_heads - 1 do
-                      ignore (land_head ~level:head_level ~benv p.p_heads.(j))
-                    done
-                | Some cb ->
-                    (* a head fact's key sits in its atom's scratch once it
-                       landed, new or not; the body keys sit in the body
-                       atoms' scratch since [catom_level] *)
-                    for j = 0 to Array.length p.p_heads - 1 do
-                      let h = p.p_heads.(j) in
-                      ignore (land_head ~level:head_level ~benv h);
-                      p.p_houts.(j) <- Index.catom_handle idx h
-                    done;
-                    for j = 0 to Array.length p.p_body - 1 do
-                      p.p_hbody.(j) <- Index.catom_handle idx p.p_body.(j)
-                    done;
-                    view.fr_rule <- i;
-                    view.fr_ncells <- l.l_nbody;
-                    view.fr_cells <- benv;
-                    view.fr_body <- p.p_hbody;
-                    view.fr_outs <- p.p_houts;
-                    cb view);
-                Array.fill benv 0 (Array.length benv) (-1);
-                (* the budget is re-checked trigger-atomically: the
-                   overflowing trigger's whole head lands (matching the
-                   naive loop), remaining triggers are skipped *)
-                match Obs.Budget.check budget ~facts:(Index.size idx) ~level:!level with
-                | Some v -> violation := Some v
-                | None -> ()
-              end)
-            (List.rev !new_triggers);
-          facts_per_level := !new_count :: !facts_per_level;
-          delta := !new_delta
+                view.fr_rule <- i;
+                view.fr_ncells <- l.l_nbody;
+                view.fr_cells <- benv;
+                view.fr_body <- p.p_hbody;
+                view.fr_outs <- p.p_houts;
+                cb view);
+            Array.fill benv 0 (Array.length benv) (-1);
+            (* the budget is re-checked trigger-atomically: the
+               overflowing trigger's whole head lands (matching the
+               naive loop), remaining triggers are skipped *)
+            match Obs.Budget.check budget ~facts:(Index.size idx) ~level:!level with
+            | Some v -> violation := Some v
+            | None -> ()
+          done;
+          facts_per_level := Vec.length new_delta :: !facts_per_level;
+          delta := new_delta
         end;
         Obs.Span.set lspan "level" (Obs.Json.Int pass_no);
         Obs.Span.set lspan "triggers_fired" (Obs.Json.Int !level_fired);
@@ -428,7 +451,7 @@ let run ?(policy = Oblivious) ?(budget = Obs.Budget.unlimited) ?obs ?on_pass
   let idx = Index.of_instance db in
   let init =
     {
-      i_delta = keys idx (Instance.facts db);
+      i_delta = delta_of idx (keys idx (Instance.facts db));
       i_level = 0;
       i_saturated = false;
       i_first_pass = true;
@@ -444,9 +467,9 @@ let run ?(policy = Oblivious) ?(budget = Obs.Budget.unlimited) ?obs ?on_pass
 
 (** [continue ... prog ~level delta] — run the delta
     fixpoint over an {e existing} store: passes enumerate only triggers
-    whose body touches [delta], the interned keys of facts already stored
-    (then the facts those produce, and so on)
-    until saturation. The trigger-key table starts empty — sound whenever
+    whose body touches [delta], the interned keys of distinct facts
+    already stored (then the facts those produce, and so on) until
+    saturation. No trigger of an earlier run is remembered — sound whenever
     every previously fired trigger has no body fact in the transitive
     delta, which is the incremental-maintenance invariant (a fired
     trigger touching the delta was either never fired or was invalidated
@@ -457,7 +480,7 @@ let continue ?(policy = Oblivious) ?(budget = Obs.Budget.unlimited) ?obs
   let span = make_span obs in
   let init =
     {
-      i_delta = delta;
+      i_delta = delta_of prog.g_idx delta;
       i_level = level;
       i_saturated = false;
       i_first_pass = false;
@@ -487,10 +510,11 @@ let resume ?(budget = Obs.Budget.unlimited) ?obs ?on_pass ?on_fire rules
   Obs.Metrics.restore (Index.metrics idx) s.snap_counters;
   (* The semi-naive delta at a clean boundary is exactly the last level. *)
   let delta =
-    keys idx
-      (List.filter_map
-         (fun (f, l) -> if l = s.snap_level then Some f else None)
-         s.snap_facts)
+    delta_of idx
+      (keys idx
+         (List.filter_map
+            (fun (f, l) -> if l = s.snap_level then Some f else None)
+            s.snap_facts))
   in
   let fpl =
     if s.snap_level = 0 then []

@@ -152,11 +152,12 @@ val program : rule list -> Index.t -> program
     store after [delta] has been added to it: pass [level + 1] enumerates
     the triggers whose body touches [delta], and the loop runs to
     saturation (or a budget cut). [prog]'s store is mutated in place,
-    s-levels included; [delta] holds the interned keys of facts already
-    stored in it.
+    s-levels included; [delta] holds the interned keys of distinct facts
+    already stored in it.
 
-    This is the incremental-maintenance entry point. Its trigger-key
-    table starts empty, which is sound iff no previously fired trigger
+    This is the incremental-maintenance entry point. Like every run, it
+    remembers no trigger fired before it (a run only deduplicates within
+    a pass), which is sound iff no previously fired trigger
     has a body fact in the transitive delta — exactly the invariant the
     maintenance layer establishes (new facts were never seen before;
     re-inserted facts had their dependent firings invalidated by the

@@ -63,3 +63,7 @@ let iter f v =
 let to_list v =
   let rec go i acc = if i < 0 then acc else go (i - 1) (Bigarray.Array1.unsafe_get v.data i :: acc) in
   go (v.len - 1) []
+
+let clear v =
+  v.len <- 0;
+  v.dead <- 0

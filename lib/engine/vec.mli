@@ -36,6 +36,9 @@ val set : t -> int -> int -> unit
 (** Append, doubling the backing array when full. *)
 val push : t -> int -> unit
 
+(** [clear v] — drop every slot, keeping the capacity. *)
+val clear : t -> unit
+
 (** Remove and return the last element. Raises [Invalid_argument] when
     empty. *)
 val pop : t -> int

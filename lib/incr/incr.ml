@@ -19,8 +19,8 @@
     order, hence storage order and the ids of future nulls), and
     {!checkpoint} and {!image} name facts.
 
-    Soundness of running {!Engine.Saturate.continue} with a fresh
-    trigger-key table after every mutation: a trigger enumerated by the
+    Soundness of running {!Engine.Saturate.continue}, which remembers no
+    earlier firing, after every mutation: a trigger enumerated by the
     delta fixpoint has a body fact in the transitive delta; for an insert
     that fact never existed before (so the trigger never fired), and for
     a delete it was over-deleted first (so the trigger's old firing was

@@ -33,6 +33,20 @@ type t = {
 let max_types = 4000
 
 let make sigma db =
+  (* A bodiless rule has a single trigger, which the chase fires once: a
+     ground head is seeded into D before D is typed. An existential head
+     needs a null, which no fact of D* can hold, so such a rule is left
+     out and the result flagged incomplete. *)
+  let bodiless = List.filter (fun s -> Tgd.body s = []) sigma in
+  let seedable s = List.for_all Atom.is_ground (Tgd.head s) in
+  let db =
+    List.fold_left
+      (fun db s ->
+        if seedable s then
+          List.fold_left (fun db a -> Instance.add_fact (Fact.of_atom a) db) db (Tgd.head s)
+        else db)
+      db bodiless
+  in
   let gc = Ground_closure.create sigma in
   let closure = Ground_closure.close gc db in
   let typed =
@@ -75,5 +89,6 @@ let make sigma db =
       List.init explored expander
       @ List.sort_uniq Tgd.compare (List.map generator generated);
     types = explored;
-    complete = explored = Ground_closure.type_count gc;
+    complete =
+      explored = Ground_closure.type_count gc && List.for_all seedable bodiless;
   }

@@ -10,10 +10,15 @@ type t = {
   db_star : Instance.t;  (** the typed database [D*] *)
   sigma_star : Tgd.t list;  (** the linear set [Σ*] (generator + expander) *)
   types : int;  (** the number of reachable Σ-types explored *)
-  complete : bool;  (** false iff the type budget was exhausted *)
+  complete : bool;
+      (** false iff the type budget was exhausted or a bodiless rule has
+          an existential head *)
 }
 
-(** [make sigma db] — run the construction. Requires Σ guarded;
-    [complete = false] signals the type budget (4000 reachable types) was
-    hit (results then sound but possibly missing answers). *)
+(** [make sigma db] — run the construction. Requires Σ guarded. A
+    bodiless rule of Σ fires once, as in the chase: its head is added to
+    D before D is typed. [complete = false] signals that the type budget
+    (4000 reachable types) was hit, or that a bodiless rule has an
+    existential head, which D* cannot hold (results then sound but
+    possibly missing answers). *)
 val make : Tgd.t list -> Instance.t -> t

@@ -503,6 +503,90 @@ let prop_index_churn =
                  ]))))
     churn_agrees
 
+(* The membership table against a Hashtbl model. The universe spans a
+   nullary predicate, one predicate at two arities and two predicates
+   over the same cells, so a probe must tell facts apart by predicate,
+   arity and cells, not by hash alone. Fill bursts drive the table from
+   its initial 16 slots through several doublings up to 3/4 full, where
+   probe runs are long; removals, singly and in bursts, then land in the
+   middle of those runs and shift their tails back. After every
+   operation [mem_key], [handle] (with [handle_key] and [handle_level]),
+   [key_level] and [size] must agree with the model for every fact of
+   the universe. *)
+type member_op = M_ins of int * int | M_rem of int
+
+let member_consts = Array.init 12 (Printf.sprintf "k%d")
+
+let member_universe =
+  let c = member_consts and n = Array.length member_consts in
+  Array.of_list
+    ((fact "N" [] :: List.init n (fun i -> fact "P" [ c.(i) ]))
+    @ List.init n (fun i -> fact "R" [ c.(i) ])
+    @ List.concat_map
+        (fun p -> List.init (n * n) (fun i -> fact p [ c.(i / n); c.(i mod n) ]))
+        [ "R"; "S" ]
+    @ List.init 216 (fun i -> fact "T" [ c.(i / 36); c.(i / 6 mod 6); c.(i mod 6) ]))
+
+let pp_member_op = function
+  | M_ins (i, l) -> Printf.sprintf "ins %d@%d" i l
+  | M_rem i -> Printf.sprintf "rem %d" i
+
+let gen_member_ops =
+  QCheck.Gen.(
+    let f = int_bound (Array.length member_universe - 1) and l = int_bound 5 in
+    let ins = map2 (fun i l -> M_ins (i, l)) f l and rem = map (fun i -> M_rem i) f in
+    map List.concat
+      (list_size (int_range 4 12)
+         (frequency
+            [
+              (3, list_size (int_range 100 400) ins);
+              (2, list_size (int_range 50 250) rem);
+              (3, list_size (int_range 20 120) (frequency [ (1, ins); (1, rem) ]));
+            ])))
+
+let members_agree ops =
+  let idx = Engine.Index.create () in
+  let keys = Array.map (Engine.Index.intern idx) member_universe in
+  let model = Hashtbl.create 64 in
+  let step = function
+    | M_ins (i, l) ->
+        let fresh = not (Hashtbl.mem model i) in
+        if fresh then Hashtbl.replace model i l;
+        Engine.Index.insert ~level:l member_universe.(i) idx = fresh
+    | M_rem i ->
+        let present = Hashtbl.mem model i in
+        Hashtbl.remove model i;
+        Engine.Index.remove_key keys.(i) idx = present
+  in
+  let agrees i key =
+    let h = Engine.Index.handle idx key in
+    match Hashtbl.find_opt model i with
+    | None ->
+        h = -1
+        && (not (Engine.Index.mem_key key idx))
+        && Engine.Index.key_level idx key = -1
+    | Some l ->
+        h >= 0
+        && Engine.Index.handle_key idx h = key
+        && Engine.Index.handle_level idx h = l
+        && Engine.Index.mem_key key idx
+        && Engine.Index.key_level idx key = l
+  in
+  let rec all_agree i = i < 0 || (agrees i keys.(i) && all_agree (i - 1)) in
+  List.for_all
+    (fun op ->
+      step op
+      && Engine.Index.size idx = Hashtbl.length model
+      && all_agree (Array.length keys - 1))
+    ops
+
+let prop_members =
+  QCheck.Test.make ~name:"membership table agrees with a Hashtbl model" ~count:10
+    (QCheck.make
+       ~print:(fun ops -> String.concat "; " (List.map pp_member_op ops))
+       ~shrink:QCheck.Shrink.list gen_member_ops)
+    members_agree
+
 (* A repeated insert/remove cycle over the whole universe reuses the
    freed rows and emptied vectors: the capacity after the first cycle is
    the capacity after every later one. *)
@@ -572,9 +656,12 @@ let test_delta_restriction () =
   let rest = [| Engine.Index.compile_atom idx ~slot (List.nth body 1) |] in
   let benv = Array.make 2 (-1) in
   let homs delta =
-    let n = ref 0 in
+    let n = ref 0 and handles = Engine.Vec.create () in
+    List.iter
+      (fun f -> Engine.Vec.push handles (Engine.Index.handle idx (Engine.Index.intern idx f)))
+      delta;
     Engine.Joiner.fold_delta idx ~counters:(Engine.Joiner.counters idx) ~pivot rest ~benv
-      (List.filter_map (Engine.Index.key idx) delta)
+      handles
       (fun () -> incr n);
     !n
   in
@@ -605,7 +692,7 @@ let test_stats_reported () =
    every index/joiner counter are pinned as literals, so a change to the
    firing path must reproduce the chase exactly; minor and major words
    per chased fact must stay inside a fixed envelope (~1.2x the measured
-   44.4 minor / 24.5 major), so it only fails on a real allocation
+   22.8 minor / 4.8 major), so it only fails on a real allocation
    regression. The minor heap is flushed before the second reading so
    both counts are exact. *)
 let test_saturation_envelope () =
@@ -651,11 +738,11 @@ let test_saturation_envelope () =
   check
     (Fmt.str "minor words per chased fact within envelope (measured %.1f)"
        minor)
-    true (minor < 54.);
+    true (minor < 27.5);
   check
     (Fmt.str "major words per chased fact within envelope (measured %.1f)"
        major)
-    true (major < 30.)
+    true (major < 5.8)
 
 (* The probe-hit sequence of a saturation, one letter per hit: P =
    engine.pass, J = engine.join, I = engine.insert. Fault plans
@@ -804,6 +891,7 @@ let test_entails_cq_corners () =
 
 let qcheck_tests =
   QCheck_alcotest.to_alcotest ~rand:(Random.State.make [| 21 |]) prop_index_churn
+  :: QCheck_alcotest.to_alcotest ~rand:(Random.State.make [| 27 |]) prop_members
   :: List.map QCheck_alcotest.to_alcotest
     [
       prop_levels_oblivious;

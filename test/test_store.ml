@@ -414,7 +414,8 @@ let test_serve_capacity_stable () =
      thousands of words per 1000 cycles *)
   check "insert/delete churn leaves no residue" true (live1 - live0 < 8_000);
   (* and the columnar backing itself must not grow: freed row slots are
-     reused, emptied posting vectors dropped *)
+     reused, emptied posting vectors dropped, and the membership table
+     (counted by capacity_words) never doubles at a stable store size *)
   Alcotest.(check int)
     "store capacity unchanged" cap0
     (Engine.Index.capacity_words (Incr.index t))

@@ -365,6 +365,40 @@ let test_linearize_constants () =
     (Guarded_core.Guarded_rewrite.certain sigma db q [ Named "a" ]);
   both "FPT: s(c) not certain, exact" (false, true) (certain_fpt sigma db q [ Named "c" ])
 
+let test_linearize_bodiless () =
+  (* a bodiless rule's single trigger fires once on every route: with
+     Σ = {→ R(b); R(x) → S(x)}, S(b) is certain although D never names
+     R *)
+  let sigma =
+    [
+      tgd [] [ atom "R" [ Term.const "b" ] ];
+      tgd [ atom "R" [ v "x" ] ] [ atom "S" [ v "x" ] ];
+    ]
+  in
+  let db = Instance.of_facts [ fact "A" [ "a" ] ] in
+  let q = bool_q [ atom "S" [ v "x" ] ] in
+  let both = Alcotest.(check (pair bool bool)) in
+  let chase sigma =
+    let v =
+      Guarded_core.Omq_eval.certain
+        (Guarded_core.Omq.make ~data_schema:(Instance.schema db) ~ontology:sigma
+           ~query:q)
+        db []
+    in
+    (v.Guarded_core.Omq_eval.holds, v.Guarded_core.Omq_eval.exact)
+  in
+  both "chase: certain, exact" (true, true) (chase sigma);
+  both "FPT: certain, exact" (true, true) (certain_fpt sigma db q []);
+  both "rewriting: certain, exact" (true, true)
+    (Guarded_core.Guarded_rewrite.certain sigma db q []);
+  (* an existential bodiless head has no ground seed: both linearizing
+     routes report themselves inexact instead of a wrong "no" *)
+  let sigma = [ tgd [] [ atom "R" [ v "z" ] ]; List.nth sigma 1 ] in
+  both "chase: existential head" (true, true) (chase sigma);
+  both "FPT: existential head inexact" (false, false) (certain_fpt sigma db q []);
+  both "rewriting: existential head inexact" (false, false)
+    (Guarded_core.Guarded_rewrite.certain sigma db q [])
+
 (* ------------------------------------------------------------------ *)
 (* Linear rewriting (Prop D.2)                                          *)
 (* ------------------------------------------------------------------ *)
@@ -556,6 +590,7 @@ let () =
           Alcotest.test_case "simple" `Quick test_linearize_simple;
           Alcotest.test_case "matches chase" `Quick test_linearize_matches_direct_chase;
           Alcotest.test_case "constants in Σ" `Quick test_linearize_constants;
+          Alcotest.test_case "bodiless rules" `Quick test_linearize_bodiless;
         ] );
       ( "linear-rewrite",
         [
