@@ -171,7 +171,7 @@ let print_chase_result ~max_level ~stats ?(notes = []) r =
 (* The supervised path: any of --checkpoint/--resume/--retries/--fault-plan
    routes here; a bare `chase` keeps the direct, supervisor-free path. *)
 let resilient_chase ~max_level ~stats ~budget ~checkpoint ~ck_every
-    ~resume ~retries ~fault_plan sigma db =
+    ~resume ~retries ~fault_plan sigma facts =
   match fault_plan_of fault_plan with
   | Error code -> code
   | Ok fault_plan -> (
@@ -197,7 +197,7 @@ let resilient_chase ~max_level ~stats ~budget ~checkpoint ~ck_every
           match
             Resil.Supervisor.run ~budget ~checkpoint_every:ck_every
               ?checkpoint_path:checkpoint ?resume_from ?retries ~fault_plan
-              sigma db
+              sigma facts
           with
           | Resil.Supervisor.Completed r ->
               print_chase_result ~max_level ~stats r
@@ -219,17 +219,19 @@ let chase_cmd =
       ck_every resume retries fault_plan =
     with_program file (fun p ->
         let budget = make_budget budget_facts budget_ms in
-        let sigma = p.Syntax.Parser.tgds in
-        let db = Syntax.Parser.database p in
+        let sigma = p.Syntax.Parser.tgds and facts = p.Syntax.Parser.facts in
         let resilient =
           checkpoint <> None || resume <> None || retries <> None
           || fault_plan <> None
         in
         if resilient then
           resilient_chase ~max_level ~stats ~budget ~checkpoint
-            ~ck_every ~resume ~retries ~fault_plan sigma db
+            ~ck_every ~resume ~retries ~fault_plan sigma facts
         else
-          let r = Tgds.Chase.run ~max_level ?budget sigma db in
+          let r =
+            Tgds.Chase.run_store ~max_level ?budget sigma
+              (Engine.Index.of_facts facts)
+          in
           print_chase_result ~max_level ~stats r)
   in
   Cmd.v
@@ -500,8 +502,8 @@ let serve_cmd =
                         match resume with
                         | None ->
                             Ok
-                              (Incr.create ~max_level ~obs:span sigma
-                                 (Syntax.Parser.database p))
+                              (Incr.of_store ~max_level ~obs:span sigma
+                                 (Engine.Index.of_facts p.Syntax.Parser.facts))
                         | Some path -> (
                             match Resil.Checkpoint.load path with
                             | Ok ck ->
@@ -634,16 +636,18 @@ let server_cmd =
             2
         | Ok plan ->
             let sigma = p.Syntax.Parser.tgds in
-            let db = Syntax.Parser.database p in
+            let idx = Engine.Index.of_facts p.Syntax.Parser.facts in
+            (* before the chase interns a constant of Σ or a null, the
+               store's symbols are dom(D): the certain-answer universe *)
+            let universe = Engine.Index.symbols idx in
             let span = Obs.Span.root "server" in
             let r =
               Obs.Span.timed (Some span) "saturate" (fun () ->
-                  Tgds.Chase.run ~max_level sigma db)
+                  Tgds.Chase.run_store ~max_level sigma idx)
             in
             let saturated = Tgds.Chase.saturated r in
             let snap =
-              Engine.Snapshot.freeze ~saturated ~universe:(Instance.dom db)
-                (Tgds.Chase.index r)
+              Engine.Snapshot.freeze ~saturated ~universe (Tgds.Chase.index r)
             in
             Fmt.pr "%% server: store %s, %d facts (workers %d)@."
               (if saturated then "saturated" else "truncated — replies partial")

@@ -3,9 +3,11 @@
 # must reproduce the committed exit code, stdout, checkpoint, and stats
 # (up to the timing tail) under ci/golden/ byte for byte, and so must
 # `answers`, `serve` (on university.mut and on the churn log), a
-# WAL-recovered `serve` and the serve degradation ladder. A
-# representation change in the fact store is caught here as drift. The goldens store the checkpoint's engine field normalised to
-# FAMILY; runs are normalised the same way before comparison.
+# WAL-recovered `serve`, the serve degradation ladder and the sorted
+# `server` transcripts. A representation change in the fact store is
+# caught here as drift. The goldens store the checkpoint's engine field
+# normalised to FAMILY; runs are normalised the same way before
+# comparison.
 #
 # Run from the repository root:    sh ci/determinism.sh
 # Refresh the goldens (after an *intentional* observable change,
@@ -18,16 +20,14 @@ CLI=_build/default/bin/guarded_cli.exe
 [ -x "$CLI" ] || { echo "determinism: build first (dune build)"; exit 1; }
 
 # Content-hash short-circuit: the golden matrix depends only on the
-# non-server sources, the example programs, the committed goldens, and
-# this script — lib/server sits downstream of the frozen snapshot and
-# cannot move a chase/answers/serve byte. When none of those changed
-# since the last clean pass, the full 15-program sweep is a no-op: skip
-# it. DETERMINISM_FORCE=1 reruns unconditionally.
+# sources, the example programs, the committed goldens, and this
+# script. When none of those changed since the last clean pass, the
+# full sweep is a no-op: skip it. DETERMINISM_FORCE=1 reruns
+# unconditionally.
 STAMP=_build/ci-determinism.stamp
 fingerprint() {
   {
-    find lib bin examples ci/golden -type f ! -path "lib/server/*" \
-      -exec cksum {} +
+    find lib bin examples ci/golden -type f -exec cksum {} +
     cksum ci/determinism.sh
   } | sort | cksum
 }
@@ -257,6 +257,32 @@ for aspect in code out; do
     "serve ladder: indexed $aspect"
 done
 echo "determinism: OK (ladder transcript matches golden)"
+
+# The server: every example program with a request file <program>.req
+# is saturated and served once. The sorted transcript (replies carry
+# their request ids) and the exit code must match the goldens. Each
+# request file asks the program's named queries, one query with a free
+# answer variable (it ranges over the universe dom(D)) and one whose
+# answer would be a constant absent from D.
+served=0
+for req in examples/programs/*.req; do
+  base=$(basename "$req" .req)
+  set +e
+  "$CLI" server "examples/programs/$base.gd" < "$req" \
+    > "$TMP/server.$base.raw" 2> "$TMP/server.$base.err"
+  echo $? > "$TMP/server.$base.code"
+  set -e
+  LC_ALL=C sort "$TMP/server.$base.raw" > "$TMP/server.$base.out"
+  for aspect in code out; do
+    expect "$TMP/server.$base.$aspect" "server.$base.$aspect" "server $base: $aspect"
+  done
+  served=$((served + 1))
+done
+[ "$served" -ge 5 ] || {
+  echo "determinism: only $served server transcripts compared"
+  exit 1
+}
+echo "determinism: OK ($served server transcripts match goldens)"
 
 # Record the clean pass for the short-circuit above.
 fingerprint > "$STAMP"

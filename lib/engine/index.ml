@@ -553,6 +553,44 @@ let of_instance inst =
   Instance.iter (fun f -> ignore (insert f idx)) inst;
   idx
 
+(* [Fact.compare], which is [Instance.iter]'s order, without polymorphic
+   compare: the predicate, then the arguments left to right, a shorter
+   list first, a named constant before a null. *)
+let compare_const a b =
+  match (a, b) with
+  | Named x, Named y -> String.compare x y
+  | Null i, Null j -> Int.compare i j
+  | Named _, Null _ -> -1
+  | Null _, Named _ -> 1
+
+let rec compare_args xs ys =
+  match (xs, ys) with
+  | [], [] -> 0
+  | [], _ -> -1
+  | _, [] -> 1
+  | x :: xs, y :: ys ->
+      let c = compare_const x y in
+      if c <> 0 then c else compare_args xs ys
+
+let compare_fact a b =
+  let c = String.compare (Fact.pred a) (Fact.pred b) in
+  if c <> 0 then c else compare_args (Fact.args a) (Fact.args b)
+
+(* The distinct facts in [Fact.compare] order, as [of_instance] files an
+   instance of them, so the two stores agree on every id, row and stamp. *)
+let of_facts fs =
+  let a = Array.of_list fs in
+  Array.stable_sort compare_fact a;
+  let idx = create () in
+  Array.iteri
+    (fun i f -> if i = 0 || compare_fact a.(i - 1) f <> 0 then ignore (insert f idx))
+    a;
+  idx
+
+let symbols idx =
+  let st = idx.symtab in
+  ConstSet.of_list (List.init (Symtab.size st) (Symtab.extern st))
+
 let decode_key idx key =
   let st = idx.symtab in
   Fact.make (Symtab.extern_pred st key.(0))
@@ -597,6 +635,9 @@ let iter_rows f idx =
                 f pid (rel_get (arity_of_packed packed) e.e_rels) (row_of_packed packed))
             e.e_order)
     idx.tabs.entries
+
+let iter_handles f idx =
+  iter_rows (fun _ r row -> f (handle_of ~rel:r.r_id ~row)) idx
 
 let handle_key idx h =
   let r = rel_of_handle idx h and row = handle_row h in

@@ -31,6 +31,18 @@ val create : unit -> t
 (** Build a store holding the facts of an instance. *)
 val of_instance : Instance.t -> t
 
+(** [of_facts fs] — the store of the distinct facts of [fs], filed in
+    [Fact.compare] order, which is [Instance.iter]'s: the same store,
+    down to every symbol id, row, stamp and ["engine.insert"] hit, as
+    [of_instance (Instance.of_facts fs)], built without the instance. *)
+val of_facts : Fact.t list -> t
+
+(** [symbols idx] — every symbol the store's table has interned. Right
+    after {!of_facts} or {!of_instance}, before a rule fires, these are
+    exactly the constants of the loaded facts, dom(D), under the ids
+    [0 … n-1]. *)
+val symbols : t -> Term.ConstSet.t
+
 (** The facts of the store, as an instance. *)
 val to_instance : t -> Instance.t
 
@@ -92,6 +104,10 @@ val level : t -> Fact.t -> int option
 (** [set_level idx f l] — overwrite the s-level of a stored fact.
     Raises [Invalid_argument] when [f] is not stored. *)
 val set_level : t -> Fact.t -> int -> unit
+
+(** [iter_handles f idx] — [f] on the {!handle} of every stored fact,
+    in storage order (as {!ordered_facts}). *)
+val iter_handles : (int -> unit) -> t -> unit
 
 (** [fold_levels f idx acc] — fold over the s-level of every stored
     fact, in storage order. *)

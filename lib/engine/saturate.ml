@@ -445,13 +445,25 @@ let make_span obs =
   | Some parent -> Obs.Span.enter parent "saturate"
   | None -> Obs.Span.root "saturate"
 
+(* The first delta of a run over a loaded store: every stored fact, in
+   reverse storage order. *)
+let delta_all idx =
+  let v = Vec.create () in
+  Index.iter_handles (Vec.push v) idx;
+  let n = Vec.length v in
+  for i = 0 to (n / 2) - 1 do
+    let h = Vec.get v i in
+    Vec.set v i (Vec.get v (n - 1 - i));
+    Vec.set v (n - 1 - i) h
+  done;
+  v
+
 let run ?(policy = Oblivious) ?(budget = Obs.Budget.unlimited) ?obs ?on_pass
-    ?on_fire rules db =
+    ?on_fire rules idx =
   let span = make_span obs in
-  let idx = Index.of_instance db in
   let init =
     {
-      i_delta = delta_of idx (keys idx (Instance.facts db));
+      i_delta = delta_all idx;
       i_level = 0;
       i_saturated = false;
       i_first_pass = true;

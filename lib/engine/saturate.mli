@@ -98,9 +98,12 @@ val fire_outs : firing -> int
 
 val fire_out : firing -> int -> int
 
-(** [run ?policy ?budget ?obs ?on_pass rules db] — saturate [db] under
-    [rules] until no new trigger exists or the budget cuts the run (the
-    overflowing level may be cut short, as in the naive chase).
+(** [run ?policy ?budget ?obs ?on_pass rules idx] — saturate the store
+    [idx], in place, under [rules] until no new trigger exists or the
+    budget cuts the run (the overflowing level may be cut short, as in
+    the naive chase). [idx] holds the database, every fact at s-level 0
+    (e.g. from {!Index.of_facts}); the first pass's delta is all of it,
+    in reverse storage order.
 
     [on_pass ~level ~saturated take] is called after every clean pass
     boundary (including the final, saturation-discovering pass); calling
@@ -116,7 +119,7 @@ val run :
   ?on_pass:(level:int -> saturated:bool -> (unit -> snapshot) -> unit) ->
   ?on_fire:(firing -> unit) ->
   rule list ->
-  Instance.t ->
+  Index.t ->
   result
 
 (** [resume ?budget ?obs ?on_pass rules snapshot] — continue a

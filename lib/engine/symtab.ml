@@ -4,8 +4,11 @@ type t = {
   mutable syms : const array;  (* id -> symbol *)
   mutable n : int;
   named : (string, int) Hashtbl.t;
-  mutable nulls : int array;  (* null payload -> id + 1, 0 = absent *)
-  odd : (const, int) Hashtbl.t;  (* nulls with out-of-range payloads *)
+  mutable nulls : int array;
+      (* the null column: empty until a null is interned, then slot 0
+         holds the first payload [b] interned and slot [1 + i - b] the
+         id + 1 of [Null i] (0 = absent) *)
+  odd : (const, int) Hashtbl.t;  (* nulls with payloads below [b] *)
   mutable preds : string array;
   mutable npreds : int;
   pred_ids : (string, int) Hashtbl.t;
@@ -18,7 +21,7 @@ let create () =
     syms = Array.make 16 dummy;
     n = 0;
     named = Hashtbl.create 64;
-    nulls = Array.make 16 0;
+    nulls = [||];
     odd = Hashtbl.create 4;
     preds = Array.make 8 "";
     npreds = 0;
@@ -37,10 +40,14 @@ let append t c =
   t.n <- t.n + 1;
   t.n - 1
 
-let null_slot t i =
-  if i >= Array.length t.nulls then begin
+(* The null column is offset by the first null payload the store
+   interns: the payload counter is process-wide, so a store built after
+   other chases would otherwise hold a slot for every null issued
+   before its own. *)
+let null_slot t j =
+  if j >= Array.length t.nulls then begin
     let len = ref (2 * Array.length t.nulls) in
-    while i >= !len do
+    while j >= !len do
       len := 2 * !len
     done;
     let a = Array.make !len 0 in
@@ -48,14 +55,30 @@ let null_slot t i =
     t.nulls <- a
   end
 
+let intern_odd t c =
+  match Hashtbl.find_opt t.odd c with
+  | Some id -> id
+  | None ->
+      let id = append t c in
+      Hashtbl.add t.odd c id;
+      id
+
 let intern_null t i =
-  null_slot t i;
-  let v = t.nulls.(i) in
-  if v <> 0 then v - 1
+  if Array.length t.nulls = 0 then begin
+    t.nulls <- Array.make 16 0;
+    t.nulls.(0) <- i
+  end;
+  let j = 1 + i - t.nulls.(0) in
+  if j < 1 then intern_odd t (Null i)
   else begin
-    let id = append t (Null i) in
-    t.nulls.(i) <- id + 1;
-    id
+    null_slot t j;
+    let v = t.nulls.(j) in
+    if v <> 0 then v - 1
+    else begin
+      let id = append t (Null i) in
+      t.nulls.(j) <- id + 1;
+      id
+    end
   end
 
 let intern t c =
@@ -68,26 +91,28 @@ let intern t c =
           Hashtbl.add t.named s id;
           id)
   | Null i when i >= 0 -> intern_null t i
-  | Null _ -> (
-      match Hashtbl.find_opt t.odd c with
-      | Some id -> id
-      | None ->
-          let id = append t c in
-          Hashtbl.add t.odd c id;
-          id)
+  | Null _ -> intern_odd t c
+
+(* Is the null with payload [i] filed in the column, not in [odd]? *)
+let in_column t i = Array.length t.nulls > 0 && i >= t.nulls.(0)
+
+(* The id + 1 of the column's null with payload [i], 0 when absent. *)
+let column_find t i =
+  let j = 1 + i - t.nulls.(0) in
+  if j < Array.length t.nulls then t.nulls.(j) else 0
 
 let find t c =
   match c with
   | Named s -> Hashtbl.find_opt t.named s
-  | Null i when i >= 0 ->
-      if i < Array.length t.nulls && t.nulls.(i) <> 0 then Some (t.nulls.(i) - 1) else None
+  | Null i when in_column t i ->
+      let v = column_find t i in
+      if v <> 0 then Some (v - 1) else None
   | Null _ -> Hashtbl.find_opt t.odd c
 
 let find_int t c =
   match c with
   | Named s -> ( try Hashtbl.find t.named s with Not_found -> -1)
-  | Null i when i >= 0 ->
-      if i < Array.length t.nulls then t.nulls.(i) - 1 else -1
+  | Null i when in_column t i -> column_find t i - 1
   | Null _ -> ( try Hashtbl.find t.odd c with Not_found -> -1)
 
 let extern t id =

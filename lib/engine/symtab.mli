@@ -23,7 +23,10 @@ val size : t -> int
 val intern : t -> const -> int
 
 (** [intern_null t i] — [intern t (Null i)] for a payload [i >= 0],
-    without boxing the null. *)
+    without boxing the null. Nulls live in a column offset by the first
+    payload the table interned, so the column grows with the table's own
+    nulls, not with the process-wide null counter; a payload below that
+    first one goes to a side table. *)
 val intern_null : t -> int -> int
 
 (** [find t c] — the id of [c] when already interned; never assigns. *)

@@ -110,18 +110,20 @@ let make sigma idx ~led ~level ~sat =
     c_deleted = c "deleted";
   }
 
-let create ?engine ?max_level ?obs sigma db =
+(* Every fact of the loaded store is a base fact; the flags are set by
+   handle before the chase adds the derived ones. *)
+let of_store ?max_level ?obs sigma idx =
   let led = ledger sigma in
+  Index.iter_handles (fun h -> Ledger.set_base led h true) idx;
   let r =
-    Tgds.Chase.run ?engine ~policy:Tgds.Chase.Oblivious ?max_level ?obs
-      ~on_fire:(Ledger.file led) sigma db
+    Tgds.Chase.run_store ~policy:Tgds.Chase.Oblivious ?max_level ?obs
+      ~on_fire:(Ledger.file led) sigma idx
   in
-  let idx = Tgds.Chase.index r in
-  Instance.iter
-    (fun f -> Ledger.set_base led (Index.handle idx (Index.intern idx f)) true)
-    db;
   make sigma idx ~led ~level:(Tgds.Chase.max_level r)
     ~sat:(Tgds.Chase.saturated r)
+
+let create ?engine:(_ : Tgds.Chase.engine option) ?max_level ?obs sigma db =
+  of_store ?max_level ?obs sigma (Index.of_instance db)
 
 (* ---- the delta fixpoint over the live store --------------------------- *)
 

@@ -77,6 +77,13 @@ val create :
   Instance.t ->
   t
 
+(** [of_store ?max_level ?obs sigma idx] — {!create} over a loaded
+    store: every fact of [idx] (e.g. from {!Engine.Index.of_facts}) is
+    a base fact, and the chase saturates [idx] in place. [create … sigma
+    db] is [of_store … sigma (Engine.Index.of_instance db)]. *)
+val of_store :
+  ?max_level:int -> ?obs:Obs.Span.t -> Tgds.Tgd.t list -> Engine.Index.t -> t
+
 (** The store is saturated — mutations are accepted. *)
 val saturated : t -> bool
 

@@ -18,7 +18,7 @@ type outcome =
 let run ?(policy = Tgds.Chase.Oblivious) ?budget ?(checkpoint_every = 1)
     ?checkpoint_path ?resume_from ?(retries = 2) ?(backoff_ms = 50.)
     ?(max_backoff_ms = 1000.) ?(sleep = Unix.sleepf) ?clock
-    ?(fault_plan = Fault.none) ?obs sigma db =
+    ?(fault_plan = Fault.none) ?obs sigma facts =
   (* Restart-from-scratch resets the null supply to where this run found
      it, so every attempt invents the same null ids an uninterrupted run
      would (resume does the same from its snapshot). *)
@@ -38,7 +38,8 @@ let run ?(policy = Tgds.Chase.Oblivious) ?budget ?(checkpoint_every = 1)
     | Some s -> Tgds.Chase.resume ?budget ?obs ~on_pass sigma s
     | None ->
         Relational.Term.set_null_count null0;
-        Tgds.Chase.run ~policy ?budget ?obs ~on_pass sigma db
+        Tgds.Chase.run_store ~policy ?budget ?obs ~on_pass sigma
+          (Engine.Index.of_facts facts)
   in
   let attempts () = List.rev !log in
   (* attempt [k] runs under trigger [k] of the plan *)

@@ -41,14 +41,15 @@ type outcome =
 
 (** [run ?policy ?budget ?checkpoint_every ?checkpoint_path
     ?resume_from ?retries ?backoff_ms ?max_backoff_ms ?sleep ?clock
-    ?fault_plan ?obs sigma db] — supervise a chase of [db] under
-    [sigma].
+    ?fault_plan ?obs sigma facts] — supervise a chase of the database
+    of [facts] under [sigma]; an attempt that starts from scratch loads
+    a fresh store of them ({!Engine.Index.of_facts}).
 
     - [checkpoint_every] (default 1): take a checkpoint at every Kth
       clean pass boundary (the saturating boundary always checkpoints);
     - [checkpoint_path]: additionally persist each checkpoint to disk
       ({!Checkpoint.save});
-    - [resume_from]: start from a loaded checkpoint instead of [db];
+    - [resume_from]: start from a loaded checkpoint instead of [facts];
     - [retries] (default 2): extra attempts after the first;
     - backoff before retry [k] is {!Fault.backoff}
       [min max_backoff_ms (backoff_ms · 2^(k−1))] (defaults 50/1000 ms),
@@ -71,5 +72,5 @@ val run :
   ?fault_plan:Fault.plan ->
   ?obs:Obs.Span.t ->
   Tgds.Tgd.t list ->
-  Relational.Instance.t ->
+  Relational.Fact.t list ->
   outcome

@@ -44,13 +44,14 @@ let is_ident_char c =
   || (c >= '0' && c <= '9')
   || c = '_' || c = '\''
 
-(** [tokenize src] — the lexemes of [src], ending with [Eof]. *)
-let tokenize src =
+(** [stream src] — a pull lexer over [src]: each call returns the next
+    lexeme, and [Eof] once the input is exhausted (on every later call
+    too). A bad character raises {!Error} when the call that reaches it
+    is made, so a caller meets the errors of [src] in source order. *)
+let stream src =
   let n = String.length src in
-  let lexemes = ref [] in
   let line = ref 1 and col = ref 1 in
   let i = ref 0 in
-  let emit token = lexemes := { token; line = !line; col = !col } :: !lexemes in
   let advance () =
     if !i < n && src.[!i] = '\n' then begin
       incr line;
@@ -59,53 +60,58 @@ let tokenize src =
     else incr col;
     incr i
   in
-  while !i < n do
-    let c = src.[!i] in
-    if c = ' ' || c = '\t' || c = '\r' || c = '\n' then advance ()
-    else if c = '%' then
-      while !i < n && src.[!i] <> '\n' do
-        advance ()
-      done
-    else if c = '(' then (emit Lparen; advance ())
-    else if c = ')' then (emit Rparen; advance ())
-    else if c = ',' then (emit Comma; advance ())
-    else if c = '.' then (emit Period; advance ())
-    else if c = '/' then (emit Slash; advance ())
-    else if c = '-' && !i + 1 < n && src.[!i + 1] = '>' then begin
-      emit Arrow;
-      advance ();
+  (* the token of the [len] characters at the current position *)
+  let take len token =
+    let l = { token; line = !line; col = !col } in
+    for _ = 1 to len do
       advance ()
-    end
-    else if c = '+' then (emit Plus; advance ())
-    else if c = '-' then (emit Minus; advance ())
-    else if c = ':' && !i + 1 < n && src.[!i + 1] = '-' then begin
-      emit Turnstile;
-      advance ();
-      advance ()
-    end
-    else if c >= '0' && c <= '9' then begin
-      let start = !i in
-      let scol = !col in
-      while !i < n && src.[!i] >= '0' && src.[!i] <= '9' do
-        advance ()
-      done;
-      lexemes :=
+    done;
+    l
+  in
+  let rec next () =
+    if !i >= n then { token = Eof; line = !line; col = !col }
+    else
+      let c = src.[!i] in
+      if c = ' ' || c = '\t' || c = '\r' || c = '\n' then begin
+        advance ();
+        next ()
+      end
+      else if c = '%' then begin
+        while !i < n && src.[!i] <> '\n' do
+          advance ()
+        done;
+        next ()
+      end
+      else if c = '(' then take 1 Lparen
+      else if c = ')' then take 1 Rparen
+      else if c = ',' then take 1 Comma
+      else if c = '.' then take 1 Period
+      else if c = '/' then take 1 Slash
+      else if c = '-' && !i + 1 < n && src.[!i + 1] = '>' then take 2 Arrow
+      else if c = '+' then take 1 Plus
+      else if c = '-' then take 1 Minus
+      else if c = ':' && !i + 1 < n && src.[!i + 1] = '-' then take 2 Turnstile
+      else if c >= '0' && c <= '9' then begin
+        let start = !i in
+        let scol = !col in
+        while !i < n && src.[!i] >= '0' && src.[!i] <= '9' do
+          advance ()
+        done;
         { token = Int (int_of_string (String.sub src start (!i - start)));
           line = !line; col = scol }
-        :: !lexemes
-    end
-    else if (c >= 'a' && c <= 'z') || (c >= 'A' && c <= 'Z') || c = '_' then begin
-      let start = !i in
-      let scol = !col in
-      while !i < n && is_ident_char src.[!i] do
-        advance ()
-      done;
-      let s = String.sub src start (!i - start) in
-      let token =
-        if (c >= 'A' && c <= 'Z') || c = '_' then Upper s else Ident s
-      in
-      lexemes := { token; line = !line; col = scol } :: !lexemes
-    end
-    else raise (Error (Printf.sprintf "unexpected character %C" c, !line, !col))
-  done;
-  List.rev ({ token = Eof; line = !line; col = !col } :: !lexemes)
+      end
+      else if (c >= 'a' && c <= 'z') || (c >= 'A' && c <= 'Z') || c = '_' then begin
+        let start = !i in
+        let scol = !col in
+        while !i < n && is_ident_char src.[!i] do
+          advance ()
+        done;
+        let s = String.sub src start (!i - start) in
+        let token =
+          if (c >= 'A' && c <= 'Z') || c = '_' then Upper s else Ident s
+        in
+        { token; line = !line; col = scol }
+      end
+      else raise (Error (Printf.sprintf "unexpected character %C" c, !line, !col))
+  in
+  next

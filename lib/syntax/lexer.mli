@@ -21,6 +21,9 @@ exception Error of string * int * int
 
 val pp_token : Format.formatter -> token -> unit
 
-(** The lexemes of the input, ending with [Eof]; [%] starts a line
-    comment. Raises {!Error} with a position on bad characters. *)
-val tokenize : string -> lexeme list
+(** [stream src] — a pull lexer over [src]: each call returns the next
+    lexeme, then [Eof] on every call once the input is exhausted; [%]
+    starts a line comment. A bad character raises {!Error} with its
+    position from the call that reaches it, so errors surface in source
+    order. *)
+val stream : string -> unit -> lexeme

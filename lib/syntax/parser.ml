@@ -23,14 +23,28 @@ type program = {
 
 exception Error of string * int * int
 
-type state = { mutable rest : Lexer.lexeme list }
+(* The lexer is pulled one lexeme at a time; [ahead] holds the lexeme
+   peeked but not yet taken, when [full]. *)
+type state = {
+  pull : unit -> Lexer.lexeme;
+  mutable ahead : Lexer.lexeme;
+  mutable full : bool;
+}
+
+let state src =
+  { pull = Lexer.stream src; ahead = { Lexer.token = Lexer.Eof; line = 0; col = 0 };
+    full = false }
 
 let peek st =
-  match st.rest with [] -> assert false | l :: _ -> l
+  if not st.full then begin
+    st.ahead <- st.pull ();
+    st.full <- true
+  end;
+  st.ahead
 
 let next st =
   let l = peek st in
-  (match st.rest with [] -> () | _ :: tl -> st.rest <- tl);
+  st.full <- false;
   l
 
 let fail st msg =
@@ -48,9 +62,7 @@ let parse_term st =
   | Lexer.Ident s -> Term.const s
   | Lexer.Upper x -> Term.var x
   | Lexer.Int n -> Term.const (string_of_int n)
-  | _ ->
-      st.rest <- peek st :: st.rest;
-      fail st "expected a term"
+  | _ -> fail st "expected a term"
 
 (* atom := ident [ '(' term, ..., term ')' ] *)
 let parse_atom st =
@@ -144,7 +156,7 @@ let parse_statement st =
 (** [parse src] — the whole program. Raises {!Error} (or {!Lexer.Error})
     with a position on malformed input. *)
 let parse src =
-  let st = { rest = Lexer.tokenize src } in
+  let st = state src in
   let decls = ref [] and tgds = ref [] and facts = ref [] in
   let queries : (string * Cq.t list) list ref = ref [] in
   while (peek st).Lexer.token <> Lexer.Eof do
@@ -186,16 +198,14 @@ type mutation = Add of Fact.t | Del of Fact.t
     [+fact(...).] / [-fact(...).] statements ([%] comments as usual),
     in order. Facts must be ground. *)
 let parse_mutations src =
-  let st = { rest = Lexer.tokenize src } in
+  let st = state src in
   let muts = ref [] in
   while (peek st).Lexer.token <> Lexer.Eof do
     let sign =
       match (next st).Lexer.token with
       | Lexer.Plus -> true
       | Lexer.Minus -> false
-      | _ ->
-          st.rest <- peek st :: st.rest;
-          fail st "expected '+' or '-' starting a mutation"
+      | _ -> fail st "expected '+' or '-' starting a mutation"
     in
     let a = parse_atom st in
     expect st Lexer.Period "expected '.' after mutation";

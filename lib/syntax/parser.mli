@@ -16,7 +16,9 @@ type program = {
 
 exception Error of string * int * int
 
-(** Raises {!Error} / {!Lexer.Error} with positions on malformed input. *)
+(** Raises {!Error} / {!Lexer.Error} with positions on malformed input:
+    the lexer is pulled as the parser goes, so the first error in source
+    order is the one reported. *)
 val parse : string -> program
 
 val parse_file : string -> program

@@ -34,13 +34,18 @@ let in_span obs saturate =
   Obs.Span.exit span;
   { sat; instance = lazy (Engine.Index.to_instance sat.Engine.Saturate.index); span }
 
-let run ?engine:(_ : engine option) ?(policy = Oblivious) ?max_level ?max_facts
-    ?budget ?obs ?on_pass ?on_fire sigma db =
+let run_store ?(policy = Oblivious) ?max_level ?max_facts ?budget ?obs ?on_pass
+    ?on_fire sigma idx =
   let budget = make_budget ~max_level ~max_facts ~budget in
   in_span obs (fun span ->
       Engine.Saturate.run ~policy ~budget ~obs:span ?on_pass ?on_fire
         (sigma : Tgd.t list :> Engine.Saturate.rule list)
-        db)
+        idx)
+
+let run ?engine:(_ : engine option) ?policy ?max_level ?max_facts ?budget ?obs
+    ?on_pass ?on_fire sigma db =
+  run_store ?policy ?max_level ?max_facts ?budget ?obs ?on_pass ?on_fire sigma
+    (Engine.Index.of_instance db)
 
 let resume ?max_level ?max_facts ?budget ?obs ?on_pass ?on_fire sigma s =
   let budget = make_budget ~max_level ~max_facts ~budget in

@@ -60,6 +60,22 @@ val run :
   Instance.t ->
   result
 
+(** [run_store … sigma idx] — {!run} over a loaded store: [idx] holds
+    the database, every fact at s-level 0 (as {!Engine.Index.of_facts}
+    files it), and the chase saturates it in place. [run … sigma db] is
+    [run_store … sigma (Engine.Index.of_instance db)]. *)
+val run_store :
+  ?policy:policy ->
+  ?max_level:int ->
+  ?max_facts:int ->
+  ?budget:Obs.Budget.t ->
+  ?obs:Obs.Span.t ->
+  ?on_pass:(level:int -> saturated:bool -> (unit -> snapshot) -> unit) ->
+  ?on_fire:(Engine.Saturate.firing -> unit) ->
+  Tgd.t list ->
+  Engine.Index.t ->
+  result
+
 (** [resume … sigma snapshot] — continue a chase from a
     checkpointed boundary as if never interrupted: the continuation fires
     the same per-pass trigger sets as the uninterrupted run, so the final

@@ -24,7 +24,7 @@ let run ?(budget = Obs.Budget.unlimited) ?obs sigma db =
   let r =
     Engine.Saturate.run ~budget ?obs
       (sigma : Tgd.t list :> Engine.Saturate.rule list)
-      db
+      (Engine.Index.of_instance db)
   in
   (Engine.Index.to_instance r.Engine.Saturate.index, r.Engine.Saturate.outcome)
 

@@ -168,7 +168,10 @@ let saturate t inst =
         else Some { Engine.Saturate.body = b.body @ b.ctx; head = b.derived })
       t.bags
   in
-  let idx = (Engine.Saturate.run (t.full @ emitted) inst).Engine.Saturate.index in
+  let idx =
+    (Engine.Saturate.run (t.full @ emitted) (Engine.Index.of_instance inst))
+      .Engine.Saturate.index
+  in
   let counters = Engine.Joiner.counters idx in
   Array.iteri
     (fun r ((sigma, _) as rule) ->

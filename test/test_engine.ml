@@ -744,6 +744,49 @@ let test_saturation_envelope () =
        major)
     true (major < 5.8)
 
+(* The load envelope: parsing a lubm-40 program text (its rules and
+   1,840 base facts, predicates lowercased for the surface syntax) and
+   filing its facts into a store with [Index.of_facts], in minor words
+   per base fact, must stay inside ~1.2x the measured 100.7. The route
+   before the load entry, a lexeme list, then [Parser.database]'s
+   instance and [Index.of_instance], read 212.0. *)
+let lubm_text universities =
+  let sigma, db = Guarded_core.Workload.lubm ~universities () in
+  let lower a = Atom.make (String.lowercase_ascii (Atom.pred a)) (Atom.args a) in
+  Fmt.str "%a" Syntax.Pretty.pp_program
+    {
+      Syntax.Parser.schema = Schema.of_list [];
+      tgds =
+        List.map
+          (fun t ->
+            Tgds.Tgd.make
+              ~body:(List.map lower (Tgds.Tgd.body t))
+              ~head:(List.map lower (Tgds.Tgd.head t)))
+          sigma;
+      facts =
+        List.map
+          (fun f -> Fact.make (String.lowercase_ascii (Fact.pred f)) (Fact.args f))
+          (Instance.facts db);
+      queries = [];
+    }
+
+let test_load_envelope () =
+  let text = lubm_text 40 in
+  Gc.full_major ();
+  let s0 = Gc.quick_stat () in
+  let p = Syntax.Parser.parse text in
+  let idx = Engine.Index.of_facts p.Syntax.Parser.facts in
+  Gc.minor ();
+  let s1 = Gc.quick_stat () in
+  check_int "base facts" 1840 (Engine.Index.size idx);
+  check_int "rules" 10 (List.length p.Syntax.Parser.tgds);
+  let minor =
+    (s1.Gc.minor_words -. s0.Gc.minor_words) /. float_of_int (Engine.Index.size idx)
+  in
+  check
+    (Fmt.str "minor words per base fact within envelope (measured %.1f)" minor)
+    true (minor < 121.)
+
 (* The probe-hit sequence of a saturation, one letter per hit: P =
    engine.pass, J = engine.join, I = engine.insert. Fault plans
    ([hit:N]) count these hits, so the sequence pins where every plan
@@ -926,6 +969,7 @@ let () =
             test_joiner_counter_pin;
           Alcotest.test_case "entails_cq corners" `Quick
             test_entails_cq_corners;
+          Alcotest.test_case "load envelope" `Quick test_load_envelope;
           Alcotest.test_case "saturation envelope" `Quick
             test_saturation_envelope;
         ] );

@@ -165,7 +165,7 @@ let supervised_equiv (sigma, db, policy, plan) =
     Resil.Supervisor.run ~policy
       ~budget:(Generators.resil_budget ()) ~retries:3
       ~sleep:(fun _ -> ())
-      ~clock:(ticking_clock ()) ~fault_plan:plan sigma db
+      ~clock:(ticking_clock ()) ~fault_plan:plan sigma (Instance.facts db)
   with
   | Resil.Supervisor.Completed r | Resil.Supervisor.Recovered (r, _) ->
       results_equivalent base r
@@ -226,7 +226,7 @@ let test_supervisor_failed_is_typed () =
     Resil.Supervisor.run
       ~budget:(Generators.resil_budget ()) ~retries:0
       ~sleep:(fun _ -> ())
-      ~fault_plan:plan unit_sigma unit_db
+      ~fault_plan:plan unit_sigma (Instance.facts unit_db)
   with
   | Resil.Supervisor.Failed d ->
       check_int "the attempt is logged" 1 (List.length d.Resil.Supervisor.attempts)
@@ -246,7 +246,7 @@ let test_supervisor_backoff_sequence () =
        ~budget:(Generators.resil_budget ()) ~retries:3 ~backoff_ms:100.
        ~max_backoff_ms:250.
        ~sleep:(fun s -> sleeps := s :: !sleeps)
-       ~fault_plan:plan unit_sigma unit_db
+       ~fault_plan:plan unit_sigma (Instance.facts unit_db)
    with
   | Resil.Supervisor.Recovered (_, log) ->
       check_int "three failed attempts" 3 (List.length log)
@@ -268,7 +268,7 @@ let test_supervisor_checkpoints_to_disk () =
            ~budget:(Generators.resil_budget ()) ~retries:1 ~checkpoint_path:path
            ~sleep:(fun s -> ignore s)
            ~fault_plan:[ Resil.Fault.At_point ("engine.pass", 3) ]
-           unit_sigma unit_db
+           unit_sigma (Instance.facts unit_db)
        with
       | Resil.Supervisor.Recovered (_, log) ->
           check_int "one failed attempt" 1 (List.length log);
@@ -666,10 +666,7 @@ let lubm_mutations =
       Delete (fact "Prof" [ "new_1" ]);
     ]
 
-let test_wal_image_bytes_pinned_lubm () =
-  let sigma, db = Guarded_core.Workload.lubm ~universities:10 () in
-  Term.reset_nulls ();
-  let store = Incr.create sigma db in
+let check_lubm_image store =
   List.iter (fun op -> ignore (Incr.apply store op)) lubm_mutations;
   let im = Incr.image store in
   check_int "ledger entries" 1354 (List.length im.Incr.im_ledger);
@@ -678,6 +675,21 @@ let test_wal_image_bytes_pinned_lubm () =
     (Digest.to_hex
        (Digest.string
           (Obs.Json.to_string (Resil.Wal.image_to_json ~seq:20 im))))
+
+let test_wal_image_bytes_pinned_lubm () =
+  let sigma, db = Guarded_core.Workload.lubm ~universities:10 () in
+  Term.reset_nulls ();
+  check_lubm_image (Incr.create sigma db)
+
+(* The same store built through the load entry, as [serve] builds it:
+   lubm-10's facts, reversed and with every tenth one repeated, are
+   filed by [Index.of_facts] and chased by [Incr.of_store]. *)
+let test_wal_image_bytes_pinned_lubm_loaded () =
+  let sigma, db = Guarded_core.Workload.lubm ~universities:10 () in
+  let facts = Instance.facts db in
+  let facts = List.rev facts @ List.filteri (fun i _ -> i mod 10 = 0) facts in
+  Term.reset_nulls ();
+  check_lubm_image (Incr.of_store sigma (Engine.Index.of_facts facts))
 
 (* syms hold the nulls 1 and 2; a null counter of 0 would re-issue them *)
 let test_wal_image_rejects_low_null_count () =
@@ -1049,6 +1061,8 @@ let () =
             test_wal_pinned_v2_image;
           Alcotest.test_case "image bytes pinned on lubm-10" `Quick
             test_wal_image_bytes_pinned_lubm;
+          Alcotest.test_case "image bytes pinned on lubm-10, loaded" `Quick
+            test_wal_image_bytes_pinned_lubm_loaded;
           Alcotest.test_case "image null_count covers its nulls" `Quick
             test_wal_image_rejects_low_null_count;
           Alcotest.test_case "image base within its facts" `Quick

@@ -96,6 +96,38 @@ let test_errors () =
             true))
     bad_cases
 
+(* The parser pulls the lexer one lexeme at a time, so the first error
+   in source order is the one reported. When the lexer ran over the
+   whole input first, a bad character anywhere won over an earlier parse
+   error: case 1 read "3:6 unexpected character '&'". Cases 2 to 4
+   report what they always did; the mutation lines are read one at a
+   time by [serve], whose --strict-log diagnostic is built from the
+   message and the column. *)
+let first_error f =
+  match f () with
+  | _ -> "no error"
+  | exception (Syntax.Parser.Error (msg, l, c) | Syntax.Lexer.Error (msg, l, c))
+    ->
+      Fmt.str "%d:%d %s" l c msg
+
+let test_error_order () =
+  Alcotest.(check string)
+    "a parse error before a bad character wins"
+    {|1:12 expected '->' (found identifier "r")|}
+    (first_error (fun () ->
+         Syntax.Parser.parse "p(a), q(b) r(c).\nfact(a).\ns(d) & t.\n"));
+  Alcotest.(check string)
+    "a lone bad character keeps its position" "2:6 unexpected character '&'"
+    (first_error (fun () -> Syntax.Parser.parse "p(a).\nq(b) & r.\n"));
+  Alcotest.(check string)
+    "a malformed mutation line"
+    {|1:6 expected '+' or '-' starting a mutation (found identifier "is")|}
+    (first_error (fun () ->
+         Syntax.Parser.parse_mutations "this is not a mutation"));
+  Alcotest.(check string)
+    "a bad character in a mutation line" "1:12 unexpected character '&'"
+    (first_error (fun () -> Syntax.Parser.parse_mutations "-prof(ada) & x."))
+
 let test_comments_and_whitespace () =
   let p = Syntax.Parser.parse "% only a comment\n\n  \t\n" in
   check_int "empty program" 0 (List.length p.Syntax.Parser.facts);
@@ -203,6 +235,8 @@ let () =
           Alcotest.test_case "database" `Quick test_database;
           Alcotest.test_case "roundtrip" `Quick test_roundtrip;
           Alcotest.test_case "errors" `Quick test_errors;
+          Alcotest.test_case "first error in source order" `Quick
+            test_error_order;
           Alcotest.test_case "comments" `Quick test_comments_and_whitespace;
           Alcotest.test_case "zero-ary" `Quick test_zero_ary;
         ] );
