@@ -217,6 +217,38 @@ let test_sigma_containment_infinite () =
   check "loop not entailed" true
     (Sigma_containment.cq_contained sigma q1 q_loop = Fails)
 
+(* Prop 4.5's refutation path: the bounded chase of D[q₁] neither
+   saturates nor matches q₂, so the verdict is read off the finite
+   witness M(D[q₁],Σ,n) with n the variables of q₂'s disjunct. *)
+let test_sigma_containment_witness_refutes () =
+  let sigma = Workload.manager_ontology () in
+  let p1 = Cq.make [ atom "Emp" [ v "x" ] ] in
+  let q1 = Ucq.of_cq p1 in
+  let rt x y = atom "ReportsTo" [ v x; v y ] in
+  let cycle3 = Cq.make [ rt "x" "y"; rt "y" "z"; rt "z" "x" ] in
+  let managed_loop = Cq.make [ rt "x" "x"; atom "Managed" [ v "x" ] ] in
+  let r = Tgds.Chase.run ~max_level:8 ~max_facts:60_000 sigma (Cq.canonical_db p1) in
+  check "bounded chase does not saturate" false (Tgds.Chase.saturated r);
+  List.iter
+    (fun (name, q2) ->
+      check (name ^ ": bounded chase does not match") false
+        (Ucq.holds (Tgds.Chase.instance r) q2);
+      check (name ^ ": refuted on the witness") true
+        (Sigma_containment.contained sigma q1 q2 = Fails))
+    [
+      ("self-report", bool_q [ rt "x" "x" ]);
+      ("2-cycle", bool_q [ rt "x" "y"; rt "y" "x" ]);
+      ("3-cycle", Ucq.of_cq cycle3);
+      ("union of cycles", Ucq.make [ cycle3; managed_loop ]);
+    ];
+  (* a 4-step chain holds in the chase, beyond level 2, and in the
+     witness's cycles: nothing refutes it and nothing proves it *)
+  let chain4 = bool_q [ rt "a" "b"; rt "b" "c"; rt "c" "d"; rt "d" "e" ] in
+  check "chain beyond the level bound: unknown" true
+    (Sigma_containment.contained ~max_level:2 sigma q1 chain4 = Unknown);
+  check "chain within the level bound: holds" true
+    (Sigma_containment.contained sigma q1 chain4 = Holds)
+
 let test_sigma_minimize () =
   let sigma = [ tgd [ atom "R2" [ v "x" ] ] [ atom "R4" [ v "x" ] ] ] in
   let q = Cq.make [ atom "R2" [ v "x" ]; atom "R4" [ v "x" ] ] in
@@ -491,6 +523,8 @@ let () =
         [
           Alcotest.test_case "basic" `Quick test_sigma_containment;
           Alcotest.test_case "infinite chase" `Quick test_sigma_containment_infinite;
+          Alcotest.test_case "witness refutes" `Quick
+            test_sigma_containment_witness_refutes;
           Alcotest.test_case "minimize" `Quick test_sigma_minimize;
         ] );
       ( "finite-witness",
