@@ -47,26 +47,29 @@ let next st =
   st.full <- false;
   l
 
-let fail st msg =
-  let l = peek st in
-  raise (Error (Fmt.str "%s (found %a)" msg Lexer.pp_token l.Lexer.token, l.Lexer.line, l.Lexer.col))
+(* An error at the lexeme [l]: the one just taken, or the one peeked. *)
+let fail_at (l : Lexer.lexeme) msg =
+  raise (Error (Fmt.str "%s (found %a)" msg Lexer.pp_token l.token, l.line, l.col))
+
+let fail st msg = fail_at (peek st) msg
 
 let expect st token msg =
   let l = next st in
-  if l.Lexer.token <> token then
-    raise (Error (Fmt.str "%s (found %a)" msg Lexer.pp_token l.Lexer.token, l.Lexer.line, l.Lexer.col))
+  if l.Lexer.token <> token then fail_at l msg
 
 (* term := lowercase ident (constant) | Uppercase ident (variable) | int *)
 let parse_term st =
-  match (next st).Lexer.token with
+  let l = next st in
+  match l.Lexer.token with
   | Lexer.Ident s -> Term.const s
   | Lexer.Upper x -> Term.var x
   | Lexer.Int n -> Term.const (string_of_int n)
-  | _ -> fail st "expected a term"
+  | _ -> fail_at l "expected a term"
 
 (* atom := ident [ '(' term, ..., term ')' ] *)
 let parse_atom st =
-  match (next st).Lexer.token with
+  let first = next st in
+  match first.Lexer.token with
   | Lexer.Ident p ->
       if (peek st).Lexer.token = Lexer.Lparen then begin
         ignore (next st);
@@ -77,15 +80,16 @@ let parse_atom st =
         else
         let rec args acc =
           let t = parse_term st in
-          match (next st).Lexer.token with
+          let l = next st in
+          match l.Lexer.token with
           | Lexer.Comma -> args (t :: acc)
           | Lexer.Rparen -> List.rev (t :: acc)
-          | _ -> fail st "expected ',' or ')'"
+          | _ -> fail_at l "expected ',' or ')'"
         in
         Atom.make p (args [])
       end
       else Atom.make p []
-  | _ -> fail st "expected a predicate name"
+  | _ -> fail_at first "expected a predicate name"
 
 let parse_atom_list st =
   let rec go acc =
@@ -110,15 +114,17 @@ let parse_statement st =
   | Lexer.Ident "true" -> (
       (* empty-body TGD: true -> head. *)
       ignore (next st);
-      match (next st).Lexer.token with
+      let l = next st in
+      match l.Lexer.token with
       | Lexer.Arrow ->
           let head = parse_atom_list st in
           expect st Lexer.Period "expected '.' after TGD";
           Tgd_stmt (Tgds.Tgd.make ~body:[] ~head)
-      | _ -> fail st "expected '->' after true")
+      | _ -> fail_at l "expected '->' after true")
   | _ -> (
       let first = parse_atom st in
-      match (next st).Lexer.token with
+      let l = next st in
+      match l.Lexer.token with
       | Lexer.Slash -> (
           (* schema declaration p/2 — [first] must be a 0-ary atom *)
           match ((peek st).Lexer.token, Atom.args first) with
@@ -129,7 +135,7 @@ let parse_statement st =
           | _ -> fail st "expected an arity after '/'")
       | Lexer.Period ->
           if Atom.is_ground first then Fact_stmt (Fact.of_atom first)
-          else fail st "a fact must be ground"
+          else fail_at l "a fact must be ground"
       | (Lexer.Comma | Lexer.Arrow) as tok ->
           (* TGD: body -> head *)
           let body =
@@ -145,13 +151,13 @@ let parse_statement st =
             List.map
               (function
                 | Term.Var x -> x
-                | Term.Const _ -> fail st "query answers must be variables")
+                | Term.Const _ -> fail_at l "query answers must be variables")
               (Atom.args first)
           in
           let body = parse_atom_list st in
           expect st Lexer.Period "expected '.' after query";
           Query_stmt (Atom.pred first, Cq.make ~answer body)
-      | _ -> fail st "expected '.', '/', '->' or ':-'")
+      | _ -> fail_at l "expected '.', '/', '->' or ':-'")
 
 (** [parse src] — the whole program. Raises {!Error} (or {!Lexer.Error})
     with a position on malformed input. *)
@@ -201,15 +207,17 @@ let parse_mutations src =
   let st = state src in
   let muts = ref [] in
   while (peek st).Lexer.token <> Lexer.Eof do
+    let l = next st in
     let sign =
-      match (next st).Lexer.token with
+      match l.Lexer.token with
       | Lexer.Plus -> true
       | Lexer.Minus -> false
-      | _ -> fail st "expected '+' or '-' starting a mutation"
+      | _ -> fail_at l "expected '+' or '-' starting a mutation"
     in
     let a = parse_atom st in
-    expect st Lexer.Period "expected '.' after mutation";
-    if not (Atom.is_ground a) then fail st "a mutation must be ground";
+    let dot = next st in
+    if dot.Lexer.token <> Lexer.Period then fail_at dot "expected '.' after mutation";
+    if not (Atom.is_ground a) then fail_at dot "a mutation must be ground";
     let f = Fact.of_atom a in
     muts := (if sign then Add f else Del f) :: !muts
   done;

@@ -76,7 +76,11 @@ let test_parse_rejections () =
   check "empty body rejected" true
     (contains (malformed "answers") "no query clause");
   check "syntax error carries position" true
-    (contains (malformed "answers q(X :- prof(X).") "column")
+    (contains (malformed "answers q(X :- prof(X).") "column");
+  check "a missing term is located at the lexeme read" true
+    (contains
+       (malformed "answers q(X) :- p(X,.")
+       "column 13: expected a term (found '.')")
 
 let result answers outcome = Engine.Enumerate.of_answers answers outcome
 

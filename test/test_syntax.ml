@@ -99,10 +99,11 @@ let test_errors () =
 (* The parser pulls the lexer one lexeme at a time, so the first error
    in source order is the one reported. When the lexer ran over the
    whole input first, a bad character anywhere won over an earlier parse
-   error: case 1 read "3:6 unexpected character '&'". Cases 2 to 4
-   report what they always did; the mutation lines are read one at a
-   time by [serve], whose --strict-log diagnostic is built from the
-   message and the column. *)
+   error: case 1 read "3:6 unexpected character '&'". An error found
+   after a lexeme was taken names that lexeme, not the one after it:
+   case 3 read "1:6 … (found identifier "is")". The mutation lines are
+   read one at a time by [serve], whose --strict-log diagnostic is built
+   from the message and the column. *)
 let first_error f =
   match f () with
   | _ -> "no error"
@@ -121,9 +122,16 @@ let test_error_order () =
     (first_error (fun () -> Syntax.Parser.parse "p(a).\nq(b) & r.\n"));
   Alcotest.(check string)
     "a malformed mutation line"
-    {|1:6 expected '+' or '-' starting a mutation (found identifier "is")|}
+    {|1:1 expected '+' or '-' starting a mutation (found identifier "this")|}
     (first_error (fun () ->
          Syntax.Parser.parse_mutations "this is not a mutation"));
+  Alcotest.(check string)
+    "a missing term names the second comma" "1:6 expected a term (found ',')"
+    (first_error (fun () -> Syntax.Parser.parse "p(a, ,b)."));
+  Alcotest.(check string)
+    "a non-ground mutation names its period"
+    "1:13 a mutation must be ground (found '.')"
+    (first_error (fun () -> Syntax.Parser.parse_mutations "+prof(ada,X)."));
   Alcotest.(check string)
     "a bad character in a mutation line" "1:12 unexpected character '&'"
     (first_error (fun () -> Syntax.Parser.parse_mutations "-prof(ada) & x."))
