@@ -23,12 +23,6 @@ let eval ?obs (s : Cqs.t) db tuple =
   Obs.Span.timed obs "match" @@ fun () ->
   Engine.Joiner.entails_ucq idx (Cqs.query s) tuple
 
-(** [eval_tw s db c̄] — same, through the bounded-treewidth evaluator of
-    Proposition 2.1 (polynomial for [q ∈ UCQ_k]). *)
-let eval_tw ?obs (s : Cqs.t) db tuple =
-  Obs.Span.timed obs "match" @@ fun () ->
-  Tw_eval.entails_ucq db (Cqs.query s) tuple
-
 (** [optimize s] — replace the query by a Σ-equivalent minimized UCQ
     (sound: every certified simplification preserves the answers on all
     admissible databases). *)
@@ -36,20 +30,6 @@ let optimize ?obs (s : Cqs.t) =
   Obs.Span.timed obs "rewrite" @@ fun () ->
   let q' = Sigma_containment.minimize_ucq (Cqs.constraints s) (Cqs.query s) in
   Cqs.make ~constraints:(Cqs.constraints s) ~query:q'
-
-(** [eval_optimized s db c̄] — minimize under Σ, then evaluate with the
-    treewidth-aware engine. *)
-let eval_optimized ?obs (s : Cqs.t) db tuple =
-  eval_tw ?obs (optimize ?obs s) db tuple
-
-(* The "match" child span is handed to the enumerator so the per-disjunct
-   spans nest under it. *)
-let in_match_span obs f =
-  match obs with
-  | None -> f None
-  | Some parent ->
-      let sp = Obs.Span.enter parent "match" in
-      Fun.protect ~finally:(fun () -> Obs.Span.exit sp) (fun () -> f (Some sp))
 
 (** [answer_set s db] — the answer set of the (possibly optimized) query,
     enumerated output-sensitively from the index ({!Engine.Enumerate}):
@@ -62,7 +42,8 @@ let answer_set ?(optimize_first = false) ?budget ?obs (s : Cqs.t) db =
   let idx =
     Obs.Span.timed obs "index" @@ fun () -> Engine.Index.of_instance db
   in
-  in_match_span obs @@ fun sp ->
+  (* the per-disjunct spans nest under "match" *)
+  Obs.Span.nest obs "match" @@ fun sp ->
   Engine.Enumerate.ucq ?budget ?obs:sp
     ~universe:(Relational.Instance.dom db)
     idx (Cqs.query s)

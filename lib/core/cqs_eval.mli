@@ -9,15 +9,8 @@ open Relational
     the constraints; see {!Cqs.admissible}). *)
 val eval : ?obs:Obs.Span.t -> Cqs.t -> Instance.t -> Term.const list -> bool
 
-(** Same, through the Proposition 2.1 evaluator. *)
-val eval_tw : ?obs:Obs.Span.t -> Cqs.t -> Instance.t -> Term.const list -> bool
-
 (** Replace the query by a Σ-equivalent minimized UCQ. *)
 val optimize : ?obs:Obs.Span.t -> Cqs.t -> Cqs.t
-
-(** Minimize under Σ, then evaluate with the treewidth-aware engine. *)
-val eval_optimized :
-  ?obs:Obs.Span.t -> Cqs.t -> Instance.t -> Term.const list -> bool
 
 (** [answer_set s db] — the answer set, enumerated output-sensitively
     via {!Engine.Enumerate}; a budget cuts the stream gracefully (the

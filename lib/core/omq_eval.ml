@@ -81,15 +81,6 @@ type answer_set = {
   outcome : Obs.Budget.outcome;
 }
 
-(* [timed] without losing the span: the "match" child is handed to the
-   enumerator so the per-disjunct spans nest under it. *)
-let in_match_span obs f =
-  match obs with
-  | None -> f None
-  | Some parent ->
-      let sp = Obs.Span.enter parent "match" in
-      Fun.protect ~finally:(fun () -> Obs.Span.exit sp) (fun () -> f (Some sp))
-
 (** [answer_set q db] — the certain answers over tuples of the active
     domain, enumerated output-sensitively from the chased index
     ({!Engine.Enumerate}) instead of entailment-testing the
@@ -120,7 +111,7 @@ let answer_set ?(fpt = false) ?max_level ?max_facts ?budget ?obs (q : Omq.t)
         true )
   in
   let er =
-    in_match_span obs @@ fun sp ->
+    Obs.Span.nest obs "match" @@ fun sp ->
     Engine.Enumerate.ucq ?budget ?obs:sp ~universe:(Instance.dom db)
       (Chase.index r) (Omq.query q)
   in

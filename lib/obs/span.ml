@@ -36,6 +36,13 @@ let with_span parent name f =
 let timed parent name f =
   match parent with None -> f () | Some p -> with_span p name f
 
+let nest parent name f =
+  match parent with
+  | None -> f None
+  | Some p ->
+      let span = enter p name in
+      Fun.protect ~finally:(fun () -> exit span) (fun () -> f (Some span))
+
 let set span key v =
   if List.mem_assoc key span.attrs then
     span.attrs <- List.map (fun (k, v') -> if k = key then (k, v) else (k, v')) span.attrs

@@ -27,6 +27,10 @@ val with_span : t -> string -> (unit -> 'a) -> 'a
     otherwise (the common optional-instrumentation idiom). *)
 val timed : t option -> string -> (unit -> 'a) -> 'a
 
+(** [nest parent name f] — {!timed}, handing [f] the child span ([None]
+    without a parent) so the spans [f] opens nest under it. *)
+val nest : t option -> string -> (t option -> 'a) -> 'a
+
 (** [set span key v] — attach (or overwrite) an attribute. *)
 val set : t -> string -> Json.t -> unit
 
