@@ -2,7 +2,7 @@
 # Golden determinism check: for every example program, an indexed chase
 # must reproduce the committed exit code, stdout, checkpoint, and stats
 # (up to the timing tail) under ci/golden/ byte for byte, and so must
-# `answers`, `serve` (on university.mut and on the churn log), a
+# `answers`, `witness`, `reduce`, `serve` (on university.mut and on the churn log), a
 # WAL-recovered `serve`, the serve degradation ladder and the sorted
 # `server` transcripts. A representation change in the fact store is
 # caught here as drift. The goldens store the checkpoint's engine field
@@ -158,6 +158,30 @@ cmp -s "$TMP/answers.prog_const.q.seq.out" "$TMP/answers.prog_const.q.fpt.seq.ou
   exit 1
 }
 echo "determinism: OK ($answers_ok answer sets match goldens)"
+
+# The finite witness M(D,Σ,n) of Thm 6.7 and the D* that Prop 5.8's
+# reduction builds from it: `witness` and `reduce` print them whole, and
+# their null names follow the witness's firing and blocking order.
+run_cmd() {
+  tag=$1
+  shift
+  set +e
+  "$CLI" "$@" > "$TMP/$tag.out" 2> "$TMP/$tag.err"
+  echo $? > "$TMP/$tag.code"
+  set -e
+}
+run_cmd witness.prog_wit witness examples/programs/prog_wit.gd -n 2
+run_cmd reduce.prog_red reduce examples/programs/prog_red.gd -q q
+for tag in witness.prog_wit reduce.prog_red; do
+  [ "$(cat "$TMP/$tag.code")" = 0 ] || {
+    echo "determinism: $tag failed (exit $(cat "$TMP/$tag.code"))"
+    exit 1
+  }
+  for aspect in code out; do
+    expect "$TMP/$tag.$aspect" "$tag.$aspect" "$tag: $aspect"
+  done
+done
+echo "determinism: OK (witness and reduce match goldens)"
 
 # Incremental maintenance: `serve` applies a mutation log to a maintained
 # store. Stdout, stats (up to the timing tail) and the checkpoint must

@@ -220,7 +220,7 @@ let delta_of idx keys =
 
 let keys idx facts = List.filter_map (Index.key idx) facts
 
-let exec ~policy ~budget ~span ~on_pass ~on_fire init prog =
+let exec ?nulls ~policy ~budget ~span ~on_pass ~on_fire init prog =
   let idx = prog.g_idx and rules = prog.g_rules and plans = prog.g_plans in
   let plan_of i =
     match plans.(i) with
@@ -370,10 +370,18 @@ let exec ~policy ~budget ~span ~on_pass ~on_fire init prog =
                 max !body_level (Index.catom_level idx p.p_body.(j) ~benv)
             done;
             let head_level = !body_level + 1 in
-            for z = 0 to l.l_nexist - 1 do
-              benv.(l.l_nbody + z) <-
-                (match fresh_null () with Null n -> n | Named _ -> assert false)
-            done;
+            (match nulls with
+            | Some choose when l.l_nexist > 0 ->
+                view.fr_rule <- i;
+                view.fr_ncells <- l.l_nbody;
+                view.fr_cells <- benv;
+                let payloads = choose view ~level:head_level in
+                Array.blit payloads 0 benv l.l_nbody l.l_nexist
+            | _ ->
+                for z = 0 to l.l_nexist - 1 do
+                  benv.(l.l_nbody + z) <-
+                    (match fresh_null () with Null n -> n | Named _ -> assert false)
+                done);
             (match on_fire with
             | None ->
                 for j = 0 to Array.length p.p_heads - 1 do
@@ -459,7 +467,7 @@ let delta_all idx =
   v
 
 let run ?(policy = Oblivious) ?(budget = Obs.Budget.unlimited) ?obs ?on_pass
-    ?on_fire rules idx =
+    ?on_fire ?nulls rules idx =
   let span = make_span obs in
   let init =
     {
@@ -473,7 +481,9 @@ let run ?(policy = Oblivious) ?(budget = Obs.Budget.unlimited) ?obs ?on_pass
       i_seen = 256;
     }
   in
-  let r = exec ~policy ~budget ~span ~on_pass ~on_fire init (program rules idx) in
+  let r =
+    exec ?nulls ~policy ~budget ~span ~on_pass ~on_fire init (program rules idx)
+  in
   Obs.Span.exit span;
   r
 

@@ -98,7 +98,8 @@ val fire_outs : firing -> int
 
 val fire_out : firing -> int -> int
 
-(** [run ?policy ?budget ?obs ?on_pass rules idx] — saturate the store
+(** [run ?policy ?budget ?obs ?on_pass ?on_fire ?nulls rules idx] —
+    saturate the store
     [idx], in place, under [rules] until no new trigger exists or the
     budget cuts the run (the overflowing level may be cut short, as in
     the naive chase). [idx] holds the database, every fact at s-level 0
@@ -111,13 +112,23 @@ val fire_out : firing -> int -> int
     Snapshot capture is pay-per-use — skipping the thunk costs nothing.
 
     [on_fire] is called once per fired trigger, in firing order, after
-    the trigger's whole head has landed in the index. *)
+    the trigger's whole head has landed in the index.
+
+    [nulls fr ~level] chooses the nulls of a fired trigger [fr] whose
+    rule has existentials, before its head lands at s-level [level]: the
+    payloads [n] of the nulls [Null n], one per existential in [VarSet]
+    order (the engine copies them out). Only {!fire_rule} and
+    {!fire_cell} may be read from [fr] here. A payload need not be
+    fresh: reusing one folds the new head onto nulls already stored,
+    which is how the finite witness blocks the chase. Without [nulls]
+    every existential gets a {!Term.fresh_null}. *)
 val run :
   ?policy:policy ->
   ?budget:Obs.Budget.t ->
   ?obs:Obs.Span.t ->
   ?on_pass:(level:int -> saturated:bool -> (unit -> snapshot) -> unit) ->
   ?on_fire:(firing -> unit) ->
+  ?nulls:(firing -> level:int -> int array) ->
   rule list ->
   Index.t ->
   result

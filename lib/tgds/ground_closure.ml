@@ -50,16 +50,29 @@ type sigma_type = { guard : Fact.t; atoms : Index.t }
 
 type entry = Bag of bag | Type of int
 
+(* What a key is read with: Σ's constants, the fixed classes [0 … ]
+   of every key, and the table the context atoms' predicates are
+   interned in, so keys read from different stores compare. *)
+type keying = { consts : const array; preds : Symtab.t }
+
 type t = {
   sigma : Tgd.t list;
   full : Engine.Saturate.rule list;
   existential : (Tgd.t * string list) array;  (** σ and its frontier *)
-  consts : const array;  (** the constants of Σ *)
-  preds : Symtab.t;  (** the predicates of context atoms in keys *)
+  kg : keying;
   keys : entry Index.Keytbl.t;
   mutable bags : bag list;  (** newest first *)
   types : (int, sigma_type) Hashtbl.t;  (** by dense id *)
 }
+
+let keying sigma =
+  {
+    consts =
+      List.concat_map (fun s -> Tgd.body s @ Tgd.head s) sigma
+      |> List.fold_left (fun cs a -> ConstSet.union (Atom.consts a) cs) ConstSet.empty
+      |> ConstSet.elements |> Array.of_list;
+    preds = Symtab.create ();
+  }
 
 let create sigma =
   if not (Tgd.all_guarded sigma) then
@@ -71,25 +84,21 @@ let create sigma =
     existential =
       Array.of_list
         (List.map (fun s -> (s, VarSet.elements (Tgd.frontier s))) existential);
-    consts =
-      List.concat_map (fun s -> Tgd.body s @ Tgd.head s) sigma
-      |> List.fold_left (fun cs a -> ConstSet.union (Atom.consts a) cs) ConstSet.empty
-      |> ConstSet.elements |> Array.of_list;
-    preds = Symtab.create ();
+    kg = keying sigma;
     keys = Index.Keytbl.create 64;
     bags = [];
     types = Hashtbl.create 16;
   }
 
 let cvar k = Printf.sprintf "\001%d" k
-let term t k = if k < Array.length t.consts then Const t.consts.(k) else Var (cvar k)
+let term t k = if k < Array.length t.kg.consts then Const t.kg.consts.(k) else Var (cvar k)
 let ground_term = function Var x -> Named x | Const c -> c
 let ground a = Fact.make (Atom.pred a) (List.map ground_term (Atom.args a))
 let class_of classes c = Option.get (Array.find_index (( = ) c) classes)
 
 (* The facts of [idx] over the cells [classes] ([-1] for a constant of Σ
    the store lacks), as [| pred; class… |], sorted. *)
-let context t idx classes =
+let context kg idx classes =
   let st = Index.symtab idx in
   Index.fold_within idx
     (Array.of_list (List.filter (( <= ) 0) (Array.to_list classes)))
@@ -97,30 +106,30 @@ let context t idx classes =
       Array.mapi
         (fun i c ->
           if i > 0 then class_of classes c
-          else Symtab.intern_pred t.preds (Symtab.extern_pred st c))
+          else Symtab.intern_pred kg.preds (Symtab.extern_pred st c))
         key
       :: acc)
     []
   |> List.sort Stdlib.compare
 
 let atom t a =
-  Atom.make (Symtab.extern_pred t.preds a.(0))
+  Atom.make (Symtab.extern_pred t.kg.preds a.(0))
     (List.init (Array.length a - 1) (fun i -> term t a.(i + 1)))
 
 (* The registry key of the cells [cells] of [idx] under [tag] — the tag,
    the cells' class pattern and the facts over their classes — with the
    number of classes, the pattern and those facts. *)
-let key t idx tag cells =
+let key kg idx tag cells =
   let st = Index.symtab idx in
   let classes =
     List.fold_left
       (fun l c -> if List.mem c l then l else l @ [ c ])
-      (Array.to_list (Array.map (Symtab.find_int st) t.consts))
+      (Array.to_list (Array.map (Symtab.find_int st) kg.consts))
       cells
     |> Array.of_list
   in
   let pattern = List.map (class_of classes) cells in
-  let ctx = context t idx classes in
+  let ctx = context kg idx classes in
   ( Array.length classes,
     pattern,
     ctx,
@@ -128,13 +137,17 @@ let key t idx tag cells =
       ([| tag |] :: Array.of_list pattern
       :: List.concat_map (fun a -> [ [| Array.length a |]; a ]) ctx) )
 
+let bag_key kg idx tag cells =
+  let _, _, _, key = key kg idx tag cells in
+  key
+
 (* The bag type of one existential trigger [b] of rule [r] in the closed
    store [idx], keyed by [r], the frontier pattern and the context
    atoms; registered when new. *)
 let bag t idx r (sigma, frontier) b =
   let st = Index.symtab idx in
   let cells = List.map (fun x -> Symtab.find_int st (VarMap.find x b)) frontier in
-  let m, pattern, ctx, key = key t idx r cells in
+  let m, pattern, ctx, key = key t.kg idx r cells in
   match Index.Keytbl.find_opt t.keys key with
   | Some (Bag bag) -> bag
   | _ ->
@@ -189,7 +202,7 @@ let reclose t b =
   let cell k = Symtab.find_int st (ground_term (term t k)) in
   let classes = Array.init b.classes cell in
   let derived =
-    List.map (atom t) (context t idx classes)
+    List.map (atom t) (context t.kg idx classes)
     |> List.filter (fun a -> not (List.mem a b.ctx))
   in
   List.length derived > List.length b.derived
@@ -217,8 +230,8 @@ let rec close t inst =
 let type_id t idx f =
   let st = Index.symtab idx in
   let _, pattern, ctx, key =
-    key t idx
-      (-1 - Symtab.intern_pred t.preds (Fact.pred f))
+    key t.kg idx
+      (-1 - Symtab.intern_pred t.kg.preds (Fact.pred f))
       (List.map (Symtab.find_int st) (Fact.args f))
   in
   match Index.Keytbl.find_opt t.keys key with

@@ -63,6 +63,28 @@ val type_guard : t -> int -> Fact.t
     registered. *)
 val type_triggers : t -> int -> (Tgd.t * int list) list
 
+(** {2 Bag keys}
+
+    The key a bag type is registered under, for a caller that tells
+    triggers apart by their bag types without a guarded [t]: the finite
+    witness blocks on it, for any Σ. *)
+
+(** What a key is read with: Σ's constants, the fixed classes of every
+    key, and a predicate table, so keys read from different stores
+    compare. *)
+type keying
+
+val keying : Tgd.t list -> keying
+
+(** [bag_key kg idx tag cells] — the key of the tuple of interned cells
+    [cells] of [idx] under the int [tag]: [tag], the tuple's
+    first-occurrence class pattern after Σ's constants, and the sorted
+    facts of [idx] over those classes, read from their postings
+    ({!Engine.Index.fold_within}). For a rule's index as [tag] and a
+    trigger's frontier tuple as [cells], equal keys mean isomorphic child
+    bags: the bag type. *)
+val bag_key : keying -> Engine.Index.t -> int -> int list -> int array
+
 (** [compute sigma db] — the ground closure [chase↓(db,sigma)]; raises
     [Invalid_argument] when [sigma] is not guarded. *)
 val compute : Tgd.t list -> Instance.t -> Instance.t

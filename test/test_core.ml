@@ -496,7 +496,51 @@ let test_omq_to_cqs () =
 (* Suite                                                                *)
 (* ------------------------------------------------------------------ *)
 
-let qcheck_tests = List.map QCheck_alcotest.to_alcotest [ prop_tw_eval_correct ]
+(* The engine-built witness against the naive blocked chase it replaced
+   (test/oracle/blocked_chase.ml), over Σ from [closure_pool], whose
+   chase may be infinite, and Boolean queries of at most n variables. M
+   must contain D and model Σ, hold every q the bounded chase entails
+   (the chase maps into every model), and answer q like the chase
+   wherever the oracle's M does and the chase's answer is known: where
+   the chase saturates, and wherever the oracle's M refutes q, which a
+   model does only if the chase does. Blocking starts past depth n+1, so
+   the run fires the chase's triggers in the chase's order up to there:
+   with the null supply reset before each, the chase's first n+1 levels
+   are facts of M, nulls and all. *)
+let arb_witness_case =
+  QCheck.make
+    ~print:(fun (s, db, n, q) ->
+      Fmt.str "%s n=%d q=%a" (Generators.print_sigma_db (s, db)) n Ucq.pp q)
+    QCheck.Gen.(
+      let* sigma = Generators.gen_pool_sigma Generators.closure_pool
+      and* db = Generators.gen_closure_db
+      and* q = Generators.gen_small_q in
+      let vars = List.fold_left (fun k p -> max k (VarSet.cardinal (Cq.vars p))) 1 (Ucq.disjuncts q) in
+      let* n = int_range vars 3 in
+      return (sigma, db, n, q))
+
+let prop_witness_oracle =
+  QCheck.Test.make ~name:"finite witness = blocked-chase oracle" ~count:1000
+    arb_witness_case (fun (sigma, db, n, q) ->
+      Term.reset_nulls ();
+      let early = Tgds.Chase.run ~max_level:(n + 1) sigma db in
+      Term.reset_nulls ();
+      let m = Finite_witness.build ~n sigma db in
+      let r = Tgds.Chase.run ~max_level:8 ~max_facts:4000 sigma db in
+      let in_chase = Ucq.holds (Tgds.Chase.instance r) q in
+      Finite_witness.verify sigma db m
+      && Instance.subset (Tgds.Chase.instance early) m
+      && ((not in_chase) || Ucq.holds m q)
+      && (in_chase
+         || (not (Ucq.holds m q))
+         || Ucq.holds (Blocked_chase.build ~n sigma db) q))
+
+let qcheck_tests =
+  List.map QCheck_alcotest.to_alcotest [ prop_tw_eval_correct ]
+  @ [
+      QCheck_alcotest.to_alcotest ~rand:(Random.State.make [| 29 |])
+        prop_witness_oracle;
+    ]
 
 let () =
   Alcotest.run "guarded_core"
