@@ -77,8 +77,9 @@ let build ~n sigma db =
             p
       in
       (* rotate through the pool by use order (not by depth, whose
-         stride depends on the ontology's shape): a rewired chain then
-         closes into a cycle of length [size] exactly *)
+         stride depends on the ontology's shape): a lone rewired chain
+         then closes into a cycle of length [size] exactly; chains that
+         share a bag type share its pool *)
       let i = pool.uses mod size in
       pool.uses <- pool.uses + 1;
       match pool.reps.(i) with
