@@ -350,25 +350,41 @@ let serve_cmd =
                   Fmt.pr "%% serve: store saturated, %d facts@."
                     (Incr.size (Sup.store session));
                   let inserts = ref 0 and deletes = ref 0 and noops = ref 0 in
+                  (* one effect line per mutation, rendered into a reused
+                     buffer and flushed as a whole *)
+                  let line = Buffer.create 128 in
+                  let add = Buffer.add_string line in
+                  let add_int n = add (string_of_int n) in
                   let print_effect op (eff : Incr.effect) =
-                    match (op, eff.Incr.e_noop) with
-                    | Incr.Insert f, true ->
+                    Buffer.clear line;
+                    (match op with
+                    | Incr.Insert f -> add "% +"; Fact.to_buffer line f
+                    | Incr.Delete f -> add "% -"; Fact.to_buffer line f);
+                    (match (op, eff.Incr.e_noop) with
+                    | Incr.Insert _, true ->
                         incr noops;
-                        Fmt.pr "%% +%a: no-op (already in the base)@." Fact.pp f
-                    | Incr.Delete f, true ->
+                        add ": no-op (already in the base)"
+                    | Incr.Delete _, true ->
                         incr noops;
-                        Fmt.pr "%% -%a: no-op (not in the base)@." Fact.pp f
-                    | Incr.Insert f, false ->
+                        add ": no-op (not in the base)"
+                    | Incr.Insert _, false ->
                         incr inserts;
-                        Fmt.pr "%% +%a: %d facts added@." Fact.pp f
-                          eff.Incr.e_repaired
-                    | Incr.Delete f, false ->
+                        add ": ";
+                        add_int eff.Incr.e_repaired;
+                        add " facts added"
+                    | Incr.Delete _, false ->
                         incr deletes;
-                        Fmt.pr
-                          "%% -%a: overdeleted %d, rederived %d, repaired %d, \
-                           deleted %d@."
-                          Fact.pp f eff.Incr.e_overdeleted eff.Incr.e_rederived
-                          eff.Incr.e_repaired eff.Incr.e_deleted
+                        add ": overdeleted ";
+                        add_int eff.Incr.e_overdeleted;
+                        add ", rederived ";
+                        add_int eff.Incr.e_rederived;
+                        add ", repaired ";
+                        add_int eff.Incr.e_repaired;
+                        add ", deleted ";
+                        add_int eff.Incr.e_deleted);
+                    Buffer.add_char line '\n';
+                    Buffer.output_buffer stdout line;
+                    flush stdout
                   in
                   let pp_step show (s : Sup.step) =
                     Sup.rung_to_string s.st_rung ^ ":"

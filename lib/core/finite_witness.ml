@@ -101,5 +101,20 @@ let build ~n sigma db =
   Engine.Index.to_instance idx
 
 (** [verify sigma db m] — sanity check: [m] contains [db] and models
-    [sigma]. *)
-let verify sigma db m = Instance.subset db m && Tgd.satisfies_all m sigma
+    [sigma]. One pass of the restricted chase over an index of [m]
+    dismisses exactly the triggers whose head [m] already witnesses, so
+    it saturates iff [m ⊨ sigma]; the level budget stops the run after
+    that pass, and the null supply is restored past the nulls its
+    firings took. *)
+let verify sigma db m =
+  Instance.subset db m
+  &&
+  let nulls = Term.null_count () in
+  let r =
+    Saturate.run ~policy:Saturate.Restricted
+      ~budget:(Obs.Budget.create ~max_levels:1 ())
+      (sigma : Tgd.t list :> Saturate.rule list)
+      (Engine.Index.of_instance m)
+  in
+  Term.set_null_count nulls;
+  r.Saturate.saturated

@@ -15,5 +15,7 @@ open Relational
     200,000 facts. *)
 val build : n:int -> Tgds.Tgd.t list -> Instance.t -> Instance.t
 
-(** Sanity check: [m ⊇ db] and [m ⊨ sigma]. *)
+(** Sanity check: [m ⊇ db] and [m ⊨ sigma], the latter by one pass of
+    the restricted chase over an index of [m], which fires no trigger
+    iff [m ⊨ sigma]. The global null supply is left as it was. *)
 val verify : Tgds.Tgd.t list -> Instance.t -> Instance.t -> bool

@@ -16,10 +16,13 @@
       inline in the posting table; the second row promotes it to a
       vector (oldest row first) and a removal that leaves one live row
       demotes it back;
-    - every row carries the insertion stamp of its fact, so the order
-      and posting vectors, which only see appends and order-preserving
-      removals, are sorted by stamp: [remove] binary-searches each of
-      them and leaves a tombstone ({!Vec.kill}) that readers skip;
+    - every row carries the insertion stamp of its fact, so the posting
+      vectors, which only see appends and order-preserving removals, are
+      sorted by stamp: [remove] binary-searches each of them and leaves
+      a tombstone ({!Vec.kill}) that readers skip;
+    - every row also records its slot in the order vector, so [remove]
+      kills that slot with no search; the slots are filed again only
+      when the vector squeezes its tombstones out;
     - freed row slots go on a per-relation free list that the next
       insert reuses, and a vector drops its tombstones once they are
       more than half of it, so insert/delete churn cannot grow the
@@ -30,8 +33,9 @@
       so the table costs no block per fact and churn cannot grow it;
     - [index.probes] counts one probe per candidate-list retrieval
       ({!fold_catom} walking a posting list or a whole relation);
-    - every row carries its fact's s-level in a level column beside the
-      argument columns, so the chase keeps no fact-keyed side table. *)
+    - every row carries its fact's s-level beside the argument columns,
+      packed with the stamp into one column, so the chase keeps no
+      fact-keyed side table. *)
 
 open Relational
 open Relational.Term
@@ -45,13 +49,25 @@ let pack ~arity row = (arity lsl row_bits) lor row
 let arity_of_packed p = p lsr row_bits
 let row_of_packed p = p land row_mask
 
+(* A row's s-level and insertion stamp share one int: the stamp above
+   [level_bits], the level below. *)
+let level_bits = 24
+let max_level = (1 lsl level_bits) - 1
+let max_stamp = (max_int lsr level_bits) - 1
+
+let check_level l =
+  if l < 0 || l > max_level then invalid_arg "Index: s-level out of range"
+
+let[@inline] ls_level x = x land max_level
+let[@inline] ls_stamp x = x lsr level_bits
+
 type rel = {
   r_id : int;  (* dense over the store, in creation order: see {!handle} *)
   r_pid : int;
   r_arity : int;
   r_cols : Vec.t array;  (* one column per argument position *)
-  r_level : Vec.t;  (* s-level of the fact in each row *)
-  r_stamp : Vec.t;  (* insertion stamp of the fact in each row *)
+  r_ls : Vec.t;  (* stamp and s-level of the fact in each row *)
+  r_oslot : Vec.t;  (* the row's slot in its entry's order vector *)
   mutable r_rows : int;  (* row slots allocated, including freed ones *)
   r_free : Vec.t;  (* freed row slots, reused by the next insert *)
 }
@@ -274,33 +290,40 @@ let handle idx key = mget idx.members (2 * member_slot idx key (hash_key key))
 (* Interned fact keys: [| pid; cid1; …; cidn |]. The [_find] variant
    never assigns ids — a fact with an unknown symbol cannot be stored. *)
 
+(* The key of [pid] over [args], cells from [i] on, in one walk: each
+   argument is resolved on the way down, so left to right, and the array
+   is made at the end of the list, when its length is known. *)
+let rec intern_args st pid i = function
+  | [] -> Array.make i pid
+  | c :: rest ->
+      let id = Symtab.intern st c in
+      let key = intern_args st pid (i + 1) rest in
+      Array.unsafe_set key i id;
+      key
+
+(* As [intern_args], without assigning ids: [[||]] when an argument is
+   unknown. *)
+let rec find_args st pid i = function
+  | [] -> Array.make i pid
+  | c :: rest ->
+      let id = Symtab.find_int st c in
+      if id < 0 then [||]
+      else
+        let key = find_args st pid (i + 1) rest in
+        if Array.length key > 0 then Array.unsafe_set key i id;
+        key
+
 let intern idx f =
   let st = idx.symtab in
-  let args = Fact.args f in
-  let key = Array.make (List.length args + 1) 0 in
-  key.(0) <- Symtab.intern_pred st (Fact.pred f);
-  List.iteri (fun i c -> key.(i + 1) <- Symtab.intern st c) args;
-  key
-
-exception Unknown
+  intern_args st (Symtab.intern_pred st (Fact.pred f)) 1 (Fact.args f)
 
 let key_find idx f =
   let st = idx.symtab in
-  match Symtab.find_pred st (Fact.pred f) with
-  | None -> None
-  | Some pid -> (
-      let args = Fact.args f in
-      let key = Array.make (List.length args + 1) 0 in
-      key.(0) <- pid;
-      try
-        List.iteri
-          (fun i c ->
-            match Symtab.find st c with
-            | Some cid -> key.(i + 1) <- cid
-            | None -> raise Unknown)
-          args;
-        Some key
-      with Unknown -> None)
+  let pid = Symtab.find_pred_int st (Fact.pred f) in
+  if pid < 0 then None
+  else
+    let key = find_args st pid 1 (Fact.args f) in
+    if Array.length key = 0 then None else Some key
 
 let mem_key key idx = handle idx key <> no_member
 
@@ -359,8 +382,8 @@ let rel_of idx e pid arity =
           r_pid = pid;
           r_arity = arity;
           r_cols = Array.init arity (fun _ -> Vec.create ());
-          r_level = Vec.create ();
-          r_stamp = Vec.create ();
+          r_ls = Vec.create ();
+          r_oslot = Vec.create ();
           r_rows = 0;
           r_free = Vec.create ~capacity:1 ();
         }
@@ -422,20 +445,23 @@ let post e tbl cid packed =
    s-level [level], reusing a freed row slot when one exists; returns
    its handle. The key array is only read. *)
 let add_row idx key h ~level =
+  check_level level;
   Obs.Metrics.incr idx.c_inserts;
   let pid = key.(0) and arity = Array.length key - 1 in
   let e = entry_of idx pid in
   let r = rel_of idx e pid arity in
   let stamp = idx.tabs.stamp in
+  if stamp > max_stamp then failwith "Index: insertion stamps exhausted";
   idx.tabs.stamp <- stamp + 1;
+  let ls = (stamp lsl level_bits) lor level and oslot = Vec.length e.e_order in
   let row =
     if Vec.length r.r_free > 0 then begin
       let row = Vec.pop r.r_free in
       for i = 0 to arity - 1 do
         Vec.set r.r_cols.(i) row key.(i + 1)
       done;
-      Vec.set r.r_level row level;
-      Vec.set r.r_stamp row stamp;
+      Vec.set r.r_ls row ls;
+      Vec.set r.r_oslot row oslot;
       row
     end
     else begin
@@ -444,8 +470,8 @@ let add_row idx key h ~level =
       for i = 0 to arity - 1 do
         Vec.push r.r_cols.(i) key.(i + 1)
       done;
-      Vec.push r.r_level level;
-      Vec.push r.r_stamp stamp;
+      Vec.push r.r_ls ls;
+      Vec.push r.r_oslot oslot;
       row
     end
   in
@@ -459,12 +485,13 @@ let add_row idx key h ~level =
   hd
 
 (* File [key] at s-level [level] unless it is a member already: the new
-   fact's handle, or [no_member]. *)
+   fact's handle, or [lnot h] when it was stored already under [h]. *)
 let add_key idx ~level key =
   let h = hash_key key in
-  if mget idx.members (2 * member_slot idx key h) <> no_member then begin
+  let hd = mget idx.members (2 * member_slot idx key h) in
+  if hd <> no_member then begin
     Obs.Metrics.incr idx.c_duplicates;
-    no_member
+    lnot hd
   end
   else add_row idx key h ~level
 
@@ -472,18 +499,18 @@ let add_key idx ~level key =
     [false] when it was already present (its level is kept). *)
 let insert ?(level = 0) f idx =
   Obs.Probe.hit "engine.insert";
-  add_key idx ~level (intern idx f) <> no_member
+  add_key idx ~level (intern idx f) >= 0
 
-let insert_interned ?(level = 0) key idx =
+let insert_absent ?(level = 0) key idx =
   Obs.Probe.hit "engine.insert";
-  add_key idx ~level key <> no_member
+  add_row idx key (hash_key key) ~level
 
-(* The stamp of slot [i] of an order or posting vector of [e]: a live
-   slot holds a packed row, a tombstone [-stamp-1]. *)
+(* The stamp of slot [i] of a posting vector of [e]: a live slot holds a
+   packed row, a tombstone [-stamp-1]. *)
 let stamp_at e v i =
   let x = Vec.get v i in
   if x < 0 then -x - 1
-  else Vec.get (rel_get (arity_of_packed x) e.e_rels).r_stamp (row_of_packed x)
+  else ls_stamp (Vec.get (rel_get (arity_of_packed x) e.e_rels).r_ls (row_of_packed x))
 
 (* The slot of [v] holding the row stamped [s], by binary search: the
    vector is sorted by stamp, and its tombstones keep theirs. *)
@@ -521,11 +548,20 @@ let unpost e tbl cid stamp =
     end
   end
 
+(* File every live row of [e]'s order vector under its slot again, after
+   the vector squeezed its tombstones out. *)
+let refile_order e =
+  let v = e.e_order in
+  for i = 0 to Vec.length v - 1 do
+    let packed = Vec.get v i in
+    Vec.set (rel_get (arity_of_packed packed) e.e_rels).r_oslot (row_of_packed packed) i
+  done
+
 (** [remove_key key idx] — delete the fact with interned [key]; [false]
-    when it was not present. The row's slot in the order vector is found
-    by binary search on its stamp and turned into a tombstone, and the
-    row is unfiled from each of its postings ({!unpost}), so candidate
-    counts stay exact; the freed row slot is recycled. *)
+    when it was not present. The row's slot in the order vector, which
+    the row records, is turned into a tombstone, and the row is unfiled
+    from each of its postings ({!unpost}), so candidate counts stay
+    exact; the freed row slot is recycled. *)
 let remove_key key idx =
   let slot = member_slot idx key (hash_key key) in
   let hd = mget idx.members (2 * slot) in
@@ -536,8 +572,10 @@ let remove_key key idx =
     let pid = key.(0) and arity = Array.length key - 1 in
     let e = match entry idx pid with Some e -> e | None -> assert false in
     let r = idx.tabs.rels.(handle_rel hd) and row = handle_row hd in
-    let stamp = Vec.get r.r_stamp row in
-    Vec.kill e.e_order (slot_of_stamp e e.e_order stamp) (-stamp - 1);
+    let stamp = ls_stamp (Vec.get r.r_ls row) in
+    Vec.kill e.e_order (Vec.get r.r_oslot row) (-stamp - 1);
+    (* a kill that squeezed the vector left it with no tombstone *)
+    if Vec.live e.e_order = Vec.length e.e_order then refile_order e;
     for i = 0 to arity - 1 do
       unpost e e.e_at.(i) key.(i + 1) stamp
     done;
@@ -602,7 +640,7 @@ let rel_of_handle idx h = idx.tabs.rels.(handle_rel h)
    Allocation free: the chase reads a body level per fired trigger. *)
 let key_level idx key =
   let h = handle idx key in
-  if h = no_member then -1 else Vec.get (rel_of_handle idx h).r_level (handle_row h)
+  if h = no_member then -1 else ls_level (Vec.get (rel_of_handle idx h).r_ls (handle_row h))
 
 let level idx f =
   match key_find idx f with
@@ -614,7 +652,9 @@ let level idx f =
 let set_level idx f l =
   let h = match key_find idx f with Some key -> handle idx key | None -> no_member in
   if h = no_member then invalid_arg "Index.set_level: fact not stored";
-  Vec.set (rel_of_handle idx h).r_level (handle_row h) l
+  check_level l;
+  let r = rel_of_handle idx h and row = handle_row h in
+  Vec.set r.r_ls row (Vec.get r.r_ls row land lnot max_level lor l)
 
 (* The fact in row [row] of [r], a relation of [pid]. *)
 let decode_row st pid r row =
@@ -647,12 +687,12 @@ let handle_key idx h =
   done;
   key
 
-let handle_level idx h = Vec.get (rel_of_handle idx h).r_level (handle_row h)
+let handle_level idx h = ls_level (Vec.get (rel_of_handle idx h).r_ls (handle_row h))
 let handle_pid idx h = (rel_of_handle idx h).r_pid
 
 let fold_levels f idx acc =
   let acc = ref acc in
-  iter_rows (fun _ r row -> acc := f (Vec.get r.r_level row) !acc) idx;
+  iter_rows (fun _ r row -> acc := f (ls_level (Vec.get r.r_ls row)) !acc) idx;
   !acc
 
 (* Storage order: [e_order] only ever sees order-preserving removals, so
@@ -671,7 +711,7 @@ let decode_ordered idx =
     (fun pid r row ->
       let f = decode_row st pid r row in
       memo.(r.r_id).(row) <- f;
-      out := (f, Vec.get r.r_level row) :: !out)
+      out := (f, ls_level (Vec.get r.r_ls row)) :: !out)
     idx;
   (List.rev !out, fun h -> memo.(handle_rel h).(handle_row h))
 
@@ -697,8 +737,9 @@ let to_instance idx =
    positions [-3]: they match like variables, and at [insert_key] their
    slot holds the payload of the fresh null to write. [c_trail] is
    private scratch: slots bound while matching one candidate row, undone
-   before the next; [insert_key]/[catom_level] reuse it for the fact key
-   they build. *)
+   before the next; [insert_key] reuses it for the fact key it builds.
+   [c_handle] is the handle of the row the atom matched last, so a
+   search that reached a full match knows the fact behind each atom. *)
 type catom = {
   c_atom : Atom.t;
   mutable c_pid : int;  (* interned predicate id; -1 = unknown predicate *)
@@ -707,6 +748,7 @@ type catom = {
                            -3 existential *)
   c_slots : int array;  (* per position: benv slot when c_cells.(i) < -1 *)
   c_trail : int array;  (* arity + 1 cells *)
+  mutable c_handle : int;
 }
 
 let compile idx ~slot ~fresh a =
@@ -729,6 +771,7 @@ let compile idx ~slot ~fresh a =
     c_cells = cells;
     c_slots = slots;
     c_trail = Array.make (arity + 1) 0;
+    c_handle = no_member;
   }
 
 let compile_atom idx ~slot a = compile idx ~slot ~fresh:(fun _ -> false) a
@@ -746,6 +789,7 @@ let resolve idx ca =
   done
 
 let catom_pid ca = ca.c_pid
+let catom_matched ca = ca.c_handle
 
 (* The effective pattern id of position [i] under [benv], and whether the
    position counts as bound: a constant (known or not) is bound, a
@@ -832,8 +876,8 @@ let no_rel =
     r_pid = -1;
     r_arity = -1;
     r_cols = [||];
-    r_level = freed_vec;
-    r_stamp = freed_vec;
+    r_ls = freed_vec;
+    r_oslot = freed_vec;
     r_rows = 0;
     r_free = freed_vec;
   }
@@ -857,7 +901,10 @@ let visit_row ca benv r ~on_candidate ~on_fail (f : int -> bool) arg packed =
       incr i
     done;
     let stop =
-      if !ok then f arg
+      if !ok then begin
+        ca.c_handle <- handle_of ~rel:r.r_id ~row;
+        f arg
+      end
       else begin
         on_fail ();
         false
@@ -918,33 +965,27 @@ let match_handle idx ca ~benv h f =
     if n < 0 then ok := false else nt := n;
     incr i
   done;
-  if !ok then f ();
+  if !ok then begin
+    ca.c_handle <- h;
+    f ()
+  end;
   untrail benv trail !nt;
   !ok
 
-(* The fact key of a fully bound, non-existential [ca] under [benv], in
-   the atom's scratch; [false] when a symbol is unknown to the store (the
-   fact cannot be stored). *)
-let scratch_key ca ~benv =
-  let key = ca.c_trail in
-  key.(0) <- ca.c_pid;
-  let ok = ref (ca.c_pid >= 0) in
+(* Bind [ca]'s variables to the cells of the row under handle [h], which
+   [ca] matched: the binding a trigger's body facts spell. *)
+let bind_handle idx ca ~benv h =
+  let r = rel_of_handle idx h and row = handle_row h in
   for i = 0 to ca.c_arity - 1 do
-    let c = cell_pattern ca benv i in
-    if c < 0 then ok := false;
-    key.(i + 1) <- c
-  done;
-  !ok
-
-let catom_level idx ca ~benv =
-  if scratch_key ca ~benv then max 0 (key_level idx ca.c_trail) else 0
-
-let catom_handle idx ca = handle idx ca.c_trail
+    if Array.unsafe_get ca.c_cells i < -1 then
+      benv.(Array.unsafe_get ca.c_slots i) <- Vec.get r.r_cols.(i) row
+  done
 
 (* Insert the head [ca] under [benv], interning exactly as [intern]
    does on the decoded fact: the predicate first, then the arguments left
    to right. Interned ids are cached back into [ca], so a predicate or
-   constant is resolved by name at most once per compiled atom. *)
+   constant is resolved by name at most once per compiled atom. Returns
+   [add_key]'s handle: the new one, or [lnot] the stored fact's. *)
 let insert_key idx ~level ca ~benv =
   Obs.Probe.hit "engine.insert";
   let st = idx.symtab in
@@ -991,7 +1032,7 @@ let capacity_words idx =
             (fun acc r ->
               Array.fold_left
                 (fun acc col -> acc + vec col)
-                (acc + vec r.r_free + vec r.r_level + vec r.r_stamp)
+                (acc + vec r.r_free + vec r.r_ls + vec r.r_oslot)
                 r.r_cols)
             !acc e.e_rels)
     (2 lsl idx.members.m_bits)

@@ -10,6 +10,7 @@
 
     Every stored fact carries its s-level (the chase pass that derived
     it; 0 for database facts), kept in a column beside the arguments.
+    An s-level lies in [0 … max_level].
 
     Most postings hold one row (a labelled null occurs only in the few
     atoms derived from the trigger that invented it), so a posting with
@@ -72,10 +73,15 @@ val decode_ordered : t -> (Fact.t * int) list * (int -> Fact.t)
     predicate, then cell, then position); no probe is counted. *)
 val fold_within : t -> int array -> (int array -> 'a -> 'a) -> 'a -> 'a
 
+(** The largest s-level a store holds: [2^24 - 1]. *)
+val max_level : int
+
 (** [insert ?level f idx] — file [f] under every argument position and
     report whether the fact was new (a single membership probe). A new
     fact gets s-level [level] (default 0); a present one keeps its own.
-    Hits the ["engine.insert"] {!Obs.Probe} point. *)
+    Hits the ["engine.insert"] {!Obs.Probe} point. Raises
+    [Invalid_argument] when a new fact's [level] is outside
+    [0 … max_level]. *)
 val insert : ?level:int -> Fact.t -> t -> bool
 
 (** [remove f idx] — delete [f] from the store and prune every posting
@@ -85,13 +91,15 @@ val insert : ?level:int -> Fact.t -> t -> bool
     retracts.
 
     Cost: O(arity · log n) amortised, with [n] the length of the
-    relation, and no scan. Every row carries an insertion stamp, so
-    the relation's order vector and each posting vector, which only see
-    appends and order-preserving removals, are sorted by stamp; the
-    row is found in each of these by binary search and its slot becomes
-    a tombstone that readers skip. A vector squeezes its tombstones
-    out, in order, once they are more than half of it. A singleton
-    posting needs no search: its table entry is dropped, O(1) expected.
+    relation, and no scan. Every row records its slot in the relation's
+    order vector, which becomes a tombstone that readers skip. Every row
+    also carries an insertion stamp, so each posting vector, which only
+    sees appends and order-preserving removals, is sorted by stamp; the
+    row is found in it by binary search and its slot becomes a
+    tombstone too. A vector squeezes its tombstones out, in order, once
+    they are more than half of it; the order vector's rows then record
+    their new slots, amortised O(1) per removal. A singleton posting
+    needs no search: its table entry is dropped, O(1) expected.
     Iteration order, candidate counts and probe accounting are those of
     a store that never held the fact. *)
 val remove : Fact.t -> t -> bool
@@ -102,7 +110,8 @@ val mem : Fact.t -> t -> bool
 val level : t -> Fact.t -> int option
 
 (** [set_level idx f l] — overwrite the s-level of a stored fact.
-    Raises [Invalid_argument] when [f] is not stored. *)
+    Raises [Invalid_argument] when [f] is not stored or [l] is outside
+    [0 … max_level]. *)
 val set_level : t -> Fact.t -> int -> unit
 
 (** [iter_handles f idx] — [f] on the {!handle} of every stored fact,
@@ -138,17 +147,21 @@ val decode_key : t -> int array -> Fact.t
     and then its arguments left to right, as {!insert} does. *)
 val intern : t -> Fact.t -> int array
 
-(** [insert_interned ?level key idx] — {!insert} of the fact with the
-    interned [key] (from {!intern}). The store only reads [key]: it keeps
-    no key of its own, and names the fact by its row. *)
-val insert_interned : ?level:int -> int array -> t -> bool
+(** [insert_absent ?level key idx] — {!insert} of the fact with the
+    interned [key] (from {!intern}), which is {e not} stored: a {!handle}
+    probe said so and the store has not changed since. Returns the new
+    fact's handle. It skips the membership probe, so filing a fact
+    already stored corrupts the store. The store only reads [key]: it
+    keeps no key of its own, and names the fact by its row. *)
+val insert_absent : ?level:int -> int array -> t -> int
 
 (** [remove_key key idx] — {!remove}, at the same cost: one membership
-    probe, a binary search of the relation's order vector, then per
-    position either an O(1) expected drop of a singleton posting's table
-    entry or a binary search of its posting vector (O(log n)), which is
-    demoted to an inline row when one live row is left. [remove f] is
-    [remove_key] of [f]'s key plus the symbol lookups. *)
+    probe, a tombstone at the row's recorded slot of the relation's
+    order vector, then per position either an O(1) expected drop of a
+    singleton posting's table entry or a binary search of its posting
+    vector (O(log n)), which is demoted to an inline row when one live
+    row is left. [remove f] is [remove_key] of [f]'s key plus the symbol
+    lookups. *)
 val remove_key : int array -> t -> bool
 
 (** [handle idx key] — the handle of the stored fact with interned
@@ -265,17 +278,19 @@ val match_handle : t -> catom -> benv:int array -> int -> (unit -> unit) -> bool
     bound in [benv] (undone before returning) and return [true];
     otherwise return [false]. No probe is counted. *)
 
-val catom_level : t -> catom -> benv:int array -> int
-(** [catom_level idx ca ~benv] — the s-level of the stored fact [ca]
-    denotes under [benv] (every variable bound); 0 when it is not
-    stored. *)
+val catom_matched : catom -> int
+(** [catom_matched ca] — the {!handle} of the stored fact [ca] matched
+    last, by {!fold_catom} or {!match_handle}. During a callback of
+    either, every atom on the path to it reports the fact it is matched
+    to, so a full match of a conjunction names its facts with no
+    further probe. *)
 
-val catom_handle : t -> catom -> int
-(** [catom_handle idx ca] — the {!handle} of the fact whose key was last
-    built in [ca]'s scratch: by {!catom_level} for a body atom, by
-    {!insert_key} for a head atom (existentials interned); [-1] when it
-    is not stored. The firing path names a fired trigger's body and
-    head facts this way. *)
+val bind_handle : t -> catom -> benv:int array -> int -> unit
+(** [bind_handle idx ca ~benv h] — bind every variable of [ca] in [benv]
+    to the cell at its position in the stored fact with handle [h],
+    which [ca] matches (the fact {!catom_matched} reported, say). Nothing
+    is checked, and nothing is undone: the chase's firing phase spells a
+    trigger's binding out of its body facts this way. *)
 
 val insert_key : t -> level:int -> catom -> benv:int array -> int
 (** [insert_key idx ~level ca ~benv] — {!insert} of the fact [ca]
@@ -283,8 +298,9 @@ val insert_key : t -> level:int -> catom -> benv:int array -> int
     null payloads), straight from interned ids: interns the predicate, then the
     arguments left to right (exactly {!insert}'s order), hits
     ["engine.insert"] and counts [index.inserts]/[index.duplicates].
-    Returns the new fact's {!handle}, or [-1] when it was already
-    stored. Allocates nothing but the store's own growth. *)
+    Returns the new fact's {!handle}, or [lnot h] when the fact was
+    already stored under the handle [h]. Allocates nothing but the
+    store's own growth. *)
 
 (** Number of posting-list probes performed so far (statistics). *)
 val probes : t -> int
@@ -292,8 +308,9 @@ val probes : t -> int
 (** The store's symbol table (shared with {!reader} views). *)
 val symtab : t -> Symtab.t
 
-(** Allocated capacity of the store, in words: the relations' columns,
-    level, stamp and free-list vectors, the order vectors, the posting
+(** Allocated capacity of the store, in words: the relations' argument
+    columns, level-and-stamp, order-slot and free-list vectors, the
+    order vectors, the posting
     vectors and the membership table's slots. The posting tables are not
     counted, so an inline singleton posting, which lives in its posting
     table, costs nothing here. Stable under insert/delete churn thanks

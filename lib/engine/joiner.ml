@@ -74,23 +74,26 @@ let search_compiled idx ~on_candidate ~on_fail (atoms : Index.catom array)
     sat lo
 
 (* The [joiner.*] counters of a store, registered when first forced, so
-   a run registers them iff it performs a search. *)
-type counters = (Obs.Metrics.counter * Obs.Metrics.counter) Lazy.t
+   a run registers them iff it performs a search; forcing them also
+   builds the two callbacks every search files its work with, once. *)
+type filers = { on_candidate : unit -> unit; on_fail : unit -> unit }
+type counters = filers Lazy.t
 
 let counters idx : counters =
   lazy
     (let m = Index.metrics idx in
-     ( Obs.Metrics.counter m "joiner.candidates",
-       Obs.Metrics.counter m "joiner.backtracks" ))
+     let c_candidates = Obs.Metrics.counter m "joiner.candidates"
+     and c_backtracks = Obs.Metrics.counter m "joiner.backtracks" in
+     {
+       on_candidate = (fun () -> Obs.Metrics.incr c_candidates);
+       on_fail = (fun () -> Obs.Metrics.incr c_backtracks);
+     })
 
 (* [search_compiled] filing its candidates and backtracks against
    [counters]. *)
 let search idx ~counters atoms ~benv lo n leaf =
-  let c_candidates, c_backtracks = Lazy.force counters in
-  search_compiled idx
-    ~on_candidate:(fun () -> Obs.Metrics.incr c_candidates)
-    ~on_fail:(fun () -> Obs.Metrics.incr c_backtracks)
-    atoms ~benv lo n leaf
+  let { on_candidate; on_fail } = Lazy.force counters in
+  search_compiled idx ~on_candidate ~on_fail atoms ~benv lo n leaf
 
 let exists_compiled idx ~counters atoms ~benv lo n =
   search idx ~counters atoms ~benv lo n (fun () -> true)
@@ -111,25 +114,26 @@ let fold ~counters atoms idx f acc =
 
 (* [fold] with a delta pivot: the pivot matches each delta fact (one
    candidate each, one backtrack per mismatch), the rest runs
-   [search_compiled] to every full match. *)
-let fold_delta idx ~counters ~pivot atoms ~benv delta f =
+   [search_compiled] to every full match. A one-atom body has no rest:
+   the pivot's match is the full match, and the call allocates
+   nothing. *)
+let fold_delta idx ~counters ~pivot atoms ~benv delta ~lo ~hi f =
   Obs.Probe.hit "engine.join";
-  let c_candidates, c_backtracks = Lazy.force counters in
-  let on_candidate () = Obs.Metrics.incr c_candidates in
-  let on_fail () = Obs.Metrics.incr c_backtracks in
+  let { on_candidate; on_fail } = Lazy.force counters in
   let n = Array.length atoms in
-  let leaf () =
-    f ();
-    false
+  let rest =
+    if n = 0 then f
+    else
+      let leaf () =
+        f ();
+        false
+      in
+      fun () -> ignore (search_compiled idx ~on_candidate ~on_fail atoms ~benv 0 n leaf)
   in
-  let rest () =
-    ignore (search_compiled idx ~on_candidate ~on_fail atoms ~benv 0 n leaf)
-  in
-  Vec.iter
-    (fun h ->
-      on_candidate ();
-      if not (Index.match_handle idx pivot ~benv h rest) then on_fail ())
-    delta
+  for k = lo to hi - 1 do
+    on_candidate ();
+    if not (Index.match_handle idx pivot ~benv (Vec.get delta k) rest) then on_fail ()
+  done
 
 (* ------------------------------------------------------------------ *)
 (* Query evaluation over an index                                       *)

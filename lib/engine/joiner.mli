@@ -77,10 +77,11 @@ val exists_compiled :
   int ->
   bool
 
-(** [fold_delta idx ~counters ~pivot atoms ~benv delta f] — the
+(** [fold_delta idx ~counters ~pivot atoms ~benv delta ~lo ~hi f] — the
     semi-naive step, compiled: call [f ()] once per extension of [benv]
     that matches [pivot] against one of the stored facts whose handles
-    {!Index.handle} [delta] holds (in vector order) and every atom of
+    {!Index.handle} the slots [lo … hi-1] of [delta] hold (in vector
+    order) and every atom of
     [atoms] against the index, with the extension visible in [benv]
     during the call. Each delta fact
     counts one [joiner.candidates] of [counters] (which must be
@@ -95,6 +96,8 @@ val fold_delta :
   Index.catom array ->
   benv:int array ->
   Vec.t ->
+  lo:int ->
+  hi:int ->
   (unit -> unit) ->
   unit
 

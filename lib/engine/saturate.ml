@@ -105,7 +105,7 @@ let layout i r =
 type plan = {
   p_layout : layout;
   p_body : Index.catom array;  (* body order *)
-  p_pivots : (Index.catom * Index.catom array) list;
+  p_pivots : (Index.catom * Index.catom array) array;
       (* per body position: the pivot and the other atoms in body order;
          a predicate repeated in the body is pivoted once per occurrence
          (the per-pass key set deduplicates the bindings) *)
@@ -124,7 +124,7 @@ let plan idx i r =
     p_layout = l;
     p_body = body;
     p_pivots =
-      List.init n (fun j ->
+      Array.init n (fun j ->
           (body.(j), Array.init (n - 1) (fun k -> body.(if k < j then k else k + 1))));
     p_heads =
       Array.of_list
@@ -148,7 +148,10 @@ let refresh idx p =
    every later pass and every later [continue] over the same store: a
    maintenance step on perfbench's mutate workload touches 4.5 of the 10
    rules, and compiling even those anew on each step was a fifth of the
-   step's allocation. *)
+   step's allocation.
+
+   The program also owns the scratch of a pass, emptied and refilled by
+   every pass of every run over it, so a pass allocates none of it. *)
 type program = {
   g_idx : Index.t;
   g_rules : rule array;
@@ -157,6 +160,25 @@ type program = {
       (* per rule, its body predicates' ids; [-1] while a predicate is
          unknown to the store, resolved again at each pass until known *)
   g_counters : Joiner.counters;
+  mutable g_lo : int array;
+  mutable g_hi : int array;
+      (* per pid, the slots [g_lo, g_hi) of [g_delta] holding the pass's
+         delta facts of that predicate, in delta order *)
+  g_touched : Vec.t;  (* the pids whose slots are not empty *)
+  g_seen : unit Index.Keytbl.t;
+      (* the trigger keys of rules with two or more body atoms met in
+         the pass; see [exec] *)
+  g_pending : Vec.t;
+      (* the active triggers collected in the pass, in collection order,
+         flat: each is its rule's index, then the handles of its body
+         facts in body order, which spell its binding *)
+  mutable g_delta : Vec.t;
+      (* the handles of the pass's delta, grouped by predicate once the
+         pass starts *)
+  mutable g_next : Vec.t;
+      (* spare: the grouping's buffer, then the facts the pass adds,
+         which are the next delta *)
+  g_view : firing;
 }
 
 let program rules idx =
@@ -173,10 +195,73 @@ let program rules idx =
             (List.map (fun a -> Symtab.find_pred_int st (Atom.pred a)) r.body))
         rules;
     g_counters = Joiner.counters idx;
+    g_lo = [||];
+    g_hi = [||];
+    g_touched = Vec.create ();
+    (* a table sized to a large database raised the server's peak RSS *)
+    g_seen = Index.Keytbl.create 256;
+    g_pending = Vec.create ();
+    g_delta = Vec.create ();
+    g_next = Vec.create ();
+    g_view =
+      { fr_rule = 0; fr_ncells = 0; fr_cells = [||]; fr_body = [||]; fr_outs = [||] };
   }
 
+(* The first and the last-plus-one slot of [g_delta] holding the pass's
+   delta facts of predicate [pid]. *)
+let group_lo prog pid = if pid >= 0 && pid < Array.length prog.g_lo then prog.g_lo.(pid) else 0
+let group_hi prog pid = if pid >= 0 && pid < Array.length prog.g_hi then prog.g_hi.(pid) else 0
+
+(* Group the delta by predicate, keeping delta order within each
+   predicate: a counting sort into the spare vector, which then becomes
+   the delta. The delta and its grouping take the same two vectors, so a
+   pass holds no other copy of its delta. *)
+let group_delta prog =
+  let idx = prog.g_idx and touched = prog.g_touched in
+  for k = 0 to Vec.length touched - 1 do
+    let pid = Vec.get touched k in
+    prog.g_lo.(pid) <- 0;
+    prog.g_hi.(pid) <- 0
+  done;
+  Vec.clear touched;
+  let delta = prog.g_delta and sorted = prog.g_next in
+  let n = Vec.length delta in
+  (* count each predicate's facts in [g_hi] *)
+  for k = 0 to n - 1 do
+    let pid = Index.handle_pid idx (Vec.get delta k) in
+    if pid >= Array.length prog.g_hi then begin
+      let grow a = Array.append a (Array.make (max 16 (pid + 1)) 0) in
+      prog.g_lo <- grow prog.g_lo;
+      prog.g_hi <- grow prog.g_hi
+    end;
+    if prog.g_hi.(pid) = 0 then Vec.push touched pid;
+    prog.g_hi.(pid) <- prog.g_hi.(pid) + 1
+  done;
+  (* give each predicate its slots, in order of first appearance; [g_hi]
+     becomes the fill cursor *)
+  let next = ref 0 in
+  for k = 0 to Vec.length touched - 1 do
+    let pid = Vec.get touched k in
+    let count = prog.g_hi.(pid) in
+    prog.g_lo.(pid) <- !next;
+    prog.g_hi.(pid) <- !next;
+    next := !next + count
+  done;
+  Vec.clear sorted;
+  for _ = 1 to n do
+    Vec.push sorted 0
+  done;
+  for k = 0 to n - 1 do
+    let h = Vec.get delta k in
+    let pid = Index.handle_pid idx h in
+    Vec.set sorted prog.g_hi.(pid) h;
+    prog.g_hi.(pid) <- prog.g_hi.(pid) + 1
+  done;
+  prog.g_delta <- sorted;
+  prog.g_next <- delta
+
 (* Does a body predicate of rule [i] hold a fact of the pass's delta? *)
-let touches prog delta_by_pid i =
+let touches prog i =
   let pids = prog.g_pids.(i) in
   let rec go j =
     j < Array.length pids
@@ -189,38 +274,37 @@ let touches prog delta_by_pid i =
         pids.(j)
       end
     in
-    Hashtbl.mem delta_by_pid pid || go (j + 1)
+    group_hi prog pid > group_lo prog pid || go (j + 1)
   in
   go 0
 
 (* The resumable state threaded into the driver: either a fresh run over a
-   database or the reconstruction of a checkpointed boundary. The delta
-   holds the handles of the facts of the last level, in pivot order. *)
+   database or the reconstruction of a checkpointed boundary. The first
+   delta is in the program's [g_delta]. *)
 type init = {
-  i_delta : Vec.t;
   i_level : int;
   i_saturated : bool;
   i_first_pass : bool;
   i_fired : int;
   i_dismissed : int;
   i_fpl : int list;  (* reversed: newest level first *)
-  i_seen : int;
-      (* initial size of the per-pass trigger-key table: the delta's for
-         a maintenance step, 256 for a run over a database, where a
-         table sized to a large database raised the server's peak RSS *)
 }
 
-(* The delta of the stored facts with interned [keys], in pivot order:
-   the reverse of the list, which keeps the order in which a delta of
-   keys was pivoted. *)
-let delta_of idx keys =
-  let v = Vec.create () in
-  List.iter (fun k -> Vec.push v (Index.handle idx k)) (List.rev keys);
-  v
+(* Fill the program's delta with the handles [f] pushes, reversed: a
+   run pivots its first delta in the reverse of the order it is gathered
+   in, which fixes the order of its triggers, hence of its nulls. *)
+let set_delta prog f =
+  let v = prog.g_delta in
+  Vec.clear v;
+  f (Vec.push v);
+  let n = Vec.length v in
+  for i = 0 to (n / 2) - 1 do
+    let h = Vec.get v i in
+    Vec.set v i (Vec.get v (n - 1 - i));
+    Vec.set v (n - 1 - i) h
+  done
 
-let keys idx facts = List.filter_map (Index.key idx) facts
-
-let exec ?nulls ~policy ~budget ~span ~on_pass ~on_fire init prog =
+let exec ?nulls ~policy ~budget ~span ~spans ~on_pass ~on_fire init prog =
   let idx = prog.g_idx and rules = prog.g_rules and plans = prog.g_plans in
   let plan_of i =
     match plans.(i) with
@@ -230,27 +314,22 @@ let exec ?nulls ~policy ~budget ~span ~on_pass ~on_fire init prog =
         plans.(i) <- Some p;
         p
   in
-  (* The trigger keys of rules with two or more body atoms enumerated in
-     the current pass: such a trigger is met once per pivot whose atom
-     maps into the delta. Nothing needs remembering across passes: a
-     fact enters the delta at most once in a run, and a trigger is met
-     only in the pass whose delta holds one of its body facts, since all
-     of them were stored when it was first met. A one-atom body has one
-     pivot, so it meets each delta fact, hence each trigger, once. *)
-  let seen = Index.Keytbl.create init.i_seen in
-  (* The active triggers collected in the current pass, in collection
-     order, flat: each is its rule's index, then its body binding. *)
-  let pending = Vec.create () in
-  let view =
-    { fr_rule = 0; fr_ncells = 0; fr_cells = [||]; fr_body = [||]; fr_outs = [||] }
-  in
+  (* [seen] holds the trigger keys of rules with two or more body atoms
+     enumerated in the current pass: such a trigger is met once per pivot
+     whose atom maps into the delta. Nothing needs remembering across
+     passes: a fact enters the delta at most once in a run, and a trigger
+     is met only in the pass whose delta holds one of its body facts,
+     since all of them were stored when it was first met. A one-atom
+     body has one pivot, so it meets each delta fact, hence each trigger,
+     once. *)
+  let seen = prog.g_seen and pending = prog.g_pending and view = prog.g_view in
   let triggers_fired = ref init.i_fired
   and triggers_dismissed = ref init.i_dismissed in
   let facts_per_level = ref init.i_fpl in
-  let delta = ref init.i_delta in
   let first_pass = ref init.i_first_pass in
   let saturated = ref init.i_saturated in
   let level = ref init.i_level in
+  let level_dismissed = ref 0 in
   let violation = ref None in
   let overflow () = !violation <> None in
   let take_snapshot () =
@@ -265,93 +344,82 @@ let exec ?nulls ~policy ~budget ~span ~on_pass ~on_fire init prog =
       snap_counters = Obs.Metrics.counters (Index.metrics idx);
     }
   in
+  (* the rule whose triggers the collection phase is enumerating *)
+  let rule = ref 0 in
+  let consider () =
+    let i = !rule in
+    let p = plan_of i in
+    let l = p.p_layout in
+    let sk = l.l_key in
+    Array.blit l.l_benv 0 sk 1 l.l_nbody;
+    let dedup = Array.length p.p_body >= 2 in
+    if not (dedup && Index.Keytbl.mem seen sk) then begin
+      let active =
+        match policy with
+        | Oblivious -> true
+        | Restricted ->
+            let heads = p.p_heads in
+            Obs.Probe.hit "engine.join";
+            not
+              (Joiner.exists_compiled idx ~counters:prog.g_counters heads
+                 ~benv:l.l_benv 0 (Array.length heads))
+      in
+      if dedup then Index.Keytbl.replace seen (Array.copy sk) ();
+      if active then begin
+        Vec.push pending i;
+        (* the search matched every body atom to a stored fact *)
+        for j = 0 to Array.length p.p_body - 1 do
+          Vec.push pending (Index.catom_matched p.p_body.(j))
+        done
+      end
+      else begin
+        incr triggers_dismissed;
+        incr level_dismissed
+      end
+    end
+  in
   while (not !saturated) && not (overflow ()) do
     Obs.Probe.hit "engine.pass";
     match Obs.Budget.check budget ~facts:(Index.size idx) ~level:(!level + 1) with
     | Some v -> violation := Some v
     | None ->
-        let lspan = Obs.Span.enter span "level" in
+        let lspan = if spans then Some (Obs.Span.enter span "level") else None in
         let pass_no = !level + 1 in
-        let level_fired = ref 0 and level_dismissed = ref 0 in
+        let level_fired = ref 0 in
+        level_dismissed := 0;
         for i = 0 to Array.length plans - 1 do
           match plans.(i) with Some p -> refresh idx p | None -> ()
         done;
-        (* the delta grouped by predicate, each group in delta order *)
-        let delta_by_pid = Hashtbl.create 16 in
+        group_delta prog;
         Index.Keytbl.reset seen;
         Vec.clear pending;
-        Vec.iter
-          (fun h ->
-            let pid = Index.handle_pid idx h in
-            match Hashtbl.find_opt delta_by_pid pid with
-            | Some group -> Vec.push group h
-            | None ->
-                let group = Vec.create () in
-                Vec.push group h;
-                Hashtbl.replace delta_by_pid pid group)
-          !delta;
-        let consider i () =
-          let p = plan_of i in
-          let l = p.p_layout in
-          let sk = l.l_key in
-          Array.blit l.l_benv 0 sk 1 l.l_nbody;
-          let dedup = Array.length p.p_body >= 2 in
-          if not (dedup && Index.Keytbl.mem seen sk) then begin
-            let active =
-              match policy with
-              | Oblivious -> true
-              | Restricted ->
-                  let heads = p.p_heads in
-                  Obs.Probe.hit "engine.join";
-                  not
-                    (Joiner.exists_compiled idx ~counters:prog.g_counters heads
-                       ~benv:l.l_benv 0
-                       (Array.length heads))
-            in
-            if dedup then Index.Keytbl.replace seen (Array.copy sk) ();
-            if active then begin
-              Vec.push pending i;
-              for j = 0 to l.l_nbody - 1 do
-                Vec.push pending l.l_benv.(j)
-              done
-            end
-            else begin
-              incr triggers_dismissed;
-              incr level_dismissed
-            end
+        for i = 0 to Array.length rules - 1 do
+          rule := i;
+          if rules.(i).body = [] then begin
+            (* bodiless rules have a single (empty) trigger; it exists
+               from the start, so only the first pass needs to consider
+               it *)
+            if !first_pass then consider ()
           end
-        in
-        Array.iteri
-          (fun i r ->
-            if r.body = [] then begin
-              (* bodiless rules have a single (empty) trigger; it exists
-                 from the start, so only the first pass needs to consider
-                 it *)
-              if !first_pass then consider i ()
-            end
-            else if touches prog delta_by_pid i then
-              let p = plan_of i in
-              let benv = p.p_layout.l_benv in
-              List.iter
-                (fun ((pivot : Index.catom), rest) ->
-                  match Hashtbl.find_opt delta_by_pid (Index.catom_pid pivot) with
-                  | None -> ()
-                  | Some group ->
-                      Joiner.fold_delta idx ~counters:prog.g_counters ~pivot rest ~benv
-                        group (consider i))
-                p.p_pivots)
-          rules;
+          else if touches prog i then begin
+            let p = plan_of i in
+            let benv = p.p_layout.l_benv in
+            for j = 0 to Array.length p.p_pivots - 1 do
+              let pivot, rest = p.p_pivots.(j) in
+              let pid = Index.catom_pid pivot in
+              let lo = group_lo prog pid and hi = group_hi prog pid in
+              if hi > lo then
+                Joiner.fold_delta idx ~counters:prog.g_counters ~pivot rest ~benv
+                  prog.g_delta ~lo ~hi consider
+            done
+          end
+        done;
         first_pass := false;
         if Vec.length pending = 0 then saturated := true
         else begin
           incr level;
-          let new_delta = Vec.create () in
-          (* the new fact's handle, or -1 when it was stored already *)
-          let land_head ~level ~benv h =
-            let landed = Index.insert_key idx ~level h ~benv in
-            if landed >= 0 then Vec.push new_delta landed;
-            landed
-          in
+          let next = prog.g_next in
+          Vec.clear next;
           let pos = ref 0 in
           while !pos < Vec.length pending && not (overflow ()) do
             incr triggers_fired;
@@ -360,15 +428,15 @@ let exec ?nulls ~policy ~budget ~span ~on_pass ~on_fire init prog =
             let p = plan_of i in
             let l = p.p_layout in
             let benv = l.l_benv in
-            for j = 0 to l.l_nbody - 1 do
-              benv.(j) <- Vec.get pending (!pos + 1 + j)
-            done;
-            pos := !pos + 1 + l.l_nbody;
+            let hbody = p.p_hbody in
             let body_level = ref 0 in
-            for j = 0 to Array.length p.p_body - 1 do
-              body_level :=
-                max !body_level (Index.catom_level idx p.p_body.(j) ~benv)
+            for j = 0 to Array.length hbody - 1 do
+              let h = Vec.get pending (!pos + 1 + j) in
+              hbody.(j) <- h;
+              Index.bind_handle idx p.p_body.(j) ~benv h;
+              body_level := max !body_level (Index.handle_level idx h)
             done;
+            pos := !pos + 1 + Array.length hbody;
             let head_level = !body_level + 1 in
             (match nulls with
             | Some choose when l.l_nexist > 0 ->
@@ -382,27 +450,19 @@ let exec ?nulls ~policy ~budget ~span ~on_pass ~on_fire init prog =
                   benv.(l.l_nbody + z) <-
                     (match fresh_null () with Null n -> n | Named _ -> assert false)
                 done);
+            for j = 0 to Array.length p.p_heads - 1 do
+              (* the new fact's handle, or [lnot] the stored one's *)
+              let landed = Index.insert_key idx ~level:head_level p.p_heads.(j) ~benv in
+              if landed >= 0 then Vec.push next landed;
+              p.p_houts.(j) <- (if landed >= 0 then landed else lnot landed)
+            done;
             (match on_fire with
-            | None ->
-                for j = 0 to Array.length p.p_heads - 1 do
-                  ignore (land_head ~level:head_level ~benv p.p_heads.(j))
-                done
+            | None -> ()
             | Some cb ->
-                (* a head fact that was stored already has its key in its
-                   atom's scratch; the body keys sit in the body atoms'
-                   scratch since [catom_level] *)
-                for j = 0 to Array.length p.p_heads - 1 do
-                  let h = p.p_heads.(j) in
-                  let landed = land_head ~level:head_level ~benv h in
-                  p.p_houts.(j) <- (if landed >= 0 then landed else Index.catom_handle idx h)
-                done;
-                for j = 0 to Array.length p.p_body - 1 do
-                  p.p_hbody.(j) <- Index.catom_handle idx p.p_body.(j)
-                done;
                 view.fr_rule <- i;
                 view.fr_ncells <- l.l_nbody;
                 view.fr_cells <- benv;
-                view.fr_body <- p.p_hbody;
+                view.fr_body <- hbody;
                 view.fr_outs <- p.p_houts;
                 cb view);
             Array.fill benv 0 (Array.length benv) (-1);
@@ -413,18 +473,22 @@ let exec ?nulls ~policy ~budget ~span ~on_pass ~on_fire init prog =
             | Some v -> violation := Some v
             | None -> ()
           done;
-          facts_per_level := Vec.length new_delta :: !facts_per_level;
-          delta := new_delta
+          facts_per_level := Vec.length next :: !facts_per_level;
+          prog.g_next <- prog.g_delta;
+          prog.g_delta <- next
         end;
-        Obs.Span.set lspan "level" (Obs.Json.Int pass_no);
-        Obs.Span.set lspan "triggers_fired" (Obs.Json.Int !level_fired);
-        Obs.Span.set lspan "triggers_dismissed" (Obs.Json.Int !level_dismissed);
-        Obs.Span.set lspan "new_facts"
-          (Obs.Json.Int
-             (match !facts_per_level with
-             | n :: _ when not !saturated -> n
-             | _ -> 0));
-        Obs.Span.exit lspan;
+        (match lspan with
+        | None -> ()
+        | Some lspan ->
+            Obs.Span.set lspan "level" (Obs.Json.Int pass_no);
+            Obs.Span.set lspan "triggers_fired" (Obs.Json.Int !level_fired);
+            Obs.Span.set lspan "triggers_dismissed" (Obs.Json.Int !level_dismissed);
+            Obs.Span.set lspan "new_facts"
+              (Obs.Json.Int
+                 (match !facts_per_level with
+                 | n :: _ when not !saturated -> n
+                 | _ -> 0));
+            Obs.Span.exit lspan);
         (* Clean pass boundary (no mid-pass cutoff): the state is fully
            reconstructible — offer a checkpoint. *)
         (match on_pass with
@@ -453,66 +517,54 @@ let make_span obs =
   | Some parent -> Obs.Span.enter parent "saturate"
   | None -> Obs.Span.root "saturate"
 
-(* The first delta of a run over a loaded store: every stored fact, in
-   reverse storage order. *)
-let delta_all idx =
-  let v = Vec.create () in
-  Index.iter_handles (Vec.push v) idx;
-  let n = Vec.length v in
-  for i = 0 to (n / 2) - 1 do
-    let h = Vec.get v i in
-    Vec.set v i (Vec.get v (n - 1 - i));
-    Vec.set v (n - 1 - i) h
-  done;
-  v
-
 let run ?(policy = Oblivious) ?(budget = Obs.Budget.unlimited) ?obs ?on_pass
     ?on_fire ?nulls rules idx =
   let span = make_span obs in
+  let prog = program rules idx in
+  (* the first delta: every stored fact, in reverse storage order *)
+  set_delta prog (fun push -> Index.iter_handles push idx);
   let init =
     {
-      i_delta = delta_all idx;
       i_level = 0;
       i_saturated = false;
       i_first_pass = true;
       i_fired = 0;
       i_dismissed = 0;
       i_fpl = [];
-      i_seen = 256;
     }
   in
-  let r =
-    exec ?nulls ~policy ~budget ~span ~on_pass ~on_fire init (program rules idx)
-  in
+  let r = exec ?nulls ~policy ~budget ~span ~spans:true ~on_pass ~on_fire init prog in
   Obs.Span.exit span;
   r
 
 (** [continue ... prog ~level delta] — run the delta
     fixpoint over an {e existing} store: passes enumerate only triggers
-    whose body touches [delta], the interned keys of distinct facts
-    already stored (then the facts those produce, and so on) until
-    saturation. No trigger of an earlier run is remembered — sound whenever
+    whose body touches [delta], the handles of distinct facts already
+    stored (then the facts those produce, and so on) until saturation.
+    No trigger of an earlier run is remembered — sound whenever
     every previously fired trigger has no body fact in the transitive
     delta, which is the incremental-maintenance invariant (a fired
     trigger touching the delta was either never fired or was invalidated
     by the over-delete phase). Bodiless rules are never (re-)considered:
-    their single trigger fired on the original first pass. *)
+    their single trigger fired on the original first pass. A pass opens
+    a [level] span only under [obs]: nothing reads it otherwise. *)
 let continue ?(policy = Oblivious) ?(budget = Obs.Budget.unlimited) ?obs
     ?on_pass ?on_fire prog ~level delta =
   let span = make_span obs in
+  set_delta prog (fun push -> List.iter push delta);
   let init =
     {
-      i_delta = delta_of prog.g_idx delta;
       i_level = level;
       i_saturated = false;
       i_first_pass = false;
       i_fired = 0;
       i_dismissed = 0;
       i_fpl = [];
-      i_seen = List.length delta;
     }
   in
-  let r = exec ~policy ~budget ~span ~on_pass ~on_fire init prog in
+  let r =
+    exec ~policy ~budget ~span ~spans:(obs <> None) ~on_pass ~on_fire init prog
+  in
   Obs.Span.exit span;
   r
 
@@ -530,14 +582,15 @@ let resume ?(budget = Obs.Budget.unlimited) ?obs ?on_pass ?on_fire rules
   (* cancel the rebuild's own increments: a resumed run reports the same
      counter values as an uninterrupted one *)
   Obs.Metrics.restore (Index.metrics idx) s.snap_counters;
-  (* The semi-naive delta at a clean boundary is exactly the last level. *)
-  let delta =
-    delta_of idx
-      (keys idx
-         (List.filter_map
-            (fun (f, l) -> if l = s.snap_level then Some f else None)
-            s.snap_facts))
-  in
+  let prog = program rules idx in
+  (* The semi-naive delta at a clean boundary is exactly the last level,
+     pivoted in the reverse of the snapshot's order. *)
+  set_delta prog (fun push ->
+      List.iter
+        (fun (f, l) ->
+          if l = s.snap_level then
+            match Index.key idx f with Some k -> push (Index.handle idx k) | None -> ())
+        s.snap_facts);
   let fpl =
     if s.snap_level = 0 then []
     else begin
@@ -552,19 +605,16 @@ let resume ?(budget = Obs.Budget.unlimited) ?obs ?on_pass ?on_fire rules
   in
   let init =
     {
-      i_delta = delta;
       i_level = s.snap_level;
       i_saturated = s.snap_saturated;
       i_first_pass = s.snap_level = 0;
       i_fired = s.snap_triggers_fired;
       i_dismissed = s.snap_triggers_dismissed;
       i_fpl = fpl;
-      i_seen = 256;
     }
   in
   let r =
-    exec ~policy:s.snap_policy ~budget ~span ~on_pass ~on_fire init
-      (program rules idx)
+    exec ~policy:s.snap_policy ~budget ~span ~spans:true ~on_pass ~on_fire init prog
   in
   Obs.Span.exit span;
   r

@@ -64,7 +64,9 @@ type result = {
   triggers_fired : int;
   triggers_dismissed : int;  (** [Restricted] head-already-satisfied *)
   facts_per_level : int list;  (** new facts at levels 1, 2, … *)
-  span : Obs.Span.t;  (** the run's span (one [level] child per pass) *)
+  span : Obs.Span.t;
+      (** the run's span: one [level] child per pass, except in a
+          {!continue} without [obs] *)
 }
 
 (** One trigger firing, reported to [?on_fire] as it happens — the hook
@@ -87,7 +89,9 @@ val fire_cells : firing -> int
 val fire_cell : firing -> int -> int
 
 (** The handles of the grounded body facts, one per body atom in body
-    order ([fire_bodies] of them); two atoms may ground to one fact. *)
+    order ([fire_bodies] of them); two atoms may ground to one fact.
+    They are the facts the collection phase matched, carried with the
+    trigger, so firing looks none of them up again. *)
 val fire_bodies : firing -> int
 
 val fire_body : firing -> int -> int
@@ -155,8 +159,11 @@ val resume :
 type program
 (** Rules compiled against one store. {!continue} keeps each rule's
     compiled plan in it for every later call, so repeated maintenance
-    steps compile a rule once. A call that raised leaves the program,
-    like the store it runs on, unfit for further use. *)
+    steps compile a rule once. It also owns the scratch of a pass (the
+    delta, grouped by predicate, the next delta, the pending triggers
+    and the trigger-key table), which every pass empties and refills.
+    A call that raised leaves the program, like the store it runs on,
+    unfit for further use. *)
 
 val program : rule list -> Index.t -> program
 (** [program rules index] — [rules] over [index], compiled lazily. *)
@@ -166,8 +173,10 @@ val program : rule list -> Index.t -> program
     store after [delta] has been added to it: pass [level + 1] enumerates
     the triggers whose body touches [delta], and the loop runs to
     saturation (or a budget cut). [prog]'s store is mutated in place,
-    s-levels included; [delta] holds the interned keys of distinct facts
-    already stored in it.
+    s-levels included; [delta] holds the {!Index.handle}s of distinct
+    facts already stored in it. The passes reuse the program's scratch,
+    so a pass allocates none of it; they open [level] spans only under
+    [obs], as nothing else reads them.
 
     This is the incremental-maintenance entry point. Like every run, it
     remembers no trigger fired before it (a run only deduplicates within
@@ -185,5 +194,5 @@ val continue :
   ?on_fire:(firing -> unit) ->
   program ->
   level:int ->
-  int array list ->
+  int list ->
   result

@@ -127,9 +127,9 @@ let create ?engine:(_ : Tgds.Chase.engine option) ?max_level ?obs sigma db =
 
 (* ---- the delta fixpoint over the live store --------------------------- *)
 
-(* Run [Saturate.continue] from the keys [delta] (already inserted into
-   the index with levels set), recording new derivations. Returns the
-   number of facts the fixpoint added. *)
+(* Run [Saturate.continue] from the handles [delta] (already inserted
+   into the index with levels set), recording new derivations. Returns
+   the number of facts the fixpoint added. *)
 let propagate ?obs t delta =
   if delta = [] then 0
   else begin
@@ -154,7 +154,8 @@ let insert ?obs t f =
   let span = Option.map (fun p -> Obs.Span.enter p "insert") obs in
   Option.iter (fun s -> Obs.Span.set s "fact" (fact_attr f)) span;
   (* a stored fact's symbols are interned already, so interning the key
-     changes the symbol table only for a fact about to be inserted *)
+     changes the symbol table only for a fact about to be inserted; the
+     one membership probe of the mutation follows *)
   let k = Index.intern t.idx f in
   let h = Index.handle t.idx k in
   let eff =
@@ -174,9 +175,9 @@ let insert ?obs t f =
           0
         end
         else begin
-          ignore (Index.insert_interned k t.idx);
-          Ledger.set_base t.led (Index.handle t.idx k) true;
-          1 + propagate ?obs:span t [ k ]
+          let h = Index.insert_absent k t.idx in
+          Ledger.set_base t.led h true;
+          1 + propagate ?obs:span t [ h ]
         end
       in
       Obs.Metrics.add t.c_repaired repaired;
@@ -263,16 +264,20 @@ let delete ?obs t f =
           (fun (_, _, s) -> Ledger.saved_base s || Ledger.saved_supported s)
           over
       in
-      List.iter
-        (fun (_, k, s) ->
-          ignore (Index.insert_interned ~level:(relevel t s) k t.idx);
-          Ledger.attach t.led (Index.handle t.idx k) s)
-        red;
+      let back =
+        List.map
+          (fun (_, k, s) ->
+            (* over-deleted, so not stored until this re-insert *)
+            let h = Index.insert_absent ~level:(relevel t s) k t.idx in
+            Ledger.attach t.led h s;
+            h)
+          red
+      in
       (* Phase 3: propagate. The re-inserted facts are the delta; the
          invalidated triggers whose bodies survived refire here (and may
          resurrect more of the retracted set, with fresh nulls where the
          original derivation passed through an existential). *)
-      let repaired = propagate ?obs:span t (List.map (fun (_, k, _) -> k) red) in
+      let repaired = propagate ?obs:span t back in
       let deleted =
         List.length (List.filter (fun (_, k, _) -> Index.handle t.idx k < 0) over)
       in

@@ -39,3 +39,22 @@ let is_ground_of_nulls f = List.exists is_null f.args
 let pp ppf f =
   if f.args = [] then Fmt.string ppf f.pred
   else Fmt.pf ppf "%s(%a)" f.pred Fmt.(list ~sep:(any ",") Term.pp_const) f.args
+
+let rec add_args b = function
+  | [] -> ()
+  | c :: rest ->
+      (match c with
+      | Named s -> Buffer.add_string b s
+      | Null n ->
+          Buffer.add_string b "_:n";
+          Buffer.add_string b (string_of_int n));
+      if rest <> [] then Buffer.add_char b ',';
+      add_args b rest
+
+let to_buffer b f =
+  Buffer.add_string b f.pred;
+  if f.args <> [] then begin
+    Buffer.add_char b '(';
+    add_args b f.args;
+    Buffer.add_char b ')'
+  end

@@ -27,3 +27,7 @@ val within : Term.ConstSet.t -> t -> bool
 val is_ground_of_nulls : t -> bool
 
 val pp : Format.formatter -> t -> unit
+
+(** [to_buffer b f] — append the bytes {!pp} prints for [f] to [b],
+    without a formatter. *)
+val to_buffer : Buffer.t -> t -> unit

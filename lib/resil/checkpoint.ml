@@ -88,7 +88,9 @@ let fact_to_json (f, l) =
 let fact_of_json j =
   let* f = bare_fact_of_json j in
   let* l = field "l" int_f j in
-  Ok (f, l)
+  if l < 0 || l > Engine.Index.max_level then
+    Error (Printf.sprintf "s-level %d out of range" l)
+  else Ok (f, l)
 
 let check_null_count null_count consts =
   let top =

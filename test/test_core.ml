@@ -538,11 +538,37 @@ let prop_witness_oracle =
       if Ucq.holds (Tgds.Chase.instance r) q then in_m
       else (not in_m) || Ucq.holds (Blocked_chase.build ~n sigma db) q)
 
+(* [Finite_witness.verify]'s one restricted engine pass decides m ⊨ Σ
+   as [Tgd.satisfies_all] does, and leaves the null supply as it was.
+   m is a level-k prefix of the chase (k = 0 is D itself), which models
+   Σ only sometimes: at saturation, or where the rules stay idle; Σ is
+   drawn from [constant_pool], so heads and bodies may name a constant
+   of Σ that m lacks. *)
+let prop_verify_satisfies =
+  QCheck.Test.make ~name:"witness check = Tgd.satisfies_all" ~count:1000
+    (QCheck.make
+       ~print:(fun ((s, db), k) -> Fmt.str "%s k=%d" (Generators.print_sigma_db (s, db)) k)
+       QCheck.Gen.(
+         pair
+           (pair (Generators.gen_pool_sigma Generators.constant_pool)
+              Generators.gen_closure_db)
+           (int_range 0 4)))
+    (fun ((sigma, db), k) ->
+      Term.reset_nulls ();
+      let m =
+        Tgds.Chase.instance (Tgds.Chase.run ~max_level:k ~max_facts:4000 sigma db)
+      in
+      let nulls = Term.null_count () in
+      let verdict = Finite_witness.verify sigma db m in
+      verdict = Tgd.satisfies_all m sigma && Term.null_count () = nulls)
+
 let qcheck_tests =
   List.map QCheck_alcotest.to_alcotest [ prop_tw_eval_correct ]
   @ [
       QCheck_alcotest.to_alcotest ~rand:(Random.State.make [| 29 |])
         prop_witness_oracle;
+      QCheck_alcotest.to_alcotest ~rand:(Random.State.make [| 30 |])
+        prop_verify_satisfies;
     ]
 
 let () =

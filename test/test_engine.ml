@@ -295,6 +295,103 @@ let prop_index_roundtrip =
     (QCheck.make ~print:(Fmt.str "%a" Instance.pp) Generators.gen_db) (fun db ->
       Instance.equal db (Engine.Index.to_instance (Engine.Index.of_instance db)))
 
+(* The facts a fired trigger carries. [closure_pool] plus rules whose
+   bodies repeat a predicate, one of them twice the same atom, so two
+   body atoms may ground to one fact. On every firing of [run] over a
+   part of D, and of [continue] from the rest of D, each body handle is
+   the one [Index.handle] finds for the body atom under the trigger's
+   binding, its level is the one [key_level] reads, and each head
+   handle names a stored fact that matches the head atom, at a level no
+   higher than one above the body's. *)
+let handle_pool =
+  Array.append Generators.closure_pool
+    [|
+      tgd [ atom "S" [ v "x"; v "y" ]; atom "S" [ v "y"; v "z" ] ] [ atom "T" [ v "x"; v "z" ] ];
+      tgd
+        [ atom "S" [ v "x"; v "y" ]; atom "S" [ v "y"; v "x" ]; atom "A" [ v "x" ] ]
+        [ atom "E" [ v "x"; v "y" ] ];
+      tgd [ atom "T" [ v "x"; v "y" ]; atom "T" [ v "x"; v "y" ] ] [ atom "C" [ v "x" ] ];
+      tgd
+        [ atom "F" [ v "x"; v "y"; v "z" ]; atom "F" [ v "z"; v "y"; v "x" ] ]
+        [ atom "S" [ v "x"; v "w" ] ];
+    |]
+
+let trigger_facts_agree sigma idx fr =
+  let open Engine in
+  let st = Index.symtab idx in
+  let tgd = List.nth sigma (Saturate.fire_rule fr) in
+  let vars = VarSet.elements (Tgds.Tgd.body_vars tgd) in
+  let cell x =
+    let rec go i = function
+      | y :: rest -> if x = y then Saturate.fire_cell fr i else go (i + 1) rest
+      | [] -> -1
+    in
+    go 0 vars
+  in
+  (* the key of [a] under the binding; [-1] at an existential *)
+  let key a =
+    Array.of_list
+      (Symtab.find_pred_int st (Atom.pred a)
+      :: List.map
+           (function Const c -> Symtab.find_int st c | Var x -> cell x)
+           (Atom.args a))
+  in
+  let body = Tgds.Tgd.body tgd and head = Tgds.Tgd.head tgd in
+  let body_level = ref 0 in
+  Saturate.fire_bodies fr = List.length body
+  && List.for_all Fun.id
+       (List.mapi
+          (fun j a ->
+            let h = Saturate.fire_body fr j and k = key a in
+            body_level := max !body_level (Index.key_level idx k);
+            Index.handle idx k = h && Index.handle_level idx h = Index.key_level idx k)
+          body)
+  && Saturate.fire_outs fr = List.length head
+  && List.for_all Fun.id
+       (List.mapi
+          (fun j a ->
+            let h = Saturate.fire_out fr j in
+            let stored = Index.handle_key idx h in
+            Index.handle idx stored = h
+            && Index.handle_level idx h <= !body_level + 1
+            && Array.for_all2 (fun want got -> want < 0 || want = got) (key a) stored)
+          head)
+
+let prop_trigger_handles =
+  QCheck.Test.make ~name:"a fired trigger carries its facts' handles and levels"
+    ~count:500
+    (QCheck.make ~print:Generators.print_sigma_db
+       QCheck.Gen.(pair (Generators.gen_pool_sigma handle_pool) Generators.gen_closure_db))
+    (fun (sigma, db) ->
+      let open Engine in
+      Term.reset_nulls ();
+      let rules = (sigma : Tgds.Tgd.t list :> Saturate.rule list) in
+      let facts = Instance.facts db in
+      let first = List.filteri (fun i _ -> i mod 2 = 0) facts
+      and rest = List.filteri (fun i _ -> i mod 2 = 1) facts in
+      let idx = Index.of_facts first in
+      let ok = ref true in
+      let on_fire fr = if not (trigger_facts_agree sigma idx fr) then ok := false in
+      let r =
+        Saturate.run ~budget:(Obs.Budget.create ~max_levels:4 ~max_facts:2000 ())
+          ~on_fire rules idx
+      in
+      let level = r.Saturate.max_level in
+      let prog = Saturate.program rules idx in
+      let delta =
+        List.filter_map
+          (fun f ->
+            let k = Index.intern idx f in
+            if Index.handle idx k >= 0 then None
+            else Some (Index.insert_absent ~level:(level + 1) k idx))
+          rest
+      in
+      ignore
+        (Saturate.continue
+           ~budget:(Obs.Budget.create ~max_levels:(level + 4) ~max_facts:4000 ())
+           ~on_fire prog ~level:(level + 1) delta);
+      !ok)
+
 let test_index_postings () =
   let idx =
     Engine.Index.of_instance
@@ -661,7 +758,7 @@ let test_delta_restriction () =
       (fun f -> Engine.Vec.push handles (Engine.Index.handle idx (Engine.Index.intern idx f)))
       delta;
     Engine.Joiner.fold_delta idx ~counters:(Engine.Joiner.counters idx) ~pivot rest ~benv
-      handles
+      handles ~lo:0 ~hi:(Engine.Vec.length handles)
       (fun () -> incr n);
     !n
   in
@@ -948,6 +1045,7 @@ let qcheck_tests =
       prop_enumerate_matches_generate_and_test;
       prop_enumerate_budget_prefix;
       prop_index_roundtrip;
+      prop_trigger_handles;
     ]
 
 let () =

@@ -444,6 +444,30 @@ let test_checkpoint_rejects_low_null_count () =
           Alcotest.fail "a low null_count is Corrupt, not Io"
       | Ok _ -> Alcotest.fail "a checkpoint with a low null_count loaded")
 
+(* An s-level the store cannot hold (negative, or past
+   [Index.max_level]) is a typed [Corrupt] at load, not an exception at
+   resume. *)
+let test_checkpoint_rejects_bad_level () =
+  List.iter
+    (fun l ->
+      let path = Filename.temp_file "resil_bad_level_ck" ".json" in
+      Fun.protect
+        ~finally:(fun () -> Sys.remove path)
+        (fun () ->
+          let oc = open_out_bin path in
+          output_string oc
+            (Printf.sprintf
+               {|{"schema":"guarded-chase-checkpoint","version":1,"engine":"indexed","policy":"oblivious","level":1,"saturated":false,"null_count":0,"triggers_fired":0,"triggers_dismissed":0,"counters":{},"facts":[{"p":"a","l":%d,"a":["c"]}]}|}
+               l);
+          close_out oc;
+          match Resil.Checkpoint.load path with
+          | Error (Resil.Checkpoint.Corrupt msg) ->
+              check "diagnostic names the s-level" true (contains_sub msg "s-level")
+          | Error (Resil.Checkpoint.Io _) ->
+              Alcotest.fail "a bad s-level is Corrupt, not Io"
+          | Ok _ -> Alcotest.fail "a checkpoint with a bad s-level loaded"))
+    [ -1; Engine.Index.max_level + 1 ]
+
 (* ------------------------------------------------------------------ *)
 (* CRC32 and the WAL                                                    *)
 (* ------------------------------------------------------------------ *)
@@ -1041,6 +1065,8 @@ let () =
             test_checkpoint_typed_errors;
           Alcotest.test_case "checkpoint null_count covers its nulls" `Quick
             test_checkpoint_rejects_low_null_count;
+          Alcotest.test_case "checkpoint s-levels in range" `Quick
+            test_checkpoint_rejects_bad_level;
           Alcotest.test_case "crc32" `Quick test_crc32;
           Alcotest.test_case "fault sequential plans" `Quick test_fault_arm_seq;
           Alcotest.test_case "fault suspension" `Quick test_fault_suspended;

@@ -484,6 +484,110 @@ let test_vec_tombstones () =
   Alcotest.(check int) "all dead: empty" 0 (Vec.length v);
   Alcotest.(check int) "all dead: capacity kept" cap (Vec.capacity v)
 
+(* Removal by order slot against a rebuilt store. Random interleavings
+   of inserts (each at a random level) and removes over R/1, R/2 (one
+   predicate at two arities, sharing an order vector) and S/2 on four
+   constants, long enough that the order vectors squeeze their
+   tombstones out many times and re-file their rows' slots. After every
+   operation the store must agree with the store rebuilt from its
+   [ordered_facts]: the same facts with levels in storage order, the
+   same candidates in the same order for every posting and every whole
+   relation, and, for every fact, the same [handle_level]. *)
+type store_op = Ins of Fact.t * int | Rem of Fact.t
+
+let slot_schema = [ ("R", 1); ("R", 2); ("S", 2) ]
+let slot_consts = [ "a"; "b"; "c"; "d" ]
+
+let gen_slot_fact =
+  QCheck.Gen.(
+    let* p, arity = oneofl slot_schema in
+    let* args = list_repeat arity (oneofl slot_consts) in
+    return (fact p args))
+
+(* Every candidate walk of [idx]: per predicate and arity, the relation
+   scan, then each position bound to each constant, as the facts met. *)
+let candidate_walks idx =
+  let open Engine in
+  let walk args =
+    let a = Atom.make (fst args) (snd args) in
+    let slot x = int_of_string (String.sub x 1 (String.length x - 1)) in
+    let ca = Index.compile_atom idx ~slot a in
+    let benv = Array.make 3 (-1) and met = ref [] in
+    ignore
+      (Index.fold_catom idx ca ~benv ~on_candidate:ignore ~on_fail:ignore
+         (fun _ ->
+           met := Index.decode_key idx (Index.handle_key idx (Index.catom_matched ca)) :: !met;
+           false)
+         0);
+    List.rev !met
+  in
+  List.concat_map
+    (fun (p, arity) ->
+      let vars = List.init arity (fun i -> Term.var (Printf.sprintf "x%d" i)) in
+      walk (p, vars)
+      :: List.concat_map
+           (fun i ->
+             List.map
+               (fun c -> walk (p, List.mapi (fun j x -> if j = i then Term.const c else x) vars))
+               slot_consts)
+           (List.init arity Fun.id))
+    slot_schema
+
+let store_views idx =
+  let open Engine in
+  let facts = Index.ordered_facts idx in
+  ( facts,
+    candidate_walks idx,
+    List.map
+      (fun (f, _) ->
+        match Index.key idx f with
+        | Some k -> Index.handle_level idx (Index.handle idx k)
+        | None -> -1)
+      facts )
+
+let prop_remove_by_slot =
+  QCheck.Test.make ~name:"removal by order slot = rebuilt store" ~count:300
+    (QCheck.make
+       ~print:(fun ops ->
+         String.concat " "
+           (List.map
+              (function
+                | Ins (f, l) -> Fmt.str "+%a@%d" Fact.pp f l
+                | Rem f -> Fmt.str "-%a" Fact.pp f)
+              ops))
+       ~shrink:QCheck.Shrink.list
+       QCheck.Gen.(
+         list_size (int_range 1 300)
+           (let* f = gen_slot_fact and* ins = float_bound_inclusive 1. and* l = int_range 0 3 in
+            return (if ins < 0.55 then Ins (f, l) else Rem f))))
+    (fun ops ->
+      let open Engine in
+      let idx = Index.create () in
+      List.for_all
+        (fun op ->
+          (match op with
+          | Ins (f, level) -> ignore (Index.insert ~level f idx)
+          | Rem f -> ignore (Index.remove f idx));
+          let rebuilt = Index.create () in
+          List.iter
+            (fun (f, level) -> ignore (Index.insert ~level f rebuilt))
+            (Index.ordered_facts idx);
+          store_views idx = store_views rebuilt)
+        ops)
+
+(* [capacity_words] counts every column of a row: on a fresh store, 8
+   unary facts over 8 constants fill the default 8 slots of the argument
+   column, the level-and-stamp column, the order-slot column and the
+   order vector (32 words), plus the one-slot row and vector free lists
+   (2), and the 16-slot membership table (32); the postings are inline
+   singletons, which cost nothing here. *)
+let test_capacity_counts_columns () =
+  let idx = Engine.Index.create () in
+  for i = 0 to 7 do
+    ignore (Engine.Index.insert (fact "A" [ Printf.sprintf "c%d" i ]) idx)
+  done;
+  Alcotest.(check int) "capacity words" 66 (Engine.Index.capacity_words idx)
+
 (* Itab against a Hashtbl model: random replace/remove over 96 keys,
    dense (so probe runs wrap around the end of the table, and it doubles
    from 8 slots to 128) or spread far apart. After every op the length
@@ -674,6 +778,7 @@ let qcheck_tests =
       prop_resume_byte_identical;
       prop_serve_byte_identical;
       prop_itab_model;
+      prop_remove_by_slot;
     ]
 
 let () =
@@ -697,6 +802,8 @@ let () =
         [
           Alcotest.test_case "vec regrow boundary" `Quick test_vec_regrow;
           Alcotest.test_case "vec tombstones" `Quick test_vec_tombstones;
+          Alcotest.test_case "capacity counts every column" `Quick
+            test_capacity_counts_columns;
           Alcotest.test_case "itab negative key" `Quick test_itab_negative_key;
           Alcotest.test_case "symtab intern/extern round-trip" `Quick
             test_symtab_roundtrip;
