@@ -1126,7 +1126,10 @@ let e20 ~full () =
    E22 extends the old E21 rows with the worker domains' Gc word deltas:
    minor words per served request is the multicore scaling signal (any
    domain's minor collection stops every domain), and unlike qps it is
-   deterministic enough to regress-gate on a shared CI box. *)
+   deterministic enough to regress-gate on a shared CI box.
+   [reply_hits] counts the requests the workers' reply caches answered.
+   At one worker it is fixed by the request list; with more, each worker
+   misses a line once, so the count follows the scheduling. *)
 let e22_program ~universities =
   let buf = Buffer.create 65536 in
   Buffer.add_string buf
@@ -1245,6 +1248,7 @@ let e22_cases ~full =
               ("universities", Int universities);
               ("workers", Int workers);
               ("requests", Int summary.Server.Daemon.served);
+              ("reply_hits", Int summary.Server.Daemon.reply_hits);
               ("serve_s", Float serve_s);
               ("qps", Float (served /. serve_s));
               ("p50_ms", Float (quant 0.5));
@@ -1267,7 +1271,7 @@ let e22 ~full () =
   run_cases e22_cases ~full
     ~cols:
       [
-        "workers"; "requests"; "serve_s"; "qps"; "p50_ms"; "p99_ms";
+        "workers"; "requests"; "reply_hits"; "serve_s"; "qps"; "p50_ms"; "p99_ms";
         "minor_words_per_req"; "major_words_per_req";
       ]
 
@@ -1293,6 +1297,7 @@ let rules =
     ("closure_facts", Same); ("db_star_facts", Same);
     ("sigma_star_rules", Same); ("types", Same); ("holds", Same);
     ("records_truncated", Same); ("degradations", Same); ("requests", Same);
+    ("reply_hits", Same);
     ("index_probes", At_most); ("joiner_candidates", At_most);
     ("ledger_words_per_fact", At_most); ("minor_words_per_fact", At_most);
     ("major_words_per_fact", At_most); ("maintain_minor_words", At_most);

@@ -654,17 +654,19 @@ let server_cmd =
             let sigma = p.Syntax.Parser.tgds in
             let idx = Engine.Index.of_facts p.Syntax.Parser.facts in
             (* before the chase interns a constant of Σ or a null, the
-               store's symbols are dom(D): the certain-answer universe *)
-            let universe = Engine.Index.symbols idx in
+               store's n0 symbols are dom(D): the certain-answer
+               universe. The chase only adds ids after them, so the set
+               is built after it, off the chase's memory peak *)
+            let n0 = Engine.Symtab.size (Engine.Index.symtab idx) in
             let span = Obs.Span.root "server" in
             let r =
               Obs.Span.timed (Some span) "saturate" (fun () ->
                   Tgds.Chase.run_store ~max_level sigma idx)
             in
             let saturated = Tgds.Chase.saturated r in
-            let snap =
-              Engine.Snapshot.freeze ~saturated ~universe (Tgds.Chase.index r)
-            in
+            let idx = Tgds.Chase.index r in
+            let universe = Engine.Index.symbols ~below:n0 idx in
+            let snap = Engine.Snapshot.freeze ~saturated ~universe idx in
             Fmt.pr "%% server: store %s, %d facts (workers %d)@."
               (if saturated then "saturated" else "truncated — replies partial")
               (Engine.Snapshot.size snap) workers;
@@ -736,7 +738,9 @@ let server_cmd =
     (Cmd.info "server"
        ~doc:"Saturate once, then serve concurrent $(b,answers)/$(b,count) \
              request lines from stdin over the frozen store; one reply \
-             line per request, tagged with the request id.")
+             line per request, tagged with the request id. A request line \
+             seen before is answered from its worker's fixed 512 KiB reply \
+             cache, byte-identical to evaluating it again.")
     Term.(
       const run $ file_arg $ level_arg $ engine_arg $ workers_arg $ stats_arg
       $ req_budget_facts_arg $ req_budget_ms_arg $ fault_plan_arg)

@@ -5,7 +5,9 @@
 # bytes, so worker scheduling may permute the transcript but never
 # change a line: the sorted transcripts must be byte-identical. The run
 # must stay clean — every request answered, zero errors, zero
-# quarantine, exit 0.
+# quarantine, exit 0. The mixed file repeats its lines, so most replies
+# come from the workers' reply caches; a second phase serves 8,000
+# distinct lines, which only miss, and a third an overlong line.
 #
 # Each run also reports the worker domains' allocation (the summed
 # Gc minor/major word deltas the daemon records per worker), and the
@@ -83,53 +85,83 @@ while [ "$i" -lt "$N" ]; do
   esac
   i=$((i + 1))
 done > "$REQ"
-expected=$(grep -cv '^%' "$REQ")
 
+# serve TAG WORKERS REQUESTS: serve the request file at WORKERS, check
+# the run is clean and answers every request, keep the sorted replies in
+# $TMP/TAG-wWORKERS.sorted and the reply-cache hits in $hits, and gate
+# minor words per served request.
 serve() {
-  workers=$1
-  "$CLI" server "$PROG" --workers "$workers" --stats "$TMP/w$workers.stats.json" \
-    < "$REQ" > "$TMP/w$workers.out" 2> "$TMP/w$workers.err" || {
-    echo "server_load: --workers $workers exited $? ($(cat "$TMP/w$workers.err"))"
+  tag=$1 workers=$2 req=$3
+  out="$TMP/$tag-w$workers"
+  expected=$(grep -cv '^%' "$req")
+  "$CLI" server "$PROG" --workers "$workers" --stats "$out.stats.json" \
+    < "$req" > "$out.out" 2> "$out.err" || {
+    echo "server_load: $tag --workers $workers exited $? ($(cat "$out.err"))"
     exit 1
   }
-  grep -q "(.* ok, .* partial, 0 error(s), 0 quarantined)" "$TMP/w$workers.out" || {
-    echo "server_load: --workers $workers summary reports errors or quarantine"
-    tail -1 "$TMP/w$workers.out"
+  grep -q "(.* ok, .* partial, 0 error(s), 0 quarantined)" "$out.out" || {
+    echo "server_load: $tag --workers $workers summary reports errors or quarantine"
+    tail -1 "$out.out"
     exit 1
   }
-  grep -v '^%' "$TMP/w$workers.out" > "$TMP/w$workers.replies"
-  got=$(wc -l < "$TMP/w$workers.replies")
+  grep -v '^%' "$out.out" > "$out.replies"
+  got=$(wc -l < "$out.replies")
   [ "$got" -eq "$expected" ] || {
-    echo "server_load: --workers $workers answered $got of $expected requests"
+    echo "server_load: $tag --workers $workers answered $got of $expected requests"
     exit 1
   }
-  sort "$TMP/w$workers.replies" > "$TMP/w$workers.sorted"
+  sort "$out.replies" > "$out.sorted"
   # allocation accounting: summed worker-domain Gc deltas from the
   # stats report, gated per served request
-  minor=$(grep -o '"server.minor_words":[0-9]*' "$TMP/w$workers.stats.json" \
+  minor=$(grep -o '"server.minor_words":[0-9]*' "$out.stats.json" \
     | head -1 | cut -d: -f2)
-  major=$(grep -o '"server.major_words":[0-9]*' "$TMP/w$workers.stats.json" \
+  major=$(grep -o '"server.major_words":[0-9]*' "$out.stats.json" \
     | head -1 | cut -d: -f2)
-  [ -n "$minor" ] || {
-    echo "server_load: --workers $workers stats report lacks server.minor_words"
+  hits=$(grep -o '"server.reply_hits":[0-9]*' "$out.stats.json" \
+    | head -1 | cut -d: -f2)
+  [ -n "$minor" ] && [ -n "$hits" ] || {
+    echo "server_load: $tag --workers $workers stats report lacks server.minor_words or server.reply_hits"
     exit 1
   }
   per=$((minor / expected))
-  echo "server_load: workers $workers: $minor minor words, $major major words ($per minor words/request)"
+  echo "server_load: $tag workers $workers: $minor minor words, $major major words ($per minor words/request), $hits reply-cache hits"
   [ "$per" -le "$MAXW" ] || {
-    echo "server_load: --workers $workers allocates $per minor words/request (gate: $MAXW)"
+    echo "server_load: $tag --workers $workers allocates $per minor words/request (gate: $MAXW)"
     exit 1
   }
 }
 
-serve 1
-serve 4
+same_sorted() {
+  cmp -s "$TMP/$1-w1.sorted" "$TMP/$1-w4.sorted" || {
+    echo "server_load: $1: sorted transcripts differ between --workers 1 and 4"
+    diff "$TMP/$1-w1.sorted" "$TMP/$1-w4.sorted" | head -20
+    exit 1
+  }
+}
 
-cmp -s "$TMP/w1.sorted" "$TMP/w4.sorted" || {
-  echo "server_load: sorted transcripts differ between --workers 1 and 4"
-  diff "$TMP/w1.sorted" "$TMP/w4.sorted" | head -20
+serve mixed 1 "$REQ"
+serve mixed 4 "$REQ"
+same_sorted mixed
+
+# Distinct lines: every line is a point lookup no earlier line repeats
+# (its variable is renamed per line), so no reply cache can answer it.
+# This runs the miss path, and the lines' cache entries add up to more
+# than a worker's 512 KiB ring, so the ring evicts. The sorted
+# transcripts at workers 1 and 4 must be equal, workers 1 must report no
+# reply-cache hit, and minor words per request stay under the same gate.
+DISTINCT="$TMP/distinct.txt"
+i=0
+while [ "$i" -lt 8000 ]; do
+  echo "answers q(C$i) :- takes(stud_$((i % 4))_$((i / 4 % 30)),C$i), course(C$i)."
+  i=$((i + 1))
+done > "$DISTINCT"
+serve distinct 1 "$DISTINCT"
+[ "$hits" -eq 0 ] || {
+  echo "server_load: distinct lines: --workers 1 reports $hits reply-cache hits, want 0"
   exit 1
 }
+serve distinct 4 "$DISTINCT"
+same_sorted distinct
 
 # An overlong request line: 3 MiB with no newline until its end, over
 # the server's 1 MiB line cap, then a request and a final unterminated
@@ -163,4 +195,4 @@ for workers in 1 4; do
   }
 done
 
-echo "server_load: OK ($expected requests, workers 1 vs 4 byte-identical sorted transcripts; overlong line refused once)"
+echo "server_load: OK ($(grep -cv '^%' "$REQ") mixed and 8000 distinct requests, workers 1 vs 4 byte-identical sorted transcripts; overlong line refused once)"

@@ -37,7 +37,7 @@ type ctx = {
   cx_idx : Index.t;
   cx_counters : Joiner.counters;  (* [cx_idx]'s, for the witness checks *)
   cx_symsize : int;
-  cx_umem : (int, unit) Hashtbl.t;  (* universe membership, by cell id *)
+  cx_umask : Bytes.t;  (* universe membership: byte [id] is 1 for a member *)
   cx_uni : int array;  (* universe ids in sorted-constant order, null-free *)
   cx_extras : const array;  (* consts behind ids >= cx_symsize *)
   cx_seen : (int array, unit) Hashtbl.t;  (* cleared per request *)
@@ -49,7 +49,9 @@ let ctx ~universe idx =
   let st = Index.symtab idx in
   let symsize = Symtab.size st in
   let universe = ConstSet.filter (fun c -> not (is_null c)) universe in
-  let umem = Hashtbl.create (max 16 (ConstSet.cardinal universe)) in
+  (* a bound cell is a store id, so the mask covers the store's ids;
+     the synthetic ids of [extras] only ever range over [cx_uni] *)
+  let umask = Bytes.make symsize '\000' in
   let extras = ref [] and nextras = ref 0 in
   let uni = Array.make (max (ConstSet.cardinal universe) 1) 0 in
   let k = ref 0 in
@@ -57,7 +59,7 @@ let ctx ~universe idx =
     (fun c ->
       let id =
         let i = Symtab.find_int st c in
-        if i >= 0 then i
+        if i >= 0 then (Bytes.set umask i '\001'; i)
         else begin
           let i = symsize + !nextras in
           incr nextras;
@@ -66,14 +68,13 @@ let ctx ~universe idx =
         end
       in
       uni.(!k) <- id;
-      incr k;
-      Hashtbl.replace umem id ())
+      incr k)
     universe;
   {
     cx_idx = idx;
     cx_counters = Joiner.counters idx;
     cx_symsize = symsize;
-    cx_umem = umem;
+    cx_umask = umask;
     cx_uni = Array.sub uni 0 !k;
     cx_extras = Array.of_list (List.rev !extras);
     cx_seen = Hashtbl.create 64;
@@ -300,7 +301,10 @@ let enum_cq cx st budget (q : Cq.t) =
         else begin
           let cid = benv.(s) in
           d.d_key.(j) <- cid;
-          if not (Hashtbl.mem cx.cx_umem cid) then ok := false
+          if
+            cid >= Bytes.length cx.cx_umask
+            || Bytes.unsafe_get cx.cx_umask cid = '\000'
+          then ok := false
         end
       done;
       if !ok && ((not !free) || Array.length cx.cx_uni > 0) then begin

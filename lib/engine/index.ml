@@ -625,9 +625,10 @@ let of_facts fs =
     a;
   idx
 
-let symbols idx =
+let symbols ?below idx =
   let st = idx.symtab in
-  ConstSet.of_list (List.init (Symtab.size st) (Symtab.extern st))
+  let n = Option.value below ~default:(Symtab.size st) in
+  ConstSet.of_list (List.init n (Symtab.extern st))
 
 let decode_key idx key =
   let st = idx.symtab in

@@ -38,11 +38,13 @@ val of_instance : Instance.t -> t
     [of_instance (Instance.of_facts fs)], built without the instance. *)
 val of_facts : Fact.t list -> t
 
-(** [symbols idx] — every symbol the store's table has interned. Right
-    after {!of_facts} or {!of_instance}, before a rule fires, these are
+(** [symbols ?below idx] — every symbol the store's table has interned,
+    or with [below] only those of ids [0 … below-1]. Right after
+    {!of_facts} or {!of_instance}, before a rule fires, the table holds
     exactly the constants of the loaded facts, dom(D), under the ids
-    [0 … n-1]. *)
-val symbols : t -> Term.ConstSet.t
+    [0 … n-1]; a chase only adds ids after them, so [symbols ~below:n]
+    is dom(D) after the chase too. *)
+val symbols : ?below:int -> t -> Term.ConstSet.t
 
 (** The facts of the store, as an instance. *)
 val to_instance : t -> Instance.t

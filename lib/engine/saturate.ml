@@ -537,6 +537,11 @@ let run ?(policy = Oblivious) ?(budget = Obs.Budget.unlimited) ?obs ?on_pass
   Obs.Span.exit span;
   r
 
+(* The [span] of a {!continue} without [obs]: never entered, exited or
+   annotated, so every such call shares it instead of opening a root
+   span nobody reads. *)
+let unread = Obs.Span.root ~clock:(fun () -> 0.) "saturate"
+
 (** [continue ... prog ~level delta] — run the delta
     fixpoint over an {e existing} store: passes enumerate only triggers
     whose body touches [delta], the handles of distinct facts already
@@ -546,11 +551,14 @@ let run ?(policy = Oblivious) ?(budget = Obs.Budget.unlimited) ?obs ?on_pass
     delta, which is the incremental-maintenance invariant (a fired
     trigger touching the delta was either never fired or was invalidated
     by the over-delete phase). Bodiless rules are never (re-)considered:
-    their single trigger fired on the original first pass. A pass opens
-    a [level] span only under [obs]: nothing reads it otherwise. *)
+    their single trigger fired on the original first pass. The run
+    opens its [saturate] span, and a pass its [level] span, only under
+    [obs]: nothing reads them otherwise. *)
 let continue ?(policy = Oblivious) ?(budget = Obs.Budget.unlimited) ?obs
     ?on_pass ?on_fire prog ~level delta =
-  let span = make_span obs in
+  let span =
+    match obs with Some parent -> Obs.Span.enter parent "saturate" | None -> unread
+  in
   set_delta prog (fun push -> List.iter push delta);
   let init =
     {
@@ -565,7 +573,7 @@ let continue ?(policy = Oblivious) ?(budget = Obs.Budget.unlimited) ?obs
   let r =
     exec ~policy ~budget ~span ~spans:(obs <> None) ~on_pass ~on_fire init prog
   in
-  Obs.Span.exit span;
+  if obs <> None then Obs.Span.exit span;
   r
 
 let resume ?(budget = Obs.Budget.unlimited) ?obs ?on_pass ?on_fire rules

@@ -65,8 +65,9 @@ type result = {
   triggers_dismissed : int;  (** [Restricted] head-already-satisfied *)
   facts_per_level : int list;  (** new facts at levels 1, 2, … *)
   span : Obs.Span.t;
-      (** the run's span: one [level] child per pass, except in a
-          {!continue} without [obs] *)
+      (** the run's span: one [level] child per pass. A {!continue}
+          without [obs] opens none and returns a shared placeholder,
+          which the caller must not annotate *)
 }
 
 (** One trigger firing, reported to [?on_fire] as it happens — the hook
@@ -175,8 +176,8 @@ val program : rule list -> Index.t -> program
     saturation (or a budget cut). [prog]'s store is mutated in place,
     s-levels included; [delta] holds the {!Index.handle}s of distinct
     facts already stored in it. The passes reuse the program's scratch,
-    so a pass allocates none of it; they open [level] spans only under
-    [obs], as nothing else reads them.
+    so a pass allocates none of it. The run opens its [saturate] span and
+    its [level] spans only under [obs], as nothing else reads them.
 
     This is the incremental-maintenance entry point. Like every run, it
     remembers no trigger fired before it (a run only deduplicates within

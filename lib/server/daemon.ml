@@ -13,6 +13,7 @@ type summary = {
   partial : int;
   errors : int;
   quarantined : int;
+  reply_hits : int;
   drained : bool;
   wall_s : float;
   minor_words : float;
@@ -149,11 +150,17 @@ let run ?report ?(stop = ref false) cfg snap ic oc =
      the key is rendered only once the table holds an entry *)
   let quarantine = Atomic.make Keys.empty and quarantine_m = Mutex.create () in
   let saturated = Engine.Snapshot.saturated snap in
-  let evaluate view metrics span (r : Protocol.request) =
+  (* the reply cache is consulted and filled only while no probe hook is
+     armed and nothing is quarantined, so fault plans and quarantine
+     classification see every request evaluated *)
+  let cache_on () =
+    (not (Obs.Probe.armed ())) && Keys.is_empty (Atomic.get quarantine)
+  in
+  let evaluate view metrics span cache line (r : Protocol.request) =
     (* the latency histogram covers every outcome of a well-formed
-       request — success, injected fault, quarantine refusal — so qps
-       and percentiles describe the whole served stream, not only the
-       happy path *)
+       request — cache hit, success, injected fault, quarantine refusal
+       — so qps and percentiles describe the whole served stream, not
+       only the happy path *)
     let t = Unix.gettimeofday () in
     let timed reply =
       Obs.Metrics.observe metrics "server.request_s"
@@ -177,12 +184,17 @@ let run ?report ?(stop = ref false) cfg snap ic oc =
             Engine.Snapshot.ucq_i ?budget view r.Protocol.query)
       with
       | res ->
-          let cls =
+          let complete =
             match Engine.Enumerate.ioutcome res with
-            | Obs.Budget.Complete when saturated -> `Ok
-            | _ -> `Partial
+            | Obs.Budget.Complete -> true
+            | Obs.Budget.Partial _ -> false
           in
-          timed (cls, Protocol.render_ok r ~saturated res)
+          let reply = Protocol.render_ok r ~saturated res in
+          (* a budget cut depends on the budget, not on the line alone:
+             only complete evaluations are stored *)
+          if complete && cache_on () then
+            Reply_cache.add cache line ~partial:(not saturated) reply;
+          timed ((if complete && saturated then `Ok else `Partial), reply)
       | exception e ->
           let msg = Resil.Fault.describe e and key = Protocol.key r in
           (* check-and-mark under one lock: when duplicates of a poison
@@ -203,6 +215,7 @@ let run ?report ?(stop = ref false) cfg snap ic oc =
      the shared span tree is never mutated concurrently: worker i only
      ever touches its own subtree *)
   let views = Array.init cfg.workers (fun _ -> Engine.Snapshot.view snap) in
+  let caches = Array.init cfg.workers (fun _ -> Reply_cache.create ()) in
   let wspans =
     Array.init cfg.workers (fun i ->
         Option.map
@@ -215,9 +228,27 @@ let run ?report ?(stop = ref false) cfg snap ic oc =
      what multicore qps is bounded by *)
   let walloc = Array.make cfg.workers (0., 0.) in
   let worker i () =
-    let view = views.(i) in
+    let view = views.(i) and cache = caches.(i) in
     let metrics = Engine.Snapshot.view_metrics view in
+    let hits = Obs.Metrics.counter metrics "server.reply_hits" in
     let min0 = Gc.minor_words () and _, _, maj0 = gc_counters () in
+    let serve_line id line =
+      let e = if cache_on () then Reply_cache.find cache line else -1 in
+      if e >= 0 then begin
+        let t = Unix.gettimeofday () in
+        Obs.Metrics.incr hits;
+        let reply = Reply_cache.reply cache e ~id in
+        Obs.Metrics.observe metrics "server.request_s"
+          (Unix.gettimeofday () -. t);
+        Some ((if Reply_cache.partial cache e then `Partial else `Ok), reply)
+      end
+      else
+        match Protocol.parse_line ~id line with
+        | Protocol.Empty -> None
+        | Protocol.Malformed msg -> Some (`Error, Protocol.render_error ~id msg)
+        | Protocol.Request r ->
+            Some (evaluate view metrics wspans.(i) cache line r)
+    in
     let rec loop () =
       match next_batch () with
       | None -> ()
@@ -228,13 +259,7 @@ let run ?report ?(stop = ref false) cfg snap ic oc =
                  match line with
                  | Overlong ->
                      Some (`Error, Protocol.render_error ~id overlong_msg)
-                 | Line line -> (
-                     match Protocol.parse_line ~id line with
-                     | Protocol.Empty -> None
-                     | Protocol.Malformed msg ->
-                         Some (`Error, Protocol.render_error ~id msg)
-                     | Protocol.Request r ->
-                         Some (evaluate view metrics wspans.(i) r)))
+                 | Line line -> serve_line id line)
                items);
           loop ()
     in
@@ -271,6 +296,12 @@ let run ?report ?(stop = ref false) cfg snap ic oc =
   let served =
     counts.c_ok + counts.c_partial + counts.c_errors + counts.c_quarantined
   in
+  let reply_hits =
+    Array.fold_left
+      (fun n v ->
+        n + Obs.Metrics.count (Engine.Snapshot.view_metrics v) "server.reply_hits")
+      0 views
+  in
   (match report with
   | None -> ()
   | Some rep ->
@@ -300,6 +331,7 @@ let run ?report ?(stop = ref false) cfg snap ic oc =
     partial = counts.c_partial;
     errors = counts.c_errors;
     quarantined = counts.c_quarantined;
+    reply_hits;
     drained;
     wall_s;
     minor_words;

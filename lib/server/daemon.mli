@@ -18,6 +18,15 @@
     [error] reply under its own id, so the input buffer stays bounded
     whatever the input.
 
+    Each worker owns a fixed-size {!Reply_cache}: since nothing mutates
+    the snapshot, a request line's reply is a fixed function of its
+    bytes, so a line served before is answered from the cache without
+    parsing, evaluation or rendering, byte-identical to its evaluation.
+    Only complete evaluations are stored (a budget cut never is), and
+    the cache is neither read nor filled while a probe hook is armed or
+    the quarantine table holds an entry. Hits count in
+    [server.reply_hits].
+
     Resilience, threaded through the request path:
     - {e admission control}: every request runs under a fresh
       per-request budget ([max_facts] caps the answers emitted, [max_ms]
@@ -37,8 +46,9 @@
       still served.
 
     The [server.request_s] latency histogram records {e every} outcome
-    of a well-formed request (success, fault, quarantine refusal), so
-    the derived qps/percentiles describe the full served stream.
+    of a well-formed request (cache hit, success, fault, quarantine
+    refusal), so the derived qps/percentiles describe the full served
+    stream.
 
     Fault injection ([fault_plan]) arms the process-global probe hook.
     A plan with counted triggers mutates shared trigger state, so it is
@@ -60,6 +70,7 @@ type summary = {
   partial : int;
   errors : int;  (** malformed requests plus evaluation faults *)
   quarantined : int;  (** requests refused by the quarantine table *)
+  reply_hits : int;  (** replies served from the workers' reply caches *)
   drained : bool;  (** [stop] flipped before end of input *)
   wall_s : float;
   minor_words : float;  (** summed worker minor allocation, reading included *)
@@ -68,7 +79,8 @@ type summary = {
 
 (** [run ?report ?stop cfg snap ic oc] — serve until end of input (or
     drain). When [report] is given, each worker gets a child span
-    ([worker-]{i i}) carrying one [request] span per request served, the
+    ([worker-]{i i}) carrying one [request] span per request evaluated
+    (a cache hit opens none), the
     workers' view registries (probe/join counters plus the
     [server.request_s] latency histogram) are absorbed into the report
     in worker order, and headline fields ([server.requests] etc.) plus

@@ -596,6 +596,332 @@ let test_daemon_report () =
             "worker spans in order" [ "worker-0"; "worker-1" ] names
       | _ -> Alcotest.fail "span has no children")
 
+(* ------------------------------------------------------------------ *)
+(* reply cache                                                          *)
+(* ------------------------------------------------------------------ *)
+
+module Rc = Server.Reply_cache
+
+(* [n] lines of one length, each filed under a slot no other of them
+   takes, so a miss among them can only come from the ring *)
+let distinct_slot_lines n =
+  let taken = Hashtbl.create n in
+  let rec go k acc m =
+    if m = n then List.rev acc
+    else
+      let l = Printf.sprintf "answers q(X) :- p(X,c%07d)." k in
+      if Hashtbl.mem taken (Rc.slot l) then go (k + 1) acc m
+      else (
+        Hashtbl.add taken (Rc.slot l) ();
+        go (k + 1) (l :: acc) (m + 1))
+  in
+  go 0 [] 0
+
+let cached c line ~id =
+  match Rc.find c line with -1 -> None | e -> Some (Rc.reply c e ~id)
+
+let test_cache_roundtrip () =
+  let c = Rc.create () in
+  let l = "answers q(X) :- prof(X)." in
+  check "empty cache misses" true (cached c l ~id:1 = None);
+  Rc.add c l ~partial:false "17 ok 2 (ada) (bob)";
+  check "hit renders under the new id" true
+    (cached c l ~id:4321 = Some "4321 ok 2 (ada) (bob)");
+  check "class kept" false (Rc.partial c (Rc.find c l));
+  Rc.add c "count q(X) :- prof(X)." ~partial:true "3 partial count=2";
+  check "partial class kept" true
+    (Rc.partial c (Rc.find c "count q(X) :- prof(X)."));
+  check "keyed on bytes, not on the parsed query" true
+    (cached c "answers  q(X) :- prof(X)." ~id:1 = None)
+
+let test_cache_ring_wraps () =
+  let c = Rc.create () in
+  let body = String.make 3000 'b' in
+  let lines = distinct_slot_lines 600 in
+  (* ~3 KiB entries: 600 of them lap the 512 KiB ring three times *)
+  List.iteri
+    (fun i l -> Rc.add c l ~partial:false (Printf.sprintf "%d ok %d %s" i i body))
+    lines;
+  let last = List.nth lines 599 in
+  check "the newest entry reads back whole after the wrap" true
+    (cached c last ~id:7 = Some ("7 ok 599 " ^ body));
+  let per_lap = Rc.ring_bytes / (5 + String.length last + 4 + String.length body) in
+  List.iteri
+    (fun i l ->
+      if i >= 600 - (per_lap / 2) then
+        check (Printf.sprintf "entry %d of the last half lap hits" i) true
+          (cached c l ~id:1 = Some (Printf.sprintf "1 ok %d %s" i body)))
+    lines
+
+(* An entry the next lap overwrites is gone even when the bytes that
+   overwrite it spell its header and line again: a later entry [y],
+   filed at the lap's start, carries [a]'s header and line in its body
+   right where [a] stood. *)
+let test_cache_overwritten_is_gone () =
+  let c = Rc.create () in
+  let r = Rc.ring_bytes in
+  let a = "answers q(X) :- a(X)." and a_body = "ok 1 (a)" in
+  let y = "answers q(X) :- y(X)." in
+  let line k = Printf.sprintf "answers q(X) :- f(X,c%07d)." k in
+  let rec filler k =
+    if Rc.slot (line k) = Rc.slot a || Rc.slot (line k) = Rc.slot y then
+      filler (k + 1)
+    else k
+  in
+  (* an entry of exactly [size] bytes under a filler line *)
+  let k = ref 0 in
+  let add_filler size =
+    k := filler (!k + 1);
+    let l = line !k in
+    Rc.add c l ~partial:false ("1 " ^ String.make (size - 5 - String.length l) 'f')
+  in
+  let s0 = 1000 in
+  add_filler s0;
+  Rc.add c a ~partial:false ("1 " ^ a_body);
+  let wpos = ref (s0 + 5 + String.length a + String.length a_body) in
+  let len_y = s0 + 100 in
+  while r - !wpos >= len_y do
+    let size = min 8000 (r - !wpos) in
+    add_filler size;
+    wpos := !wpos + size
+  done;
+  check "a is still held" true (cached c a ~id:1 = Some ("1 " ^ a_body));
+  let u16 n = String.init 2 (fun i -> Char.chr ((n lsr (8 * i)) land 0xff)) in
+  let copy = u16 (String.length a) ^ u16 (String.length a_body) ^ "\000" ^ a in
+  let off = s0 - 5 - String.length y in
+  let y_body =
+    String.init (len_y - 5 - String.length y) (fun j ->
+        if j >= off && j < off + String.length copy then copy.[j - off] else 'Z')
+  in
+  Rc.add c y ~partial:false ("1 " ^ y_body);
+  check "y is held" true (cached c y ~id:1 = Some ("1 " ^ y_body));
+  check "the overwritten a misses" true (cached c a ~id:1 = None)
+
+let test_cache_evicts_oldest () =
+  let c = Rc.create () in
+  let body = String.make 4000 'b' in
+  let lines = Array.of_list (distinct_slot_lines 300) in
+  (* after every add, the entries still held are the newest ones: a
+     suffix of the insertion order *)
+  let oldest_held = ref 0 in
+  Array.iteri
+    (fun i l ->
+      Rc.add c l ~partial:false ("1 ok " ^ body);
+      while cached c lines.(!oldest_held) ~id:1 = None do
+        incr oldest_held
+      done;
+      for j = !oldest_held to i do
+        if cached c lines.(j) ~id:1 <> Some ("1 ok " ^ body) then
+          Alcotest.failf "entry %d gone while the older %d is held" j !oldest_held
+      done)
+    lines;
+  check "entries were evicted" true (!oldest_held > 0);
+  check "a lap of entries is held" true (300 - !oldest_held > 100)
+
+let test_cache_slot_collision () =
+  let c = Rc.create () in
+  (* two lines of one length under one slot: the stored line is compared
+     byte for byte, so the second's entry never answers the first *)
+  let a = Printf.sprintf "answers q(X) :- p(X,c%07d)." 0 in
+  let rec mate k =
+    let l = Printf.sprintf "answers q(X) :- p(X,c%07d)." k in
+    if Rc.slot l = Rc.slot a then l else mate (k + 1)
+  in
+  let b = mate 1 in
+  check_int "same length" (String.length a) (String.length b);
+  Rc.add c a ~partial:false "1 ok 1 (a)";
+  Rc.add c b ~partial:false "2 ok 1 (b)";
+  check "the displaced line misses" true (cached c a ~id:3 = None);
+  check "the later line hits" true (cached c b ~id:3 = Some "3 ok 1 (b)");
+  (* [b] only shares [a]'s slot: looking [a] up after [b] alone is
+     still a miss, not [b]'s reply *)
+  let c = Rc.create () in
+  Rc.add c b ~partial:false "2 ok 1 (b)";
+  check "a collision is a miss" true (cached c a ~id:3 = None)
+
+let test_cache_refuses_large () =
+  let c = Rc.create () in
+  let l = "answers q(X) :- big(X)." in
+  let at_cap = Rc.max_entry - 5 - String.length l in
+  Rc.add c l ~partial:false ("1 " ^ String.make (at_cap + 1) 'x');
+  check "over ring/64 is not stored" true (cached c l ~id:1 = None);
+  Rc.add c l ~partial:false ("1 " ^ String.make at_cap 'x');
+  check "at ring/64 it is" true
+    (cached c l ~id:1 = Some ("1 " ^ String.make at_cap 'x'));
+  check "an overlong line is never looked up" true
+    (Rc.find c (String.make Rc.max_entry 'a') = -1)
+
+let test_cache_fixed_size () =
+  let c = Rc.create () in
+  let words () = Obj.reachable_words (Obj.repr c) in
+  let w0 = words () in
+  (* a flood of distinct lines of every size up to past the cap *)
+  for i = 1 to 40_000 do
+    Rc.add c (Printf.sprintf "answers q(X) :- p(X,c%d)." i) ~partial:(i land 1 = 0)
+      (Printf.sprintf "%d ok 1 %s" i (String.make (i mod 9000) 'v'))
+  done;
+  check_int "reachable words unchanged by the flood" w0 (words ());
+  check "the words are the ring's and its index's" true
+    (w0 * 8 >= Rc.ring_bytes && w0 * 8 <= Rc.ring_bytes + (8 * 8192) + 64)
+
+(* ------------------------------------------------------------------ *)
+(* daemon with the reply cache                                         *)
+(* ------------------------------------------------------------------ *)
+
+let overlong_line = String.make ((1 lsl 20) + 1) 'x'
+
+(* The per-line oracle: what each line's reply is when it is parsed,
+   evaluated and rendered on its own, with no cache; and how many lines
+   one worker answers from its cache — a request line seen before as a
+   request whose evaluation completed (no line here is evicted). *)
+let oracle ?max_facts snap lines =
+  let view = Engine.Snapshot.view snap in
+  let saturated = Engine.Snapshot.saturated snap in
+  let stored = Hashtbl.create 16 and hits = ref 0 in
+  let replies =
+    List.concat
+      (List.mapi
+         (fun i line ->
+           let id = i + 1 in
+           if String.length line > 1 lsl 20 then
+             [ Server.Protocol.render_error ~id
+                 "request line longer than 1048576 bytes" ]
+           else
+             match Server.Protocol.parse_line ~id line with
+             | Server.Protocol.Empty -> []
+             | Server.Protocol.Malformed m ->
+                 [ Server.Protocol.render_error ~id m ]
+             | Server.Protocol.Request r ->
+                 let budget =
+                   Option.map (fun n -> Obs.Budget.create ~max_facts:n ()) max_facts
+                 in
+                 let res =
+                   Engine.Snapshot.ucq_i ?budget view r.Server.Protocol.query
+                 in
+                 if Hashtbl.mem stored line then incr hits
+                 else if Engine.Enumerate.ioutcome res = Obs.Budget.Complete then
+                   Hashtbl.replace stored line ();
+                 [ Server.Protocol.render_ok r ~saturated res ])
+         lines)
+  in
+  (List.sort compare replies, !hits)
+
+(* a pool of request lines (respellings, answer-free and scan queries, a
+   count, a comment, a blank, malformed lines); a stream draws from it
+   with a skew, so most lines repeat *)
+let pool =
+  [|
+    "answers q(X) :- prof(X).";
+    "answers  q(X) :- prof(X).";
+    "count q(X) :- faculty(X).";
+    "answers q(C) :- teaches(ada,C).";
+    "answers q(X,C) :- teaches(X,C), course(C).";
+    "count q(S) :- student(S). q(S) :- prof(S).";
+    "answers q(X) :- missing(X).";
+    "answers q() :- prof(ada).";
+    "answers q(X) :- student(X), prof(X).";
+    "% a comment";
+    "";
+    "frobnicate q(X) :- prof(X).";
+    "answers q(X :- prof(X).";
+    "answers prof(ada).";
+  |]
+
+let stream seed n =
+  let rng = Random.State.make [| seed |] in
+  List.init n (fun i ->
+      if i mod 97 = 50 then overlong_line
+      else
+        (* min of two draws: low indices dominate *)
+        let k = Array.length pool in
+        pool.(min (Random.State.int rng k) (Random.State.int rng k)))
+
+let sorted_replies t = List.sort compare (transcript_lines t)
+
+let test_cache_matches_oracle () =
+  let full = snapshot program and truncated = snapshot ~max_level:1 program in
+  check_int "the pool's lines take distinct slots" (Array.length pool)
+    (List.length
+       (List.sort_uniq compare (Array.to_list (Array.map Rc.slot pool))));
+  List.iter
+    (fun (what, snap, max_facts) ->
+      List.iter
+        (fun seed ->
+          let lines = stream seed 400 in
+          let expected, hits = oracle ?max_facts snap lines in
+          List.iter
+            (fun workers ->
+              let summary, t = run_daemon ~workers ?max_facts snap lines in
+              Alcotest.(check (list string))
+                (Fmt.str "%s, seed %d, workers %d = per-line oracle" what seed
+                   workers)
+                expected (sorted_replies t);
+              let status w =
+                List.length
+                  (List.filter
+                     (fun l -> List.nth (String.split_on_char ' ' l) 1 = w)
+                     expected)
+              in
+              check "the summary classifies as the oracle's replies read" true
+                (summary.Server.Daemon.ok = status "ok"
+                && summary.Server.Daemon.partial = status "partial"
+                && summary.Server.Daemon.errors = status "error");
+              if workers = 1 then
+                check_int (Fmt.str "%s, seed %d: hits" what seed) hits
+                  summary.Server.Daemon.reply_hits)
+            [ 1; 4 ])
+        [ 1; 2; 3 ])
+    [
+      ("saturated", full, None);
+      ("budget-facts 2", full, Some 2);
+      ("unsaturated", truncated, None);
+    ]
+
+let test_cache_bypass () =
+  let snap = snapshot program in
+  let lines = List.init 5 (fun _ -> "count q(X) :- faculty(X).") in
+  let hits ?fault_plan () =
+    let summary, t = run_daemon ?fault_plan snap lines in
+    check "all answered ok" true
+      (sorted_replies t
+      = List.init 5 (fun i -> Fmt.str "%d ok count=5" (i + 1)));
+    summary.Server.Daemon.reply_hits
+  in
+  check_int "repeats hit with no plan" 4 (hits ());
+  check_int "an armed fault plan gives no hits" 0
+    (hits ~fault_plan:[ Resil.Fault.At_point ("test.never", 1) ] ());
+  (* a hook that faults the first evaluation once, then removes itself:
+     after it, no probe is armed but the quarantine table holds a key *)
+  Obs.Probe.install (fun _ ->
+      Obs.Probe.clear ();
+      failwith "poison");
+  let summary, t =
+    Fun.protect ~finally:Obs.Probe.clear (fun () ->
+        run_daemon snap ("answers q(X) :- prof(X)." :: lines))
+  in
+  check "the first request faulted" true (contains t "1 error");
+  check_int "a non-empty quarantine gives no hits" 0
+    summary.Server.Daemon.reply_hits;
+  check_int "the rest served" 5 summary.Server.Daemon.ok
+
+let test_cache_flood_distinct () =
+  (* every line distinct: all misses, the transcript is the oracle's and
+     the caches keep their fixed size *)
+  let snap = snapshot program in
+  let lines =
+    List.init 3000 (fun i -> Fmt.str "answers q(C%d) :- teaches(ada,C%d)." i i)
+  in
+  let expected, _ = oracle snap lines in
+  List.iter
+    (fun workers ->
+      let summary, t = run_daemon ~workers snap lines in
+      Alcotest.(check (list string))
+        (Fmt.str "workers %d = per-line oracle" workers)
+        expected (sorted_replies t);
+      check_int (Fmt.str "no hits at workers %d" workers) 0
+        summary.Server.Daemon.reply_hits)
+    [ 1; 4 ]
+
 let () =
   Alcotest.run "server"
     [
@@ -626,5 +952,26 @@ let () =
           Alcotest.test_case "overlong line" `Quick test_daemon_overlong_line;
           Alcotest.test_case "drain" `Quick test_daemon_drain;
           Alcotest.test_case "report plumbing" `Quick test_daemon_report;
+        ] );
+      ( "reply cache",
+        [
+          Alcotest.test_case "round trip" `Quick test_cache_roundtrip;
+          Alcotest.test_case "the ring wraps" `Quick test_cache_ring_wraps;
+          Alcotest.test_case "the oldest entry is evicted" `Quick
+            test_cache_evicts_oldest;
+          Alcotest.test_case "an overwritten entry misses" `Quick
+            test_cache_overwritten_is_gone;
+          Alcotest.test_case "a slot collision is a miss" `Quick
+            test_cache_slot_collision;
+          Alcotest.test_case "a large entry is refused" `Quick
+            test_cache_refuses_large;
+          Alcotest.test_case "a flood keeps the fixed size" `Quick
+            test_cache_fixed_size;
+          Alcotest.test_case "transcripts equal the per-line oracle" `Quick
+            test_cache_matches_oracle;
+          Alcotest.test_case "fault plans and quarantine bypass it" `Quick
+            test_cache_bypass;
+          Alcotest.test_case "distinct lines only miss" `Quick
+            test_cache_flood_distinct;
         ] );
     ]
