@@ -953,7 +953,7 @@ let () =
           Alcotest.test_case "drain" `Quick test_daemon_drain;
           Alcotest.test_case "report plumbing" `Quick test_daemon_report;
         ] );
-      ( "reply cache",
+      ( "cache",
         [
           Alcotest.test_case "round trip" `Quick test_cache_roundtrip;
           Alcotest.test_case "the ring wraps" `Quick test_cache_ring_wraps;
