@@ -1129,7 +1129,11 @@ let e20 ~full () =
    deterministic enough to regress-gate on a shared CI box.
    [reply_hits] counts the requests the workers' reply caches answered.
    At one worker it is fixed by the request list; with more, each worker
-   misses a line once, so the count follows the scheduling. *)
+   misses a line once, so the count follows the scheduling. The template
+   rows repeat eight lines, so they measure cache hits; the
+   [e22-distinct-w1] row serves distinct point lookups at one worker,
+   which only miss, so it measures the parse, evaluate and render path
+   (its [reply_hits] is 0). *)
 let e22_program ~universities =
   let buf = Buffer.create 65536 in
   Buffer.add_string buf
@@ -1218,48 +1222,63 @@ let e22_snapshot ~universities =
     ~saturated:(Tgds.Chase.saturated r)
     ~universe:(Instance.dom db) (Tgds.Chase.index r)
 
+(* one serving run's row: summary counts, rates and per-request words *)
+let e22_row ~universities ~workers ~requests snap =
+  let summary, report = e22_serve ~workers ~requests snap in
+  if summary.Server.Daemon.errors > 0 then
+    failwith "e22: request errors against a healthy snapshot";
+  let quant q =
+    match Obs.Metrics.quantile (Obs.Report.metrics report) "server.request_s" q with
+    | Some v -> v *. 1e3
+    | None -> 0.
+  in
+  let serve_s = summary.Server.Daemon.wall_s in
+  let served = float_of_int summary.Server.Daemon.served in
+  (* summed worker-domain Gc deltas, normalised per served request:
+     unlike the time columns, not machine-dependent *)
+  Obs.Json.
+    [
+      ("universities", Int universities);
+      ("workers", Int workers);
+      ("requests", Int summary.Server.Daemon.served);
+      ("reply_hits", Int summary.Server.Daemon.reply_hits);
+      ("serve_s", Float serve_s);
+      ("qps", Float (served /. serve_s));
+      ("p50_ms", Float (quant 0.5));
+      ("p99_ms", Float (quant 0.99));
+      ("minor_words_per_req", Float (summary.Server.Daemon.minor_words /. served));
+      ("major_words_per_req", Float (summary.Server.Daemon.major_words /. served));
+    ]
+  @ work_fields (Obs.Report.metrics report)
+
+(* distinct point lookups, as in ci/server_load.sh's distinct phase: each
+   line renames its variable, so no reply cache answers it and every
+   request is parsed, evaluated and rendered *)
+let e22_distinct_requests ~universities n =
+  List.init n (fun i ->
+      Printf.sprintf "answers q(C%d) :- takes(student_%d_%d_%d,C%d), course(C%d)." i
+        (i / 10 mod universities) (i / 5 mod 2) (i mod 5) i i)
+
 let e22_cases ~full =
   let universities = if full then 40 else 10 in
   let n_requests = if full then 2000 else 400 in
   let snap = lazy (e22_snapshot ~universities) in
   List.map
     (fun workers ->
-      case (Printf.sprintf "server-lubm-%d-w%d" universities workers)
-        (fun () ->
-          let summary, report =
-            e22_serve ~workers ~requests:(e22_requests n_requests)
-              (Lazy.force snap)
-          in
-          if summary.Server.Daemon.errors > 0 then
-            failwith "e22: request errors against a healthy snapshot";
-          let quant q =
-            match
-              Obs.Metrics.quantile (Obs.Report.metrics report) "server.request_s" q
-            with
-            | Some v -> v *. 1e3
-            | None -> 0.
-          in
-          let serve_s = summary.Server.Daemon.wall_s in
-          let served = float_of_int summary.Server.Daemon.served in
-          (* summed worker-domain Gc deltas, normalised per served
-             request: unlike the time columns, not machine-dependent *)
-          Obs.Json.
-            [
-              ("universities", Int universities);
-              ("workers", Int workers);
-              ("requests", Int summary.Server.Daemon.served);
-              ("reply_hits", Int summary.Server.Daemon.reply_hits);
-              ("serve_s", Float serve_s);
-              ("qps", Float (served /. serve_s));
-              ("p50_ms", Float (quant 0.5));
-              ("p99_ms", Float (quant 0.99));
-              ( "minor_words_per_req",
-                Float (summary.Server.Daemon.minor_words /. served) );
-              ( "major_words_per_req",
-                Float (summary.Server.Daemon.major_words /. served) );
-            ]
-          @ work_fields (Obs.Report.metrics report)))
+      case (Printf.sprintf "server-lubm-%d-w%d" universities workers) (fun () ->
+          e22_row ~universities ~workers ~requests:(e22_requests n_requests)
+            (Lazy.force snap)))
     [ 1; 2; 4 ]
+  (* only at the default size, so its name owns one row *)
+  @
+  if full then []
+  else
+    [
+      case "e22-distinct-w1" (fun () ->
+          e22_row ~universities ~workers:1
+            ~requests:(e22_distinct_requests ~universities n_requests)
+            (Lazy.force snap));
+    ]
 
 let e22 ~full () =
   header "E22: allocation-lean concurrent serving (supersedes E21)"
@@ -1319,7 +1338,7 @@ let limit = function
 let gated =
   [ "lubm-10"; "full-chain-200"; "answers-adom200-ar2"; "incr-lubm-10-insert";
     "incr-lubm-10-delete"; "recover-tail-50"; "server-lubm-10-w1";
-    "e3-fpt-160" ]
+    "e22-distinct-w1"; "e3-fpt-160" ]
 
 let rec nums = function
   | Obs.Json.Int i -> [ float_of_int i ]

@@ -11,7 +11,7 @@ let bounds =
     1e-2; 2e-2; 5e-2; 1e-1; 2e-1; 5e-1; 1.; 2.; 5.; 10.;
   |]
 
-type histo = {
+type histogram = {
   mutable hcount : int;
   mutable sum : float;
   mutable vmin : float;
@@ -21,7 +21,7 @@ type histo = {
 
 type t = {
   cs : (string, counter) Hashtbl.t;
-  hs : (string, histo) Hashtbl.t;
+  hs : (string, histogram) Hashtbl.t;
 }
 
 let create () = { cs = Hashtbl.create 16; hs = Hashtbl.create 8 }
@@ -41,7 +41,7 @@ let value c = c.n
 let count m name =
   match Hashtbl.find_opt m.cs name with Some c -> c.n | None -> 0
 
-let histo m name =
+let histogram m name =
   match Hashtbl.find_opt m.hs name with
   | Some h -> h
   | None ->
@@ -57,8 +57,7 @@ let histo m name =
       Hashtbl.replace m.hs name h;
       h
 
-let observe m name v =
-  let h = histo m name in
+let record h v =
   h.hcount <- h.hcount + 1;
   h.sum <- h.sum +. v;
   if v < h.vmin then h.vmin <- v;
@@ -68,6 +67,8 @@ let observe m name v =
   in
   let s = slot 0 in
   h.hits.(s) <- h.hits.(s) + 1
+
+let observe m name v = record (histogram m name) v
 
 let counters m =
   Hashtbl.fold (fun name c acc -> (name, c.n) :: acc) m.cs []
@@ -83,9 +84,9 @@ let absorb ~into src =
      the pointwise min/max — absorbing worker registries in worker order
      yields the same merged histogram as observing on one registry *)
   Hashtbl.iter
-    (fun name (h : histo) ->
+    (fun name (h : histogram) ->
       if h.hcount > 0 then begin
-        let g = histo into name in
+        let g = histogram into name in
         g.hcount <- g.hcount + h.hcount;
         g.sum <- g.sum +. h.sum;
         if h.vmin < g.vmin then g.vmin <- h.vmin;

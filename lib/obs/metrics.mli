@@ -3,8 +3,8 @@
     A registry holds named counters (monotonically increasing integers)
     and named histograms of durations in seconds (fixed log-spaced
     buckets, 1–2–5 per decade from 1µs to 10s plus an overflow bucket).
-    Hot paths obtain a {!counter} handle once and bump it without
-    further lookups.
+    Hot paths obtain a {!counter} or {!histogram} handle once and
+    update it without further lookups.
 
     Serialisation is deterministic: {!to_json} sorts entries by name. *)
 
@@ -27,6 +27,18 @@ val count : t -> string -> int
 
 (** [observe m name seconds] — record a duration in histogram [name]. *)
 val observe : t -> string -> float -> unit
+
+(** A registered histogram: a record takes no name lookup. *)
+type histogram
+
+(** [histogram m name] — find or register the histogram [name]. An
+    empty histogram is listed by {!histograms} but not carried over by
+    {!absorb}. *)
+val histogram : t -> string -> histogram
+
+(** [record h seconds] — record a duration in [h]: the same as
+    {!observe} under [h]'s name. *)
+val record : histogram -> float -> unit
 
 (** All counters, sorted by name. *)
 val counters : t -> (string * int) list

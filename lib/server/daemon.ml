@@ -59,21 +59,28 @@ let run ?report ?(stop = ref false) cfg snap ic oc =
        always-fire plans are race-free)";
   let t0 = Unix.gettimeofday () in
   (* leader/follower input, all behind [im]: a worker that finds no
-     pending line reads for itself on a select-guarded 50 ms tick (so a
-     SIGTERM on an idle server needs no further request line), keeps at
-     most [batch_max] lines and leaves the rest to the other workers. Only
-     idle workers read, so a flood queues at most one read's worth of
-     lines. Reads bypass the fresh channel's buffer. *)
+     pending line reads for itself, keeps at most [batch_max] lines and
+     leaves the rest to the other workers. Only idle workers read, so a
+     flood queues at most one read's worth of lines. Reads bypass the
+     fresh channel's buffer. The main domain waits in one blocking
+     [read]: a process-directed SIGTERM lands on the main thread, so
+     the read returns EINTR and the drain starts at once. A spawned
+     domain is not woken by it, so it waits on a select-guarded 50 ms
+     tick, and so does the main domain after an interrupted read (the
+     handler that flips [stop] may run on another domain) until input
+     arrives again. *)
   let im = Mutex.create () in
   let fd = Unix.descr_of_in_channel ic in
   let buf = Bytes.create 65536 and acc = Buffer.create 256 in
   let pending : (int * line) Queue.t = Queue.create () in
   let lineno = ref 0 and eof = ref false and overlong = ref false in
-  let push_line () =
+  let tick = ref false in
+  let push line =
     incr lineno;
-    Queue.push
-      (!lineno, if !overlong then Overlong else Line (Buffer.contents acc))
-      pending;
+    Queue.push (!lineno, line) pending
+  in
+  let push_partial () =
+    push (if !overlong then Overlong else Line (Buffer.contents acc));
     Buffer.clear acc;
     overlong := false
   in
@@ -89,6 +96,8 @@ let run ?report ?(stop = ref false) cfg snap ic oc =
   in
   let read_once () =
     let ready =
+      (Domain.is_main_domain () && not !tick)
+      ||
       match Unix.select [ fd ] [] [] 0.05 with
       | [], _, _ -> false
       | _ -> true
@@ -101,18 +110,27 @@ let run ?report ?(stop = ref false) cfg snap ic oc =
              semantics); a partial line at drain time is dropped with
              the rest of the unread input *)
           eof := true;
-          if Buffer.length acc > 0 || !overlong then push_line ()
+          if Buffer.length acc > 0 || !overlong then push_partial ()
       | k ->
+          tick := false;
           let j = ref 0 in
           for e = 0 to k - 1 do
-            if Bytes.get buf e = '\n' then begin
-              add_bytes !j (e - !j);
-              push_line ();
+            if Bytes.unsafe_get buf e = '\n' then begin
+              (* a line wholly inside [buf] is shorter than the cap *)
+              if Buffer.length acc = 0 && not !overlong then
+                push (Line (Bytes.sub_string buf !j (e - !j)))
+              else begin
+                add_bytes !j (e - !j);
+                push_partial ()
+              end;
               j := e + 1
             end
           done;
           add_bytes !j (k - !j)
-      | exception Unix.Unix_error (Unix.EINTR, _, _) -> ()
+      | exception
+          Unix.Unix_error ((Unix.EINTR | Unix.EAGAIN | Unix.EWOULDBLOCK), _, _)
+        ->
+          tick := true
   in
   let batch_max = 32 in
   let rec next_batch () =
@@ -156,15 +174,14 @@ let run ?report ?(stop = ref false) cfg snap ic oc =
   let cache_on () =
     (not (Obs.Probe.armed ())) && Keys.is_empty (Atomic.get quarantine)
   in
-  let evaluate view metrics span cache line (r : Protocol.request) =
+  let evaluate view request_s span cache line (r : Protocol.request) =
     (* the latency histogram covers every outcome of a well-formed
        request — cache hit, success, injected fault, quarantine refusal
        — so qps and percentiles describe the whole served stream, not
        only the happy path *)
     let t = Unix.gettimeofday () in
     let timed reply =
-      Obs.Metrics.observe metrics "server.request_s"
-        (Unix.gettimeofday () -. t);
+      Obs.Metrics.record request_s (Unix.gettimeofday () -. t);
       reply
     in
     let poisoned =
@@ -231,6 +248,7 @@ let run ?report ?(stop = ref false) cfg snap ic oc =
     let view = views.(i) and cache = caches.(i) in
     let metrics = Engine.Snapshot.view_metrics view in
     let hits = Obs.Metrics.counter metrics "server.reply_hits" in
+    let request_s = Obs.Metrics.histogram metrics "server.request_s" in
     let min0 = Gc.minor_words () and _, _, maj0 = gc_counters () in
     let serve_line id line =
       let e = if cache_on () then Reply_cache.find cache line else -1 in
@@ -238,8 +256,7 @@ let run ?report ?(stop = ref false) cfg snap ic oc =
         let t = Unix.gettimeofday () in
         Obs.Metrics.incr hits;
         let reply = Reply_cache.reply cache e ~id in
-        Obs.Metrics.observe metrics "server.request_s"
-          (Unix.gettimeofday () -. t);
+        Obs.Metrics.record request_s (Unix.gettimeofday () -. t);
         Some ((if Reply_cache.partial cache e then `Partial else `Ok), reply)
       end
       else
@@ -247,7 +264,7 @@ let run ?report ?(stop = ref false) cfg snap ic oc =
         | Protocol.Empty -> None
         | Protocol.Malformed msg -> Some (`Error, Protocol.render_error ~id msg)
         | Protocol.Request r ->
-            Some (evaluate view metrics wspans.(i) cache line r)
+            Some (evaluate view request_s wspans.(i) cache line r)
     in
     let rec loop () =
       match next_batch () with

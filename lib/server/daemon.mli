@@ -40,10 +40,17 @@
       mark is check-and-set under one lock, so when duplicates of a
       poison query fault concurrently exactly one gets the [error] reply
       and the rest [quarantined] — the same counts at any worker count;
-    - {e graceful drain}: when [stop] flips (the CLI's SIGTERM handler)
-      the reading worker notices within its 50 ms readiness tick — even
-      with no input pending — and reading stops; lines already read are
-      still served.
+    - {e graceful drain}: when [stop] flips (the CLI's SIGTERM handler),
+      reading stops, even with no input pending; lines already read are
+      still served. A reader on the main domain waits in one blocking
+      [read], which a process-directed SIGTERM interrupts (Linux
+      delivers it to the main thread), so the drain starts at once. A
+      reader on a spawned domain cannot be woken by that signal and
+      waits on a select-guarded 50 ms tick instead, as the main domain
+      does after an interrupted read until input arrives again. So
+      [stop] flipped by anything other than a signal to the main thread
+      is seen within 50 ms only by a ticking reader; a main-domain
+      reader sees it once its [read] returns.
 
     The [server.request_s] latency histogram records {e every} outcome
     of a well-formed request (cache hit, success, fault, quarantine

@@ -806,13 +806,13 @@ let test_server_exit_codes () =
   let status2, _, _ = run_cli [ "server"; prog "university.gd"; "--workers"; "0" ] in
   check "zero workers exits 2" true (status2 = 2)
 
-(* SIGTERM drains promptly: the reader polls input readiness instead of
-   blocking in [read], so an {e idle} server notices the flipped stop
-   flag within its tick — no further request line needed — completes
-   in-flight work, reports the drain, and exits 0. (The old reader sat
-   in [input_line] until the next newline arrived, so an idle server
-   hung in drain until one more request unblocked it.) *)
-let test_server_sigterm_drain () =
+(* SIGTERM drains promptly: an {e idle} server notices the flipped stop
+   flag with no further request line — the main domain's blocking read
+   returns EINTR, a reader on a spawned domain sees it on its 50 ms
+   tick — completes in-flight work, reports the drain, and exits 0. (A
+   reader sitting in [read] on a spawned domain would not be woken, and
+   the server would hang in drain until one more request arrived.) *)
+let sigterm_drain ~workers =
   let out_file = Filename.temp_file "guarded_srv" ".out" in
   let err_file = Filename.temp_file "guarded_srv" ".err" in
   Fun.protect
@@ -829,7 +829,7 @@ let test_server_sigterm_drain () =
       let r_in, w_in = Unix.pipe ~cloexec:false () in
       let pid =
         Unix.create_process cli
-          [| cli; "server"; prog "university.gd" |]
+          [| cli; "server"; prog "university.gd"; "--workers"; string_of_int workers |]
           r_in fd_out fd_err
       in
       Unix.close r_in;
@@ -879,8 +879,22 @@ let test_server_sigterm_drain () =
       close_out_noerr oc;
       let out = slurp_out () in
       check "drained run exits 0" true (status = Unix.WEXITED 0);
-      check (Fmt.str "drain is prompt (%.2fs)" waited) true (waited < 5.0);
+      check
+        (Fmt.str "drain at workers %d is prompt (%.2fs)" workers waited)
+        true (waited < 5.0);
       check "drain reported" true (contains out "% server: drained on signal"))
+
+let test_server_sigterm_drain () = sigterm_drain ~workers:1
+
+(* at 2 and 4 workers the idle reader may sit on any domain; three
+   drains each, so a reader that blocks on a spawned domain is met *)
+let test_server_sigterm_drain_workers () =
+  List.iter
+    (fun workers ->
+      for _ = 1 to 3 do
+        sigterm_drain ~workers
+      done)
+    [ 2; 4 ]
 
 let () =
   Alcotest.run "cli"
@@ -934,5 +948,7 @@ let () =
           Alcotest.test_case "server exit codes" `Quick test_server_exit_codes;
           Alcotest.test_case "server drains on SIGTERM" `Quick
             test_server_sigterm_drain;
+          Alcotest.test_case "server drains at workers 2 and 4" `Quick
+            test_server_sigterm_drain_workers;
         ] );
     ]

@@ -198,6 +198,40 @@ let test_metrics_absorb_histograms () =
   (* the merged histogram quantiles see both registries' observations *)
   check "merged max" true (Option.get (Obs.Metrics.quantile a "d" 1.) = 0.5)
 
+(* A histogram recorded through a handle summarises as one observed by
+   name, and [absorb] merges it the same way: into an empty registry, and
+   into one that already holds the name. *)
+let test_metrics_histogram_handle () =
+  let xs = [ 3e-7; 0.002; 0.004; 0.0041; 0.5; 99.0 ] in
+  let by_name = Obs.Metrics.create () and by_handle = Obs.Metrics.create () in
+  List.iter (Obs.Metrics.observe by_name "d") xs;
+  let h = Obs.Metrics.histogram by_handle "d" in
+  check "the handle is found again" true (Obs.Metrics.histogram by_handle "d" == h);
+  List.iter (Obs.Metrics.record h) xs;
+  let same what a b =
+    check what true (Obs.Metrics.histograms a = Obs.Metrics.histograms b);
+    List.iter
+      (fun q ->
+        check (Fmt.str "%s: q%g" what q) true
+          (Obs.Metrics.quantile a "d" q = Obs.Metrics.quantile b "d" q))
+      [ 0.; 0.5; 0.9; 1. ]
+  in
+  same "handle = name" by_name by_handle;
+  let merged src =
+    let m = Obs.Metrics.create () in
+    Obs.Metrics.absorb ~into:m src;
+    Obs.Metrics.observe m "d" 0.01;
+    Obs.Metrics.absorb ~into:m src;
+    m
+  in
+  same "absorbed alike" (merged by_name) (merged by_handle);
+  (* a registered handle with nothing recorded is not carried over *)
+  let empty = Obs.Metrics.create () in
+  ignore (Obs.Metrics.histogram empty "e");
+  let into = Obs.Metrics.create () in
+  Obs.Metrics.absorb ~into empty;
+  check "an empty handle absorbs as nothing" true (Obs.Metrics.histograms into = [])
+
 let test_report_rate_block () =
   let r = Obs.Report.create "srv" in
   (* empty histogram: qps field present (0), quantiles omitted *)
@@ -421,6 +455,8 @@ let () =
           Alcotest.test_case "quantile" `Quick test_metrics_quantile;
           Alcotest.test_case "absorb merges histograms" `Quick
             test_metrics_absorb_histograms;
+          Alcotest.test_case "histogram handle" `Quick
+            test_metrics_histogram_handle;
           Alcotest.test_case "report rate block" `Quick test_report_rate_block;
         ] );
       ("spans", [ Alcotest.test_case "tree" `Quick test_span_tree ]);

@@ -399,12 +399,15 @@ let test_daemon_concurrent_poison_determinism () =
     [ 1; 2; 4 ]
 
 (* Serve the raw input [data] from a regular file (reads of exactly
-   65,536 bytes) or through a pipe, at [workers]: the summary and the
-   sorted reply lines. *)
-let label pipe workers =
-  Fmt.str "(%s, workers %d)" (if pipe then "pipe" else "file") workers
+   65,536 bytes) or through a pipe, non-blocking when [nonblock] (a read
+   may then fail with EAGAIN), at [workers]: the summary and the sorted
+   reply lines. *)
+let label ?(nonblock = false) pipe workers =
+  Fmt.str "(%s, workers %d)"
+    (if nonblock then "non-blocking pipe" else if pipe then "pipe" else "file")
+    workers
 
-let serve_raw snap data ~pipe workers =
+let serve_raw ?(nonblock = false) snap data ~pipe workers =
   let out = Filename.temp_file "srv_raw" ".txt" in
   Fun.protect
     ~finally:(fun () -> Sys.remove out)
@@ -412,6 +415,7 @@ let serve_raw snap data ~pipe workers =
       let ic, feed =
         if pipe then begin
           let r, w = Unix.pipe () in
+          if nonblock then Unix.set_nonblock r;
           let feed =
             Domain.spawn (fun () ->
                 let oc = Unix.out_channel_of_descr w in
@@ -503,7 +507,17 @@ let test_daemon_read_chunk_boundaries () =
       Alcotest.(check (list string))
         ("same sorted transcript " ^ label pipe workers)
         reference (serve ~pipe workers))
-    [ (false, 2); (false, 4); (true, 1); (true, 2); (true, 4) ]
+    [ (false, 2); (false, 4); (true, 1); (true, 2); (true, 4) ];
+  (* a reader that meets EAGAIN waits for input and reads on *)
+  List.iter
+    (fun workers ->
+      let summary, sorted = serve_raw ~nonblock:true snap data ~pipe:true workers in
+      let where = label ~nonblock:true true workers in
+      check_int ("one reply per non-empty line " ^ where) expected
+        summary.Server.Daemon.served;
+      Alcotest.(check (list string))
+        ("same sorted transcript " ^ where) reference sorted)
+    [ 1; 2 ]
 
 (* a 3 MiB line, over the 1 MiB cap, is not buffered: it gets exactly
    one error reply under its own id, and the lines after it — a request,
@@ -663,8 +677,12 @@ let test_cache_overwritten_is_gone () =
   let a = "answers q(X) :- a(X)." and a_body = "ok 1 (a)" in
   let y = "answers q(X) :- y(X)." in
   let line k = Printf.sprintf "answers q(X) :- f(X,c%07d)." k in
+  (* a filler shares no candidate slot with [a] or [y], so only the
+     ring can evict them *)
+  let taken = [ Rc.slot a; Rc.alt_slot a; Rc.slot y; Rc.alt_slot y ] in
   let rec filler k =
-    if Rc.slot (line k) = Rc.slot a || Rc.slot (line k) = Rc.slot y then
+    let l = line k in
+    if List.mem (Rc.slot l) taken || List.mem (Rc.alt_slot l) taken then
       filler (k + 1)
     else k
   in
@@ -680,12 +698,18 @@ let test_cache_overwritten_is_gone () =
   Rc.add c a ~partial:false ("1 " ^ a_body);
   let wpos = ref (s0 + 5 + String.length a + String.length a_body) in
   let len_y = s0 + 100 in
+  (* [a] is looked up while it is in the ring's newer half, where a hit
+     does not move it; no later filler reaches its bytes or its slots *)
+  let looked = ref false in
   while r - !wpos >= len_y do
+    if (not !looked) && !wpos + 8000 - s0 > r / 2 then begin
+      check "a is still held" true (cached c a ~id:1 = Some ("1 " ^ a_body));
+      looked := true
+    end;
     let size = min 8000 (r - !wpos) in
     add_filler size;
     wpos := !wpos + size
   done;
-  check "a is still held" true (cached c a ~id:1 = Some ("1 " ^ a_body));
   let u16 n = String.init 2 (fun i -> Char.chr ((n lsr (8 * i)) land 0xff)) in
   let copy = u16 (String.length a) ^ u16 (String.length a_body) ^ "\000" ^ a in
   let off = s0 - 5 - String.length y in
@@ -718,26 +742,48 @@ let test_cache_evicts_oldest () =
   check "entries were evicted" true (!oldest_held > 0);
   check "a lap of entries is held" true (300 - !oldest_held > 100)
 
+(* the first line [line k] from [k] on that [p] accepts *)
+let rec first_line line k p = if p (line k) then line k else first_line line (k + 1) p
+
 let test_cache_slot_collision () =
-  let c = Rc.create () in
-  (* two lines of one length under one slot: the stored line is compared
-     byte for byte, so the second's entry never answers the first *)
-  let a = Printf.sprintf "answers q(X) :- p(X,c%07d)." 0 in
-  let rec mate k =
-    let l = Printf.sprintf "answers q(X) :- p(X,c%07d)." k in
-    if Rc.slot l = Rc.slot a then l else mate (k + 1)
-  in
-  let b = mate 1 in
+  let line k = Printf.sprintf "answers q(X) :- p(X,c%07d)." k in
+  (* lines of one length that share a candidate slot with a live entry:
+     the stored line is compared byte for byte, so no entry answers for
+     another line, whichever of the two slots they share *)
+  let a = line 0 in
+  let b = first_line line 1 (fun l -> Rc.slot l = Rc.slot a) in
+  let b' = first_line line 1 (fun l -> Rc.alt_slot l = Rc.slot a) in
+  let b'' = first_line line 1 (fun l -> Rc.slot l = Rc.alt_slot a) in
   check_int "same length" (String.length a) (String.length b);
+  List.iter
+    (fun (what, m) ->
+      let c = Rc.create () in
+      Rc.add c m ~partial:false "2 ok 1 (m)";
+      check ("a collision is a miss: " ^ what) true (cached c a ~id:3 = None);
+      let c = Rc.create () in
+      Rc.add c a ~partial:false "1 ok 1 (a)";
+      check ("a collision is a miss, reversed: " ^ what) true
+        (cached c m ~id:3 = None);
+      (* with one slot taken, the other line is filed under its other
+         candidate, and both hit *)
+      Rc.add c m ~partial:false "2 ok 1 (m)";
+      check ("both sharers hit: " ^ what) true
+        (cached c a ~id:3 = Some "3 ok 1 (a)" && cached c m ~id:3 = Some "3 ok 1 (m)"))
+    [ ("first slots", b); ("first and second", b'); ("second and first", b'') ];
+  (* [b] finds both its slots live: [a] in its first, [d], added after
+     [a], in its second. It takes the older entry's slot, so [a] is
+     displaced and misses, and [b] and [d] hit *)
+  let d =
+    first_line line 1 (fun l ->
+        Rc.slot l = Rc.alt_slot b && Rc.alt_slot l <> Rc.slot a)
+  in
+  let c = Rc.create () in
   Rc.add c a ~partial:false "1 ok 1 (a)";
+  Rc.add c d ~partial:false "1 ok 1 (d)";
   Rc.add c b ~partial:false "2 ok 1 (b)";
   check "the displaced line misses" true (cached c a ~id:3 = None);
   check "the later line hits" true (cached c b ~id:3 = Some "3 ok 1 (b)");
-  (* [b] only shares [a]'s slot: looking [a] up after [b] alone is
-     still a miss, not [b]'s reply *)
-  let c = Rc.create () in
-  Rc.add c b ~partial:false "2 ok 1 (b)";
-  check "a collision is a miss" true (cached c a ~id:3 = None)
+  check "the newer occupant stays" true (cached c d ~id:3 = Some "3 ok 1 (d)")
 
 let test_cache_refuses_large () =
   let c = Rc.create () in
@@ -762,7 +808,134 @@ let test_cache_fixed_size () =
   done;
   check_int "reachable words unchanged by the flood" w0 (words ());
   check "the words are the ring's and its index's" true
-    (w0 * 8 >= Rc.ring_bytes && w0 * 8 <= Rc.ring_bytes + (8 * 8192) + 64)
+    (w0 * 8 >= Rc.ring_bytes && w0 * 8 <= Rc.ring_bytes + (8 * 16384) + 64)
+
+(* Seeded random [add]/[find] streams against a model: every hit must
+   render the body (and class) last added for its line. The alphabet is
+   tiny and built from gadgets of one line length each: a line [l], a
+   line filed under [l]'s first slot and one under its second, so [l]
+   finds both its slots live and displaces an entry, plus a line under
+   each of those lines' second slots. Bodies of up to 7 KiB lap the ring
+   every hundred-odd adds. A shadow of the ring's write position tells
+   which misses come from slot displacement and which from laps, and
+   which hits the second chance copies (and whether the copy overlaps
+   its source at the write frontier); the copy's position must be the
+   one [find] returns. *)
+let test_cache_model () =
+  let r = Rc.ring_bytes in
+  let gadget fmt k0 =
+    let line k = Printf.sprintf fmt k in
+    let l = line k0 in
+    let x = first_line line (k0 + 1) (fun m -> Rc.slot m = Rc.slot l) in
+    let y = first_line line (k0 + 1) (fun m -> Rc.slot m = Rc.alt_slot l) in
+    let x2 = first_line line (k0 + 1) (fun m -> Rc.slot m = Rc.alt_slot x) in
+    let y2 = first_line line (k0 + 1) (fun m -> Rc.slot m = Rc.alt_slot y) in
+    [ l; x; y; x2; y2 ]
+  in
+  let alphabet =
+    Array.of_list
+      (List.sort_uniq compare
+         (gadget "%07d" 0 @ gadget "w%07d" 0 @ gadget "q(X) :- p(%05d)." 0
+         @ gadget "answers q(X) :- p(X,c%07d)." 0))
+  in
+  check_int "four gadgets of five lines" 20 (Array.length alphabet);
+  let text = String.init 16384 (fun i -> Char.chr (97 + (i * 7919 mod 26))) in
+  let copies = ref 0 and frontier = ref 0 and displaced = ref 0 in
+  let lapped = ref 0 and hits = ref 0 in
+  List.iter
+    (fun seed ->
+      let rng = Random.State.make [| seed |] in
+      let c = Rc.create () in
+      (* line -> (body, partial, absolute position of its entry) *)
+      let model = Hashtbl.create 32 in
+      let wpos = ref 0 in
+      let place len =
+        let o = !wpos mod r in
+        let a = if o + len > r then !wpos + r - o else !wpos in
+        wpos := a + len;
+        a
+      in
+      for step = 1 to 30_000 do
+        (* skewed draws: the low lines are hot, the high ones go cold *)
+        let n = Array.length alphabet in
+        let l = alphabet.(min (Random.State.int rng n) (Random.State.int rng n)) in
+        if Random.State.int rng 5 < 2 then begin
+          let size = 1 + Random.State.int rng 7000 in
+          let body = String.sub text (Random.State.int rng (16384 - size)) size in
+          let partial = Random.State.bool rng in
+          Rc.add c l ~partial (Printf.sprintf "%d %s" step body);
+          Hashtbl.replace model l (body, partial, place (5 + String.length l + size))
+        end
+        else
+          match (Rc.find c l, Hashtbl.find_opt model l) with
+          | -1, None -> ()
+          | -1, Some (_, _, a) ->
+              if !wpos - a <= r then incr displaced else incr lapped;
+              Hashtbl.remove model l
+          | _, None ->
+              Alcotest.failf "seed %d step %d: %S hits, never added" seed step l
+          | e, Some (body, partial, a) ->
+              incr hits;
+              let len = 5 + String.length l + String.length body in
+              let a =
+                if !wpos - a <= r / 2 then a
+                else begin
+                  let a' = place len in
+                  incr copies;
+                  if abs ((a' mod r) - (a mod r)) < len then incr frontier;
+                  a'
+                end
+              in
+              Hashtbl.replace model l (body, partial, a);
+              if e <> a mod r then
+                Alcotest.failf "seed %d step %d: %S found at %d, not at %d" seed step
+                  l e (a mod r);
+              if Rc.reply c e ~id:step <> Printf.sprintf "%d %s" step body
+                 || Rc.partial c e <> partial
+              then
+                Alcotest.failf "seed %d step %d: %S renders a stale reply" seed
+                  step l
+      done)
+    [ 1; 2; 3 ];
+  let happened what n = check (Printf.sprintf "%s happen (%d)" what n) true (n > 0) in
+  happened "hits" !hits;
+  happened "slot displacements" !displaced;
+  happened "ring laps" !lapped;
+  happened "second-chance copies" !copies;
+  happened "copies at the write frontier" !frontier
+
+(* A line asked for every 300 adds survives a flood of distinct lines
+   that laps the ring many times: each time it reaches the ring's older
+   half a hit copies it to the head. The flood's lines share no slot
+   with it, so only the ring could evict it. Neither [find] nor [add]
+   allocates. *)
+let test_cache_hot_line_survives () =
+  let c = Rc.create () in
+  let hot = "answers q(X) :- teaches(X,hot)." in
+  let taken = [ Rc.slot hot; Rc.alt_slot hot ] in
+  let flood =
+    Array.of_list
+      (List.filter
+         (fun l -> not (List.mem (Rc.slot l) taken || List.mem (Rc.alt_slot l) taken))
+         (List.init 40_000 (Printf.sprintf "answers q(X) :- p(X,c%07d).")))
+  in
+  let reply = "1 ok 3 " ^ String.make 100 'v' and hot_reply = "1 ok 1 (hot)" in
+  Rc.add c hot ~partial:false hot_reply;
+  let missed = ref 0 in
+  let w0 = Gc.minor_words () in
+  for i = 0 to Array.length flood - 1 do
+    Rc.add c flood.(i) ~partial:false reply;
+    if i mod 300 = 299 && Rc.find c hot < 0 then incr missed
+  done;
+  let words = Gc.minor_words () -. w0 in
+  check "the flood laps the ring" true
+    (Array.length flood * (5 + String.length flood.(0) + String.length reply - 2)
+     > 8 * Rc.ring_bytes);
+  check_int "the hot line never misses" 0 !missed;
+  check "the hot line's reply is whole" true (cached c hot ~id:1 = Some hot_reply);
+  check "the oldest flood line is gone" true (cached c flood.(0) ~id:1 = None);
+  check (Printf.sprintf "add and find allocate nothing (%.0f words)" words) true
+    (words = 0.)
 
 (* ------------------------------------------------------------------ *)
 (* daemon with the reply cache                                         *)
@@ -973,5 +1146,9 @@ let () =
             test_cache_bypass;
           Alcotest.test_case "distinct lines only miss" `Quick
             test_cache_flood_distinct;
+          Alcotest.test_case "random streams match a model" `Quick
+            test_cache_model;
+          Alcotest.test_case "a hot line outlives a flood" `Quick
+            test_cache_hot_line_survives;
         ] );
     ]
