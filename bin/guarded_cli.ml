@@ -20,7 +20,7 @@ let read_program path =
    instead of a backtrace. *)
 let guard f =
   try f () with
-  | Invalid_argument msg ->
+  | Invalid_argument msg | Resil.Fault.Fatal msg ->
       Fmt.epr "error: %s@." msg;
       2
   | Sys_error msg ->
@@ -124,16 +124,22 @@ let retries_arg =
   Arg.(
     value & opt (some int) None
     & info [ "retries" ] ~docv:"R"
-        ~doc:"Supervise the run: retry up to $(docv) times, each resuming \
-              from the last checkpoint after a capped exponential backoff.")
+        ~doc:"Retry a failed run up to $(docv) times, each resuming from \
+              the last checkpoint after a capped exponential backoff \
+              (default 2 when $(b,--checkpoint), $(b,--resume) or \
+              $(b,--fault-plan) is given, 0 otherwise).")
 
 let fault_plan_arg =
   Arg.(
     value & opt (some string) None
     & info [ "fault-plan" ] ~docv:"SPEC"
         ~doc:"Deterministic fault injection: $(b,none), $(b,hit:N), \
-              $(b,point:NAME:N), $(b,ms:X) (comma-separated, one per \
-              attempt), or $(b,seed:S)[:$(b,K)].")
+              $(b,point:NAME:N), $(b,point:NAME:*), $(b,ms:X), or \
+              $(b,seed:S)[:$(b,K)]. Comma-separated triggers form one \
+              sequence over the whole run: each goes live when the one \
+              before it fires, and counts from that moment; \
+              $(b,point:NAME:*) fires at every hit of NAME and never \
+              yields.")
 
 (* The parsed --fault-plan ([Fault.none] when absent). A bad spec is an
    input error: it is reported here, naming the spec, and [Error] carries
@@ -168,71 +174,57 @@ let print_chase_result ~max_level ~stats ?(notes = []) r =
   | None -> ());
   0
 
-(* The supervised path: any of --checkpoint/--resume/--retries/--fault-plan
-   routes here; a bare `chase` keeps the direct, supervisor-free path. *)
-let resilient_chase ~max_level ~stats ~budget ~checkpoint ~ck_every
-    ~resume ~retries ~fault_plan sigma facts =
-  match fault_plan_of fault_plan with
-  | Error code -> code
-  | Ok fault_plan -> (
-      let resume_from =
-        match resume with
-        | None -> Ok None
-        | Some path -> Result.map Option.some (Resil.Checkpoint.load path)
-      in
-      match resume_from with
+(* The --resume checkpoint, if any. A load error is reported here and
+   [Error] carries the exit code: an unreadable file is an input error, a
+   corrupt one a runtime fault. *)
+let resume_of = function
+  | None -> Ok None
+  | Some path -> (
+      match Resil.Checkpoint.load path with
+      | Ok s -> Ok (Some s)
       | Error e ->
           Fmt.epr "error: %s@." (Resil.Checkpoint.error_message e);
-          (* unreadable checkpoint = input error; corrupt = runtime fault *)
-          (match e with Resil.Checkpoint.Io _ -> 2 | Resil.Checkpoint.Corrupt _ -> 1)
-      | Ok resume_from -> (
-          (* the supervisor takes a single budget: fold the CLI's level
-             bound in, as [Chase.run ~max_level] would *)
-          let budget =
-            let levels = Obs.Budget.create ~max_levels:max_level () in
-            match budget with
-            | None -> levels
-            | Some b -> Obs.Budget.meet levels b
-          in
-          match
-            Resil.Supervisor.run ~budget ~checkpoint_every:ck_every
-              ?checkpoint_path:checkpoint ?resume_from ?retries ~fault_plan
-              sigma facts
-          with
-          | Resil.Supervisor.Completed r ->
-              print_chase_result ~max_level ~stats r
-          | Resil.Supervisor.Recovered (r, log) ->
-              print_chase_result ~max_level ~stats
-                ~notes:
-                  [
-                    Fmt.str "recovered after %d failed attempt(s)"
-                      (List.length log);
-                  ]
-                r
-          | Resil.Supervisor.Failed d ->
-              Fmt.epr "error: chase failed after %d attempt(s): %s@."
-                (List.length d.attempts) d.Resil.Supervisor.message;
-              1))
+          Error (match e with Resil.Checkpoint.Io _ -> 2 | Corrupt _ -> 1))
 
 let chase_cmd =
   let run file max_level () stats budget_facts budget_ms checkpoint
       ck_every resume retries fault_plan =
     with_program file (fun p ->
-        let budget = make_budget budget_facts budget_ms in
-        let sigma = p.Syntax.Parser.tgds and facts = p.Syntax.Parser.facts in
-        let resilient =
-          checkpoint <> None || resume <> None || retries <> None
-          || fault_plan <> None
-        in
-        if resilient then
-          resilient_chase ~max_level ~stats ~budget ~checkpoint
-            ~ck_every ~resume ~retries ~fault_plan sigma facts
-        else
-          let r =
-            Tgds.Chase.run_store ~max_level ?budget sigma
-              (Engine.Index.of_facts facts)
-          in
-          print_chase_result ~max_level ~stats r)
+        match
+          Result.bind (fault_plan_of fault_plan) (fun plan ->
+              Result.map (fun ck -> (plan, ck)) (resume_of resume))
+        with
+        | Error code -> code
+        | Ok (plan, resume_from) -> (
+            let retries =
+              match retries with
+              | Some r -> r
+              | None ->
+                  if checkpoint <> None || resume <> None || fault_plan <> None
+                  then 2
+                  else 0
+            in
+            match
+              Resil.Supervisor.run ~max_level
+                ?budget:(make_budget budget_facts budget_ms)
+                ~checkpoint_every:ck_every ?checkpoint_path:checkpoint
+                ?resume_from ~retries ~fault_plan:plan p.Syntax.Parser.tgds
+                p.Syntax.Parser.facts
+            with
+            | Resil.Supervisor.Completed r ->
+                print_chase_result ~max_level ~stats r
+            | Resil.Supervisor.Recovered (r, log) ->
+                print_chase_result ~max_level ~stats
+                  ~notes:
+                    [
+                      Fmt.str "recovered after %d failed attempt(s)"
+                        (List.length log);
+                    ]
+                  r
+            | Resil.Supervisor.Failed d ->
+                Fmt.epr "error: chase failed after %d attempt(s): %s@."
+                  (List.length d.attempts) d.Resil.Supervisor.message;
+                1))
   in
   Cmd.v
     (Cmd.info "chase" ~doc:"Run the level-bounded oblivious chase and print the result.")
@@ -423,8 +415,6 @@ let serve_cmd =
                             Fmt.pr "%% %s: %s@." (op_str op) msg;
                             Fmt.epr "error: mutation %d (%s) %s@." seq
                               (op_str op) msg
-                        | exception Sup.Fatal msg ->
-                            raise (Invalid_argument msg)
                       done);
                   let store = Sup.store session in
                   let quarantined = Sup.quarantined session in

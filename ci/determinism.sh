@@ -3,8 +3,8 @@
 # must reproduce the committed exit code, stdout, checkpoint, and stats
 # (up to the timing tail) under ci/golden/ byte for byte, and so must
 # `answers`, `witness`, `reduce`, `serve` (on university.mut and on the churn log), a
-# WAL-recovered `serve`, the serve degradation ladder and the sorted
-# `server` transcripts. A representation change in the fact store is
+# chase recovered from an injected fault, a WAL-recovered `serve`, the
+# serve degradation ladder and the sorted `server` transcripts. A representation change in the fact store is
 # caught here as drift. The goldens store the checkpoint's engine field
 # normalised to FAMILY; runs are normalised the same way before
 # comparison.
@@ -104,6 +104,31 @@ done
   exit 1
 }
 echo "determinism: OK ($compared programs match goldens)"
+
+# Recovered chase: every program again, killed at its 5th probe hit and
+# retried once from the last snapshot. The recovery must be invisible:
+# exit code, checkpoint and stats equal the same goldens, and so does
+# stdout once the recovery note is dropped.
+recovered=0
+for prog in examples/programs/*.gd; do
+  base=$(basename "$prog" .gd)
+  run "$base.rec" "$prog" --fault-plan hit:5 --retries 1
+  if grep -q '^% recovered after ' "$TMP/$base.rec.out"; then
+    recovered=$((recovered + 1))
+  fi
+  { grep -v '^% recovered after ' "$TMP/$base.rec.out" || true; } \
+    > "$TMP/$base.rec.kept"
+  mv "$TMP/$base.rec.kept" "$TMP/$base.rec.out"
+  for aspect in code out cut nck; do
+    expect "$TMP/$base.rec.$aspect" "$base.$aspect" \
+      "$base: recovered chase $aspect"
+  done
+done
+[ "$recovered" -ge 10 ] || {
+  echo "determinism: the fault fired in only $recovered programs"
+  exit 1
+}
+echo "determinism: OK (recovered chase matches goldens; $recovered programs recovered)"
 
 # Answer enumeration: the `answers` command prints a canonical sorted
 # set, so stdout and exit code must match the committed goldens.

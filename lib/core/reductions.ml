@@ -217,7 +217,7 @@ let clique_to_omq (q : Omq.t) ~graph ~k =
 (** [decide_omq_clique ci] — evaluate the OMQ on [D_G]: the chase is
     finite (Σ is full), so the verdict is exact. *)
 let decide_omq_clique (ci : omq_clique_instance) =
-  let chased = Tgds.Full_chase.saturate (Omq.ontology ci.omq) ci.o_dg.Grohe.db in
+  let chased = Tgds.Chase.chase (Omq.ontology ci.omq) ci.o_dg.Grohe.db in
   Ucq.holds chased (Omq.query ci.omq)
 
 (* ------------------------------------------------------------------ *)

@@ -19,6 +19,18 @@ let attempt f =
 let backoff ~base_ms ~max_ms k =
   Float.min max_ms (base_ms *. (2. ** float_of_int (k - 1)))
 
+let retry ~attempts ~base_ms ~max_ms ~sleep f =
+  let rec go k failures =
+    match f k with
+    | Ok v -> Ok (v, List.rev failures)
+    | Error fault when k < attempts ->
+        let ms = backoff ~base_ms ~max_ms k in
+        if ms > 0. then sleep (ms /. 1000.);
+        go (k + 1) ((k, fault, ms) :: failures)
+    | Error fault -> Error (List.rev ((k, fault, 0.) :: failures))
+  in
+  go 1 []
+
 type trigger =
   | At_hit of int
   | At_point of string * int
@@ -33,9 +45,6 @@ let stateless (plan : plan) =
   plan <> []
   && List.for_all (function Every_point _ -> true | _ -> false) plan
 
-let trigger_for plan ~attempt =
-  if attempt < 1 then None else List.nth_opt plan (attempt - 1)
-
 (* The hook Fault itself installed, remembered so {!suspended} can lift
    and re-install it (with its counters intact) around recovery code. *)
 let installed : (string -> unit) option ref = ref None
@@ -43,33 +52,6 @@ let installed : (string -> unit) option ref = ref None
 let install_hook f =
   installed := Some f;
   Obs.Probe.install f
-
-let arm ?(clock = Unix.gettimeofday) trig =
-  match trig with
-  | At_hit n ->
-      let hits = ref 0 in
-      install_hook (fun point ->
-          incr hits;
-          if !hits >= n then raise (Injected (point, !hits)))
-  | At_point (name, n) ->
-      let total = ref 0 and named = ref 0 in
-      install_hook (fun point ->
-          incr total;
-          if String.equal point name then begin
-            incr named;
-            if !named >= n then raise (Injected (point, !total))
-          end)
-  | Every_point name ->
-      (* no counters: safe to hit from concurrent domains, and the
-         payload is a fixed hit number so reply bytes stay canonical *)
-      install_hook (fun point ->
-          if String.equal point name then raise (Injected (point, 1)))
-  | After_ms ms ->
-      let t0 = clock () in
-      let hits = ref 0 in
-      install_hook (fun point ->
-          incr hits;
-          if (clock () -. t0) *. 1000. >= ms then raise (Injected (point, !hits)))
 
 let disarm () =
   installed := None;
@@ -92,22 +74,20 @@ let arm_seq ?(clock = Unix.gettimeofday) (plan : plan) =
             raise (Injected (point, 1)))
   | _ ->
       let plan = Array.of_list plan in
-      let idx = ref 0 and total = ref 0 in
-      (* per-trigger counters, reset each time the sequence advances so
-         every trigger counts relative to its own arming moment, exactly
-         like a fresh {!arm} *)
-      let hits = ref 0 and named = ref 0 in
+      (* the live trigger's counters, reset each time the sequence
+         advances: every trigger counts from the moment it went live *)
+      let idx = ref 0 and hits = ref 0 and named = ref 0 in
       let t0 = ref (clock ()) in
       install_hook (fun point ->
-          incr total;
           if !idx < Array.length plan then begin
             incr hits;
             let fire () =
+              let hit = !hits in
               incr idx;
               hits := 0;
               named := 0;
               t0 := clock ();
-              raise (Injected (point, !total))
+              raise (Injected (point, hit))
             in
             match plan.(!idx) with
             | At_hit n -> if !hits >= n then fire ()
@@ -119,8 +99,7 @@ let arm_seq ?(clock = Unix.gettimeofday) (plan : plan) =
             | Every_point name ->
                 (* never advances: once live, it fires at every hit of
                    the named point, so later triggers stay dormant *)
-                if String.equal point name then
-                  raise (Injected (point, !total))
+                if String.equal point name then raise (Injected (point, 1))
             | After_ms ms ->
                 if (clock () -. !t0) *. 1000. >= ms then fire ()
           end)
@@ -131,10 +110,6 @@ let suspended f =
   | Some h ->
       Obs.Probe.clear ();
       Fun.protect ~finally:(fun () -> Obs.Probe.install h) f
-
-let with_trigger ?clock trig f =
-  (match trig with None -> disarm () | Some t -> arm ?clock t);
-  Fun.protect ~finally:disarm f
 
 (* Fixed 31-bit LCG so plans are reproducible across platforms. *)
 let random ~seed ?(attempts = 3) ?(max_hits = 500) () =

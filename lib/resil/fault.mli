@@ -4,20 +4,26 @@
     natural step boundaries ([engine.pass], [engine.insert],
     [engine.join], and [ground_closure.round], hit once per saturation
     run of the ground closure — of the instance or of one child bag).
-    A {e trigger} arms the
-    global probe hook to raise {!Injected} at a chosen point: the Nth
-    probe hit overall, the Nth hit of one named point, or once an
-    (injectable) clock passes a wall-clock mark. Arming is deterministic — re-running the same
-    computation with the same trigger fails at the same step — which is
-    what makes the supervisor's kill-and-resume behaviour testable.
+    A {e trigger} makes the global probe hook raise {!Injected} at a
+    chosen point: the Nth probe hit overall, the Nth hit of one named
+    point, every hit of one named point, or once an (injectable) clock
+    passes a wall-clock mark. Arming is deterministic — re-running the
+    same computation under the same plan fails at the same steps — which
+    is what makes the supervisors' kill-and-retry behaviour testable.
 
-    A {e plan} is one trigger per supervised attempt: attempt [k] runs
-    under trigger [k] (1-based); attempts beyond the plan's length run
-    fault-free, so a plan of length [n] describes a run that fails [n]
-    times and then succeeds. *)
+    A {e plan} is a sequence of triggers armed once, by {!arm_seq}, over
+    a whole supervised run: trigger 1 is live first, and each time the
+    live trigger fires the next one goes live, counting its hits (or its
+    clock) from that moment. A plan of counted triggers of length [n]
+    injects exactly [n] faults and then lets the run finish, so under a
+    retrying supervisor trigger [k] kills attempt [k]; an [Every_point]
+    trigger never yields to the next and fails every attempt that
+    reaches its point. The [chase] supervisor, the [serve] session and
+    the [server] daemon all arm plans this way. *)
 
 (** Raised from inside an armed probe point. The payload is the point
-    name and the overall hit count at the moment of failure. *)
+    name and the count of probe hits, of any point, since the firing
+    trigger went live ([1] for an [Every_point] trigger). *)
 exception Injected of string * int
 
 (** Raised by {!attempt} on a violated library precondition: retrying
@@ -38,18 +44,35 @@ val attempt : (unit -> 'a) -> ('a, string) result
     (1-based): [min max_ms (base_ms · 2^(k−1))]. *)
 val backoff : base_ms:float -> max_ms:float -> int -> float
 
+(** [retry ~attempts ~base_ms ~max_ms ~sleep f] — the retry loop both
+    supervisors share: run [f 1], [f 2], … until one returns [Ok] or
+    [attempts] calls have failed, sleeping {!backoff}[ k] (in seconds,
+    via [sleep]) after failed call [k] when another follows. Each failure
+    is [(k, fault, backoff_ms)], in order; the last failure of an
+    [Error] slept nothing and carries [0.]. Exceptions from [f]
+    propagate. *)
+val retry :
+  attempts:int ->
+  base_ms:float ->
+  max_ms:float ->
+  sleep:(float -> unit) ->
+  (int -> ('a, 'e) result) ->
+  ('a * (int * 'e * float) list, (int * 'e * float) list) result
+
 type trigger =
   | At_hit of int  (** fail at the Nth probe hit, any point (1-based) *)
   | At_point of string * int  (** fail at the Nth hit of the named point *)
   | Every_point of string
-      (** fail at {e every} hit of the named point. Counterless — the
-          armed hook touches no mutable state, so it is safe to hit from
-          concurrent domains (the concurrent server's poison queries);
-          the {!Injected} hit payload is a fixed [1] so failure messages
-          stay canonical. In {!arm_seq} it never advances the sequence. *)
-  | After_ms of float  (** fail at the first hit ≥ this many ms after arming *)
+      (** fail at {e every} hit of the named point, and never advance
+          the sequence. In a {!stateless} plan the armed hook touches no
+          mutable state, so it is safe to hit from concurrent domains
+          (the concurrent server's poison queries); the {!Injected} hit
+          payload is a fixed [1] so failure messages stay canonical. *)
+  | After_ms of float
+      (** fail at the first hit ≥ this many ms after the trigger went
+          live *)
 
-(** One trigger per attempt; [[]] is the fault-free plan. *)
+(** Triggers in the order they go live; [[]] is the fault-free plan. *)
 type plan = trigger list
 
 val none : plan
@@ -59,37 +82,23 @@ val none : plan
     under concurrent probe hits from multiple domains. *)
 val stateless : plan -> bool
 
-(** [trigger_for plan ~attempt] — the trigger arming attempt [attempt]
-    (1-based); [None] past the end of the plan. *)
-val trigger_for : plan -> attempt:int -> trigger option
-
-(** [arm ?clock trigger] — install the probe hook. [clock] is wall-clock
-    seconds for [After_ms] (tests inject fake time); defaults to
-    [Unix.gettimeofday]. Replaces any previously armed trigger. *)
-val arm : ?clock:(unit -> float) -> trigger -> unit
-
 (** Remove the armed trigger (idempotent). *)
 val disarm : unit -> unit
 
-(** [arm_seq ?clock plan] — arm the {e whole} plan over one long-running
-    computation (a [serve] mutation loop), instead of one trigger per
-    supervised attempt: trigger 1 is live first; when it fires, trigger 2
-    becomes live (its hit/point/clock counters restart at the moment of
-    advancement), and so on. A plan of length [n] injects exactly [n]
-    faults, then the computation runs fault-free. [arm_seq []] disarms. *)
+(** [arm_seq ?clock plan] — install the probe hook for the whole plan,
+    replacing any armed one: trigger 1 is live first; when it fires,
+    trigger 2 becomes live (its hit/point/clock counters restart at that
+    moment, and the {!Injected} hit payload counts from it), and so on.
+    [clock] is wall-clock seconds for [After_ms] (tests inject fake
+    time); defaults to [Unix.gettimeofday]. [arm_seq []] disarms. *)
 val arm_seq : ?clock:(unit -> float) -> plan -> unit
 
-(** [suspended f] — run [f ()] with the currently armed trigger (or
-    sequence) lifted, re-installing it afterwards with its counters
-    intact. Recovery machinery (state restoration, replay of
-    previously-successful mutations) runs under [suspended] so a plan's
-    triggers fire on the supervised path itself, not on the repair of an
-    earlier firing. No-op when nothing is armed. *)
+(** [suspended f] — run [f ()] with the currently armed plan lifted,
+    re-installing it afterwards with its counters intact. Recovery
+    machinery (state restoration, replay of previously-successful
+    mutations) runs under [suspended] so a plan's triggers fire on the
+    supervised path itself, not on the repair of an earlier firing. No-op when nothing is armed. *)
 val suspended : (unit -> 'a) -> 'a
-
-(** [with_trigger ?clock trig f] — run [f ()] with [trig] armed ([None]
-    arms nothing), disarming afterwards even if [f] raises. *)
-val with_trigger : ?clock:(unit -> float) -> trigger option -> (unit -> 'a) -> 'a
 
 (** [random ~seed ?attempts ?max_hits ()] — a reproducible plan of
     [attempts] (default 3) [At_hit] triggers drawn from

@@ -57,8 +57,9 @@ val rung_to_string : rung -> string
     ~rechase ~store op] — run [op] against [!store] under the ladder.
     [store] is updated in place whenever a rung replaces it (restore,
     rechase, quarantine). [retries] (default 3) is the total attempt
-    budget; backoff before attempt [k+1] is {!Fault.backoff}
-    [min max_backoff_ms (backoff_ms·2^(k−1))] (defaults 50/1000 ms). *)
+    budget of the {!Fault.retry} loop; backoff before attempt [k+1] is
+    {!Fault.backoff} [min max_backoff_ms (backoff_ms·2^(k−1))] (defaults
+    50/1000 ms). *)
 val apply :
   ?retries:int ->
   ?backoff_ms:float ->

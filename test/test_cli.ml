@@ -721,6 +721,16 @@ let test_fault_recovery_note () =
   check "still saturates" true (contains out "saturated");
   check "derived course fact" true (contains out "course(")
 
+(* An unset --retries is 2 once --fault-plan is given, so the same
+   transient fault is absorbed without naming a retry budget. *)
+let test_fault_default_retries () =
+  let status, out, err =
+    run_cli [ "chase"; prog "prog_chase.gd"; "--fault-plan"; "hit:3" ]
+  in
+  check (Fmt.str "recovered run exits 0 (err=%S)" err) true (status = 0);
+  check "recovery note printed" true
+    (contains out "% recovered after 1 failed attempt(s)")
+
 (* server: saturate once, then answer protocol requests from stdin. The
    daemon's own behavior is unit-tested in test_server.ml; here we pin
    the CLI wrapper — banner, summary, exit codes. *)
@@ -950,5 +960,7 @@ let () =
             test_server_sigterm_drain;
           Alcotest.test_case "server drains at workers 2 and 4" `Quick
             test_server_sigterm_drain_workers;
+          Alcotest.test_case "fault recovery without --retries" `Quick
+            test_fault_default_retries;
         ] );
     ]

@@ -284,6 +284,137 @@ let test_supervisor_checkpoints_to_disk () =
           check "final checkpoint is at the run's last boundary" true
             (s.Engine.Saturate.snap_level > 0))
 
+(* The attempt logs of four plans at [~retries:3], pinned: trigger [k]
+   kills attempt [k], and a fault's hit count runs from the moment its
+   trigger went live, which is where its attempt started. *)
+let test_supervisor_logs_pinned () =
+  let log spec ?clock () =
+    Term.reset_nulls ();
+    let fault_plan = Result.get_ok (Resil.Fault.parse spec) in
+    match
+      Resil.Supervisor.run
+        ~budget:(Generators.resil_budget ()) ~retries:3
+        ~sleep:(fun _ -> ())
+        ?clock ~fault_plan unit_sigma (Instance.facts unit_db)
+    with
+    | Resil.Supervisor.Completed _ -> []
+    | Resil.Supervisor.Recovered (_, log) ->
+        List.map
+          (fun (a : Resil.Supervisor.attempt) ->
+            (a.attempt, a.fault, a.resumed_from, a.backoff_ms))
+          log
+    | Resil.Supervisor.Failed _ -> Alcotest.failf "%s: expected a result" spec
+  in
+  let expect spec ?clock want =
+    check spec true (log spec ?clock () = want)
+  in
+  expect "hit:20" [ (1, "injected fault at engine.pass (hit 20)", None, 50.) ];
+  expect "point:engine.pass:2,point:engine.join:3"
+    [
+      (1, "injected fault at engine.pass (hit 5)", None, 50.);
+      (2, "injected fault at engine.join (hit 10)", Some 1, 100.);
+    ];
+  expect "ms:500" ~clock:(ticking_clock ())
+    [ (1, "injected fault at engine.insert (hit 1)", None, 50.) ];
+  expect "seed:7" []
+
+(* An always-fire trigger stays live for the whole run: it fails every
+   attempt that reaches its point, as it does under serve and server. *)
+let test_supervisor_every_point () =
+  match
+    Resil.Supervisor.run
+      ~budget:(Generators.resil_budget ()) ~retries:2
+      ~sleep:(fun _ -> ())
+      ~fault_plan:[ Resil.Fault.Every_point "engine.pass" ]
+      unit_sigma (Instance.facts unit_db)
+  with
+  | Resil.Supervisor.Failed d ->
+      check "every attempt fails at the first pass" true
+        (List.map
+           (fun (a : Resil.Supervisor.attempt) -> (a.attempt, a.fault))
+           d.Resil.Supervisor.attempts
+        = List.init 3 (fun i ->
+              (i + 1, "injected fault at engine.pass (hit 1)")));
+      check "disarmed on exit" false (Obs.Probe.armed ())
+  | _ -> Alcotest.fail "expected Failed"
+
+(* A violated precondition inside an attempt escapes as [Fatal] at once,
+   without burning a retry, and leaves nothing armed. The clock is read
+   once when the plan is armed and raises on its first read inside the
+   chase. *)
+let test_supervisor_fatal_escapes () =
+  let reads = ref 0 in
+  let clock () =
+    incr reads;
+    if !reads > 1 then invalid_arg "clock" else 0.
+  in
+  (match
+     Resil.Supervisor.run
+       ~budget:(Generators.resil_budget ()) ~retries:3
+       ~sleep:(fun _ -> Alcotest.fail "slept before a retry")
+       ~clock ~fault_plan:[ Resil.Fault.After_ms 1e9 ]
+       unit_sigma (Instance.facts unit_db)
+   with
+  | _ -> Alcotest.fail "expected Fatal"
+  | exception Resil.Fault.Fatal msg ->
+      check "names the precondition" true
+        (msg = "precondition violated: clock"));
+  check "disarmed on exit" false (Obs.Probe.armed ())
+
+(* A supervisor with nothing to retry and no checkpoint file takes no
+   snapshot, so it allocates what the chase it wraps allocates. *)
+let test_supervisor_bare_words () =
+  let sigma, db = Guarded_core.Workload.lubm ~universities:40 () in
+  let facts = Instance.facts db in
+  let words f =
+    Term.reset_nulls ();
+    Gc.minor ();
+    let s0 = Gc.quick_stat () in
+    ignore (Sys.opaque_identity (f ()));
+    Gc.minor ();
+    let s1 = Gc.quick_stat () in
+    s1.Gc.minor_words -. s0.Gc.minor_words
+  in
+  let chase =
+    words (fun () -> Chase.run_store sigma (Engine.Index.of_facts facts))
+  in
+  let supervised =
+    words (fun () -> Resil.Supervisor.run ~retries:0 sigma facts)
+  in
+  let ratio = supervised /. chase in
+  if ratio > 1.05 then
+    Alcotest.failf "supervised chase allocates %.0f minor words, %.3fx %.0f"
+      supervised ratio chase
+
+(* The shared retry loop: capped backoff between failures, at most
+   [attempts] calls, and the failures an eventual success carries. *)
+let test_fault_retry () =
+  let sleeps = ref [] and calls = ref 0 in
+  let run ~attempts ~ok_at =
+    sleeps := [];
+    calls := 0;
+    Resil.Fault.retry ~attempts ~base_ms:100. ~max_ms:250.
+      ~sleep:(fun s -> sleeps := s :: !sleeps)
+      (fun k ->
+        incr calls;
+        if k = ok_at then Ok k else Error (Fmt.str "f%d" k))
+  in
+  check "ok after three failures" true
+    (run ~attempts:5 ~ok_at:4
+    = Ok (4, [ (1, "f1", 100.); (2, "f2", 200.); (3, "f3", 250.) ]));
+  check "capped sleeps, in seconds" true
+    (List.rev !sleeps = [ 0.1; 0.2; 0.25 ]);
+  check "first-call success carries no failure" true
+    (run ~attempts:3 ~ok_at:1 = Ok (1, []));
+  check_int "one call" 1 !calls;
+  check "exhausted: the last failure slept nothing" true
+    (run ~attempts:3 ~ok_at:9
+    = Error [ (1, "f1", 100.); (2, "f2", 200.); (3, "f3", 0.) ]);
+  check_int "at most [attempts] calls" 3 !calls;
+  check_int "no sleep after the last call" 2 (List.length !sleeps);
+  check "zero attempts still call once" true
+    (run ~attempts:0 ~ok_at:9 = Error [ (1, "f1", 0.) ])
+
 (* ------------------------------------------------------------------ *)
 (* Fault plans                                                          *)
 (* ------------------------------------------------------------------ *)
@@ -337,13 +468,13 @@ let test_fault_parse () =
 let test_fault_arm_determinism () =
   let count_hits trig =
     Term.reset_nulls ();
-    match
-      Resil.Fault.with_trigger (Some trig) (fun () ->
-          Chase.run ~budget:(Generators.resil_budget ())
-            unit_sigma unit_db)
-    with
-    | _ -> None
-    | exception Resil.Fault.Injected (point, hit) -> Some (point, hit)
+    Resil.Fault.arm_seq [ trig ];
+    Fun.protect ~finally:Resil.Fault.disarm (fun () ->
+        match
+          Chase.run ~budget:(Generators.resil_budget ()) unit_sigma unit_db
+        with
+        | _ -> None
+        | exception Resil.Fault.Injected (point, hit) -> Some (point, hit))
   in
   let a = count_hits (Resil.Fault.At_hit 20) in
   let b = count_hits (Resil.Fault.At_hit 20) in
@@ -1058,6 +1189,15 @@ let () =
             test_supervisor_backoff_sequence;
           Alcotest.test_case "supervisor persists checkpoints" `Quick
             test_supervisor_checkpoints_to_disk;
+          Alcotest.test_case "supervisor logs pinned" `Quick
+            test_supervisor_logs_pinned;
+          Alcotest.test_case "supervisor every-point plan" `Quick
+            test_supervisor_every_point;
+          Alcotest.test_case "supervisor lets Fatal escape" `Quick
+            test_supervisor_fatal_escapes;
+          Alcotest.test_case "bare supervisor allocates like the chase" `Quick
+            test_supervisor_bare_words;
+          Alcotest.test_case "fault retry loop" `Quick test_fault_retry;
           Alcotest.test_case "fault plan parsing" `Quick test_fault_parse;
           Alcotest.test_case "fault arming is deterministic" `Quick
             test_fault_arm_determinism;

@@ -159,18 +159,10 @@ let test_full_chase () =
   let db =
     Instance.of_facts [ fact "E" [ "a"; "b" ]; fact "E" [ "b"; "c" ]; fact "E" [ "c"; "d" ] ]
   in
-  let sat = Full_chase.saturate sigma db in
+  let sat = Chase.instance (Chase.run sigma db) in
   check "transitive closure" true (Instance.mem (fact "E" [ "a"; "d" ]) sat);
   check_int "6 edges" 6 (Instance.size sat);
-  check "models" true (Tgd.satisfies_all sat sigma);
-  check "agrees with generic chase" true
-    (Instance.equal sat (Chase.instance (Chase.run sigma db)));
-  check "rejects non-full" true
-    (try
-       ignore
-         (Full_chase.saturate [ tgd [ atom "A" [ v "x" ] ] [ atom "S" [ v "x"; v "z" ] ] ] db);
-       false
-     with Invalid_argument _ -> true)
+  check "models" true (Tgd.satisfies_all sat sigma)
 
 (* ------------------------------------------------------------------ *)
 (* Ground closure                                                       *)
