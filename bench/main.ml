@@ -348,7 +348,7 @@ let e11 ~full () =
       in
       let lin, t = time_once (fun () -> Tgds.Linearize.make ontology db) in
       row "  %8d %10d %10d %10d %10.4f@." n
-        (Instance.size lin.Tgds.Linearize.db_star)
+        (List.length lin.Tgds.Linearize.db_star)
         lin.Tgds.Linearize.types
         (List.length lin.Tgds.Linearize.sigma_star)
         t)
@@ -632,28 +632,30 @@ let e3_db n =
    ([fpt_s]: ground closure, linearization, linear chase), with the sizes
    of the FPT route's intermediate objects, the Σ-type count (the
    f(‖Σ‖) part) and the work of the linear chase over D*, run as
-   [certain_fpt] runs it. *)
+   [certain ~fpt:true] runs it: from D*'s engine store, to level 10. *)
 let e3_row n () =
   let omq = e3_omq () and db = e3_db n in
   let sigma = Omq.ontology omq in
   let closure = Tgds.Ground_closure.compute sigma db in
   let lin = Tgds.Linearize.make sigma db in
   let linear =
-    Tgds.Chase.run ~max_level:10 lin.Tgds.Linearize.sigma_star
-      lin.Tgds.Linearize.db_star
+    Tgds.Chase.run_store ~max_level:10 lin.Tgds.Linearize.sigma_star
+      (Engine.Index.of_facts lin.Tgds.Linearize.db_star)
   in
   let er = Option.get (Tgds.Chase.engine_result linear) in
-  let holds = (Omq_eval.certain_fpt omq db []).Omq_eval.holds in
+  let holds = (Omq_eval.certain ~fpt:true omq db []).Omq_eval.holds in
   let closure_s =
     measure (fun () -> ignore (Tgds.Ground_closure.compute sigma db))
   in
   let baseline_s = measure (fun () -> ignore (Omq_eval.certain omq db [])) in
-  let fpt_s = measure (fun () -> ignore (Omq_eval.certain_fpt omq db [])) in
+  let fpt_s =
+    measure (fun () -> ignore (Omq_eval.certain ~fpt:true omq db []))
+  in
   Obs.Json.
     [
       ("db_facts", Int (Instance.size db));
       ("closure_facts", Int (Instance.size closure));
-      ("db_star_facts", Int (Instance.size lin.Tgds.Linearize.db_star));
+      ("db_star_facts", Int (List.length lin.Tgds.Linearize.db_star));
       ("sigma_star_rules", Int (List.length lin.Tgds.Linearize.sigma_star));
       ("types", Int lin.Tgds.Linearize.types);
       ("triggers", Int er.Engine.Saturate.triggers_fired);
@@ -1452,7 +1454,7 @@ let micro () =
       Test.make ~name:"e1-tw-eval" (Staged.stage (fun () -> Tw_eval.holds db100 path4));
       Test.make ~name:"e2-core" (Staged.stage (fun () -> Cq_core.core grid33));
       Test.make ~name:"e3-fpt-omq"
-        (Staged.stage (fun () -> Omq_eval.certain_fpt uni_omq uni_db []));
+        (Staged.stage (fun () -> Omq_eval.certain ~fpt:true uni_omq uni_db []));
       Test.make ~name:"e4-grid-eval" (Staged.stage (fun () -> Tw_eval.holds griddb grid33));
       Test.make ~name:"e5-clique-reduction"
         (Staged.stage (fun () -> Reductions.clique_to_cqs d72 ~graph:graph8 ~k:3));

@@ -46,6 +46,13 @@ let get_query p name =
         (Fmt.str "no query named %S (available: %s)" name
            (String.concat ", " (List.map fst p.Syntax.Parser.queries)))
 
+let with_query p name f =
+  match get_query p name with
+  | Error e ->
+      Fmt.epr "error: %s@." e;
+      2
+  | Ok q -> f q
+
 (* common args *)
 let file_arg =
   Arg.(required & pos 0 (some file) None & info [] ~docv:"FILE" ~doc:"Input program.")
@@ -763,53 +770,63 @@ let classify_cmd =
 
 let pp_tuple ppf t = Fmt.pf ppf "(%a)" Fmt.(list ~sep:(any ",") Relational.Term.pp_const) t
 
+(* The body `eval` and `answers` share: the query, the OMQ over D, the
+   budget, the root span and the stats report. [answer] runs the query on
+   the selected route through one of the two thunks, prints, and returns
+   the report's fields. The OMQ's data schema is D's own, so a fact over
+   a predicate outside Σ and q is data like any other. *)
+let open_world name answer file qname max_level fpt stats budget_facts
+    budget_ms =
+  with_program file (fun p ->
+      with_query p qname (fun q ->
+          let db = Syntax.Parser.database p in
+          let omq =
+            Omq.make ~data_schema:(Instance.schema db)
+              ~ontology:p.Syntax.Parser.tgds ~query:q
+          in
+          let budget = make_budget budget_facts budget_ms in
+          let span = Obs.Span.root name in
+          let fields =
+            answer q
+              ~certain:(fun () ->
+                Omq_eval.certain ~fpt ~max_level ?budget ~obs:span omq db [])
+              ~answer_set:(fun () ->
+                Omq_eval.answer_set ~fpt ~max_level ?budget ~obs:span omq db)
+          in
+          Obs.Span.exit span;
+          Option.iter
+            (fun path ->
+              let rep = Obs.Report.create ~span name in
+              List.iter (fun (k, v) -> Obs.Report.add_field rep k v) fields;
+              Obs.Report.write path rep)
+            stats;
+          0))
+
+(* `eval` — one verdict for a Boolean query, the answer list otherwise. *)
 let eval_cmd =
-  let run file qname max_level fpt stats budget_facts budget_ms =
-    with_program file (fun p ->
-        match get_query p qname with
-        | Error e ->
-            Fmt.epr "error: %s@." e;
-            2
-        | Ok q ->
-            let omq = Omq.full_data_schema ~ontology:p.Syntax.Parser.tgds ~query:q in
-            let db = Syntax.Parser.database p in
-            let budget = make_budget budget_facts budget_ms in
-            let span = Obs.Span.root "eval" in
-            let exact =
-              if Ucq.arity q = 0 then begin
-                let v =
-                  if fpt then
-                    Omq_eval.certain_fpt ~max_level ?budget ~obs:span omq db []
-                  else Omq_eval.certain ~max_level ?budget ~obs:span omq db []
-                in
-                Fmt.pr "%s%s@."
-                  (if v.Omq_eval.holds then "true" else "false")
-                  (if v.Omq_eval.exact then "" else " (bounded — not exact)");
-                v.Omq_eval.exact
-              end
-              else begin
-                let r =
-                  Omq_eval.answer_set ~fpt ~max_level ?budget ~obs:span omq db
-                in
-                List.iter (fun t -> Fmt.pr "%a@." pp_tuple t) r.Omq_eval.tuples;
-                if not r.Omq_eval.exact then
-                  Fmt.pr "%% bounded chase — possibly incomplete@.";
-                r.Omq_eval.exact
-              end
-            in
-            Obs.Span.exit span;
-            (match stats with
-            | Some path ->
-                let rep = Obs.Report.create ~span "eval" in
-                Obs.Report.add_field rep "exact" (Obs.Json.Bool exact);
-                Obs.Report.write path rep
-            | None -> ());
-            0)
+  let answer q ~certain ~answer_set =
+    let exact =
+      if Ucq.arity q = 0 then begin
+        let v = certain () in
+        Fmt.pr "%s%s@."
+          (if v.Omq_eval.holds then "true" else "false")
+          (if v.Omq_eval.exact then "" else " (bounded — not exact)");
+        v.Omq_eval.exact
+      end
+      else begin
+        let r = answer_set () in
+        List.iter (fun t -> Fmt.pr "%a@." pp_tuple t) r.Omq_eval.tuples;
+        if not r.Omq_eval.exact then
+          Fmt.pr "%% bounded chase — possibly incomplete@.";
+        r.Omq_eval.exact
+      end
+    in
+    [ ("exact", Obs.Json.Bool exact) ]
   in
   Cmd.v
     (Cmd.info "eval" ~doc:"Open-world certain answers (ontology-mediated querying).")
     Term.(
-      const run $ file_arg $ query_arg $ level_arg
+      const (open_world "eval" answer) $ file_arg $ query_arg $ level_arg
       $ Arg.(value & flag & info [ "fpt" ] ~doc:"Use the linearization-based FPT engine (guarded only).")
       $ stats_arg $ budget_facts_arg $ budget_ms_arg)
 
@@ -817,35 +834,18 @@ let eval_cmd =
    Omq_eval.answer_set. Same knobs as `eval` plus `--engine`; answer sets
    print in canonical sorted order. *)
 let answers_cmd =
-  let run file qname max_level fpt () stats budget_facts budget_ms =
-    with_program file (fun p ->
-        match get_query p qname with
-        | Error e ->
-            Fmt.epr "error: %s@." e;
-            2
-        | Ok q ->
-            let omq = Omq.full_data_schema ~ontology:p.Syntax.Parser.tgds ~query:q in
-            let db = Syntax.Parser.database p in
-            let budget = make_budget budget_facts budget_ms in
-            let span = Obs.Span.root "answers" in
-            let r =
-              Omq_eval.answer_set ~fpt ~max_level ?budget ~obs:span
-                omq db
-            in
-            List.iter (fun t -> Fmt.pr "%a@." pp_tuple t) r.Omq_eval.tuples;
-            report_outcome r.Omq_eval.outcome;
-            if not r.Omq_eval.exact then
-              Fmt.pr "%% bounded run — answer set possibly incomplete@.";
-            Obs.Span.exit span;
-            (match stats with
-            | Some path ->
-                let rep = Obs.Report.create ~span "answers" in
-                Obs.Report.add_field rep "answers"
-                  (Obs.Json.Int (List.length r.Omq_eval.tuples));
-                Obs.Report.add_field rep "exact" (Obs.Json.Bool r.Omq_eval.exact);
-                Obs.Report.write path rep
-            | None -> ());
-            0)
+  let answer _ ~certain:_ ~answer_set =
+    let r = answer_set () in
+    List.iter (fun t -> Fmt.pr "%a@." pp_tuple t) r.Omq_eval.tuples;
+    report_outcome r.Omq_eval.outcome;
+    if not r.Omq_eval.exact then
+      Fmt.pr "%% bounded run — answer set possibly incomplete@.";
+    Obs.Json.
+      [ ("answers", Int (List.length r.Omq_eval.tuples));
+        ("exact", Bool r.Omq_eval.exact) ]
+  in
+  let run file qname max_level fpt () =
+    open_world "answers" answer file qname max_level fpt
   in
   Cmd.v
     (Cmd.info "answers"
@@ -860,11 +860,7 @@ let answers_cmd =
 let cqs_eval_cmd =
   let run file qname optimize stats =
     with_program file (fun p ->
-        match get_query p qname with
-        | Error e ->
-            Fmt.epr "error: %s@." e;
-            2
-        | Ok q ->
+        with_query p qname (fun q ->
             let s = Cqs.make ~constraints:p.Syntax.Parser.tgds ~query:q in
             let db = Syntax.Parser.database p in
             if not (Cqs.admissible s db) then
@@ -879,7 +875,7 @@ let cqs_eval_cmd =
             (match stats with
             | Some path -> Obs.Report.write path (Obs.Report.create ~span "cqs-eval")
             | None -> ());
-            0)
+            0))
   in
   Cmd.v
     (Cmd.info "cqs-eval"
@@ -896,11 +892,7 @@ let cqs_eval_cmd =
 let treewidth_cmd =
   let run file qname =
     with_program file (fun p ->
-        match get_query p qname with
-        | Error e ->
-            Fmt.epr "error: %s@." e;
-            2
-        | Ok q ->
+        with_query p qname (fun q ->
             List.iteri
               (fun i cq ->
                 Fmt.pr "disjunct %d: treewidth %d, core treewidth %d@." i
@@ -911,7 +903,7 @@ let treewidth_cmd =
             (match Equivalence.semantic_ucq_treewidth s with
             | Some (k, _) -> Fmt.pr "uniformly UCQ%d-equivalent under Σ@." k
             | None -> Fmt.pr "not uniformly UCQk-equivalent for k ≤ 4@.");
-            0)
+            0))
   in
   Cmd.v
     (Cmd.info "treewidth"
@@ -921,11 +913,7 @@ let treewidth_cmd =
 let rewrite_cmd =
   let run file qname =
     with_program file (fun p ->
-        match get_query p qname with
-        | Error e ->
-            Fmt.epr "error: %s@." e;
-            2
-        | Ok q ->
+        with_query p qname (fun q ->
             if not (Tgds.Tgd.all_linear p.Syntax.Parser.tgds) then begin
               Fmt.epr "error: UCQ rewriting requires linear TGDs@.";
               1
@@ -937,7 +925,7 @@ let rewrite_cmd =
                 (Ucq.disjuncts q');
               if not complete then Fmt.pr "%% budget exhausted — possibly incomplete@.";
               0
-            end)
+            end))
   in
   Cmd.v
     (Cmd.info "rewrite"
@@ -947,11 +935,7 @@ let rewrite_cmd =
 let equiv_cmd =
   let run file qname k =
     with_program file (fun p ->
-        match get_query p qname with
-        | Error e ->
-            Fmt.epr "error: %s@." e;
-            2
-        | Ok q ->
+        with_query p qname (fun q ->
             let s = Cqs.make ~constraints:p.Syntax.Parser.tgds ~query:q in
             let verdict, witness = Equivalence.cqs_uniformly_ucqk_equivalent k s in
             Fmt.pr "uniformly UCQ%d-equivalent: %a@." k
@@ -959,7 +943,7 @@ let equiv_cmd =
             (match witness with
             | Some sa -> Fmt.pr "witness: %a@." Ucq.pp (Cqs.query sa)
             | None -> ());
-            0)
+            0))
   in
   Cmd.v
     (Cmd.info "equiv"
@@ -1015,11 +999,7 @@ let witness_cmd =
 let reduce_cmd =
   let run file qname =
     with_program file (fun p ->
-        match get_query p qname with
-        | Error e ->
-            Fmt.epr "error: %s@." e;
-            2
-        | Ok q ->
+        with_query p qname (fun q ->
             let sigma = p.Syntax.Parser.tgds in
             if not (Tgds.Tgd.all_guarded sigma) then begin
               Fmt.epr "error: the OMQ→CQS reduction requires guarded TGDs@.";
@@ -1033,7 +1013,7 @@ let reduce_cmd =
                 (Tgds.Tgd.satisfies_all d_star sigma);
               Instance.iter (fun f -> Fmt.pr "%a.@." Fact.pp f) d_star;
               0
-            end)
+            end))
   in
   Cmd.v
     (Cmd.info "reduce"

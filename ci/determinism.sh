@@ -2,7 +2,7 @@
 # Golden determinism check: for every example program, an indexed chase
 # must reproduce the committed exit code, stdout, checkpoint, and stats
 # (up to the timing tail) under ci/golden/ byte for byte, and so must
-# `answers`, `witness`, `reduce`, `serve` (on university.mut and on the churn log), a
+# `answers`, `eval`, `witness`, `reduce`, `serve` (on university.mut and on the churn log), a
 # chase recovered from an injected fault, a WAL-recovered `serve`, the
 # serve degradation ladder and the sorted `server` transcripts. A representation change in the fact store is
 # caught here as drift. The goldens store the checkpoint's engine field
@@ -207,6 +207,30 @@ for tag in witness.prog_wit reduce.prog_red; do
   done
 done
 echo "determinism: OK (witness and reduce match goldens)"
+
+# Point checks: `eval` on a Boolean query prints one verdict, on a
+# non-Boolean one the answer list, on both routes. The Boolean FPT
+# verdict is the engine's check over the linear chase's store.
+eval_ok=0
+for spec in prog_eval:q prog_fpt:q prog_fpt:who; do
+  prog=examples/programs/${spec%%:*}.gd
+  query=${spec##*:}
+  for route in "" fpt; do
+    base="eval.${spec%%:*}.$query${route:+.$route}"
+    run_cmd "$base" eval "$prog" --query "$query" ${route:+--$route}
+    for aspect in code out; do
+      expect "$TMP/$base.$aspect" "$base.$aspect" "$base: $aspect"
+    done
+    if [ "$(cat "$TMP/$base.code")" = 0 ]; then
+      eval_ok=$((eval_ok + 1))
+    fi
+  done
+done
+[ "$eval_ok" -ge 6 ] || {
+  echo "determinism: only $eval_ok eval runs completed cleanly"
+  exit 1
+}
+echo "determinism: OK ($eval_ok eval verdicts match goldens)"
 
 # Incremental maintenance: `serve` applies a mutation log to a maintained
 # store. Stdout, stats (up to the timing tail) and the checkpoint must

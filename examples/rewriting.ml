@@ -59,13 +59,13 @@ let () =
   in
   let lin = Tgds.Linearize.make sigma_g db_g in
   Fmt.pr "D* has %d typed facts; Σ* has %d linear rules over %d Σ-types@."
-    (Instance.size lin.Tgds.Linearize.db_star)
+    (List.length lin.Tgds.Linearize.db_star)
     (List.length lin.Tgds.Linearize.sigma_star)
     lin.Tgds.Linearize.types;
   assert (Tgds.Tgd.all_linear lin.Tgds.Linearize.sigma_star);
   let q_mgr = Ucq.of_cq (Cq.make [ atom "manager" [ v "m" ] ]) in
   let { Guarded_core.Omq_eval.holds = via_lin; exact } =
-    Guarded_core.Omq_eval.certain_fpt
+    Guarded_core.Omq_eval.certain ~fpt:true
       (Guarded_core.Omq.full_data_schema ~ontology:sigma_g ~query:q_mgr)
       db_g []
   in

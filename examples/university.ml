@@ -59,7 +59,7 @@ let () =
   in
   let omq_join = Omq.full_data_schema ~ontology ~query:join in
   let base = Omq_eval.certain omq_join db [] in
-  let fpt = Omq_eval.certain_fpt omq_join db [] in
+  let fpt = Omq_eval.certain ~fpt:true omq_join db [] in
   Fmt.pr "teaches-a-course-offered-by-a-dept:@.";
   Fmt.pr "  baseline chase engine: %b@." base.Omq_eval.holds;
   Fmt.pr "  FPT (linearized) engine: %b@.@." fpt.Omq_eval.holds;
@@ -68,7 +68,7 @@ let () =
   Fmt.pr "linearization: %d reachable Σ-types, %d linear rules, D* has %d facts@.@."
     lin.Tgds.Linearize.types
     (List.length lin.Tgds.Linearize.sigma_star)
-    (Instance.size lin.Tgds.Linearize.db_star);
+    (List.length lin.Tgds.Linearize.db_star);
 
   (* An ontology with an infinite chase: management chains. Atomic certain
      answers stay exact thanks to the ground closure. *)

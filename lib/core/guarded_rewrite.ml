@@ -10,37 +10,21 @@
     2. [Linear_rewrite.rewrite Σ_star q] turns [q] into a UCQ [q'] with
        [q(chase(D_star, Σ_star)) = q'(D_star)];
     3. the answer is a single UCQ evaluation over [D_star] — no chase at
-       query time.
+       query time — by the engine's joiner on an index of [D_star].
 
     The rewriting (step 2) depends on the reachable type signature, so it
     is recomputed for every database. *)
 
-open Relational
-
-type prepared = {
-  db_star : Instance.t;
-  rewriting : Ucq.t;
-  complete : bool;
-      (** type exploration and rewriting both stayed within budget *)
-}
-
-(** [prepare sigma db q] — run both stages. *)
-let prepare sigma db (q : Ucq.t) =
-  let lin = Tgds.Linearize.make sigma db in
-  let q', rw_complete =
-    Tgds.Linear_rewrite.rewrite lin.Tgds.Linearize.sigma_star q
-  in
-  {
-    db_star = lin.Tgds.Linearize.db_star;
-    rewriting = q';
-    complete = lin.Tgds.Linearize.complete && rw_complete;
-  }
-
-(** [certain ?budgets sigma db q c̄] — certain answers through the composed
-    rewriting; the boolean reports whether the result is known exact. *)
+(** [certain sigma db q c̄] — certain answers through the composed
+    rewriting; the boolean reports whether the result is known exact
+    (type exploration and rewriting both stayed within budget). *)
 let certain sigma db q tuple =
-  let p = prepare sigma db q in
-  (Ucq.entails p.db_star p.rewriting tuple, p.complete)
+  let lin = Tgds.Linearize.make sigma db in
+  let q', complete = Tgds.Linear_rewrite.rewrite lin.Tgds.Linearize.sigma_star q in
+  ( Engine.Joiner.entails_ucq
+      (Engine.Index.of_facts lin.Tgds.Linearize.db_star)
+      q' tuple,
+    lin.Tgds.Linearize.complete && complete )
 
 (** [holds sigma db q] — Boolean variant. *)
 let holds sigma db q = certain sigma db q []

@@ -1,25 +1,24 @@
 (** Open-world OMQ evaluation (§3.1).
 
-    Three engines:
+    Two routes, each behind both entry points ({!certain} for one tuple,
+    {!answer_set} for all of them):
 
-    - {!certain}: the baseline of Proposition 3.1 — evaluate the UCQ over a
-      level-bounded oblivious chase of the input database.
-    - {!certain_fpt}: the FPT algorithm of Proposition 3.3(3) for guarded
-      ontologies — linearize (Lemma A.3), chase the linear set level-bounded
-      (Lemma A.1) and evaluate with the bounded-treewidth evaluator of
-      Proposition 2.1 when the UCQ is tree-like.
-    - {!certain_atomic}: exact evaluation of atomic queries over ground
-      tuples for guarded ontologies via the ground closure (always
-      terminating, polynomial in the data for fixed Σ).
+    - the baseline of Proposition 3.1 — evaluate the UCQ over a
+      level-bounded oblivious chase of the input database;
+    - [~fpt:true], the FPT algorithm of Proposition 3.3(3) for guarded
+      ontologies — linearize (Lemma A.3) and chase the linear set
+      level-bounded (Lemma A.1) from the typed database D*.
 
-    UCQ checks over chased instances run through the indexed joiner
-    ([Engine.Joiner]): the chase already hands back its fact store, so no
-    relation is rescanned per query atom.
+    Either way the query runs on the chase's own indexed store
+    ([Engine.Joiner] for a tuple, [Engine.Enumerate] for the set), so no
+    relation is rescanned per query atom. {!certain_atomic} answers atomic
+    ground queries exactly via the ground closure.
 
-    Observability: every engine takes [?budget] (forwarded to the chase,
-    which then stops gracefully instead of looping) and [?obs] — the
-    pipeline phases land as child spans ([rewrite] for the linearization,
-    [chase] from the chase itself, [match] for query evaluation). *)
+    Observability: every entry point takes [?budget] (forwarded to the
+    chase, which then stops gracefully instead of looping) and [?obs] —
+    the pipeline phases land as child spans ([rewrite] for the
+    linearization, [chase] from the chase itself, [match] for query
+    evaluation). *)
 
 open Relational
 module Chase = Tgds.Chase
@@ -29,42 +28,47 @@ type verdict = {
   exact : bool;  (** the verdict is known to be exact (saturation reached) *)
 }
 
-(** Baseline engine: chase then evaluate (Proposition 3.1). [exact] is true
-    iff the chase saturated, in which case the verdict is definitive in both
-    directions; a [holds = true] verdict is always sound. *)
-let certain ?(max_level = 8) ?max_facts ?budget ?obs (q : Omq.t) db tuple =
+(* The chase step of both entry points: the route's chased store and
+   whether the route itself is complete (the linearization may cut its
+   type exploration). The baseline chases Σ over D to level 8 by
+   default; the FPT route chases Σ* over D* to level 10, its data-side
+   work polynomial and its type exploration independent of the data.
+   [entry] names the caller in precondition failures. *)
+let chase ~entry ~fpt ?max_level ?max_facts ?budget ?obs (q : Omq.t) db =
+  if fpt && not (Omq.in_guarded q) then
+    invalid_arg (entry ^ ": fpt requires a guarded ontology");
   if not (Omq.accepts_database q db) then
-    invalid_arg "Omq_eval.certain: not a database over the data schema";
-  let r = Chase.run ~max_level ?max_facts ?budget ?obs (Omq.ontology q) db in
+    invalid_arg (entry ^ ": not a database over the data schema");
+  if fpt then
+    let lin =
+      Obs.Span.timed obs "rewrite" @@ fun () ->
+      Tgds.Linearize.make (Omq.ontology q) db
+    in
+    ( Chase.run_store
+        ~max_level:(Option.value max_level ~default:10)
+        ?max_facts ?budget ?obs lin.Tgds.Linearize.sigma_star
+        (Engine.Index.of_facts lin.Tgds.Linearize.db_star),
+      lin.Tgds.Linearize.complete )
+  else
+    ( Chase.run
+        ~max_level:(Option.value max_level ~default:8)
+        ?max_facts ?budget ?obs (Omq.ontology q) db,
+      true )
+
+(** Chase then evaluate the one tuple. [exact] is true iff the chase
+    saturated (and the route is complete), in which case the verdict is
+    definitive in both directions; a [holds = true] verdict is always
+    sound. *)
+let certain ?(fpt = false) ?max_level ?max_facts ?budget ?obs (q : Omq.t) db
+    tuple =
+  let r, complete =
+    chase ~entry:"Omq_eval.certain" ~fpt ?max_level ?max_facts ?budget ?obs q db
+  in
   let holds =
     Obs.Span.timed obs "match" @@ fun () ->
     Engine.Joiner.entails_ucq (Chase.index r) (Omq.query q) tuple
   in
-  { holds; exact = Chase.saturated r }
-
-(** The FPT pipeline of Proposition 3.3(3): requires [Σ ∈ G]. The data-side
-    work is polynomial (building [D*] via the ground closure and chasing
-    the linear [Σ*] to a level depending only on [Q]); the query-side work
-    is the type exploration, independent of the data. *)
-let certain_fpt ?(max_level = 10) ?max_facts ?budget ?obs
-    (q : Omq.t) db tuple =
-  if not (Omq.in_guarded q) then
-    invalid_arg "Omq_eval.certain_fpt: ontology must be guarded";
-  if not (Omq.accepts_database q db) then
-    invalid_arg "Omq_eval.certain_fpt: not a database over the data schema";
-  let lin =
-    Obs.Span.timed obs "rewrite" @@ fun () ->
-    Tgds.Linearize.make (Omq.ontology q) db
-  in
-  let r = Chase.run ~max_level ?max_facts ?budget ?obs
-      lin.Tgds.Linearize.sigma_star lin.Tgds.Linearize.db_star in
-  let ucq = Omq.query q in
-  let holds =
-    Obs.Span.timed obs "match" @@ fun () ->
-    if Ucq.in_ucqk 2 ucq then Tw_eval.entails_ucq (Chase.instance r) ucq tuple
-    else Engine.Joiner.entails_ucq (Chase.index r) ucq tuple
-  in
-  { holds; exact = Chase.saturated r && lin.Tgds.Linearize.complete }
+  { holds; exact = Chase.saturated r && complete }
 
 (** Exact certain answering of an atomic ground query under a guarded
     ontology, via the ground closure. *)
@@ -84,31 +88,15 @@ type answer_set = {
 (** [answer_set q db] — the certain answers over tuples of the active
     domain, enumerated output-sensitively from the chased index
     ({!Engine.Enumerate}) instead of entailment-testing the
-    [|adom|^arity] cross product. [fpt] routes through the linearization
-    of Proposition 3.3(3) (requires [Σ ∈ G]). The budget bounds the chase
-    {e and} the enumeration (fact axis = emitted answers); a cut run
-    returns a sound prefix with [outcome = Partial _]. *)
+    [|adom|^arity] cross product. [fpt] selects the route, as for
+    {!certain}. The budget bounds the chase {e and} the enumeration (fact
+    axis = emitted answers); a cut run returns a sound prefix with
+    [outcome = Partial _]. *)
 let answer_set ?(fpt = false) ?max_level ?max_facts ?budget ?obs (q : Omq.t)
     db =
-  let r, rewrite_complete =
-    if fpt then begin
-      if not (Omq.in_guarded q) then
-        invalid_arg "Omq_eval.answer_set: fpt requires a guarded ontology";
-      let lin =
-        Obs.Span.timed obs "rewrite" @@ fun () ->
-        Tgds.Linearize.make (Omq.ontology q) db
-      in
-      ( Chase.run
-          ~max_level:(Option.value max_level ~default:10)
-          ?max_facts ?budget ?obs lin.Tgds.Linearize.sigma_star
-          lin.Tgds.Linearize.db_star,
-        lin.Tgds.Linearize.complete )
-    end
-    else
-      ( Chase.run
-          ~max_level:(Option.value max_level ~default:8)
-          ?max_facts ?budget ?obs (Omq.ontology q) db,
-        true )
+  let r, complete =
+    chase ~entry:"Omq_eval.answer_set" ~fpt ?max_level ?max_facts ?budget ?obs
+      q db
   in
   let er =
     Obs.Span.nest obs "match" @@ fun sp ->
@@ -127,6 +115,6 @@ let answer_set ?(fpt = false) ?max_level ?max_facts ?budget ?obs (q : Omq.t)
   in
   {
     tuples = er.Engine.Enumerate.answers;
-    exact = Chase.saturated r && rewrite_complete && enum_complete;
+    exact = Chase.saturated r && complete && enum_complete;
     outcome;
   }

@@ -1,6 +1,13 @@
-(** Open-world OMQ evaluation (§3.1): the baseline chase engine
-    (Proposition 3.1), the FPT pipeline of Proposition 3.3(3), and exact
-    atomic answering via the ground closure.
+(** Open-world OMQ evaluation (§3.1): two routes — the baseline chase
+    (Proposition 3.1) and, with [~fpt:true], the FPT pipeline of
+    Proposition 3.3(3) — behind two entry points, and exact atomic
+    answering via the ground closure.
+
+    Both entry points share one chase step: it checks the preconditions,
+    runs the route's chase and hands its indexed store to the query. The
+    FPT route linearizes Σ (Lemma A.3), loads D* into the engine store and
+    chases the linear Σ*; default levels are 8 for the baseline and 10
+    for FPT.
 
     [?budget] bounds the underlying chase (graceful cutoff; the verdict is
     then inexact). [?obs] collects phase spans: [rewrite] (linearization),
@@ -13,22 +20,13 @@ type verdict = {
   exact : bool;  (** the verdict is known exact (saturation reached) *)
 }
 
-(** Baseline: level-bounded chase then evaluate. [holds = true] is always
-    sound; the verdict is definitive when [exact]. Raises
-    [Invalid_argument] when [db] is not over the data schema. *)
+(** Level-bounded chase of the selected route, then the engine's joiner on
+    the chased store. [holds = true] is always sound; the verdict is
+    definitive when [exact]. Raises [Invalid_argument] when [db] is not
+    over the data schema, or when [fpt] is asked of an unguarded
+    ontology. *)
 val certain :
-  ?max_level:int ->
-  ?max_facts:int ->
-  ?budget:Obs.Budget.t ->
-  ?obs:Obs.Span.t ->
-  Omq.t ->
-  Instance.t ->
-  Term.const list ->
-  verdict
-
-(** The FPT pipeline (guarded ontologies): linearize, chase the linear
-    set level-bounded, evaluate tree-like UCQs with {!Tw_eval}. *)
-val certain_fpt :
+  ?fpt:bool ->
   ?max_level:int ->
   ?max_facts:int ->
   ?budget:Obs.Budget.t ->
@@ -55,10 +53,9 @@ type answer_set = {
 
 (** [answer_set q db] — certain answers over active-domain tuples,
     enumerated output-sensitively via {!Engine.Enumerate} (cost scales
-    with the answers found, not [|adom|^arity]). [fpt] routes through the
-    Proposition 3.3(3) linearization (guarded ontologies only; raises
-    [Invalid_argument] otherwise). The budget's fact axis bounds chase
-    facts and emitted answers; a cut run returns a sound prefix. *)
+    with the answers found, not [|adom|^arity]). [fpt] selects the route
+    and the preconditions are {!certain}'s. The budget's fact axis bounds
+    chase facts and emitted answers; a cut run returns a sound prefix. *)
 val answer_set :
   ?fpt:bool ->
   ?max_level:int ->

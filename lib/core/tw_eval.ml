@@ -171,10 +171,6 @@ let entails db (q : Cq.t) tuple =
 (** [holds db q] — Boolean variant. *)
 let holds db q = entails db q []
 
-(** [entails_ucq db u c̄] — UCQ variant (each disjunct independently). *)
-let entails_ucq db (u : Ucq.t) tuple =
-  List.exists (fun q -> entails db q tuple) (Ucq.disjuncts u)
-
 (** [answers db q] — enumerate [q(D)] by checking every candidate tuple
     (cost [|dom|^arity] candidate checks; meant for small arities). *)
 let answers db q =

@@ -17,9 +17,6 @@ val entails : Instance.t -> Cq.t -> Term.const list -> bool
 (** Boolean variant. *)
 val holds : Instance.t -> Cq.t -> bool
 
-(** UCQ variant (each disjunct independently). *)
-val entails_ucq : Instance.t -> Ucq.t -> Term.const list -> bool
-
 (** Enumerate [q(D)] by checking every candidate tuple over the active
     domain (small arities). *)
 val answers : Instance.t -> Cq.t -> Term.const list list

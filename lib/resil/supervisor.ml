@@ -66,9 +66,12 @@ let run ?(policy = Tgds.Chase.Oblivious) ?max_level ?budget
   | Ok (r, failures) -> Recovered (r, log failures)
   | Error failures ->
       let attempts = log failures in
+      (* name what killed the run; an [Error] holds at least one failure *)
+      let last = List.hd (List.rev attempts) in
       Failed
         {
           message =
-            Printf.sprintf "all %d attempts exhausted" (List.length attempts);
+            Printf.sprintf "all %d attempts exhausted; last: %s"
+              (List.length attempts) last.fault;
           attempts;
         }

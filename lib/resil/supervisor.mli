@@ -31,6 +31,8 @@ type attempt_log = attempt list
 
 type diagnostic = {
   message : string;
+      (** ["all N attempts exhausted; last: F"], F the last attempt's
+          fault *)
   attempts : attempt_log;  (** in chronological order *)
 }
 

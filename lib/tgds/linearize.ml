@@ -23,7 +23,7 @@
 open Relational
 
 type t = {
-  db_star : Instance.t;
+  db_star : Fact.t list;
   sigma_star : Tgd.t list;
   types : int;
   complete : bool;
@@ -82,9 +82,7 @@ let make sigma db =
       ~head:(List.map2 typed_atom children (Tgd.head sigma))
   in
   {
-    db_star =
-      Instance.of_facts
-        (List.map (fun (i, f) -> Fact.make name.(i) (Fact.args f)) typed);
+    db_star = List.map (fun (i, f) -> Fact.make name.(i) (Fact.args f)) typed;
     sigma_star =
       List.init explored expander
       @ List.sort_uniq Tgd.compare (List.map generator generated);

@@ -7,7 +7,10 @@
 open Relational
 
 type t = {
-  db_star : Instance.t;  (** the typed database [D*] *)
+  db_star : Fact.t list;
+      (** the typed database [D*], duplicate-free: one fact [⟨τ⟩(c̄)] per
+          fact [R(c̄)] of D (seeded bodiless heads included); chase it
+          from {!Engine.Index.of_facts} *)
   sigma_star : Tgd.t list;  (** the linear set [Σ*] (generator + expander) *)
   types : int;  (** the number of reachable Σ-types explored *)
   complete : bool;

@@ -731,6 +731,38 @@ let test_fault_default_retries () =
   check "recovery note printed" true
     (contains out "% recovered after 1 failed attempt(s)")
 
+(* A fact over a predicate outside Σ and q is data: a Boolean `eval`
+   answers on both routes, as `eval -q who` and `answers` do. *)
+let test_eval_foreign_predicate () =
+  let file = Filename.temp_file "guarded_foreign" ".gd" in
+  let oc = open_out file in
+  output_string oc
+    "prof(ada).\nunrelated(zed).\nprof(X) -> teaches(X,C).\n\
+     q() :- teaches(X,C).\n";
+  close_out oc;
+  let runs =
+    List.map
+      (fun flags -> run_cli ([ "eval"; file; "-q"; "q" ] @ flags))
+      [ []; [ "--fpt" ] ]
+  in
+  Sys.remove file;
+  List.iter
+    (fun (status, out, err) ->
+      check (Fmt.str "exit 0 (err=%S)" err) true (status = 0);
+      check "holds, exactly" true (out = "true\n"))
+    runs
+
+(* A chase that fails every attempt names the fault that killed it. *)
+let test_fault_failure_names_fault () =
+  let status, _, err =
+    run_cli
+      [ "chase"; prog "prog_chase.gd"; "--fault-plan"; "point:engine.pass:*" ]
+  in
+  check "exhausted run exits 1" true (status = 1);
+  check (Fmt.str "last fault named (err=%S)" err) true
+    (contains err
+       "all 3 attempts exhausted; last: injected fault at engine.pass (hit 1)")
+
 (* server: saturate once, then answer protocol requests from stdin. The
    daemon's own behavior is unit-tested in test_server.ml; here we pin
    the CLI wrapper — banner, summary, exit codes. *)
@@ -962,5 +994,9 @@ let () =
             test_server_sigterm_drain_workers;
           Alcotest.test_case "fault recovery without --retries" `Quick
             test_fault_default_retries;
+          Alcotest.test_case "eval over a foreign predicate" `Quick
+            test_eval_foreign_predicate;
+          Alcotest.test_case "failed chase names its fault" `Quick
+            test_fault_failure_names_fault;
         ] );
     ]

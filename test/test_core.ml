@@ -109,7 +109,7 @@ let test_omq_eval_fpt_agrees () =
     (fun q ->
       let omq = university_omq q in
       let base = Omq_eval.certain omq db [] in
-      let fpt = Omq_eval.certain_fpt omq db [] in
+      let fpt = Omq_eval.certain ~fpt:true omq db [] in
       check "baseline exact" true base.Omq_eval.exact;
       check "fpt agrees with baseline" true
         (base.Omq_eval.holds = fpt.Omq_eval.holds))

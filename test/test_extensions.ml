@@ -202,7 +202,7 @@ let prop_linearize_agrees =
           (fun q ->
             let direct = Ucq.holds (Tgds.Chase.instance r) q in
             let { Omq_eval.holds = via; exact } =
-              Omq_eval.certain_fpt ~max_level:10
+              Omq_eval.certain ~fpt:true ~max_level:10
                 (Omq.make ~data_schema:(Instance.schema db) ~ontology:sigma ~query:q)
                 db []
             in

@@ -95,7 +95,7 @@ let test_engines_agree () =
           let ctx engine = Fmt.str "%s / %a / %s" sc.name Ucq.pp q engine in
           (* FPT linearization *)
           if Tgd.all_guarded sc.sigma then begin
-            let fpt = Omq_eval.certain_fpt ~max_level:10 (omq q) sc.db [] in
+            let fpt = Omq_eval.certain ~fpt:true ~max_level:10 (omq q) sc.db [] in
             if fpt.Omq_eval.exact then
               check (ctx "fpt") true (fpt.Omq_eval.holds = expected);
             (* two-stage rewriting *)

@@ -285,12 +285,13 @@ let test_type_of () =
 
 let bool_q atoms = Ucq.of_cq (Cq.make atoms)
 
+let omq sigma db q =
+  Guarded_core.Omq.make ~data_schema:(Instance.schema db) ~ontology:sigma ~query:q
+
 (* The FPT route of the CLI: Σ linearized, the linear chase, the match. *)
-let certain_fpt ?max_level sigma db q tuple =
+let fpt_route ?max_level sigma db q tuple =
   let v =
-    Guarded_core.Omq_eval.certain_fpt ?max_level
-      (Guarded_core.Omq.make ~data_schema:(Instance.schema db) ~ontology:sigma ~query:q)
-      db tuple
+    Guarded_core.Omq_eval.certain ~fpt:true ?max_level (omq sigma db q) db tuple
   in
   (v.Guarded_core.Omq_eval.holds, v.Guarded_core.Omq_eval.exact)
 
@@ -306,11 +307,11 @@ let test_linearize_simple () =
   check "all rules linear" true (Tgd.all_linear lin.Linearize.sigma_star);
   check "exploration complete" true lin.Linearize.complete;
   let q = bool_q [ atom "Q" [ v "x" ] ] in
-  let verdict, exact = certain_fpt ~max_level:8 sigma db q [] in
+  let verdict, exact = fpt_route ~max_level:8 sigma db q [] in
   check "Q certain via linearization" true verdict;
   check "exact" true exact;
   let q2 = bool_q [ atom "Z" [ v "x" ] ] in
-  check "absent predicate not certain" false (fst (certain_fpt ~max_level:8 sigma db q2 []))
+  check "absent predicate not certain" false (fst (fpt_route ~max_level:8 sigma db q2 []))
 
 let test_linearize_matches_direct_chase () =
   (* guarded ontology with a terminating chase: compare against ground truth *)
@@ -335,7 +336,7 @@ let test_linearize_matches_direct_chase () =
     (fun q ->
       let direct, sat = Chase.certain ~max_level:8 sigma db q [] in
       check "direct chase saturated" true sat;
-      let via_lin, _ = certain_fpt ~max_level:10 sigma db q [] in
+      let via_lin, _ = fpt_route ~max_level:10 sigma db q [] in
       check "linearization agrees with chase" true (direct = via_lin))
     queries
 
@@ -352,10 +353,10 @@ let test_linearize_constants () =
   let db = Instance.of_facts [ fact "r" [ "c"; "a" ] ] in
   let q = Ucq.of_cq (Cq.make ~answer:[ "x" ] [ atom "s" [ v "x" ] ]) in
   let both = Alcotest.(check (pair bool bool)) in
-  both "FPT: s(a) certain, exact" (true, true) (certain_fpt sigma db q [ Named "a" ]);
+  both "FPT: s(a) certain, exact" (true, true) (fpt_route sigma db q [ Named "a" ]);
   both "rewriting: s(a) certain, exact" (true, true)
     (Guarded_core.Guarded_rewrite.certain sigma db q [ Named "a" ]);
-  both "FPT: s(c) not certain, exact" (false, true) (certain_fpt sigma db q [ Named "c" ])
+  both "FPT: s(c) not certain, exact" (false, true) (fpt_route sigma db q [ Named "c" ])
 
 let test_linearize_bodiless () =
   (* a bodiless rule's single trigger fires once on every route: with
@@ -371,23 +372,18 @@ let test_linearize_bodiless () =
   let q = bool_q [ atom "S" [ v "x" ] ] in
   let both = Alcotest.(check (pair bool bool)) in
   let chase sigma =
-    let v =
-      Guarded_core.Omq_eval.certain
-        (Guarded_core.Omq.make ~data_schema:(Instance.schema db) ~ontology:sigma
-           ~query:q)
-        db []
-    in
+    let v = Guarded_core.Omq_eval.certain (omq sigma db q) db [] in
     (v.Guarded_core.Omq_eval.holds, v.Guarded_core.Omq_eval.exact)
   in
   both "chase: certain, exact" (true, true) (chase sigma);
-  both "FPT: certain, exact" (true, true) (certain_fpt sigma db q []);
+  both "FPT: certain, exact" (true, true) (fpt_route sigma db q []);
   both "rewriting: certain, exact" (true, true)
     (Guarded_core.Guarded_rewrite.certain sigma db q []);
   (* an existential bodiless head has no ground seed: both linearizing
      routes report themselves inexact instead of a wrong "no" *)
   let sigma = [ tgd [] [ atom "R" [ v "z" ] ]; List.nth sigma 1 ] in
   both "chase: existential head" (true, true) (chase sigma);
-  both "FPT: existential head inexact" (false, false) (certain_fpt sigma db q []);
+  both "FPT: existential head inexact" (false, false) (fpt_route sigma db q []);
   both "rewriting: existential head inexact" (false, false)
     (Guarded_core.Guarded_rewrite.certain sigma db q [])
 
@@ -524,16 +520,22 @@ let prop_ground_closure_oracle =
    constant of Σ: equal to a saturated chase whenever they report
    themselves exact; otherwise the FPT route finds every answer the
    chase found, and so does the rewriting unless it reports itself
-   inexact (a rewriting cut at its size cap may miss answers). *)
+   inexact (a rewriting cut at its size cap may miss answers). The FPT
+   route's two entry points agree: [answer_set] of the Boolean query is
+   [[[]]] exactly when [certain] holds, with the same exactness. *)
 let prop_linearized_routes =
   QCheck.Test.make ~name:"FPT and rewriting routes = chase" ~count:1000
     Generators.arb_constant_case (fun (sigma, db, q) ->
       let chase, saturated =
         Chase.certain ~max_level:7 ~max_facts:2000 sigma db q []
       in
-      let fpt = certain_fpt sigma db q [] in
+      let fpt = fpt_route sigma db q [] in
+      let set = Guarded_core.Omq_eval.answer_set ~fpt:true (omq sigma db q) db in
       let rw = Guarded_core.Guarded_rewrite.certain sigma db q [] in
       let exact_agrees (holds, exact) = (not exact) || holds = chase in
+      (set.Guarded_core.Omq_eval.tuples = [ [] ], set.Guarded_core.Omq_eval.exact)
+      = fpt
+      &&
       if saturated then exact_agrees fpt && exact_agrees rw
       else (not chase) || (fst fpt && (fst rw || not (snd rw))))
 
